@@ -28,7 +28,7 @@ from .influence import (
     build_influence_map,
 )
 from .semantics import ModelConfigError, ModelSpec, forward, load_model, load_seed_input
-from .solver import ExternalSolver, SolverError, SolverRequest
+from .solver import SAT, ExternalSolver, SolverError, SolverRequest
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -194,9 +194,13 @@ def _attack_backend(config: RunConfig) -> ExternalSolver:
     backend = ExternalSolver(config.solver_command(),
                              default_timeout_s=config.solver_timeout_s)
     try:  # pre-flight so a bad command fails the whole batch loudly
-        backend.check(SolverRequest(variables=(), assertion=(), timeout_s=10.0))
+        verdict = backend.check(SolverRequest(variables=(), assertion=(), timeout_s=10.0))
     except SolverError as exc:
         raise SolverError(f"solver command failed pre-flight: {exc}") from exc
+    if verdict.status != SAT:
+        raise SolverError(
+            f"solver command failed pre-flight: {verdict.status} on the empty "
+            f"request\n{verdict.transcript}".rstrip())
     return backend
 
 

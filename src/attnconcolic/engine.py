@@ -344,7 +344,11 @@ def run_attack(model: ModelSpec, influence_map: InfluenceMap, seed,
             if built is None:
                 stats.skipped_builds += 1
                 continue
-            request = SolverRequest(variables, built, solver_timeout_s)
+            timeout_s = solver_timeout_s
+            if wall_budget_s is not None:  # a solver call may not outlast the budget
+                timeout_s = min(timeout_s, max(
+                    0.0, wall_budget_s - (time.monotonic() - start_wall)))
+            request = SolverRequest(variables, built, timeout_s)
             verdict = backend.check(request)
             stats.solved_constraints += 1
             if verdict.status == SAT:
@@ -364,11 +368,11 @@ def run_attack(model: ModelSpec, influence_map: InfluenceMap, seed,
                 stats.unknown += 1
         if outcome:
             break
+        if out_of_budget():  # also when the budget cut the last check short
+            outcome = TIMEOUT
+            break
         if not adopted:
             outcome = EXHAUSTED
-            break
-        if out_of_budget():
-            outcome = TIMEOUT
             break
 
     stats.outcome = outcome

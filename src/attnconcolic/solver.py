@@ -1,5 +1,5 @@
 """Constraint lowering to SMT-LIB2, solver subprocess management, model
-parsing, and a brute-force grid oracle.
+parsing, and a grid oracle over polynomial constraints.
 
 The engine never links a solver library: the external backend writes an
 SMT-LIB2 script over quantifier-free nonlinear reals to a configurable child
@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .symexpr import Comparison, Rel, SymExpr, evaluate
+from .symexpr import _REL_APPLY, Comparison, Rel, SymExpr, evaluate
 
 __all__ = [
     "ExternalSolver",
@@ -56,8 +56,8 @@ class SolverRequest:
 
     def __post_init__(self) -> None:
         declared = {name for name, _, _ in self.variables}
-        free = _free_variables(cmp.lhs for cmp in self.assertion)
-        free |= _free_variables(cmp.rhs for cmp in self.assertion)
+        free = _free_variables(side for cmp in self.assertion
+                               for side in (cmp.lhs, cmp.rhs))
         missing = free - declared
         if missing:
             raise SolverError(f"assertion uses undeclared variables: {sorted(missing)}")
@@ -72,9 +72,13 @@ class SolverVerdict:
 
 def _free_variables(exprs) -> set[str]:
     names: set[str] = set()
+    seen: set[int] = set()
     stack = list(exprs)
     while stack:
         node = stack.pop()
+        if node.serial in seen:
+            continue
+        seen.add(node.serial)
         if node.kind == "var":
             names.add(node.name)
         stack.extend(node.args)
@@ -276,7 +280,8 @@ class ExternalSolver:
         if proc.returncode != 0:
             return SolverVerdict(SOLVER_ERROR, transcript=transcript)
         answer = None
-        for line in proc.stdout.splitlines():
+        lines = proc.stdout.splitlines()
+        for index, line in enumerate(lines):
             line = line.strip()
             if line in (SAT, UNSAT, UNKNOWN):
                 answer = line
@@ -286,7 +291,7 @@ class ExternalSolver:
         if answer == UNKNOWN:
             return SolverVerdict(UNKNOWN, transcript=transcript)
         if answer == SAT:
-            rest = proc.stdout.split(SAT, 1)[1]
+            rest = "\n".join(lines[index + 1:])  # the model follows the answer line
             try:
                 forms = _parse_sexprs(_tokenize(rest))
                 names = [name for name, _, _ in request.variables]
@@ -297,47 +302,137 @@ class ExternalSolver:
         return SolverVerdict(SOLVER_ERROR, transcript=transcript)
 
 
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+def _lower(roots, names: Sequence[str], magnitudes: Sequence[float]) -> dict:
+    """Map every node under ``roots`` to ``(C, bound, rounds)``.
+
+    ``C[i, j]`` is the coefficient of ``a**i * b**j`` for the (at most two)
+    variables ``names``; the lowering is exact up to float rounding.
+    ``bound`` bounds every intermediate magnitude of the node's DAG over
+    ``|a| <= magnitudes[0]``, ``|b| <= magnitudes[1]`` (each constant and
+    operation taken as non-negative), and ``rounds`` counts the roundings on
+    any path from a leaf, in the DAG and in its coefficients.  Together they
+    bound how far a float evaluation strays from the exact polynomial.
+    Raises :class:`SolverError` for a symbolic divisor.
+    """
+    memo: dict[int, tuple[np.ndarray, float, int]] = {}
+    stack: list[tuple[SymExpr, bool]] = [(root, False) for root in roots]
+    while stack:
+        node, ready = stack.pop()
+        if node.serial in memo:
+            continue
+        if node.kind == "const":
+            memo[node.serial] = (np.array([[node.value]]), abs(node.value), 0)
+        elif node.kind == "var":
+            k = names.index(node.name)
+            coeffs = np.zeros((2, 1) if k == 0 else (1, 2))
+            coeffs[-1, -1] = 1.0
+            memo[node.serial] = (coeffs, magnitudes[k], 0)
+        elif not ready:
+            stack.append((node, True))
+            for child in node.args:
+                stack.append((child, False))
+        elif node.kind == "neg":
+            coeffs, bound, rounds = memo[node.args[0].serial]
+            memo[node.serial] = (-coeffs, bound, rounds)
+        else:
+            a, b = node.args
+            ca, ma, ra = memo[a.serial]
+            cb, mb, rb = memo[b.serial]
+            if node.op in ("+", "-"):
+                if node.op == "-":
+                    cb = -cb
+                if ca.shape == cb.shape:
+                    coeffs = ca + cb
+                else:
+                    coeffs = _padded(ca, cb.shape)
+                    coeffs[:cb.shape[0], :cb.shape[1]] += cb
+                memo[node.serial] = (coeffs, ma + mb, max(ra, rb) + 1)
+            elif node.op == "*":
+                if ca.size > cb.size:
+                    ca, cb = cb, ca
+                coeffs = np.zeros((ca.shape[0] + cb.shape[0] - 1,
+                                   ca.shape[1] + cb.shape[1] - 1))
+                for i, j in zip(*np.nonzero(ca)):
+                    coeffs[i:i + cb.shape[0], j:j + cb.shape[1]] += ca[i, j] * cb
+                # an output coefficient sums at most ca.size rounded products
+                memo[node.serial] = (coeffs, ma * mb, max(ra, rb) + ca.size)
+            elif b.kind == "const":
+                memo[node.serial] = (ca / b.value, ma / abs(b.value), ra + 1)
+            else:
+                raise SolverError("grid oracle cannot divide by a symbolic expression")
+    return memo
+
+
+def _padded(coeffs: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """A copy of ``coeffs`` grown with zeros to cover ``shape``."""
+    out = np.zeros((max(coeffs.shape[0], shape[0]), max(coeffs.shape[1], shape[1])))
+    out[:coeffs.shape[0], :coeffs.shape[1]] = coeffs
+    return out
+
+
 def grid_oracle(request: SolverRequest, resolution: int = 1024) -> SolverVerdict:
     """Evaluate the assertion on a uniform grid over the variable bounds.
 
     Returns sat with the first satisfying grid point (lexicographic scan), or
     unknown when no grid point satisfies: absence at a finite resolution is
     not an unsatisfiability proof.
+
+    Each conjunct is lowered once to polynomial coefficients and evaluated on
+    the whole grid as ``V_a @ C @ V_b.T``.  Where that value lies within the
+    float error bound of a tie, the conjunct is re-evaluated on the DAG, so
+    the satisfying set is exactly the DAG's, and a sat point is checked once
+    more with the scalar DAG semantics before it is returned.
     """
     if len(request.variables) > 2:
         raise SolverError("grid oracle supports at most 2 variables")
     if not request.variables:
         return SolverVerdict(SAT, assignment={})
-    axes = []
-    for _, lo, hi in request.variables:
-        steps = np.arange(resolution + 1, dtype=float) / resolution
-        axes.append(lo + (hi - lo) * steps)
-    grids = np.meshgrid(*axes, indexing="ij")
-    assignment_arrays = {name: grid.reshape(-1)
-                         for (name, _, _), grid in zip(request.variables, grids)}
-    ok = np.ones(grids[0].size, dtype=bool)
-    memo: dict[int, object] = {}  # conjuncts share most of their DAGs
+    names = [name for name, _, _ in request.variables]
+    steps = np.arange(resolution + 1, dtype=float) / resolution
+    axes = [lo + (hi - lo) * steps for _, lo, hi in request.variables]
+    if len(axes) == 1:
+        axes.append(np.zeros(1))  # a one-point second axis: C has one column
+    forms = _lower([side for cmp in request.assertion for side in (cmp.lhs, cmp.rhs)],
+                   names, [float(np.abs(axis).max()) for axis in axes])
+    shape = (axes[0].size, axes[1].size)
+    ok = np.ones(shape, dtype=bool)
+    diff = np.empty(shape)
     with np.errstate(all="ignore"):
         for cmp in request.assertion:
-            lhs = evaluate(cmp.lhs, assignment_arrays, memo)
-            rhs = evaluate(cmp.rhs, assignment_arrays, memo)
-            if cmp.rel is Rel.LT:
-                ok &= lhs < rhs
-            elif cmp.rel is Rel.LE:
-                ok &= lhs <= rhs
-            elif cmp.rel is Rel.GT:
-                ok &= lhs > rhs
-            elif cmp.rel is Rel.GE:
-                ok &= lhs >= rhs
-            elif cmp.rel is Rel.EQ:
-                ok &= lhs == rhs
-            else:
-                ok &= lhs != rhs
+            cl, ml, rl = forms[cmp.lhs.serial]
+            cr, mr, rr = forms[cmp.rhs.serial]
+            coeffs = _padded(cl, cr.shape)
+            coeffs[:cr.shape[0], :cr.shape[1]] -= cr
+            np.matmul(np.vander(axes[0], coeffs.shape[0], increasing=True) @ coeffs,
+                      np.vander(axes[1], coeffs.shape[1], increasing=True).T, out=diff)
+            # In normal-range floats, |diff - (lhs - rhs)| plus both sides'
+            # DAG errors stay under 2 * gamma(rounds) * (ml + mr): the
+            # subtraction, the powers and the two products add at most
+            # 1 + 2 * (rows + cols) roundings.  The factor 3 covers the
+            # rounding of the bounds themselves.
+            rounds = max(rl, rr) + 1 + 2 * sum(coeffs.shape)
+            gamma = rounds * _UNIT_ROUNDOFF / (1.0 - rounds * _UNIT_ROUNDOFF)
+            tol = 3.0 * gamma * (ml + mr)
+            relation = _REL_APPLY[cmp.rel]
+            holds = relation(diff, 0.0)
+            np.abs(diff, out=diff)
+            if not diff.min() > tol:  # some point is within tol of a tie, or NaN
+                rows, cols = np.nonzero(~(diff > tol) & ok)
+                points = dict(zip(names, (axes[0][rows], axes[1][cols])))
+                memo: dict[int, object] = {}
+                holds[rows, cols] = relation(evaluate(cmp.lhs, points, memo),
+                                             evaluate(cmp.rhs, points, memo))
+            ok &= holds
             if not ok.any():
                 return SolverVerdict(UNKNOWN)
-    hit = int(np.argmax(ok))
-    assignment = {name: float(vals[hit]) for name, vals in assignment_arrays.items()}
-    return SolverVerdict(SAT, assignment=assignment)
+    for hit in np.flatnonzero(ok):
+        row, col = divmod(int(hit), shape[1])
+        assignment = dict(zip(names, (float(axes[0][row]), float(axes[1][col]))))
+        if all(cmp.holds_at(assignment) for cmp in request.assertion):
+            return SolverVerdict(SAT, assignment=assignment)
+    return SolverVerdict(UNKNOWN)
 
 
 @dataclass(frozen=True)

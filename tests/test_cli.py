@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +191,16 @@ def test_attack_bad_solver_command_exits_3(workspace):
                "--background", str(workspace["background"]),
                "--solver-cmd", "no-such-solver-binary --flag",
                "--output-dir", str(workspace["root"] / "z")])
+    assert rc == 3
+
+
+def test_attack_solver_failing_preflight_exits_3(workspace):
+    # the command starts, but answers no sat on the empty request
+    rc = main(["attack", "--model", str(workspace["model"]),
+               "--seeds", str(workspace["seed0"]),
+               "--background", str(workspace["background"]),
+               "--solver-cmd", f"{sys.executable} -m no_such_module",
+               "--output-dir", str(workspace["root"] / "z2")])
     assert rc == 3
 
 

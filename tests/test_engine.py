@@ -23,7 +23,7 @@ from attnconcolic.semantics import (
     MultiHeadAttention,
     forward,
 )
-from attnconcolic.solver import GridOracle
+from attnconcolic.solver import ExternalSolver, GridOracle
 from attnconcolic.symexpr import (
     Comparison,
     ExecutionContext,
@@ -198,6 +198,16 @@ def test_attack_on_flip_proof_model_exhausts_without_false_positives():
                         backend=GridOracle(256))
     assert result.stats.outcome == "exhausted"
     assert result.adversarial is None and result.flipped_label is None
+
+
+def test_solver_calls_are_clamped_to_the_wall_budget():
+    model = flip_at_half_model()
+    seed = np.array([[0.2]])
+    result = run_attack(model, toy_map(model, seed), seed, pixels=[0],
+                        wall_budget_s=0.5, backend=ExternalSolver(["sleep", "5"]),
+                        solver_timeout_s=60.0)
+    assert result.stats.outcome == "timeout"
+    assert result.stats.wall_seconds <= 0.5 + 0.3
 
 
 def test_attack_stats_are_consistent(golden_model, golden_background):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -75,6 +77,16 @@ def test_request_rejects_undeclared_variables():
     with pytest.raises(SolverError):
         SolverRequest(variables=(("v", 0.0, 1.0),),
                       assertion=(Comparison(Rel.GT, var("w"), const(0.0)),))
+
+
+def test_request_construction_walks_shared_subterms_once():
+    expr = V
+    for _ in range(24):  # a 25-node DAG that unfolds to a 2**24-leaf tree
+        expr = add(expr, expr)
+    start = time.monotonic()
+    SolverRequest(variables=(("v", 0.0, 1.0),),
+                  assertion=(Comparison(Rel.GT, expr, const(0.0)),))
+    assert time.monotonic() - start < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +192,16 @@ def test_external_unparseable_output_is_solver_error():
     verdict = ExternalSolver(["echo", "sat ((("]).check(unit_request(V_SQUARED_LT_1))
     assert verdict.status == "solver_error"
     assert "sat" in verdict.transcript
+
+
+def test_external_model_is_read_after_the_answer_line():
+    stub = ("import sys; sys.stdin.read(); "
+            "print('(set-info :status unsatisfiable)'); print('sat'); "
+            "print('(model (define-fun v () Real 0.25))')")
+    verdict = ExternalSolver([sys.executable, "-c", stub]).check(
+        unit_request(V_SQUARED_LT_1))
+    assert verdict.status == "sat"
+    assert verdict.assignment == {"v": 0.25}
 
 
 def test_external_missing_command_raises():
