@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .influence import InfluenceMap, branch_influence
-from .semantics import ModelSpec, forward
+from .semantics import ModelSpec, _reshape_flat, forward
 from .solver import (
     SAT,
     UNSAT,
@@ -238,15 +238,7 @@ def make_symbolic_input(x: np.ndarray, pixel_indices: Sequence[int],
     flat = [ConcolicScalar(float(v)) for v in np.asarray(x, dtype=float).reshape(-1)]
     for idx in pixel_indices:
         flat[idx] = ctx.symvar(f"{var_prefix}{idx}", float(x.reshape(-1)[idx]))
-
-    def rebuild(values, shape):
-        if len(shape) == 1:
-            return list(values)
-        step = int(np.prod(shape[1:]))
-        return [rebuild(values[i * step:(i + 1) * step], shape[1:])
-                for i in range(shape[0])]
-
-    return rebuild(flat, x.shape)
+    return _reshape_flat(flat, x.shape)
 
 
 def _normalize_domains(domain, n_pixels: int) -> tuple[tuple[float, float], ...]:

@@ -1,274 +1,191 @@
 """A numerical stand-in for an SMT solver, speaking SMT-LIB2 on stdin/stdout.
 
-Run as ``python -m attnconcolic.refsolver``.  It reads a script (declare-const
-/ assert / check-sat / get-model) to EOF, extracts a search box from simple
-variable-vs-constant bound assertions, and scans staged uniform grids plus
-seeded random samples for a point satisfying every assertion under float
-evaluation.
+Run as ``python -m attnconcolic.refsolver``.  It reads a script to EOF in
+exactly the subset :func:`~attnconcolic.solver.emit_smtlib` writes: declared
+and ``define-fun``-shared Real terms over ``+ - *`` and ``/`` by a constant,
+asserted in comparisons.  Anything else prints one ``(error ...)`` line on
+stderr and exits 2.  It shares the grid oracle's parser and kernel: the box
+comes from the variable-vs-constant conjuncts (negative bounds included), is
+scanned by :func:`~attnconcolic.solver.grid_oracle` at staged resolutions (a
+16-per-axis mesh past two variables), then by seeded random samples.
 
 Answers are honest about their strength: ``sat`` comes with a model that is a
-verified witness, ``unsat`` is emitted only when the bound assertions already
-make the box empty, and everything else is ``unknown``.  This keeps a fully
-working out-of-the-box pipeline on machines without z3/cvc5 installed; point
-a real solver at the engine for completeness.
+verified witness, printed in decimals; ``unsat`` is emitted only when the
+bound assertions already make the box empty, and everything else is
+``unknown``.  This keeps a fully working out-of-the-box pipeline on machines
+without z3/cvc5 installed; point a real solver at the engine for completeness.
 """
 
 from __future__ import annotations
 
 import hashlib
 import sys
-from fractions import Fraction
+from dataclasses import replace
 
 import numpy as np
 
-GRID_STAGES_1D = (256, 1024, 4096)
-GRID_STAGES_2D = (256, 1024)
+from .solver import (SAT, UNKNOWN, UNSAT, SolverError, SolverRequest, _grid_axis,
+                     _parse_sexprs, _render_decimal, _tokenize, grid_oracle)
+from .symexpr import (_REL_APPLY, Comparison, Rel, add, const, div, evaluate, mul, neg,
+                      sub, var)
+
+GRID_STAGES = {0: (1,), 1: (256, 1024, 4096), 2: (256, 1024)}  # by variable count
+MESH_RESOLUTION = 16  # dense meshes blow up past two variables
 RANDOM_SAMPLES = 65536
 DEFAULT_BOX = (-1e9, 1e9)
+_CHUNK = 2048  # sample rows per evaluate: bounds the memo; fastest of 512 to 65536
+
+_BUILDERS = {"+": add, "-": sub, "*": mul, "/": div}
+_RELATIONS = {rel.value: rel for rel in (Rel.LT, Rel.LE, Rel.GT, Rel.GE, Rel.EQ)}
+_IGNORED = ("set-logic", "get-model")
 
 
-class ScriptError(ValueError):
-    pass
+class ScriptError(SolverError):
+    """A script outside the accepted subset."""
 
 
-def _tokenize(text: str) -> list[str]:
-    out: list[str] = []
-    for raw_line in text.splitlines():
-        line = raw_line.split(";", 1)[0]
-        out.extend(line.replace("(", " ( ").replace(")", " ) ").split())
-    return out
+def _term(form, names: dict):
+    """The DAG of one term; ``names`` maps the defined symbols, and any other
+    symbol is a variable (the request checks that it was declared)."""
+    if isinstance(form, str):
+        if form in names:
+            return names[form]
+        if not form[0].isdigit():
+            return var(form)
+        try:
+            return const(float(form))
+        except ValueError:
+            raise ScriptError(f"bad numeral {form!r}") from None
+    arities = (1, 2) if form[:1] == ["-"] else (2,)
+    if not form or form[0] not in _BUILDERS or len(form) - 1 not in arities:
+        raise ScriptError(f"unsupported term {form!r}")
+    head, *args = form
+    terms = [_term(arg, names) for arg in args]
+    if len(terms) == 1:
+        return neg(terms[0])
+    if head == "/" and not (terms[1].is_const and terms[1].value != 0.0):
+        raise ScriptError("division by zero or by a symbolic expression")
+    return _BUILDERS[head](*terms)
 
 
-def _parse(tokens: list[str]) -> list:
-    forms: list = []
-    stack: list[list] = []
-    for token in tokens:
-        if token == "(":
-            stack.append([])
-        elif token == ")":
-            if not stack:
-                raise ScriptError("unbalanced parentheses")
-            done = stack.pop()
-            (stack[-1] if stack else forms).append(done)
-        else:
-            (stack[-1] if stack else forms).append(token)
-    if stack:
-        raise ScriptError("unbalanced parentheses")
-    return forms
+def _comparison(form, names: dict) -> Comparison:
+    if isinstance(form, list) and len(form) == 2 and form[0] == "not":
+        inner = _comparison(form[1], names)
+        if inner.rel is Rel.EQ:
+            return Comparison(Rel.NE, inner.lhs, inner.rhs)
+    elif isinstance(form, list) and len(form) == 3 and form[0] in _RELATIONS:
+        return Comparison(_RELATIONS[form[0]], _term(form[1], names), _term(form[2], names))
+    raise ScriptError(f"unsupported assertion {form!r}")
 
 
-def _atom_value(token: str):
-    try:
-        return float(token)
-    except ValueError:
-        return None
+def _narrowed(request: SolverRequest) -> SolverRequest:
+    """``request`` with each variable's box narrowed by the variable's
+    comparisons with a constant."""
+    boxes = {name: [lo, hi] for name, lo, hi in request.variables}
+    for cmp in request.assertion:
+        if cmp.rel in (Rel.EQ, Rel.NE):
+            continue
+        for side, other, upper in ((cmp.lhs, cmp.rhs, cmp.rel in (Rel.LT, Rel.LE)),
+                                   (cmp.rhs, cmp.lhs, cmp.rel in (Rel.GT, Rel.GE))):
+            if side.kind == "var" and other.is_const:
+                lo, hi = boxes[side.name]
+                boxes[side.name] = [lo, min(hi, other.value)] if upper \
+                    else [max(lo, other.value), hi]
+    return replace(request, variables=tuple((name, lo, hi) for name, (lo, hi) in boxes.items()))
 
 
-def compile_expr(node, declared: set[str]):
-    """Compile a term to a closure over an environment of per-variable values
-    (floats or aligned numpy arrays)."""
-    if isinstance(node, str):
-        value = _atom_value(node)
-        if value is not None:
-            return lambda env, v=value: v
-        if node in declared:
-            return lambda env, n=node: env[n]
-        raise ScriptError(f"unknown symbol {node!r}")
-    if not node:
-        raise ScriptError("empty term")
-    head, *args = node
-    sub = [compile_expr(arg, declared) for arg in args]
-    if head == "+":
-        return lambda env: sum(f(env) for f in sub)
-    if head == "*":
-        def product(env):
-            out = sub[0](env)
-            for f in sub[1:]:
-                out = out * f(env)
-            return out
-        return product
-    if head == "-":
-        if len(sub) == 1:
-            return lambda env: -sub[0](env)
-        return lambda env: sub[0](env) - sub[1](env)
-    if head == "/":
-        def quotient(env):
-            with np.errstate(all="ignore"):
-                return sub[0](env) / sub[1](env)
-        return quotient
-    if head in ("<", "<=", ">", ">=", "="):
-        ops = {"<": np.less, "<=": np.less_equal, ">": np.greater,
-               ">=": np.greater_equal, "=": np.equal}
-        return lambda env, op=ops[head]: op(sub[0](env), sub[1](env))
-    if head == "not":
-        return lambda env: np.logical_not(sub[0](env))
-    if head == "and":
-        def conj(env):
-            out = sub[0](env)
-            for f in sub[1:]:
-                out = np.logical_and(out, f(env))
-            return out
-        return conj
-    if head == "or":
-        def disj(env):
-            out = sub[0](env)
-            for f in sub[1:]:
-                out = np.logical_or(out, f(env))
-            return out
-        return disj
-    raise ScriptError(f"unsupported operator {head!r}")
-
-
-def _bound_from_assert(form, declared: set[str]):
-    """Recognize (rel var const) / (rel const var); returns (var, lo?, hi?)."""
-    if not (isinstance(form, list) and len(form) == 3):
-        return None
-    rel, a, b = form
-    if rel not in ("<", "<=", ">", ">="):
-        return None
-    if isinstance(a, str) and a in declared:
-        value = _atom_value(b) if isinstance(b, str) else None
-        if value is None:
-            return None
-        return (a, value, None) if rel in (">", ">=") else (a, None, value)
-    if isinstance(b, str) and b in declared:
-        value = _atom_value(a) if isinstance(a, str) else None
-        if value is None:
-            return None
-        return (b, None, value) if rel in (">", ">=") else (b, value, None)
-    return None
-
-
-def _grid_axis(lo: float, hi: float, resolution: int) -> np.ndarray:
-    steps = np.arange(resolution + 1, dtype=float) / resolution
-    return lo + (hi - lo) * steps
-
-
-def _search(variables: list[str], boxes: dict[str, tuple[float, float]],
-            constraints, seed: int):
-    """Staged grid scan then random sampling; returns a witness dict or None."""
-
-    def satisfied_at(env) -> np.ndarray:
-        size = None
-        for value in env.values():
-            if isinstance(value, np.ndarray):
-                size = value.size
-        ok = np.ones(size if size is not None else 1, dtype=bool)
+def _first_hit(assertion, names: list[str], points: np.ndarray):
+    """The first row of ``points`` (one column per variable) at which every
+    conjunct holds, as an assignment, or None."""
+    for start in range(0, len(points), _CHUNK):
+        chunk = points[start:start + _CHUNK]
+        env = dict(zip(names, chunk.T))
+        memo: dict[int, object] = {}
+        ok = np.ones(len(chunk), dtype=bool)
         with np.errstate(all="ignore"):
-            for fn in constraints:
-                result = np.asarray(fn(env), dtype=bool).reshape(-1)
-                ok = ok & (result if result.size > 1 else result[0])
+            for cmp in assertion:
+                ok &= _REL_APPLY[cmp.rel](evaluate(cmp.lhs, env, memo),
+                                          evaluate(cmp.rhs, env, memo))
                 if not ok.any():
                     break
-        return ok
-
-    if len(variables) == 1:
-        stages: tuple[int, ...] = GRID_STAGES_1D
-    elif len(variables) == 2:
-        stages = GRID_STAGES_2D
-    else:
-        stages = (16,)  # dense meshes blow up past two variables
-    for resolution in stages:
-        axes = [_grid_axis(*boxes[name], resolution) for name in variables]
-        grids = np.meshgrid(*axes, indexing="ij")
-        env = {name: grid.reshape(-1) for name, grid in zip(variables, grids)}
-        ok = satisfied_at(env)
         if ok.any():
-            hit = int(np.argmax(ok))
-            return {name: float(env[name][hit]) for name in variables}
-    rng = np.random.default_rng(seed)
-    lows = np.array([boxes[name][0] for name in variables])
-    highs = np.array([boxes[name][1] for name in variables])
-    samples = rng.uniform(lows, highs, size=(RANDOM_SAMPLES, len(variables)))
-    env = {name: samples[:, i] for i, name in enumerate(variables)}
-    ok = satisfied_at(env)
-    if ok.any():
-        hit = int(np.argmax(ok))
-        return {name: float(env[name][hit]) for name in variables}
+            return dict(zip(names, map(float, chunk[int(np.argmax(ok))])))
     return None
 
 
-def _render_value(value: float) -> str:
-    fraction = Fraction(value)
-    if abs(fraction.numerator) < 2**62 and fraction.denominator < 2**62:
-        if fraction.denominator == 1:
-            text = f"{fraction.numerator}.0" if fraction.numerator >= 0 \
-                else f"(- {-fraction.numerator}.0)"
-            return text
-        if fraction.numerator < 0:
-            return f"(- (/ {-fraction.numerator} {fraction.denominator}))"
-        return f"(/ {fraction.numerator} {fraction.denominator})"
-    return repr(value)
+def _search(request: SolverRequest, seed: int):
+    """Staged grid scan, then random sampling; a witness dict or None."""
+    names = [name for name, _, _ in request.variables]
+    if len(names) <= 2:
+        for resolution in GRID_STAGES[len(names)]:
+            verdict = grid_oracle(request, resolution)
+            if verdict.status == SAT:
+                return verdict.assignment
+        if not names:
+            return None
+    else:
+        axes = [_grid_axis(lo, hi, MESH_RESOLUTION) for _, lo, hi in request.variables]
+        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(names))
+        witness = _first_hit(request.assertion, names, mesh)
+        if witness is not None:
+            return witness
+    lows, highs = np.array([(lo, hi) for _, lo, hi in request.variables]).T
+    samples = np.random.default_rng(seed).uniform(lows, highs,
+                                                  size=(RANDOM_SAMPLES, len(names)))
+    return _first_hit(request.assertion, names, samples)
 
 
 def solve_script(text: str) -> tuple[str, dict[str, float] | None, list[str]]:
-    """Returns (status, witness, declared variable order)."""
-    forms = _parse(_tokenize(text))
+    """Returns (status, witness, declared variable order).  Raises SolverError
+    on a script it cannot read (ScriptError for a form outside the subset)."""
     declared: list[str] = []
-    declared_set: set[str] = set()
-    asserts: list = []
+    defined: dict = {}
+    assertion: list[Comparison] = []
     check_requested = False
-    for form in forms:
+    for form in _parse_sexprs(_tokenize(text)):
         if not isinstance(form, list) or not form:
+            raise ScriptError(f"unsupported command {form!r}")
+        head, *args = form
+        name = args[0] if args and isinstance(args[0], str) else None
+        if head in _IGNORED:
             continue
-        head = form[0]
-        if head in ("set-logic", "set-option", "set-info", "get-model", "exit"):
-            continue
-        if head == "declare-const" and len(form) >= 2:
-            declared.append(form[1])
-            declared_set.add(form[1])
-        elif head == "declare-fun" and len(form) >= 2:
-            declared.append(form[1])
-            declared_set.add(form[1])
-        elif head == "assert" and len(form) == 2:
-            asserts.append(form[1])
-        elif head == "check-sat":
+        if form == ["check-sat"]:
             check_requested = True
+        elif head == "assert" and len(args) == 1:
+            assertion.append(_comparison(args[0], defined))
+        elif name in declared or name in defined:
+            raise ScriptError(f"symbol {name!r} declared twice")
+        elif form in (["declare-const", name, "Real"], ["declare-fun", name, [], "Real"]):
+            declared.append(name)
+        elif form[:4] == ["define-fun", name, [], "Real"] and len(form) == 5:
+            defined[name] = _term(form[4], defined)
         else:
-            raise ScriptError(f"unsupported command {head!r}")
+            raise ScriptError(f"unsupported command {form!r}")
+    request = _narrowed(SolverRequest(tuple((name, *DEFAULT_BOX) for name in declared),
+                                      tuple(assertion)))
     if not check_requested:
-        return ("unknown", None, declared)
-
-    boxes = {name: list(DEFAULT_BOX) for name in declared}
-    for form in asserts:
-        bound = _bound_from_assert(form, declared_set)
-        if bound is not None:
-            name, lo, hi = bound
-            if lo is not None:
-                boxes[name][0] = max(boxes[name][0], lo)
-            if hi is not None:
-                boxes[name][1] = min(boxes[name][1], hi)
-    for name in declared:
-        if boxes[name][0] > boxes[name][1]:
-            return ("unsat", None, declared)
-
-    constraints = [compile_expr(form, declared_set) for form in asserts]
-    if not declared:
-        env: dict[str, float] = {}
-        with np.errstate(all="ignore"):
-            ok = all(bool(np.all(fn(env))) for fn in constraints)
-        return ("sat", {}, declared) if ok else ("unknown", None, declared)
-
+        return (UNKNOWN, None, declared)
+    if any(lo > hi for _, lo, hi in request.variables):
+        return (UNSAT, None, declared)
     seed = int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
-    witness = _search(declared, {n: tuple(b) for n, b in boxes.items()},
-                      constraints, seed)
+    witness = _search(request, seed)
     if witness is None:
-        return ("unknown", None, declared)
-    return ("sat", witness, declared)
+        return (UNKNOWN, None, declared)
+    return (SAT, witness, declared)
 
 
 def main() -> int:
     text = sys.stdin.read()
     try:
         status, witness, declared = solve_script(text)
-    except ScriptError as exc:
+    except SolverError as exc:
         print(f"(error \"{exc}\")", file=sys.stderr)
         return 2
     print(status)
-    if status == "sat" and witness is not None:
+    if status == SAT:
         print("(")
         for name in declared:
-            print(f"  (define-fun {name} () Real {_render_value(witness[name])})")
+            print(f"  (define-fun {name} () Real {_render_decimal(witness[name])})")
         print(")")
     return 0
 

@@ -115,50 +115,81 @@ def _reciprocal_exact(value: float) -> Optional[float]:
     return None
 
 
-def _render_expr(expr: SymExpr) -> str:
-    memo: dict[int, str] = {}
+def _shared_nodes(roots: Sequence[SymExpr]) -> set[int]:
+    """Serials of the interior nodes referenced twice or more under ``roots``;
+    each root occurrence counts as a reference."""
+    refs: dict[int, int] = {}
+    stack = [root for root in roots if root.args]
+    while stack:
+        node = stack.pop()
+        refs[node.serial] = refs.get(node.serial, 0) + 1
+        if refs[node.serial] == 1:
+            stack.extend(child for child in node.args if child.args)
+    return {serial for serial, count in refs.items() if count >= 2}
+
+
+def _render_expr(expr: SymExpr, memo: dict[int, str], shared: set[int],
+                 defines: list[str], prefix: str) -> str:
+    """Text of ``expr``.  A node in ``shared`` is appended to ``defines`` in
+    post-order as ``(define-fun <prefix><k> () Real ...)`` and is referred to
+    by that name."""
     stack: list[tuple[SymExpr, bool]] = [(expr, False)]
     while stack:
         node, ready = stack.pop()
         if node.serial in memo:
             continue
         if node.kind == "const":
-            memo[node.serial] = _render_decimal(node.value)
+            text = _render_decimal(node.value)
         elif node.kind == "var":
-            memo[node.serial] = node.name
+            text = node.name
         elif not ready:
             stack.append((node, True))
             for child in node.args:
                 stack.append((child, False))
+            continue
         elif node.kind == "neg":
-            memo[node.serial] = f"(- {memo[node.args[0].serial]})"
+            text = f"(- {memo[node.args[0].serial]})"
         else:
             a, b = node.args
-            if node.op == "/" and b.is_const:
-                recip = _reciprocal_exact(b.value)
-                if recip is not None:
-                    memo[node.serial] = f"(* {memo[a.serial]} {_render_decimal(recip)})"
-                    continue
-            memo[node.serial] = f"({node.op} {memo[a.serial]} {memo[b.serial]})"
+            recip = _reciprocal_exact(b.value) if node.op == "/" and b.is_const else None
+            if recip is not None:
+                text = f"(* {memo[a.serial]} {_render_decimal(recip)})"
+            else:
+                text = f"({node.op} {memo[a.serial]} {memo[b.serial]})"
+        if node.serial in shared:
+            name = f"{prefix}{len(defines)}"
+            defines.append(f"(define-fun {name} () Real {text})")
+            text = name
+        memo[node.serial] = text
     return memo[expr.serial]
 
 
-def _render_comparison(cmp: Comparison) -> str:
-    lhs, rhs = _render_expr(cmp.lhs), _render_expr(cmp.rhs)
-    if cmp.rel is Rel.NE:
-        return f"(not (= {lhs} {rhs}))"
-    return f"({cmp.rel.value} {lhs} {rhs})"
-
-
 def emit_smtlib(request: SolverRequest) -> str:
-    """Deterministic SMT-LIB2 text over quantifier-free nonlinear reals."""
+    """Deterministic SMT-LIB2 text over quantifier-free nonlinear reals.
+
+    Every interior node referenced twice or more is defined once with
+    ``define-fun`` under a name no declared variable starts with."""
     lines = ["(set-logic QF_NRA)"]
     for name, lo, hi in request.variables:
         lines.append(f"(declare-const {name} Real)")
         lines.append(f"(assert (>= {name} {_render_decimal(lo)}))")
         lines.append(f"(assert (<= {name} {_render_decimal(hi)}))")
+    prefix = "_s"
+    while any(name.startswith(prefix) for name, _, _ in request.variables):
+        prefix = "_" + prefix
+    shared = _shared_nodes([side for cmp in request.assertion for side in (cmp.lhs, cmp.rhs)])
+    memo: dict[int, str] = {}
+    defines: list[str] = []
+    asserts = []
     for cmp in request.assertion:
-        lines.append(f"(assert {_render_comparison(cmp)})")
+        lhs, rhs = (_render_expr(side, memo, shared, defines, prefix)
+                    for side in (cmp.lhs, cmp.rhs))
+        if cmp.rel is Rel.NE:
+            asserts.append(f"(assert (not (= {lhs} {rhs})))")
+        else:
+            asserts.append(f"(assert ({cmp.rel.value} {lhs} {rhs}))")
+    lines.extend(defines)
+    lines.extend(asserts)
     lines.append("(check-sat)")
     lines.append("(get-model)")
     return "\n".join(lines) + "\n"
@@ -170,7 +201,11 @@ def emit_smtlib(request: SolverRequest) -> str:
 
 
 def _tokenize(text: str) -> list[str]:
-    return text.replace("(", " ( ").replace(")", " ) ").split()
+    """SMT-LIB tokens; a ``;`` comment runs to the end of its line."""
+    out: list[str] = []
+    for line in text.splitlines():
+        out.extend(line.split(";", 1)[0].replace("(", " ( ").replace(")", " ) ").split())
+    return out
 
 
 def _parse_sexprs(tokens: list[str]):
@@ -181,7 +216,7 @@ def _parse_sexprs(tokens: list[str]):
             stack.append([])
         elif token == ")":
             if not stack:
-                raise SolverError("unbalanced solver output")
+                raise SolverError("unbalanced parentheses")
             done = stack.pop()
             if stack:
                 stack[-1].append(done)
@@ -192,7 +227,7 @@ def _parse_sexprs(tokens: list[str]):
         else:
             forms.append(token)
     if stack:
-        raise SolverError("unbalanced solver output")
+        raise SolverError("unbalanced parentheses")
     return forms
 
 
@@ -372,12 +407,18 @@ def _padded(coeffs: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return out
 
 
+def _grid_axis(lo: float, hi: float, resolution: int) -> np.ndarray:
+    """``resolution + 1`` evenly spaced points from ``lo`` to about ``hi``."""
+    return lo + (hi - lo) * (np.arange(resolution + 1, dtype=float) / resolution)
+
+
 def grid_oracle(request: SolverRequest, resolution: int = 1024) -> SolverVerdict:
     """Evaluate the assertion on a uniform grid over the variable bounds.
 
     Returns sat with the first satisfying grid point (lexicographic scan), or
     unknown when no grid point satisfies: absence at a finite resolution is
-    not an unsatisfiability proof.
+    not an unsatisfiability proof.  A request without variables is sat when
+    its ground conjuncts hold and unknown otherwise.
 
     Each conjunct is lowered once to polynomial coefficients and evaluated on
     the whole grid as ``V_a @ C @ V_b.T``.  Where that value lies within the
@@ -388,10 +429,11 @@ def grid_oracle(request: SolverRequest, resolution: int = 1024) -> SolverVerdict
     if len(request.variables) > 2:
         raise SolverError("grid oracle supports at most 2 variables")
     if not request.variables:
-        return SolverVerdict(SAT, assignment={})
+        if all(cmp.holds_at({}) for cmp in request.assertion):
+            return SolverVerdict(SAT, assignment={})
+        return SolverVerdict(UNKNOWN)
     names = [name for name, _, _ in request.variables]
-    steps = np.arange(resolution + 1, dtype=float) / resolution
-    axes = [lo + (hi - lo) * steps for _, lo, hi in request.variables]
+    axes = [_grid_axis(lo, hi, resolution) for _, lo, hi in request.variables]
     if len(axes) == 1:
         axes.append(np.zeros(1))  # a one-point second axis: C has one column
     forms = _lower([side for cmp in request.assertion for side in (cmp.lhs, cmp.rhs)],

@@ -1,0 +1,212 @@
+"""The bundled refsolver against a reference built from the request.
+
+The reference narrows each variable's box by the variable-vs-constant
+conjuncts, runs the staged ``reference_grid_oracle`` of
+``test_grid_oracle`` (a 16-per-axis mesh past two variables), then draws the
+seeded random samples and evaluates the DAG on them as arrays.  The
+refsolver reads the emitted script and must give the same status and the
+same witness.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import shlex
+import subprocess
+
+import numpy as np
+import pytest
+
+from attnconcolic import refsolver
+from attnconcolic.solver import ExternalSolver, SolverRequest, emit_smtlib, grid_oracle
+from attnconcolic.symexpr import (
+    _REL_APPLY,
+    Comparison,
+    Rel,
+    add,
+    const,
+    div,
+    evaluate,
+    mul,
+    var,
+)
+
+from conftest import REFSOLVER_CMD
+from test_grid_oracle import random_comparison, random_constant, reference_grid_oracle
+
+STAGES = {1: (256, 1024, 4096), 2: (256, 1024), 3: (16,)}
+FLIPPED = {Rel.LT: Rel.GT, Rel.LE: Rel.GE, Rel.GT: Rel.LT, Rel.GE: Rel.LE,
+           Rel.EQ: Rel.EQ, Rel.NE: Rel.NE}
+
+
+def reference_solve(request: SolverRequest, script: str):
+    # the script asserts each variable's bounds, and the refsolver checks them
+    assertion = tuple(cmp for name, lo, hi in request.variables
+                      for cmp in (Comparison(Rel.GE, var(name), const(lo)),
+                                  Comparison(Rel.LE, var(name), const(hi))))
+    assertion += request.assertion
+    box = {name: [-1e9, 1e9] for name, _, _ in request.variables}
+    for cmp in assertion:
+        for side, other, rel in ((cmp.lhs, cmp.rhs, cmp.rel),
+                                 (cmp.rhs, cmp.lhs, FLIPPED[cmp.rel])):
+            if side.kind == "var" and other.is_const and rel in (Rel.LE, Rel.LT):
+                box[side.name][1] = min(box[side.name][1], other.value)
+            if side.kind == "var" and other.is_const and rel in (Rel.GE, Rel.GT):
+                box[side.name][0] = max(box[side.name][0], other.value)
+    if any(lo > hi for lo, hi in box.values()):
+        return ("unsat", None)
+    narrowed = SolverRequest(tuple((name, lo, hi) for name, (lo, hi) in box.items()),
+                             assertion)
+    for resolution in STAGES[len(box)]:
+        verdict = reference_grid_oracle(narrowed, resolution)
+        if verdict.status == "sat":
+            return ("sat", verdict.assignment)
+    seed = int.from_bytes(hashlib.sha256(script.encode()).digest()[:8], "big")
+    lows, highs = np.array(list(box.values())).T
+    samples = np.random.default_rng(seed).uniform(lows, highs, size=(65536, len(box)))
+    points = {name: samples[:, k] for k, name in enumerate(box)}
+    ok = np.ones(len(samples), dtype=bool)
+    with np.errstate(all="ignore"):
+        for cmp in assertion:
+            ok &= _REL_APPLY[cmp.rel](evaluate(cmp.lhs, points), evaluate(cmp.rhs, points))
+    if not ok.any():
+        return ("unknown", None)
+    hit = int(np.argmax(ok))
+    return ("sat", {name: float(values[hit]) for name, values in points.items()})
+
+
+def random_box(rng: np.random.Generator, negative: bool) -> tuple[float, float]:
+    lo = abs(random_constant(rng))
+    if negative:
+        lo = -lo - 0.125
+    return lo, lo + abs(random_constant(rng)) + 0.125
+
+
+@pytest.mark.parametrize("negative", [False, True], ids=["nonneg", "negative"])
+@pytest.mark.parametrize("n_vars,count", [(1, 40), (2, 16), (3, 24)])
+def test_matches_reference(n_vars, count, negative):
+    rng = np.random.default_rng(100 * n_vars + negative)
+    names = ["a", "b", "c"][:n_vars]
+    statuses = []
+    for _ in range(count):
+        variables = tuple((name, *random_box(rng, negative)) for name in names)
+        assertion = tuple(random_comparison(rng, names)
+                          for _ in range(rng.integers(1, 4)))
+        if rng.random() < 0.2:  # a bound inside the assertion narrows the box
+            assertion += (Comparison(Rel.LT, var(names[0]),
+                                     const(variables[0][1] + 0.25)),)
+        request = SolverRequest(variables, assertion)
+        script = emit_smtlib(request)
+        status, witness, declared = refsolver.solve_script(script)
+        assert declared == names
+        assert (status, witness) == reference_solve(request, script)
+        statuses.append(status)
+    assert "sat" in statuses
+
+
+# ---------------------------------------------------------------------------
+# through the process
+# ---------------------------------------------------------------------------
+
+
+def test_negative_bound_is_honoured(refsolver_backend):
+    v = var("v")
+    request = SolverRequest((("v", -1.0, 0.0),), (Comparison(Rel.LT, v, const(-0.5)),))
+    verdict = refsolver_backend.check(request)
+    assert verdict.status == "sat"
+    assert verdict.assignment == {"v": -1.0}
+
+
+def test_negative_two_variable_box_agrees_with_grid_oracle(refsolver_backend):
+    a, b = var("a"), var("b")
+    request = SolverRequest((("a", -1.0, 0.0), ("b", -1.0, 0.0)),
+                            (Comparison(Rel.GT, mul(a, b), const(0.3)),
+                             Comparison(Rel.GT, add(a, mul(b, const(0.5))), const(-1.1))))
+    want = grid_oracle(request, 256)
+    assert want.status == "sat"
+    verdict = refsolver_backend.check(request)
+    assert (verdict.status, verdict.assignment) == ("sat", want.assignment)
+
+
+def test_ground_request_is_checked(refsolver_backend):
+    false = SolverRequest((), (Comparison(Rel.LT, const(1.0), const(0.0)),))
+    true = SolverRequest((), (Comparison(Rel.GT, const(1.0), const(0.0)),))
+    empty = SolverRequest((), ())
+    assert grid_oracle(false).status == "unknown"
+    assert grid_oracle(true).status == "sat"
+    assert grid_oracle(empty).status == "sat"
+    assert refsolver_backend.check(false).status == "unknown"
+    assert refsolver_backend.check(empty).status == "sat"
+
+
+def test_shared_subterms_are_defined_once():
+    v = var("v")
+    expr = v
+    for _ in range(16):
+        expr = add(expr, expr)
+    request = SolverRequest((("v", 0.0, 1.0),), (Comparison(Rel.GT, expr, const(1000.0)),))
+    script = emit_smtlib(request)
+    assert len(script) < 4096
+    assert script.count("(define-fun ") == 15  # the root is referenced once
+    want = grid_oracle(request, 256)
+    assert want.status == "sat"
+    status, witness, _ = refsolver.solve_script(script)
+    assert (status, witness) == (want.status, want.assignment)
+
+
+def test_defined_names_avoid_declared_variables():
+    v, s = var("_s0"), var("__s0")
+    shared = mul(v, s)
+    request = SolverRequest((("_s0", 0.0, 1.0), ("__s0", 0.0, 1.0)),
+                            (Comparison(Rel.GT, shared, const(0.25)),
+                             Comparison(Rel.LT, shared, const(0.5))))
+    script = emit_smtlib(request)
+    assert "(define-fun ___s0 () Real (* _s0 __s0))" in script
+    status, witness, _ = refsolver.solve_script(script)
+    assert (status, witness) == ("sat", grid_oracle(request, 256).assignment)
+
+
+# ---------------------------------------------------------------------------
+# rejected scripts
+# ---------------------------------------------------------------------------
+
+DECLARE = "(declare-const v Real)\n(assert (>= v 0.0))\n(assert (<= v 1.0))\n"
+REJECTED = {
+    "disjunction": DECLARE + "(assert (or (< v 0.5) (> v 0.75)))\n(check-sat)\n",
+    "symbolic divisor": DECLARE + "(assert (> (/ v v) 0.5))\n(check-sat)\n",
+    "undeclared symbol": DECLARE + "(assert (> (+ v w) 0.5))\n(check-sat)\n",
+}
+
+
+def run_script(script: str) -> subprocess.CompletedProcess:
+    return subprocess.run(REFSOLVER_CMD, input=script, capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED))
+def test_rejected_script_exits_2(name, tmp_path):
+    proc = run_script(REJECTED[name])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("(error ")
+    path = tmp_path / "script.smt2"
+    path.write_text(REJECTED[name])
+    command = f"{shlex.join(REFSOLVER_CMD)} < {shlex.quote(str(path))}"
+    unit = SolverRequest((("v", 0.0, 1.0),), ())
+    assert ExternalSolver(["sh", "-c", command]).check(unit).status == "solver_error"
+
+
+def test_symbolic_divisor_request_is_a_solver_error(refsolver_backend):
+    v = var("v")
+    request = SolverRequest((("v", 0.0, 1.0),),
+                            (Comparison(Rel.GT, div(v, add(v, const(1.0))), const(0.25)),))
+    assert refsolver_backend.check(request).status == "solver_error"
+
+
+def test_comment_lines_are_ignored():
+    script = ("; a comment with ( unbalanced parentheses\n" + DECLARE
+              + "(assert (> v 0.5)) ; trailing ) comment\n(check-sat)\n(get-model)\n")
+    proc = run_script(script)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[0] == "sat"
+    assert refsolver.solve_script(script)[:2] == ("sat", {"v": 257 / 512})
