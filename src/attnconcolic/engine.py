@@ -19,8 +19,10 @@ from .influence import InfluenceMap, branch_influence
 from .semantics import ModelSpec, _reshape_flat, forward
 from .solver import (
     SAT,
+    SOLVER_ERROR,
     UNSAT,
     Backend,
+    TIMEOUT as SOLVER_TIMEOUT,
     SolverRequest,
     assignment_satisfies,
 )
@@ -29,9 +31,9 @@ from .symexpr import (
     Comparison,
     ConcolicScalar,
     ExecutionContext,
+    const,
     count_unique_nodes,
     sub,
-    const,
 )
 
 __all__ = [
@@ -102,6 +104,8 @@ class RunStats:
     sat: int = 0
     unsat: int = 0
     unknown: int = 0
+    timeout: int = 0
+    solver_error: int = 0
     generated_constraints: int = 0
     solved_constraints: int = 0
     skipped_builds: int = 0
@@ -161,21 +165,25 @@ def harvest(events: Sequence[BranchEvent], influence_map: InfluenceMap,
     items: list[WorkItem] = []
     node = tree.root
     prefix: list[Comparison] = []
+    # every literal up to an event compares the sides of that event's guard
+    # or an earlier one: count the union of their nodes as it grows
+    seen: set[int] = set()
+    unseen: list = []
     for event in events:
         guard_key = event.guard.key()
         bypass_edge = (guard_key, not event.taken)
+        unseen += (event.guard.lhs, event.guard.rhs)
         if bypass_edge not in tree.children[node] and \
                 (node, bypass_edge) not in tree.enqueued:
             tree.enqueued.add((node, bypass_edge))
-            constraint = (*prefix, event.bypassed_predicate)
-            exprs = [e for cmp in constraint for e in (cmp.lhs, cmp.rhs)]
             items.append(WorkItem(
-                constraint=constraint,
+                constraint=(*prefix, event.bypassed_predicate),
                 influence=branch_influence(event, influence_map),
                 layer_index=event.layer_index,
-                node_count=count_unique_nodes(exprs),
+                node_count=count_unique_nodes(unseen, seen),
                 ordinal=tree.next_ordinal,
             ))
+            unseen = []
             tree.next_ordinal += 1
         node = tree.child(node, (guard_key, event.taken))
         prefix.append(event.taken_literal())
@@ -203,9 +211,9 @@ def build_constraint(item: WorkItem, cap_seconds: Optional[float] = None
         visited = 0
         while stack:
             node = stack.pop()
-            if node.serial in seen:
+            if id(node) in seen:
                 continue
-            seen.add(node.serial)
+            seen.add(id(node))
             stack.extend(node.args)
             visited += 1
             if visited % 2048 == 0 and over_cap():
@@ -356,6 +364,10 @@ def run_attack(model: ModelSpec, influence_map: InfluenceMap, seed,
                 break
             if verdict.status == UNSAT:
                 stats.unsat += 1
+            elif verdict.status == SOLVER_TIMEOUT:
+                stats.timeout += 1
+            elif verdict.status == SOLVER_ERROR:
+                stats.solver_error += 1
             else:
                 stats.unknown += 1
         if outcome:
@@ -409,6 +421,9 @@ def attack_result_to_json(result: AttackResult, seed_ref: str = "") -> dict:
         "iterations": stats.iterations,
         "sat": stats.sat,
         "unsat": stats.unsat,
+        "unknown": stats.unknown,
+        "timeout": stats.timeout,
+        "solver_error": stats.solver_error,
         "gen_constraints": stats.generated_constraints,
         "sol_constraints": stats.solved_constraints,
         "wall_s": stats.wall_seconds,

@@ -2,12 +2,14 @@
 
 Run as ``python -m attnconcolic.refsolver``.  It reads a script to EOF in
 exactly the subset :func:`~attnconcolic.solver.emit_smtlib` writes: declared
-and ``define-fun``-shared Real terms over ``+ - *`` and ``/`` by a constant,
-asserted in comparisons.  Anything else prints one ``(error ...)`` line on
-stderr and exits 2.  It shares the grid oracle's parser and kernel: the box
-comes from the variable-vs-constant conjuncts (negative bounds included), is
-scanned by :func:`~attnconcolic.solver.grid_oracle` at staged resolutions (a
-16-per-axis mesh past two variables), then by seeded random samples.
+Real constants, and comparisons between terms over ``+`` and ``*`` (any
+number of arguments), unary and binary ``-``, and ``/`` by a constant.
+Anything else, ``define-fun`` and terms nested too deeply included, prints one
+``(error ...)`` line on stderr and exits 2.  It shares the grid oracle's
+parser and kernel: the box comes from the variable-vs-constant conjuncts
+(negative bounds included), is scanned by
+:func:`~attnconcolic.solver.grid_oracle` at staged resolutions (a 16-per-axis
+mesh, streamed in chunks, past two variables), then by seeded random samples.
 
 Answers are honest about their strength: ``sat`` comes with a model that is a
 verified witness, printed in decimals; ``unsat`` is emitted only when the
@@ -18,7 +20,9 @@ without z3/cvc5 installed; point a real solver at the engine for completeness.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import math
 import sys
 from dataclasses import replace
 
@@ -26,14 +30,14 @@ import numpy as np
 
 from .solver import (SAT, UNKNOWN, UNSAT, SolverError, SolverRequest, _grid_axis,
                      _parse_sexprs, _render_decimal, _tokenize, grid_oracle)
-from .symexpr import (_REL_APPLY, Comparison, Rel, add, const, div, evaluate, mul, neg,
-                      sub, var)
+from .symexpr import (_REL_APPLY, Comparison, ConcolicArithmeticError, Rel, add, const,
+                      div, evaluate, mul, neg, sub, var)
 
 GRID_STAGES = {0: (1,), 1: (256, 1024, 4096), 2: (256, 1024)}  # by variable count
 MESH_RESOLUTION = 16  # dense meshes blow up past two variables
 RANDOM_SAMPLES = 65536
 DEFAULT_BOX = (-1e9, 1e9)
-_CHUNK = 2048  # sample rows per evaluate: bounds the memo; fastest of 512 to 65536
+_CHUNK = 2048  # rows per evaluate: fastest of 512 to 65536
 
 _BUILDERS = {"+": add, "-": sub, "*": mul, "/": div}
 _RELATIONS = {rel.value: rel for rel in (Rel.LT, Rel.LE, Rel.GT, Rel.GE, Rel.EQ)}
@@ -44,73 +48,79 @@ class ScriptError(SolverError):
     """A script outside the accepted subset."""
 
 
-def _term(form, names: dict):
-    """The DAG of one term; ``names`` maps the defined symbols, and any other
-    symbol is a variable (the request checks that it was declared)."""
+def _term(form):
+    """The expression of one term; a symbol is a variable (the request checks
+    that it was declared)."""
     if isinstance(form, str):
-        if form in names:
-            return names[form]
         if not form[0].isdigit():
             return var(form)
         try:
             return const(float(form))
         except ValueError:
             raise ScriptError(f"bad numeral {form!r}") from None
-    arities = (1, 2) if form[:1] == ["-"] else (2,)
-    if not form or form[0] not in _BUILDERS or len(form) - 1 not in arities:
+    head, *args = form or [None]
+    if head not in _BUILDERS or not (len(args) == 2 or (len(args) == 1 and head == "-")
+                                     or (len(args) > 2 and head in ("+", "*"))):
         raise ScriptError(f"unsupported term {form!r}")
-    head, *args = form
-    terms = [_term(arg, names) for arg in args]
+    terms = [_term(arg) for arg in args]
     if len(terms) == 1:
         return neg(terms[0])
-    if head == "/" and not (terms[1].is_const and terms[1].value != 0.0):
-        raise ScriptError("division by zero or by a symbolic expression")
-    return _BUILDERS[head](*terms)
+    try:
+        return functools.reduce(_BUILDERS[head], terms)
+    except ConcolicArithmeticError as exc:  # a zero or symbolic divisor
+        raise ScriptError(str(exc)) from None
 
 
-def _comparison(form, names: dict) -> Comparison:
+def _comparison(form) -> Comparison:
     if isinstance(form, list) and len(form) == 2 and form[0] == "not":
-        inner = _comparison(form[1], names)
+        inner = _comparison(form[1])
         if inner.rel is Rel.EQ:
             return Comparison(Rel.NE, inner.lhs, inner.rhs)
     elif isinstance(form, list) and len(form) == 3 and form[0] in _RELATIONS:
-        return Comparison(_RELATIONS[form[0]], _term(form[1], names), _term(form[2], names))
+        return Comparison(_RELATIONS[form[0]], _term(form[1]), _term(form[2]))
     raise ScriptError(f"unsupported assertion {form!r}")
 
 
 def _narrowed(request: SolverRequest) -> SolverRequest:
-    """``request`` with each variable's box narrowed by the variable's
-    comparisons with a constant."""
+    """``request`` with each variable's box narrowed by the conjuncts that
+    compare the variable with a constant."""
     boxes = {name: [lo, hi] for name, lo, hi in request.variables}
     for cmp in request.assertion:
         if cmp.rel in (Rel.EQ, Rel.NE):
             continue
         for side, other, upper in ((cmp.lhs, cmp.rhs, cmp.rel in (Rel.LT, Rel.LE)),
                                    (cmp.rhs, cmp.lhs, cmp.rel in (Rel.GT, Rel.GE))):
-            if side.kind == "var" and other.is_const:
-                lo, hi = boxes[side.name]
-                boxes[side.name] = [lo, min(hi, other.value)] if upper \
-                    else [max(lo, other.value), hi]
+            if len(side.monomials) == 1 and len(side.monomials[0]) == 1 \
+                    and side.coeffs == (1.0,) and other.monomials in ((), ((),)):
+                name, value = side.monomials[0][0], sum(other.coeffs)
+                lo, hi = boxes[name]
+                boxes[name] = [lo, min(hi, value)] if upper else [max(lo, value), hi]
     return replace(request, variables=tuple((name, lo, hi) for name, (lo, hi) in boxes.items()))
 
 
-def _first_hit(assertion, names: list[str], points: np.ndarray):
-    """The first row of ``points`` (one column per variable) at which every
-    conjunct holds, as an assignment, or None."""
-    for start in range(0, len(points), _CHUNK):
-        chunk = points[start:start + _CHUNK]
+def _first_hit(assertion, names: list[str], chunks):
+    """The first row of the ``chunks`` of points (one column per variable) at
+    which every conjunct holds, as an assignment, or None."""
+    for chunk in chunks:
         env = dict(zip(names, chunk.T))
-        memo: dict[int, object] = {}
         ok = np.ones(len(chunk), dtype=bool)
         with np.errstate(all="ignore"):
             for cmp in assertion:
-                ok &= _REL_APPLY[cmp.rel](evaluate(cmp.lhs, env, memo),
-                                          evaluate(cmp.rhs, env, memo))
+                ok &= _REL_APPLY[cmp.rel](evaluate(cmp.lhs, env), evaluate(cmp.rhs, env))
                 if not ok.any():
                     break
         if ok.any():
             return dict(zip(names, map(float, chunk[int(np.argmax(ok))])))
     return None
+
+
+def _mesh_chunks(axes):
+    """The mesh over ``axes`` in row-major order, ``_CHUNK`` rows at a time."""
+    shape = tuple(axis.size for axis in axes)
+    total = math.prod(shape)
+    for start in range(0, total, _CHUNK):
+        index = np.unravel_index(np.arange(start, min(start + _CHUNK, total)), shape)
+        yield np.stack([axis[i] for axis, i in zip(axes, index)], axis=-1)
 
 
 def _search(request: SolverRequest, seed: int):
@@ -125,21 +135,19 @@ def _search(request: SolverRequest, seed: int):
             return None
     else:
         axes = [_grid_axis(lo, hi, MESH_RESOLUTION) for _, lo, hi in request.variables]
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(names))
-        witness = _first_hit(request.assertion, names, mesh)
+        witness = _first_hit(request.assertion, names, _mesh_chunks(axes))
         if witness is not None:
             return witness
     lows, highs = np.array([(lo, hi) for _, lo, hi in request.variables]).T
     samples = np.random.default_rng(seed).uniform(lows, highs,
                                                   size=(RANDOM_SAMPLES, len(names)))
-    return _first_hit(request.assertion, names, samples)
+    chunks = (samples[start:start + _CHUNK] for start in range(0, RANDOM_SAMPLES, _CHUNK))
+    return _first_hit(request.assertion, names, chunks)
 
 
-def solve_script(text: str) -> tuple[str, dict[str, float] | None, list[str]]:
-    """Returns (status, witness, declared variable order).  Raises SolverError
-    on a script it cannot read (ScriptError for a form outside the subset)."""
+def _read(text: str) -> tuple[list[str], list[Comparison], bool]:
+    """The declared variables, the assertions and whether a check was asked."""
     declared: list[str] = []
-    defined: dict = {}
     assertion: list[Comparison] = []
     check_requested = False
     for form in _parse_sexprs(_tokenize(text)):
@@ -152,15 +160,23 @@ def solve_script(text: str) -> tuple[str, dict[str, float] | None, list[str]]:
         if form == ["check-sat"]:
             check_requested = True
         elif head == "assert" and len(args) == 1:
-            assertion.append(_comparison(args[0], defined))
-        elif name in declared or name in defined:
+            assertion.append(_comparison(args[0]))
+        elif name in declared:
             raise ScriptError(f"symbol {name!r} declared twice")
         elif form in (["declare-const", name, "Real"], ["declare-fun", name, [], "Real"]):
             declared.append(name)
-        elif form[:4] == ["define-fun", name, [], "Real"] and len(form) == 5:
-            defined[name] = _term(form[4], defined)
         else:
             raise ScriptError(f"unsupported command {form!r}")
+    return declared, assertion, check_requested
+
+
+def solve_script(text: str) -> tuple[str, dict[str, float] | None, list[str]]:
+    """Returns (status, witness, declared variable order).  Raises SolverError
+    on a script it cannot read (ScriptError for a form outside the subset)."""
+    try:
+        declared, assertion, check_requested = _read(text)
+    except RecursionError:  # reading, comparing or printing a deep form
+        raise ScriptError("term nested too deeply") from None
     request = _narrowed(SolverRequest(tuple((name, *DEFAULT_BOX) for name in declared),
                                       tuple(assertion)))
     if not check_requested:

@@ -1,10 +1,11 @@
-"""Constraint lowering to SMT-LIB2, solver subprocess management, model
-parsing, and a grid oracle over polynomial constraints.
+"""SMT-LIB2 emission, solver subprocess management, model parsing, and a
+grid oracle over polynomial constraints.
 
 The engine never links a solver library: the external backend writes an
 SMT-LIB2 script over quantifier-free nonlinear reals to a configurable child
 process and parses sat/unsat/unknown plus a model from its standard output.
-The grid oracle is an in-process fallback used for testing and small-instance
+Both backends read each comparison off the polynomials its sides carry.  The
+grid oracle is an in-process fallback used for testing and small-instance
 verification; its "no point found" answer is reported as unknown, never as a
 proof of unsatisfiability.
 """
@@ -56,8 +57,8 @@ class SolverRequest:
 
     def __post_init__(self) -> None:
         declared = {name for name, _, _ in self.variables}
-        free = _free_variables(side for cmp in self.assertion
-                               for side in (cmp.lhs, cmp.rhs))
+        free = {name for cmp in self.assertion for side in (cmp.lhs, cmp.rhs)
+                for monomial in side.monomials for name in monomial}
         missing = free - declared
         if missing:
             raise SolverError(f"assertion uses undeclared variables: {sorted(missing)}")
@@ -68,21 +69,6 @@ class SolverVerdict:
     status: str
     assignment: Optional[dict[str, float]] = None
     transcript: str = ""
-
-
-def _free_variables(exprs) -> set[str]:
-    names: set[str] = set()
-    seen: set[int] = set()
-    stack = list(exprs)
-    while stack:
-        node = stack.pop()
-        if node.serial in seen:
-            continue
-        seen.add(node.serial)
-        if node.kind == "var":
-            names.add(node.name)
-        stack.extend(node.args)
-    return names
 
 
 # ---------------------------------------------------------------------------
@@ -105,91 +91,36 @@ def _render_decimal(value: float) -> str:
     return text
 
 
-def _reciprocal_exact(value: float) -> Optional[float]:
-    """The float 1/value when it is exactly the real reciprocal, else None."""
-    if value == 0.0:
-        return None
-    recip = 1.0 / value
-    if Fraction(recip) == 1 / Fraction(value):
-        return recip
-    return None
-
-
-def _shared_nodes(roots: Sequence[SymExpr]) -> set[int]:
-    """Serials of the interior nodes referenced twice or more under ``roots``;
-    each root occurrence counts as a reference."""
-    refs: dict[int, int] = {}
-    stack = [root for root in roots if root.args]
-    while stack:
-        node = stack.pop()
-        refs[node.serial] = refs.get(node.serial, 0) + 1
-        if refs[node.serial] == 1:
-            stack.extend(child for child in node.args if child.args)
-    return {serial for serial, count in refs.items() if count >= 2}
-
-
-def _render_expr(expr: SymExpr, memo: dict[int, str], shared: set[int],
-                 defines: list[str], prefix: str) -> str:
-    """Text of ``expr``.  A node in ``shared`` is appended to ``defines`` in
-    post-order as ``(define-fun <prefix><k> () Real ...)`` and is referred to
-    by that name."""
-    stack: list[tuple[SymExpr, bool]] = [(expr, False)]
-    while stack:
-        node, ready = stack.pop()
-        if node.serial in memo:
-            continue
-        if node.kind == "const":
-            text = _render_decimal(node.value)
-        elif node.kind == "var":
-            text = node.name
-        elif not ready:
-            stack.append((node, True))
-            for child in node.args:
-                stack.append((child, False))
-            continue
-        elif node.kind == "neg":
-            text = f"(- {memo[node.args[0].serial]})"
-        else:
-            a, b = node.args
-            recip = _reciprocal_exact(b.value) if node.op == "/" and b.is_const else None
-            if recip is not None:
-                text = f"(* {memo[a.serial]} {_render_decimal(recip)})"
-            else:
-                text = f"({node.op} {memo[a.serial]} {memo[b.serial]})"
-        if node.serial in shared:
-            name = f"{prefix}{len(defines)}"
-            defines.append(f"(define-fun {name} () Real {text})")
-            text = name
-        memo[node.serial] = text
-    return memo[expr.serial]
+def _render_side(expr: SymExpr) -> str:
+    """The polynomial as a sum of monomials, each written before its
+    coefficient; a coefficient of 1.0 is omitted and a constant is a bare
+    decimal."""
+    terms = []
+    for monomial, coeff in zip(expr.monomials, expr.coeffs):
+        factors = list(monomial)
+        if coeff != 1.0 or not factors:
+            factors.append(_render_decimal(coeff))
+        terms.append(factors[0] if len(factors) == 1 else f"(* {' '.join(factors)})")
+    if not terms:
+        return "0.0"
+    return terms[0] if len(terms) == 1 else f"(+ {' '.join(terms)})"
 
 
 def emit_smtlib(request: SolverRequest) -> str:
-    """Deterministic SMT-LIB2 text over quantifier-free nonlinear reals.
-
-    Every interior node referenced twice or more is defined once with
-    ``define-fun`` under a name no declared variable starts with."""
+    """Deterministic SMT-LIB2 text over quantifier-free nonlinear reals: the
+    variables with their bounds, then each comparison between its sides'
+    polynomials."""
     lines = ["(set-logic QF_NRA)"]
     for name, lo, hi in request.variables:
         lines.append(f"(declare-const {name} Real)")
         lines.append(f"(assert (>= {name} {_render_decimal(lo)}))")
         lines.append(f"(assert (<= {name} {_render_decimal(hi)}))")
-    prefix = "_s"
-    while any(name.startswith(prefix) for name, _, _ in request.variables):
-        prefix = "_" + prefix
-    shared = _shared_nodes([side for cmp in request.assertion for side in (cmp.lhs, cmp.rhs)])
-    memo: dict[int, str] = {}
-    defines: list[str] = []
-    asserts = []
     for cmp in request.assertion:
-        lhs, rhs = (_render_expr(side, memo, shared, defines, prefix)
-                    for side in (cmp.lhs, cmp.rhs))
+        lhs, rhs = _render_side(cmp.lhs), _render_side(cmp.rhs)
         if cmp.rel is Rel.NE:
-            asserts.append(f"(assert (not (= {lhs} {rhs})))")
+            lines.append(f"(assert (not (= {lhs} {rhs})))")
         else:
-            asserts.append(f"(assert ({cmp.rel.value} {lhs} {rhs}))")
-    lines.extend(defines)
-    lines.extend(asserts)
+            lines.append(f"(assert ({cmp.rel.value} {lhs} {rhs}))")
     lines.append("(check-sat)")
     lines.append("(get-model)")
     return "\n".join(lines) + "\n"
@@ -339,72 +270,27 @@ class ExternalSolver:
 
 _UNIT_ROUNDOFF = 2.0 ** -53
 
-def _lower(roots, names: Sequence[str], magnitudes: Sequence[float]) -> dict:
-    """Map every node under ``roots`` to ``(C, bound, rounds)``.
 
-    ``C[i, j]`` is the coefficient of ``a**i * b**j`` for the (at most two)
-    variables ``names``; the lowering is exact up to float rounding.
-    ``bound`` bounds every intermediate magnitude of the node's DAG over
-    ``|a| <= magnitudes[0]``, ``|b| <= magnitudes[1]`` (each constant and
-    operation taken as non-negative), and ``rounds`` counts the roundings on
-    any path from a leaf, in the DAG and in its coefficients.  Together they
-    bound how far a float evaluation strays from the exact polynomial.
-    Raises :class:`SolverError` for a symbolic divisor.
+def _dense(cmp: Comparison, names: Sequence[str], magnitudes: Sequence[float]):
+    """``(C, bound, terms)`` for one conjunct over at most two variables.
+
+    ``C[i, j]`` is the coefficient of ``a**i * b**j`` in ``lhs - rhs`` for
+    ``names = (a, b)``; ``bound`` is the sum of ``|c| * |a|**i * |b|**j`` over
+    both sides' monomials at ``magnitudes``, and ``terms`` counts them.
     """
-    memo: dict[int, tuple[np.ndarray, float, int]] = {}
-    stack: list[tuple[SymExpr, bool]] = [(root, False) for root in roots]
-    while stack:
-        node, ready = stack.pop()
-        if node.serial in memo:
-            continue
-        if node.kind == "const":
-            memo[node.serial] = (np.array([[node.value]]), abs(node.value), 0)
-        elif node.kind == "var":
-            k = names.index(node.name)
-            coeffs = np.zeros((2, 1) if k == 0 else (1, 2))
-            coeffs[-1, -1] = 1.0
-            memo[node.serial] = (coeffs, magnitudes[k], 0)
-        elif not ready:
-            stack.append((node, True))
-            for child in node.args:
-                stack.append((child, False))
-        elif node.kind == "neg":
-            coeffs, bound, rounds = memo[node.args[0].serial]
-            memo[node.serial] = (-coeffs, bound, rounds)
-        else:
-            a, b = node.args
-            ca, ma, ra = memo[a.serial]
-            cb, mb, rb = memo[b.serial]
-            if node.op in ("+", "-"):
-                if node.op == "-":
-                    cb = -cb
-                if ca.shape == cb.shape:
-                    coeffs = ca + cb
-                else:
-                    coeffs = _padded(ca, cb.shape)
-                    coeffs[:cb.shape[0], :cb.shape[1]] += cb
-                memo[node.serial] = (coeffs, ma + mb, max(ra, rb) + 1)
-            elif node.op == "*":
-                if ca.size > cb.size:
-                    ca, cb = cb, ca
-                coeffs = np.zeros((ca.shape[0] + cb.shape[0] - 1,
-                                   ca.shape[1] + cb.shape[1] - 1))
-                for i, j in zip(*np.nonzero(ca)):
-                    coeffs[i:i + cb.shape[0], j:j + cb.shape[1]] += ca[i, j] * cb
-                # an output coefficient sums at most ca.size rounded products
-                memo[node.serial] = (coeffs, ma * mb, max(ra, rb) + ca.size)
-            elif b.kind == "const":
-                memo[node.serial] = (ca / b.value, ma / abs(b.value), ra + 1)
-            else:
-                raise SolverError("grid oracle cannot divide by a symbolic expression")
-    return memo
-
-
-def _padded(coeffs: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """A copy of ``coeffs`` grown with zeros to cover ``shape``."""
-    out = np.zeros((max(coeffs.shape[0], shape[0]), max(coeffs.shape[1], shape[1])))
-    out[:coeffs.shape[0], :coeffs.shape[1]] = coeffs
-    return out
+    cells = []
+    bound = 0.0
+    for side, sign in ((cmp.lhs, 1.0), (cmp.rhs, -1.0)):
+        for monomial, coeff in zip(side.monomials, side.coeffs):
+            i = monomial.count(names[0])
+            j = len(monomial) - i
+            cells.append((i, j, sign * coeff))
+            bound += abs(coeff) * magnitudes[0] ** i * magnitudes[1] ** j
+    coeffs = np.zeros((1 + max((i for i, _, _ in cells), default=0),
+                       1 + max((j for _, j, _ in cells), default=0)))
+    for i, j, coeff in cells:
+        coeffs[i, j] += coeff
+    return coeffs, bound, len(cells)
 
 
 def _grid_axis(lo: float, hi: float, resolution: int) -> np.ndarray:
@@ -420,11 +306,12 @@ def grid_oracle(request: SolverRequest, resolution: int = 1024) -> SolverVerdict
     not an unsatisfiability proof.  A request without variables is sat when
     its ground conjuncts hold and unknown otherwise.
 
-    Each conjunct is lowered once to polynomial coefficients and evaluated on
-    the whole grid as ``V_a @ C @ V_b.T``.  Where that value lies within the
-    float error bound of a tie, the conjunct is re-evaluated on the DAG, so
-    the satisfying set is exactly the DAG's, and a sat point is checked once
-    more with the scalar DAG semantics before it is returned.
+    Each conjunct's coefficients are read off its sides' polynomials and
+    evaluated on the whole grid as ``V_a @ C @ V_b.T``.  Where that value lies
+    within the float error bound of a tie, the conjunct is re-evaluated with
+    :func:`~attnconcolic.symexpr.evaluate`, so the satisfying set is exactly
+    evaluate's, and a sat point is checked once more with
+    :meth:`Comparison.holds_at` before it is returned.
     """
     if len(request.variables) > 2:
         raise SolverError("grid oracle supports at most 2 variables")
@@ -436,36 +323,32 @@ def grid_oracle(request: SolverRequest, resolution: int = 1024) -> SolverVerdict
     axes = [_grid_axis(lo, hi, resolution) for _, lo, hi in request.variables]
     if len(axes) == 1:
         axes.append(np.zeros(1))  # a one-point second axis: C has one column
-    forms = _lower([side for cmp in request.assertion for side in (cmp.lhs, cmp.rhs)],
-                   names, [float(np.abs(axis).max()) for axis in axes])
+    magnitudes = [float(np.abs(axis).max()) for axis in axes]
     shape = (axes[0].size, axes[1].size)
     ok = np.ones(shape, dtype=bool)
     diff = np.empty(shape)
     with np.errstate(all="ignore"):
         for cmp in request.assertion:
-            cl, ml, rl = forms[cmp.lhs.serial]
-            cr, mr, rr = forms[cmp.rhs.serial]
-            coeffs = _padded(cl, cr.shape)
-            coeffs[:cr.shape[0], :cr.shape[1]] -= cr
-            np.matmul(np.vander(axes[0], coeffs.shape[0], increasing=True) @ coeffs,
-                      np.vander(axes[1], coeffs.shape[1], increasing=True).T, out=diff)
-            # In normal-range floats, |diff - (lhs - rhs)| plus both sides'
-            # DAG errors stay under 2 * gamma(rounds) * (ml + mr): the
-            # subtraction, the powers and the two products add at most
-            # 1 + 2 * (rows + cols) roundings.  The factor 3 covers the
-            # rounding of the bounds themselves.
-            rounds = max(rl, rr) + 1 + 2 * sum(coeffs.shape)
+            coeffs, bound, terms = _dense(cmp, names, magnitudes)
+            rows, cols = coeffs.shape
+            np.matmul(np.vander(axes[0], rows, increasing=True) @ coeffs,
+                      np.vander(axes[1], cols, increasing=True).T, out=diff)
+            # In normal-range floats, evaluate rounds each side at most
+            # degree + terms times, and the kernel at most 2 * (rows + cols)
+            # times (powers, the coefficient difference, the two products);
+            # each error stays under gamma(rounds) * bound.  The factor 3
+            # covers both errors and the rounding of the bound itself.
+            rounds = terms + 3 * (rows + cols)
             gamma = rounds * _UNIT_ROUNDOFF / (1.0 - rounds * _UNIT_ROUNDOFF)
-            tol = 3.0 * gamma * (ml + mr)
+            tol = 3.0 * gamma * bound
             relation = _REL_APPLY[cmp.rel]
             holds = relation(diff, 0.0)
             np.abs(diff, out=diff)
             if not diff.min() > tol:  # some point is within tol of a tie, or NaN
-                rows, cols = np.nonzero(~(diff > tol) & ok)
-                points = dict(zip(names, (axes[0][rows], axes[1][cols])))
-                memo: dict[int, object] = {}
-                holds[rows, cols] = relation(evaluate(cmp.lhs, points, memo),
-                                             evaluate(cmp.rhs, points, memo))
+                near_rows, near_cols = np.nonzero(~(diff > tol) & ok)
+                points = dict(zip(names, (axes[0][near_rows], axes[1][near_cols])))
+                holds[near_rows, near_cols] = relation(evaluate(cmp.lhs, points),
+                                                       evaluate(cmp.rhs, points))
             ok &= holds
             if not ok.any():
                 return SolverVerdict(UNKNOWN)
@@ -508,10 +391,9 @@ def assignment_satisfies(request: SolverRequest, assignment: dict[str, float],
         value = assignment.get(name)
         if value is None or not (lo - slack <= value <= hi + slack):
             return False
-    memo: dict[int, object] = {}
     for cmp in request.assertion:
-        lhs = evaluate(cmp.lhs, assignment, memo)
-        rhs = evaluate(cmp.rhs, assignment, memo)
+        lhs = evaluate(cmp.lhs, assignment)
+        rhs = evaluate(cmp.rhs, assignment)
         if cmp.rel is Rel.LT:
             ok = lhs < rhs
         elif cmp.rel is Rel.GT:

@@ -1,15 +1,17 @@
-"""Symbolic expression DAG, concolic scalars, and branch-event recording.
+"""Symbolic expressions as exact polynomials, concolic scalars, and
+branch-event recording.
 
 Every value flowing through an instrumented model is a :class:`ConcolicScalar`:
 a concrete float paired with an optional symbolic expression over declared
-input variables.  Expressions are immutable, constant-folded at construction,
-and hash-consed so that structurally identical subterms are shared (large path
-constraints would otherwise blow up in memory).
+input variables.  An expression is immutable and constant-folded at
+construction, and it carries its polynomial: float coefficients per monomial,
+of any degree and over any number of variables.  The polynomial is the
+expression's meaning; equality, hashing and :func:`evaluate` go by it.  Each
+node also keeps its operands, for :func:`to_infix` and node counts.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -47,7 +49,8 @@ class DeclarationError(ValueError):
 
 
 class ConcolicArithmeticError(ArithmeticError):
-    """Invalid arithmetic (division by a concrete zero), with the offending term."""
+    """Invalid arithmetic (division by zero or by a symbolic expression),
+    with the offending term."""
 
     def __init__(self, message: str, expression: Optional["SymExpr"] = None) -> None:
         super().__init__(message)
@@ -59,75 +62,125 @@ class AssociationScopeError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Expression DAG
+# Expressions
 # ---------------------------------------------------------------------------
 
-_BINOPS = ("+", "-", "*", "/")
+Monomial = tuple[str, ...]  # variable names in sorted order, repeated by power
+
+_CONSTANT_TERM: tuple[Monomial, ...] = ((),)
 
 
 class SymExpr:
-    """One interned node of the expression DAG.
+    """One expression node and its polynomial.
 
-    ``kind`` is one of ``"const"``, ``"var"``, ``"bin"``, ``"neg"``.  Nodes are
-    created only through :func:`const`, :func:`var`, the binary builders, and
-    :func:`neg`; direct construction bypasses interning and folding.
+    ``monomials`` holds the monomials with a non-zero coefficient in sorted
+    (canonical) order and ``coeffs`` their coefficients; the zero polynomial
+    has none.  ``kind`` is one of ``"const"``, ``"var"``, ``"bin"``,
+    ``"neg"``, and ``op``/``value``/``name``/``args`` record how the node was
+    built.  Nodes are created only through :func:`const`, :func:`var`, the
+    binary builders, and :func:`neg`.
     """
 
-    __slots__ = ("kind", "op", "value", "name", "args", "serial")
+    __slots__ = ("kind", "op", "value", "name", "args", "monomials", "coeffs",
+                 "__weakref__")
 
     kind: str
     op: Optional[str]
     value: Optional[float]
     name: Optional[str]
     args: tuple["SymExpr", ...]
-    serial: int
+    monomials: tuple[Monomial, ...]
+    coeffs: tuple[float, ...]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"SymExpr({to_infix(self)})"
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SymExpr):
+            return NotImplemented
+        return self.monomials == other.monomials and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.monomials, self.coeffs))
 
     @property
     def is_const(self) -> bool:
         return self.kind == "const"
 
     def node_count(self) -> int:
-        """Number of unique nodes reachable from this expression."""
+        """Number of distinct nodes reachable from this expression."""
         return count_unique_nodes([self])
 
 
-_intern_table: dict[tuple, SymExpr] = {}
-_serial_counter = itertools.count()
-
-
-def _make(key: tuple, kind: str, op: Optional[str], value: Optional[float],
-          name: Optional[str], args: tuple[SymExpr, ...]) -> SymExpr:
-    node = _intern_table.get(key)
-    if node is not None:
-        return node
+def _make(kind: str, op: Optional[str], value: Optional[float], name: Optional[str],
+          args: tuple[SymExpr, ...], monomials: tuple[Monomial, ...],
+          coeffs: tuple[float, ...]) -> SymExpr:
     node = SymExpr.__new__(SymExpr)
     node.kind = kind
     node.op = op
     node.value = value
     node.name = name
     node.args = args
-    node.serial = next(_serial_counter)
-    _intern_table[key] = node
+    node.monomials = monomials
+    node.coeffs = coeffs
     return node
 
 
-def clear_intern_table() -> None:
-    """Drop all interned expressions (useful to bound memory between runs)."""
-    _intern_table.clear()
+def _canonical(terms: dict[Monomial, float]) -> tuple[tuple[Monomial, ...], tuple[float, ...]]:
+    """The sorted monomials with a non-zero coefficient, and those coefficients."""
+    monomials = sorted(terms)
+    coeffs = [terms[m] for m in monomials]
+    if 0.0 in coeffs:
+        monomials = [m for m in monomials if terms[m] != 0.0]
+        coeffs = [c for c in coeffs if c != 0.0]
+    return tuple(monomials), tuple(coeffs)
+
+
+def _scaled(e: SymExpr, k: float):
+    coeffs = [c * k for c in e.coeffs]
+    if 0.0 in coeffs:  # underflow
+        return _canonical(dict(zip(e.monomials, coeffs)))
+    return e.monomials, tuple(coeffs)
+
+
+def _plus(a: SymExpr, b: SymExpr, sign: float):
+    """The polynomial of ``a + sign * b``."""
+    if a.monomials == b.monomials:  # the common case: one affine support
+        if sign > 0:
+            coeffs = [x + y for x, y in zip(a.coeffs, b.coeffs)]
+        else:
+            coeffs = [x - y for x, y in zip(a.coeffs, b.coeffs)]
+        if 0.0 not in coeffs:
+            return a.monomials, tuple(coeffs)
+        return _canonical(dict(zip(a.monomials, coeffs)))
+    terms = dict(zip(a.monomials, a.coeffs))
+    for m, c in zip(b.monomials, b.coeffs):
+        terms[m] = terms.get(m, 0.0) + sign * c
+    return _canonical(terms)
+
+
+def _times(a: SymExpr, b: SymExpr):
+    if b.monomials == _CONSTANT_TERM:
+        return _scaled(a, b.coeffs[0])
+    if a.monomials == _CONSTANT_TERM:
+        return _scaled(b, a.coeffs[0])
+    terms: dict[Monomial, float] = {}
+    for ma, ca in zip(a.monomials, a.coeffs):
+        for mb, cb in zip(b.monomials, b.coeffs):
+            m = tuple(sorted(ma + mb))
+            terms[m] = terms.get(m, 0.0) + ca * cb
+    return _canonical(terms)
 
 
 def const(value: Number) -> SymExpr:
     v = float(value)
     if v == 0.0:
-        v = 0.0  # collapse -0.0 so folded zeros compare equal
-    return _make(("c", v), "const", None, v, None, ())
+        return _make("const", None, 0.0, None, (), (), ())  # -0.0 collapses to 0.0
+    return _make("const", None, v, None, (), _CONSTANT_TERM, (v,))
 
 
 def var(name: str) -> SymExpr:
-    return _make(("v", name), "var", None, None, name, ())
+    return _make("var", None, None, name, (), ((name,),), (1.0,))
 
 
 def _fold_bin(op: str, a: float, b: float, rhs: SymExpr) -> SymExpr:
@@ -143,29 +196,39 @@ def _fold_bin(op: str, a: float, b: float, rhs: SymExpr) -> SymExpr:
 
 
 def _bin(op: str, a: SymExpr, b: SymExpr) -> SymExpr:
-    if a.is_const and b.is_const:
-        return _fold_bin(op, a.value, b.value, b)
+    a_value = a.value if a.kind == "const" else None
+    b_value = b.value if b.kind == "const" else None
+    if a_value is not None and b_value is not None:
+        return _fold_bin(op, a_value, b_value, b)
     if op == "+":
-        if a.is_const and a.value == 0.0:
+        if a_value == 0.0:
             return b
-        if b.is_const and b.value == 0.0:
+        if b_value == 0.0:
             return a
+        monomials, coeffs = _plus(a, b, 1.0)
     elif op == "-":
-        if b.is_const and b.value == 0.0:
+        if b_value == 0.0:
             return a
+        monomials, coeffs = _plus(a, b, -1.0)
     elif op == "*":
-        if (a.is_const and a.value == 0.0) or (b.is_const and b.value == 0.0):
+        if a_value == 0.0 or b_value == 0.0:
             return const(0.0)
-        if a.is_const and a.value == 1.0:
+        if a_value == 1.0:
             return b
-        if b.is_const and b.value == 1.0:
+        if b_value == 1.0:
             return a
-    elif op == "/":
-        if b.is_const and b.value == 0.0:
+        monomials, coeffs = _times(a, b)
+    else:
+        if b.monomials not in ((), _CONSTANT_TERM):
+            raise ConcolicArithmeticError("division by a symbolic expression", b)
+        if not b.coeffs:
             raise ConcolicArithmeticError("division by zero constant", a)
-        if b.is_const and b.value == 1.0:
+        if b_value == 1.0:
             return a
-    return _make((op, a.serial, b.serial), "bin", op, None, None, (a, b))
+        divisor = b.coeffs[0]
+        monomials, coeffs = _canonical({m: c / divisor
+                                        for m, c in zip(a.monomials, a.coeffs)})
+    return _make("bin", op, None, None, (a, b), monomials, coeffs)
 
 
 def add(a: SymExpr, b: SymExpr) -> SymExpr:
@@ -181,100 +244,73 @@ def mul(a: SymExpr, b: SymExpr) -> SymExpr:
 
 
 def div(a: SymExpr, b: SymExpr) -> SymExpr:
+    """``a / b`` for a divisor whose polynomial is a non-zero constant; any
+    other divisor raises :class:`ConcolicArithmeticError`."""
     return _bin("/", a, b)
 
 
 def neg(a: SymExpr) -> SymExpr:
     if a.is_const:
         return const(-a.value)
-    if a.kind == "neg":
-        return a.args[0]
-    return _make(("~", a.serial), "neg", None, None, None, (a,))
+    return _make("neg", None, None, None, (a,), a.monomials, tuple([-c for c in a.coeffs]))
 
 
-def evaluate(expr: SymExpr, assignment: Mapping[str, object],
-             memo: Optional[dict[int, object]] = None):
-    """Evaluate the DAG at an assignment of input variables.
-
-    Values may be floats or numpy arrays; each shared node is computed once.
-    Passing the same ``memo`` across calls shares work between expressions
-    with common subterms (path-prefix conjunctions overlap almost entirely).
-    Division by a (scalar) zero raises :class:`ConcolicArithmeticError`.
-    """
-    if memo is None:
-        memo = {}
-    stack: list[tuple[SymExpr, bool]] = [(expr, False)]
-    while stack:
-        node, ready = stack.pop()
-        if node.serial in memo:
-            continue
-        if node.kind == "const":
-            memo[node.serial] = node.value
-        elif node.kind == "var":
+def evaluate(expr: SymExpr, assignment: Mapping[str, object]):
+    """The sum of the polynomial's monomials at an assignment of the input
+    variables, in canonical order.  Values may be floats or numpy arrays."""
+    total = 0.0
+    for monomial, coeff in zip(expr.monomials, expr.coeffs):
+        term = coeff
+        for name in monomial:
             try:
-                memo[node.serial] = assignment[node.name]
+                term = term * assignment[name]
             except KeyError:
-                raise KeyError(f"no value for input variable {node.name!r}") from None
-        elif not ready:
-            stack.append((node, True))
-            for child in node.args:
-                stack.append((child, False))
-        elif node.kind == "neg":
-            memo[node.serial] = -memo[node.args[0].serial]
-        else:
-            a = memo[node.args[0].serial]
-            b = memo[node.args[1].serial]
-            op = node.op
-            if op == "+":
-                memo[node.serial] = a + b
-            elif op == "-":
-                memo[node.serial] = a - b
-            elif op == "*":
-                memo[node.serial] = a * b
-            else:
-                if isinstance(b, float) and b == 0.0:
-                    raise ConcolicArithmeticError("division by zero at evaluation", node)
-                memo[node.serial] = a / b
-    return memo[expr.serial]
+                raise KeyError(f"no value for input variable {name!r}") from None
+        total = total + term
+    return total
 
 
-def count_unique_nodes(roots: Iterable[SymExpr]) -> int:
-    """Unique node count of the union DAG spanned by ``roots``."""
-    seen: set[int] = set()
+def count_unique_nodes(roots: Iterable[SymExpr], seen: Optional[set[int]] = None) -> int:
+    """Distinct node count (by identity) of the operand graph under ``roots``.
+    Passing the same ``seen`` set across calls counts their growing union,
+    walking each node once."""
+    if seen is None:
+        seen = set()
     stack = list(roots)
     while stack:
         node = stack.pop()
-        if node.serial in seen:
+        if id(node) in seen:
             continue
-        seen.add(node.serial)
+        seen.add(id(node))
         stack.extend(node.args)
     return len(seen)
 
 
 def to_infix(expr: SymExpr) -> str:
-    """Parenthesized infix text: variables by name, constants in shortest
-    round-trip decimal.  Intended for logs and golden tests."""
+    """Parenthesized infix text of how ``expr`` was built: variables by name,
+    constants in shortest round-trip decimal.  Intended for logs and golden
+    tests."""
     memo: dict[int, str] = {}
     stack: list[tuple[SymExpr, bool]] = [(expr, False)]
     while stack:
         node, ready = stack.pop()
-        if node.serial in memo:
+        if id(node) in memo:
             continue
         if node.kind == "const":
-            memo[node.serial] = repr(node.value)
+            memo[id(node)] = repr(node.value)
         elif node.kind == "var":
-            memo[node.serial] = node.name
+            memo[id(node)] = node.name
         elif not ready:
             stack.append((node, True))
             for child in node.args:
                 stack.append((child, False))
         elif node.kind == "neg":
-            memo[node.serial] = f"(-{memo[node.args[0].serial]})"
+            memo[id(node)] = f"(-{memo[id(node.args[0])]})"
         else:
-            a = memo[node.args[0].serial]
-            b = memo[node.args[1].serial]
-            memo[node.serial] = f"({a} {node.op} {b})"
-    return memo[expr.serial]
+            a = memo[id(node.args[0])]
+            b = memo[id(node.args[1])]
+            memo[id(node)] = f"({a} {node.op} {b})"
+    return memo[id(expr)]
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +473,9 @@ class Comparison:
                                          evaluate(self.rhs, assignment)))
 
     def key(self) -> tuple:
-        # structural identity is node identity thanks to hash-consing
-        return (self.rel.value, self.lhs.serial, self.rhs.serial)
+        """The relation and both sides' polynomials, in canonical order."""
+        return (self.rel.value, self.lhs.monomials, self.lhs.coeffs,
+                self.rhs.monomials, self.rhs.coeffs)
 
     def to_infix(self) -> str:
         return f"{to_infix(self.lhs)} {self.rel.value} {to_infix(self.rhs)}"

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from attnconcolic.engine import (
     PathTree,
+    attack_result_to_json,
     Scheduler,
     WorkItem,
     build_constraint,
@@ -23,7 +26,7 @@ from attnconcolic.semantics import (
     MultiHeadAttention,
     forward,
 )
-from attnconcolic.solver import ExternalSolver, GridOracle
+from attnconcolic.solver import ExternalSolver, GridOracle, SolverVerdict
 from attnconcolic.symexpr import (
     Comparison,
     ExecutionContext,
@@ -69,6 +72,14 @@ def test_harvest_of_worked_run_yields_rowmax_and_argmax_items(
     assert all(i.node_count > 0 for i in items)
 
 
+def test_finished_forward_frees_its_expressions(golden_model):
+    res, ctx = symbolic_forward(golden_model, GOLDEN_SEED, [0])
+    guard = weakref.ref(res.events[0].guard.lhs)
+    del res, ctx
+    gc.collect()
+    assert guard() is None
+
+
 def test_harvest_empty_events_is_empty():
     assert harvest([], InfluenceMap({}), PathTree()) == []
 
@@ -99,7 +110,7 @@ def test_build_constraint_normalizes_to_relop_zero():
     built = build_constraint(item)
     assert built is not None and len(built) == 1
     normalized = built[0]
-    assert normalized.rhs is const(0.0)
+    assert normalized.rhs == const(0.0)
     # algebraically equivalent to v^2 < 1 on 100 sample points
     for k in range(100):
         point = {"v": -1.5 + 3.0 * k / 99}
@@ -224,6 +235,36 @@ def test_attack_stats_are_consistent(golden_model, golden_background):
     assert stats.outcome in ("success", "exhausted", "timeout")
 
 
+class StubBackend:
+    """Answers each check with the next of ``statuses``, then unsat; a sat
+    answer puts every variable at its lower bound."""
+
+    def __init__(self, statuses) -> None:
+        self.statuses = list(statuses)
+
+    def check(self, request):
+        status = self.statuses.pop(0) if self.statuses else "unsat"
+        assignment = {name: lo for name, lo, _ in request.variables} \
+            if status == "sat" else None
+        return SolverVerdict(status, assignment)
+
+
+def test_every_verdict_status_is_counted_apart():
+    model = no_flip_model()
+    seed = np.array([[0.4], [0.7], [0.1]])
+    statuses = ["sat", "unsat", "unknown", "timeout", "solver_error"]
+    result = run_attack(model, toy_map(model, seed), seed, pixels=[0],
+                        scheduler=Scheduler.fifo(), backend=StubBackend(statuses))
+    stats = result.stats
+    assert (stats.sat, stats.unknown, stats.timeout, stats.solver_error) == (1, 1, 1, 1)
+    assert stats.unsat >= 1
+    doc = attack_result_to_json(result)
+    fields = [doc[status] for status in statuses]
+    assert fields == [stats.sat, stats.unsat, stats.unknown, stats.timeout,
+                      stats.solver_error]
+    assert sum(fields) == doc["sol_constraints"] == stats.solved_constraints
+
+
 def test_attack_wall_budget_is_respected(refsolver_backend):
     model = flip_at_half_model()
     seed = np.array([[0.2]])
@@ -256,7 +297,7 @@ def test_make_symbolic_input_marks_only_chosen_pixels():
     ctx = ExecutionContext()
     grid = make_symbolic_input(np.array([[0.1, 0.2], [0.3, 0.4]]), [2], ctx)
     assert grid[0][0].sym is None and grid[0][1].sym is None
-    assert grid[1][0].sym is var("p2") and grid[1][0].concrete == 0.3
+    assert grid[1][0].sym == var("p2") and grid[1][0].concrete == 0.3
     assert grid[1][1].sym is None
     assert ctx.variables == {"p2": 0.3}
 

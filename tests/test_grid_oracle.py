@@ -1,8 +1,9 @@
-"""The polynomial grid oracle against the DAG-array oracle it replaced.
+"""The polynomial grid oracle against an array oracle.
 
-``reference_grid_oracle`` is the former implementation: it evaluates every
-DAG node on the full meshgrid.  The polynomial oracle must give the same
-verdict and the same witness on every request it accepts.
+``reference_grid_oracle`` evaluates each conjunct with ``evaluate`` as one
+array over the full meshgrid.  The grid oracle's kernel, tie band and
+re-check must give the same verdict and the same witness on every request it
+accepts.
 """
 
 from __future__ import annotations
@@ -12,20 +13,26 @@ import math
 import numpy as np
 import pytest
 
-from attnconcolic.solver import (
-    SolverError,
-    SolverRequest,
-    SolverVerdict,
-    _lower,
-    grid_oracle,
+from attnconcolic.solver import SolverRequest, SolverVerdict, _dense, grid_oracle
+from attnconcolic.symexpr import (
+    Comparison,
+    ConcolicArithmeticError,
+    Rel,
+    add,
+    const,
+    div,
+    evaluate,
+    mul,
+    neg,
+    sub,
+    var,
 )
-from attnconcolic.symexpr import Comparison, Rel, add, const, div, evaluate, mul, neg, sub, var
 
 UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def reference_grid_oracle(request: SolverRequest, resolution: int = 1024) -> SolverVerdict:
-    """Every DAG node evaluated as one array over the whole grid."""
+    """Every conjunct evaluated as one array over the whole grid."""
     if not request.variables:
         return SolverVerdict("sat", assignment={})
     axes = []
@@ -36,13 +43,12 @@ def reference_grid_oracle(request: SolverRequest, resolution: int = 1024) -> Sol
     assignment_arrays = {name: grid.reshape(-1)
                          for (name, _, _), grid in zip(request.variables, grids)}
     ok = np.ones(grids[0].size, dtype=bool)
-    memo: dict[int, object] = {}
     ufuncs = {Rel.LT: np.less, Rel.LE: np.less_equal, Rel.GT: np.greater,
               Rel.GE: np.greater_equal, Rel.EQ: np.equal, Rel.NE: np.not_equal}
     with np.errstate(all="ignore"):
         for cmp in request.assertion:
-            lhs = evaluate(cmp.lhs, assignment_arrays, memo)
-            rhs = evaluate(cmp.rhs, assignment_arrays, memo)
+            lhs = evaluate(cmp.lhs, assignment_arrays)
+            rhs = evaluate(cmp.rhs, assignment_arrays)
             ok &= ufuncs[cmp.rel](lhs, rhs)
             if not ok.any():
                 return SolverVerdict("unknown")
@@ -131,34 +137,50 @@ def test_matches_reference_oracle(resolution, count, n_vars):
 
 
 # ---------------------------------------------------------------------------
-# the lowering
+# node coefficients and the tie band
 # ---------------------------------------------------------------------------
 
 
-def test_lowered_coefficients_match_evaluate():
+def operand_value(expr, env) -> float:
+    """``expr`` evaluated node by node on how it was built."""
+    if expr.kind == "const":
+        return expr.value
+    if expr.kind == "var":
+        return env[expr.name]
+    values = [operand_value(arg, env) for arg in expr.args]
+    if expr.kind == "neg":
+        return -values[0]
+    a, b = values
+    if expr.op == "/":
+        return a / b
+    return {"+": a + b, "-": a - b, "*": a * b}[expr.op]
+
+
+def test_node_coefficients_and_band():
     rng = np.random.default_rng(7)
     names = ["a", "b"]
     for _ in range(200):
-        expr = random_form(rng, names)
+        lhs = random_form(rng, names)
         if rng.random() < 0.3:  # a cubic, beyond what forward builds
-            expr = mul(expr, random_affine(rng, names))
-        coeffs, bound, rounds = _lower([expr], names, [2.0, 2.0])[expr.serial]
+            lhs = mul(lhs, random_affine(rng, names))
+        cmp = Comparison(Rel.GT, lhs, random_form(rng, names))
+        coeffs, bound, terms = _dense(cmp, names, [2.0, 2.0])
+        rounds = terms + 3 * sum(coeffs.shape)
         for a, b in rng.uniform(-2, 2, size=(5, 2)):
-            exact = evaluate(expr, {"a": float(a), "b": float(b)})
-            lowered = np.polynomial.polynomial.polyval2d(a, b, coeffs)
-            assert math.isclose(lowered, exact, rel_tol=1e-9, abs_tol=1e-9)
+            env = {"a": float(a), "b": float(b)}
+            for side in (cmp.lhs, cmp.rhs):
+                assert math.isclose(evaluate(side, env), operand_value(side, env),
+                                    rel_tol=1e-9, abs_tol=1e-9)
             # the error bound the oracle decides ties with
-            steps = rounds + 2 * sum(coeffs.shape)
-            assert abs(lowered - exact) <= 2 * steps * UNIT_ROUNDOFF * bound
+            kernel = np.polynomial.polynomial.polyval2d(a, b, coeffs)
+            difference = evaluate(cmp.lhs, env) - evaluate(cmp.rhs, env)
+            assert abs(kernel - difference) <= 2 * rounds * UNIT_ROUNDOFF * bound
 
 
 def test_symbolic_divisor_is_rejected():
     a = var("a")
-    request = SolverRequest((("a", 0.0, 1.0),),
-                            (Comparison(Rel.GT, div(const(1.0), add(a, const(1.0))),
-                                        const(0.5)),))
-    with pytest.raises(SolverError):
-        grid_oracle(request, 64)
+    with pytest.raises(ConcolicArithmeticError):
+        div(const(1.0), add(a, const(1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +191,8 @@ def test_symbolic_divisor_is_rejected():
 @pytest.mark.parametrize("rel", RELS)
 @pytest.mark.parametrize("n_vars", [1, 2])
 def test_zero_guard_witnesses_hold_exactly(rel, n_vars):
+    # (a + c) * k and a * k + c * k carry one polynomial, so the sides tie
+    # everywhere: only the non-strict relations and equality hold
     names = ["a", "b"][:n_vars]
     variables = tuple((name, 0.0, 1.0) for name in names)
     found = 0
@@ -179,13 +203,14 @@ def test_zero_guard_witnesses_hold_exactly(rel, n_vars):
                 a = add(a, mul(var("b"), const(0.3)))
             lhs = mul(add(a, c), const(k))  # (a + c) * k
             rhs = add(mul(a, const(k)), mul(c, const(k)))  # a * k + c * k
+            assert lhs == rhs
             request = SolverRequest(variables, (Comparison(rel, lhs, rhs),))
             verdict = grid_oracle(request, 256)
             assert verdict == reference_grid_oracle(request, 256)
             if verdict.status == "sat":
                 found += 1
                 assert all(cmp.holds_at(verdict.assignment) for cmp in request.assertion)
-    assert found > 0
+    assert found == (0 if rel in (Rel.LT, Rel.GT, Rel.NE) else 12)
 
 
 def test_identical_sides_are_never_strictly_ordered():

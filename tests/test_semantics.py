@@ -275,7 +275,7 @@ def test_dense_identity_passthrough():
     v = ctx.symvar("v", 0.5)
     out = dense_forward([v, as_scalar(2.0)],
                         [[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0], "none", ctx)
-    assert out[0] == v  # same concrete value and same interned expression
+    assert out[0] == v  # same concrete value and same polynomial
     assert out[1].concrete == 2.0
 
 

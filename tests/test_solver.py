@@ -63,9 +63,11 @@ def test_emit_decimals_round_trip_and_negatives():
 def test_emit_rewrites_exact_reciprocal_division():
     text = emit_smtlib(unit_request(Comparison(Rel.GT, div(V, const(2.0)), const(0.0))))
     assert "(* v 0.5)" in text
-    # 1/3 is not exactly representable: keep the division
+    # the coefficient 1/3 is written so that it reads back as the same float
     text = emit_smtlib(unit_request(Comparison(Rel.GT, div(V, const(3.0)), const(0.0))))
-    assert "(/ v 3.0)" in text
+    assertion = _parse_sexprs(_tokenize(text))[-3]
+    assert assertion == ["assert", [">", ["*", "v", "0.3333333333333333"], "0.0"]]
+    assert float(assertion[1][1][2]) == 1.0 / 3.0
 
 
 def test_emit_not_equal_uses_negated_equality():

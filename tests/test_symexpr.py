@@ -49,14 +49,14 @@ def test_symvar_returns_seeded_variable():
     ctx = ExecutionContext()
     s = ctx.symvar("v", 2)
     assert s.concrete == 2.0
-    assert s.sym is var("v")
+    assert s.sym == var("v")
     assert ctx.variables == {"v": 2.0}
 
 
 def test_symvar_zero_seed():
     ctx = ExecutionContext()
     s = ctx.symvar("p0", 0)
-    assert s.concrete == 0.0 and s.sym is var("p0")
+    assert s.concrete == 0.0 and s.sym == var("p0")
 
 
 def test_variable_leaf_evaluation():
@@ -88,7 +88,7 @@ def test_multiplication_by_zero_folds_to_constant():
     v = ctx.symvar("v", 2)
     out = arith("mul", v, as_scalar(0))
     assert out.concrete == 0.0
-    assert out.sym is const(0.0)
+    assert out.sym == const(0.0)
 
 
 def test_product_matches_real_arithmetic_oracle():
@@ -119,7 +119,7 @@ def test_negation_operator():
     out = -(v + 1)
     assert out.concrete == -4.0
     assert evaluate(out.sym, {"v": 3.0}) == -4.0
-    assert neg(neg(var("v"))) is var("v")
+    assert neg(neg(var("v"))) == var("v")
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +222,7 @@ def test_negation_is_an_involution(rel, negated):
 
 
 # ---------------------------------------------------------------------------
-# hash consing and structure
+# polynomials and structure
 # ---------------------------------------------------------------------------
 
 
@@ -230,7 +230,29 @@ def test_identical_subexpressions_are_shared():
     x = var("x")
     a = add(mul(x, x), const(1.0))
     b = add(mul(x, x), const(1.0))
-    assert a is b
+    assert a == b and hash(a) == hash(b)
+    assert a.monomials == ((), ("x", "x")) and a.coeffs == (1.0, 1.0)
+
+
+def test_equality_goes_by_the_polynomial():
+    a, b, k = var("a"), var("b"), const(0.3)
+    regrouped = (mul(add(a, b), k), add(mul(b, k), mul(a, k)))  # (a + b)k, bk + ak
+    assert regrouped[0] == regrouped[1]
+    guards = [Comparison(Rel.GT, side, const(0.0)) for side in regrouped]
+    assert guards[0].key() == guards[1].key()
+    assert to_infix(regrouped[0]) != to_infix(regrouped[1])  # the operands differ
+    cancelled = sub(mul(a, const(2.0)), add(a, a))
+    assert cancelled == const(0.0) and cancelled.monomials == ()
+    assert mul(a, b) == mul(b, a) and mul(a, b) != mul(a, a)
+
+
+def test_symbolic_divisor_is_rejected_at_construction():
+    x = var("x")
+    with pytest.raises(ConcolicArithmeticError):
+        div(const(1.0), add(x, const(1.0)))
+    with pytest.raises(ConcolicArithmeticError):
+        div(x, sub(x, x))  # a divisor whose polynomial is zero
+    assert div(x, add(const(4.0), sub(x, x))) == mul(x, const(0.25))
 
 
 def test_node_count_counts_unique_nodes():
@@ -243,7 +265,7 @@ def test_node_count_counts_unique_nodes():
 
 def test_normalization_invariants():
     x = var("x")
-    assert add(const(2.0), const(3.0)) is const(5.0)
+    assert add(const(2.0), const(3.0)) == const(5.0)
     assert sub(x, const(0.0)) is x
     assert add(const(0.0), x) is x
     assert mul(x, const(1.0)) is x
