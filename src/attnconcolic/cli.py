@@ -11,6 +11,7 @@ import argparse
 import csv
 import hashlib
 import json
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -27,7 +28,7 @@ from .influence import (
     InfluenceMap,
     build_influence_map,
 )
-from .semantics import ModelConfigError, ModelSpec, forward, load_model, load_seed_input
+from .semantics import ModelConfigError, ModelSpec, concrete_label, load_model, load_seed_input
 from .solver import SAT, ExternalSolver, SolverError, SolverRequest
 
 EXIT_OK = 0
@@ -153,11 +154,19 @@ def _default_pixels(imap: InfluenceMap, model: ModelSpec, count: int) -> list[in
     return flat
 
 
-def _apply_adversarial(seed: np.ndarray, values: dict[str, float]) -> np.ndarray:
+def _apply_adversarial(seed: np.ndarray, values) -> tuple[np.ndarray, dict[int, float]]:
+    """The seed with a report's ``adversarial_values`` applied, and those values by pixel
+    index; a key not ``p<digits>`` within the seed, or a non-number, is an InputError."""
+    try:
+        pixels = {int(re.fullmatch(r"p([0-9]+)", key)[1]): float(value)
+                  for key, value in values.items()}
+    except (AttributeError, TypeError, ValueError):
+        raise InputError(f"adversarial_values: malformed entries in {values!r}") from None
+    if any(pixel >= seed.size for pixel in pixels):
+        raise InputError(f"adversarial_values: {values!r} names a pixel outside the seed")
     flat = seed.copy().reshape(-1)
-    for key, value in values.items():
-        flat[int(key.lstrip("p"))] = float(value)
-    return flat.reshape(seed.shape)
+    flat[list(pixels)] = list(pixels.values())
+    return flat.reshape(seed.shape), pixels
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +332,7 @@ def cmd_acdp(config: RunConfig) -> int:
         seed_ref = doc["seed"]
         seed = load_seed_input(seed_ref) if isinstance(seed_ref, str) \
             else np.asarray(seed_ref, dtype=float).reshape(model.shapes[0])
-        adv = _apply_adversarial(seed, doc["adversarial_values"])
+        adv, _ = _apply_adversarial(seed, doc["adversarial_values"])
         matrix = relevance(model, background, adv,
                            n_permutations=config.permutations)
         suite.append((adv, matrix))
@@ -363,17 +372,10 @@ def cmd_verify(config: RunConfig) -> int:
         seed_ref = doc["seed"]
         seed = load_seed_input(seed_ref) if isinstance(seed_ref, str) \
             else np.asarray(seed_ref, dtype=float).reshape(model.shapes[0])
-        adv = _apply_adversarial(seed, doc["adversarial_values"])
-        label = forward(model, adv).label
-        in_bounds = True
-        pixel_order = [int(p) for p in doc.get("pixel_indices", [])]
-        domains = doc.get("domain", [])
-        for key, value in doc["adversarial_values"].items():
-            pixel = int(key.lstrip("p"))
-            if pixel in pixel_order and pixel_order.index(pixel) < len(domains):
-                lo, hi = domains[pixel_order.index(pixel)]
-                if not lo <= value <= hi:
-                    in_bounds = False
+        adv, pixels = _apply_adversarial(seed, doc["adversarial_values"])
+        label = concrete_label(model, adv)
+        bounds = dict(zip(map(int, doc.get("pixel_indices", [])), doc.get("domain", [])))
+        in_bounds = all(bounds[p][0] <= v <= bounds[p][1] for p, v in pixels.items() if p in bounds)
         flipped = label != int(doc["original_label"])
         verdict = "PASS" if flipped and in_bounds else "FAIL"
         print(f"{verdict} {name}: label {doc['original_label']} -> {label}"

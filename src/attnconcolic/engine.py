@@ -9,6 +9,7 @@ re-execution before being reported.
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -16,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .influence import InfluenceMap, branch_influence
-from .semantics import ModelSpec, _reshape_flat, forward
+from .semantics import ConcolicArray, ModelSpec, concrete_label, forward
 from .solver import (
     SAT,
     SOLVER_ERROR,
@@ -29,7 +30,6 @@ from .solver import (
 from .symexpr import (
     BranchEvent,
     Comparison,
-    ConcolicScalar,
     ExecutionContext,
     const,
     count_unique_nodes,
@@ -54,6 +54,7 @@ SUCCESS = "success"
 EXHAUSTED = "exhausted"
 TIMEOUT = "timeout"
 
+_log = logging.getLogger("attnconcolic")
 _POLICIES = ("fifo", "pq", "pq_layers", "pq_capped")
 
 
@@ -240,13 +241,16 @@ def schedule_pop(queue: list[WorkItem], scheduler: Scheduler) -> WorkItem:
 
 
 def make_symbolic_input(x: np.ndarray, pixel_indices: Sequence[int],
-                        ctx: ExecutionContext, var_prefix: str = "p"):
-    """Nested concolic input grid: the chosen flat pixels become symbolic
-    variables seeded at their current concrete values."""
-    flat = [ConcolicScalar(float(v)) for v in np.asarray(x, dtype=float).reshape(-1)]
-    for idx in pixel_indices:
-        flat[idx] = ctx.symvar(f"{var_prefix}{idx}", float(x.reshape(-1)[idx]))
-    return _reshape_flat(flat, x.shape)
+                        ctx: ExecutionContext, var_prefix: str = "p") -> ConcolicArray:
+    """Concolic input array: the chosen flat pixels become symbolic variables
+    seeded at their current concrete values."""
+    value = np.asarray(x, dtype=float)
+    names = tuple(f"{var_prefix}{idx}" for idx in pixel_indices)
+    coef = np.concatenate([value.reshape(-1, 1), np.zeros((value.size, len(names)))], axis=1)
+    for a, idx in enumerate(pixel_indices):
+        ctx.symvar(names[a], coef[idx, 0])
+        coef[idx, [0, 1 + a]] = 0.0, 1.0
+    return ConcolicArray(value, coef.reshape(value.shape + (-1,)), names)
 
 
 def _normalize_domains(domain, n_pixels: int) -> tuple[tuple[float, float], ...]:
@@ -273,7 +277,7 @@ def run_attack(model: ModelSpec, influence_map: InfluenceMap, seed,
     Implements the concolic loop: forward at the current input, harvest
     bypassed branches, pop per scheduler, solve, adopt SAT solutions as the
     next input; stops on a validated flip, a drained queue, or the wall
-    budget.  Every reported adversarial input has been re-executed concretely.
+    budget.  Every reported adversarial input is confirmed by concrete_label.
     """
     scheduler = scheduler if scheduler is not None else Scheduler.pq()
     seed_arr = np.asarray(seed, dtype=float)
@@ -322,7 +326,7 @@ def run_attack(model: ModelSpec, influence_map: InfluenceMap, seed,
             y0 = result.label
         elif any(x_cur.reshape(-1)[p] != seed_arr.reshape(-1)[p] for p in pixels) \
                 and result.label != y0:
-            confirm = forward(model, x_cur).label
+            confirm = concrete_label(model, x_cur)
             if confirm != y0:
                 adversarial = x_cur.copy()
                 flipped = confirm
@@ -368,6 +372,8 @@ def run_attack(model: ModelSpec, influence_map: InfluenceMap, seed,
                 stats.timeout += 1
             elif verdict.status == SOLVER_ERROR:
                 stats.solver_error += 1
+                _log.warning("solver error on a %d-conjunct check; transcript (first "
+                             "2048 characters):\n%s", len(built), verdict.transcript[:2048])
             else:
                 stats.unknown += 1
         if outcome:

@@ -8,8 +8,8 @@ Anything else, ``define-fun`` and terms nested too deeply included, prints one
 ``(error ...)`` line on stderr and exits 2.  It shares the grid oracle's
 parser and kernel: the box comes from the variable-vs-constant conjuncts
 (negative bounds included), is scanned by
-:func:`~attnconcolic.solver.grid_oracle` at staged resolutions (a 16-per-axis
-mesh, streamed in chunks, past two variables), then by seeded random samples.
+:func:`~attnconcolic.solver.grid_oracle` at staged resolutions (a mesh of at
+most 17**5 points, streamed in chunks, past two variables), then seeded samples.
 
 Answers are honest about their strength: ``sat`` comes with a model that is a
 verified witness, printed in decimals; ``unsat`` is emitted only when the
@@ -35,6 +35,7 @@ from .symexpr import (_REL_APPLY, Comparison, ConcolicArithmeticError, Rel, add,
 
 GRID_STAGES = {0: (1,), 1: (256, 1024, 4096), 2: (256, 1024)}  # by variable count
 MESH_RESOLUTION = 16  # dense meshes blow up past two variables
+MESH_POINTS = (MESH_RESOLUTION + 1) ** 5  # mesh cap: past five variables, fewer per axis
 RANDOM_SAMPLES = 65536
 DEFAULT_BOX = (-1e9, 1e9)
 _CHUNK = 2048  # rows per evaluate: fastest of 512 to 65536
@@ -123,6 +124,11 @@ def _mesh_chunks(axes):
         yield np.stack([axis[i] for axis, i in zip(axes, index)], axis=-1)
 
 
+def _mesh_points_per_axis(n_vars: int) -> int:
+    """The most points per axis, up to ``MESH_RESOLUTION + 1``, within ``MESH_POINTS``."""
+    return max(n for n in range(1, MESH_RESOLUTION + 2) if n ** n_vars <= MESH_POINTS)
+
+
 def _search(request: SolverRequest, seed: int):
     """Staged grid scan, then random sampling; a witness dict or None."""
     names = [name for name, _, _ in request.variables]
@@ -133,8 +139,8 @@ def _search(request: SolverRequest, seed: int):
                 return verdict.assignment
         if not names:
             return None
-    else:
-        axes = [_grid_axis(lo, hi, MESH_RESOLUTION) for _, lo, hi in request.variables]
+    elif (per_axis := _mesh_points_per_axis(len(names))) >= 2:
+        axes = [_grid_axis(lo, hi, per_axis - 1) for _, lo, hi in request.variables]
         witness = _first_hit(request.assertion, names, _mesh_chunks(axes))
         if witness is not None:
             return witness

@@ -1,32 +1,30 @@
-"""Forward semantics for the supported layer types over concolic scalars.
-
-The instrumented path (:func:`forward` and the stage functions ``tas``,
-``dpa``, ``stable_softmax``, ``rowmax``, ``concat``, ``dense_forward``) is
-written in plain Python loops so every comparison stays visible to the branch
-listener and every intermediate stays a :class:`~attnconcolic.symexpr.ConcolicScalar`.
-A vectorized numpy twin (:func:`concrete_forward`) serves the attribution code
-and equivalence tests, where no instrumentation is needed.
+"""Forward semantics: the numpy reference (:func:`concrete_forward`), and the
+instrumented :func:`forward` with its stages (``tas``, ``attention_scores``,
+``stable_softmax``, ``rowmax``, ``dpa``, ``concat``, ``dense_forward``).  These
+run the same numpy code over a batch of one, so the logits match the reference
+bit for bit, and carry each cell's exact polynomial in the symbolic pixels
+(:class:`ConcolicArray`).  Exponent arguments are concretized.  Guards read
+their truth off the values; one is a branch event when a side is symbolic,
+i.e. has a non-constant term (pixel terms that cancel to zero leave a
+constant, as no pixel value could flip it).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .symexpr import (
-    ConcolicScalar,
-    ExecutionContext,
-    NeuronId,
-    Rel,
-    as_scalar,
-    concretize,
-)
+from .symexpr import (ConcolicScalar, ExecutionContext, NeuronId, Rel, SymExpr, add, as_scalar,
+                      const, mul, var)
 
 __all__ = [
+    "ConcolicArray",
     "Dense",
     "Flatten",
     "ForwardResult",
@@ -60,16 +58,11 @@ class ModelConfigError(ValueError):
 
 
 def _dims(tensor) -> tuple[int, ...]:
-    """Shape of a nested list, insisting on rectangularity."""
-    shape: list[int] = []
-    t = tensor
-    while isinstance(t, (list, tuple)):
-        shape.append(len(t))
-        t = t[0] if t else None
-    arr = np.asarray(tensor, dtype=float)
-    if arr.shape != tuple(shape):
-        raise ModelConfigError("ragged weight tensor")
-    return tuple(shape)
+    """Shape of a nested list of numbers, insisting on rectangularity."""
+    try:
+        return np.asarray(tensor, dtype=float).shape
+    except (TypeError, ValueError) as exc:
+        raise ModelConfigError(f"weights are not a rectangular array of numbers: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -260,119 +253,163 @@ def load_seed_input(path: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Instrumented (pure Python) semantics
+# Instrumented semantics over concolic arrays
 # ---------------------------------------------------------------------------
 
-Matrix = list  # nested lists of ConcolicScalar
+
+class ConcolicArray:
+    """Concrete values and their exact polynomials in the input variables
+    ``names``.  ``coef`` has one more axis: column ``a`` holds the coefficient
+    of ``m[a]``, where ``m = (1, *names)``; a quadratic array (attention
+    scores) holds that of ``m[a] * m[b]`` at ``a * len(m) + b``.  Indexing a
+    cell gives a ConcolicScalar, whose ``sym`` is None for a constant."""
+
+    __slots__ = ("value", "coef", "names")
+
+    def __init__(self, value: np.ndarray, coef: np.ndarray, names: tuple[str, ...] = ()) -> None:
+        self.value, self.coef, self.names = value, coef, names
+
+    def __len__(self) -> int:
+        return len(self.value)
+
+    def __getitem__(self, index):
+        value, coef = self.value[index], self.coef[index]
+        if isinstance(value, np.ndarray):
+            return ConcolicArray(value, coef, self.names)
+        if len(coef) == 1 or not coef[1:].any():
+            return ConcolicScalar(float(value))
+        return ConcolicScalar(float(value), _polynomial(coef.tolist(), self.names))
+
+    def reshape(self, shape: tuple[int, ...]) -> "ConcolicArray":
+        return ConcolicArray(self.value.reshape(shape),
+                             self.coef.reshape(tuple(shape) + self.coef.shape[-1:]), self.names)
+
+    def symbolic(self) -> np.ndarray:
+        """Which cells' polynomials have a non-constant term."""
+        return self.coef[..., 1:].any(axis=-1)
 
 
-def _coerce_grid(x, shape: tuple[int, ...]):
-    """Nested structure of ConcolicScalars matching ``shape``."""
-    if not shape:
-        raise ModelConfigError("scalar model inputs are not supported")
-
-    def rec(node, dims):
-        if not dims:
-            return as_scalar(node)
-        if len(node) != dims[0]:
-            raise ModelConfigError(
-                f"input does not match declared shape {shape}")
-        return [rec(child, dims[1:]) for child in node]
-
-    return rec(x, shape)
+@functools.lru_cache(maxsize=64)
+def _columns(names: tuple[str, ...], quadratic: bool) -> tuple[SymExpr, ...]:
+    m = (const(1.0),) + tuple(var(name) for name in names)
+    return tuple(mul(a, b) for a in m for b in m) if quadratic else m
 
 
-def tas(vectors: Matrix, weights, bias) -> Matrix:
+def _polynomial(coef: list[float], names: tuple[str, ...]) -> SymExpr:
+    expr = const(0.0)
+    for c, column in zip(coef, _columns(names, len(coef) > 1 + len(names))):
+        expr = add(expr, mul(const(c), column))
+    return expr
+
+
+def _as_array(x) -> ConcolicArray:
+    """``x`` as a ConcolicArray: as is, or from an array or nested sequences
+    of numbers and ConcolicScalars of degree at most two."""
+    if isinstance(x, ConcolicArray):
+        return x
+    cells = np.array(x, dtype=object)
+    scalars = [as_scalar(cell) for cell in cells.reshape(-1)]
+    value = np.array([s.concrete for s in scalars], dtype=float).reshape(cells.shape)
+    if all(s.sym is None for s in scalars):
+        return ConcolicArray(value, value[..., None], ())
+    polys = [dict(zip(s.sym.monomials, s.sym.coeffs)) if s.sym else {(): s.concrete}
+             for s in scalars]
+    if any(len(m) > 2 for p in polys for m in p):
+        raise ModelConfigError("concolic inputs of degree above two are not supported")
+    basis = ((),) + tuple((name,) for name in sorted({n for p in polys for m in p for n in m}))
+    column = {a: i for i, a in enumerate(basis)}
+    if any(len(m) == 2 for p in polys for m in p):
+        column = {tuple(sorted(a + b)): i * len(basis) + j
+                  for i, a in enumerate(basis) for j, b in enumerate(basis)}
+    coef = np.zeros((len(scalars), max(column.values()) + 1))
+    for i, p in enumerate(polys):
+        coef[i, [column[m] for m in p]] = list(p.values())
+    return ConcolicArray(value, coef.reshape(cells.shape + (-1,)), tuple(a for a, in basis[1:]))
+
+
+def _linear(spec: str, x: ConcolicArray, w: np.ndarray, b: np.ndarray) -> ConcolicArray:
+    """``einsum(spec, x, w) + b`` over the values as a batch of one, as in the
+    reference, and over the coefficients with the bias on the constant."""
+    operand, rest = spec.split(",")
+    coef = np.einsum(f"{operand}c,{rest}c", x.coef, w)
+    coef[..., 0] += b
+    return ConcolicArray((np.einsum(spec, x.value[None], w) + b)[0], coef, x.names)
+
+
+def _max_scan(row: ConcolicArray, ctx: ExecutionContext) -> int:
+    """Index of a row's first maximum by a strict ``>`` scan from the left; each
+    comparison with a symbolic side is a branch event through ``ctx.compare``."""
+    values, symbolic = row.value.tolist(), row.symbolic().tolist()
+    best, best_cell = 0, None
+    for u in range(1, len(values)):
+        if symbolic[u] or symbolic[best]:
+            cell = row[u]
+            best_cell = row[best] if best_cell is None else best_cell
+            taken = ctx.compare(Rel.GT, cell, best_cell)
+        else:
+            cell, taken = None, values[u] > values[best]
+        if taken:
+            best, best_cell = u, cell
+    return best
+
+
+def tas(vectors, weights, bias) -> ConcolicArray:
     """Transform-and-split: per-head linear projection of the token matrix.
 
     out[i][t][j] = sum_k vectors[t][k] * weights[k][i][j] + bias[i][j]
     """
-    d_model = len(weights)
-    num_heads = len(weights[0])
-    key_dim = len(weights[0][0])
-    seq_len = len(vectors)
-    out = []
-    for i in range(num_heads):
-        head = []
-        for t in range(seq_len):
-            row = []
-            for j in range(key_dim):
-                acc = as_scalar(bias[i][j])
-                for k in range(d_model):
-                    acc = acc + vectors[t][k] * weights[k][i][j]
-                row.append(acc)
-            head.append(row)
-        out.append(head)
-    return out
+    b = np.asarray(bias, dtype=float)[:, None, :]
+    return _linear(_PROJECT, _as_array(vectors), np.asarray(weights, dtype=float), b)
 
 
-def attention_scores(q_head: Matrix, k_head: Matrix) -> Matrix:
-    """Unscaled score matrix S[t][u] = sum_j Q[t][j] * K[u][j]."""
-    seq_len = len(q_head)
-    key_dim = len(q_head[0])
-    scores = []
-    for t in range(seq_len):
-        row = []
-        for u in range(seq_len):
-            acc = q_head[t][0] * k_head[u][0]
-            for j in range(1, key_dim):
-                acc = acc + q_head[t][j] * k_head[u][j]
-            row.append(acc)
-        scores.append(row)
-    return scores
+def attention_scores(q_head, k_head) -> ConcolicArray:
+    """Unscaled score matrix S[t][u] = sum_j Q[t][j] * K[u][j] (per head for
+    head-major inputs): quadratic in the input variables."""
+    q, k = _as_array(q_head), _as_array(k_head)
+    if q.names != k.names or {q.coef.shape[-1], k.coef.shape[-1]} != {1 + len(q.names)}:
+        raise ModelConfigError("attention scores need affine Q and K over the same variables")
+    coef = np.einsum("...tja,...ujb->...tuab", q.coef, k.coef)
+    coef = coef.reshape(coef.shape[:-2] + (-1,))
+    return ConcolicArray(np.einsum(_SCORES, q.value[None], k.value[None])[0], coef, q.names)
 
 
-def rowmax(row: Sequence[ConcolicScalar], ctx: Optional[ExecutionContext] = None,
+def rowmax(row, ctx: Optional[ExecutionContext] = None,
            assoc: Optional[Sequence[NeuronId]] = None,
            layer_index: int = 0) -> ConcolicScalar:
     """Running maximum by a left-to-right strict ``>`` scan.
 
-    Each comparison against the running max goes through the branch listener,
-    so every symbolic entry scanned emits one event.
+    Each comparison against the running max with a symbolic side goes
+    through the branch listener, so it emits one event.
     """
     ctx = ctx if ctx is not None else ExecutionContext()
-    best = as_scalar(row[0])
-    scope = ctx.association(assoc, layer_index) if assoc is not None else None
-    if scope is not None:
-        scope.__enter__()
-    try:
-        for entry in row[1:]:
-            entry = as_scalar(entry)
-            if ctx.compare(Rel.GT, entry, best):
-                best = entry
-    finally:
-        if scope is not None:
-            scope.__exit__(None, None, None)
-    return best
+    row = _as_array(row)
+    with ctx.association(assoc, layer_index) if assoc is not None else nullcontext():
+        return row[_max_scan(row, ctx)]
 
 
-def stable_softmax(x: Matrix, ctx: Optional[ExecutionContext] = None,
+def stable_softmax(x, ctx: Optional[ExecutionContext] = None,
                    row_assoc: Optional[Callable[[int], Sequence[NeuronId]]] = None,
-                   layer_index: int = 0) -> Matrix:
+                   layer_index: int = 0) -> ConcolicArray:
     """Row-wise stable softmax with concretized exponent arguments.
 
-    The row max comes from :func:`rowmax` (emitting branch events); arguments
-    to ``exp`` are downgraded to their concrete values, so output rows are
-    concrete, non-negative, and sum to one.  Without ``row_assoc``, a row's
-    guards associate with the row's own cells.
+    Each row (last axis) with a symbolic cell is scanned by :func:`rowmax`,
+    emitting branch events; the probabilities are the reference softmax of
+    the values, constants.  Without ``row_assoc``, a row's guards associate
+    with the row's own cells.
     """
     ctx = ctx if ctx is not None else ExecutionContext()
-    out = []
-    for t, row in enumerate(x):
-        if row_assoc is not None:
-            assoc = row_assoc(t)
-        else:
-            assoc = [NeuronId(layer_index, (t, u)) for u in range(len(row))]
-        m = rowmax(row, ctx, assoc, layer_index)
-        exps = [math.exp(concretize(as_scalar(entry) - m).concrete) for entry in row]
-        total = sum(exps)
-        out.append([ConcolicScalar(e / total) for e in exps])
-    return out
+    x = _as_array(x)
+    for index in np.argwhere(x.symbolic().any(axis=-1)).tolist() if x.names else ():
+        t, width = index[-1], x.value.shape[-1]
+        assoc = row_assoc(t) if row_assoc else [NeuronId(layer_index, (t, u)) for u in range(width)]
+        rowmax(x[tuple(index)], ctx, assoc, layer_index)
+    probs = _softmax(x.value[None])[0]
+    return ConcolicArray(probs, probs[..., None])
 
 
-def dpa(Q: Matrix, K: Matrix, V: Matrix, ctx: Optional[ExecutionContext] = None,
+def dpa(Q, K, V, ctx: Optional[ExecutionContext] = None,
         out_width: Optional[int] = None, depth: int = 0,
-        layer_index: int = 0) -> Matrix:
+        layer_index: int = 0) -> ConcolicArray:
     """Scaled dot-product attention per head: softmax(Q K^T / sqrt(d_k)) V.
 
     ``out_width`` is the attention layer's model dimension; the max scans in
@@ -380,100 +417,63 @@ def dpa(Q: Matrix, K: Matrix, V: Matrix, ctx: Optional[ExecutionContext] = None,
     at ``depth``.
     """
     ctx = ctx if ctx is not None else ExecutionContext()
-    num_heads = len(Q)
-    key_dim = len(Q[0][0])
-    seq_len = len(Q[0])
-    if out_width is None:
-        out_width = key_dim
-    scale = 1.0 / math.sqrt(key_dim)
-    out = []
-    for i in range(num_heads):
-        scores = attention_scores(Q[i], K[i])
-        scaled = [[entry * scale for entry in row] for row in scores]
-
-        def row_neurons(t: int) -> list[NeuronId]:
-            return [NeuronId(depth, (t, k)) for k in range(out_width)]
-
-        probs = stable_softmax(scaled, ctx, row_neurons, layer_index)
-        head = []
-        for t in range(seq_len):
-            row = []
-            for j in range(key_dim):
-                acc = probs[t][0] * V[i][0][j]
-                for u in range(1, seq_len):
-                    acc = acc + probs[t][u] * V[i][u][j]
-                row.append(acc)
-            head.append(row)
-        out.append(head)
-    return out
+    q, v = _as_array(Q), _as_array(V)
+    width = q.value.shape[-1] if out_width is None else out_width
+    scale = 1.0 / math.sqrt(q.value.shape[-1])
+    scores = attention_scores(q, K)
+    scaled = ConcolicArray(scores.value * scale, scores.coef * scale, scores.names)
+    probs = stable_softmax(scaled, ctx, lambda t: [NeuronId(depth, (t, c)) for c in range(width)],
+                           layer_index).value
+    return ConcolicArray(np.einsum(_ATTEND, probs[None], v.value[None])[0],
+                         np.einsum("...tu,...ujc->...tjc", probs, v.coef), v.names)
 
 
-def concat(attentions: Matrix, weights, bias) -> Matrix:
+def concat(attentions, weights, bias) -> ConcolicArray:
     """Concatenate head outputs and project: Y[t][l] = sum_i sum_j A[i][t][j] * W_O[i][j][l] + B_O[l]."""
-    num_heads = len(attentions)
-    seq_len = len(attentions[0])
-    key_dim = len(attentions[0][0])
-    d_model = len(bias)
-    out = []
-    for t in range(seq_len):
-        row = []
-        for ell in range(d_model):
-            acc = as_scalar(bias[ell])
-            for i in range(num_heads):
-                for j in range(key_dim):
-                    acc = acc + attentions[i][t][j] * weights[i][j][ell]
-            row.append(acc)
-        out.append(row)
-    return out
+    return _linear(_MERGE, _as_array(attentions), np.asarray(weights, dtype=float),
+                   np.asarray(bias, dtype=float))
 
 
-def dense_forward(x: Sequence[ConcolicScalar], weights, bias, activation: str = "none",
+def dense_forward(x, weights, bias, activation: str = "none",
                   ctx: Optional[ExecutionContext] = None, depth: int = 0,
-                  layer_index: int = 0) -> list[ConcolicScalar]:
+                  layer_index: int = 0) -> ConcolicArray:
     """Affine map with optional ReLU.
 
-    Each ReLU guard is ``pre > 0`` with the single affected output neuron as
-    its association; the negative branch yields a plain concrete zero.
+    Each ReLU guard on a symbolic pre-activation is ``pre > 0`` with the
+    single affected output neuron as its association; the negative branch
+    yields a plain concrete zero.
     """
     ctx = ctx if ctx is not None else ExecutionContext()
-    in_width = len(weights)
-    out_width = len(bias)
-    if len(x) != in_width:
-        raise ModelConfigError(
-            f"dense input width {len(x)} does not match weights ({in_width} rows)")
-    out = []
-    for j in range(out_width):
-        acc = as_scalar(bias[j])
-        for k in range(in_width):
-            acc = acc + as_scalar(x[k]) * weights[k][j]
-        if activation == "relu":
-            with ctx.association([NeuronId(depth, (j,))], layer_index):
-                positive = ctx.compare(Rel.GT, acc, as_scalar(0.0))
-            acc = acc if positive else ConcolicScalar(0.0)
-        out.append(acc)
-    return out
+    x = _as_array(x)
+    w, b = np.asarray(weights, dtype=float), np.asarray(bias, dtype=float)
+    coef = w.T @ x.coef
+    coef[:, 0] += b
+    out = ConcolicArray((x.value[None] @ w + b)[0], coef, x.names)
+    if activation != "relu":
+        return out
+    for j in np.flatnonzero(out.symbolic()).tolist():
+        with ctx.association([NeuronId(depth, (j,))], layer_index):
+            ctx.compare(Rel.GT, out[j], 0.0)
+    positive = out.value > 0.0
+    return ConcolicArray(np.where(positive, out.value, 0.0),
+                         np.where(positive[:, None], coef, 0.0), x.names)
 
 
-def _flatten_grid(vals) -> list[ConcolicScalar]:
-    if isinstance(vals, ConcolicScalar):
-        return [vals]
-    flat: list[ConcolicScalar] = []
-    for child in vals:
-        flat.extend(_flatten_grid(child))
-    return flat
-
-
-def _reshape_flat(flat: list[ConcolicScalar], shape: tuple[int, ...]):
-    if len(shape) == 1:
-        return list(flat)
-    step = int(np.prod(shape[1:]))
-    return [_reshape_flat(flat[i * step:(i + 1) * step], shape[1:])
-            for i in range(shape[0])]
+def _audit(x: ConcolicArray, seeds: Mapping[str, float]) -> None:
+    """Each cell's polynomial at the declared seeds must reproduce its
+    concrete value within relative tolerance 1e-9."""
+    m = np.array([1.0] + [seeds[name] for name in x.names])
+    got = x.coef @ (m if x.coef.shape[-1] == len(m) else np.outer(m, m).ravel())
+    bad = np.argwhere(~np.isclose(got, x.value, rtol=1e-9, atol=1e-12)).tolist()
+    if bad:
+        cell = tuple(bad[0])
+        raise AssertionError(f"concolic coherence violated at cell {cell}: concrete="
+                             f"{float(x.value[cell])!r} symbolic={float(got[cell])!r}")
 
 
 @dataclass(frozen=True)
 class ForwardResult:
-    logits: tuple[ConcolicScalar, ...]
+    logits: ConcolicArray
     events: tuple
     label: int
 
@@ -486,7 +486,9 @@ def forward(model: ModelSpec, x, ctx: Optional[ExecutionContext] = None) -> Forw
     """
     ctx = ctx if ctx is not None else ExecutionContext()
     start = len(ctx.events)
-    vals = _coerce_grid(x, model.shapes[0])
+    vals = _as_array(x)
+    if vals.value.shape != model.shapes[0]:
+        raise ModelConfigError(f"input shape {vals.value.shape} is not {model.shapes[0]}")
     for j, layer in enumerate(model.layers):
         depth = j + 1
         if isinstance(layer, MultiHeadAttention):
@@ -499,51 +501,46 @@ def forward(model: ModelSpec, x, ctx: Optional[ExecutionContext] = None) -> Forw
         elif isinstance(layer, Dense):
             vals = dense_forward(vals, layer.weights, layer.bias, layer.activation,
                                  ctx, depth=depth, layer_index=j)
-        elif isinstance(layer, Flatten):
-            vals = _flatten_grid(vals)
-        else:
-            vals = _reshape_flat(_flatten_grid(vals), model.shapes[depth])
+        else:  # flatten / reshape
+            vals = vals.reshape(model.shapes[depth])
         if ctx.audit:
-            for s in _flatten_grid(vals):
-                ctx.audit_scalar(s)
+            _audit(vals, ctx.variables)
 
-    logits = _flatten_grid(vals)
-    label = 0
-    out_neurons = model.neuron_ids(model.output_depth)
-    with ctx.association(out_neurons, len(model.layers)):
-        for c in range(1, len(logits)):
-            if ctx.compare(Rel.GT, logits[c], logits[label]):
-                label = c
-    return ForwardResult(tuple(logits), tuple(ctx.events[start:]), label)
+    logits = vals.reshape((model.class_count,))
+    with ctx.association(model.neuron_ids(model.output_depth), len(model.layers)):
+        label = _max_scan(logits, ctx)
+    return ForwardResult(logits, tuple(ctx.events[start:]), label)
 
 
 # ---------------------------------------------------------------------------
 # Concrete (numpy) reference path
 # ---------------------------------------------------------------------------
 
+# einsums of the attention layer, shared with the instrumented stages
+_PROJECT = "...tk,kij->...itj"  # per-head projection of each token
+_SCORES = "...tj,...uj->...tu"  # unscaled scores Q K^T per head
+_ATTEND = "...tu,...uj->...tj"  # probabilities times values
+_MERGE = "...itj,ijl->...tl"  # concatenate the heads and project
 
-def _np_weights(layer: MultiHeadAttention):
-    return (np.asarray(layer.w_q, dtype=float), np.asarray(layer.b_q, dtype=float),
-            np.asarray(layer.w_k, dtype=float), np.asarray(layer.b_k, dtype=float),
-            np.asarray(layer.w_v, dtype=float), np.asarray(layer.b_v, dtype=float),
-            np.asarray(layer.w_o, dtype=float), np.asarray(layer.b_o, dtype=float))
+
+def _softmax(scores: np.ndarray) -> np.ndarray:
+    scores = scores - scores.max(axis=-1, keepdims=True)
+    probs = np.exp(scores)
+    return probs / probs.sum(axis=-1, keepdims=True)
 
 
 def apply_layer_concrete(layer: LayerSpec, batch: np.ndarray,
                          out_shape: tuple[int, ...]) -> np.ndarray:
     """Vectorized concrete semantics of one layer over a batch."""
     if isinstance(layer, MultiHeadAttention):
-        wq, bq, wk, bk, wv, bv, wo, bo = _np_weights(layer)
+        wq, bq, wk, bk, wv, bv, wo, bo = (np.asarray(w, dtype=float) for w in (
+            layer.w_q, layer.b_q, layer.w_k, layer.b_k, layer.w_v, layer.b_v, layer.w_o, layer.b_o))
         scale = 1.0 / math.sqrt(layer.key_dim)
-        q = np.einsum("ntk,kij->nitj", batch, wq) + bq[None, :, None, :]
-        k = np.einsum("ntk,kij->nitj", batch, wk) + bk[None, :, None, :]
-        v = np.einsum("ntk,kij->nitj", batch, wv) + bv[None, :, None, :]
-        scores = np.einsum("nitj,niuj->nitu", q, k) * scale
-        scores = scores - scores.max(axis=-1, keepdims=True)
-        probs = np.exp(scores)
-        probs = probs / probs.sum(axis=-1, keepdims=True)
-        heads = np.einsum("nitu,niuj->nitj", probs, v)
-        return np.einsum("nitj,ijl->ntl", heads, wo) + bo[None, None, :]
+        q = np.einsum(_PROJECT, batch, wq) + bq[:, None, :]
+        k = np.einsum(_PROJECT, batch, wk) + bk[:, None, :]
+        v = np.einsum(_PROJECT, batch, wv) + bv[:, None, :]
+        probs = _softmax(np.einsum(_SCORES, q, k) * scale)
+        return np.einsum(_MERGE, np.einsum(_ATTEND, probs, v), wo) + bo
     if isinstance(layer, Dense):
         w = np.asarray(layer.weights, dtype=float)
         b = np.asarray(layer.bias, dtype=float)

@@ -1,7 +1,7 @@
 """Symbolic expressions as exact polynomials, concolic scalars, and
 branch-event recording.
 
-Every value flowing through an instrumented model is a :class:`ConcolicScalar`:
+A cell of an instrumented model reads out as a :class:`ConcolicScalar`:
 a concrete float paired with an optional symbolic expression over declared
 input variables.  An expression is immutable and constant-folded at
 construction, and it carries its polynomial: float coefficients per monomial,
@@ -12,7 +12,6 @@ node also keeps its operands, for :func:`to_infix` and node counts.
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
@@ -565,17 +564,6 @@ class ExecutionContext:
             path_prefix_id=len(self.events),
         ))
         return truth
-
-    def audit_scalar(self, s: ConcolicScalar, rel_tol: float = 1e-9) -> None:
-        """Debug hook: the symbolic part evaluated at the declared seeds must
-        reproduce the concrete part within relative tolerance."""
-        if s.sym is None:
-            return
-        symbolic_value = evaluate(s.sym, self.variables)
-        if not math.isclose(symbolic_value, s.concrete, rel_tol=rel_tol, abs_tol=1e-12):
-            raise AssertionError(
-                f"concolic coherence violated: concrete={s.concrete!r} "
-                f"symbolic={symbolic_value!r} for {to_infix(s.sym)}")
 
 
 def compare(rel: Rel, a: Union[ConcolicScalar, Number],

@@ -114,6 +114,15 @@ def test_malformed_model_exits_2(workspace):
     assert rc == 2
 
 
+def test_ragged_model_weights_exit_2(workspace, capsys):
+    bad = workspace["root"] / "ragged_model.json"
+    bad.write_text(json.dumps({"input_shape": [2], "layers": [
+        {"type": "dense", "weights": [[1.0, 2.0], [3.0]], "bias": [0.0, 0.0]}]}))
+    rc = main(["verify", "--model", str(bad), "--reports", str(workspace["root"])])
+    assert rc == 2
+    assert "input error: model: weights are not" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # attack
 # ---------------------------------------------------------------------------
@@ -286,6 +295,19 @@ def test_verify_fails_on_tampered_report(workspace, attack_dir, tmp_path):
     rc = main(["verify", "--model", str(workspace["model"]),
                "--reports", str(tampered)])
     assert rc == 1
+
+
+@pytest.mark.parametrize("values", [{"p99": 0.9}, {"q0": 0.9}, {"p-1": 0.9},
+                                    {"p0": "high"}])
+def test_verify_malformed_adversarial_values_exit_2(workspace, tmp_path, values, capsys):
+    doc = {"seed": SEEDS["seed0"], "outcome": "success", "original_label": 0,
+           "flipped_label": 1, "pixel_indices": [0], "domain": [[0.0, 1.0]],
+           "adversarial_values": values}
+    report = tmp_path / "attack_malformed.json"
+    report.write_text(json.dumps(doc))
+    rc = main(["verify", "--model", str(workspace["model"]), "--reports", str(report)])
+    assert rc == 2
+    assert "input error: adversarial_values" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import logging
 import math
 import weakref
 
@@ -263,6 +264,33 @@ def test_every_verdict_status_is_counted_apart():
     assert fields == [stats.sat, stats.unsat, stats.unknown, stats.timeout,
                       stats.solver_error]
     assert sum(fields) == doc["sol_constraints"] == stats.solved_constraints
+
+
+class FailingBackend:
+    """Answers every check with a solver error and a long transcript."""
+
+    transcript = '(error "line 1: unsupported")\n' + "x" * 5000
+
+    def check(self, request):
+        return SolverVerdict("solver_error", transcript=self.transcript)
+
+
+def test_solver_errors_are_logged_with_a_cut_transcript(caplog):
+    model = no_flip_model()
+    seed = np.array([[0.4], [0.7], [0.1]])
+    with caplog.at_level(logging.WARNING, logger="attnconcolic"):
+        result = run_attack(model, toy_map(model, seed), seed, pixels=[0],
+                            scheduler=Scheduler.fifo(), backend=FailingBackend())
+    records = [r for r in caplog.records if r.name == "attnconcolic"]
+    assert result.stats.solver_error >= 1
+    assert len(records) == result.stats.solver_error
+    for record in records:
+        assert record.levelno == logging.WARNING
+        message = record.getMessage()
+        assert '(error "line 1: unsupported")' in message
+        assert FailingBackend.transcript[:2048] in message
+        assert FailingBackend.transcript[:2049] not in message
+    assert "transcript" not in attack_result_to_json(result)
 
 
 def test_attack_wall_budget_is_respected(refsolver_backend):

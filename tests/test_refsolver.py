@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import shlex
 import subprocess
+import time
 import tracemalloc
 
 import numpy as np
@@ -197,6 +198,15 @@ def test_mesh_is_streamed_in_chunks():
         tracemalloc.stop()
     assert status == "unknown"
     assert peak < 16 * 2**20
+
+
+def test_mesh_is_capped_past_five_variables():
+    assert [refsolver._mesh_points_per_axis(k) for k in (3, 5, 6, 7, 20, 21)] == \
+        [17, 17, 10, 7, 2, 1]
+    script = box_script(7, "(> (+ x0 x1) 3.0)")  # unsat; 17**7 points uncapped
+    start = time.monotonic()
+    assert refsolver.solve_script(script)[0] == "unknown"
+    assert time.monotonic() - start < 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -333,6 +333,5 @@ def test_concrete_symbolic_coherence(ops, seed, operand):
     other = as_scalar(operand)
     for op in ops:
         acc = arith(op, acc, other)
-        ctx.audit_scalar(acc)  # raises on incoherence
-    assert evaluate(acc.sym, ctx.variables) == pytest.approx(
-        acc.concrete, rel=1e-9, abs=1e-12)
+        assert evaluate(acc.sym, ctx.variables) == pytest.approx(
+            acc.concrete, rel=1e-9, abs=1e-12)
