@@ -1,11 +1,18 @@
 """A numerical stand-in for an SMT solver, speaking SMT-LIB2 on stdin/stdout.
 
-Run as ``python -m attnconcolic.refsolver``.  It reads a script to EOF in
-exactly the subset :func:`~attnconcolic.solver.emit_smtlib` writes: declared
-Real constants, and comparisons between terms over ``+`` and ``*`` (any
-number of arguments), unary and binary ``-``, and ``/`` by a constant.
-Anything else, ``define-fun`` and terms nested too deeply included, prints one
-``(error ...)`` line on stderr and exits 2.  It shares the grid oracle's
+Run as ``python -m attnconcolic.refsolver``.  It speaks the SMT-LIB 2.6
+interactive protocol: it reads commands from stdin as they arrive, each once
+its parentheses balance, answers each ``(check-sat)`` as soon as it arrives,
+prints the model of a ``sat`` answer on ``(get-model)`` (nothing after any
+other answer), and starts a new problem on ``(reset)``.  A check solves the
+text received since the last ``(reset)``, up to and including the
+``(check-sat)`` line, with :func:`solve_script`; a one-shot script piped in
+is one such session.  Scripts must stay in exactly the subset
+:func:`~attnconcolic.solver.emit_smtlib` writes: declared Real constants, and
+comparisons between terms over ``+`` and ``*`` (any number of arguments),
+unary and binary ``-``, and ``/`` by a constant.  Anything else, ``define-fun``,
+an excess ``)`` and terms nested too deeply included, prints one ``(error
+...)`` line on stderr and exits 2.  It shares the grid oracle's
 parser and kernel: the box comes from the variable-vs-constant conjuncts
 (negative bounds included), is scanned by
 :func:`~attnconcolic.solver.grid_oracle` at staged resolutions (a mesh of at
@@ -23,6 +30,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import re
 import sys
 from dataclasses import replace
 
@@ -43,6 +51,7 @@ _CHUNK = 2048  # rows per evaluate: fastest of 512 to 65536
 _BUILDERS = {"+": add, "-": sub, "*": mul, "/": div}
 _RELATIONS = {rel.value: rel for rel in (Rel.LT, Rel.LE, Rel.GT, Rel.GE, Rel.EQ)}
 _IGNORED = ("set-logic", "get-model")
+_PARENS = re.compile(r"[();]")
 
 
 class ScriptError(SolverError):
@@ -196,19 +205,46 @@ def solve_script(text: str) -> tuple[str, dict[str, float] | None, list[str]]:
     return (SAT, witness, declared)
 
 
+def _print_model(witness: dict[str, float], declared: list[str]) -> None:
+    print("(")
+    for name in declared:
+        print(f"  (define-fun {name} () Real {_render_decimal(witness[name])})")
+    print(")", flush=True)
+
+
 def main() -> int:
-    text = sys.stdin.read()
+    text = ""  # received since the last (reset)
+    start = 0  # where the command being read begins in text
+    depth = 0
+    answer = None  # (status, witness, declared) of the last (check-sat)
     try:
-        status, witness, declared = solve_script(text)
+        for line in sys.stdin:
+            base = len(text)
+            text += line
+            for match in _PARENS.finditer(line):
+                if match.group() == ";":
+                    break
+                depth += 1 if match.group() == "(" else -1
+                if depth < 0:
+                    raise ScriptError("unbalanced parentheses")
+                if depth:
+                    continue
+                end = base + match.end()
+                command = _parse_sexprs(_tokenize(text[start:end]))
+                start = end
+                if command == [["reset"]]:
+                    text, base, start, answer = text[end:], base - end, 0, None
+                elif command == [["check-sat"]]:
+                    # the script so far, up to and including the (check-sat) line
+                    answer = solve_script(text[:end].lstrip() + "\n")
+                    print(answer[0], flush=True)
+                elif command == [["get-model"]] and answer and answer[0] == SAT:
+                    _print_model(*answer[1:])
+        if depth:
+            raise ScriptError("unbalanced parentheses")
     except SolverError as exc:
         print(f"(error \"{exc}\")", file=sys.stderr)
         return 2
-    print(status)
-    if status == SAT:
-        print("(")
-        for name in declared:
-            print(f"  (define-fun {name} () Real {_render_decimal(witness[name])})")
-        print(")")
     return 0
 
 

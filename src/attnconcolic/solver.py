@@ -1,9 +1,10 @@
 """SMT-LIB2 emission, solver subprocess management, model parsing, and a
 grid oracle over polynomial constraints.
 
-The engine never links a solver library: the external backend writes an
-SMT-LIB2 script over quantifier-free nonlinear reals to a configurable child
-process and parses sat/unsat/unknown plus a model from its standard output.
+The engine never links a solver library: the external backend keeps one
+live child process per thread running a configurable solver command, writes
+each request to it as an SMT-LIB2 script over quantifier-free nonlinear
+reals, and parses sat/unsat/unknown plus a model from its standard output.
 Both backends read each comparison off the polynomials its sides carry.  The
 grid oracle is an in-process fallback used for testing and small-instance
 verification; its "no point found" answer is reported as unknown, never as a
@@ -12,9 +13,15 @@ proof of unsatisfiability.
 
 from __future__ import annotations
 
+import os
+import select
 import shlex
 import subprocess
-from dataclasses import dataclass
+import tempfile
+import threading
+import time
+import weakref
+from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -215,16 +222,122 @@ def _extract_assignment(forms, variables: Sequence[str]) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 
 
+def _wait(fd: int, event: int, deadline: float) -> None:
+    """Block until ``fd`` is ready for ``event``; TimeoutError at ``deadline``."""
+    poller = select.poll()
+    poller.register(fd, event)
+    if not poller.poll(max(0.0, deadline - time.monotonic()) * 1e3):
+        raise TimeoutError
+
+
+class _Session:
+    """One live solver child.  Requests go to its stdin, replies are read
+    from its stdout by a deadline, and its stderr collects in a file for the
+    transcript."""
+
+    def __init__(self, argv: list[str]) -> None:
+        self.stderr = tempfile.TemporaryFile()
+        try:
+            self.proc = subprocess.Popen(argv, stdin=subprocess.PIPE,
+                                         stdout=subprocess.PIPE, stderr=self.stderr)
+        except OSError:
+            self.stderr.close()
+            raise
+        os.set_blocking(self.proc.stdin.fileno(), False)
+        self.buffer = b""
+        self.lines: list[str] = []  # stdout lines read for the current request
+        # after unsat or unknown, a solver may reply to the (get-model) that
+        # followed, before the next answer: z3 prints an error, the refsolver
+        # nothing
+        self.owes_reply = False
+
+    def send(self, text: str, deadline: float) -> None:
+        data = memoryview(text.encode())
+        fd = self.proc.stdin.fileno()
+        while data:
+            _wait(fd, select.POLLOUT, deadline)
+            data = data[os.write(fd, data):]
+
+    def readline(self, deadline: float) -> Optional[str]:
+        """The next stdout line without its newline, or None at end of file."""
+        fd = self.proc.stdout.fileno()
+        while b"\n" not in self.buffer:
+            _wait(fd, select.POLLIN, deadline)
+            chunk = os.read(fd, 65536)
+            if not chunk:  # end of file, perhaps after a line without its newline
+                if not self.buffer:
+                    return None
+                chunk = b"\n"
+            self.buffer += chunk
+        line, _, self.buffer = self.buffer.partition(b"\n")
+        self.lines.append(line.decode(errors="replace"))
+        return self.lines[-1]
+
+    def reply(self, deadline: float) -> Optional[list[str]]:
+        """The lines of the next reply, a bare symbol or one balanced
+        s-expression (blank lines skipped), or None at end of file."""
+        lines: list[str] = []
+        depth = 0
+        while not lines or depth > 0:
+            line = self.readline(deadline)
+            if line is None:
+                return None
+            tokens = _tokenize(line)
+            depth += tokens.count("(") - tokens.count(")")
+            if tokens or lines:
+                lines.append(line)
+        return lines
+
+    def close(self) -> str:
+        """Kill the child; its transcript: the stdout lines of the current
+        request, the unread ones included, then its stderr."""
+        if self.proc.poll() is None:
+            self.proc.kill()
+        self.proc.wait()
+        try:  # what the child wrote before it ended
+            while self.readline(time.monotonic()) is not None:
+                pass
+        except TimeoutError:  # a grandchild still holds the pipe open
+            pass
+        self.proc.stdin.close()
+        self.proc.stdout.close()
+        self.stderr.seek(0)
+        stderr = self.stderr.read().decode(errors="replace")
+        self.stderr.close()
+        return "\n".join(self.lines) + (("\n" + stderr) if stderr else "")
+
+
+def _close_sessions(sessions: dict) -> None:
+    for (pid, thread), session in list(sessions.items()):
+        if pid == os.getpid():  # a forked copy leaves its parent's children alone
+            del sessions[(pid, thread)]
+            session.close()
+
+
 @dataclass(frozen=True)
 class ExternalSolver:
-    """An SMT-LIB2 solver run as a child process per check call.
+    """An SMT-LIB2 solver run as one live child process per thread.
 
-    ``command`` is the executable plus arguments (string or argv list); the
-    script goes to the child's stdin, the answer comes from stdout.
+    ``command`` is the executable plus arguments (string or argv list).  The
+    solver must speak the SMT-LIB 2.6 interactive protocol on stdin/stdout
+    and answer each ``(check-sat)`` as the command arrives, as ``z3 -in``,
+    ``cvc5 --incremental`` and the refsolver do; one that reads stdin to EOF
+    before it answers times out.  Each request is sent as ``(reset)``
+    followed by :func:`emit_smtlib`, and the answer line, then after ``sat``
+    the model, is read by the request's deadline.  A timeout kills the
+    child, and so does a ``solver_error`` (end of output before an answer,
+    an ``(error`` line, a broken pipe, an unparseable model); the next check
+    starts a fresh one.  The children end when the backend is
+    garbage-collected or the interpreter exits.
     """
 
     command: Union[str, Sequence[str]]
     default_timeout_s: float = 60.0
+    # (pid, thread ident) -> _Session; a thread reads and writes only its own key
+    _sessions: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        weakref.finalize(self, _close_sessions, self._sessions)
 
     def argv(self) -> list[str]:
         if isinstance(self.command, str):
@@ -234,38 +347,51 @@ class ExternalSolver:
     def check(self, request: SolverRequest) -> SolverVerdict:
         script = emit_smtlib(request)
         timeout = request.timeout_s if request.timeout_s is not None else self.default_timeout_s
-        try:
-            proc = subprocess.run(
-                self.argv(), input=script, capture_output=True, text=True,
-                timeout=timeout)
-        except subprocess.TimeoutExpired:
-            return SolverVerdict(TIMEOUT)
-        except OSError as exc:
-            raise SolverError(f"cannot run solver command {self.argv()!r}: {exc}") from exc
-        transcript = proc.stdout + (("\n" + proc.stderr) if proc.stderr else "")
-        if proc.returncode != 0:
-            return SolverVerdict(SOLVER_ERROR, transcript=transcript)
-        answer = None
-        lines = proc.stdout.splitlines()
-        for index, line in enumerate(lines):
-            line = line.strip()
-            if line in (SAT, UNSAT, UNKNOWN):
-                answer = line
-                break
-        if answer == UNSAT:
-            return SolverVerdict(UNSAT, transcript=transcript)
-        if answer == UNKNOWN:
-            return SolverVerdict(UNKNOWN, transcript=transcript)
-        if answer == SAT:
-            rest = "\n".join(lines[index + 1:])  # the model follows the answer line
+        deadline = time.monotonic() + timeout
+        key = (os.getpid(), threading.get_ident())
+        if key not in self._sessions:
             try:
-                forms = _parse_sexprs(_tokenize(rest))
+                self._sessions[key] = _Session(self.argv())
+            except OSError as exc:
+                raise SolverError(f"cannot run solver command {self.argv()!r}: {exc}") from exc
+        session = self._sessions[key]
+        session.lines = []
+        answer = model = None
+        try:
+            session.send("(reset)\n" + script, deadline)
+            stale = session.owes_reply
+            while answer is None and (reply := session.reply(deadline)) is not None:
+                head = reply[0].strip()
+                if head.startswith("(error") and not stale:
+                    break
+                if head in (SAT, UNSAT, UNKNOWN):  # other output is skipped
+                    answer = head
+                stale = False
+            if answer == SAT:
+                model = session.reply(deadline)
+        except TimeoutError:
+            del self._sessions[key]
+            session.close()
+            return SolverVerdict(TIMEOUT)
+        except OSError:  # the child no longer reads its stdin
+            pass
+        except BaseException:  # an interrupt leaves the child's replies out of step
+            del self._sessions[key]
+            session.close()
+            raise
+        transcript = "\n".join(session.lines)
+        session.owes_reply = answer in (UNSAT, UNKNOWN)
+        if session.owes_reply:
+            return SolverVerdict(answer, transcript=transcript)
+        if answer == SAT and model is not None:
+            try:
+                forms = _parse_sexprs(_tokenize("\n".join(model)))
                 names = [name for name, _, _ in request.variables]
-                assignment = _extract_assignment(forms, names)
+                return SolverVerdict(SAT, _extract_assignment(forms, names), transcript)
             except SolverError:
-                return SolverVerdict(SOLVER_ERROR, transcript=transcript)
-            return SolverVerdict(SAT, assignment=assignment, transcript=transcript)
-        return SolverVerdict(SOLVER_ERROR, transcript=transcript)
+                pass
+        del self._sessions[key]
+        return SolverVerdict(SOLVER_ERROR, transcript=session.close())
 
 
 _UNIT_ROUNDOFF = 2.0 ** -53

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -211,6 +213,42 @@ def test_attack_solver_failing_preflight_exits_3(workspace):
                "--solver-cmd", f"{sys.executable} -m no_such_module",
                "--output-dir", str(workspace["root"] / "z2")])
     assert rc == 3
+
+
+def session_members(sid: int) -> list[str]:
+    """The command lines of the live processes in session ``sid``."""
+    members = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+            cmdline = (stat.parent / "cmdline").read_bytes()
+        except (OSError, IndexError):  # the process ended while being read
+            continue
+        if int(fields[3]) == sid and fields[0] != "Z":
+            members.append(cmdline.replace(b"\0", b" ").decode(errors="replace"))
+    return members
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_attack_workers_leave_no_solver_process(workspace):
+    # the pool forks after the pre-flight, so each worker inherits the
+    # parent's live session; every child must still be gone at exit
+    out = workspace["root"] / "workers"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "attnconcolic.cli", "attack",
+         "--model", str(workspace["model"]),
+         "--seeds", str(workspace["seed0"]), str(workspace["seed1"]),
+         "--background", str(workspace["background"]),
+         "--workers", "2", "--output-dir", str(out)],
+        env=env, start_new_session=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True)
+    stdout, stderr = proc.communicate(timeout=300)
+    assert proc.returncode == 0, stderr
+    assert "attacked 2 seed(s)" in stdout
+    assert sorted(p.name for p in out.glob("attack_*.json")) == \
+        ["attack_seed0.json", "attack_seed1.json"]
+    assert session_members(proc.pid) == []
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ same witness.
 from __future__ import annotations
 
 import hashlib
+import select
 import shlex
 import subprocess
 import time
@@ -20,7 +21,8 @@ import numpy as np
 import pytest
 
 from attnconcolic import refsolver
-from attnconcolic.solver import ExternalSolver, SolverRequest, emit_smtlib, grid_oracle
+from attnconcolic.solver import (ExternalSolver, SolverRequest, _parse_sexprs, _render_decimal,
+                                 _tokenize, emit_smtlib, grid_oracle)
 from attnconcolic.symexpr import (
     _REL_APPLY,
     Comparison,
@@ -255,3 +257,62 @@ def test_comment_lines_are_ignored():
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "sat"
     assert refsolver.solve_script(script)[:2] == ("sat", {"v": 257 / 512})
+
+
+# ---------------------------------------------------------------------------
+# the session protocol
+# ---------------------------------------------------------------------------
+
+
+def test_session_answers_each_request_as_solve_script_does():
+    names = ["a", "b", "c"]
+    total = add(add(var("a"), var("b")), var("c"))
+    # the sum's window holds no 17-per-axis mesh point: the seeded samples find it
+    sampled = SolverRequest(tuple((name, 0.0, 1.0) for name in names),
+                            (Comparison(Rel.GT, total, const(1.01)),
+                             Comparison(Rel.LT, total, const(1.05))))
+    empty_box = SolverRequest((("v", 0.0, 1.0),), (Comparison(Rel.GT, var("v"), const(2.0)),))
+    requests = [sampled, empty_box, sampled]
+    scripts = [emit_smtlib(request) for request in requests]
+    proc = subprocess.run(REFSOLVER_CMD, input="".join("(reset)\n" + s for s in scripts),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    want = []
+    for script in scripts:
+        # a check solves the text since the (reset), up to its (check-sat) line
+        status, witness, declared = refsolver.solve_script(
+            script[:script.index("(get-model)")])
+        want.append(status)
+        if witness is not None:
+            want.append([["define-fun", name, [], "Real", _render_decimal(witness[name])]
+                         for name in declared])
+    assert want[:1] + want[2:3] == ["sat", "unsat"]
+    assert _parse_sexprs(_tokenize(proc.stdout)) == want
+
+
+def test_check_sat_is_answered_while_stdin_is_open():
+    proc = subprocess.Popen(REFSOLVER_CMD, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            text=True)
+    try:
+        proc.stdin.write(DECLARE + "(assert (> v 0.5))\n(check-sat)\n")
+        proc.stdin.flush()
+        poller = select.poll()
+        poller.register(proc.stdout, select.POLLIN)
+        assert poller.poll(30_000), "no answer before end of input"
+        assert proc.stdout.readline() == "sat\n"
+        proc.stdin.write("(get-model)\n")
+        proc.stdin.flush()
+        assert proc.stdout.readline() == "(\n"
+    finally:
+        proc.stdin.close()
+        proc.wait(timeout=30)
+        proc.stdout.close()
+    assert proc.returncode == 0
+
+
+def test_excess_close_paren_exits_2():
+    proc = run_script(DECLARE + "(assert (> v 0.5)))\n(check-sat)\n")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("(error ")

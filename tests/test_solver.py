@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import gc
 import math
+import os
+import signal
 import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -197,7 +202,10 @@ def test_external_unparseable_output_is_solver_error():
 
 
 def test_external_model_is_read_after_the_answer_line():
-    stub = ("import sys; sys.stdin.read(); "
+    stub = ("import sys\n"
+            "for line in sys.stdin:\n"
+            "    if line.strip() == '(get-model)':\n"
+            "        break\n"
             "print('(set-info :status unsatisfiable)'); print('sat'); "
             "print('(model (define-fun v () Real 0.25))')")
     verdict = ExternalSolver([sys.executable, "-c", stub]).check(
@@ -206,10 +214,148 @@ def test_external_model_is_read_after_the_answer_line():
     assert verdict.assignment == {"v": 0.25}
 
 
+def test_read_to_eof_solver_times_out():
+    # a solver must answer each (check-sat) as it arrives; stdin stays open
+    stub = "import sys; sys.stdin.read(); print('sat'); print('()')"
+    verdict = ExternalSolver([sys.executable, "-c", stub]).check(
+        unit_request(V_SQUARED_LT_1, timeout=0.5))
+    assert verdict.status == "timeout"
+
+
 def test_external_missing_command_raises():
     with pytest.raises(SolverError):
         ExternalSolver(["definitely-not-a-solver-binary"]).check(
             unit_request(V_SQUARED_LT_1))
+
+
+# ---------------------------------------------------------------------------
+# session lifecycle
+# ---------------------------------------------------------------------------
+
+# An interactive stub: logs its pid, answers sat with v = 0.25, and on its
+# second (check-sat) hangs or exits with a message on stderr.
+SESSION_STUB = """
+import os, sys, time
+log, second = sys.argv[1], sys.argv[2]
+with open(log, "a") as fh:
+    fh.write(f"{os.getpid()}\\n")
+checks = 0
+for line in sys.stdin:
+    if line.strip() == "(check-sat)":
+        checks += 1
+        if checks == 2 and second == "hang":
+            time.sleep(60)
+        if checks == 2 and second == "exit":
+            print("stub: giving up", file=sys.stderr)
+            sys.exit(1)
+        print("sat", flush=True)
+    elif line.strip() == "(get-model)":
+        print("((define-fun v () Real 0.25))", flush=True)
+"""
+
+
+def session_stub(tmp_path, second="answer"):
+    log = tmp_path / "pids.txt"
+    backend = ExternalSolver([sys.executable, "-c", SESSION_STUB, str(log), second],
+                             default_timeout_s=30.0)
+    return backend, lambda: [int(pid) for pid in log.read_text().split()]
+
+
+def is_running(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_sequential_checks_share_one_process(tmp_path):
+    backend, pids = session_stub(tmp_path)
+    verdicts = [backend.check(unit_request(V_SQUARED_LT_1)) for _ in range(10)]
+    assert [v.assignment for v in verdicts] == [{"v": 0.25}] * 10
+    assert len(pids()) == 1
+
+
+def test_check_after_a_timeout_starts_a_fresh_process(tmp_path):
+    backend, pids = session_stub(tmp_path, "hang")
+    assert backend.check(unit_request(V_SQUARED_LT_1)).status == "sat"
+    assert backend.check(unit_request(V_SQUARED_LT_1, timeout=0.5)).status == "timeout"
+    assert not is_running(pids()[0])  # the hung child was killed
+    assert backend.check(unit_request(V_SQUARED_LT_1)).status == "sat"
+    assert len(pids()) == 2
+
+
+def test_child_exit_mid_session_is_solver_error_then_recovers(tmp_path):
+    backend, pids = session_stub(tmp_path, "exit")
+    assert backend.check(unit_request(V_SQUARED_LT_1)).status == "sat"
+    verdict = backend.check(unit_request(V_SQUARED_LT_1))
+    assert verdict.status == "solver_error"
+    assert "stub: giving up" in verdict.transcript
+    assert backend.check(unit_request(V_SQUARED_LT_1)).status == "sat"
+    assert len(pids()) == 2
+
+
+def test_interrupted_check_discards_its_process(tmp_path):
+    backend, pids = session_stub(tmp_path, "hang")
+    assert backend.check(unit_request(V_SQUARED_LT_1)).status == "sat"
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        with pytest.raises(KeyboardInterrupt):
+            backend.check(unit_request(V_SQUARED_LT_1))  # the stub hangs
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert not is_running(pids()[0])
+    # a fresh process answers; the hung one would answer this request late
+    assert backend.check(unit_request(V_SQUARED_LT_1)).status == "sat"
+    assert len(pids()) == 2
+
+
+def test_error_reply_to_get_model_after_unsat_is_skipped():
+    # z3 answers (get-model) after unsat or unknown with an (error ...) line
+    stub = ("import sys\n"
+            "answers = iter(['unsat', 'unknown', 'sat'])\n"
+            "for line in sys.stdin:\n"
+            "    if line.strip() == '(check-sat)':\n"
+            "        answer = next(answers)\n"
+            "        print(answer, flush=True)\n"
+            "    elif line.strip() == '(get-model)' and answer == 'sat':\n"
+            "        print('((define-fun v () Real 0.25))', flush=True)\n"
+            "    elif line.strip() == '(get-model)':\n"
+            "        print('(error \"model is not available\")', flush=True)\n")
+    backend = ExternalSolver([sys.executable, "-c", stub], default_timeout_s=30.0)
+    verdicts = [backend.check(unit_request(V_SQUARED_LT_1)) for _ in range(3)]
+    assert [(v.status, v.assignment) for v in verdicts] == \
+        [("unsat", None), ("unknown", None), ("sat", {"v": 0.25})]
+
+
+def test_one_process_per_thread_and_dropping_the_backend_reaps_them(tmp_path):
+    backend, pids = session_stub(tmp_path)
+    barrier = threading.Barrier(4)  # every worker thread checks at least once
+
+    def check(index):
+        if index < 4:
+            barrier.wait(timeout=30)
+        return threading.get_ident(), backend.check(unit_request(V_SQUARED_LT_1)).assignment
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(check, range(24), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [assignment for _, assignment in results] == [{"v": 0.25}] * 24
+    assert len(pids()) == len({thread for thread, _ in results}) == 4
+    assert all(map(is_running, pids()))
+    del backend
+    gc.collect()
+    assert not any(map(is_running, pids()))
 
 
 def test_check_dispatches_to_both_backend_kinds(refsolver_backend):
@@ -252,10 +398,12 @@ def test_round_trip_and_backend_agreement(refsolver_backend):
         request = SolverRequest(variables, comparisons, timeout_s=30.0)
         grid = grid_oracle(request, resolution=256)
         external = refsolver_backend.check(request)
+        context = (f"trial {trial}: {external.status}\nscript:\n{emit_smtlib(request)}"
+                   f"transcript:\n{external.transcript}")
         if grid.status == "sat":
             assert assignment_satisfies(request, grid.assignment)
-            assert external.status == "sat", "external solver contradicted grid sat"
+            assert external.status == "sat", f"external solver contradicted grid sat; {context}"
             agreements += 1
         if external.status == "sat":
-            assert assignment_satisfies(request, external.assignment)
+            assert assignment_satisfies(request, external.assignment), context
     assert agreements > 5  # fixture produced a healthy mix
