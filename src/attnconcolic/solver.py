@@ -21,6 +21,7 @@ import tempfile
 import threading
 import time
 import weakref
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
@@ -307,11 +308,14 @@ class _Session:
         return "\n".join(self.lines) + (("\n" + stderr) if stderr else "")
 
 
-def _close_sessions(sessions: dict) -> None:
-    for (pid, thread), session in list(sessions.items()):
-        if pid == os.getpid():  # a forked copy leaves its parent's children alone
-            del sessions[(pid, thread)]
-            session.close()
+def _close_sessions(sessions: dict, keep=frozenset()) -> None:
+    """Close this process's sessions but those of the threads in ``keep``; a
+    forked copy leaves its parent's children alone."""
+    for pid, thread in list(sessions):
+        if pid == os.getpid() and thread not in keep:
+            session = sessions.pop((pid, thread), None)
+            if session is not None:  # another thread may have taken it first
+                session.close()
 
 
 @dataclass(frozen=True)
@@ -327,13 +331,15 @@ class ExternalSolver:
     the model, is read by the request's deadline.  A timeout kills the
     child, and so does a ``solver_error`` (end of output before an answer,
     an ``(error`` line, a broken pipe, an unparseable model); the next check
-    starts a fresh one.  The children end when the backend is
-    garbage-collected or the interpreter exits.
+    starts a fresh one.  Starting a child closes those of threads that have
+    ended; the others end when the backend is garbage-collected or the
+    interpreter exits.
     """
 
     command: Union[str, Sequence[str]]
     default_timeout_s: float = 60.0
-    # (pid, thread ident) -> _Session; a thread reads and writes only its own key
+    # (pid, thread ident) -> _Session; a thread writes only its own key and
+    # removes only those of ended threads
     _sessions: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -350,6 +356,9 @@ class ExternalSolver:
         deadline = time.monotonic() + timeout
         key = (os.getpid(), threading.get_ident())
         if key not in self._sessions:
+            # the children of threads that have ended would idle until the
+            # backend is dropped
+            _close_sessions(self._sessions, {t.ident for t in threading.enumerate()})
             try:
                 self._sessions[key] = _Session(self.argv())
             except OSError as exc:
@@ -396,6 +405,110 @@ class ExternalSolver:
 
 _UNIT_ROUNDOFF = 2.0 ** -53
 
+# The bytes a GridOracle's prefix trie may hold: about 55 two-variable masks
+# at resolution 256 (8 kB each), 3 at resolution 1024 (131 kB each).
+_PREFIX_BYTES = 1 << 19
+# What a trie node costs besides its mask bits: the node, its key and the
+# polynomials the key keeps alive, the mask's array header, its dict entries
+# (tracemalloc reads about 800 for a quadratic 2-variable conjunct).  Charged
+# so that nodes with empty masks are bounded too.
+_NODE_BYTES = 1024
+_EMPTY = np.zeros(0, dtype=np.uint8)  # the packed mask with no point left
+
+
+class _Node:
+    __slots__ = ("parent", "key", "mask", "children")
+
+    def __init__(self, parent: Optional["_Node"], key, mask: Optional[np.ndarray]) -> None:
+        self.parent = parent  # None once evicted
+        self.key = key
+        self.mask = mask  # np.packbits of the points left, _EMPTY, or None for all
+        self.children: dict = {}
+
+    def nbytes(self) -> int:
+        return _NODE_BYTES + (0 if self.mask is None else self.mask.nbytes)
+
+
+class _PrefixTrie:
+    """Grid masks of assertion prefixes, one trie edge per conjunct.
+
+    The first level is keyed by a request's variables (names, order and
+    bounds) and the resolution, each level below by one conjunct's
+    :meth:`Comparison.key`.  A node holds the bit-packed mask of the grid
+    points that satisfy the conjuncts on its path.  The stored bytes stay
+    under ``cap``: the least recently used node goes first.  A walk marks
+    each node used before its ancestors, so that node is a leaf, unless one
+    path alone fills the cap; then the path stops growing.  The methods hold
+    the lock; computing and packing masks is the caller's.  A copy starts
+    empty.
+    """
+
+    def __init__(self, cap: int = _PREFIX_BYTES) -> None:
+        self.cap = cap
+        self.nbytes = 0
+        self._top = _Node(None, None, None)
+        self._used: OrderedDict[_Node, None] = OrderedDict()  # least recent first
+        self._lock = threading.Lock()
+
+    def __reduce__(self):
+        return _PrefixTrie, (self.cap,)
+
+    def walk(self, root, keys) -> list[_Node]:
+        """The path to the longest cached prefix of ``keys`` under ``root``:
+        the root's node, then one node per cached conjunct, ending early at
+        an empty mask."""
+        with self._lock:
+            node = self._top.children.get(root)
+            if node is None:
+                node = self._add(self._top, root, None)
+            path = [node]
+            for key in keys:
+                node = node.children.get(key)
+                if node is None:
+                    break
+                path.append(node)
+                if node.mask is _EMPTY:
+                    break
+            self._touch(path)
+            return path
+
+    def extend(self, path: list[_Node], key, mask: np.ndarray) -> None:
+        """Store ``mask`` under ``path[-1]`` along ``key`` and append its node
+        to ``path``; nothing is stored below a node evicted meanwhile."""
+        with self._lock:
+            parent = path[-1]
+            if parent.parent is None:
+                return
+            node = parent.children.get(key)
+            path.append(node if node is not None else self._add(parent, key, mask))
+
+    def touch(self, path: list[_Node]) -> None:
+        with self._lock:
+            self._touch(path)
+
+    def _touch(self, path: list[_Node]) -> None:
+        for node in reversed(path):  # ancestors end up more recent
+            if node.parent is not None:
+                self._used.move_to_end(node)
+
+    def _add(self, parent: _Node, key, mask: Optional[np.ndarray]) -> _Node:
+        node = _Node(parent, key, mask)
+        parent.children[key] = node
+        self._used[node] = None
+        self.nbytes += node.nbytes()
+        while self.nbytes > self.cap:
+            oldest = next(iter(self._used))
+            # the oldest node has children only while it lies on a path
+            # being extended: keep that path's prefix, drop the new node
+            self._evict(node if oldest.children else oldest)
+        return node
+
+    def _evict(self, leaf: _Node) -> None:
+        del leaf.parent.children[leaf.key]
+        leaf.parent = None
+        del self._used[leaf]
+        self.nbytes -= leaf.nbytes()
+
 
 def _dense(cmp: Comparison, names: Sequence[str], magnitudes: Sequence[float]):
     """``(C, bound, terms)`` for one conjunct over at most two variables.
@@ -419,12 +532,40 @@ def _dense(cmp: Comparison, names: Sequence[str], magnitudes: Sequence[float]):
     return coeffs, bound, len(cells)
 
 
+def _holds(cmp: Comparison, names: Sequence[str], axes: Sequence[np.ndarray],
+           magnitudes: Sequence[float], ok: np.ndarray) -> np.ndarray:
+    """Where ``cmp`` holds on the grid: one kernel pass, with the points of
+    ``ok`` near a tie re-checked by evaluate."""
+    coeffs, bound, terms = _dense(cmp, names, magnitudes)
+    rows, cols = coeffs.shape
+    diff = (np.vander(axes[0], rows, increasing=True) @ coeffs
+            @ np.vander(axes[1], cols, increasing=True).T)
+    # In normal-range floats, evaluate rounds each side at most degree +
+    # terms times, and the kernel at most 2 * (rows + cols) times (powers,
+    # the coefficient difference, the two products); each error stays under
+    # gamma(rounds) * bound.  The factor 3 covers both errors and the
+    # rounding of the bound itself.
+    rounds = terms + 3 * (rows + cols)
+    gamma = rounds * _UNIT_ROUNDOFF / (1.0 - rounds * _UNIT_ROUNDOFF)
+    tol = 3.0 * gamma * bound
+    relation = _REL_APPLY[cmp.rel]
+    holds = relation(diff, 0.0)
+    np.abs(diff, out=diff)
+    if not diff.min() > tol:  # some point is within tol of a tie, or NaN
+        near_rows, near_cols = np.nonzero(~(diff > tol) & ok)
+        points = dict(zip(names, (axes[0][near_rows], axes[1][near_cols])))
+        holds[near_rows, near_cols] = relation(evaluate(cmp.lhs, points),
+                                               evaluate(cmp.rhs, points))
+    return holds
+
+
 def _grid_axis(lo: float, hi: float, resolution: int) -> np.ndarray:
     """``resolution + 1`` evenly spaced points from ``lo`` to about ``hi``."""
     return lo + (hi - lo) * (np.arange(resolution + 1, dtype=float) / resolution)
 
 
-def grid_oracle(request: SolverRequest, resolution: int = 1024) -> SolverVerdict:
+def grid_oracle(request: SolverRequest, resolution: int = 1024,
+                prefixes: Optional[_PrefixTrie] = None) -> SolverVerdict:
     """Evaluate the assertion on a uniform grid over the variable bounds.
 
     Returns sat with the first satisfying grid point (lexicographic scan), or
@@ -438,6 +579,13 @@ def grid_oracle(request: SolverRequest, resolution: int = 1024) -> SolverVerdict
     :func:`~attnconcolic.symexpr.evaluate`, so the satisfying set is exactly
     evaluate's, and a sat point is checked once more with
     :meth:`Comparison.holds_at` before it is returned.
+
+    With ``prefixes`` (a :class:`GridOracle` passes its own), the mask of the
+    longest prefix of the assertion checked before under the same variables
+    and resolution is read from that trie, only the remaining conjuncts are
+    evaluated, and the mask after each of them is stored.  Either way the
+    final mask is the intersection of the conjuncts' satisfying sets, so the
+    verdict and the witness are those of an uncached check.
     """
     if len(request.variables) > 2:
         raise SolverError("grid oracle supports at most 2 variables")
@@ -452,32 +600,28 @@ def grid_oracle(request: SolverRequest, resolution: int = 1024) -> SolverVerdict
     magnitudes = [float(np.abs(axis).max()) for axis in axes]
     shape = (axes[0].size, axes[1].size)
     ok = np.ones(shape, dtype=bool)
-    diff = np.empty(shape)
+    path, depth = None, 0
+    if prefixes is not None:
+        path = prefixes.walk((request.variables, resolution),
+                             (cmp.key() for cmp in request.assertion))
+        depth, cached = len(path) - 1, path[-1].mask
+        if cached is _EMPTY:
+            return SolverVerdict(UNKNOWN)
+        if cached is not None:
+            ok = np.unpackbits(cached, count=ok.size).view(bool).reshape(shape)
+    found = True
     with np.errstate(all="ignore"):
-        for cmp in request.assertion:
-            coeffs, bound, terms = _dense(cmp, names, magnitudes)
-            rows, cols = coeffs.shape
-            np.matmul(np.vander(axes[0], rows, increasing=True) @ coeffs,
-                      np.vander(axes[1], cols, increasing=True).T, out=diff)
-            # In normal-range floats, evaluate rounds each side at most
-            # degree + terms times, and the kernel at most 2 * (rows + cols)
-            # times (powers, the coefficient difference, the two products);
-            # each error stays under gamma(rounds) * bound.  The factor 3
-            # covers both errors and the rounding of the bound itself.
-            rounds = terms + 3 * (rows + cols)
-            gamma = rounds * _UNIT_ROUNDOFF / (1.0 - rounds * _UNIT_ROUNDOFF)
-            tol = 3.0 * gamma * bound
-            relation = _REL_APPLY[cmp.rel]
-            holds = relation(diff, 0.0)
-            np.abs(diff, out=diff)
-            if not diff.min() > tol:  # some point is within tol of a tie, or NaN
-                near_rows, near_cols = np.nonzero(~(diff > tol) & ok)
-                points = dict(zip(names, (axes[0][near_rows], axes[1][near_cols])))
-                holds[near_rows, near_cols] = relation(evaluate(cmp.lhs, points),
-                                                       evaluate(cmp.rhs, points))
-            ok &= holds
-            if not ok.any():
-                return SolverVerdict(UNKNOWN)
+        for cmp in request.assertion[depth:]:
+            ok &= _holds(cmp, names, axes, magnitudes, ok)
+            found = bool(ok.any())
+            if path is not None:
+                prefixes.extend(path, cmp.key(), np.packbits(ok) if found else _EMPTY)
+            if not found:
+                break
+    if path is not None:
+        prefixes.touch(path)
+    if not found:
+        return SolverVerdict(UNKNOWN)
     for hit in np.flatnonzero(ok):
         row, col = divmod(int(hit), shape[1])
         assignment = dict(zip(names, (float(axes[0][row]), float(axes[1][col]))))
@@ -488,12 +632,21 @@ def grid_oracle(request: SolverRequest, resolution: int = 1024) -> SolverVerdict
 
 @dataclass(frozen=True)
 class GridOracle:
-    """Backend wrapper so the grid oracle can stand in for a solver."""
+    """Backend wrapper so the grid oracle can stand in for a solver.
+
+    It keeps the masks of the assertion prefixes it has checked in a trie
+    whose stored bytes stay under ``_PREFIX_BYTES`` (512 kB), so a request
+    that extends a checked prefix evaluates only its new conjuncts; verdicts
+    and witnesses are those of :func:`grid_oracle` without the trie.  Any
+    number of threads may share one oracle.
+    """
 
     resolution: int = 1024
+    _prefixes: _PrefixTrie = field(default_factory=_PrefixTrie, init=False,
+                                   compare=False, repr=False)
 
     def check(self, request: SolverRequest) -> SolverVerdict:
-        return grid_oracle(request, self.resolution)
+        return grid_oracle(request, self.resolution, self._prefixes)
 
 
 Backend = Union[ExternalSolver, GridOracle]

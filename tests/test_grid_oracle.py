@@ -3,17 +3,31 @@
 ``reference_grid_oracle`` evaluates each conjunct with ``evaluate`` as one
 array over the full meshgrid.  The grid oracle's kernel, tie band and
 re-check must give the same verdict and the same witness on every request it
-accepts.
+accepts.  A ``GridOracle`` reading prefix masks from its trie must give the
+uncached oracle's.
 """
 
 from __future__ import annotations
 
 import math
+import pickle
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from attnconcolic.solver import SolverRequest, SolverVerdict, _dense, grid_oracle
+from attnconcolic import solver
+from attnconcolic.solver import (
+    _NODE_BYTES,
+    _PREFIX_BYTES,
+    GridOracle,
+    SolverRequest,
+    SolverVerdict,
+    _dense,
+    _PrefixTrie,
+    grid_oracle,
+)
 from attnconcolic.symexpr import (
     Comparison,
     ConcolicArithmeticError,
@@ -219,3 +233,195 @@ def test_identical_sides_are_never_strictly_ordered():
     request = SolverRequest((("a", 0.0, 1.0), ("b", 0.0, 1.0)),
                             (Comparison(Rel.GT, side, side),))
     assert grid_oracle(request, 256).status == "unknown"
+
+
+# ---------------------------------------------------------------------------
+# the prefix trie of GridOracle
+# ---------------------------------------------------------------------------
+
+
+def random_box(rng: np.random.Generator, n_vars: int):
+    """Variables over random boxes, and a point of the 256-step grid (so also
+    of the 1024-step one) inside them."""
+    variables, point = [], {}
+    for name in ["a", "b"][:n_vars]:
+        lo = random_constant(rng)
+        hi = lo + abs(random_constant(rng)) + 0.125
+        variables.append((name, lo, hi))
+        point[name] = lo + (hi - lo) * (int(rng.integers(257)) / 256)
+    return tuple(variables), point
+
+
+def concolic_path(rng: np.random.Generator, point, length: int):
+    """``length`` random guards, each oriented to hold at ``point``, as the
+    literals of one concrete run."""
+    names = sorted(point)
+    path = []
+    for _ in range(length):
+        cmp = random_comparison(rng, names)
+        path.append(cmp if cmp.holds_at(point) else cmp.negate())
+    return tuple(path)
+
+
+def generational_items(variables, path):
+    """What a run yields: each prefix plus its next literal negated."""
+    return [SolverRequest(variables, path[:k] + (path[k].negate(),))
+            for k in range(len(path))]
+
+
+@pytest.fixture
+def kernel_passes(monkeypatch):
+    """Counts the conjuncts the grid oracle evaluates on the grid."""
+    passes = [0]
+    holds = solver._holds
+
+    def counted(*args):
+        passes[0] += 1
+        return holds(*args)
+
+    monkeypatch.setattr(solver, "_holds", counted)
+    return passes
+
+
+@pytest.mark.parametrize("resolution,paths,length", [(256, 10, 8), (1024, 2, 5)])
+@pytest.mark.parametrize("n_vars", [1, 2])
+def test_prefix_trie_matches_uncached_oracle(resolution, paths, length, n_vars,
+                                             kernel_passes):
+    rng = np.random.default_rng(7000 * n_vars + resolution)
+    requests = []
+    for _ in range(paths):
+        variables, point = random_box(rng, n_vars)
+        path = concolic_path(rng, point, length)
+        for item in generational_items(variables, path):
+            requests.append(item)
+            if rng.random() < 0.3:  # an item adopted and run again
+                requests.append(SolverRequest(variables, item.assertion + path[:2]))
+        requests.append(SolverRequest(variables, path))
+    # work items are popped by influence, not in the order they were made,
+    # and some are made again verbatim
+    requests = [requests[i] for i in rng.permutation(len(requests))]
+    requests += [requests[i] for i in rng.choice(len(requests), 8)]
+    want = [grid_oracle(request, resolution) for request in requests]
+    uncached, kernel_passes[0] = kernel_passes[0], 0
+    oracle = GridOracle(resolution)
+    for request, verdict in zip(requests, want):
+        assert oracle.check(request) == verdict
+    assert kernel_passes[0] < uncached  # some prefixes were read from the trie
+    assert {"sat", "unknown"} <= {verdict.status for verdict in want}
+
+    # a prefix whose mask empties answers unknown from the trie
+    variables, point = random_box(rng, n_vars)
+    path = concolic_path(rng, point, 3)
+    name, lo, hi = variables[0]
+    impossible = Comparison(Rel.GT, var(name), const(hi + 1.0))
+    emptied = SolverRequest(variables, path[:2] + (impossible,))
+    assert oracle.check(emptied) == grid_oracle(emptied, resolution) == SolverVerdict("unknown")
+    extended = SolverRequest(variables, emptied.assertion + path[2:])
+    before = kernel_passes[0]
+    assert oracle.check(extended) == SolverVerdict("unknown")
+    assert kernel_passes[0] == before
+
+
+def test_prefix_masks_are_keyed_by_bounds_variable_order_and_resolution():
+    a_high = Comparison(Rel.GT, var("a"), const(0.5))
+    b_low = Comparison(Rel.LT, var("b"), const(0.75))
+    box = (("a", 0.0, 1.0), ("b", 0.0, 1.0))
+    variants = [
+        (box, 256),
+        ((("a", 0.0, 2.0), ("b", 0.0, 1.0)), 256),  # other bounds
+        ((("b", 0.0, 1.0), ("a", 0.0, 1.0)), 256),  # other variable order
+        (box, 1024),  # other resolution
+    ]
+    for assertion in [(a_high,), (a_high, b_low)]:
+        trie = _PrefixTrie()  # one trie, as if one oracle saw them all
+        for first in range(len(variants)):
+            for variables, resolution in variants[first:] + variants[:first]:
+                request = SolverRequest(variables, assertion)
+                want = grid_oracle(request, resolution)
+                assert want.status == "sat"
+                assert grid_oracle(request, resolution, trie) == want
+
+
+def test_a_pickled_oracle_starts_with_an_empty_trie():
+    oracle = GridOracle(256)
+    request = SolverRequest((("a", 0.0, 1.0),), (Comparison(Rel.GT, var("a"), const(0.5)),))
+    verdict = oracle.check(request)
+    copy = pickle.loads(pickle.dumps(oracle))
+    assert copy == oracle and copy._prefixes.nbytes == 0 < oracle._prefixes.nbytes
+    assert copy.check(request) == verdict
+
+
+def test_nested_prefixes_cost_at_most_two_kernel_passes_per_request(kernel_passes):
+    rng = np.random.default_rng(40)
+    variables, point = random_box(rng, 2)
+    requests = generational_items(variables, concolic_path(rng, point, 40))
+    oracle = GridOracle(256)
+    verdicts = [oracle.check(request) for request in requests]
+    assert kernel_passes[0] <= 2 * len(requests)
+    kernel_passes[0] = 0
+    assert verdicts == [grid_oracle(request, 256) for request in requests]
+    assert kernel_passes[0] == sum(range(1, 41))  # uncached, every prefix again
+
+
+def test_a_path_that_fills_the_cap_keeps_its_first_conjuncts(kernel_passes):
+    rng = np.random.default_rng(30)
+    variables, point = random_box(rng, 2)
+    request = SolverRequest(variables, concolic_path(rng, point, 30))
+    trie = _PrefixTrie(cap=10 * (_NODE_BYTES + 257 * 257 // 8 + 1))
+    want = grid_oracle(request, 256)
+    kernel_passes[0] = 0
+    assert grid_oracle(request, 256, trie) == want
+    assert kernel_passes[0] == 30 and trie.nbytes <= trie.cap
+    kernel_passes[0] = 0
+    assert grid_oracle(request, 256, trie) == want
+    assert kernel_passes[0] == 30 - 9  # the root and 9 masks fit
+
+
+def test_prefix_trie_bytes_stay_under_the_cap():
+    rng = np.random.default_rng(1000)
+    oracle = GridOracle(256)
+    trie = oracle._prefixes
+    requests = set()
+    for _ in range(125):  # 1,000 distinct requests, 8 per shared prefix
+        variables, point = random_box(rng, 2)
+        path = concolic_path(rng, point, 16)
+        for last in path[8:]:
+            request = SolverRequest(variables, path[:8] + (last,))
+            requests.add(request)
+            oracle.check(request)
+            assert trie.nbytes <= _PREFIX_BYTES
+    assert len(requests) == 1000
+    assert trie.nbytes > _PREFIX_BYTES // 2  # the cap was reached
+
+
+def test_threads_sharing_one_oracle_get_the_uncached_verdicts():
+    # c8's request shapes: degree-2 guards on the unit box, one or two
+    # variables, here grown into paths that share prefixes
+    rng = np.random.default_rng(8)
+    rels = [Rel.LT, Rel.LE, Rel.GT, Rel.GE]
+    requests = []
+    for trial in range(40):
+        names = ["a"] if trial % 2 else ["a", "b"]
+        variables = tuple((name, 0.0, 1.0) for name in names)
+        path = []
+        for _ in range(5):
+            expr = const(float(rng.uniform(-1, 1)))
+            for name in names:
+                expr = add(expr, mul(var(name), const(float(rng.uniform(-2, 2)))))
+                partner = var(str(rng.choice(names)))
+                expr = add(expr, mul(mul(var(name), partner), const(float(rng.uniform(-1, 1)))))
+            path.append(Comparison(rels[int(rng.integers(4))], expr,
+                                   const(float(rng.uniform(-1, 1)))))
+            requests.append(SolverRequest(variables, tuple(path)))
+    requests = [requests[i] for i in rng.permutation(len(requests))] * 2
+    want = [grid_oracle(request, 256) for request in requests]
+    oracle = GridOracle(256)  # about 55 masks fit, not all 200: evictions race
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(oracle.check, requests, timeout=300))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+    assert sum(verdict.status == "sat" for verdict in want) >= 20

@@ -358,6 +358,21 @@ def test_one_process_per_thread_and_dropping_the_backend_reaps_them(tmp_path):
     assert not any(map(is_running, pids()))
 
 
+def test_a_new_session_closes_those_of_ended_threads(tmp_path):
+    backend, pids = session_stub(tmp_path)
+    barrier = threading.Barrier(4)  # four threads, four children
+
+    def check(_):
+        barrier.wait(timeout=30)
+        return backend.check(unit_request(V_SQUARED_LT_1)).status
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        assert list(pool.map(check, range(4), timeout=120)) == ["sat"] * 4
+    assert sum(map(is_running, pids())) == 4  # the pool's threads have ended
+    assert backend.check(unit_request(V_SQUARED_LT_1)).status == "sat"
+    assert [is_running(pid) for pid in pids()] == [False] * 4 + [True]
+
+
 def test_check_dispatches_to_both_backend_kinds(refsolver_backend):
     req = unit_request(V_SQUARED_LT_1)
     assert check(GridOracle(64), req).status == "sat"
