@@ -250,6 +250,9 @@ def _load_influence(config: RunConfig, model: ModelSpec) -> InfluenceMap:
 
 def cmd_attack(config: RunConfig) -> int:
     model = _load_model(config.model)
+    indices, size = config.pixel_indices or [], int(np.prod(model.shapes[0]))
+    if len(set(indices)) < len(indices) or not all(0 <= p < size for p in indices):
+        raise InputError(f"pixel-indices: {indices} repeats an index or leaves 0..{size - 1}")
     seed_paths = _seed_paths(config.seeds)
     config.seeds = [str(p) for p in seed_paths]
     imap = _load_influence(config, model)
@@ -467,17 +470,20 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "reports", None):
         config.reports = list(args.reports)
     if getattr(args, "pixel_indices", None):
-        config.pixel_indices = [int(s) for s in args.pixel_indices.split(",") if s]
+        try:
+            config.pixel_indices = [int(s) for s in args.pixel_indices.split(",") if s]
+        except ValueError:
+            raise InputError(f"pixel-indices: not comma-separated integers: "
+                             f"{args.pixel_indices!r}") from None
     return config
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    config = _config_from_args(args)
     handlers = {"influence": cmd_influence, "attack": cmd_attack,
                 "acdp": cmd_acdp, "verify": cmd_verify}
     try:
-        return handlers[args.command](config)
+        return handlers[args.command](_config_from_args(args))
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

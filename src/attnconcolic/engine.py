@@ -27,14 +27,7 @@ from .solver import (
     SolverRequest,
     assignment_satisfies,
 )
-from .symexpr import (
-    BranchEvent,
-    Comparison,
-    ExecutionContext,
-    const,
-    count_unique_nodes,
-    sub,
-)
+from .symexpr import BranchEvent, Comparison, ExecutionContext, count_unique_nodes
 
 __all__ = [
     "AttackResult",
@@ -90,7 +83,7 @@ class Scheduler:
 @dataclass(frozen=True)
 class WorkItem:
     """One bypassed branch: the path prefix in taken polarity conjoined with
-    the negated guard, plus its scheduling metadata."""
+    the negated guard, each the event's ``p relop 0``, plus scheduling metadata."""
 
     constraint: tuple[Comparison, ...]
     influence: float
@@ -193,35 +186,24 @@ def harvest(events: Sequence[BranchEvent], influence_map: InfluenceMap,
 
 def build_constraint(item: WorkItem, cap_seconds: Optional[float] = None
                      ) -> Optional[tuple[Comparison, ...]]:
-    """Materialize the conjunction with each comparison normalized to
-    ``expr relop 0``; returns None (skipped) if the build exceeds the cap."""
-    start = time.monotonic()
-
-    def over_cap() -> bool:
-        return cap_seconds is not None and time.monotonic() - start >= cap_seconds
-
-    normalized: list[Comparison] = []
-    for cmp in item.constraint:
-        if over_cap():
+    """The item's conjunction, whose conjuncts arrive normalized to ``p relop
+    0`` from the events; returns None (skipped) if sizing its operand graph
+    exceeds the cap."""
+    if cap_seconds is None:
+        return item.constraint
+    deadline = time.monotonic() + cap_seconds
+    # size the conjunction, checking the clock as we walk
+    seen: set[int] = set()
+    stack = [e for cmp in item.constraint for e in (cmp.lhs, cmp.rhs)]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.extend(node.args)
+        if len(seen) % 2048 == 0 and time.monotonic() >= deadline:
             return None
-        normalized.append(Comparison(cmp.rel, sub(cmp.lhs, cmp.rhs), const(0.0)))
-    if cap_seconds is not None:
-        # size the normalized conjunction, checking the clock as we walk
-        seen: set[int] = set()
-        stack = [e for cmp in normalized for e in (cmp.lhs, cmp.rhs)]
-        visited = 0
-        while stack:
-            node = stack.pop()
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.extend(node.args)
-            visited += 1
-            if visited % 2048 == 0 and over_cap():
-                return None
-        if over_cap():
-            return None
-    return tuple(normalized)
+    return None if time.monotonic() >= deadline else item.constraint
 
 
 def _pop_key(item: WorkItem, policy: str):

@@ -20,8 +20,8 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .symexpr import (ConcolicScalar, ExecutionContext, NeuronId, Rel, SymExpr, add, as_scalar,
-                      const, mul, var)
+from .symexpr import (ConcolicScalar, ExecutionContext, Monomial, NeuronId, Rel, as_scalar,
+                      polynomial)
 
 __all__ = [
     "ConcolicArray",
@@ -262,7 +262,8 @@ class ConcolicArray:
     ``names``.  ``coef`` has one more axis: column ``a`` holds the coefficient
     of ``m[a]``, where ``m = (1, *names)``; a quadratic array (attention
     scores) holds that of ``m[a] * m[b]`` at ``a * len(m) + b``.  Indexing a
-    cell gives a ConcolicScalar, whose ``sym`` is None for a constant."""
+    cell gives a ConcolicScalar whose ``sym`` is one polynomial leaf, or None
+    for a constant."""
 
     __slots__ = ("value", "coef", "names")
 
@@ -276,9 +277,11 @@ class ConcolicArray:
         value, coef = self.value[index], self.coef[index]
         if isinstance(value, np.ndarray):
             return ConcolicArray(value, coef, self.names)
-        if len(coef) == 1 or not coef[1:].any():
+        coef = coef.tolist()
+        if not any(coef[1:]):
             return ConcolicScalar(float(value))
-        return ConcolicScalar(float(value), _polynomial(coef.tolist(), self.names))
+        monomials = _monomials(self.names, len(coef) > 1 + len(self.names))
+        return ConcolicScalar(float(value), polynomial(zip(monomials, coef)))
 
     def reshape(self, shape: tuple[int, ...]) -> "ConcolicArray":
         return ConcolicArray(self.value.reshape(shape),
@@ -290,16 +293,10 @@ class ConcolicArray:
 
 
 @functools.lru_cache(maxsize=64)
-def _columns(names: tuple[str, ...], quadratic: bool) -> tuple[SymExpr, ...]:
-    m = (const(1.0),) + tuple(var(name) for name in names)
-    return tuple(mul(a, b) for a in m for b in m) if quadratic else m
-
-
-def _polynomial(coef: list[float], names: tuple[str, ...]) -> SymExpr:
-    expr = const(0.0)
-    for c, column in zip(coef, _columns(names, len(coef) > 1 + len(names))):
-        expr = add(expr, mul(const(c), column))
-    return expr
+def _monomials(names: tuple[str, ...], quadratic: bool) -> tuple[Monomial, ...]:
+    """The monomial of each coefficient column over ``names``."""
+    m = ((),) + tuple((name,) for name in names)
+    return tuple(tuple(sorted(a + b)) for a in m for b in m) if quadratic else m
 
 
 def _as_array(x) -> ConcolicArray:
@@ -316,15 +313,13 @@ def _as_array(x) -> ConcolicArray:
              for s in scalars]
     if any(len(m) > 2 for p in polys for m in p):
         raise ModelConfigError("concolic inputs of degree above two are not supported")
-    basis = ((),) + tuple((name,) for name in sorted({n for p in polys for m in p for n in m}))
-    column = {a: i for i, a in enumerate(basis)}
-    if any(len(m) == 2 for p in polys for m in p):
-        column = {tuple(sorted(a + b)): i * len(basis) + j
-                  for i, a in enumerate(basis) for j, b in enumerate(basis)}
-    coef = np.zeros((len(scalars), max(column.values()) + 1))
+    names = tuple(sorted({n for p in polys for m in p for n in m}))
+    monomials = _monomials(names, any(len(m) == 2 for p in polys for m in p))
+    column = {m: i for i, m in enumerate(monomials)}  # a product's last column
+    coef = np.zeros((len(scalars), len(monomials)))
     for i, p in enumerate(polys):
         coef[i, [column[m] for m in p]] = list(p.values())
-    return ConcolicArray(value, coef.reshape(cells.shape + (-1,)), tuple(a for a, in basis[1:]))
+    return ConcolicArray(value, coef.reshape(cells.shape + (-1,)), names)
 
 
 def _linear(spec: str, x: ConcolicArray, w: np.ndarray, b: np.ndarray) -> ConcolicArray:

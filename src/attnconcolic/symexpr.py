@@ -6,8 +6,10 @@ a concrete float paired with an optional symbolic expression over declared
 input variables.  An expression is immutable and constant-folded at
 construction, and it carries its polynomial: float coefficients per monomial,
 of any degree and over any number of variables.  The polynomial is the
-expression's meaning; equality, hashing and :func:`evaluate` go by it.  Each
-node also keeps its operands, for :func:`to_infix` and node counts.
+expression's meaning; equality, hashing and :func:`evaluate` go by it.  A
+node made by the arithmetic builders also keeps its operands, for
+:func:`to_infix` and node counts; a forward's cells are :func:`polynomial`
+leaves, and a recorded guard is ``p relop 0``.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ __all__ = [
     "count_unique_nodes",
     "evaluate",
     "neg",
+    "polynomial",
     "to_infix",
     "var",
 ]
@@ -74,10 +77,11 @@ class SymExpr:
 
     ``monomials`` holds the monomials with a non-zero coefficient in sorted
     (canonical) order and ``coeffs`` their coefficients; the zero polynomial
-    has none.  ``kind`` is one of ``"const"``, ``"var"``, ``"bin"``,
-    ``"neg"``, and ``op``/``value``/``name``/``args`` record how the node was
-    built.  Nodes are created only through :func:`const`, :func:`var`, the
-    binary builders, and :func:`neg`.
+    has none.  ``kind`` is one of ``"const"``, ``"var"``, ``"poly"`` (the
+    leaves) or ``"bin"``, ``"neg"``, and ``op``/``value``/``name``/``args``
+    record how the node was built.  Leaves are made by :func:`const`,
+    :func:`var` and :func:`polynomial` (the forward's cells), inner nodes by
+    the binary builders and :func:`neg`.
     """
 
     __slots__ = ("kind", "op", "value", "name", "args", "monomials", "coeffs",
@@ -101,10 +105,6 @@ class SymExpr:
 
     def __hash__(self) -> int:
         return hash((self.monomials, self.coeffs))
-
-    @property
-    def is_const(self) -> bool:
-        return self.kind == "const"
 
     def node_count(self) -> int:
         """Number of distinct nodes reachable from this expression."""
@@ -182,6 +182,17 @@ def var(name: str) -> SymExpr:
     return _make("var", None, None, name, (), ((name,),), (1.0,))
 
 
+def polynomial(terms: Iterable[tuple[Monomial, float]]) -> SymExpr:
+    """A leaf holding the sum of ``coeff * monomial`` over ``(monomial,
+    coeff)`` pairs; a repeated monomial's coefficients add up, in order, and
+    zero coefficients drop out."""
+    acc: dict[Monomial, float] = {}
+    for monomial, coeff in terms:
+        if coeff:
+            acc[monomial] = acc.get(monomial, 0.0) + coeff
+    return _make("poly", None, None, None, (), *_canonical(acc))
+
+
 def _fold_bin(op: str, a: float, b: float, rhs: SymExpr) -> SymExpr:
     if op == "+":
         return const(a + b)
@@ -249,7 +260,7 @@ def div(a: SymExpr, b: SymExpr) -> SymExpr:
 
 
 def neg(a: SymExpr) -> SymExpr:
-    if a.is_const:
+    if a.kind == "const":
         return const(-a.value)
     return _make("neg", None, None, None, (a,), a.monomials, tuple([-c for c in a.coeffs]))
 
@@ -287,8 +298,8 @@ def count_unique_nodes(roots: Iterable[SymExpr], seen: Optional[set[int]] = None
 
 def to_infix(expr: SymExpr) -> str:
     """Parenthesized infix text of how ``expr`` was built: variables by name,
-    constants in shortest round-trip decimal.  Intended for logs and golden
-    tests."""
+    constants in shortest round-trip decimal, a polynomial leaf as the sum of
+    its monomials.  Intended for logs and golden tests."""
     memo: dict[int, str] = {}
     stack: list[tuple[SymExpr, bool]] = [(expr, False)]
     while stack:
@@ -299,6 +310,9 @@ def to_infix(expr: SymExpr) -> str:
             memo[id(node)] = repr(node.value)
         elif node.kind == "var":
             memo[id(node)] = node.name
+        elif node.kind == "poly":
+            terms = [" * ".join([repr(c), *m]) for m, c in zip(node.monomials, node.coeffs)]
+            memo[id(node)] = f"({' + '.join(terms or ['0.0'])})"
         elif not ready:
             stack.append((node, True))
             for child in node.args:
@@ -482,7 +496,7 @@ class Comparison:
 
 @dataclass(frozen=True)
 class BranchEvent:
-    """One guarded comparison observed on the concrete path.
+    """One guarded comparison ``p relop 0`` observed on the concrete path.
 
     ``bypassed_predicate`` is the condition of the branch that was *not*
     entered: the negated guard when the guard held, the guard itself when it
@@ -544,7 +558,7 @@ class ExecutionContext:
 
     def compare(self, rel: Rel, a: Union[ConcolicScalar, Number],
                 b: Union[ConcolicScalar, Number]) -> bool:
-        """Evaluate a guard concretely; log a branch event when symbolic."""
+        """Evaluate a guard concretely; log it as ``a - b relop 0`` when symbolic."""
         a = as_scalar(a)
         b = as_scalar(b)
         truth = bool(_REL_APPLY[rel](a.concrete, b.concrete))
@@ -553,7 +567,7 @@ class ExecutionContext:
         if self._scope is None:
             raise AssociationScopeError(
                 "symbolic comparison outside an association scope")
-        guard = Comparison(rel, a.expr(), b.expr())
+        guard = Comparison(rel, sub(a.expr(), b.expr()), const(0.0))
         bypassed = guard.negate() if truth else guard
         self.events.append(BranchEvent(
             guard=guard,

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import os
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,11 @@ from attnconcolic.semantics import (
 )
 from attnconcolic.solver import ExternalSolver
 from attnconcolic.symexpr import ExecutionContext, evaluate
+
+# pytest puts src on sys.path (pyproject.toml); solver children and demos
+# started by the tests find the package through PYTHONPATH
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]))
 
 REFSOLVER_CMD = [sys.executable, "-m", "attnconcolic.refsolver"]
 

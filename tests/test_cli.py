@@ -215,6 +215,20 @@ def test_attack_solver_failing_preflight_exits_3(workspace):
     assert rc == 3
 
 
+@pytest.mark.parametrize("indices", ["1,a", "0,2", "-1", "1,1"])
+def test_attack_bad_pixel_indices_exit_2_before_the_solver(workspace, indices, capsys):
+    # a solver that would fail its pre-flight (exit 3) shows the check comes first
+    out = workspace["root"] / "bad_indices"
+    rc = main(["attack", "--model", str(workspace["model"]),
+               "--seeds", str(workspace["seed0"]),
+               "--background", str(workspace["background"]),
+               "--pixel-indices", indices, "--solver-cmd", "no-such-solver-binary",
+               "--output-dir", str(out)])
+    assert rc == 2
+    assert "input error: pixel-indices" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def session_members(sid: int) -> list[str]:
     """The command lines of the live processes in session ``sid``."""
     members = []

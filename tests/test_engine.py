@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import gc
 import logging
-import math
 import weakref
 
 import numpy as np
@@ -34,8 +33,6 @@ from attnconcolic.symexpr import (
     Rel,
     add,
     const,
-    evaluate,
-    mul,
     var,
 )
 
@@ -100,23 +97,16 @@ def test_harvest_same_input_twice_adds_nothing(golden_model, golden_background):
 # ---------------------------------------------------------------------------
 
 
-def test_build_constraint_normalizes_to_relop_zero():
-    v = var("v")
-    r = 1.0 / math.sqrt(2)
-    lhs = mul(add(mul(v, const(6.0)), const(6.0)), const(r))
-    rhs = mul(add(add(mul(mul(v, v), const(3.0)), mul(v, const(6.0))), const(3.0)),
-              const(r))
-    item = WorkItem(constraint=(Comparison(Rel.GT, lhs, rhs),),
-                    influence=1.0, layer_index=0, node_count=10, ordinal=0)
-    built = build_constraint(item)
-    assert built is not None and len(built) == 1
-    normalized = built[0]
-    assert normalized.rhs == const(0.0)
-    # algebraically equivalent to v^2 < 1 on 100 sample points
-    for k in range(100):
-        point = {"v": -1.5 + 3.0 * k / 99}
-        holds = evaluate(normalized.lhs, point) > 0.0
-        assert holds == (point["v"] ** 2 < 1.0)
+def test_build_constraint_returns_the_item_constraint(golden_model, golden_background):
+    imap = build_influence_map(golden_model, golden_background, GOLDEN_SEED)
+    res, _ = symbolic_forward(golden_model, GOLDEN_SEED, [0])
+    items = harvest(res.events, imap, PathTree())
+    for item in items:
+        assert build_constraint(item) is item.constraint
+        assert build_constraint(item, cap_seconds=60.0) is item.constraint
+        assert all(cmp.rhs == const(0.0) for cmp in item.constraint)
+    # siblings share the prefix's recorded literals
+    assert items[1].constraint[0] is items[2].constraint[0]
 
 
 def test_build_constraint_zero_cap_skips_everything():

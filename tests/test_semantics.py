@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from attnconcolic.semantics import (
+    ConcolicArray,
     Dense,
     Flatten,
     ModelConfigError,
@@ -23,7 +26,7 @@ from attnconcolic.semantics import (
     stable_softmax,
     tas,
 )
-from attnconcolic.symexpr import ExecutionContext, NeuronId, as_scalar
+from attnconcolic.symexpr import ExecutionContext, NeuronId, add, as_scalar, const, mul, var
 
 from conftest import golden_mha, linear_coeffs, quad_coeffs, random_toy_model
 
@@ -38,6 +41,57 @@ def golden_qkv(ctx: ExecutionContext):
     return (tas(x, layer.w_q, layer.b_q),
             tas(x, layer.w_k, layer.b_k),
             tas(x, layer.w_v, layer.b_v))
+
+
+# ---------------------------------------------------------------------------
+# cells of a concolic array
+# ---------------------------------------------------------------------------
+
+
+def builder_cell(coef: np.ndarray, names: tuple[str, ...]):
+    """Reference: a cell's expression summed column by column through the
+    binary builders, or None when no non-constant column is non-zero."""
+    if len(coef) == 1 or not coef[1:].any():
+        return None
+    m = (const(1.0),) + tuple(var(name) for name in names)
+    columns = tuple(mul(a, b) for a in m for b in m) if len(coef) > len(m) else m
+    expr = const(0.0)
+    for c, column in zip(coef.tolist(), columns):
+        expr = add(expr, mul(const(c), column))
+    return expr
+
+
+@st.composite
+def coefficient_rows(draw):
+    """Names in no particular order, and an affine or quadratic coefficient
+    row with zero and -0.0 columns and symmetric pairs that cancel."""
+    names = tuple(draw(st.lists(st.sampled_from(["p0", "p1", "p2", "p10"]),
+                                min_size=1, max_size=3, unique=True)))
+    k = 1 + len(names)
+    quadratic = draw(st.booleans())
+    entry = st.one_of(st.just(0.0), st.just(-0.0), st.floats(allow_nan=False))
+    coef = draw(st.lists(entry, min_size=k * k if quadratic else k,
+                         max_size=k * k if quadratic else k))
+    for a in range(k) if quadratic else ():
+        for b in range(a + 1, k):
+            if draw(st.booleans()):
+                coef[b * k + a] = -coef[a * k + b]
+    return names, np.array(coef)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coefficient_rows())
+@example((("p0",), np.array([-0.0, 0.5, -0.5, 0.0])))  # pairs cancel to a constant
+@example((("p10", "p2"), np.array([0.0, -0.0, 3.0])))
+def test_cell_is_one_leaf_with_the_builder_chains_polynomial(row):
+    names, coef = row
+    cell = ConcolicArray(np.array([0.25]), coef[None], names)[0]
+    reference = builder_cell(coef, names)
+    assert (cell.sym is None) == (reference is None)
+    if reference is not None:
+        assert cell.sym.kind == "poly" and cell.sym.args == ()
+        assert cell.sym.monomials == reference.monomials
+        assert [c.hex() for c in cell.sym.coeffs] == [c.hex() for c in reference.coeffs]
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from attnconcolic.symexpr import (
     sub,
     div,
     neg,
+    polynomial,
     to_infix,
     var,
 )
@@ -142,6 +143,22 @@ def test_compare_emits_event_with_bypassed_guard():
     assert event.bypassed_predicate == event.guard
     assert event.guard.rel is Rel.GT
     assert event.assoc_neurons == tuple(SCOPE)
+
+
+def test_compare_records_the_guard_as_relop_zero():
+    # the worked example's row-0 sides, normalized once when recorded
+    ctx = scoped_ctx()
+    v = ctx.symvar("v", 2)
+    r = 1 / math.sqrt(2)
+    ctx.compare(Rel.GT, (v * 6 + 6) * r, (v * v * 3 + v * 6 + 3) * r)
+    (event,) = ctx.events
+    assert event.guard.rhs == const(0.0)
+    assert event.bypassed_predicate.rhs == event.taken_literal().rhs == const(0.0)
+    # algebraically equivalent to v^2 < 1 on 100 sample points
+    for k in range(100):
+        point = {"v": -1.5 + 3.0 * k / 99}
+        holds = evaluate(event.guard.lhs, point) > 0.0
+        assert holds == (point["v"] ** 2 < 1.0)
 
 
 def test_compare_concrete_operands_emit_nothing():
@@ -280,6 +297,15 @@ def test_infix_serialization():
     expr = ((v + 1) * (v * 2 + 2)).sym
     assert to_infix(expr) == "((v + 1.0) * ((v * 2.0) + 2.0))"
     assert to_infix(const(0.5)) == "0.5"
+
+
+def test_polynomial_leaf_infix_is_its_sum_of_monomials():
+    leaf = polynomial([((), 1.5), (("p1",), -2.0), (("p0", "p1"), 0.25), (("p1",), 0.5)])
+    assert leaf.kind == "poly" and leaf.args == ()
+    assert to_infix(leaf) == "(1.5 + 0.25 * p0 * p1 + -1.5 * p1)"
+    assert to_infix(polynomial([((), 2.0), (("p0",), 0.0)])) == "(2.0)"
+    assert to_infix(polynomial([(("p0",), -0.0)])) == "(0.0)"
+    assert to_infix(sub(polynomial([(("v",), 3.0)]), const(1.0))) == "((3.0 * v) - 1.0)"
 
 
 # ---------------------------------------------------------------------------
