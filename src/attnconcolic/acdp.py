@@ -53,7 +53,7 @@ class RelevanceMatrix:
 
 
 def relevance(model: ModelSpec, background: BackgroundSet, x,
-              *, n_permutations: int = 128, method: str = "auto") -> RelevanceMatrix:
+              *, n_permutations: int = 128) -> RelevanceMatrix:
     """Signed Shapley attribution of every non-output neuron toward the class
     the model predicts at ``x``."""
     logits = concrete_forward(model, np.asarray(x, dtype=float))
@@ -64,8 +64,7 @@ def relevance(model: ModelSpec, background: BackgroundSet, x,
         if depth == out_depth:
             break
         subnet = model.tail(depth)
-        matrix = shap_matrix(subnet, bg_l, x_l[0], method=method,
-                             n_permutations=n_permutations,
+        matrix = shap_matrix(subnet, bg_l, x_l[0], n_permutations=n_permutations,
                              seed=(background.seed, depth))
         for flat, nid in enumerate(model.neuron_ids(depth)):
             values[nid] = float(matrix[flat, predicted])

@@ -15,13 +15,14 @@ import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .acdp import abstract_path, relevance
-from .engine import AttackResult, Scheduler, attack_result_to_json, run_attack
+from .engine import Scheduler, attack_result_to_json, run_attack
 from .influence import (
     BackgroundSet,
     ConfigurationError,
@@ -154,9 +155,17 @@ def _default_pixels(imap: InfluenceMap, model: ModelSpec, count: int) -> list[in
     return flat
 
 
-def _apply_adversarial(seed: np.ndarray, values) -> tuple[np.ndarray, dict[int, float]]:
-    """The seed with a report's ``adversarial_values`` applied, and those values by pixel
-    index; a key not ``p<digits>`` within the seed, or a non-number, is an InputError."""
+def _read_adversarial(doc: dict, model: ModelSpec) -> tuple[np.ndarray, dict[int, float]]:
+    """A success report's seed (a path or a list) with its ``adversarial_values``
+    applied, and those values by pixel index.  A report lacking either, a seed that
+    does not fit the model, a key not ``p<digits>`` within the seed or a value not a
+    number is an InputError."""
+    try:
+        seed_ref, values = doc["seed"], doc["adversarial_values"]
+        seed = load_seed_input(seed_ref) if isinstance(seed_ref, str) else seed_ref
+        seed = np.asarray(seed, dtype=float).reshape(model.shapes[0])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"report of {doc.get('seed')!r}: {type(exc).__name__}: {exc}") from None
     try:
         pixels = {int(re.fullmatch(r"p([0-9]+)", key)[1]): float(value)
                   for key, value in values.items()}
@@ -169,24 +178,22 @@ def _apply_adversarial(seed: np.ndarray, values) -> tuple[np.ndarray, dict[int, 
     return flat.reshape(seed.shape), pixels
 
 
+def _build_influence(config: RunConfig, model: ModelSpec) -> InfluenceMap:
+    """The influence map of the first seed against ``--background``."""
+    if not config.background:
+        raise InputError("background: required unless --influence-map is given")
+    background = _load_background(config.background, config.random_seed)
+    return build_influence_map(model, background, load_seed_input(config.seeds[0]),
+                               n_permutations=config.permutations)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 
 def cmd_influence(config: RunConfig) -> int:
-    model = _load_model(config.model)
-    if not config.background:
-        raise InputError("background: required for influence computation")
-    background = _load_background(config.background, config.random_seed)
-    if not config.seeds:
-        raise InputError("seeds: one seed input is required")
-    seed = load_seed_input(config.seeds[0])
-    try:
-        imap = build_influence_map(model, background, seed,
-                                   n_permutations=config.permutations)
-    except ConfigurationError as exc:
-        raise InputError(str(exc)) from exc
+    imap = _build_influence(config, _load_model(config.model))
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "influence.json"
@@ -213,25 +220,26 @@ def _attack_backend(config: RunConfig) -> ExternalSolver:
     return backend
 
 
-def _attack_single(config: RunConfig, model: ModelSpec, imap: InfluenceMap,
-                   backend: ExternalSolver, seed_path: Path) -> tuple[dict, AttackResult]:
+def _attack_seed(config: RunConfig, model: ModelSpec, imap: InfluenceMap,
+                 backend: ExternalSolver, seed_path: Path) -> dict:
     seed = load_seed_input(str(seed_path))
     pixels = config.pixel_indices or _default_pixels(imap, model, config.pixels)
     result = run_attack(
         model, imap, seed, pixels, domain=config.domain,
         scheduler=config.scheduler(), wall_budget_s=config.wall_budget_s,
         backend=backend, solver_timeout_s=config.solver_timeout_s)
-    return attack_result_to_json(result, seed_ref=str(seed_path)), result
+    return attack_result_to_json(result, seed_ref=str(seed_path))
 
 
-def _attack_worker(config_doc: dict, seed_path: str) -> dict:
-    config = RunConfig(**{**config_doc, "domain": tuple(config_doc["domain"])})
-    model = _load_model(config.model)
-    imap = _load_influence(config, model)
-    backend = ExternalSolver(config.solver_command(),
-                             default_timeout_s=config.solver_timeout_s)
-    doc, _ = _attack_single(config, model, imap, backend, Path(seed_path))
-    return doc
+def _seed_report(seed_path: Path, attack) -> dict:
+    """``attack()``.  A SolverError ends the run; any other failure, a dead pool
+    worker's included, makes the seed's report ``"outcome": "error"``."""
+    try:
+        return attack()
+    except SolverError:
+        raise
+    except Exception as exc:
+        return {"seed": str(seed_path), "outcome": "error", "error": str(exc)}
 
 
 def _load_influence(config: RunConfig, model: ModelSpec) -> InfluenceMap:
@@ -240,12 +248,7 @@ def _load_influence(config: RunConfig, model: ModelSpec) -> InfluenceMap:
             return InfluenceMap.load(config.influence_map)
         except (OSError, json.JSONDecodeError) as exc:
             raise InputError(f"influence-map: cannot read: {exc}") from exc
-    if not config.background:
-        raise InputError("attack needs --influence-map or --background")
-    background = _load_background(config.background, config.random_seed)
-    seed = load_seed_input(config.seeds[0])
-    return build_influence_map(model, background, seed,
-                               n_permutations=config.permutations)
+    return _build_influence(config, model)
 
 
 def cmd_attack(config: RunConfig) -> int:
@@ -253,6 +256,11 @@ def cmd_attack(config: RunConfig) -> int:
     indices, size = config.pixel_indices or [], int(np.prod(model.shapes[0]))
     if len(set(indices)) < len(indices) or not all(0 <= p < size for p in indices):
         raise InputError(f"pixel-indices: {indices} repeats an index or leaves 0..{size - 1}")
+    if not 1 <= config.pixels <= size:
+        raise InputError(f"pixels: {config.pixels} is not in 1..{size}")
+    lo, hi = config.domain
+    if not (np.isfinite(config.domain).all() and lo <= hi):
+        raise InputError(f"domain: [{lo}, {hi}] is not a finite interval")
     seed_paths = _seed_paths(config.seeds)
     config.seeds = [str(p) for p in seed_paths]
     imap = _load_influence(config, model)
@@ -260,27 +268,16 @@ def cmd_attack(config: RunConfig) -> int:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    docs: list[dict] = []
-    if config.workers > 1:
+    attack = partial(_attack_seed, config, model, imap, backend)
+    if config.workers > 1:  # each task gets copies: the map, and the backend without its session
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures = [pool.submit(_attack_worker, config.public(), str(p))
-                       for p in seed_paths]
-            for path, future in zip(seed_paths, futures):
-                try:
-                    docs.append(future.result())
-                except Exception as exc:  # per-seed failure; batch continues
-                    docs.append({"seed": str(path), "outcome": "error",
-                                 "error": str(exc)})
-    else:
-        for path in seed_paths:
+            futures = [pool.submit(attack, path) for path in seed_paths]
             try:
-                doc, _ = _attack_single(config, model, imap, backend, path)
-                docs.append(doc)
-            except SolverError:
-                raise
-            except Exception as exc:
-                docs.append({"seed": str(path), "outcome": "error",
-                             "error": str(exc)})
+                docs = [_seed_report(path, f.result) for path, f in zip(seed_paths, futures)]
+            finally:  # after a SolverError, the seeds not yet started are dropped
+                pool.shutdown(cancel_futures=True)
+    else:
+        docs = [_seed_report(path, partial(attack, path)) for path in seed_paths]
 
     artifacts: list[Path] = []
     for path, doc in zip(seed_paths, docs):
@@ -319,6 +316,10 @@ def _load_reports(specs: Sequence[str]) -> list[dict]:
 
 
 def cmd_acdp(config: RunConfig) -> int:
+    if not 0.0 < config.alpha <= 1.0:
+        raise InputError(f"alpha: {config.alpha} is not in (0, 1]")
+    if not 0.0 <= config.beta < 1.0:
+        raise InputError(f"beta: {config.beta} is not in [0, 1)")
     model = _load_model(config.model)
     if not config.background:
         raise InputError("background: required for relevance computation")
@@ -332,10 +333,7 @@ def cmd_acdp(config: RunConfig) -> int:
     suite = []
     label_pairs = []
     for doc in successes:
-        seed_ref = doc["seed"]
-        seed = load_seed_input(seed_ref) if isinstance(seed_ref, str) \
-            else np.asarray(seed_ref, dtype=float).reshape(model.shapes[0])
-        adv, _ = _apply_adversarial(seed, doc["adversarial_values"])
+        adv, _ = _read_adversarial(doc, model)
         matrix = relevance(model, background, adv,
                            n_permutations=config.permutations)
         suite.append((adv, matrix))
@@ -372,10 +370,7 @@ def cmd_verify(config: RunConfig) -> int:
             continue
         checked += 1
         name = doc.get("seed", f"case{checked}")
-        seed_ref = doc["seed"]
-        seed = load_seed_input(seed_ref) if isinstance(seed_ref, str) \
-            else np.asarray(seed_ref, dtype=float).reshape(model.shapes[0])
-        adv, pixels = _apply_adversarial(seed, doc["adversarial_values"])
+        adv, pixels = _read_adversarial(doc, model)
         label = concrete_label(model, adv)
         bounds = dict(zip(map(int, doc.get("pixel_indices", [])), doc.get("domain", [])))
         in_bounds = all(bounds[p][0] <= v <= bounds[p][1] for p, v in pixels.items() if p in bounds)

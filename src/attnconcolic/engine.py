@@ -223,11 +223,11 @@ def schedule_pop(queue: list[WorkItem], scheduler: Scheduler) -> WorkItem:
 
 
 def make_symbolic_input(x: np.ndarray, pixel_indices: Sequence[int],
-                        ctx: ExecutionContext, var_prefix: str = "p") -> ConcolicArray:
+                        ctx: ExecutionContext) -> ConcolicArray:
     """Concolic input array: the chosen flat pixels become symbolic variables
     seeded at their current concrete values."""
     value = np.asarray(x, dtype=float)
-    names = tuple(f"{var_prefix}{idx}" for idx in pixel_indices)
+    names = tuple(f"p{idx}" for idx in pixel_indices)
     coef = np.concatenate([value.reshape(-1, 1), np.zeros((value.size, len(names)))], axis=1)
     for a, idx in enumerate(pixel_indices):
         ctx.symvar(names[a], coef[idx, 0])
@@ -252,8 +252,7 @@ def run_attack(model: ModelSpec, influence_map: InfluenceMap, seed,
                pixels: Sequence[int], domain=(0.0, 1.0),
                scheduler: Optional[Scheduler] = None,
                wall_budget_s: Optional[float] = None, *,
-               backend: Backend, solver_timeout_s: float = 60.0,
-               audit: bool = False, var_prefix: str = "p") -> AttackResult:
+               backend: Backend, solver_timeout_s: float = 60.0) -> AttackResult:
     """Search for a label flip by perturbing the chosen pixels within bounds.
 
     Implements the concolic loop: forward at the current input, harvest
@@ -275,7 +274,7 @@ def run_attack(model: ModelSpec, influence_map: InfluenceMap, seed,
     if any(not 0 <= p < total for p in pixels):
         raise ValueError("pixel index out of range")
     domains = _normalize_domains(domain, len(pixels))
-    var_names = [f"{var_prefix}{p}" for p in pixels]
+    var_names = [f"p{p}" for p in pixels]
     variables = tuple((name, lo, hi)
                       for name, (lo, hi) in zip(var_names, domains))
 
@@ -298,8 +297,8 @@ def run_attack(model: ModelSpec, influence_map: InfluenceMap, seed,
     outcome = ""
     while True:
         stats.iterations += 1
-        ctx = ExecutionContext(audit=audit)
-        result = forward(model, make_symbolic_input(x_cur, pixels, ctx, var_prefix), ctx)
+        ctx = ExecutionContext()
+        result = forward(model, make_symbolic_input(x_cur, pixels, ctx), ctx)
         # control-path signature: guard sites execute in a fixed order, so the
         # outcome sequence identifies the concrete path (guard formulas differ
         # across inputs once softmax constants are baked in)

@@ -133,6 +133,8 @@ def shap_matrix(subnet: ModelSpec, background_inputs: np.ndarray, x: np.ndarray,
             raise ConfigurationError("exact enumeration is limited to 30 features")
         return _exact_matrix(subnet, x_flat, baseline)
     if method == "permutation":
+        if n_permutations < 1:
+            raise ConfigurationError(f"n_permutations must be at least 1, got {n_permutations}")
         rng = np.random.default_rng(seed)
         return _permutation_matrix(subnet, x_flat, baseline, n_permutations, rng)
     raise ConfigurationError(f"unknown estimator {method!r}")
@@ -232,8 +234,7 @@ def depth_activations(model: ModelSpec, background: BackgroundSet,
 
 
 def build_influence_map(model: ModelSpec, background: BackgroundSet, seed_input,
-                        *, n_permutations: int = DEFAULT_PERMUTATIONS,
-                        method: str = "auto") -> InfluenceMap:
+                        *, n_permutations: int = DEFAULT_PERMUTATIONS) -> InfluenceMap:
     """Layer-by-layer influence of every neuron, computed once per seed.
 
     Walks the grids from the input down: at each depth the submodel starting
@@ -256,8 +257,7 @@ def build_influence_map(model: ModelSpec, background: BackgroundSet, seed_input,
                 values[nid] = float(per[flat])
             break
         subnet = model.tail(depth)
-        matrix = shap_matrix(subnet, bg_l, x_l[0], method=method,
-                             n_permutations=n_permutations,
+        matrix = shap_matrix(subnet, bg_l, x_l[0], n_permutations=n_permutations,
                              seed=(background.seed, depth))
         mean_abs = np.abs(matrix).mean(axis=1)
         for flat, nid in enumerate(neuron_ids):

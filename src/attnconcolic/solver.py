@@ -333,7 +333,7 @@ class ExternalSolver:
     an ``(error`` line, a broken pipe, an unparseable model); the next check
     starts a fresh one.  Starting a child closes those of threads that have
     ended; the others end when the backend is garbage-collected or the
-    interpreter exits.
+    interpreter exits.  A pickled copy starts with no child.
     """
 
     command: Union[str, Sequence[str]]
@@ -344,6 +344,9 @@ class ExternalSolver:
 
     def __post_init__(self) -> None:
         weakref.finalize(self, _close_sessions, self._sessions)
+
+    def __reduce__(self):
+        return ExternalSolver, (self.command, self.default_timeout_s)
 
     def argv(self) -> list[str]:
         if isinstance(self.command, str):

@@ -105,6 +105,23 @@ def test_influence_rerun_is_byte_identical(workspace):
         (out_b / "influence.json").read_bytes()
 
 
+@pytest.mark.parametrize("permutations", ["0", "-2"])
+def test_influence_no_permutations_exits_2(workspace, permutations, capsys):
+    # 13 input features: past the exact estimator's limit, so the map is sampled
+    wide = workspace["root"] / "wide_model.json"
+    wide.write_text(json.dumps({"input_shape": [13], "layers": [
+        {"type": "dense", "weights": [[1.0, -1.0]] * 13, "bias": [0.0, 0.0]}]}))
+    background = workspace["root"] / "wide_bg.json"
+    background.write_text(json.dumps([[0.5] * 13, [0.1] * 13]))
+    probe = workspace["root"] / "wide_seed.json"
+    probe.write_text(json.dumps([0.3] * 13))
+    rc = main(["influence", "--model", str(wide), "--background", str(background),
+               "--seed-input", str(probe), "--permutations", permutations,
+               "--output-dir", str(workspace["root"] / "wide")])
+    assert rc == 2
+    assert "input error: n_permutations must be at least 1" in capsys.readouterr().err
+
+
 def test_malformed_model_exits_2(workspace):
     bad = workspace["root"] / "bad_model.json"
     bad.write_text(json.dumps({"input_shape": [2, 1], "layers": [
@@ -229,6 +246,50 @@ def test_attack_bad_pixel_indices_exit_2_before_the_solver(workspace, indices, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option", [["--domain", "1", "0"], ["--domain", "nan", "1"],
+                                    ["--pixels", "0"], ["--pixels", "3"]])
+def test_attack_bad_domain_or_pixels_exit_2_before_the_map(workspace, option, capsys,
+                                                            monkeypatch):
+    # neither the influence map nor the solver pre-flight may run first
+    monkeypatch.setattr("attnconcolic.cli.build_influence_map",
+                        lambda *a, **k: pytest.fail("influence map built"))
+    out = workspace["root"] / "bad_option"
+    rc = main(["attack", "--model", str(workspace["model"]),
+               "--seeds", str(workspace["seed0"]),
+               "--background", str(workspace["background"]),
+               "--solver-cmd", "no-such-solver-binary", *option, "--output-dir", str(out)])
+    assert rc == 2
+    assert f"input error: {option[0][2:]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Answers the pre-flight, then exits and moves its own file away, so the
+# next solver process cannot start: a SolverError in the middle of the run.
+VANISHING_SOLVER = """
+import os, sys
+os.rename(sys.argv[0], sys.argv[0] + ".gone")
+for line in sys.stdin:
+    if line.strip() == "(check-sat)":
+        print("sat", flush=True)
+    elif line.strip() == "(get-model)":
+        print("(model)", flush=True)
+        break
+"""
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_attack_solver_error_mid_run_exits_3(workspace, tmp_path, workers, capsys):
+    solver = tmp_path / "vanishing_solver"
+    solver.write_text(f"#!{sys.executable}\n{VANISHING_SOLVER}")
+    solver.chmod(0o755)
+    rc = main(["attack", "--model", str(workspace["model"]),
+               "--seeds", str(workspace["seed0"]), str(workspace["seed1"]),
+               "--background", str(workspace["background"]), "--solver-cmd", str(solver),
+               "--workers", workers, "--output-dir", str(tmp_path / "out")])
+    assert rc == 3
+    assert "solver error: cannot run solver command" in capsys.readouterr().err
+
+
 def session_members(sid: int) -> list[str]:
     """The command lines of the live processes in session ``sid``."""
     members = []
@@ -245,8 +306,9 @@ def session_members(sid: int) -> list[str]:
 
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
 def test_attack_workers_leave_no_solver_process(workspace):
-    # the pool forks after the pre-flight, so each worker inherits the
-    # parent's live session; every child must still be gone at exit
+    # the pool forks after the pre-flight, so each worker holds the pipes of
+    # the parent's solver child, and each task's backend arrives pickled with
+    # no session and starts a child of its own; every child must be gone at exit
     out = workspace["root"] / "workers"
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.Popen(
@@ -310,6 +372,19 @@ def test_acdp_beta_sweep_is_nested(workspace, attack_dir):
     assert members["0.5"] <= members["0.3"] <= members["0.2"]
 
 
+@pytest.mark.parametrize("option", [["--alpha", "0"], ["--beta", "1.0"]])
+def test_acdp_bad_alpha_or_beta_exits_2_before_any_relevance(workspace, attack_dir, option,
+                                                             monkeypatch, capsys):
+    monkeypatch.setattr("attnconcolic.cli.relevance",
+                        lambda *a, **k: pytest.fail("relevance computed"))
+    rc = main(["acdp", "--model", str(workspace["model"]),
+               "--background", str(workspace["background"]),
+               "--reports", str(attack_dir), *option,
+               "--output-dir", str(workspace["root"] / "acdp_bad")])
+    assert rc == 2
+    assert f"input error: {option[0][2:]}" in capsys.readouterr().err
+
+
 def test_acdp_without_successes_exits_4(workspace, tmp_path):
     report = tmp_path / "attack_none.json"
     report.write_text(json.dumps({"seed": "x", "outcome": "exhausted"}))
@@ -362,11 +437,41 @@ def test_verify_malformed_adversarial_values_exit_2(workspace, tmp_path, values,
     assert "input error: adversarial_values" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "acdp"])
+@pytest.mark.parametrize("defect", ["seed_of_wrong_size", "no_adversarial_values"])
+def test_malformed_report_exits_2(workspace, tmp_path, command, defect, capsys):
+    doc = {"seed": SEEDS["seed0"], "outcome": "success", "original_label": 0,
+           "flipped_label": 1, "pixel_indices": [0], "domain": [[0.0, 1.0]],
+           "adversarial_values": {"p0": 0.9}}
+    if defect == "seed_of_wrong_size":
+        doc["seed"] = [0.3, 0.6, 0.9]
+    else:
+        del doc["adversarial_values"]
+    report = tmp_path / "attack_malformed.json"
+    report.write_text(json.dumps(doc))
+    extra = ["--background", str(workspace["background"]),
+             "--output-dir", str(tmp_path / "o")] if command == "acdp" else []
+    rc = main([command, "--model", str(workspace["model"]), "--reports", str(report), *extra])
+    assert rc == 2
+    assert "input error: report of" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
 
 TIMING_FIELDS = ("wall_s", "cpu_s")
+
+
+def untimed_reports(out: Path) -> dict:
+    """The attack reports in ``out`` by file name, without their timing fields."""
+    run = {}
+    for path in sorted(out.glob("attack_*.json")):
+        doc = json.loads(path.read_text())
+        for field in TIMING_FIELDS:
+            doc.pop(field, None)
+        run[path.name] = doc
+    return run
 
 
 def test_attack_runs_are_deterministic_modulo_timing(workspace):
@@ -377,11 +482,25 @@ def test_attack_runs_are_deterministic_modulo_timing(workspace):
                      "--seeds", str(workspace["seed0"]), str(workspace["seed1"]),
                      "--background", str(workspace["background"]),
                      "--random-seed", "7", "--output-dir", str(out)]) == 0
-        run = {}
-        for path in sorted(out.glob("attack_*.json")):
-            doc = json.loads(path.read_text())
-            for field in TIMING_FIELDS:
-                doc.pop(field, None)
-            run[path.name] = doc
-        docs.append(run)
+        docs.append(untimed_reports(out))
     assert docs[0] == docs[1]
+
+
+def test_pooled_attack_builds_the_map_once_and_matches_sequential(workspace, attack_dir,
+                                                                  tmp_path, monkeypatch):
+    # the workers are forked from this process, so a build there would count too
+    builds = tmp_path / "builds.txt"
+
+    def counted_build(*args, **kwargs):
+        with open(builds, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return build_influence_map(*args, **kwargs)
+
+    monkeypatch.setattr("attnconcolic.cli.build_influence_map", counted_build)
+    out = tmp_path / "pooled"
+    assert main(["attack", "--model", str(workspace["model"]),
+                 "--seeds", str(workspace["seed0"]), str(workspace["seed1"]),
+                 "--background", str(workspace["background"]),
+                 "--pixels", "1", "--workers", "2", "--output-dir", str(out)]) == 0
+    assert builds.read_text().split() == [str(os.getpid())]
+    assert untimed_reports(out) == untimed_reports(attack_dir)

@@ -126,6 +126,14 @@ def test_sampling_error_shrinks_with_more_permutations():
     assert np.mean(better) < np.mean(worse)
 
 
+@pytest.mark.parametrize("n_permutations", [0, -2])
+def test_sampling_without_permutations_is_a_configuration_error(n_permutations):
+    model = linear_model([[1.0, -1.0]] * 3)
+    with pytest.raises(ConfigurationError, match="n_permutations"):
+        shap_matrix(model, np.zeros((1, 3)), np.ones(3), method="permutation",
+                    n_permutations=n_permutations)
+
+
 def test_empty_background_is_a_configuration_error():
     with pytest.raises(ConfigurationError):
         BackgroundSet(np.zeros((0, 3)))
