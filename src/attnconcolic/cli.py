@@ -11,13 +11,14 @@ import argparse
 import csv
 import hashlib
 import json
+import operator
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -155,17 +156,28 @@ def _default_pixels(imap: InfluenceMap, model: ModelSpec, count: int) -> list[in
     return flat
 
 
-def _read_adversarial(doc: dict, model: ModelSpec) -> tuple[np.ndarray, dict[int, float]]:
+class _Adversarial(NamedTuple):
+    input: np.ndarray  # the seed with the adversarial values applied
+    values: dict[int, float]  # the adversarial values by pixel index
+    labels: tuple[int, int]  # original, flipped
+    bounds: dict[int, tuple[float, float]]  # the attack's domain by pixel index
+
+
+def _read_adversarial(doc: dict, model: ModelSpec) -> _Adversarial:
     """A success report's seed (a path or a list) with its ``adversarial_values``
-    applied, and those values by pixel index.  A report lacking either, a seed that
-    does not fit the model, a key not ``p<digits>`` within the seed or a value not a
-    number is an InputError."""
+    applied, those values by pixel index, its labels and its domain by pixel
+    index.  A report lacking the seed, the values or a label, a seed that does
+    not fit the model, a key not ``p<digits>`` within the seed, a value not a
+    number, a label or pixel index not an integer, or a domain not one ``[lo,
+    hi]`` pair of numbers per pixel index is an InputError."""
+    where = f"report of {doc.get('seed')!r}"
     try:
         seed_ref, values = doc["seed"], doc["adversarial_values"]
+        labels = (operator.index(doc["original_label"]), operator.index(doc["flipped_label"]))
         seed = load_seed_input(seed_ref) if isinstance(seed_ref, str) else seed_ref
         seed = np.asarray(seed, dtype=float).reshape(model.shapes[0])
     except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"report of {doc.get('seed')!r}: {type(exc).__name__}: {exc}") from None
+        raise InputError(f"{where}: {type(exc).__name__}: {exc}") from None
     try:
         pixels = {int(re.fullmatch(r"p([0-9]+)", key)[1]): float(value)
                   for key, value in values.items()}
@@ -173,9 +185,16 @@ def _read_adversarial(doc: dict, model: ModelSpec) -> tuple[np.ndarray, dict[int
         raise InputError(f"adversarial_values: malformed entries in {values!r}") from None
     if any(pixel >= seed.size for pixel in pixels):
         raise InputError(f"adversarial_values: {values!r} names a pixel outside the seed")
+    indices, domain = doc.get("pixel_indices", []), doc.get("domain", [])
+    try:
+        bounds = dict(zip(map(operator.index, indices),
+                          ((float(lo), float(hi)) for lo, hi in domain), strict=True))
+    except (TypeError, ValueError):
+        raise InputError(f"{where}: pixel_indices {indices!r} and domain {domain!r} are not "
+                         "one [lo, hi] pair of numbers per integer index") from None
     flat = seed.copy().reshape(-1)
     flat[list(pixels)] = list(pixels.values())
-    return flat.reshape(seed.shape), pixels
+    return _Adversarial(flat.reshape(seed.shape), pixels, labels, bounds)
 
 
 def _build_influence(config: RunConfig, model: ModelSpec) -> InfluenceMap:
@@ -243,12 +262,20 @@ def _seed_report(seed_path: Path, attack) -> dict:
 
 
 def _load_influence(config: RunConfig, model: ModelSpec) -> InfluenceMap:
-    if config.influence_map:
-        try:
-            return InfluenceMap.load(config.influence_map)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InputError(f"influence-map: cannot read: {exc}") from exc
-    return _build_influence(config, model)
+    """``--influence-map``, which must cover every neuron of the model, or
+    else the map built from ``--background``."""
+    if not config.influence_map:
+        return _build_influence(config, model)
+    try:
+        imap = InfluenceMap.load(config.influence_map)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise InputError(f"influence-map: cannot read: {exc}") from exc
+    missing = [nid for depth in range(model.output_depth + 1)
+               for nid in model.neuron_ids(depth) if nid not in imap]
+    if missing:
+        raise InputError(f"influence-map: lacks {len(missing)} of the model's neurons, "
+                         f"{missing[0].key()} first")
+    return imap
 
 
 def cmd_attack(config: RunConfig) -> int:
@@ -333,11 +360,11 @@ def cmd_acdp(config: RunConfig) -> int:
     suite = []
     label_pairs = []
     for doc in successes:
-        adv, _ = _read_adversarial(doc, model)
-        matrix = relevance(model, background, adv,
+        adversarial = _read_adversarial(doc, model)
+        matrix = relevance(model, background, adversarial.input,
                            n_permutations=config.permutations)
-        suite.append((adv, matrix))
-        label_pairs.append((int(doc["original_label"]), int(doc["flipped_label"])))
+        suite.append((adversarial.input, matrix))
+        label_pairs.append(adversarial.labels)
 
     report = abstract_path(suite, config.alpha, config.beta, label_pairs)
     out_dir = Path(config.output_dir)
@@ -370,13 +397,14 @@ def cmd_verify(config: RunConfig) -> int:
             continue
         checked += 1
         name = doc.get("seed", f"case{checked}")
-        adv, pixels = _read_adversarial(doc, model)
-        label = concrete_label(model, adv)
-        bounds = dict(zip(map(int, doc.get("pixel_indices", [])), doc.get("domain", [])))
-        in_bounds = all(bounds[p][0] <= v <= bounds[p][1] for p, v in pixels.items() if p in bounds)
-        flipped = label != int(doc["original_label"])
-        verdict = "PASS" if flipped and in_bounds else "FAIL"
-        print(f"{verdict} {name}: label {doc['original_label']} -> {label}"
+        adversarial = _read_adversarial(doc, model)
+        label = concrete_label(model, adversarial.input)
+        bounds = adversarial.bounds
+        in_bounds = all(bounds[p][0] <= v <= bounds[p][1]
+                        for p, v in adversarial.values.items() if p in bounds)
+        original = adversarial.labels[0]
+        verdict = "PASS" if label != original and in_bounds else "FAIL"
+        print(f"{verdict} {name}: label {original} -> {label}"
               f"{'' if in_bounds else ' (out of bounds)'}")
         if verdict == "FAIL":
             failures.append(name)

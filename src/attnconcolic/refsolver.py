@@ -149,7 +149,7 @@ def _search(request: SolverRequest, seed: int):
         if not names:
             return None
     elif (per_axis := _mesh_points_per_axis(len(names))) >= 2:
-        axes = [_grid_axis(lo, hi, per_axis - 1) for _, lo, hi in request.variables]
+        axes = [_grid_axis(lo, hi, per_axis - 1).points for _, lo, hi in request.variables]
         witness = _first_hit(request.assertion, names, _mesh_chunks(axes))
         if witness is not None:
             return witness

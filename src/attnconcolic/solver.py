@@ -13,6 +13,7 @@ proof of unsatisfiability.
 
 from __future__ import annotations
 
+import functools
 import os
 import select
 import shlex
@@ -408,8 +409,11 @@ class ExternalSolver:
 
 _UNIT_ROUNDOFF = 2.0 ** -53
 
-# The bytes a GridOracle's prefix trie may hold: about 55 two-variable masks
-# at resolution 256 (8 kB each), 3 at resolution 1024 (131 kB each).
+# The bytes a GridOracle's prefix trie may hold.  A mask covers only the
+# bounding window of its prefix's points: 8 kB at most for two variables at
+# resolution 256 (131 kB at 1024), a median of about 0.85 kB over grid-2px's
+# prefixes.  So about 280 median masks fit with their node costs, against 55
+# whole-grid ones.
 _PREFIX_BYTES = 1 << 19
 # What a trie node costs besides its mask bits: the node, its key and the
 # polynomials the key keeps alive, the mask's array header, its dict entries
@@ -420,12 +424,14 @@ _EMPTY = np.zeros(0, dtype=np.uint8)  # the packed mask with no point left
 
 
 class _Node:
-    __slots__ = ("parent", "key", "mask", "children")
+    __slots__ = ("parent", "key", "window", "mask", "children")
 
-    def __init__(self, parent: Optional["_Node"], key, mask: Optional[np.ndarray]) -> None:
+    def __init__(self, parent: Optional["_Node"], key, window: Optional[tuple],
+                 mask: Optional[np.ndarray]) -> None:
         self.parent = parent  # None once evicted
         self.key = key
-        self.mask = mask  # np.packbits of the points left, _EMPTY, or None for all
+        self.window = window  # (row, col, height, width) bounding the points left
+        self.mask = mask  # np.packbits of the window's points left, _EMPTY, or None for all
         self.children: dict = {}
 
     def nbytes(self) -> int:
@@ -437,8 +443,9 @@ class _PrefixTrie:
 
     The first level is keyed by a request's variables (names, order and
     bounds) and the resolution, each level below by one conjunct's
-    :meth:`Comparison.key`.  A node holds the bit-packed mask of the grid
-    points that satisfy the conjuncts on its path.  The stored bytes stay
+    :meth:`Comparison.key`.  A node holds the bounding window of the grid
+    points that satisfy the conjuncts on its path and the bit-packed mask of
+    those points within that window.  The stored bytes stay
     under ``cap``: the least recently used node goes first.  A walk marks
     each node used before its ancestors, so that node is a leaf, unless one
     path alone fills the cap; then the path stops growing.  The methods hold
@@ -449,7 +456,7 @@ class _PrefixTrie:
     def __init__(self, cap: int = _PREFIX_BYTES) -> None:
         self.cap = cap
         self.nbytes = 0
-        self._top = _Node(None, None, None)
+        self._top = _Node(None, None, None, None)
         self._used: OrderedDict[_Node, None] = OrderedDict()  # least recent first
         self._lock = threading.Lock()
 
@@ -463,7 +470,7 @@ class _PrefixTrie:
         with self._lock:
             node = self._top.children.get(root)
             if node is None:
-                node = self._add(self._top, root, None)
+                node = self._add(self._top, root, None, None)
             path = [node]
             for key in keys:
                 node = node.children.get(key)
@@ -475,15 +482,17 @@ class _PrefixTrie:
             self._touch(path)
             return path
 
-    def extend(self, path: list[_Node], key, mask: np.ndarray) -> None:
-        """Store ``mask`` under ``path[-1]`` along ``key`` and append its node
-        to ``path``; nothing is stored below a node evicted meanwhile."""
+    def extend(self, path: list[_Node], key, window: Optional[tuple],
+               mask: np.ndarray) -> None:
+        """Store ``window`` and ``mask`` under ``path[-1]`` along ``key`` and
+        append their node to ``path``; nothing is stored below a node evicted
+        meanwhile."""
         with self._lock:
             parent = path[-1]
             if parent.parent is None:
                 return
             node = parent.children.get(key)
-            path.append(node if node is not None else self._add(parent, key, mask))
+            path.append(node if node is not None else self._add(parent, key, window, mask))
 
     def touch(self, path: list[_Node]) -> None:
         with self._lock:
@@ -494,8 +503,9 @@ class _PrefixTrie:
             if node.parent is not None:
                 self._used.move_to_end(node)
 
-    def _add(self, parent: _Node, key, mask: Optional[np.ndarray]) -> _Node:
-        node = _Node(parent, key, mask)
+    def _add(self, parent: _Node, key, window: Optional[tuple],
+             mask: Optional[np.ndarray]) -> _Node:
+        node = _Node(parent, key, window, mask)
         parent.children[key] = node
         self._used[node] = None
         self.nbytes += node.nbytes()
@@ -535,14 +545,50 @@ def _dense(cmp: Comparison, names: Sequence[str], magnitudes: Sequence[float]):
     return coeffs, bound, len(cells)
 
 
-def _holds(cmp: Comparison, names: Sequence[str], axes: Sequence[np.ndarray],
-           magnitudes: Sequence[float], ok: np.ndarray) -> np.ndarray:
-    """Where ``cmp`` holds on the grid: one kernel pass, with the points of
-    ``ok`` near a tie re-checked by evaluate."""
-    coeffs, bound, terms = _dense(cmp, names, magnitudes)
+class _Axis:
+    """The points of one grid axis, their largest magnitude and their powers,
+    all read-only."""
+
+    __slots__ = ("points", "magnitude", "_powers")
+
+    def __init__(self, points: np.ndarray) -> None:
+        points.flags.writeable = False
+        self.points = points
+        self.magnitude = float(np.abs(points).max())
+        self._powers = (np.empty((points.size, 0)), np.empty((0, points.size)))
+
+    def powers(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(V, W)`` with ``V[:, k] = W[k] = points ** k`` for ``k < count``;
+        ``W`` is C-contiguous.  The columns grow to the highest count asked
+        for, at least 3: degree 2 covers what forward builds."""
+        powers = self._powers
+        if powers[0].shape[1] < count:  # a racing thread may store fewer; each slices its own
+            columns = np.vander(self.points, max(count, 3), increasing=True)
+            powers = self._powers = (columns, np.ascontiguousarray(columns.T))
+            for array in powers:
+                array.flags.writeable = False
+        return powers[0][:, :count], powers[1][:count]
+
+
+@functools.lru_cache(maxsize=32)
+def _grid_axis(lo: float, hi: float, resolution: int) -> _Axis:
+    """``resolution + 1`` evenly spaced points from ``lo`` to about ``hi``;
+    resolution 0 is the one point ``lo``."""
+    steps = np.arange(resolution + 1, dtype=float) / max(resolution, 1)
+    return _Axis(lo + (hi - lo) * steps)
+
+
+def _holds(cmp: Comparison, names: Sequence[str], axes: Sequence[_Axis],
+           window: tuple, ok: Optional[np.ndarray]) -> np.ndarray:
+    """Where ``cmp`` holds on the ``window`` ``(row, col, height, width)`` of
+    the grid: one kernel pass, with the points of ``ok`` (None for all of
+    the window) near a tie re-checked by evaluate."""
+    # the magnitudes of the whole axes bound those of any window
+    coeffs, bound, terms = _dense(cmp, names, [axis.magnitude for axis in axes])
     rows, cols = coeffs.shape
-    diff = (np.vander(axes[0], rows, increasing=True) @ coeffs
-            @ np.vander(axes[1], cols, increasing=True).T)
+    r0, c0, height, width = window
+    diff = ((axes[0].powers(rows)[0][r0:r0 + height] @ coeffs)
+            @ axes[1].powers(cols)[1][:, c0:c0 + width])
     # In normal-range floats, evaluate rounds each side at most degree +
     # terms times, and the kernel at most 2 * (rows + cols) times (powers,
     # the coefficient difference, the two products); each error stays under
@@ -555,16 +601,28 @@ def _holds(cmp: Comparison, names: Sequence[str], axes: Sequence[np.ndarray],
     holds = relation(diff, 0.0)
     np.abs(diff, out=diff)
     if not diff.min() > tol:  # some point is within tol of a tie, or NaN
-        near_rows, near_cols = np.nonzero(~(diff > tol) & ok)
-        points = dict(zip(names, (axes[0][near_rows], axes[1][near_cols])))
+        near = ~(diff > tol)
+        if ok is not None:
+            near &= ok
+        near_rows, near_cols = np.nonzero(near)
+        points = dict(zip(names, (axes[0].points[r0 + near_rows],
+                                  axes[1].points[c0 + near_cols])))
         holds[near_rows, near_cols] = relation(evaluate(cmp.lhs, points),
                                                evaluate(cmp.rhs, points))
     return holds
 
 
-def _grid_axis(lo: float, hi: float, resolution: int) -> np.ndarray:
-    """``resolution + 1`` evenly spaced points from ``lo`` to about ``hi``."""
-    return lo + (hi - lo) * (np.arange(resolution + 1, dtype=float) / resolution)
+def _bounded(window: tuple, ok: np.ndarray):
+    """``(window, ok)`` cut to the bounding box of the points left in ``ok``,
+    or ``(None, None)`` when none is."""
+    rows = np.flatnonzero(ok.any(axis=1))
+    if not rows.size:
+        return None, None
+    top, bottom = int(rows[0]), int(rows[-1]) + 1
+    ok = ok[top:bottom]
+    cols = np.flatnonzero(ok.any(axis=0))
+    left, right = int(cols[0]), int(cols[-1]) + 1
+    return (window[0] + top, window[1] + left, bottom - top, right - left), ok[:, left:right]
 
 
 def grid_oracle(request: SolverRequest, resolution: int = 1024,
@@ -577,18 +635,24 @@ def grid_oracle(request: SolverRequest, resolution: int = 1024,
     its ground conjuncts hold and unknown otherwise.
 
     Each conjunct's coefficients are read off its sides' polynomials and
-    evaluated on the whole grid as ``V_a @ C @ V_b.T``.  Where that value lies
-    within the float error bound of a tie, the conjunct is re-evaluated with
-    :func:`~attnconcolic.symexpr.evaluate`, so the satisfying set is exactly
-    evaluate's, and a sat point is checked once more with
-    :meth:`Comparison.holds_at` before it is returned.
+    evaluated as ``(V_a @ C) @ V_b.T`` on the window of the grid that bounds
+    the points the conjuncts before it left: the whole grid for the first,
+    then after each conjunct the bounding box of its survivors.  The axes'
+    power columns are cached per ``(lo, hi, resolution)``.  Where the value
+    lies within the float error bound of a tie, the conjunct is re-evaluated
+    with :func:`~attnconcolic.symexpr.evaluate`, so the satisfying set is
+    exactly evaluate's, and a sat point is checked once more with
+    :meth:`Comparison.holds_at` before it is returned.  The window is scanned
+    in row-major order, the grid's own, so the witness is the whole grid's
+    first.
 
-    With ``prefixes`` (a :class:`GridOracle` passes its own), the mask of the
-    longest prefix of the assertion checked before under the same variables
-    and resolution is read from that trie, only the remaining conjuncts are
-    evaluated, and the mask after each of them is stored.  Either way the
-    final mask is the intersection of the conjuncts' satisfying sets, so the
-    verdict and the witness are those of an uncached check.
+    With ``prefixes`` (a :class:`GridOracle` passes its own), the window and
+    mask of the longest prefix of the assertion checked before under the same
+    variables and resolution are read from that trie, only the remaining
+    conjuncts are evaluated, and the window and mask after each of them are
+    stored.  Either way the final mask is the intersection of the conjuncts'
+    satisfying sets, so the verdict and the witness are those of an uncached
+    check.
     """
     if len(request.variables) > 2:
         raise SolverError("grid oracle supports at most 2 variables")
@@ -599,35 +663,38 @@ def grid_oracle(request: SolverRequest, resolution: int = 1024,
     names = [name for name, _, _ in request.variables]
     axes = [_grid_axis(lo, hi, resolution) for _, lo, hi in request.variables]
     if len(axes) == 1:
-        axes.append(np.zeros(1))  # a one-point second axis: C has one column
-    magnitudes = [float(np.abs(axis).max()) for axis in axes]
-    shape = (axes[0].size, axes[1].size)
-    ok = np.ones(shape, dtype=bool)
+        axes.append(_grid_axis(0.0, 0.0, 0))  # a one-point second axis: C has one column
+    window = (0, 0, axes[0].points.size, axes[1].points.size)
+    ok = None  # the points left in the window; None for all of them
     path, depth = None, 0
     if prefixes is not None:
         path = prefixes.walk((request.variables, resolution),
                              (cmp.key() for cmp in request.assertion))
-        depth, cached = len(path) - 1, path[-1].mask
-        if cached is _EMPTY:
+        depth, cached = len(path) - 1, path[-1]
+        if cached.mask is _EMPTY:
             return SolverVerdict(UNKNOWN)
-        if cached is not None:
-            ok = np.unpackbits(cached, count=ok.size).view(bool).reshape(shape)
-    found = True
+        if cached.mask is not None:
+            window = cached.window
+            ok = np.unpackbits(cached.mask, count=window[2] * window[3]).view(bool)
+            ok = ok.reshape(window[2:])
     with np.errstate(all="ignore"):
         for cmp in request.assertion[depth:]:
-            ok &= _holds(cmp, names, axes, magnitudes, ok)
-            found = bool(ok.any())
+            holds = _holds(cmp, names, axes, window, ok)
+            window, ok = _bounded(window, holds if ok is None else holds & ok)
             if path is not None:
-                prefixes.extend(path, cmp.key(), np.packbits(ok) if found else _EMPTY)
-            if not found:
+                prefixes.extend(path, cmp.key(), window,
+                                _EMPTY if window is None else np.packbits(ok))
+            if window is None:
                 break
     if path is not None:
         prefixes.touch(path)
-    if not found:
+    if window is None:
         return SolverVerdict(UNKNOWN)
-    for hit in np.flatnonzero(ok):
-        row, col = divmod(int(hit), shape[1])
-        assignment = dict(zip(names, (float(axes[0][row]), float(axes[1][col]))))
+    r0, c0, _, width = window
+    for hit in (range(window[2] * width) if ok is None else np.flatnonzero(ok)):
+        row, col = divmod(int(hit), width)
+        assignment = dict(zip(names, (float(axes[0].points[r0 + row]),
+                                      float(axes[1].points[c0 + col]))))
         if all(cmp.holds_at(assignment) for cmp in request.assertion):
             return SolverVerdict(SAT, assignment=assignment)
     return SolverVerdict(UNKNOWN)
@@ -637,11 +704,12 @@ def grid_oracle(request: SolverRequest, resolution: int = 1024,
 class GridOracle:
     """Backend wrapper so the grid oracle can stand in for a solver.
 
-    It keeps the masks of the assertion prefixes it has checked in a trie
-    whose stored bytes stay under ``_PREFIX_BYTES`` (512 kB), so a request
-    that extends a checked prefix evaluates only its new conjuncts; verdicts
-    and witnesses are those of :func:`grid_oracle` without the trie.  Any
-    number of threads may share one oracle.
+    It keeps the windows and masks of the assertion prefixes it has checked
+    in a trie whose stored bytes stay under ``_PREFIX_BYTES`` (512 kB), so a
+    request that extends a checked prefix evaluates only its new conjuncts,
+    each on the window its prefix left; verdicts and witnesses are those of
+    :func:`grid_oracle` without the trie.  Any number of threads may share
+    one oracle.
     """
 
     resolution: int = 1024

@@ -456,6 +456,56 @@ def test_malformed_report_exits_2(workspace, tmp_path, command, defect, capsys):
     assert "input error: report of" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "acdp"])
+@pytest.mark.parametrize("field,value", [
+    ("original_label", None), ("flipped_label", None), ("original_label", "zero"),
+    ("flipped_label", 1.5), ("pixel_indices", ["x"]), ("pixel_indices", [0.5]),
+    ("domain", [0.0, 1.0]), ("domain", [[0.0]]), ("domain", [["low", 1.0]]),
+    ("domain", [[0.0, 1.0], [0.0, 1.0]])])
+def test_malformed_report_fields_exit_2(workspace, tmp_path, command, field, value, capsys):
+    # value None: the field is missing
+    doc = {"seed": SEEDS["seed0"], "outcome": "success", "original_label": 0,
+           "flipped_label": 1, "pixel_indices": [0], "domain": [[0.0, 1.0]],
+           "adversarial_values": {"p0": 0.9}}
+    if value is None:
+        del doc[field]
+    else:
+        doc[field] = value
+    report = tmp_path / "attack_malformed.json"
+    report.write_text(json.dumps(doc))
+    extra = ["--background", str(workspace["background"]),
+             "--output-dir", str(tmp_path / "o")] if command == "acdp" else []
+    rc = main([command, "--model", str(workspace["model"]), "--reports", str(report), *extra])
+    assert rc == 2
+    assert "input error: report of" in capsys.readouterr().err
+
+
+def test_attack_influence_map_must_cover_the_model(workspace, tmp_path, capsys):
+    full = tmp_path / "full"
+    assert main(["influence", "--model", str(workspace["model"]),
+                 "--seed-input", str(workspace["seed0"]),
+                 "--background", str(workspace["background"]),
+                 "--output-dir", str(full)]) == 0
+    doc = json.loads((full / "influence.json").read_text())
+    partial = tmp_path / "partial.json"
+    partial.write_text(json.dumps(dict([next(iter(doc.items()))])))
+    # a solver that would fail its pre-flight (exit 3) shows the check comes first
+    out = tmp_path / "partial_attack"
+    rc = main(["attack", "--model", str(workspace["model"]),
+               "--seeds", str(workspace["seed0"]), "--influence-map", str(partial),
+               "--solver-cmd", "no-such-solver-binary", "--output-dir", str(out)])
+    assert rc == 2
+    assert f"input error: influence-map: lacks {len(doc) - 1} of the model's neurons" \
+        in capsys.readouterr().err
+    assert not out.exists()
+    out = tmp_path / "full_attack"
+    assert main(["attack", "--model", str(workspace["model"]),
+                 "--seeds", str(workspace["seed0"]),
+                 "--influence-map", str(full / "influence.json"),
+                 "--pixels", "1", "--output-dir", str(out)]) == 0
+    assert json.loads((out / "attack_seed0.json").read_text())["outcome"] != "error"
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------

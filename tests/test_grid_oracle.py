@@ -4,11 +4,14 @@
 array over the full meshgrid.  The grid oracle's kernel, tie band and
 re-check must give the same verdict and the same witness on every request it
 accepts.  A ``GridOracle`` reading prefix masks from its trie must give the
-uncached oracle's.
+uncached oracle's, and a check confined to the window of a prefix's points
+must find the witness of ``holds_at_scan``, which walks the whole grid point
+by point.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import pickle
 import sys
@@ -17,15 +20,15 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from attnconcolic import solver
+from attnconcolic import refsolver, solver
 from attnconcolic.solver import (
-    _NODE_BYTES,
     _PREFIX_BYTES,
     GridOracle,
     SolverRequest,
     SolverVerdict,
     _dense,
     _PrefixTrie,
+    emit_smtlib,
     grid_oracle,
 )
 from attnconcolic.symexpr import (
@@ -235,6 +238,99 @@ def test_identical_sides_are_never_strictly_ordered():
     assert grid_oracle(request, 256).status == "unknown"
 
 
+def test_a_cubic_conjunct_keeps_its_verdict_and_witness():
+    # degree 3 in x needs a fourth power column, beyond what forward builds
+    x, y = var("x"), var("y")
+    request = SolverRequest((("x", 0.0, 1.0), ("y", 0.0, 1.0)),
+                            (Comparison(Rel.GT, mul(mul(mul(x, x), x), y), const(0.5)),))
+    for resolution, witness in [(256, {"x": 0.796875, "y": 0.98828125}),
+                                (1024, {"x": 0.7939453125, "y": 1.0})]:
+        want = SolverVerdict("sat", assignment=witness)
+        assert grid_oracle(request, resolution) == want
+        assert GridOracle(resolution).check(request) == want
+    assert refsolver.solve_script(emit_smtlib(request)) == ("sat", {"x": 0.796875,
+                                                                    "y": 0.98828125}, ["x", "y"])
+
+
+# ---------------------------------------------------------------------------
+# windows: each conjunct is evaluated on the bounding box of the points the
+# ones before it left
+# ---------------------------------------------------------------------------
+
+
+def holds_at_scan(request: SolverRequest, resolution: int) -> SolverVerdict:
+    """The whole grid scanned point by point in row-major order with
+    ``holds_at``; the first hit is the witness."""
+    names = [name for name, _, _ in request.variables]
+    axes = [lo + (hi - lo) * (np.arange(resolution + 1, dtype=float) / resolution)
+            for _, lo, hi in request.variables]
+    for point in itertools.product(*axes):
+        assignment = dict(zip(names, map(float, point)))
+        if all(cmp.holds_at(assignment) for cmp in request.assertion):
+            return SolverVerdict("sat", assignment=assignment)
+    return SolverVerdict("unknown")
+
+
+A, B = var("a"), var("b")
+UNIT_SQUARE = (("a", 0.0, 1.0), ("b", 0.0, 1.0))
+
+
+def at_least(expr, value):
+    return Comparison(Rel.GE, expr, const(value))
+
+
+def at_most(expr, value):
+    return Comparison(Rel.LE, expr, const(value))
+
+
+# (variables, assertion, the last window (row, col, height, width) at 32 steps)
+SURVIVORS = {
+    "corner (0, 0)": (UNIT_SQUARE, (at_most(add(A, B), 0.5),
+                                    at_most(add(mul(A, A), mul(B, B)), 0.0)), (0, 0, 1, 1)),
+    "corner (0, 1)": (UNIT_SQUARE, (at_least(sub(B, A), 0.5), at_least(sub(B, A), 1.0)),
+                      (0, 32, 1, 1)),
+    "corner (1, 0)": (UNIT_SQUARE, (at_least(sub(A, B), 0.5), at_least(sub(A, B), 1.0)),
+                      (32, 0, 1, 1)),
+    "corner (1, 1)": (UNIT_SQUARE, (at_least(add(A, B), 1.5), at_least(mul(A, B), 1.0)),
+                      (32, 32, 1, 1)),
+    "one row": (UNIT_SQUARE, (at_least(A, 0.5), at_most(A, 0.5)), (16, 0, 1, 33)),
+    "one column": (UNIT_SQUARE, (at_least(B, 0.125),
+                                 Comparison(Rel.EQ, mul(B, const(4.0)), const(1.0))),
+                   (0, 8, 33, 1)),
+    # the ties a * b == 1/4 are re-checked inside a window offset on both axes
+    "ties in a window": (UNIT_SQUARE, (at_least(A, 0.25), at_least(B, 0.125),
+                                       Comparison(Rel.EQ, mul(A, B), const(0.25))),
+                         (8, 8, 25, 25)),
+    "one variable": ((("a", -1.0, 1.0),), (at_most(mul(A, A), 0.24),
+                                           Comparison(Rel.GT, A, const(0.1))), (18, 0, 6, 1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SURVIVORS))
+def test_windows_match_a_holds_at_scan(case):
+    variables, assertion, last_window = SURVIVORS[case]
+    want = holds_at_scan(SolverRequest(variables, assertion), 32)
+    assert want.status == "sat"
+    trie = _PrefixTrie()
+    for depth in range(1, len(assertion) + 1):  # each check reads the window before it
+        request = SolverRequest(variables, assertion[:depth])
+        verdict = holds_at_scan(request, 32)
+        assert grid_oracle(request, 32) == verdict
+        assert grid_oracle(request, 32, trie) == verdict
+    assert grid_oracle(SolverRequest(variables, assertion), 32, trie) == want
+    path = trie.walk((variables, 32), [cmp.key() for cmp in assertion])
+    assert len(path) == len(assertion) + 1
+    assert path[-1].window == last_window
+
+
+def test_an_emptied_window_answers_unknown():
+    request = SolverRequest(UNIT_SQUARE, (at_least(A, 0.5), at_most(A, 0.25)))
+    trie = _PrefixTrie()
+    assert grid_oracle(request, 32, trie) == holds_at_scan(request, 32) == SolverVerdict("unknown")
+    path = trie.walk((UNIT_SQUARE, 32), [cmp.key() for cmp in request.assertion])
+    assert path[-1].window is None and path[-1].mask.size == 0
+
+
 # ---------------------------------------------------------------------------
 # the prefix trie of GridOracle
 # ---------------------------------------------------------------------------
@@ -367,7 +463,13 @@ def test_a_path_that_fills_the_cap_keeps_its_first_conjuncts(kernel_passes):
     rng = np.random.default_rng(30)
     variables, point = random_box(rng, 2)
     request = SolverRequest(variables, concolic_path(rng, point, 30))
-    trie = _PrefixTrie(cap=10 * (_NODE_BYTES + 257 * 257 // 8 + 1))
+    keys = [cmp.key() for cmp in request.assertion]
+    uncapped = _PrefixTrie(cap=1 << 30)
+    grid_oracle(request, 256, uncapped)
+    stored = uncapped.walk((variables, 256), keys)
+    assert len(stored) == 31  # the root and one node per conjunct
+    # room for the root and the first 9 masks of this path, not for a 10th
+    trie = _PrefixTrie(cap=sum(node.nbytes() for node in stored[:10]))
     want = grid_oracle(request, 256)
     kernel_passes[0] = 0
     assert grid_oracle(request, 256, trie) == want
