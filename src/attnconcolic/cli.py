@@ -15,7 +15,6 @@ import operator
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
@@ -23,7 +22,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .acdp import abstract_path, relevance
-from .engine import Scheduler, attack_result_to_json, run_attack
+from .engine import Scheduler, attack_result_to_json, check_pixels, normalize_domains, run_attack
 from .influence import (
     BackgroundSet,
     ConfigurationError,
@@ -39,57 +38,9 @@ EXIT_INPUT_ERROR = 2
 EXIT_SOLVER_ERROR = 3
 EXIT_EMPTY_ANALYSIS = 4
 
-_STRATEGIES = {
-    "fifo": Scheduler.fifo,
-    "pq": Scheduler.pq,
-    "pq-layers": Scheduler.pq_layers,
-    "pq-capped": Scheduler.pq_capped,
-}
-
 
 class InputError(ValueError):
     pass
-
-
-@dataclass
-class RunConfig:
-    """Everything a reproducible run needs, mirroring the CLI flags."""
-
-    model: str
-    output_dir: str
-    seeds: list[str] = field(default_factory=list)
-    background: Optional[str] = None
-    influence_map: Optional[str] = None
-    pixels: int = 1
-    pixel_indices: Optional[list[int]] = None
-    domain: tuple[float, float] = (0.0, 1.0)
-    strategy: str = "pq"
-    build_cap_s: Optional[float] = None
-    wall_budget_s: Optional[float] = None
-    solver_cmd: str = ""
-    solver_timeout_s: float = 60.0
-    random_seed: int = 0
-    permutations: int = 128
-    alpha: float = 0.2
-    beta: float = 0.5
-    reports: list[str] = field(default_factory=list)
-    workers: int = 1
-
-    def scheduler(self) -> Scheduler:
-        make = _STRATEGIES[self.strategy]
-        if self.strategy == "pq-capped":
-            return make(self.build_cap_s if self.build_cap_s is not None else 30.0)
-        return make()
-
-    def solver_command(self) -> str:
-        if self.solver_cmd:
-            return self.solver_cmd
-        return f"{sys.executable} -m attnconcolic.refsolver"
-
-    def public(self) -> dict:
-        doc = {k: v for k, v in self.__dict__.items()}
-        doc["domain"] = list(self.domain)
-        return doc
 
 
 # ---------------------------------------------------------------------------
@@ -133,13 +84,15 @@ def _seed_paths(specs: Sequence[str]) -> list[Path]:
     return paths
 
 
-def _write_manifest(out_dir: Path, command: str, config: RunConfig,
-                    artifacts: list[Path]) -> None:
+def _write_manifest(out_dir: Path, args: argparse.Namespace, artifacts: list[Path]) -> None:
+    """``manifest.json``: the command, its parsed options and each artifact
+    with its SHA-256."""
     entries = []
     for path in sorted(artifacts):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         entries.append({"path": path.name, "sha256": digest})
-    doc = {"command": command, "config": config.public(), "artifacts": entries}
+    config = {name: value for name, value in vars(args).items() if name != "command"}
+    doc = {"command": args.command, "config": config, "artifacts": entries}
     (out_dir / "manifest.json").write_text(
         json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
@@ -168,8 +121,9 @@ def _read_adversarial(doc: dict, model: ModelSpec) -> _Adversarial:
     applied, those values by pixel index, its labels and its domain by pixel
     index.  A report lacking the seed, the values or a label, a seed that does
     not fit the model, a key not ``p<digits>`` within the seed, a value not a
-    number, a label or pixel index not an integer, or a domain not one ``[lo,
-    hi]`` pair of numbers per pixel index is an InputError."""
+    number, a label or pixel index not an integer, a domain not one ``[lo,
+    hi]`` pair of numbers per pixel index, or a value for a pixel not in
+    ``pixel_indices`` is an InputError."""
     where = f"report of {doc.get('seed')!r}"
     try:
         seed_ref, values = doc["seed"], doc["adversarial_values"]
@@ -192,18 +146,23 @@ def _read_adversarial(doc: dict, model: ModelSpec) -> _Adversarial:
     except (TypeError, ValueError):
         raise InputError(f"{where}: pixel_indices {indices!r} and domain {domain!r} are not "
                          "one [lo, hi] pair of numbers per integer index") from None
+    unlisted = sorted(pixels.keys() - bounds.keys())
+    if unlisted:
+        raise InputError(f"adversarial_values: {values!r} names pixels {unlisted} "
+                         f"not in pixel_indices {indices!r}")
     flat = seed.copy().reshape(-1)
     flat[list(pixels)] = list(pixels.values())
     return _Adversarial(flat.reshape(seed.shape), pixels, labels, bounds)
 
 
-def _build_influence(config: RunConfig, model: ModelSpec) -> InfluenceMap:
-    """The influence map of the first seed against ``--background``."""
-    if not config.background:
+def _build_influence(args: argparse.Namespace, model: ModelSpec, seed_path: str
+                     ) -> InfluenceMap:
+    """The influence map of the seed at ``seed_path`` against ``--background``."""
+    if not args.background:
         raise InputError("background: required unless --influence-map is given")
-    background = _load_background(config.background, config.random_seed)
-    return build_influence_map(model, background, load_seed_input(config.seeds[0]),
-                               n_permutations=config.permutations)
+    background = _load_background(args.background, args.random_seed)
+    return build_influence_map(model, background, load_seed_input(seed_path),
+                               n_permutations=args.permutations)
 
 
 # ---------------------------------------------------------------------------
@@ -211,23 +170,22 @@ def _build_influence(config: RunConfig, model: ModelSpec) -> InfluenceMap:
 # ---------------------------------------------------------------------------
 
 
-def cmd_influence(config: RunConfig) -> int:
-    imap = _build_influence(config, _load_model(config.model))
-    out_dir = Path(config.output_dir)
+def cmd_influence(args: argparse.Namespace) -> int:
+    imap = _build_influence(args, _load_model(args.model), args.seed_input)
+    out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "influence.json"
     imap.save(str(out_path))
     for layer, (count, lo, hi, mean) in imap.layer_summary().items():
         print(f"layer {layer}: {count} neurons  influence min {lo:.6g} "
               f"max {hi:.6g} mean {mean:.6g}")
-    _write_manifest(out_dir, "influence", config, [out_path])
+    _write_manifest(out_dir, args, [out_path])
     print(f"wrote {out_path}")
     return EXIT_OK
 
 
-def _attack_backend(config: RunConfig) -> ExternalSolver:
-    backend = ExternalSolver(config.solver_command(),
-                             default_timeout_s=config.solver_timeout_s)
+def _attack_backend(command: str) -> ExternalSolver:
+    backend = ExternalSolver(command)  # every request carries its own timeout
     try:  # pre-flight so a bad command fails the whole batch loudly
         verdict = backend.check(SolverRequest(variables=(), assertion=(), timeout_s=10.0))
     except SolverError as exc:
@@ -239,14 +197,10 @@ def _attack_backend(config: RunConfig) -> ExternalSolver:
     return backend
 
 
-def _attack_seed(config: RunConfig, model: ModelSpec, imap: InfluenceMap,
-                 backend: ExternalSolver, seed_path: Path) -> dict:
-    seed = load_seed_input(str(seed_path))
-    pixels = config.pixel_indices or _default_pixels(imap, model, config.pixels)
-    result = run_attack(
-        model, imap, seed, pixels, domain=config.domain,
-        scheduler=config.scheduler(), wall_budget_s=config.wall_budget_s,
-        backend=backend, solver_timeout_s=config.solver_timeout_s)
+def _attack_seed(attack, seed_path: Path) -> dict:
+    """The report of ``attack(seed)``, ``run_attack`` with all but the seed
+    bound, on the seed at ``seed_path``."""
+    result = attack(load_seed_input(str(seed_path)))
     return attack_result_to_json(result, seed_ref=str(seed_path))
 
 
@@ -261,13 +215,13 @@ def _seed_report(seed_path: Path, attack) -> dict:
         return {"seed": str(seed_path), "outcome": "error", "error": str(exc)}
 
 
-def _load_influence(config: RunConfig, model: ModelSpec) -> InfluenceMap:
+def _load_influence(args: argparse.Namespace, model: ModelSpec) -> InfluenceMap:
     """``--influence-map``, which must cover every neuron of the model, or
-    else the map built from ``--background``."""
-    if not config.influence_map:
-        return _build_influence(config, model)
+    else the map of the first seed built from ``--background``."""
+    if not args.influence_map:
+        return _build_influence(args, model, args.seeds[0])
     try:
-        imap = InfluenceMap.load(config.influence_map)
+        imap = InfluenceMap.load(args.influence_map)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"influence-map: cannot read: {exc}") from exc
     missing = [nid for depth in range(model.output_depth + 1)
@@ -278,26 +232,39 @@ def _load_influence(config: RunConfig, model: ModelSpec) -> InfluenceMap:
     return imap
 
 
-def cmd_attack(config: RunConfig) -> int:
-    model = _load_model(config.model)
-    indices, size = config.pixel_indices or [], int(np.prod(model.shapes[0]))
-    if len(set(indices)) < len(indices) or not all(0 <= p < size for p in indices):
-        raise InputError(f"pixel-indices: {indices} repeats an index or leaves 0..{size - 1}")
-    if not 1 <= config.pixels <= size:
-        raise InputError(f"pixels: {config.pixels} is not in 1..{size}")
-    lo, hi = config.domain
-    if not (np.isfinite(config.domain).all() and lo <= hi):
-        raise InputError(f"domain: [{lo}, {hi}] is not a finite interval")
-    seed_paths = _seed_paths(config.seeds)
-    config.seeds = [str(p) for p in seed_paths]
-    imap = _load_influence(config, model)
-    backend = _attack_backend(config)
-    out_dir = Path(config.output_dir)
+def cmd_attack(args: argparse.Namespace) -> int:
+    model = _load_model(args.model)
+    size = int(np.prod(model.shapes[0]))
+    if args.pixel_indices:
+        try:
+            args.pixel_indices = check_pixels(
+                [s for s in args.pixel_indices.split(",") if s], size)
+        except ValueError as exc:
+            raise InputError(f"pixel-indices: {exc}") from None
+    if not 1 <= args.pixels <= size:
+        raise InputError(f"pixels: {args.pixels} is not in 1..{size}")
+    try:
+        normalize_domains(args.domain, 1)
+    except ValueError as exc:
+        raise InputError(f"domain: {exc}") from None
+    if args.build_cap_s is not None and args.strategy != "pq-capped":
+        raise InputError(f"build-cap-s: applies to --strategy pq-capped, not {args.strategy}")
+    cap = () if args.build_cap_s is None else (args.build_cap_s,)
+    scheduler = getattr(Scheduler, args.strategy.replace("-", "_"))(*cap)
+    seed_paths = _seed_paths(args.seeds)
+    args.seeds = [str(p) for p in seed_paths]
+    imap = _load_influence(args, model)
+    backend = _attack_backend(args.solver_cmd or f"{sys.executable} -m attnconcolic.refsolver")
+    out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    attack = partial(_attack_seed, config, model, imap, backend)
-    if config.workers > 1:  # each task gets copies: the map, and the backend without its session
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    attack = partial(_attack_seed, partial(
+        run_attack, model, imap,
+        pixels=args.pixel_indices or _default_pixels(imap, model, args.pixels),
+        domain=args.domain, scheduler=scheduler, wall_budget_s=args.wall_budget_s,
+        backend=backend, solver_timeout_s=args.solver_timeout_s))
+    if args.workers > 1:  # each task gets copies: the map, and the backend without its session
+        with ProcessPoolExecutor(max_workers=args.workers) as pool:
             futures = [pool.submit(attack, path) for path in seed_paths]
             try:
                 docs = [_seed_report(path, f.result) for path, f in zip(seed_paths, futures)]
@@ -321,7 +288,7 @@ def cmd_attack(config: RunConfig) -> int:
         for doc in docs:
             writer.writerow({col: doc.get(col, "") for col in columns})
     artifacts.append(csv_path)
-    _write_manifest(out_dir, "attack", config, artifacts)
+    _write_manifest(out_dir, args, artifacts)
 
     successes = sum(1 for d in docs if d.get("outcome") == "success")
     print(f"attacked {len(docs)} seed(s): {successes} success, "
@@ -342,16 +309,14 @@ def _load_reports(specs: Sequence[str]) -> list[dict]:
     return docs
 
 
-def cmd_acdp(config: RunConfig) -> int:
-    if not 0.0 < config.alpha <= 1.0:
-        raise InputError(f"alpha: {config.alpha} is not in (0, 1]")
-    if not 0.0 <= config.beta < 1.0:
-        raise InputError(f"beta: {config.beta} is not in [0, 1)")
-    model = _load_model(config.model)
-    if not config.background:
-        raise InputError("background: required for relevance computation")
-    background = _load_background(config.background, config.random_seed)
-    reports = _load_reports(config.reports)
+def cmd_acdp(args: argparse.Namespace) -> int:
+    if not 0.0 < args.alpha <= 1.0:
+        raise InputError(f"alpha: {args.alpha} is not in (0, 1]")
+    if not 0.0 <= args.beta < 1.0:
+        raise InputError(f"beta: {args.beta} is not in [0, 1)")
+    model = _load_model(args.model)
+    background = _load_background(args.background, args.random_seed)
+    reports = _load_reports(args.reports)
     successes = [doc for doc in reports if doc.get("outcome") == "success"]
     if not successes:
         print("no successful attacks in the given reports", file=sys.stderr)
@@ -362,12 +327,12 @@ def cmd_acdp(config: RunConfig) -> int:
     for doc in successes:
         adversarial = _read_adversarial(doc, model)
         matrix = relevance(model, background, adversarial.input,
-                           n_permutations=config.permutations)
+                           n_permutations=args.permutations)
         suite.append((adversarial.input, matrix))
         label_pairs.append(adversarial.labels)
 
-    report = abstract_path(suite, config.alpha, config.beta, label_pairs)
-    out_dir = Path(config.output_dir)
+    report = abstract_path(suite, args.alpha, args.beta, label_pairs)
+    out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     weights_path = out_dir / "acdp_weights.csv"
     with open(weights_path, "w", newline="", encoding="utf-8") as fh:
@@ -379,7 +344,7 @@ def cmd_acdp(config: RunConfig) -> int:
     report_path.write_text(
         json.dumps(report.to_json(weights_path.name), indent=2) + "\n",
         encoding="utf-8")
-    _write_manifest(out_dir, "acdp", config, [report_path, weights_path])
+    _write_manifest(out_dir, args, [report_path, weights_path])
     print(f"suite of {report.suite_size}: {len(report.members)} neurons above "
           f"beta={report.beta}; pair entropy "
           f"{report.entropy_bits:.3f} bits")
@@ -387,9 +352,9 @@ def cmd_acdp(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify(config: RunConfig) -> int:
-    model = _load_model(config.model)
-    reports = _load_reports(config.reports)
+def cmd_verify(args: argparse.Namespace) -> int:
+    model = _load_model(args.model)
+    reports = _load_reports(args.reports)
     failures = []
     checked = 0
     for doc in reports:
@@ -401,7 +366,7 @@ def cmd_verify(config: RunConfig) -> int:
         label = concrete_label(model, adversarial.input)
         bounds = adversarial.bounds
         in_bounds = all(bounds[p][0] <= v <= bounds[p][1]
-                        for p, v in adversarial.values.items() if p in bounds)
+                        for p, v in adversarial.values.items())
         original = adversarial.labels[0]
         verdict = "PASS" if label != original and in_bounds else "FAIL"
         print(f"{verdict} {name}: label {original} -> {label}"
@@ -451,9 +416,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pixel-indices", help="explicit flat pixel indices, comma separated")
     p.add_argument("--domain", nargs=2, type=float, default=(0.0, 1.0),
                    metavar=("LO", "HI"))
-    p.add_argument("--strategy", choices=sorted(_STRATEGIES), default="pq")
+    p.add_argument("--strategy", default="pq",
+                   choices=sorted(name.replace("_", "-") for name in Scheduler.POLICIES))
     p.add_argument("--build-cap-s", type=float, default=None,
-                   help="per-constraint build cap (pq-capped)")
+                   help="per-constraint build cap (pq-capped only)")
     p.add_argument("--wall-budget-s", type=float, default=None)
     p.add_argument("--solver-cmd", default="",
                    help="external SMT solver command (default: bundled reference solver)")
@@ -475,42 +441,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(model=args.model,
-                       output_dir=getattr(args, "output_dir", "out"))
-    for name in ("background", "influence_map", "strategy", "build_cap_s",
-                 "wall_budget_s", "solver_cmd", "solver_timeout_s",
-                 "random_seed", "permutations", "alpha", "beta", "workers",
-                 "pixels"):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            setattr(config, name, getattr(args, name))
-    if getattr(args, "domain", None) is not None:
-        config.domain = (float(args.domain[0]), float(args.domain[1]))
-    if getattr(args, "seeds", None):
-        config.seeds = list(args.seeds)
-    if getattr(args, "seed_input", None):
-        config.seeds = [args.seed_input]
-    if getattr(args, "reports", None):
-        config.reports = list(args.reports)
-    if getattr(args, "pixel_indices", None):
-        try:
-            config.pixel_indices = [int(s) for s in args.pixel_indices.split(",") if s]
-        except ValueError:
-            raise InputError(f"pixel-indices: not comma-separated integers: "
-                             f"{args.pixel_indices!r}") from None
-    return config
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {"influence": cmd_influence, "attack": cmd_attack,
                 "acdp": cmd_acdp, "verify": cmd_verify}
     try:
-        return handlers[args.command](_config_from_args(args))
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except (ModelConfigError, ConfigurationError, OSError) as exc:
+        return handlers[args.command](args)
+    except (InputError, ModelConfigError, ConfigurationError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except SolverError as exc:

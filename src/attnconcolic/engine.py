@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -37,8 +37,10 @@ __all__ = [
     "WorkItem",
     "attack_result_to_json",
     "build_constraint",
+    "check_pixels",
     "harvest",
     "make_symbolic_input",
+    "normalize_domains",
     "run_attack",
     "schedule_pop",
 ]
@@ -48,19 +50,20 @@ EXHAUSTED = "exhausted"
 TIMEOUT = "timeout"
 
 _log = logging.getLogger("attnconcolic")
-_POLICIES = ("fifo", "pq", "pq_layers", "pq_capped")
 
 
 @dataclass(frozen=True)
 class Scheduler:
     """Queue discipline: FIFO, influence-priority, layer-then-influence, or
-    influence-priority with a per-constraint build-time cap."""
+    influence-priority with a per-constraint build-time cap.  Each policy
+    has a constructor of its name."""
 
+    POLICIES: ClassVar[tuple[str, ...]] = ("fifo", "pq", "pq_layers", "pq_capped")
     policy: str
     build_cap_s: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.policy not in _POLICIES:
+        if self.policy not in self.POLICIES:
             raise ValueError(f"unknown scheduling policy {self.policy!r}")
 
     @classmethod
@@ -122,21 +125,18 @@ class AttackResult:
 
 
 class PathTree:
-    """Tree of guard outcomes across all executed paths.
+    """Tree of guard outcomes across all executed paths and enqueued
+    branches, rooted at node 0.
 
-    Edges are keyed by (guard key, outcome); the enqueued set remembers which
-    bypassed branches were already turned into work items, so no (prefix node,
-    predicate) pair is enqueued twice.
+    Edges are keyed by (guard key, outcome).  A branch gets its edge when a
+    run takes it or when it is enqueued, so no (prefix node, predicate) pair
+    is enqueued twice, and a run that takes an enqueued branch reaches the
+    node its enqueuing made.
     """
 
     def __init__(self) -> None:
         self.children: list[dict[tuple, int]] = [{}]
-        self.enqueued: set[tuple[int, tuple]] = set()
         self.next_ordinal: int = 0
-
-    @property
-    def root(self) -> int:
-        return 0
 
     def child(self, node: int, edge: tuple) -> int:
         nxt = self.children[node].get(edge)
@@ -152,12 +152,12 @@ def harvest(events: Sequence[BranchEvent], influence_map: InfluenceMap,
     """Turn one run's bypassed branches into deduplicated work items.
 
     Walks the events in order, extending the path tree along the taken
-    outcomes; each not-yet-seen bypassed branch yields an item whose
-    constraint conjoins all ancestor literals with the bypassed predicate and
-    whose influence is frozen from the seed-input influence map.
+    outcomes; each bypassed branch without an edge yet gets one and yields an
+    item whose constraint conjoins all ancestor literals with the bypassed
+    predicate and whose influence is frozen from the seed-input influence map.
     """
     items: list[WorkItem] = []
-    node = tree.root
+    node = 0
     prefix: list[Comparison] = []
     # every literal up to an event compares the sides of that event's guard
     # or an earlier one: count the union of their nodes as it grows
@@ -167,9 +167,8 @@ def harvest(events: Sequence[BranchEvent], influence_map: InfluenceMap,
         guard_key = event.guard.key()
         bypass_edge = (guard_key, not event.taken)
         unseen += (event.guard.lhs, event.guard.rhs)
-        if bypass_edge not in tree.children[node] and \
-                (node, bypass_edge) not in tree.enqueued:
-            tree.enqueued.add((node, bypass_edge))
+        if bypass_edge not in tree.children[node]:
+            tree.child(node, bypass_edge)
             items.append(WorkItem(
                 constraint=(*prefix, event.bypassed_predicate),
                 influence=branch_influence(event, influence_map),
@@ -235,7 +234,21 @@ def make_symbolic_input(x: np.ndarray, pixel_indices: Sequence[int],
     return ConcolicArray(value, coef.reshape(value.shape + (-1,)), names)
 
 
-def _normalize_domains(domain, n_pixels: int) -> tuple[tuple[float, float], ...]:
+def check_pixels(pixels: Sequence[int], size: int) -> tuple[int, ...]:
+    """The flat indices of the pixels to perturb in an input of ``size``
+    pixels; ValueError unless there is at least one, none repeats and each is
+    in ``0..size-1``."""
+    pixels = tuple(int(p) for p in pixels)
+    if not pixels:
+        raise ValueError("at least one pixel to perturb is required")
+    if len(set(pixels)) != len(pixels) or any(not 0 <= p < size for p in pixels):
+        raise ValueError(f"{list(pixels)} repeats an index or leaves 0..{size - 1}")
+    return pixels
+
+
+def normalize_domains(domain, n_pixels: int) -> tuple[tuple[float, float], ...]:
+    """One ``(lo, hi)`` pair per pixel, from a single pair for all or one per
+    pixel; ValueError unless each is finite with ``lo <= hi``."""
     if isinstance(domain, (tuple, list)) and len(domain) == 2 \
             and not isinstance(domain[0], (tuple, list)):
         domain = [domain] * n_pixels
@@ -244,7 +257,7 @@ def _normalize_domains(domain, n_pixels: int) -> tuple[tuple[float, float], ...]
         raise ValueError("one (lo, hi) pair per perturbed pixel required")
     for lo, hi in domains:
         if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
-            raise ValueError(f"invalid pixel domain [{lo}, {hi}]")
+            raise ValueError(f"[{lo}, {hi}] is not a finite interval")
     return domains
 
 
@@ -265,15 +278,8 @@ def run_attack(model: ModelSpec, influence_map: InfluenceMap, seed,
     if seed_arr.shape != model.shapes[0]:
         raise ValueError(
             f"seed shape {seed_arr.shape} does not match model input {model.shapes[0]}")
-    pixels = tuple(int(p) for p in pixels)
-    if not pixels:
-        raise ValueError("at least one pixel to perturb is required")
-    if len(set(pixels)) != len(pixels):
-        raise ValueError("duplicate pixel indices")
-    total = seed_arr.size
-    if any(not 0 <= p < total for p in pixels):
-        raise ValueError("pixel index out of range")
-    domains = _normalize_domains(domain, len(pixels))
+    pixels = check_pixels(pixels, seed_arr.size)
+    domains = normalize_domains(domain, len(pixels))
     var_names = [f"p{p}" for p in pixels]
     variables = tuple((name, lo, hi)
                       for name, (lo, hi) in zip(var_names, domains))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import os
+import re
 import select
 import shlex
 import subprocess
@@ -140,12 +141,22 @@ def emit_smtlib(request: SolverRequest) -> str:
 # ---------------------------------------------------------------------------
 
 
+# a ; comment, or a string literal ("" escapes a quote) or |quoted symbol|,
+# which runs to the end of the text if left open
+_LITERAL = re.compile(r'(;[^\n]*|"(?:[^"]|"")*"?|\|[^|]*\|?)')
+_CLOSED_LITERAL = re.compile(r'"(?:[^"]|"")*"|\|[^|]*\|')
+
+
 def _tokenize(text: str) -> list[str]:
-    """SMT-LIB tokens; a ``;`` comment runs to the end of its line."""
-    out: list[str] = []
-    for line in text.splitlines():
-        out.extend(line.split(";", 1)[0].replace("(", " ( ").replace(")", " ) ").split())
-    return out
+    """SMT-LIB tokens.  A string literal or a quoted symbol is one token, and
+    a ``;`` comment outside them runs to the end of its line."""
+    tokens: list[str] = []
+    for i, part in enumerate(_LITERAL.split(text)):
+        if i % 2 == 0:
+            tokens += part.replace("(", " ( ").replace(")", " ) ").split()
+        elif part[0] != ";":
+            tokens.append(part)
+    return tokens
 
 
 def _parse_sexprs(tokens: list[str]):
@@ -277,18 +288,22 @@ class _Session:
 
     def reply(self, deadline: float) -> Optional[list[str]]:
         """The lines of the next reply, a bare symbol or one balanced
-        s-expression (blank lines skipped), or None at end of file."""
+        s-expression (blank lines skipped), or None at end of file.  The
+        parentheses are counted over the reply's tokens so far, so those in
+        a string or quoted symbol, which may span lines, do not count."""
         lines: list[str] = []
-        depth = 0
-        while not lines or depth > 0:
+        while True:
             line = self.readline(deadline)
             if line is None:
                 return None
-            tokens = _tokenize(line)
-            depth += tokens.count("(") - tokens.count(")")
-            if tokens or lines:
-                lines.append(line)
-        return lines
+            lines.append(line)
+            tokens = _tokenize("\n".join(lines))
+            if not tokens:
+                lines = []
+            # balanced, and not within a literal left open, which is the last token
+            elif tokens.count("(") <= tokens.count(")") and (
+                    tokens[-1][0] not in '"|' or _CLOSED_LITERAL.fullmatch(tokens[-1])):
+                return lines
 
     def close(self) -> str:
         """Kill the child; its transcript: the stdout lines of the current

@@ -342,10 +342,6 @@ class ConcolicScalar:
     concrete: float
     sym: Optional[SymExpr] = None
 
-    @property
-    def is_symbolic(self) -> bool:
-        return self.sym is not None
-
     def expr(self) -> SymExpr:
         """The symbolic part, substituting the concrete value when absent."""
         return self.sym if self.sym is not None else const(self.concrete)

@@ -11,7 +11,7 @@ import pytest
 
 from attnconcolic.acdp import critical_path, relevance
 from attnconcolic.cli import main
-from attnconcolic.engine import PathTree, harvest
+from attnconcolic.engine import PathTree, Scheduler, harvest, run_attack
 from attnconcolic.influence import BackgroundSet, build_influence_map
 from attnconcolic.semantics import ModelSpec, concrete_label, load_seed_input
 
@@ -263,6 +263,39 @@ def test_attack_bad_domain_or_pixels_exit_2_before_the_map(workspace, option, ca
     assert not out.exists()
 
 
+def test_attack_build_cap_reaches_the_capped_scheduler(workspace, tmp_path, monkeypatch):
+    schedulers = []
+
+    def recording_attack(*args, scheduler, **kwargs):
+        schedulers.append(scheduler)
+        return run_attack(*args, scheduler=scheduler, **kwargs)
+
+    monkeypatch.setattr("attnconcolic.cli.run_attack", recording_attack)
+    assert main(["attack", "--model", str(workspace["model"]),
+                 "--seeds", str(workspace["seed0"]),
+                 "--background", str(workspace["background"]),
+                 "--strategy", "pq-capped", "--build-cap-s", "5",
+                 "--output-dir", str(tmp_path / "capped")]) == 0
+    assert schedulers == [Scheduler.pq_capped(5.0)]
+    assert json.loads((tmp_path / "capped" / "attack_seed0.json").read_text())["outcome"] \
+        in ("success", "exhausted")
+
+
+@pytest.mark.parametrize("strategy", ["fifo", "pq", "pq-layers"])
+def test_attack_build_cap_without_pq_capped_exits_2_before_the_map(workspace, strategy,
+                                                                   monkeypatch, capsys):
+    monkeypatch.setattr("attnconcolic.cli.build_influence_map",
+                        lambda *a, **k: pytest.fail("influence map built"))
+    out = workspace["root"] / "uncapped"
+    rc = main(["attack", "--model", str(workspace["model"]),
+               "--seeds", str(workspace["seed0"]),
+               "--background", str(workspace["background"]),
+               "--strategy", strategy, "--build-cap-s", "5", "--output-dir", str(out)])
+    assert rc == 2
+    assert "input error: build-cap-s" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # Answers the pre-flight, then exits and moves its own file away, so the
 # next solver process cannot start: a SolverError in the middle of the run.
 VANISHING_SOLVER = """
@@ -480,6 +513,21 @@ def test_malformed_report_fields_exit_2(workspace, tmp_path, command, field, val
     assert "input error: report of" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "acdp"])
+def test_values_for_pixels_not_in_pixel_indices_exit_2(workspace, tmp_path, command, capsys):
+    # p1 was never searched, and its value lies outside any domain
+    doc = {"seed": SEEDS["seed0"], "outcome": "success", "original_label": 0,
+           "flipped_label": 1, "pixel_indices": [0], "domain": [[0.0, 1.0]],
+           "adversarial_values": {"p1": 5.0}}
+    report = tmp_path / "attack_unlisted.json"
+    report.write_text(json.dumps(doc))
+    extra = ["--background", str(workspace["background"]),
+             "--output-dir", str(tmp_path / "o")] if command == "acdp" else []
+    rc = main([command, "--model", str(workspace["model"]), "--reports", str(report), *extra])
+    assert rc == 2
+    assert "input error: adversarial_values" in capsys.readouterr().err
+
+
 def test_attack_influence_map_must_cover_the_model(workspace, tmp_path, capsys):
     full = tmp_path / "full"
     assert main(["influence", "--model", str(workspace["model"]),
@@ -554,3 +602,48 @@ def test_pooled_attack_builds_the_map_once_and_matches_sequential(workspace, att
                  "--pixels", "1", "--workers", "2", "--output-dir", str(out)]) == 0
     assert builds.read_text().split() == [str(os.getpid())]
     assert untimed_reports(out) == untimed_reports(attack_dir)
+
+
+# ---------------------------------------------------------------------------
+# manifests
+# ---------------------------------------------------------------------------
+
+
+def manifest_config(out: Path, command: str) -> dict:
+    doc = json.loads((out / "manifest.json").read_text())
+    assert doc["command"] == command
+    return doc["config"]
+
+
+def test_each_manifest_records_its_commands_options(workspace, tmp_path):
+    seeds = tmp_path / "seeds"
+    seeds.mkdir()
+    for name in ("seed1", "seed0"):
+        (seeds / f"{name}.json").write_text(json.dumps(SEEDS[name]))
+    common = {"model": str(workspace["model"]), "random_seed": 0, "permutations": 128}
+
+    out = tmp_path / "influence"
+    assert main(["influence", "--model", str(workspace["model"]),
+                 "--background", str(workspace["background"]),
+                 "--seed-input", str(workspace["seed0"]), "--output-dir", str(out)]) == 0
+    assert manifest_config(out, "influence") == {
+        **common, "output_dir": str(out), "background": str(workspace["background"]),
+        "seed_input": str(workspace["seed0"])}
+
+    out = tmp_path / "attack"
+    assert main(["attack", "--model", str(workspace["model"]), "--seeds", str(seeds),
+                 "--background", str(workspace["background"]), "--pixel-indices", "1",
+                 "--strategy", "fifo", "--output-dir", str(out)]) == 0
+    config = manifest_config(out, "attack")
+    assert config["seeds"] == [str(seeds / "seed0.json"), str(seeds / "seed1.json")]
+    assert config["strategy"] == "fifo" and config["pixel_indices"] == [1]
+    assert config["build_cap_s"] is None and config["domain"] == [0.0, 1.0]
+    assert not {"alpha", "beta", "reports", "seed_input"} & config.keys()
+
+    acdp_out = tmp_path / "acdp"
+    assert main(["acdp", "--model", str(workspace["model"]),
+                 "--background", str(workspace["background"]), "--reports", str(out),
+                 "--alpha", "0.6", "--output-dir", str(acdp_out)]) == 0
+    assert manifest_config(acdp_out, "acdp") == {
+        **common, "output_dir": str(acdp_out), "background": str(workspace["background"]),
+        "reports": [str(out)], "alpha": 0.6, "beta": 0.5}

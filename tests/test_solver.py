@@ -334,6 +334,29 @@ def test_error_reply_to_get_model_after_unsat_is_skipped():
         [("unsat", None), ("unknown", None), ("sat", {"v": 0.25})]
 
 
+@pytest.mark.parametrize("error", ['(error "expected ( here")',
+                                   '(error "line 1: ""("" expected")',
+                                   '(error |bad ( symbol|)'])
+def test_parenthesis_in_an_error_string_is_solver_error_at_once(error):
+    # a "(" inside a string literal or quoted symbol opens no s-expression
+    stub = ("import sys\n"
+            "for line in sys.stdin:\n"
+            "    if line.strip() == '(check-sat)':\n"
+            f"        print({error!r}, flush=True)\n")
+    backend = ExternalSolver([sys.executable, "-c", stub])
+    start = time.monotonic()
+    verdict = backend.check(unit_request(V_SQUARED_LT_1, timeout=20.0))
+    assert verdict.status == "solver_error"
+    assert error in verdict.transcript
+    assert time.monotonic() - start < 10.0
+
+
+def test_tokenize_keeps_literals_whole():
+    text = '(echo "a ( b ""c"" ; d") ; a ( comment\n(|x ) y| 1.5)'
+    assert _tokenize(text) == ["(", "echo", '"a ( b ""c"" ; d"', ")",
+                               "(", "|x ) y|", "1.5", ")"]
+
+
 def test_one_process_per_thread_and_dropping_the_backend_reaps_them(tmp_path):
     backend, pids = session_stub(tmp_path)
     barrier = threading.Barrier(4)  # every worker thread checks at least once
