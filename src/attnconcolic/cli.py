@@ -11,6 +11,8 @@ import argparse
 import csv
 import hashlib
 import json
+import logging
+import math
 import operator
 import re
 import sys
@@ -247,6 +249,11 @@ def cmd_attack(args: argparse.Namespace) -> int:
         normalize_domains(args.domain, 1)
     except ValueError as exc:
         raise InputError(f"domain: {exc}") from None
+    for flag, seconds in (("solver-timeout-s", args.solver_timeout_s),
+                          ("build-cap-s", args.build_cap_s),
+                          ("wall-budget-s", args.wall_budget_s)):
+        if seconds is not None and not 0.0 < seconds < math.inf:
+            raise InputError(f"{flag}: {seconds} is not a finite positive number of seconds")
     if args.build_cap_s is not None and args.strategy != "pq-capped":
         raise InputError(f"build-cap-s: applies to --strategy pq-capped, not {args.strategy}")
     cap = () if args.build_cap_s is None else (args.build_cap_s,)
@@ -443,6 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    logging.basicConfig(level=logging.INFO, format="%(message)s")  # influence's per-depth lines
     handlers = {"influence": cmd_influence, "attack": cmd_attack,
                 "acdp": cmd_acdp, "verify": cmd_verify}
     try:

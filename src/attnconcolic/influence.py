@@ -9,7 +9,10 @@ all coalitions; larger ones by seeded permutation sampling.
 from __future__ import annotations
 
 import json
+import logging
 import math
+import resource
+import time
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
@@ -31,6 +34,13 @@ __all__ = [
 
 EXACT_FEATURE_LIMIT = 12
 DEFAULT_PERMUTATIONS = 128
+# Coalitions per forward pass.  The estimators evaluate their coalitions in
+# chunks of whole permutations (or of single coalitions, for exact
+# enumeration) up to this many rows, so a map's peak memory does not grow
+# with n_permutations x features.
+_COALITION_ROWS = 1024
+
+_log = logging.getLogger("attnconcolic")
 
 
 class ConfigurationError(ValueError):
@@ -75,17 +85,41 @@ def _coalition_logits(subnet: ModelSpec, x_flat: np.ndarray, baseline_flat: np.n
     return concrete_forward(subnet, batch)
 
 
+def _chunked_logits(subnet: ModelSpec, x_flat: np.ndarray, baseline_flat: np.ndarray,
+                    units: np.ndarray, unit_rows: int, masks_of):
+    """Yield ``(chunk, logits)`` over consecutive chunks of ``units``, where
+    ``masks_of(chunk)`` gives ``unit_rows`` coalition masks per unit.  A chunk
+    holds as many whole units as fit in ``_COALITION_ROWS`` rows, and at least
+    one, so memory stays bounded whatever the feature count."""
+    step = max(1, _COALITION_ROWS // unit_rows)
+    for start in range(0, len(units), step):
+        chunk = units[start:start + step]
+        yield chunk, _coalition_logits(subnet, x_flat, baseline_flat, masks_of(chunk))
+
+
+def _permutation_masks(perms: np.ndarray) -> np.ndarray:
+    """The (permutations x (d+1) x d) coalitions along each permutation: row
+    ``j`` holds the permutation's first ``j`` features, so a feature is in
+    it when its rank in the permutation is below ``j``."""
+    ranks = np.argsort(perms, axis=1)
+    return ranks[:, None, :] < np.arange(perms.shape[1] + 1)[:, None]
+
+
 def _exact_matrix(subnet: ModelSpec, x_flat, baseline_flat) -> np.ndarray:
     d = x_flat.size
     bits = np.arange(1 << d, dtype=np.int64)
-    masks = ((bits[:, None] >> np.arange(d)) & 1).astype(bool)
-    values = _coalition_logits(subnet, x_flat, baseline_flat, masks)
-    popcount = masks.sum(axis=1)
+    shifts = np.arange(d)
+    values = np.concatenate([logits for _, logits in _chunked_logits(
+        subnet, x_flat, baseline_flat, bits, 1,
+        lambda chunk: ((chunk[:, None] >> shifts) & 1) == 1)])
+    popcount = np.zeros(bits.size, dtype=np.int64)
+    for i in range(d):
+        popcount += (bits >> i) & 1
     fact = [math.factorial(s) for s in range(d + 1)]
     weights = np.array([fact[s] * fact[d - 1 - s] / fact[d] for s in range(d)])
     phi = np.zeros((d, subnet.class_count))
     for i in range(d):
-        without = bits[~masks[:, i]]
+        without = bits[((bits >> i) & 1) == 0]
         gains = values[without | (1 << i)] - values[without]
         phi[i] = (weights[popcount[without], None] * gains).sum(axis=0)
     return phi
@@ -95,18 +129,14 @@ def _permutation_matrix(subnet: ModelSpec, x_flat, baseline_flat,
                         n_permutations: int, rng: np.random.Generator) -> np.ndarray:
     d = x_flat.size
     perms = np.array([rng.permutation(d) for _ in range(n_permutations)])
-    masks = np.zeros((n_permutations, d + 1, d), dtype=bool)
-    for p in range(n_permutations):
-        row = masks[p]
-        for j, feature in enumerate(perms[p]):
-            row[j + 1] = row[j]
-            row[j + 1, feature] = True
-    values = _coalition_logits(subnet, x_flat, baseline_flat, masks.reshape(-1, d))
-    values = values.reshape(n_permutations, d + 1, subnet.class_count)
-    gains = values[:, 1:] - values[:, :-1]
     phi = np.zeros((d, subnet.class_count))
-    for p in range(n_permutations):
-        phi[perms[p]] += gains[p]
+    for chunk, logits in _chunked_logits(
+            subnet, x_flat, baseline_flat, perms, d + 1,
+            lambda chunk: _permutation_masks(chunk).reshape(-1, d)):
+        values = logits.reshape(len(chunk), d + 1, subnet.class_count)
+        gains = values[:, 1:] - values[:, :-1]
+        for perm, gain in zip(chunk, gains):
+            phi[perm] += gain
     return phi / n_permutations
 
 
@@ -257,8 +287,15 @@ def build_influence_map(model: ModelSpec, background: BackgroundSet, seed_input,
                 values[nid] = float(per[flat])
             break
         subnet = model.tail(depth)
+        start = time.perf_counter()
         matrix = shap_matrix(subnet, bg_l, x_l[0], n_permutations=n_permutations,
                              seed=(background.seed, depth))
+        features = len(neuron_ids)
+        rows = 1 << features if features <= EXACT_FEATURE_LIMIT \
+            else n_permutations * (features + 1)
+        _log.info("influence depth %d: %d features, %d coalition rows, %.3f s, "
+                  "peak RSS %.1f MB", depth, features, rows, time.perf_counter() - start,
+                  resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
         mean_abs = np.abs(matrix).mean(axis=1)
         for flat, nid in enumerate(neuron_ids):
             values[nid] = float(mean_abs[flat])

@@ -263,6 +263,28 @@ def test_attack_bad_domain_or_pixels_exit_2_before_the_map(workspace, option, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option", [
+    ["--solver-timeout-s", "-1"], ["--solver-timeout-s", "0"], ["--solver-timeout-s", "nan"],
+    ["--wall-budget-s", "-1"], ["--wall-budget-s", "inf"],
+    ["--build-cap-s", "-1", "--strategy", "pq-capped"],
+    ["--build-cap-s", "0", "--strategy", "pq-capped"]])
+def test_attack_non_positive_seconds_exit_2_before_the_map(workspace, option, capsys,
+                                                           monkeypatch):
+    # a deadline already past would time out every check, skip every build,
+    # or end the attack at its first budget check, and still exit 0
+    monkeypatch.setattr("attnconcolic.cli.build_influence_map",
+                        lambda *a, **k: pytest.fail("influence map built"))
+    out = workspace["root"] / "bad_seconds"
+    rc = main(["attack", "--model", str(workspace["model"]),
+               "--seeds", str(workspace["seed0"]),
+               "--background", str(workspace["background"]),
+               "--solver-cmd", "no-such-solver-binary", *option, "--output-dir", str(out)])
+    assert rc == 2
+    assert f"input error: {option[0][2:]}: {float(option[1])} is not a finite positive" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_attack_build_cap_reaches_the_capped_scheduler(workspace, tmp_path, monkeypatch):
     schedulers = []
 

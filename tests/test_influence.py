@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import logging
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from attnconcolic import influence
 from attnconcolic.engine import make_symbolic_input
 from attnconcolic.influence import (
     BackgroundSet,
@@ -14,7 +18,14 @@ from attnconcolic.influence import (
     shap_matrix,
     shapley,
 )
-from attnconcolic.semantics import Dense, ModelSpec, concrete_forward, forward
+from attnconcolic.semantics import (
+    Dense,
+    Flatten,
+    ModelSpec,
+    MultiHeadAttention,
+    concrete_forward,
+    forward,
+)
 from attnconcolic.symexpr import BranchEvent, Comparison, ExecutionContext, NeuronId, Rel, const, var
 
 from conftest import GOLDEN_SEED
@@ -134,6 +145,81 @@ def test_sampling_without_permutations_is_a_configuration_error(n_permutations):
                     n_permutations=n_permutations)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rank_built_masks_match_the_prefix_loop(seed):
+    rng = np.random.default_rng(seed)
+    d = 9
+    perms = np.array([rng.permutation(d) for _ in range(5)])
+    expected = np.zeros((len(perms), d + 1, d), dtype=bool)
+    for p, perm in enumerate(perms):  # row j+1 is row j plus the j-th feature
+        row = expected[p]
+        for j, feature in enumerate(perm):
+            row[j + 1] = row[j]
+            row[j + 1, feature] = True
+    masks = influence._permutation_masks(perms)
+    assert masks.dtype == bool and np.array_equal(masks, expected)
+
+
+def _relu_model(rng, d: int) -> ModelSpec:
+    return ModelSpec((d,), (
+        Dense(weights=rng.uniform(-1, 1, (d, 5)).tolist(),
+              bias=rng.uniform(-0.5, 0.5, 5).tolist(), activation="relu"),
+        Dense(weights=rng.uniform(-1, 1, (5, 3)).tolist(), bias=[0.0, 0.1, -0.1]),
+    ))
+
+
+@pytest.mark.parametrize("rows", [1, 7, 30])
+@pytest.mark.parametrize("method", ["permutation", "exact"])
+def test_chunked_coalitions_match_one_chunk(method, rows, monkeypatch):
+    # at d = 12 a permutation has 13 coalitions: caps of 1 and 7 rows give one
+    # permutation per chunk, 30 rows two, and 33 permutations leave a short last chunk
+    rng = np.random.default_rng(43)
+    d = 12
+    model = _relu_model(rng, d)
+    bg = rng.uniform(0, 1, (4, d))
+    x = rng.uniform(0, 1, d)
+    monkeypatch.setattr(influence, "_COALITION_ROWS", 1 << 20)
+    whole = shap_matrix(model, bg, x, method=method, n_permutations=33, seed=6)
+    monkeypatch.setattr(influence, "_COALITION_ROWS", rows)
+    chunked = shap_matrix(model, bg, x, method=method, n_permutations=33, seed=6)
+    np.testing.assert_allclose(chunked, whole, rtol=1e-12)
+    gap = concrete_forward(model, x) - concrete_forward(model, bg.mean(axis=0))
+    np.testing.assert_allclose(chunked.sum(axis=0), gap, atol=1e-9)  # efficiency
+
+
+def _attention_model(rng, side: int) -> ModelSpec:
+    """The shapley-8x8 bench model's layout: one two-head attention layer
+    (key dim 8), a flatten and a ReLU dense layer to 10 classes."""
+    def w(*shape):
+        return rng.uniform(-1.5, 1.5, size=shape).tolist()
+
+    heads, key_dim = 2, 8
+    return ModelSpec((side, side), (
+        MultiHeadAttention(num_heads=heads, key_dim=key_dim,
+                           w_q=w(side, heads, key_dim), b_q=w(heads, key_dim),
+                           w_k=w(side, heads, key_dim), b_k=w(heads, key_dim),
+                           w_v=w(side, heads, key_dim), b_v=w(heads, key_dim),
+                           w_o=w(heads, key_dim, side), b_o=w(side)),
+        Flatten(),
+        Dense(weights=w(side * side, 10), bias=w(10), activation="relu"),
+    ))
+
+
+def test_8x8_map_peak_memory_is_bounded():
+    # all 128 x 65 coalitions of a depth in one forward pass peak near 57 MB
+    rng = np.random.default_rng(8)
+    model = _attention_model(rng, 8)
+    background = BackgroundSet(rng.uniform(0, 1, (16, 8, 8)))
+    x = rng.uniform(0, 1, (8, 8))
+    tracemalloc.start()
+    try:
+        build_influence_map(model, background, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
 def test_empty_background_is_a_configuration_error():
     with pytest.raises(ConfigurationError):
         BackgroundSet(np.zeros((0, 3)))
@@ -200,6 +286,20 @@ def test_map_is_total_and_non_negative(golden_model, golden_background):
         expected.update(golden_model.neuron_ids(depth))
     assert set(dict(imap.items()).keys()) == expected
     assert all(np.isfinite(v) and v >= 0.0 for _, v in imap.items())
+
+
+def test_map_logs_one_line_per_scored_depth(caplog):
+    rng = np.random.default_rng(9)
+    model = _attention_model(rng, 4)
+    background = BackgroundSet(rng.uniform(0, 1, (3, 4, 4)))
+    with caplog.at_level(logging.INFO, logger="attnconcolic"):
+        build_influence_map(model, background, rng.uniform(0, 1, (4, 4)))
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("influence")]
+    # depths 0-2 are scored (16, 16 and 16 features); the logits are not
+    assert [line.split(":")[0] for line in lines] == \
+        [f"influence depth {depth}" for depth in range(model.output_depth)]
+    assert all(": 16 features, 2176 coalition rows, " in line and "peak RSS" in line
+               for line in lines)
 
 
 def test_map_json_round_trip(tmp_path, golden_model, golden_background):
