@@ -256,6 +256,8 @@ def cmd_attack(args: argparse.Namespace) -> int:
             raise InputError(f"{flag}: {seconds} is not a finite positive number of seconds")
     if args.build_cap_s is not None and args.strategy != "pq-capped":
         raise InputError(f"build-cap-s: applies to --strategy pq-capped, not {args.strategy}")
+    if args.workers < 1:
+        raise InputError(f"workers: {args.workers} is not a positive count")
     cap = () if args.build_cap_s is None else (args.build_cap_s,)
     scheduler = getattr(Scheduler, args.strategy.replace("-", "_"))(*cap)
     seed_paths = _seed_paths(args.seeds)

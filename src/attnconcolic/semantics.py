@@ -57,12 +57,21 @@ class ModelConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _dims(tensor) -> tuple[int, ...]:
-    """Shape of a nested list of numbers, insisting on rectangularity."""
+def _frozen(tensor) -> np.ndarray:
+    """A nested list of numbers as a read-only float array, insisting on
+    rectangularity."""
     try:
-        return np.asarray(tensor, dtype=float).shape
+        array = np.array(tensor, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ModelConfigError(f"weights are not a rectangular array of numbers: {exc}") from None
+    array.setflags(write=False)
+    return array
+
+
+def _without_arrays(layer) -> dict:
+    """A layer's pickled state: its fields, not its cached ``arrays``, which
+    the copy converts again, read-only, on first use."""
+    return {key: value for key, value in vars(layer).items() if key != "arrays"}
 
 
 @dataclass(frozen=True)
@@ -84,24 +93,34 @@ class MultiHeadAttention:
     w_o: tuple
     b_o: tuple
 
+    __getstate__ = _without_arrays
+
+    @functools.cached_property
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """``(w_q, b_q, w_k, b_k, w_v, b_v, w_o, b_o)`` as read-only float
+        arrays, converted once."""
+        return tuple(_frozen(w) for w in (self.w_q, self.b_q, self.w_k, self.b_k,
+                                          self.w_v, self.b_v, self.w_o, self.b_o))
+
     def validate(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
         if len(in_shape) != 2:
             raise ModelConfigError(
                 f"attention expects a (seq_len, model_dim) input, got {in_shape}")
         seq_len, d_model = in_shape
         h, d_k = self.num_heads, self.key_dim
-        for name, w in (("w_q", self.w_q), ("w_k", self.w_k), ("w_v", self.w_v)):
-            if _dims(w) != (d_model, h, d_k):
+        wq, bq, wk, bk, wv, bv, wo, bo = self.arrays
+        for name, w in (("w_q", wq), ("w_k", wk), ("w_v", wv)):
+            if w.shape != (d_model, h, d_k):
                 raise ModelConfigError(
-                    f"{name} must have shape ({d_model}, {h}, {d_k}), got {_dims(w)}")
-        for name, b in (("b_q", self.b_q), ("b_k", self.b_k), ("b_v", self.b_v)):
-            if _dims(b) != (h, d_k):
+                    f"{name} must have shape ({d_model}, {h}, {d_k}), got {w.shape}")
+        for name, b in (("b_q", bq), ("b_k", bk), ("b_v", bv)):
+            if b.shape != (h, d_k):
                 raise ModelConfigError(
-                    f"{name} must have shape ({h}, {d_k}), got {_dims(b)}")
-        if _dims(self.w_o) != (h, d_k, d_model):
+                    f"{name} must have shape ({h}, {d_k}), got {b.shape}")
+        if wo.shape != (h, d_k, d_model):
             raise ModelConfigError(
-                f"w_o must have shape ({h}, {d_k}, {d_model}), got {_dims(self.w_o)}")
-        if _dims(self.b_o) != (d_model,):
+                f"w_o must have shape ({h}, {d_k}, {d_model}), got {wo.shape}")
+        if bo.shape != (d_model,):
             raise ModelConfigError(f"b_o must have shape ({d_model},)")
         return (seq_len, d_model)
 
@@ -114,14 +133,22 @@ class Dense:
     bias: tuple
     activation: str = "none"
 
+    __getstate__ = _without_arrays
+
+    @functools.cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(weights, bias)`` as read-only float arrays, converted once."""
+        return _frozen(self.weights), _frozen(self.bias)
+
     def validate(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
         if len(in_shape) != 1:
             raise ModelConfigError(f"dense expects a flat input, got {in_shape}")
-        shape = _dims(self.weights)
+        w, b = self.arrays
+        shape = w.shape
         if len(shape) != 2 or shape[0] != in_shape[0]:
             raise ModelConfigError(
                 f"dense weights must have {in_shape[0]} rows, got {shape}")
-        if _dims(self.bias) != (shape[1],):
+        if b.shape != (shape[1],):
             raise ModelConfigError(f"dense bias must have shape ({shape[1]},)")
         if self.activation not in ("none", "relu"):
             raise ModelConfigError(f"unknown activation {self.activation!r}")
@@ -322,15 +349,6 @@ def _as_array(x) -> ConcolicArray:
     return ConcolicArray(value, coef.reshape(cells.shape + (-1,)), names)
 
 
-def _linear(spec: str, x: ConcolicArray, w: np.ndarray, b: np.ndarray) -> ConcolicArray:
-    """``einsum(spec, x, w) + b`` over the values as a batch of one, as in the
-    reference, and over the coefficients with the bias on the constant."""
-    operand, rest = spec.split(",")
-    coef = np.einsum(f"{operand}c,{rest}c", x.coef, w)
-    coef[..., 0] += b
-    return ConcolicArray((np.einsum(spec, x.value[None], w) + b)[0], coef, x.names)
-
-
 def _max_scan(row: ConcolicArray, ctx: ExecutionContext) -> int:
     """Index of a row's first maximum by a strict ``>`` scan from the left; each
     comparison with a symbolic side is a branch event through ``ctx.compare``."""
@@ -353,8 +371,11 @@ def tas(vectors, weights, bias) -> ConcolicArray:
 
     out[i][t][j] = sum_k vectors[t][k] * weights[k][i][j] + bias[i][j]
     """
-    b = np.asarray(bias, dtype=float)[:, None, :]
-    return _linear(_PROJECT, _as_array(vectors), np.asarray(weights, dtype=float), b)
+    x = _as_array(vectors)
+    w, b = np.asarray(weights, dtype=float), np.asarray(bias, dtype=float)
+    coef = np.einsum("...tkc,kij->...itjc", x.coef, w)
+    coef[..., 0] += b[:, None, :]
+    return ConcolicArray(_project(x.value[None], w, b)[0], coef, x.names)
 
 
 def attention_scores(q_head, k_head) -> ConcolicArray:
@@ -365,7 +386,7 @@ def attention_scores(q_head, k_head) -> ConcolicArray:
         raise ModelConfigError("attention scores need affine Q and K over the same variables")
     coef = np.einsum("...tja,...ujb->...tuab", q.coef, k.coef)
     coef = coef.reshape(coef.shape[:-2] + (-1,))
-    return ConcolicArray(np.einsum(_SCORES, q.value[None], k.value[None])[0], coef, q.names)
+    return ConcolicArray(_scores(q.value[None], k.value[None])[0], coef, q.names)
 
 
 def rowmax(row, ctx: Optional[ExecutionContext] = None,
@@ -419,14 +440,17 @@ def dpa(Q, K, V, ctx: Optional[ExecutionContext] = None,
     scaled = ConcolicArray(scores.value * scale, scores.coef * scale, scores.names)
     probs = stable_softmax(scaled, ctx, lambda t: [NeuronId(depth, (t, c)) for c in range(width)],
                            layer_index).value
-    return ConcolicArray(np.einsum(_ATTEND, probs[None], v.value[None])[0],
+    return ConcolicArray(_attend(probs[None], v.value[None])[0],
                          np.einsum("...tu,...ujc->...tjc", probs, v.coef), v.names)
 
 
 def concat(attentions, weights, bias) -> ConcolicArray:
     """Concatenate head outputs and project: Y[t][l] = sum_i sum_j A[i][t][j] * W_O[i][j][l] + B_O[l]."""
-    return _linear(_MERGE, _as_array(attentions), np.asarray(weights, dtype=float),
-                   np.asarray(bias, dtype=float))
+    a = _as_array(attentions)
+    w, b = np.asarray(weights, dtype=float), np.asarray(bias, dtype=float)
+    coef = np.einsum("...itjc,ijl->...tlc", a.coef, w)
+    coef[..., 0] += b
+    return ConcolicArray(_merge(a.value[None], w, b)[0], coef, a.names)
 
 
 def dense_forward(x, weights, bias, activation: str = "none",
@@ -487,14 +511,12 @@ def forward(model: ModelSpec, x, ctx: Optional[ExecutionContext] = None) -> Forw
     for j, layer in enumerate(model.layers):
         depth = j + 1
         if isinstance(layer, MultiHeadAttention):
-            Q = tas(vals, layer.w_q, layer.b_q)
-            K = tas(vals, layer.w_k, layer.b_k)
-            V = tas(vals, layer.w_v, layer.b_v)
-            A = dpa(Q, K, V, ctx, out_width=model.shapes[depth][1],
-                    depth=depth, layer_index=j)
-            vals = concat(A, layer.w_o, layer.b_o)
+            wq, bq, wk, bk, wv, bv, wo, bo = layer.arrays
+            A = dpa(tas(vals, wq, bq), tas(vals, wk, bk), tas(vals, wv, bv), ctx,
+                    out_width=model.shapes[depth][1], depth=depth, layer_index=j)
+            vals = concat(A, wo, bo)
         elif isinstance(layer, Dense):
-            vals = dense_forward(vals, layer.weights, layer.bias, layer.activation,
+            vals = dense_forward(vals, *layer.arrays, layer.activation,
                                  ctx, depth=depth, layer_index=j)
         else:  # flatten / reshape
             vals = vals.reshape(model.shapes[depth])
@@ -511,34 +533,57 @@ def forward(model: ModelSpec, x, ctx: Optional[ExecutionContext] = None) -> Forw
 # Concrete (numpy) reference path
 # ---------------------------------------------------------------------------
 
-# einsums of the attention layer, shared with the instrumented stages
-_PROJECT = "...tk,kij->...itj"  # per-head projection of each token
-_SCORES = "...tj,...uj->...tu"  # unscaled scores Q K^T per head
-_ATTEND = "...tu,...uj->...tj"  # probabilities times values
-_MERGE = "...itj,ijl->...tl"  # concatenate the heads and project
+# The value kernels of the attention layer.  Each is a matrix product over a
+# batch (the instrumented stages pass a batch of one), so forward and
+# concrete_forward run the same arithmetic and agree bit for bit.  A row's
+# bits may depend on the batch it sits in, as BLAS blocks a product by size.
+
+
+def _project(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-head projection of each token: (n, t, k) -> (n, h, t, j)."""
+    k, h, j = w.shape
+    out = x.reshape(-1, k) @ w.reshape(k, h * j)
+    out += b.reshape(-1)
+    return out.reshape(x.shape[:-1] + (h, j)).swapaxes(-3, -2)
+
+
+def _scores(q: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Unscaled scores Q K^T per head: (n, h, t, j), (n, h, u, j) -> (n, h, t, u)."""
+    return q @ k.swapaxes(-1, -2)
+
+
+def _attend(probs: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Probabilities times values per head: (n, h, t, u), (n, h, u, j) -> (n, h, t, j)."""
+    return probs @ v
+
+
+def _merge(a: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Concatenate the heads and project: (n, h, t, j) -> (n, t, l)."""
+    h, j, l = w.shape
+    out = a.swapaxes(-3, -2).reshape(-1, h * j) @ w.reshape(h * j, l)
+    out += b
+    return out.reshape(a.shape[:-3] + (a.shape[-2], l))
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
-    scores = scores - scores.max(axis=-1, keepdims=True)
-    probs = np.exp(scores)
-    return probs / probs.sum(axis=-1, keepdims=True)
+    probs = scores - scores.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return probs
 
 
 def apply_layer_concrete(layer: LayerSpec, batch: np.ndarray,
                          out_shape: tuple[int, ...]) -> np.ndarray:
     """Vectorized concrete semantics of one layer over a batch."""
     if isinstance(layer, MultiHeadAttention):
-        wq, bq, wk, bk, wv, bv, wo, bo = (np.asarray(w, dtype=float) for w in (
-            layer.w_q, layer.b_q, layer.w_k, layer.b_k, layer.w_v, layer.b_v, layer.w_o, layer.b_o))
+        wq, bq, wk, bk, wv, bv, wo, bo = layer.arrays
         scale = 1.0 / math.sqrt(layer.key_dim)
-        q = np.einsum(_PROJECT, batch, wq) + bq[:, None, :]
-        k = np.einsum(_PROJECT, batch, wk) + bk[:, None, :]
-        v = np.einsum(_PROJECT, batch, wv) + bv[:, None, :]
-        probs = _softmax(np.einsum(_SCORES, q, k) * scale)
-        return np.einsum(_MERGE, np.einsum(_ATTEND, probs, v), wo) + bo
+        scores = _scores(_project(batch, wq, bq), _project(batch, wk, bk))
+        scores *= scale
+        probs = _softmax(scores)
+        return _merge(_attend(probs, _project(batch, wv, bv)), wo, bo)
     if isinstance(layer, Dense):
-        w = np.asarray(layer.weights, dtype=float)
-        b = np.asarray(layer.bias, dtype=float)
+        w, b = layer.arrays
         out = batch @ w + b
         if layer.activation == "relu":
             out = np.where(out > 0.0, out, 0.0)

@@ -285,6 +285,24 @@ def test_attack_non_positive_seconds_exit_2_before_the_map(workspace, option, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_attack_non_positive_workers_exit_2_before_the_map(workspace, workers, capsys,
+                                                           monkeypatch):
+    # a count below 1 used to run the seeds sequentially, exit 0 and record
+    # the count in manifest.json
+    monkeypatch.setattr("attnconcolic.cli.build_influence_map",
+                        lambda *a, **k: pytest.fail("influence map built"))
+    out = workspace["root"] / "bad_workers"
+    rc = main(["attack", "--model", str(workspace["model"]),
+               "--seeds", str(workspace["seed0"]),
+               "--background", str(workspace["background"]),
+               "--solver-cmd", "no-such-solver-binary", "--workers", workers,
+               "--output-dir", str(out)])
+    assert rc == 2
+    assert f"input error: workers: {workers} is not a positive count" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_attack_build_cap_reaches_the_capped_scheduler(workspace, tmp_path, monkeypatch):
     schedulers = []
 

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from attnconcolic.semantics import (
     ModelSpec,
     MultiHeadAttention,
     Reshape,
+    apply_layer_concrete,
     attention_scores,
     concat,
     concrete_forward,
@@ -461,6 +464,52 @@ def test_model_json_round_trip(golden_model, tmp_path):
     assert clone.shapes == golden_model.shapes
     x = np.array([[0.3], [0.6]])
     assert np.allclose(concrete_forward(clone, x), concrete_forward(golden_model, x))
+
+
+def test_layer_weights_are_converted_once_read_only():
+    model = random_toy_model(np.random.default_rng(3), seq_len=2, d_model=2, relu=True)
+    attention, dense = model.layers[0], model.layers[-1]
+    for layer, fields in ((attention, ("w_q", "b_q", "w_k", "b_k", "w_v", "b_v", "w_o", "b_o")),
+                          (dense, ("weights", "bias"))):
+        assert layer.arrays is layer.arrays
+        for name, array in zip(fields, layer.arrays):
+            assert array.dtype == float and not array.flags.writeable
+            assert array.tolist() == np.asarray(getattr(layer, name), dtype=float).tolist()
+        copy = pickle.loads(pickle.dumps(layer))
+        assert "arrays" not in vars(copy) and copy == layer
+        assert not any(array.flags.writeable for array in copy.arrays)
+    doc = json.dumps(model.to_json())
+    assert json.dumps(ModelSpec.from_json(json.loads(doc)).to_json()) == doc
+
+
+def reference_attention(layer: MultiHeadAttention, batch: np.ndarray) -> np.ndarray:
+    """The attention layer as einsums over the batch, as the kernels' oracle."""
+    wq, bq, wk, bk, wv, bv, wo, bo = (np.asarray(w, dtype=float) for w in (
+        layer.w_q, layer.b_q, layer.w_k, layer.b_k, layer.w_v, layer.b_v, layer.w_o, layer.b_o))
+    q = np.einsum("...tk,kij->...itj", batch, wq) + bq[:, None, :]
+    k = np.einsum("...tk,kij->...itj", batch, wk) + bk[:, None, :]
+    v = np.einsum("...tk,kij->...itj", batch, wv) + bv[:, None, :]
+    scores = np.einsum("...tj,...uj->...tu", q, k) * (1.0 / math.sqrt(layer.key_dim))
+    probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return np.einsum("...itj,ijl->...tl", np.einsum("...tu,...uj->...tj", probs, v), wo) + bo
+
+
+@pytest.mark.parametrize("rows", [1, 7, 1024])
+def test_attention_kernels_match_the_einsum_reference(rows):
+    # relative to each output's largest value, as a sum of products that
+    # cancels to near zero carries an absolute, not a relative, rounding error
+    rng = np.random.default_rng(rows)
+    for heads, seq_len, d_model, key_dim in itertools.product(
+            range(1, 4), range(1, 6), range(1, 5), range(1, 4)):
+        layer = random_toy_model(rng, seq_len, d_model, heads, key_dim).layers[0]
+        batch = rng.uniform(0.0, 1.0, size=(rows, seq_len, d_model))
+        got = apply_layer_concrete(layer, batch, (seq_len, d_model))
+        want = reference_attention(layer, batch)
+        assert got.shape == want.shape == (rows, seq_len, d_model)
+        np.testing.assert_allclose(
+            got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max(),
+            err_msg=f"heads={heads} seq_len={seq_len} d_model={d_model} key_dim={key_dim}")
 
 
 def test_association_rules_cover_all_event_kinds():
