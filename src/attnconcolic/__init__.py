@@ -61,7 +61,6 @@ from .solver import (
     SolverRequest,
     SolverVerdict,
     assignment_satisfies,
-    check,
     emit_smtlib,
     grid_oracle,
 )

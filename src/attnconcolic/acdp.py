@@ -16,7 +16,8 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .influence import BackgroundSet, depth_activations, shap_matrix
+# shap_matrix stays a name of this module: bench/tracing.py patches it
+from .influence import BackgroundSet, depth_shap, shap_matrix  # noqa: F401
 from .semantics import ModelSpec, concrete_forward
 from .symexpr import NeuronId
 
@@ -59,15 +60,9 @@ def relevance(model: ModelSpec, background: BackgroundSet, x,
     logits = concrete_forward(model, np.asarray(x, dtype=float))
     predicted = int(np.argmax(logits))
     values: dict[NeuronId, float] = {}
-    out_depth = model.output_depth
-    for depth, x_l, bg_l in depth_activations(model, background, x):
-        if depth == out_depth:
-            break
-        subnet = model.tail(depth)
-        matrix = shap_matrix(subnet, bg_l, x_l[0], n_permutations=n_permutations,
-                             seed=(background.seed, depth))
-        for flat, nid in enumerate(model.neuron_ids(depth)):
-            values[nid] = float(matrix[flat, predicted])
+    for depth, matrix in depth_shap(model, background, x, n_permutations=n_permutations):
+        if depth < model.output_depth:
+            values.update(zip(model.neuron_ids(depth), matrix[:, predicted].tolist()))
     return RelevanceMatrix(values, predicted)
 
 

@@ -263,42 +263,44 @@ def depth_activations(model: ModelSpec, background: BackgroundSet,
             bg_l = apply_layer_concrete(layer, bg_l, out_shape)
 
 
+def depth_shap(model: ModelSpec, background: BackgroundSet, seed_input,
+               *, n_permutations: int = DEFAULT_PERMUTATIONS):
+    """Yield (depth, Shapley matrix) for every neuron grid: the attribution
+    of each neuron, as an input of the submodel after its grid, to every
+    logit, by :func:`shap_matrix` seeded with ``(background.seed, depth)``.
+    The logit grid's submodel is the identity, with the closed-form matrix
+    diag(activation - background mean)."""
+    for depth, x_l, bg_l in depth_activations(model, background, seed_input):
+        if depth == model.output_depth:
+            yield depth, np.diag(x_l.reshape(-1) - bg_l.reshape(len(bg_l), -1).mean(axis=0))
+        else:
+            yield depth, shap_matrix(model.tail(depth), bg_l, x_l[0],
+                                     n_permutations=n_permutations,
+                                     seed=(background.seed, depth))
+
+
 def build_influence_map(model: ModelSpec, background: BackgroundSet, seed_input,
                         *, n_permutations: int = DEFAULT_PERMUTATIONS) -> InfluenceMap:
-    """Layer-by-layer influence of every neuron, computed once per seed.
-
-    Walks the grids from the input down: at each depth the submodel starting
-    strictly after that grid scores its inputs, the probe and background are
-    advanced through the consumed layer, and the per-neuron influence is the
-    mean absolute attribution over all output logits.  The logit grid itself
-    is scored against the identity tail (its attribution has the closed form
-    |activation - background mean| / class_count), so every neuron that can
-    appear in a branch event has an influence, the final argmax included.
-    """
+    """Layer-by-layer influence of every neuron, computed once per seed: its
+    mean absolute :func:`depth_shap` attribution over all output logits,
+    |activation - background mean| / class_count on the logit grid, so every
+    neuron that can appear in a branch event has an influence, the final
+    argmax included.  Logs one INFO line per depth scored by sampling or
+    enumeration, with the seconds since the depth before."""
     values: dict[NeuronId, float] = {}
-    out_depth = model.output_depth
-    for depth, x_l, bg_l in depth_activations(model, background, seed_input):
+    start = time.perf_counter()
+    for depth, matrix in depth_shap(model, background, seed_input,
+                                    n_permutations=n_permutations):
         neuron_ids = model.neuron_ids(depth)
-        if depth == out_depth:
-            x_flat = x_l.reshape(-1)
-            mean_flat = bg_l.reshape(bg_l.shape[0], -1).mean(axis=0)
-            per = np.abs(x_flat - mean_flat) / model.class_count
-            for flat, nid in enumerate(neuron_ids):
-                values[nid] = float(per[flat])
-            break
-        subnet = model.tail(depth)
-        start = time.perf_counter()
-        matrix = shap_matrix(subnet, bg_l, x_l[0], n_permutations=n_permutations,
-                             seed=(background.seed, depth))
         features = len(neuron_ids)
-        rows = 1 << features if features <= EXACT_FEATURE_LIMIT \
-            else n_permutations * (features + 1)
-        _log.info("influence depth %d: %d features, %d coalition rows, %.3f s, "
-                  "peak RSS %.1f MB", depth, features, rows, time.perf_counter() - start,
-                  resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
-        mean_abs = np.abs(matrix).mean(axis=1)
-        for flat, nid in enumerate(neuron_ids):
-            values[nid] = float(mean_abs[flat])
+        if depth < model.output_depth:
+            rows = 1 << features if features <= EXACT_FEATURE_LIMIT \
+                else n_permutations * (features + 1)
+            _log.info("influence depth %d: %d features, %d coalition rows, %.3f s, "
+                      "peak RSS %.1f MB", depth, features, rows, time.perf_counter() - start,
+                      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+        values.update(zip(neuron_ids, np.abs(matrix).mean(axis=1).tolist()))
+        start = time.perf_counter()
     return InfluenceMap(values)
 
 

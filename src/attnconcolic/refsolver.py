@@ -1,22 +1,25 @@
 """A numerical stand-in for an SMT solver, speaking SMT-LIB2 on stdin/stdout.
 
 Run as ``python -m attnconcolic.refsolver``.  It speaks the SMT-LIB 2.6
-interactive protocol: it reads commands from stdin as they arrive, each once
-its parentheses balance, answers each ``(check-sat)`` as soon as it arrives,
+interactive protocol: it reads each command from stdin once, as it arrives,
+framed by the client's rule (:func:`~attnconcolic.solver._forms`: a command
+ends with the line that closes every ``(``; those in a string literal or a
+``|quoted symbol|`` do not count).  It answers each ``(check-sat)`` at once,
 prints the model of a ``sat`` answer on ``(get-model)`` (nothing after any
-other answer), and starts a new problem on ``(reset)``.  A check solves the
-text received since the last ``(reset)``, up to and including the
-``(check-sat)`` line, with :func:`solve_script`; a one-shot script piped in
-is one such session.  Scripts must stay in exactly the subset
-:func:`~attnconcolic.solver.emit_smtlib` writes: declared Real constants, and
-comparisons between terms over ``+`` and ``*`` (any number of arguments),
-unary and binary ``-``, and ``/`` by a constant.  Anything else, ``define-fun``,
-an excess ``)`` and terms nested too deeply included, prints one ``(error
-...)`` line on stderr and exits 2.  It shares the grid oracle's
-parser and kernel: the box comes from the variable-vs-constant conjuncts
-(negative bounds included), is scanned by
-:func:`~attnconcolic.solver.grid_oracle` at staged resolutions (a mesh of at
-most 17**5 points, streamed in chunks, past two variables), then seeded samples.
+other answer), and starts a new problem on ``(reset)``.  A check solves what
+was declared and asserted since the last ``(reset)``, its random samples
+seeded from the text since the ``(reset)`` line, through the ``(check-sat)``
+line; :func:`solve_script` solves a whole script the same way.  Scripts must
+stay in exactly the subset :func:`~attnconcolic.solver.emit_smtlib` writes:
+declared Real constants, and comparisons between terms over ``+`` and ``*``
+(any number of arguments), unary and binary ``-``, and ``/`` by a constant.
+Every command outside it, wherever it stands, ``define-fun``, an excess ``)``
+and terms nested too deeply included, prints one ``(error ...)`` line on
+stderr and exits 2.  It shares the grid oracle's parser and kernel: the box
+comes from the variable-vs-constant conjuncts (negative bounds included), is
+scanned by :func:`~attnconcolic.solver.grid_oracle` at staged resolutions (a
+mesh of at most 17**5 points, streamed in chunks, past two variables), then
+seeded samples.
 
 Answers are honest about their strength: ``sat`` comes with a model that is a
 verified witness, printed in decimals; ``unsat`` is emitted only when the
@@ -30,13 +33,12 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-import re
 import sys
 from dataclasses import replace
 
 import numpy as np
 
-from .solver import (SAT, UNKNOWN, UNSAT, SolverError, SolverRequest, _grid_axis,
+from .solver import (SAT, UNKNOWN, UNSAT, SolverError, SolverRequest, _forms, _grid_axis,
                      _parse_sexprs, _render_decimal, _tokenize, grid_oracle)
 from .symexpr import (_REL_APPLY, Comparison, ConcolicArithmeticError, Rel, add, const,
                       div, evaluate, mul, neg, sub, var)
@@ -51,7 +53,6 @@ _CHUNK = 2048  # rows per evaluate: fastest of 512 to 65536
 _BUILDERS = {"+": add, "-": sub, "*": mul, "/": div}
 _RELATIONS = {rel.value: rel for rel in (Rel.LT, Rel.LE, Rel.GT, Rel.GE, Rel.EQ)}
 _IGNORED = ("set-logic", "get-model")
-_PARENS = re.compile(r"[();]")
 
 
 class ScriptError(SolverError):
@@ -160,21 +161,20 @@ def _search(request: SolverRequest, seed: int):
     return _first_hit(request.assertion, names, chunks)
 
 
-def _read(text: str) -> tuple[list[str], list[Comparison], bool]:
-    """The declared variables, the assertions and whether a check was asked."""
-    declared: list[str] = []
-    assertion: list[Comparison] = []
-    check_requested = False
-    for form in _parse_sexprs(_tokenize(text)):
+def _read(form, declared: list[str], assertion: list[Comparison]) -> bool:
+    """Add one command's declaration or assertion; whether it asks for a
+    check.  ScriptError for a command outside the subset, ``(reset)``
+    included."""
+    try:
         if not isinstance(form, list) or not form:
             raise ScriptError(f"unsupported command {form!r}")
         head, *args = form
         name = args[0] if args and isinstance(args[0], str) else None
         if head in _IGNORED:
-            continue
+            return False
         if form == ["check-sat"]:
-            check_requested = True
-        elif head == "assert" and len(args) == 1:
+            return True
+        if head == "assert" and len(args) == 1:
             assertion.append(_comparison(args[0]))
         elif name in declared:
             raise ScriptError(f"symbol {name!r} declared twice")
@@ -182,27 +182,31 @@ def _read(text: str) -> tuple[list[str], list[Comparison], bool]:
             declared.append(name)
         else:
             raise ScriptError(f"unsupported command {form!r}")
-    return declared, assertion, check_requested
+    except RecursionError:  # reading or printing a deep form
+        raise ScriptError("term nested too deeply") from None
+    return False
+
+
+def _solve(declared: list[str], assertion: list[Comparison], text: str):
+    """(status, witness, declared variable order) of a check, its random
+    samples seeded from ``text``."""
+    request = _narrowed(SolverRequest(tuple((name, *DEFAULT_BOX) for name in declared),
+                                      tuple(assertion)))
+    if any(lo > hi for _, lo, hi in request.variables):
+        return (UNSAT, None, list(declared))
+    seed = int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
+    witness = _search(request, seed)
+    return (UNKNOWN if witness is None else SAT, witness, list(declared))
 
 
 def solve_script(text: str) -> tuple[str, dict[str, float] | None, list[str]]:
-    """Returns (status, witness, declared variable order).  Raises SolverError
-    on a script it cannot read (ScriptError for a form outside the subset)."""
-    try:
-        declared, assertion, check_requested = _read(text)
-    except RecursionError:  # reading, comparing or printing a deep form
-        raise ScriptError("term nested too deeply") from None
-    request = _narrowed(SolverRequest(tuple((name, *DEFAULT_BOX) for name in declared),
-                                      tuple(assertion)))
-    if not check_requested:
-        return (UNKNOWN, None, declared)
-    if any(lo > hi for _, lo, hi in request.variables):
-        return (UNSAT, None, declared)
-    seed = int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
-    witness = _search(request, seed)
-    if witness is None:
-        return (UNKNOWN, None, declared)
-    return (SAT, witness, declared)
+    """Returns (status, witness, declared variable order); unknown if the
+    script asks for no check.  Raises SolverError on a script it cannot read
+    (ScriptError for a form outside the subset)."""
+    declared: list[str] = []
+    assertion: list[Comparison] = []
+    checks = [_read(form, declared, assertion) for form in _parse_sexprs(_tokenize(text))]
+    return _solve(declared, assertion, text) if any(checks) else (UNKNOWN, None, declared)
 
 
 def _print_model(witness: dict[str, float], declared: list[str]) -> None:
@@ -213,35 +217,22 @@ def _print_model(witness: dict[str, float], declared: list[str]) -> None:
 
 
 def main() -> int:
-    text = ""  # received since the last (reset)
-    start = 0  # where the command being read begins in text
-    depth = 0
+    declared: list[str] = []  # read since the last (reset)
+    assertion: list[Comparison] = []
+    text = ""  # the lines received since the (reset) line
     answer = None  # (status, witness, declared) of the last (check-sat)
     try:
-        for line in sys.stdin:
-            base = len(text)
-            text += line
-            for match in _PARENS.finditer(line):
-                if match.group() == ";":
-                    break
-                depth += 1 if match.group() == "(" else -1
-                if depth < 0:
-                    raise ScriptError("unbalanced parentheses")
-                if depth:
-                    continue
-                end = base + match.end()
-                command = _parse_sexprs(_tokenize(text[start:end]))
-                start = end
-                if command == [["reset"]]:
-                    text, base, start, answer = text[end:], base - end, 0, None
-                elif command == [["check-sat"]]:
-                    # the script so far, up to and including the (check-sat) line
-                    answer = solve_script(text[:end].lstrip() + "\n")
+        for lines, forms in _forms(sys.stdin):
+            text += lines
+            for form in forms:
+                if form == ["reset"]:
+                    declared, assertion, text, answer = [], [], "", None
+                elif _read(form, declared, assertion):
+                    # the text up to and including the (check-sat) line
+                    answer = _solve(declared, assertion, text.strip() + "\n")
                     print(answer[0], flush=True)
-                elif command == [["get-model"]] and answer and answer[0] == SAT:
+                elif form == ["get-model"] and answer and answer[0] == SAT:
                     _print_model(*answer[1:])
-        if depth:
-            raise ScriptError("unbalanced parentheses")
     except SolverError as exc:
         print(f"(error \"{exc}\")", file=sys.stderr)
         return 2

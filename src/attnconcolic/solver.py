@@ -27,7 +27,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -40,7 +40,6 @@ __all__ = [
     "SolverRequest",
     "SolverVerdict",
     "assignment_satisfies",
-    "check",
     "emit_smtlib",
     "grid_oracle",
     "parse_model_value",
@@ -159,9 +158,9 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
-def _parse_sexprs(tokens: list[str]):
-    forms = []
-    stack: list[list] = []
+def _parse_into(tokens: list[str], stack: list[list], forms: list) -> None:
+    """Parse ``tokens`` onto the forms open in ``stack``, appending those
+    they complete to ``forms``; SolverError at an excess ``)``."""
     for token in tokens:
         if token == "(":
             stack.append([])
@@ -169,17 +168,42 @@ def _parse_sexprs(tokens: list[str]):
             if not stack:
                 raise SolverError("unbalanced parentheses")
             done = stack.pop()
-            if stack:
-                stack[-1].append(done)
-            else:
-                forms.append(done)
-        elif stack:
-            stack[-1].append(token)
+            (stack[-1] if stack else forms).append(done)
         else:
-            forms.append(token)
+            (stack[-1] if stack else forms).append(token)
+
+
+def _parse_sexprs(tokens: list[str]):
+    forms: list = []
+    stack: list[list] = []
+    _parse_into(tokens, stack, forms)
     if stack:
         raise SolverError("unbalanced parentheses")
     return forms
+
+
+def _forms(lines: Iterable[str]) -> Iterator[tuple[str, list]]:
+    """Yield ``(text, forms)`` each time the lines read so far close every
+    ``(`` outside literals: their text and the forms they complete (none for
+    blank and comment lines), reading no line further.  Each line is
+    tokenized once, with the literal left open at the end of the one before.
+    SolverError at an excess ``)``, and at the end within a form."""
+    text: list[str] = []
+    forms: list = []
+    stack: list[list] = []
+    carry = ""  # a literal left open
+    for line in lines:
+        text.append(line)
+        tokens = _tokenize(carry + line)
+        carry = ""
+        if tokens and tokens[-1][0] in '"|' and not _CLOSED_LITERAL.fullmatch(tokens[-1]):
+            carry = tokens.pop()
+        _parse_into(tokens, stack, forms)
+        if not stack and not carry:
+            yield "".join(text), forms
+            text, forms = [], []
+    if stack or carry:
+        raise SolverError("unbalanced parentheses")
 
 
 def parse_model_value(form) -> float:
@@ -286,24 +310,11 @@ class _Session:
         self.lines.append(line.decode(errors="replace"))
         return self.lines[-1]
 
-    def reply(self, deadline: float) -> Optional[list[str]]:
-        """The lines of the next reply, a bare symbol or one balanced
-        s-expression (blank lines skipped), or None at end of file.  The
-        parentheses are counted over the reply's tokens so far, so those in
-        a string or quoted symbol, which may span lines, do not count."""
-        lines: list[str] = []
-        while True:
-            line = self.readline(deadline)
-            if line is None:
-                return None
-            lines.append(line)
-            tokens = _tokenize("\n".join(lines))
-            if not tokens:
-                lines = []
-            # balanced, and not within a literal left open, which is the last token
-            elif tokens.count("(") <= tokens.count(")") and (
-                    tokens[-1][0] not in '"|' or _CLOSED_LITERAL.fullmatch(tokens[-1])):
-                return lines
+    def forms(self, deadline: float) -> Iterator:
+        """The forms of the replies to come, each once its lines are framed
+        by :func:`_forms`, read by ``deadline``."""
+        lines = iter(lambda: self.readline(deadline), None)
+        return (form for _, forms in _forms(line + "\n" for line in lines) for form in forms)
 
     def close(self) -> str:
         """Kill the child; its transcript: the stdout lines of the current
@@ -343,10 +354,11 @@ class ExternalSolver:
     and answer each ``(check-sat)`` as the command arrives, as ``z3 -in``,
     ``cvc5 --incremental`` and the refsolver do; one that reads stdin to EOF
     before it answers times out.  Each request is sent as ``(reset)``
-    followed by :func:`emit_smtlib`, and the answer line, then after ``sat``
-    the model, is read by the request's deadline.  A timeout kills the
-    child, and so does a ``solver_error`` (end of output before an answer,
-    an ``(error`` line, a broken pipe, an unparseable model); the next check
+    followed by :func:`emit_smtlib`, and the answer, then after ``sat`` the
+    model, is read as forms framed by :func:`_forms` by the request's
+    deadline.  A timeout kills the child, and so does a ``solver_error``
+    (end of output before an answer, an ``(error ...)`` reply, a broken
+    pipe, a reply that does not parse, an unusable model); the next check
     starts a fresh one.  Starting a child closes those of threads that have
     ended; the others end when the backend is garbage-collected or the
     interpreter exits.  A pickled copy starts with no child.
@@ -384,25 +396,27 @@ class ExternalSolver:
                 raise SolverError(f"cannot run solver command {self.argv()!r}: {exc}") from exc
         session = self._sessions[key]
         session.lines = []
-        answer = model = None
+        answer = assignment = None
         try:
             session.send("(reset)\n" + script, deadline)
             stale = session.owes_reply
-            while answer is None and (reply := session.reply(deadline)) is not None:
-                head = reply[0].strip()
-                if head.startswith("(error") and not stale:
+            replies = session.forms(deadline)
+            for form in replies:
+                if isinstance(form, list) and form[:1] == ["error"] and not stale:
                     break
-                if head in (SAT, UNSAT, UNKNOWN):  # other output is skipped
-                    answer = head
+                if form in (SAT, UNSAT, UNKNOWN):  # other output is skipped
+                    answer = form
+                    break
                 stale = False
-            if answer == SAT:
-                model = session.reply(deadline)
+            if answer == SAT and (model := next(replies, None)) is not None:
+                names = [name for name, _, _ in request.variables]
+                assignment = _extract_assignment([model], names)
         except TimeoutError:
             del self._sessions[key]
             session.close()
             return SolverVerdict(TIMEOUT)
-        except OSError:  # the child no longer reads its stdin
-            pass
+        except (OSError, SolverError):  # the child no longer reads its stdin, or
+            pass  # its reply does not parse
         except BaseException:  # an interrupt leaves the child's replies out of step
             del self._sessions[key]
             session.close()
@@ -411,13 +425,8 @@ class ExternalSolver:
         session.owes_reply = answer in (UNSAT, UNKNOWN)
         if session.owes_reply:
             return SolverVerdict(answer, transcript=transcript)
-        if answer == SAT and model is not None:
-            try:
-                forms = _parse_sexprs(_tokenize("\n".join(model)))
-                names = [name for name, _, _ in request.variables]
-                return SolverVerdict(SAT, _extract_assignment(forms, names), transcript)
-            except SolverError:
-                pass
+        if assignment is not None:
+            return SolverVerdict(SAT, assignment, transcript)
         del self._sessions[key]
         return SolverVerdict(SOLVER_ERROR, transcript=session.close())
 
@@ -736,11 +745,6 @@ class GridOracle:
 
 
 Backend = Union[ExternalSolver, GridOracle]
-
-
-def check(backend: Backend, request: SolverRequest) -> SolverVerdict:
-    """Dispatch a request to the configured backend."""
-    return backend.check(request)
 
 
 # ---------------------------------------------------------------------------

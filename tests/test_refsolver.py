@@ -316,3 +316,50 @@ def test_excess_close_paren_exits_2():
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("(error ")
+
+
+# ---------------------------------------------------------------------------
+# framing, with stdin held open
+# ---------------------------------------------------------------------------
+
+
+def held_open(script: str) -> subprocess.Popen:
+    """A refsolver that has read ``script``; its stdin stays open."""
+    proc = subprocess.Popen(REFSOLVER_CMD, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    proc.stdin.write(script)
+    proc.stdin.flush()
+    return proc
+
+
+def close(proc: subprocess.Popen) -> None:
+    proc.kill()
+    proc.wait(timeout=30)
+    for pipe in (proc.stdin, proc.stdout, proc.stderr):
+        pipe.close()
+
+
+@pytest.mark.parametrize("script,stdout", [
+    ('(set-info :source "x(y")\n', ""),
+    (DECLARE + '(check-sat)\n(echo "hi")\n', "sat\n"),
+], ids=["parenthesis in a string", "after the last check"])
+def test_command_outside_the_subset_exits_2_before_end_of_input(script, stdout):
+    proc = held_open(script)
+    try:
+        assert proc.wait(timeout=30) == 2
+        assert proc.stdout.read() == stdout
+        lines = proc.stderr.read().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("(error ")
+    finally:
+        close(proc)
+
+
+def test_parenthesis_in_a_quoted_symbol_does_not_count():
+    proc = held_open("(declare-const |a(| Real)\n(check-sat)\n")
+    try:
+        poller = select.poll()
+        poller.register(proc.stdout, select.POLLIN)
+        assert poller.poll(30_000), "no answer before end of input"
+        assert proc.stdout.readline() == "sat\n"
+    finally:
+        close(proc)

@@ -14,14 +14,13 @@ import pytest
 
 from attnconcolic.solver import (
     ExternalSolver,
-    GridOracle,
     SolverError,
     SolverRequest,
     assignment_satisfies,
-    check,
     emit_smtlib,
     grid_oracle,
     parse_model_value,
+    _forms,
     _parse_sexprs,
     _tokenize,
 )
@@ -351,6 +350,38 @@ def test_parenthesis_in_an_error_string_is_solver_error_at_once(error):
     assert time.monotonic() - start < 10.0
 
 
+@pytest.mark.parametrize("reply", ["sat )", ") (sat"])
+def test_reply_with_an_excess_close_paren_is_solver_error_at_once(reply):
+    stub = ("import sys\n"
+            "for line in sys.stdin:\n"
+            "    if line.strip() == '(check-sat)':\n"
+            f"        print({reply!r}, flush=True)\n")
+    backend = ExternalSolver([sys.executable, "-c", stub])
+    start = time.monotonic()
+    verdict = backend.check(unit_request(V_SQUARED_LT_1, timeout=2.0))
+    assert verdict.status == "solver_error"
+    assert reply in verdict.transcript
+    assert time.monotonic() - start < 1.0
+
+
+def test_forms_are_framed_where_a_line_closes_every_paren():
+    lines = ['(echo "a (\n', 'b") x\n', "; a ( comment\n", "(y\n", " |z )|)\n"]
+    assert list(_forms(lines)) == [('(echo "a (\nb") x\n', [["echo", '"a (\nb"'], "x"]),
+                                   ("; a ( comment\n", []),
+                                   ("(y\n |z )|)\n", [["y", "|z )|"]])]
+
+
+@pytest.mark.parametrize("lines", [["(a))\n"], [") (\n"], ["(a\n"], ['(a "b\n']])
+def test_forms_reject_an_excess_close_paren_at_once_and_an_open_form_at_the_end(lines):
+    def read():
+        yield from lines
+        if ")" in lines[0]:
+            raise AssertionError("read past the excess )")
+
+    with pytest.raises(SolverError, match="unbalanced"):
+        list(_forms(read()))
+
+
 def test_tokenize_keeps_literals_whole():
     text = '(echo "a ( b ""c"" ; d") ; a ( comment\n(|x ) y| 1.5)'
     assert _tokenize(text) == ["(", "echo", '"a ( b ""c"" ; d"', ")",
@@ -394,12 +425,6 @@ def test_a_new_session_closes_those_of_ended_threads(tmp_path):
     assert sum(map(is_running, pids())) == 4  # the pool's threads have ended
     assert backend.check(unit_request(V_SQUARED_LT_1)).status == "sat"
     assert [is_running(pid) for pid in pids()] == [False] * 4 + [True]
-
-
-def test_check_dispatches_to_both_backend_kinds(refsolver_backend):
-    req = unit_request(V_SQUARED_LT_1)
-    assert check(GridOracle(64), req).status == "sat"
-    assert check(refsolver_backend, req).status == "sat"
 
 
 # ---------------------------------------------------------------------------
