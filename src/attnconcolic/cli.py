@@ -31,7 +31,7 @@ from .influence import (
     InfluenceMap,
     build_influence_map,
 )
-from .semantics import ModelConfigError, ModelSpec, concrete_label, load_model, load_seed_input
+from .semantics import ModelConfigError, ModelSpec, concrete_label
 from .solver import SAT, ExternalSolver, SolverError, SolverRequest
 
 EXIT_OK = 0
@@ -41,8 +41,8 @@ EXIT_SOLVER_ERROR = 3
 EXIT_EMPTY_ANALYSIS = 4
 
 
-class InputError(ValueError):
-    pass
+class InputError(Exception):
+    """A file or an option the command cannot use: exit 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -50,25 +50,29 @@ class InputError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _load_background(path: str, seed: int) -> BackgroundSet:
+def _read_json(path, what: str, parse):
+    """``parse`` of the JSON document at ``path``.  Any failure to open,
+    decode or parse it is an InputError naming ``what``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"background: cannot read {path}: {exc}") from exc
-    try:
-        return BackgroundSet(np.asarray(data, dtype=float), seed=seed)
-    except (ConfigurationError, ValueError) as exc:
-        raise InputError(f"background: {exc}") from exc
+            return parse(json.load(fh))
+    except (OSError, ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise InputError(f"{what}: {exc}") from None
 
 
-def _load_model(path: str) -> ModelSpec:
-    try:
-        return load_model(path)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"model: cannot read {path}: {exc}") from exc
-    except ModelConfigError as exc:
-        raise InputError(f"model: {exc}") from exc
+def _as_array(doc) -> np.ndarray:
+    return np.asarray(doc, dtype=float)
+
+
+def _read_seed(path) -> np.ndarray:
+    """A seed named by ``--seeds``."""
+    return _read_json(path, f"seeds: {path}", _as_array)
+
+
+def _as_report(doc) -> dict:
+    if not isinstance(doc, dict):
+        raise TypeError("not a JSON object")
+    return doc
 
 
 def _seed_paths(specs: Sequence[str]) -> list[Path]:
@@ -130,7 +134,8 @@ def _read_adversarial(doc: dict, model: ModelSpec) -> _Adversarial:
     try:
         seed_ref, values = doc["seed"], doc["adversarial_values"]
         labels = (operator.index(doc["original_label"]), operator.index(doc["flipped_label"]))
-        seed = load_seed_input(seed_ref) if isinstance(seed_ref, str) else seed_ref
+        seed = _read_json(seed_ref, f"{where}: seed", _as_array) \
+            if isinstance(seed_ref, str) else seed_ref
         seed = np.asarray(seed, dtype=float).reshape(model.shapes[0])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{where}: {type(exc).__name__}: {exc}") from None
@@ -157,14 +162,14 @@ def _read_adversarial(doc: dict, model: ModelSpec) -> _Adversarial:
     return _Adversarial(flat.reshape(seed.shape), pixels, labels, bounds)
 
 
-def _build_influence(args: argparse.Namespace, model: ModelSpec, seed_path: str
+def _build_influence(args: argparse.Namespace, model: ModelSpec, seed: np.ndarray
                      ) -> InfluenceMap:
-    """The influence map of the seed at ``seed_path`` against ``--background``."""
+    """The influence map of ``seed`` against ``--background``."""
     if not args.background:
         raise InputError("background: required unless --influence-map is given")
-    background = _load_background(args.background, args.random_seed)
-    return build_influence_map(model, background, load_seed_input(seed_path),
-                               n_permutations=args.permutations)
+    background = _read_json(args.background, "background",
+                            partial(BackgroundSet, seed=args.random_seed))
+    return build_influence_map(model, background, seed, n_permutations=args.permutations)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +178,8 @@ def _build_influence(args: argparse.Namespace, model: ModelSpec, seed_path: str
 
 
 def cmd_influence(args: argparse.Namespace) -> int:
-    imap = _build_influence(args, _load_model(args.model), args.seed_input)
+    model = _read_json(args.model, "model", ModelSpec.from_json)
+    imap = _build_influence(args, model, _read_json(args.seed_input, "seed-input", _as_array))
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "influence.json"
@@ -202,7 +208,7 @@ def _attack_backend(command: str) -> ExternalSolver:
 def _attack_seed(attack, seed_path: Path) -> dict:
     """The report of ``attack(seed)``, ``run_attack`` with all but the seed
     bound, on the seed at ``seed_path``."""
-    result = attack(load_seed_input(str(seed_path)))
+    result = attack(_read_seed(seed_path))
     return attack_result_to_json(result, seed_ref=str(seed_path))
 
 
@@ -221,11 +227,8 @@ def _load_influence(args: argparse.Namespace, model: ModelSpec) -> InfluenceMap:
     """``--influence-map``, which must cover every neuron of the model, or
     else the map of the first seed built from ``--background``."""
     if not args.influence_map:
-        return _build_influence(args, model, args.seeds[0])
-    try:
-        imap = InfluenceMap.load(args.influence_map)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"influence-map: cannot read: {exc}") from exc
+        return _build_influence(args, model, _read_seed(args.seeds[0]))
+    imap = _read_json(args.influence_map, "influence-map", InfluenceMap.from_json)
     missing = [nid for depth in range(model.output_depth + 1)
                for nid in model.neuron_ids(depth) if nid not in imap]
     if missing:
@@ -235,7 +238,7 @@ def _load_influence(args: argparse.Namespace, model: ModelSpec) -> InfluenceMap:
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
-    model = _load_model(args.model)
+    model = _read_json(args.model, "model", ModelSpec.from_json)
     size = int(np.prod(model.shapes[0]))
     if args.pixel_indices:
         try:
@@ -306,16 +309,10 @@ def cmd_attack(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_reports(specs: Sequence[str]) -> list[dict]:
-    docs = []
-    for path in _seed_paths(specs):  # same file/dir expansion
-        if path.name.startswith("manifest") or path.name == "acdp.json":
-            continue
-        try:
-            docs.append(json.loads(path.read_text(encoding="utf-8")))
-        except json.JSONDecodeError as exc:
-            raise InputError(f"report {path}: {exc}") from exc
-    return docs
+def _read_reports(specs: Sequence[str]) -> list[dict]:
+    return [_read_json(path, f"reports: {path}", _as_report)
+            for path in _seed_paths(specs)  # same file/dir expansion
+            if not (path.name.startswith("manifest") or path.name == "acdp.json")]
 
 
 def cmd_acdp(args: argparse.Namespace) -> int:
@@ -323,9 +320,10 @@ def cmd_acdp(args: argparse.Namespace) -> int:
         raise InputError(f"alpha: {args.alpha} is not in (0, 1]")
     if not 0.0 <= args.beta < 1.0:
         raise InputError(f"beta: {args.beta} is not in [0, 1)")
-    model = _load_model(args.model)
-    background = _load_background(args.background, args.random_seed)
-    reports = _load_reports(args.reports)
+    model = _read_json(args.model, "model", ModelSpec.from_json)
+    background = _read_json(args.background, "background",
+                            partial(BackgroundSet, seed=args.random_seed))
+    reports = _read_reports(args.reports)
     successes = [doc for doc in reports if doc.get("outcome") == "success"]
     if not successes:
         print("no successful attacks in the given reports", file=sys.stderr)
@@ -362,8 +360,8 @@ def cmd_acdp(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    model = _load_model(args.model)
-    reports = _load_reports(args.reports)
+    model = _read_json(args.model, "model", ModelSpec.from_json)
+    reports = _read_reports(args.reports)
     failures = []
     checked = 0
     for doc in reports:

@@ -423,4 +423,5 @@ def attack_result_to_json(result: AttackResult, seed_ref: str = "") -> dict:
         "cpu_s": stats.cpu_seconds,
         "outcome": stats.outcome,
         "pop_trace": [[layer, influence] for layer, influence in result.pop_trace],
+        "skipped_builds": stats.skipped_builds,
     }

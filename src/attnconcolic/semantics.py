@@ -15,7 +15,7 @@ import functools
 import json
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -166,7 +166,10 @@ class Reshape:
     target_shape: tuple[int, ...]
 
     def validate(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
-        target = tuple(int(d) for d in self.target_shape)
+        try:
+            target = tuple(int(d) for d in self.target_shape)
+        except (TypeError, ValueError):
+            raise ModelConfigError(f"target_shape {self.target_shape!r} is not a shape") from None
         if int(np.prod(in_shape)) != int(np.prod(target)):
             raise ModelConfigError(
                 f"cannot reshape {in_shape} into {target}")
@@ -174,6 +177,13 @@ class Reshape:
 
 
 LayerSpec = Union[MultiHeadAttention, Dense, Flatten, Reshape]
+
+# A model document's layer holds its "type", a key here, then the fields of
+# that key's class in declaration order; from_json converts those named in
+# _FIELD_TYPES.
+_LAYER_TYPES = {"mha": MultiHeadAttention, "dense": Dense, "flatten": Flatten,
+                "reshape": Reshape}
+_FIELD_TYPES = {"num_heads": int, "key_dim": int, "target_shape": tuple}
 
 
 @dataclass(frozen=True)
@@ -214,58 +224,39 @@ class ModelSpec:
         return ModelSpec(self.shapes[depth], self.layers[depth:])
 
     def to_json(self) -> dict:
+        kinds = {layer_cls: kind for kind, layer_cls in _LAYER_TYPES.items()}
         layers = []
         for layer in self.layers:
-            if isinstance(layer, MultiHeadAttention):
-                layers.append({
-                    "type": "mha",
-                    "num_heads": layer.num_heads,
-                    "key_dim": layer.key_dim,
-                    "w_q": layer.w_q, "b_q": layer.b_q,
-                    "w_k": layer.w_k, "b_k": layer.b_k,
-                    "w_v": layer.w_v, "b_v": layer.b_v,
-                    "w_o": layer.w_o, "b_o": layer.b_o,
-                })
-            elif isinstance(layer, Dense):
-                layers.append({"type": "dense", "weights": layer.weights,
-                               "bias": layer.bias, "activation": layer.activation})
-            elif isinstance(layer, Flatten):
-                layers.append({"type": "flatten"})
-            else:
-                layers.append({"type": "reshape",
-                               "target_shape": list(layer.target_shape)})
+            doc = {"type": kinds[type(layer)]}
+            for f in fields(layer):  # a tuple, such as target_shape, as a list
+                value = getattr(layer, f.name)
+                doc[f.name] = list(value) if isinstance(value, tuple) else value
+            layers.append(doc)
         return {"input_shape": list(self.input_shape), "layers": layers}
 
     @classmethod
     def from_json(cls, doc: dict) -> "ModelSpec":
+        """The model of ``{"input_shape": [...], "layers": [...]}``, each layer
+        ``{"type": <key of _LAYER_TYPES>, <field>: ...}`` with its class's
+        fields, a missing one taking its default; ModelConfigError for a
+        document of any other shape."""
+        where = "model document"
         try:
             input_shape = tuple(int(d) for d in doc["input_shape"])
-            raw_layers = doc["layers"]
-        except (KeyError, TypeError) as exc:
-            raise ModelConfigError(f"model document missing field: {exc}") from exc
-        layers: list[LayerSpec] = []
-        for i, spec in enumerate(raw_layers):
-            kind = spec.get("type")
-            try:
-                if kind == "mha":
-                    layers.append(MultiHeadAttention(
-                        num_heads=int(spec["num_heads"]),
-                        key_dim=int(spec["key_dim"]),
-                        w_q=spec["w_q"], b_q=spec["b_q"],
-                        w_k=spec["w_k"], b_k=spec["b_k"],
-                        w_v=spec["w_v"], b_v=spec["b_v"],
-                        w_o=spec["w_o"], b_o=spec["b_o"]))
-                elif kind == "dense":
-                    layers.append(Dense(weights=spec["weights"], bias=spec["bias"],
-                                        activation=spec.get("activation", "none")))
-                elif kind == "flatten":
-                    layers.append(Flatten())
-                elif kind == "reshape":
-                    layers.append(Reshape(tuple(spec["target_shape"])))
-                else:
-                    raise ModelConfigError(f"layer {i}: unknown type {kind!r}")
-            except KeyError as exc:
-                raise ModelConfigError(f"layer {i} ({kind}): missing field {exc}") from exc
+            layers = []
+            for i, spec in enumerate(doc["layers"]):
+                where = f"layer {i}"
+                kind = spec.get("type")
+                if kind not in _LAYER_TYPES:
+                    raise ValueError(f"unknown type {kind!r}")
+                layer_cls = _LAYER_TYPES[kind]
+                layers.append(layer_cls(**{
+                    f.name: _FIELD_TYPES.get(f.name, lambda v: v)(spec[f.name])
+                    for f in fields(layer_cls) if f.name in spec or f.default is MISSING}))
+        except KeyError as exc:
+            raise ModelConfigError(f"{where}: missing field {exc}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ModelConfigError(f"{where}: {exc}") from None
         return cls(input_shape, tuple(layers))
 
 

@@ -377,9 +377,16 @@ class ExternalSolver:
         return ExternalSolver, (self.command, self.default_timeout_s)
 
     def argv(self) -> list[str]:
-        if isinstance(self.command, str):
-            return shlex.split(self.command)
-        return list(self.command)
+        """The command as an argv list; SolverError if it does not split
+        (an unclosed quote) or names no program."""
+        try:
+            argv = shlex.split(self.command) if isinstance(self.command, str) \
+                else list(self.command)
+        except ValueError as exc:
+            raise SolverError(f"cannot split solver command {self.command!r}: {exc}") from None
+        if not argv:
+            raise SolverError(f"solver command {self.command!r} names no program")
+        return argv
 
     def check(self, request: SolverRequest) -> SolverVerdict:
         script = emit_smtlib(request)
@@ -390,10 +397,11 @@ class ExternalSolver:
             # the children of threads that have ended would idle until the
             # backend is dropped
             _close_sessions(self._sessions, {t.ident for t in threading.enumerate()})
+            argv = self.argv()
             try:
-                self._sessions[key] = _Session(self.argv())
+                self._sessions[key] = _Session(argv)
             except OSError as exc:
-                raise SolverError(f"cannot run solver command {self.argv()!r}: {exc}") from exc
+                raise SolverError(f"cannot run solver command {argv!r}: {exc}") from exc
         session = self._sessions[key]
         session.lines = []
         answer = assignment = None

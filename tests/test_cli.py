@@ -232,6 +232,32 @@ def test_attack_solver_failing_preflight_exits_3(workspace):
     assert rc == 3
 
 
+@pytest.mark.parametrize("command", [" ", "'x"])
+def test_attack_solver_command_naming_no_program_exits_3(workspace, tmp_path, command, capsys):
+    # blank, or an unclosed quote
+    rc = main(["attack", "--model", str(workspace["model"]),
+               "--seeds", str(workspace["seed0"]),
+               "--background", str(workspace["background"]),
+               "--solver-cmd", command, "--output-dir", str(tmp_path / "out")])
+    assert rc == 3
+    assert "solver error: solver command failed pre-flight" in capsys.readouterr().err
+
+
+def test_attack_report_counts_the_builds_its_cap_skipped(workspace, tmp_path):
+    out = tmp_path / "capped"
+    assert main(["attack", "--model", str(workspace["model"]),
+                 "--seeds", str(workspace["seed0"]),
+                 "--background", str(workspace["background"]),
+                 "--strategy", "pq-capped", "--build-cap-s", "5e-324",
+                 "--output-dir", str(out)]) == 0
+    doc = json.loads((out / "attack_seed0.json").read_text())
+    assert doc["outcome"] == "exhausted"
+    assert doc["skipped_builds"] == doc["gen_constraints"] > 0
+    assert list(doc)[-1] == "skipped_builds"
+    assert (out / "attacks.csv").read_text().splitlines()[0] == \
+        "seed,iterations,sat,unsat,gen_constraints,sol_constraints,wall_s,cpu_s,outcome"
+
+
 @pytest.mark.parametrize("indices", ["1,a", "0,2", "-1", "1,1"])
 def test_attack_bad_pixel_indices_exit_2_before_the_solver(workspace, indices, capsys):
     # a solver that would fail its pre-flight (exit 3) shows the check comes first
@@ -592,6 +618,94 @@ def test_attack_influence_map_must_cover_the_model(workspace, tmp_path, capsys):
                  "--influence-map", str(full / "influence.json"),
                  "--pixels", "1", "--output-dir", str(out)]) == 0
     assert json.loads((out / "attack_seed0.json").read_text())["outcome"] != "error"
+
+
+# ---------------------------------------------------------------------------
+# input files that cannot be read or parsed
+# ---------------------------------------------------------------------------
+
+
+def assert_one_input_error(capsys, prefix: str) -> None:
+    """stderr is one line: the input error, starting with ``prefix``."""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"input error: {prefix}"), lines
+
+
+@pytest.mark.parametrize("text", ['{"x": 1.0}', '{"0.0.0": "abc"}', "[1, 2]"])
+def test_attack_unreadable_influence_map_exits_2(workspace, tmp_path, text, capsys):
+    bad = tmp_path / "map.json"
+    bad.write_text(text)
+    rc = main(["attack", "--model", str(workspace["model"]),
+               "--seeds", str(workspace["seed0"]), "--influence-map", str(bad),
+               "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert_one_input_error(capsys, "influence-map: ")
+
+
+@pytest.mark.parametrize("text", ["{oops", '"abc"'])
+def test_unreadable_seed_input_exits_2(workspace, tmp_path, text, capsys):
+    bad = tmp_path / "seed.json"
+    bad.write_text(text)
+    rc = main(["influence", "--model", str(workspace["model"]),
+               "--background", str(workspace["background"]), "--seed-input", str(bad),
+               "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert_one_input_error(capsys, "seed-input: ")
+
+
+@pytest.mark.parametrize("text", ["{oops", '"abc"'])
+def test_unreadable_first_seed_of_an_inline_map_exits_2(workspace, tmp_path, text, capsys):
+    bad = tmp_path / "seed.json"
+    bad.write_text(text)
+    rc = main(["attack", "--model", str(workspace["model"]),
+               "--seeds", str(bad), str(workspace["seed0"]),
+               "--background", str(workspace["background"]),
+               "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert_one_input_error(capsys, f"seeds: {bad}: ")
+
+
+def test_unreadable_later_seed_gets_an_error_report(workspace, tmp_path):
+    bad = tmp_path / "seed_bad.json"
+    bad.write_text('"abc"')
+    out = tmp_path / "out"
+    rc = main(["attack", "--model", str(workspace["model"]),
+               "--seeds", str(workspace["seed0"]), str(bad),
+               "--background", str(workspace["background"]), "--output-dir", str(out)])
+    assert rc == 0
+    doc = json.loads((out / "attack_seed_bad.json").read_text())
+    assert doc["outcome"] == "error" and doc["error"].startswith(f"seeds: {bad}: ")
+    assert json.loads((out / "attack_seed0.json").read_text())["outcome"] != "error"
+
+
+@pytest.mark.parametrize("command", ["influence", "attack", "acdp", "verify"])
+@pytest.mark.parametrize("layer", [1, {"type": "reshape", "target_shape": 5}])
+def test_model_of_another_shape_exits_2(workspace, tmp_path, command, layer, capsys):
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps({"input_shape": [2, 1], "layers": [{"type": "flatten"}, layer]}))
+    extra = {"influence": ["--background", str(workspace["background"]),
+                           "--seed-input", str(workspace["seed0"])],
+             "attack": ["--background", str(workspace["background"]),
+                        "--seeds", str(workspace["seed0"])],
+             "acdp": ["--background", str(workspace["background"]),
+                      "--reports", str(tmp_path)],
+             "verify": ["--reports", str(tmp_path)]}[command]
+    if command != "verify":
+        extra += ["--output-dir", str(tmp_path / "out")]
+    rc = main([command, "--model", str(bad), *extra])
+    assert rc == 2
+    assert_one_input_error(capsys, "model: layer 1: ")
+
+
+@pytest.mark.parametrize("command", ["verify", "acdp"])
+def test_report_not_a_json_object_exits_2(workspace, tmp_path, command, capsys):
+    report = tmp_path / "attack_list.json"
+    report.write_text("[1, 2]")
+    extra = ["--background", str(workspace["background"]),
+             "--output-dir", str(tmp_path / "o")] if command == "acdp" else []
+    rc = main([command, "--model", str(workspace["model"]), "--reports", str(report), *extra])
+    assert rc == 2
+    assert_one_input_error(capsys, f"reports: {report}: not a JSON object")
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,18 @@ def test_attack_on_flip_proof_model_exhausts_without_false_positives():
     assert result.adversarial is None and result.flipped_label is None
 
 
+def test_capped_scheduler_below_every_build_time_skips_every_item():
+    model = flip_at_half_model()
+    seed = np.array([[0.2]])
+    result = run_attack(model, toy_map(model, seed), seed, pixels=[0],
+                        scheduler=Scheduler.pq_capped(0.0), backend=GridOracle(256))
+    stats = result.stats
+    assert stats.outcome == "exhausted" and stats.iterations == 1
+    assert stats.skipped_builds == stats.generated_constraints > 0
+    assert stats.solved_constraints == 0
+    assert attack_result_to_json(result)["skipped_builds"] == stats.skipped_builds
+
+
 def test_solver_calls_are_clamped_to_the_wall_budget():
     model = flip_at_half_model()
     seed = np.array([[0.2]])

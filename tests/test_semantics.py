@@ -4,12 +4,14 @@ import itertools
 import json
 import math
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from attnconcolic.engine import make_symbolic_input
 from attnconcolic.semantics import (
     ConcolicArray,
     Dense,
@@ -480,6 +482,46 @@ def test_layer_weights_are_converted_once_read_only():
         assert not any(array.flags.writeable for array in copy.arrays)
     doc = json.dumps(model.to_json())
     assert json.dumps(ModelSpec.from_json(json.loads(doc)).to_json()) == doc
+
+
+def readme_model_document() -> str:
+    """The example model document of the README's "Model and data files"."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Model and data files", 1)[1]
+    return section.split("```json\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_model_round_trips_and_both_forward_paths_agree():
+    text = readme_model_document()
+    model = ModelSpec.from_json(json.loads(text))
+    assert [type(layer) for layer in model.layers] == [MultiHeadAttention, Flatten, Dense,
+                                                       Reshape]
+    assert model.shapes == ((2, 1), (2, 1), (2,), (2,), (2, 1))
+    assert json.dumps(model.to_json()) == json.dumps(json.loads(text))
+    for x in (np.array([[0.3], [0.6]]), np.array([[0.9], [0.1]])):
+        ctx = ExecutionContext()
+        symbolic = make_symbolic_input(x, [0, 1], ctx)
+        result = forward(model, symbolic, ctx)
+        reference = concrete_forward(model, x)
+        assert np.array([s.concrete for s in result.logits]).tolist() == reference.tolist()
+        assert result.label == int(np.argmax(reference))
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2], None, {"layers": []}, {"input_shape": 2, "layers": []},
+    {"input_shape": [1], "layers": 5}, {"input_shape": [1], "layers": [1]},
+    {"input_shape": [1], "layers": [{"type": "conv"}]},
+    {"input_shape": [1], "layers": [{"type": ["dense"]}]},
+    {"input_shape": [1], "layers": [{"type": "dense", "weights": [[1.0]]}]},
+    {"input_shape": [2], "layers": [{"type": "reshape", "target_shape": 5}]},
+    {"input_shape": [2], "layers": [{"type": "reshape", "target_shape": ["a"]}]},
+    {"input_shape": [1], "layers": [{"type": "mha", "num_heads": "one", "key_dim": 1,
+                                     "w_q": 0, "b_q": 0, "w_k": 0, "b_k": 0,
+                                     "w_v": 0, "b_v": 0, "w_o": 0, "b_o": 0}]},
+])
+def test_model_document_of_another_shape_is_a_config_error(doc):
+    with pytest.raises(ModelConfigError):
+        ModelSpec.from_json(doc)
 
 
 def reference_attention(layer: MultiHeadAttention, batch: np.ndarray) -> np.ndarray:

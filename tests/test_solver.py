@@ -227,6 +227,15 @@ def test_external_missing_command_raises():
             unit_request(V_SQUARED_LT_1))
 
 
+@pytest.mark.parametrize("command", [" ", "", [], "'x", 'z3 "-in'])
+def test_command_naming_no_program_or_not_splitting_raises(command):
+    backend = ExternalSolver(command)
+    with pytest.raises(SolverError, match="names no program|cannot split"):
+        backend.argv()
+    with pytest.raises(SolverError):
+        backend.check(unit_request(V_SQUARED_LT_1))
+
+
 # ---------------------------------------------------------------------------
 # session lifecycle
 # ---------------------------------------------------------------------------
