@@ -18,7 +18,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .semantics import ModelSpec, apply_layer_concrete, concrete_forward
+from .semantics import ModelSpec, MultiHeadAttention, apply_layer_concrete, concrete_forward
 from .symexpr import BranchEvent, NeuronId
 
 __all__ = [
@@ -34,11 +34,11 @@ __all__ = [
 
 EXACT_FEATURE_LIMIT = 12
 DEFAULT_PERMUTATIONS = 128
-# Coalitions per forward pass.  The estimators evaluate their coalitions in
-# chunks of whole permutations (or of single coalitions, for exact
-# enumeration) up to this many rows, so a map's peak memory does not grow
-# with n_permutations x features.
-_COALITION_ROWS = 1024
+# The estimators evaluate their coalitions as one sequence of rows, in chunks
+# that keep the subnet's widest activation under this many bytes (or of one
+# row), so memory does not grow with n_permutations x features and a chunk's
+# arrays are reused from the heap, not mapped and faulted in afresh.
+_CHUNK_BYTES = 1 << 17
 
 _log = logging.getLogger("attnconcolic")
 
@@ -85,33 +85,34 @@ def _coalition_logits(subnet: ModelSpec, x_flat: np.ndarray, baseline_flat: np.n
     return concrete_forward(subnet, batch)
 
 
-def _chunked_logits(subnet: ModelSpec, x_flat: np.ndarray, baseline_flat: np.ndarray,
-                    units: np.ndarray, unit_rows: int, masks_of):
-    """Yield ``(chunk, logits)`` over consecutive chunks of ``units``, where
-    ``masks_of(chunk)`` gives ``unit_rows`` coalition masks per unit.  A chunk
-    holds as many whole units as fit in ``_COALITION_ROWS`` rows, and at least
-    one, so memory stays bounded whatever the feature count."""
-    step = max(1, _COALITION_ROWS // unit_rows)
-    for start in range(0, len(units), step):
-        chunk = units[start:start + step]
-        yield chunk, _coalition_logits(subnet, x_flat, baseline_flat, masks_of(chunk))
+def _row_bytes(subnet: ModelSpec) -> int:
+    """Bytes per row of the widest neuron grid or attention projections or scores."""
+    widths = [int(np.prod(shape)) for shape in subnet.shapes]
+    widths += [layer.num_heads * shape[0] * max(shape[0], layer.key_dim)
+               for layer, shape in zip(subnet.layers, subnet.shapes)
+               if isinstance(layer, MultiHeadAttention)]
+    return 8 * max(widths)
 
 
-def _permutation_masks(perms: np.ndarray) -> np.ndarray:
-    """The (permutations x (d+1) x d) coalitions along each permutation: row
-    ``j`` holds the permutation's first ``j`` features, so a feature is in
-    it when its rank in the permutation is below ``j``."""
-    ranks = np.argsort(perms, axis=1)
-    return ranks[:, None, :] < np.arange(perms.shape[1] + 1)[:, None]
+def _coalition_values(subnet: ModelSpec, x_flat: np.ndarray, baseline_flat: np.ndarray,
+                      total_rows: int, masks_of_rows) -> np.ndarray:
+    """The (rows x classes) logits of coalitions ``0 .. total_rows - 1``, by
+    chunks of rows; ``masks_of_rows(rows)`` gives the masks of row numbers."""
+    step = max(1, _CHUNK_BYTES // _row_bytes(subnet))
+    values = np.empty((total_rows, subnet.class_count))
+    for start in range(0, total_rows, step):
+        rows = np.arange(start, min(start + step, total_rows))
+        values[start:start + step] = _coalition_logits(subnet, x_flat, baseline_flat,
+                                                       masks_of_rows(rows))
+    return values
 
 
 def _exact_matrix(subnet: ModelSpec, x_flat, baseline_flat) -> np.ndarray:
     d = x_flat.size
     bits = np.arange(1 << d, dtype=np.int64)
     shifts = np.arange(d)
-    values = np.concatenate([logits for _, logits in _chunked_logits(
-        subnet, x_flat, baseline_flat, bits, 1,
-        lambda chunk: ((chunk[:, None] >> shifts) & 1) == 1)])
+    values = _coalition_values(subnet, x_flat, baseline_flat, bits.size,
+                               lambda rows: ((rows[:, None] >> shifts) & 1) == 1)
     popcount = np.zeros(bits.size, dtype=np.int64)
     for i in range(d):
         popcount += (bits >> i) & 1
@@ -129,14 +130,13 @@ def _permutation_matrix(subnet: ModelSpec, x_flat, baseline_flat,
                         n_permutations: int, rng: np.random.Generator) -> np.ndarray:
     d = x_flat.size
     perms = np.array([rng.permutation(d) for _ in range(n_permutations)])
+    # row r holds the features ranked below r % (d+1) in permutation r // (d+1)
+    ranks = np.argsort(perms, axis=1)
+    values = _coalition_values(subnet, x_flat, baseline_flat, n_permutations * (d + 1),
+                               lambda rows: ranks[rows // (d + 1)] < (rows % (d + 1))[:, None])
     phi = np.zeros((d, subnet.class_count))
-    for chunk, logits in _chunked_logits(
-            subnet, x_flat, baseline_flat, perms, d + 1,
-            lambda chunk: _permutation_masks(chunk).reshape(-1, d)):
-        values = logits.reshape(len(chunk), d + 1, subnet.class_count)
-        gains = values[:, 1:] - values[:, :-1]
-        for perm, gain in zip(chunk, gains):
-            phi[perm] += gain
+    for perm, along in zip(perms, values.reshape(n_permutations, d + 1, -1)):
+        phi[perm] += along[1:] - along[:-1]
     return phi / n_permutations
 
 

@@ -68,6 +68,13 @@ def _frozen(tensor) -> np.ndarray:
     return array
 
 
+def _whole(value) -> int:
+    """An int from a whole number; ModelConfigError for a string, a fraction, inf or nan."""
+    if isinstance(value, str) or value % 1 != 0:
+        raise ModelConfigError(f"{value!r} is not a whole number")
+    return int(value)
+
+
 def _without_arrays(layer) -> dict:
     """A layer's pickled state: its fields, not its cached ``arrays``, which
     the copy converts again, read-only, on first use."""
@@ -167,7 +174,7 @@ class Reshape:
 
     def validate(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
         try:
-            target = tuple(int(d) for d in self.target_shape)
+            target = tuple(_whole(d) for d in self.target_shape)
         except (TypeError, ValueError):
             raise ModelConfigError(f"target_shape {self.target_shape!r} is not a shape") from None
         if int(np.prod(in_shape)) != int(np.prod(target)):
@@ -183,7 +190,7 @@ LayerSpec = Union[MultiHeadAttention, Dense, Flatten, Reshape]
 # _FIELD_TYPES.
 _LAYER_TYPES = {"mha": MultiHeadAttention, "dense": Dense, "flatten": Flatten,
                 "reshape": Reshape}
-_FIELD_TYPES = {"num_heads": int, "key_dim": int, "target_shape": tuple}
+_FIELD_TYPES = {"num_heads": _whole, "key_dim": _whole, "target_shape": tuple}
 
 
 @dataclass(frozen=True)
@@ -203,7 +210,7 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if not self.layers:
             raise ModelConfigError("a model needs at least one layer")
-        shapes = [tuple(int(d) for d in self.input_shape)]
+        shapes = [tuple(_whole(d) for d in self.input_shape)]
         for layer in self.layers:
             shapes.append(layer.validate(shapes[-1]))
         object.__setattr__(self, "shapes", tuple(shapes))
@@ -242,7 +249,7 @@ class ModelSpec:
         document of any other shape."""
         where = "model document"
         try:
-            input_shape = tuple(int(d) for d in doc["input_shape"])
+            input_shape = tuple(_whole(d) for d in doc["input_shape"])
             layers = []
             for i, spec in enumerate(doc["layers"]):
                 where = f"layer {i}"
@@ -557,7 +564,10 @@ def _merge(a: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
-    probs = scores - scores.max(axis=-1, keepdims=True)
+    # Each row's max as a reduce over the leading axis of the transposed rows
+    # (numpy runs a short last axis row by row); a max is exact: the same bits.
+    top = scores.reshape(-1, scores.shape[-1]).T.copy().max(axis=0)
+    probs = scores - top.reshape(scores.shape[:-1] + (1,))
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
     return probs

@@ -697,6 +697,23 @@ def test_model_of_another_shape_exits_2(workspace, tmp_path, command, layer, cap
     assert_one_input_error(capsys, "model: layer 1: ")
 
 
+@pytest.mark.parametrize("doc, reason", [
+    ({"input_shape": [2.9, 1], "layers": [{"type": "flatten"}]},
+     "model document: 2.9 is not a whole number"),
+    ({"input_shape": [2, 1], "layers": [{"type": "reshape", "target_shape": [2.7]}]},
+     "target_shape (2.7,) is not a shape"),
+    ({"input_shape": [2, 1], "layers": [{"type": "mha", "num_heads": 1.9, "key_dim": 1}]},
+     "layer 0: 1.9 is not a whole number"),
+])
+def test_fractional_model_shape_exits_2(workspace, tmp_path, doc, reason, capsys):
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    rc = main(["influence", "--model", str(bad), "--background", str(workspace["background"]),
+               "--seed-input", str(workspace["seed0"]), "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert_one_input_error(capsys, f"model: {reason}")
+
+
 @pytest.mark.parametrize("command", ["verify", "acdp"])
 def test_report_not_a_json_object_exits_2(workspace, tmp_path, command, capsys):
     report = tmp_path / "attack_list.json"

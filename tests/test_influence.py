@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from attnconcolic import influence
+from attnconcolic import influence, semantics
 from attnconcolic.engine import make_symbolic_input
 from attnconcolic.influence import (
     BackgroundSet,
@@ -146,7 +146,9 @@ def test_sampling_without_permutations_is_a_configuration_error(n_permutations):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_rank_built_masks_match_the_prefix_loop(seed):
+def test_rank_built_masks_match_the_prefix_loop(seed, monkeypatch):
+    # the masks of the estimator's rows, in chunks of 4 rows that split the
+    # 10-row permutations, are each permutation's prefixes in order
     rng = np.random.default_rng(seed)
     d = 9
     perms = np.array([rng.permutation(d) for _ in range(5)])
@@ -156,7 +158,19 @@ def test_rank_built_masks_match_the_prefix_loop(seed):
         for j, feature in enumerate(perm):
             row[j + 1] = row[j]
             row[j + 1, feature] = True
-    masks = influence._permutation_masks(perms)
+    model = linear_model(np.ones((d, 2)))
+    chunks = []
+
+    def record(subnet, x_flat, baseline_flat, masks):
+        chunks.append(masks)
+        return np.zeros((len(masks), subnet.class_count))
+
+    monkeypatch.setattr(influence, "_coalition_logits", record)
+    monkeypatch.setattr(influence, "_CHUNK_BYTES", 4 * influence._row_bytes(model))
+    shap_matrix(model, np.zeros((1, d)), np.ones(d), method="permutation",
+                n_permutations=len(perms), seed=seed)
+    assert [len(chunk) for chunk in chunks] == [4] * 12 + [2]
+    masks = np.concatenate(chunks).reshape(expected.shape)
     assert masks.dtype == bool and np.array_equal(masks, expected)
 
 
@@ -171,16 +185,17 @@ def _relu_model(rng, d: int) -> ModelSpec:
 @pytest.mark.parametrize("rows", [1, 7, 30])
 @pytest.mark.parametrize("method", ["permutation", "exact"])
 def test_chunked_coalitions_match_one_chunk(method, rows, monkeypatch):
-    # at d = 12 a permutation has 13 coalitions: caps of 1 and 7 rows give one
-    # permutation per chunk, 30 rows two, and 33 permutations leave a short last chunk
+    # at d = 12 a permutation has 13 coalitions: budgets of 1 and 7 rows split
+    # every permutation, 30 rows hold two and part of a third, and the 429
+    # rows of 33 permutations (4,096 exact coalitions) leave a short last chunk
     rng = np.random.default_rng(43)
     d = 12
     model = _relu_model(rng, d)
     bg = rng.uniform(0, 1, (4, d))
     x = rng.uniform(0, 1, d)
-    monkeypatch.setattr(influence, "_COALITION_ROWS", 1 << 20)
+    monkeypatch.setattr(influence, "_CHUNK_BYTES", 1 << 30)
     whole = shap_matrix(model, bg, x, method=method, n_permutations=33, seed=6)
-    monkeypatch.setattr(influence, "_COALITION_ROWS", rows)
+    monkeypatch.setattr(influence, "_CHUNK_BYTES", rows * influence._row_bytes(model))
     chunked = shap_matrix(model, bg, x, method=method, n_permutations=33, seed=6)
     np.testing.assert_allclose(chunked, whole, rtol=1e-12)
     gap = concrete_forward(model, x) - concrete_forward(model, bg.mean(axis=0))
@@ -203,6 +218,44 @@ def _attention_model(rng, side: int) -> ModelSpec:
         Flatten(),
         Dense(weights=w(side * side, 10), bias=w(10), activation="relu"),
     ))
+
+
+@pytest.mark.parametrize("budget", [None, 16 << 10])
+def test_chunks_stay_within_the_byte_budget(budget, monkeypatch):
+    # the default budget, and one under which each 65-row permutation of the
+    # 8x8 map's depth 0 (1 KB of scores per row) spans several chunks
+    rng = np.random.default_rng(8)
+    model = _attention_model(rng, 8)
+    background = BackgroundSet(rng.uniform(0, 1, (16, 8, 8)))
+    if budget is not None:
+        monkeypatch.setattr(influence, "_CHUNK_BYTES", budget)
+    budget = influence._CHUNK_BYTES
+    seen, chunks = [], []  # bytes of the current chunk's arrays; (rows, widest) per chunk
+
+    def track(array):
+        seen.append(array.nbytes)
+        return array
+
+    def logits(subnet, x_flat, baseline_flat, masks):
+        seen.clear()
+        out = coalition_logits(subnet, x_flat, baseline_flat, track(masks))
+        chunks.append((len(masks), max(seen)))
+        return out
+
+    coalition_logits, layer = influence._coalition_logits, semantics.apply_layer_concrete
+    project, softmax = semantics._project, semantics._softmax
+    monkeypatch.setattr(influence, "_coalition_logits", logits)
+    monkeypatch.setattr(semantics, "apply_layer_concrete",
+                        lambda spec, batch, shape: track(layer(spec, track(batch), shape)))
+    monkeypatch.setattr(semantics, "_project", lambda *args: track(project(*args)))
+    monkeypatch.setattr(semantics, "_softmax", lambda scores: softmax(track(scores)))
+    build_influence_map(model, background, rng.uniform(0, 1, (8, 8)))
+    rows = [n for n, _ in chunks]
+    assert sum(rows) == 3 * 128 * 65  # three scored depths of 64 features
+    assert all(widest <= budget for _, widest in chunks), max(chunks, key=lambda c: c[1])
+    assert max(widest for _, widest in chunks) > budget // 2  # no needlessly small chunks
+    if budget < 65 << 10:
+        assert rows[0] < 65
 
 
 def test_8x8_map_peak_memory_is_bounded():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from attnconcolic import semantics
 from attnconcolic.engine import make_symbolic_input
 from attnconcolic.semantics import (
     ConcolicArray,
@@ -236,6 +237,32 @@ def test_softmax_rows_are_stochastic():
         total = sum(e.concrete for e in out[0])
         assert all(e.concrete >= 0.0 for e in out[0])
         assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def reference_softmax(scores: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis with the per-row max of ``max(axis=-1)``."""
+    probs = scores - scores.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return probs
+
+
+@pytest.mark.parametrize("batch", [1, 1024])
+@pytest.mark.parametrize("width", [1, 2, 3, 8, 28])
+def test_softmax_matches_the_per_row_max_bit_for_bit(width, batch):
+    rng = np.random.default_rng([width, batch])
+    shape = (batch, 2, width)
+    rows = [
+        rng.normal(size=shape),
+        rng.integers(-1, 2, size=shape).astype(float),  # ties
+        rng.choice([-0.0, 0.0, -1.0], size=shape),  # signed zeros, ties at the max
+        rng.normal(size=shape) * 10.0 ** rng.integers(-300, 301, size=shape[:-1] + (1,)),
+        rng.normal(size=shape) * 1e300,
+    ]
+    scores = np.stack(rows, axis=-2)  # (batch, heads, rows, width)
+    got, want = semantics._softmax(scores.copy()), reference_softmax(scores.copy())
+    assert np.array_equal(got, want)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +549,38 @@ def test_readme_model_round_trips_and_both_forward_paths_agree():
 def test_model_document_of_another_shape_is_a_config_error(doc):
     with pytest.raises(ModelConfigError):
         ModelSpec.from_json(doc)
+
+
+def one_head(num_heads, key_dim) -> dict:
+    """An attention layer document over one-wide tokens, with a single head
+    of key dim 1 and these two entries."""
+    w, b = [[[0.5]]], [[0.0]]
+    return {"type": "mha", "num_heads": num_heads, "key_dim": key_dim, "w_q": w, "b_q": b,
+            "w_k": w, "b_k": b, "w_v": w, "b_v": b, "w_o": w, "b_o": [0.0]}
+
+
+@pytest.mark.parametrize("doc", [
+    {"input_shape": [2.9], "layers": [{"type": "flatten"}]},
+    {"input_shape": [2, 1.5], "layers": [{"type": "flatten"}]},
+    {"input_shape": [math.inf], "layers": [{"type": "flatten"}]},
+    {"input_shape": [2], "layers": [{"type": "reshape", "target_shape": [2.7]}]},
+    {"input_shape": [2], "layers": [{"type": "reshape", "target_shape": [2, 1.2]}]},
+    {"input_shape": [2, 1], "layers": [one_head(1.9, 1)]},
+    {"input_shape": [2, 1], "layers": [one_head(1, 1.5)]},
+])
+def test_fractional_shape_entry_is_a_config_error(doc):
+    # int() would truncate each of these to a shape that loads
+    with pytest.raises(ModelConfigError, match="not a"):
+        ModelSpec.from_json(doc)
+
+
+def test_whole_float_shape_entries_load_as_ints():
+    model = ModelSpec.from_json({"input_shape": [2.0, 1], "layers": [
+        one_head(1.0, 1.0), {"type": "reshape", "target_shape": [1.0, 2]}]})
+    assert model.shapes == ((2, 1), (2, 1), (1, 2))
+    assert (model.layers[0].num_heads, model.layers[0].key_dim) == (1, 1)
+    with pytest.raises(ModelConfigError, match="not a whole number"):
+        ModelSpec((2.5,), (Flatten(),))
 
 
 def reference_attention(layer: MultiHeadAttention, batch: np.ndarray) -> np.ndarray:
