@@ -159,14 +159,14 @@ def harvest(events: Sequence[BranchEvent], influence_map: InfluenceMap,
     items: list[WorkItem] = []
     node = 0
     prefix: list[Comparison] = []
-    # every literal up to an event compares the sides of that event's guard
-    # or an earlier one: count the union of their nodes as it grows
+    # every literal up to an event is the polynomial of that event's guard or
+    # an earlier one's: count the union of their nodes as it grows
     seen: set[int] = set()
     unseen: list = []
     for event in events:
         guard_key = event.guard.key()
         bypass_edge = (guard_key, not event.taken)
-        unseen += (event.guard.lhs, event.guard.rhs)
+        unseen.append(event.guard.p)
         if bypass_edge not in tree.children[node]:
             tree.child(node, bypass_edge)
             items.append(WorkItem(
@@ -193,7 +193,7 @@ def build_constraint(item: WorkItem, cap_seconds: Optional[float] = None
     deadline = time.monotonic() + cap_seconds
     # size the conjunction, checking the clock as we walk
     seen: set[int] = set()
-    stack = [e for cmp in item.constraint for e in (cmp.lhs, cmp.rhs)]
+    stack = [cmp.p for cmp in item.constraint]
     while stack:
         node = stack.pop()
         if id(node) in seen:

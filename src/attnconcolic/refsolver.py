@@ -10,16 +10,18 @@ other answer), and starts a new problem on ``(reset)``.  A check solves what
 was declared and asserted since the last ``(reset)``, its random samples
 seeded from the text since the ``(reset)`` line, through the ``(check-sat)``
 line; :func:`solve_script` solves a whole script the same way.  Scripts must
-stay in exactly the subset :func:`~attnconcolic.solver.emit_smtlib` writes:
-declared Real constants, and comparisons between terms over ``+`` and ``*``
-(any number of arguments), unary and binary ``-``, and ``/`` by a constant.
-Every command outside it, wherever it stands, ``define-fun``, an excess ``)``
-and terms nested too deeply included, prints one ``(error ...)`` line on
-stderr and exits 2.  It shares the grid oracle's parser and kernel: the box
-comes from the variable-vs-constant conjuncts (negative bounds included), is
-scanned by :func:`~attnconcolic.solver.grid_oracle` at staged resolutions (a
-mesh of at most 17**5 points, streamed in chunks, past two variables), then
-seeded samples.
+stay in the subset it reads, which holds what
+:func:`~attnconcolic.solver.emit_smtlib` writes: declared Real constants, and
+comparisons between two terms over ``+`` and ``*`` (any number of
+arguments), unary and binary ``-``, and ``/`` by a constant, each read as the
+polynomial ``a - b`` against zero.  Every command outside it, wherever it
+stands, ``define-fun``, an excess ``)`` and terms nested too deeply included,
+prints one ``(error ...)`` line on stderr and exits 2.  It shares the grid
+oracle's parser and kernel: the box comes from the conjuncts ``±1.0 * x + c
+relop 0`` (negative bounds included), is scanned by
+:func:`~attnconcolic.solver.grid_oracle` at staged resolutions (a mesh of at
+most 17**5 points, streamed in chunks, past two variables), then seeded
+samples.
 
 Answers are honest about their strength: ``sat`` comes with a model that is a
 verified witness, printed in decimals; ``unsat`` is emitted only when the
@@ -86,26 +88,28 @@ def _comparison(form) -> Comparison:
     if isinstance(form, list) and len(form) == 2 and form[0] == "not":
         inner = _comparison(form[1])
         if inner.rel is Rel.EQ:
-            return Comparison(Rel.NE, inner.lhs, inner.rhs)
+            return Comparison(Rel.NE, inner.p)
     elif isinstance(form, list) and len(form) == 3 and form[0] in _RELATIONS:
         return Comparison(_RELATIONS[form[0]], _term(form[1]), _term(form[2]))
     raise ScriptError(f"unsupported assertion {form!r}")
 
 
 def _narrowed(request: SolverRequest) -> SolverRequest:
-    """``request`` with each variable's box narrowed by the conjuncts that
-    compare the variable with a constant."""
+    """``request`` with each variable's box narrowed by the order conjuncts
+    ``s * x + c relop 0`` with ``s = ±1.0``: each bounds ``x`` by ``-s * c``,
+    with the relation flipped when ``s = -1.0``."""
     boxes = {name: [lo, hi] for name, lo, hi in request.variables}
     for cmp in request.assertion:
-        if cmp.rel in (Rel.EQ, Rel.NE):
+        terms = dict(zip(cmp.p.monomials, cmp.p.coeffs))
+        c = terms.pop((), 0.0)
+        if cmp.rel in (Rel.EQ, Rel.NE) or len(terms) != 1:
             continue
-        for side, other, upper in ((cmp.lhs, cmp.rhs, cmp.rel in (Rel.LT, Rel.LE)),
-                                   (cmp.rhs, cmp.lhs, cmp.rel in (Rel.GT, Rel.GE))):
-            if len(side.monomials) == 1 and len(side.monomials[0]) == 1 \
-                    and side.coeffs == (1.0,) and other.monomials in ((), ((),)):
-                name, value = side.monomials[0][0], sum(other.coeffs)
-                lo, hi = boxes[name]
-                boxes[name] = [lo, min(hi, value)] if upper else [max(lo, value), hi]
+        ((monomial, s),) = terms.items()
+        if len(monomial) == 1 and s in (1.0, -1.0):
+            lo, hi = boxes[monomial[0]]
+            bound = -s * c
+            upper = (cmp.rel in (Rel.LT, Rel.LE)) == (s > 0)
+            boxes[monomial[0]] = [lo, min(hi, bound)] if upper else [max(lo, bound), hi]
     return replace(request, variables=tuple((name, lo, hi) for name, (lo, hi) in boxes.items()))
 
 
@@ -117,7 +121,7 @@ def _first_hit(assertion, names: list[str], chunks):
         ok = np.ones(len(chunk), dtype=bool)
         with np.errstate(all="ignore"):
             for cmp in assertion:
-                ok &= _REL_APPLY[cmp.rel](evaluate(cmp.lhs, env), evaluate(cmp.rhs, env))
+                ok &= _REL_APPLY[cmp.rel](evaluate(cmp.p, env), 0.0)
                 if not ok.any():
                     break
         if ok.any():

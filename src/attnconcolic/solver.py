@@ -5,10 +5,10 @@ The engine never links a solver library: the external backend keeps one
 live child process per thread running a configurable solver command, writes
 each request to it as an SMT-LIB2 script over quantifier-free nonlinear
 reals, and parses sat/unsat/unknown plus a model from its standard output.
-Both backends read each comparison off the polynomials its sides carry.  The
+Both backends read each comparison ``p relop 0`` off its one polynomial.  The
 grid oracle is an in-process fallback used for testing and small-instance
 verification; its "no point found" answer is reported as unknown, never as a
-proof of unsatisfiability.
+proof of unsatisfiability (only an empty box is unsat).
 """
 
 from __future__ import annotations
@@ -58,16 +58,16 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverRequest:
-    """Bounded variables plus a conjunction of normalized comparisons."""
+    """Bounded variables plus a conjunction of comparisons ``p relop 0``."""
 
     variables: tuple[tuple[str, float, float], ...]
     assertion: tuple[Comparison, ...]
-    timeout_s: Optional[float] = None
+    timeout_s: float = 60.0
 
     def __post_init__(self) -> None:
         declared = {name for name, _, _ in self.variables}
-        free = {name for cmp in self.assertion for side in (cmp.lhs, cmp.rhs)
-                for monomial in side.monomials for name in monomial}
+        free = {name for cmp in self.assertion for monomial in cmp.p.monomials
+                for name in monomial}
         missing = free - declared
         if missing:
             raise SolverError(f"assertion uses undeclared variables: {sorted(missing)}")
@@ -100,7 +100,7 @@ def _render_decimal(value: float) -> str:
     return text
 
 
-def _render_side(expr: SymExpr) -> str:
+def _render_poly(expr: SymExpr) -> str:
     """The polynomial as a sum of monomials, each written before its
     coefficient; a coefficient of 1.0 is omitted and a constant is a bare
     decimal."""
@@ -117,19 +117,19 @@ def _render_side(expr: SymExpr) -> str:
 
 def emit_smtlib(request: SolverRequest) -> str:
     """Deterministic SMT-LIB2 text over quantifier-free nonlinear reals: the
-    variables with their bounds, then each comparison between its sides'
-    polynomials."""
+    variables with their bounds, then each comparison as its polynomial
+    against ``0.0``, ``(not (= p 0.0))`` for ``!=``."""
     lines = ["(set-logic QF_NRA)"]
     for name, lo, hi in request.variables:
         lines.append(f"(declare-const {name} Real)")
         lines.append(f"(assert (>= {name} {_render_decimal(lo)}))")
         lines.append(f"(assert (<= {name} {_render_decimal(hi)}))")
     for cmp in request.assertion:
-        lhs, rhs = _render_side(cmp.lhs), _render_side(cmp.rhs)
+        p = _render_poly(cmp.p)
         if cmp.rel is Rel.NE:
-            lines.append(f"(assert (not (= {lhs} {rhs})))")
+            lines.append(f"(assert (not (= {p} 0.0)))")
         else:
-            lines.append(f"(assert ({cmp.rel.value} {lhs} {rhs}))")
+            lines.append(f"(assert ({cmp.rel.value} {p} 0.0))")
     lines.append("(check-sat)")
     lines.append("(get-model)")
     return "\n".join(lines) + "\n"
@@ -365,7 +365,6 @@ class ExternalSolver:
     """
 
     command: Union[str, Sequence[str]]
-    default_timeout_s: float = 60.0
     # (pid, thread ident) -> _Session; a thread writes only its own key and
     # removes only those of ended threads
     _sessions: dict = field(default_factory=dict, init=False, compare=False, repr=False)
@@ -374,7 +373,7 @@ class ExternalSolver:
         weakref.finalize(self, _close_sessions, self._sessions)
 
     def __reduce__(self):
-        return ExternalSolver, (self.command, self.default_timeout_s)
+        return ExternalSolver, (self.command,)
 
     def argv(self) -> list[str]:
         """The command as an argv list; SolverError if it does not split
@@ -390,8 +389,7 @@ class ExternalSolver:
 
     def check(self, request: SolverRequest) -> SolverVerdict:
         script = emit_smtlib(request)
-        timeout = request.timeout_s if request.timeout_s is not None else self.default_timeout_s
-        deadline = time.monotonic() + timeout
+        deadline = time.monotonic() + request.timeout_s
         key = (os.getpid(), threading.get_ident())
         if key not in self._sessions:
             # the children of threads that have ended would idle until the
@@ -558,23 +556,18 @@ class _PrefixTrie:
 def _dense(cmp: Comparison, names: Sequence[str], magnitudes: Sequence[float]):
     """``(C, bound, terms)`` for one conjunct over at most two variables.
 
-    ``C[i, j]`` is the coefficient of ``a**i * b**j`` in ``lhs - rhs`` for
-    ``names = (a, b)``; ``bound`` is the sum of ``|c| * |a|**i * |b|**j`` over
-    both sides' monomials at ``magnitudes``, and ``terms`` counts them.
+    ``C[i, j]`` is the coefficient of ``a**i * b**j`` in ``p`` for ``names =
+    (a, b)``; ``bound`` is the sum of ``|c| * |a|**i * |b|**j`` over its
+    monomials at ``magnitudes``, and ``terms`` counts them.
     """
-    cells = []
+    degrees = [(m.count(names[0]), len(m) - m.count(names[0])) for m in cmp.p.monomials]
+    coeffs = np.zeros((1 + max((i for i, _ in degrees), default=0),
+                       1 + max((j for _, j in degrees), default=0)))
     bound = 0.0
-    for side, sign in ((cmp.lhs, 1.0), (cmp.rhs, -1.0)):
-        for monomial, coeff in zip(side.monomials, side.coeffs):
-            i = monomial.count(names[0])
-            j = len(monomial) - i
-            cells.append((i, j, sign * coeff))
-            bound += abs(coeff) * magnitudes[0] ** i * magnitudes[1] ** j
-    coeffs = np.zeros((1 + max((i for i, _, _ in cells), default=0),
-                       1 + max((j for _, j, _ in cells), default=0)))
-    for i, j, coeff in cells:
-        coeffs[i, j] += coeff
-    return coeffs, bound, len(cells)
+    for (i, j), coeff in zip(degrees, cmp.p.coeffs):
+        coeffs[i, j] = coeff
+        bound += abs(coeff) * magnitudes[0] ** i * magnitudes[1] ** j
+    return coeffs, bound, len(degrees)
 
 
 class _Axis:
@@ -621,11 +614,10 @@ def _holds(cmp: Comparison, names: Sequence[str], axes: Sequence[_Axis],
     r0, c0, height, width = window
     diff = ((axes[0].powers(rows)[0][r0:r0 + height] @ coeffs)
             @ axes[1].powers(cols)[1][:, c0:c0 + width])
-    # In normal-range floats, evaluate rounds each side at most degree +
-    # terms times, and the kernel at most 2 * (rows + cols) times (powers,
-    # the coefficient difference, the two products); each error stays under
-    # gamma(rounds) * bound.  The factor 3 covers both errors and the
-    # rounding of the bound itself.
+    # In normal-range floats, evaluate rounds at most degree + terms times,
+    # and the kernel at most 2 * (rows + cols) times (powers, the two
+    # products); each error stays under gamma(rounds) * bound.  The factor 3
+    # covers both errors and the rounding of the bound itself.
     rounds = terms + 3 * (rows + cols)
     gamma = rounds * _UNIT_ROUNDOFF / (1.0 - rounds * _UNIT_ROUNDOFF)
     tol = 3.0 * gamma * bound
@@ -639,8 +631,7 @@ def _holds(cmp: Comparison, names: Sequence[str], axes: Sequence[_Axis],
         near_rows, near_cols = np.nonzero(near)
         points = dict(zip(names, (axes[0].points[r0 + near_rows],
                                   axes[1].points[c0 + near_cols])))
-        holds[near_rows, near_cols] = relation(evaluate(cmp.lhs, points),
-                                               evaluate(cmp.rhs, points))
+        holds[near_rows, near_cols] = relation(evaluate(cmp.p, points), 0.0)
     return holds
 
 
@@ -663,10 +654,11 @@ def grid_oracle(request: SolverRequest, resolution: int = 1024,
 
     Returns sat with the first satisfying grid point (lexicographic scan), or
     unknown when no grid point satisfies: absence at a finite resolution is
-    not an unsatisfiability proof.  A request without variables is sat when
-    its ground conjuncts hold and unknown otherwise.
+    not an unsatisfiability proof.  A request whose box is empty (some
+    ``lo > hi``) is unsat.  A request without variables is sat when its
+    ground conjuncts hold and unknown otherwise.
 
-    Each conjunct's coefficients are read off its sides' polynomials and
+    Each conjunct's coefficients are read off its polynomial and
     evaluated as ``(V_a @ C) @ V_b.T`` on the window of the grid that bounds
     the points the conjuncts before it left: the whole grid for the first,
     then after each conjunct the bounding box of its survivors.  The axes'
@@ -688,6 +680,8 @@ def grid_oracle(request: SolverRequest, resolution: int = 1024,
     """
     if len(request.variables) > 2:
         raise SolverError("grid oracle supports at most 2 variables")
+    if any(lo > hi for _, lo, hi in request.variables):
+        return SolverVerdict(UNSAT)
     if not request.variables:
         if all(cmp.holds_at({}) for cmp in request.assertion):
             return SolverVerdict(SAT, assignment={})
@@ -763,26 +757,14 @@ Backend = Union[ExternalSolver, GridOracle]
 def assignment_satisfies(request: SolverRequest, assignment: dict[str, float],
                          slack: float = 1e-9) -> bool:
     """Direct evaluation of the original assertion at the assignment: strict
-    relations exactly, non-strict within ``slack``."""
+    relations exactly, non-strict ones also where ``|p| <= slack``."""
     for name, lo, hi in request.variables:
         value = assignment.get(name)
         if value is None or not (lo - slack <= value <= hi + slack):
             return False
     for cmp in request.assertion:
-        lhs = evaluate(cmp.lhs, assignment)
-        rhs = evaluate(cmp.rhs, assignment)
-        if cmp.rel is Rel.LT:
-            ok = lhs < rhs
-        elif cmp.rel is Rel.GT:
-            ok = lhs > rhs
-        elif cmp.rel is Rel.NE:
-            ok = lhs != rhs
-        elif cmp.rel is Rel.LE:
-            ok = lhs <= rhs + slack
-        elif cmp.rel is Rel.GE:
-            ok = lhs >= rhs - slack
-        else:
-            ok = abs(lhs - rhs) <= slack
-        if not ok:
+        value = evaluate(cmp.p, assignment)
+        if not (_REL_APPLY[cmp.rel](value, 0.0)
+                or (cmp.rel in (Rel.LE, Rel.GE, Rel.EQ) and abs(value) <= slack)):
             return False
     return True

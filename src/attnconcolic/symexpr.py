@@ -466,49 +466,55 @@ class NeuronId(NamedTuple):
         return cls(int(parts[0]), tuple(int(p) for p in parts[1:]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Comparison:
-    """A relational guard over symbolic expressions."""
+    """A guard ``p relop 0``: one polynomial compared with zero.
+
+    ``Comparison(rel, lhs, rhs)`` stores ``p = lhs - rhs`` (``lhs`` itself
+    when ``rhs`` is omitted or the zero constant), so two comparisons whose
+    sides differ by the same polynomial are equal.
+    """
 
     rel: Rel
-    lhs: SymExpr
-    rhs: SymExpr
+    p: SymExpr
+
+    def __init__(self, rel: Rel, lhs: SymExpr, rhs: Optional[SymExpr] = None) -> None:
+        object.__setattr__(self, "rel", rel)
+        object.__setattr__(self, "p", lhs if rhs is None else sub(lhs, rhs))
 
     def negate(self) -> "Comparison":
-        return Comparison(_NEGATION[self.rel], self.lhs, self.rhs)
+        return Comparison(_NEGATION[self.rel], self.p)
 
     def holds_at(self, assignment: Mapping[str, object]) -> bool:
-        return bool(_REL_APPLY[self.rel](evaluate(self.lhs, assignment),
-                                         evaluate(self.rhs, assignment)))
+        return bool(_REL_APPLY[self.rel](evaluate(self.p, assignment), 0.0))
 
     def key(self) -> tuple:
-        """The relation and both sides' polynomials, in canonical order."""
-        return (self.rel.value, self.lhs.monomials, self.lhs.coeffs,
-                self.rhs.monomials, self.rhs.coeffs)
+        """The relation and the polynomial, in canonical order."""
+        return (self.rel.value, self.p.monomials, self.p.coeffs)
 
     def to_infix(self) -> str:
-        return f"{to_infix(self.lhs)} {self.rel.value} {to_infix(self.rhs)}"
+        return f"{to_infix(self.p)} {self.rel.value} 0.0"
 
 
 @dataclass(frozen=True)
 class BranchEvent:
-    """One guarded comparison ``p relop 0`` observed on the concrete path.
-
-    ``bypassed_predicate`` is the condition of the branch that was *not*
-    entered: the negated guard when the guard held, the guard itself when it
-    did not.
-    """
+    """One guard ``p relop 0`` observed on the concrete path, with the
+    neurons and layer of the scope it ran in."""
 
     guard: Comparison
     taken: bool
-    bypassed_predicate: Comparison
     assoc_neurons: tuple[NeuronId, ...]
     layer_index: int
-    path_prefix_id: int
 
     def taken_literal(self) -> Comparison:
         """The literal that held on the concrete path."""
         return self.guard if self.taken else self.guard.negate()
+
+    @property
+    def bypassed_predicate(self) -> Comparison:
+        """The condition of the branch that was *not* entered: the negated
+        guard when the guard held, the guard itself when it did not."""
+        return self.guard.negate() if self.taken else self.guard
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +560,8 @@ class ExecutionContext:
 
     def compare(self, rel: Rel, a: Union[ConcolicScalar, Number],
                 b: Union[ConcolicScalar, Number]) -> bool:
-        """Evaluate a guard concretely; log it as ``a - b relop 0`` when symbolic."""
+        """Evaluate a guard concretely; when symbolic, log it as one
+        polynomial against zero, ``p = a - b``."""
         a = as_scalar(a)
         b = as_scalar(b)
         truth = bool(_REL_APPLY[rel](a.concrete, b.concrete))
@@ -563,15 +570,11 @@ class ExecutionContext:
         if self._scope is None:
             raise AssociationScopeError(
                 "symbolic comparison outside an association scope")
-        guard = Comparison(rel, sub(a.expr(), b.expr()), const(0.0))
-        bypassed = guard.negate() if truth else guard
         self.events.append(BranchEvent(
-            guard=guard,
+            guard=Comparison(rel, a.expr(), b.expr()),
             taken=truth,
-            bypassed_predicate=bypassed,
             assoc_neurons=self._scope.neurons,
             layer_index=self._scope.layer_index,
-            path_prefix_id=len(self.events),
         ))
         return truth
 

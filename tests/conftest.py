@@ -54,7 +54,7 @@ GOLDEN_SEED = np.array([[2.0], [1.0]])
 
 @pytest.fixture
 def refsolver_backend() -> ExternalSolver:
-    return ExternalSolver(REFSOLVER_CMD, default_timeout_s=30.0)
+    return ExternalSolver(REFSOLVER_CMD)
 
 
 def linear_coeffs(scalar, name: str = "v") -> tuple[float, float]:

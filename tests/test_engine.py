@@ -72,7 +72,7 @@ def test_harvest_of_worked_run_yields_rowmax_and_argmax_items(
 
 def test_finished_forward_frees_its_expressions(golden_model):
     res, ctx = symbolic_forward(golden_model, GOLDEN_SEED, [0])
-    guard = weakref.ref(res.events[0].guard.lhs)
+    guard = weakref.ref(res.events[0].guard.p)
     del res, ctx
     gc.collect()
     assert guard() is None
@@ -104,7 +104,8 @@ def test_build_constraint_returns_the_item_constraint(golden_model, golden_backg
     for item in items:
         assert build_constraint(item) is item.constraint
         assert build_constraint(item, cap_seconds=60.0) is item.constraint
-        assert all(cmp.rhs == const(0.0) for cmp in item.constraint)
+        # each conjunct keeps its event's guard polynomial
+        assert all(cmp.p is event.guard.p for cmp, event in zip(item.constraint, res.events))
     # siblings share the prefix's recorded literals
     assert items[1].constraint[0] is items[2].constraint[0]
 

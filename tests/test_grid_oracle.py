@@ -64,9 +64,7 @@ def reference_grid_oracle(request: SolverRequest, resolution: int = 1024) -> Sol
               Rel.GE: np.greater_equal, Rel.EQ: np.equal, Rel.NE: np.not_equal}
     with np.errstate(all="ignore"):
         for cmp in request.assertion:
-            lhs = evaluate(cmp.lhs, assignment_arrays)
-            rhs = evaluate(cmp.rhs, assignment_arrays)
-            ok &= ufuncs[cmp.rel](lhs, rhs)
+            ok &= ufuncs[cmp.rel](evaluate(cmp.p, assignment_arrays), 0.0)
             if not ok.any():
                 return SolverVerdict("unknown")
     hit = int(np.argmax(ok))
@@ -185,13 +183,11 @@ def test_node_coefficients_and_band():
         rounds = terms + 3 * sum(coeffs.shape)
         for a, b in rng.uniform(-2, 2, size=(5, 2)):
             env = {"a": float(a), "b": float(b)}
-            for side in (cmp.lhs, cmp.rhs):
-                assert math.isclose(evaluate(side, env), operand_value(side, env),
-                                    rel_tol=1e-9, abs_tol=1e-9)
+            assert math.isclose(evaluate(cmp.p, env), operand_value(cmp.p, env),
+                                rel_tol=1e-9, abs_tol=1e-9)
             # the error bound the oracle decides ties with
             kernel = np.polynomial.polynomial.polyval2d(a, b, coeffs)
-            difference = evaluate(cmp.lhs, env) - evaluate(cmp.rhs, env)
-            assert abs(kernel - difference) <= 2 * rounds * UNIT_ROUNDOFF * bound
+            assert abs(kernel - evaluate(cmp.p, env)) <= 2 * rounds * UNIT_ROUNDOFF * bound
 
 
 def test_symbolic_divisor_is_rejected():
@@ -484,7 +480,9 @@ def test_prefix_trie_bytes_stay_under_the_cap():
     oracle = GridOracle(256)
     trie = oracle._prefixes
     requests = set()
-    for _ in range(125):  # 1,000 distinct requests, 8 per shared prefix
+    # 8 requests per shared prefix, until 1,000 distinct ones were checked (a
+    # path may repeat a comparison: two sides with equal differences)
+    while len(requests) < 1000:
         variables, point = random_box(rng, 2)
         path = concolic_path(rng, point, 16)
         for last in path[8:]:
@@ -492,7 +490,6 @@ def test_prefix_trie_bytes_stay_under_the_cap():
             requests.add(request)
             oracle.check(request)
             assert trie.nbytes <= _PREFIX_BYTES
-    assert len(requests) == 1000
     assert trie.nbytes > _PREFIX_BYTES // 2  # the cap was reached
 
 

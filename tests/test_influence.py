@@ -370,8 +370,7 @@ def test_map_json_round_trip(tmp_path, golden_model, golden_background):
 
 def _event(neurons) -> BranchEvent:
     guard = Comparison(Rel.GT, var("v"), const(0.0))
-    return BranchEvent(guard=guard, taken=True, bypassed_predicate=guard.negate(),
-                       assoc_neurons=tuple(neurons), layer_index=0, path_prefix_id=0)
+    return BranchEvent(guard=guard, taken=True, assoc_neurons=tuple(neurons), layer_index=0)
 
 
 def test_branch_influence_singleton_average():

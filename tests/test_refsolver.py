@@ -1,7 +1,7 @@
 """The bundled refsolver against a reference built from the request.
 
-The reference narrows each variable's box by the variable-vs-constant
-conjuncts, runs the staged ``reference_grid_oracle`` of
+The reference narrows each variable's box by the conjuncts ``±x + c relop
+0``, runs the staged ``reference_grid_oracle`` of
 ``test_grid_oracle`` (a 16-per-axis mesh past two variables), then draws the
 seeded random samples and evaluates the assertion on them as arrays.  The
 refsolver reads the emitted script and must give the same status and the
@@ -16,13 +16,15 @@ import shlex
 import subprocess
 import time
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from attnconcolic import refsolver
-from attnconcolic.solver import (ExternalSolver, SolverRequest, _parse_sexprs, _render_decimal,
-                                 _tokenize, emit_smtlib, grid_oracle)
+from attnconcolic.solver import (ExternalSolver, GridOracle, SolverRequest, _parse_sexprs,
+                                 _render_decimal, _tokenize, assignment_satisfies,
+                                 emit_smtlib, grid_oracle)
 from attnconcolic.symexpr import (
     _REL_APPLY,
     Comparison,
@@ -33,6 +35,8 @@ from attnconcolic.symexpr import (
     div,
     evaluate,
     mul,
+    neg,
+    polynomial,
     var,
 )
 
@@ -44,16 +48,17 @@ FLIPPED = {Rel.LT: Rel.GT, Rel.LE: Rel.GE, Rel.GT: Rel.LT, Rel.GE: Rel.LE,
            Rel.EQ: Rel.EQ, Rel.NE: Rel.NE}
 
 
-def bare_variable(expr):
-    """The name of the variable ``expr`` is, or None."""
-    if len(expr.monomials) == 1 and len(expr.monomials[0]) == 1 and expr.coeffs == (1.0,):
-        return expr.monomials[0][0]
-    return None
-
-
-def constant(expr):
-    """The value of a constant ``expr``, or None."""
-    return sum(expr.coeffs) if expr.monomials in ((), ((),)) else None
+def variable_bound(cmp):
+    """``(name, rel, value)`` when ``cmp`` is ``s * x + c relop 0`` with ``s =
+    ±1``, that is ``x rel value``; otherwise None."""
+    terms = dict(zip(cmp.p.monomials, cmp.p.coeffs))
+    c = terms.pop((), 0.0)
+    if len(terms) != 1:
+        return None
+    ((monomial, s),) = terms.items()
+    if len(monomial) != 1 or s not in (1.0, -1.0):
+        return None
+    return monomial[0], cmp.rel if s > 0 else FLIPPED[cmp.rel], -c if s > 0 else c
 
 
 def reference_solve(request: SolverRequest, script: str):
@@ -63,14 +68,12 @@ def reference_solve(request: SolverRequest, script: str):
                                   Comparison(Rel.LE, var(name), const(hi))))
     assertion += request.assertion
     box = {name: [-1e9, 1e9] for name, _, _ in request.variables}
-    for cmp in assertion:
-        for side, other, rel in ((cmp.lhs, cmp.rhs, cmp.rel),
-                                 (cmp.rhs, cmp.lhs, FLIPPED[cmp.rel])):
-            name, value = bare_variable(side), constant(other)
-            if name is not None and value is not None and rel in (Rel.LE, Rel.LT):
-                box[name][1] = min(box[name][1], value)
-            if name is not None and value is not None and rel in (Rel.GE, Rel.GT):
-                box[name][0] = max(box[name][0], value)
+    for bound in filter(None, map(variable_bound, assertion)):
+        name, rel, value = bound
+        if rel in (Rel.LE, Rel.LT):
+            box[name][1] = min(box[name][1], value)
+        if rel in (Rel.GE, Rel.GT):
+            box[name][0] = max(box[name][0], value)
     if any(lo > hi for lo, hi in box.values()):
         return ("unsat", None)
     narrowed = SolverRequest(tuple((name, lo, hi) for name, (lo, hi) in box.items()),
@@ -86,7 +89,7 @@ def reference_solve(request: SolverRequest, script: str):
     ok = np.ones(len(samples), dtype=bool)
     with np.errstate(all="ignore"):
         for cmp in assertion:
-            ok &= _REL_APPLY[cmp.rel](evaluate(cmp.lhs, points), evaluate(cmp.rhs, points))
+            ok &= _REL_APPLY[cmp.rel](evaluate(cmp.p, points), 0.0)
     if not ok.any():
         return ("unknown", None)
     hit = int(np.argmax(ok))
@@ -165,11 +168,52 @@ def test_doubling_chain_is_one_monomial():
     request = SolverRequest((("v", 0.0, 1.0),), (Comparison(Rel.GT, expr, const(1000.0)),))
     script = emit_smtlib(request)
     assert len(script) < 4096
-    assert "(assert (> (* v 65536.0) 1000.0))" in script
+    assert "(assert (> (+ (- 1000.0) (* v 65536.0)) 0.0))" in script
     want = grid_oracle(request, 256)
     assert want.status == "sat"
     status, witness, _ = refsolver.solve_script(script)
     assert (status, witness) == (want.status, want.assignment)
+
+
+@pytest.mark.parametrize("rel", list(Rel))
+def test_two_sided_comparison_is_its_difference_against_zero(rel, refsolver_backend):
+    v = var("v")
+    two_sided = Comparison(rel, mul(v, const(2.0)), add(v, const(0.25)))
+    difference = polynomial([((), -0.25), (("v",), 1.0)])  # v - 0.25, built apart
+    one_sided = Comparison(rel, difference)
+    assert [f.name for f in fields(Comparison)] == ["rel", "p"]
+    assert two_sided == one_sided == Comparison(rel, difference, const(0.0))
+    assert two_sided.key() == one_sided.key()
+    requests = [SolverRequest((("v", 0.0, 1.0),), (cmp,)) for cmp in (two_sided, one_sided)]
+    assert emit_smtlib(requests[0]) == emit_smtlib(requests[1])
+    for backend in (GridOracle(256), refsolver_backend):
+        first, second = (backend.check(request) for request in requests)
+        assert first.status == "sat"
+        assert (first.status, first.assignment) == (second.status, second.assignment)
+        assert assignment_satisfies(requests[0], first.assignment)
+
+
+def test_box_is_narrowed_by_unit_variable_conjuncts():
+    v, w = var("v"), var("w")
+    request = SolverRequest(
+        (("v", -1e9, 1e9), ("w", -1e9, 1e9)),
+        (Comparison(Rel.LE, v, const(0.75)),  # x relop c
+         Comparison(Rel.LT, const(-0.5), v),  # c relop x
+         Comparison(Rel.GE, add(neg(w), const(0.3))),  # -x + c relop 0
+         Comparison(Rel.LE, const(0.1), w),
+         Comparison(Rel.GT, mul(v, const(2.0)), const(-0.75)),  # not a unit coefficient
+         Comparison(Rel.EQ, w, const(0.2))))  # not an order
+    assert refsolver._narrowed(request).variables == (("v", -0.5, 0.75), ("w", 0.1, 0.3))
+    # a bound past the declared box, as a script writes it: v - 2.0 >= 0
+    beyond = SolverRequest((("v", 0.0, 1.0),), (Comparison(Rel.GE, v, const(2.0)),))
+    assert refsolver.solve_script(emit_smtlib(beyond))[0] == "unsat"
+
+
+def test_empty_box_is_unsat_on_both_backends(refsolver_backend):
+    request = SolverRequest((("v", 1.0, 0.0),), (Comparison(Rel.GT, var("v"), const(0.5)),))
+    assert grid_oracle(request, 256).status == "unsat"
+    assert GridOracle(256).check(request).status == "unsat"
+    assert refsolver_backend.check(request).status == "unsat"
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from attnconcolic.solver import (
 from attnconcolic.symexpr import Comparison, Rel, add, const, div, mul, var
 
 
-def unit_request(*comparisons, timeout=None) -> SolverRequest:
+def unit_request(*comparisons, timeout=30.0) -> SolverRequest:
     return SolverRequest(variables=(("v", 0.0, 1.0),), assertion=tuple(comparisons),
                          timeout_s=timeout)
 
@@ -46,7 +46,7 @@ def test_emit_contains_declaration_bounds_and_assertion():
     assert "(set-logic QF_NRA)" in text
     assert "(declare-const v Real)" in text
     assert "(assert (>= v 0.0))" in text and "(assert (<= v 1.0))" in text
-    assert "(assert (< (* v v) 1.0))" in text
+    assert "(assert (< (+ (- 1.0) (* v v)) 0.0))" in text
     assert text.index("(check-sat)") < text.index("(get-model)")
 
 
@@ -56,10 +56,10 @@ def test_emit_is_byte_deterministic():
 
 
 def test_emit_decimals_round_trip_and_negatives():
-    req = unit_request(Comparison(Rel.GE, V, const(-0.5)),
-                       Comparison(Rel.LT, V, const(1e-20)))
+    req = unit_request(Comparison(Rel.GE, V, const(0.5)),
+                       Comparison(Rel.LT, V, const(-1e-20)))
     text = emit_smtlib(req)
-    assert "(- 0.5)" in text
+    assert "(assert (>= (+ (- 0.5) v) 0.0))" in text
     assert "0.00000000000000000001" in text  # no scientific notation
     assert "e-" not in text.lower().replace("declare-const", "")
 
@@ -76,7 +76,7 @@ def test_emit_rewrites_exact_reciprocal_division():
 
 def test_emit_not_equal_uses_negated_equality():
     text = emit_smtlib(unit_request(Comparison(Rel.NE, V, const(0.5))))
-    assert "(assert (not (= v 0.5)))" in text
+    assert "(assert (not (= (+ (- 0.5) v) 0.0)))" in text
 
 
 def test_request_rejects_undeclared_variables():
@@ -264,8 +264,7 @@ for line in sys.stdin:
 
 def session_stub(tmp_path, second="answer"):
     log = tmp_path / "pids.txt"
-    backend = ExternalSolver([sys.executable, "-c", SESSION_STUB, str(log), second],
-                             default_timeout_s=30.0)
+    backend = ExternalSolver([sys.executable, "-c", SESSION_STUB, str(log), second])
     return backend, lambda: [int(pid) for pid in log.read_text().split()]
 
 
@@ -336,7 +335,7 @@ def test_error_reply_to_get_model_after_unsat_is_skipped():
             "        print('((define-fun v () Real 0.25))', flush=True)\n"
             "    elif line.strip() == '(get-model)':\n"
             "        print('(error \"model is not available\")', flush=True)\n")
-    backend = ExternalSolver([sys.executable, "-c", stub], default_timeout_s=30.0)
+    backend = ExternalSolver([sys.executable, "-c", stub])
     verdicts = [backend.check(unit_request(V_SQUARED_LT_1)) for _ in range(3)]
     assert [(v.status, v.assignment) for v in verdicts] == \
         [("unsat", None), ("unknown", None), ("sat", {"v": 0.25})]

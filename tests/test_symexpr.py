@@ -150,14 +150,15 @@ def test_compare_records_the_guard_as_relop_zero():
     ctx = scoped_ctx()
     v = ctx.symvar("v", 2)
     r = 1 / math.sqrt(2)
-    ctx.compare(Rel.GT, (v * 6 + 6) * r, (v * v * 3 + v * 6 + 3) * r)
+    a, b = (v * 6 + 6) * r, (v * v * 3 + v * 6 + 3) * r
+    ctx.compare(Rel.GT, a, b)
     (event,) = ctx.events
-    assert event.guard.rhs == const(0.0)
-    assert event.bypassed_predicate.rhs == event.taken_literal().rhs == const(0.0)
+    assert event.guard.p == sub(a.sym, b.sym)
+    assert event.bypassed_predicate.p is event.taken_literal().p is event.guard.p
     # algebraically equivalent to v^2 < 1 on 100 sample points
     for k in range(100):
         point = {"v": -1.5 + 3.0 * k / 99}
-        holds = evaluate(event.guard.lhs, point) > 0.0
+        holds = evaluate(event.guard.p, point) > 0.0
         assert holds == (point["v"] ** 2 < 1.0)
 
 
@@ -196,6 +197,22 @@ def test_event_negation_holds_exactly_one_side():
         taken_lit = event.taken_literal().holds_at(assignment)
         bypassed = event.bypassed_predicate.holds_at(assignment)
         assert taken_lit and not bypassed
+
+
+def test_taken_and_bypassed_literals_hold_on_complementary_points():
+    ctx = scoped_ctx()
+    v, w = ctx.symvar("v", 0.75), ctx.symvar("w", 0.25)
+    for rel in Rel:  # each relation, as a guard that holds and one that does not
+        ctx.compare(rel, v, w)
+        ctx.compare(rel, v * v, as_scalar(0.25))
+    assert {event.taken for event in ctx.events} == {True, False}
+    # a grid with ties v == w and v * v == 0.25 on it
+    points = [{"v": i / 8, "w": j / 8} for i in range(-8, 9) for j in range(-8, 9)]
+    for event in ctx.events:
+        assert event.taken_literal().holds_at(ctx.variables)
+        for point in points:
+            assert event.taken_literal().holds_at(point) != \
+                event.bypassed_predicate.holds_at(point)
 
 
 # ---------------------------------------------------------------------------
