@@ -24,10 +24,13 @@ most 17**5 points, streamed in chunks, past two variables), then seeded
 samples.
 
 Answers are honest about their strength: ``sat`` comes with a model that is a
-verified witness, printed in decimals; ``unsat`` is emitted only when the
-bound assertions already make the box empty, and everything else is
-``unknown``.  This keeps a fully working out-of-the-box pipeline on machines
-without z3/cvc5 installed; point a real solver at the engine for completeness.
+verified witness, printed in decimals.  ``unsat`` is emitted only with a
+proof: the bound assertions make the box empty, or, for one or two
+variables, the first grid stage's clip of the box by the affine conjuncts
+(:func:`~attnconcolic.solver._clip`) leaves nothing, and then no further
+stage or sample runs.  Everything else is ``unknown``.  This keeps a fully
+working out-of-the-box pipeline on machines without z3/cvc5 installed; point
+a real solver at the engine for completeness.
 """
 
 from __future__ import annotations
@@ -144,25 +147,28 @@ def _mesh_points_per_axis(n_vars: int) -> int:
 
 
 def _search(request: SolverRequest, seed: int):
-    """Staged grid scan, then random sampling; a witness dict or None."""
+    """Staged grid scan, then random sampling: ``(status, witness)``.  Up to
+    two variables, the first grid stage answers unsat when the affine
+    conjuncts leave no point of the box."""
     names = [name for name, _, _ in request.variables]
     if len(names) <= 2:
         for resolution in GRID_STAGES[len(names)]:
             verdict = grid_oracle(request, resolution)
-            if verdict.status == SAT:
-                return verdict.assignment
+            if verdict.status != UNKNOWN:
+                return verdict.status, verdict.assignment
         if not names:
-            return None
+            return UNKNOWN, None
     elif (per_axis := _mesh_points_per_axis(len(names))) >= 2:
         axes = [_grid_axis(lo, hi, per_axis - 1).points for _, lo, hi in request.variables]
         witness = _first_hit(request.assertion, names, _mesh_chunks(axes))
         if witness is not None:
-            return witness
+            return SAT, witness
     lows, highs = np.array([(lo, hi) for _, lo, hi in request.variables]).T
     samples = np.random.default_rng(seed).uniform(lows, highs,
                                                   size=(RANDOM_SAMPLES, len(names)))
     chunks = (samples[start:start + _CHUNK] for start in range(0, RANDOM_SAMPLES, _CHUNK))
-    return _first_hit(request.assertion, names, chunks)
+    witness = _first_hit(request.assertion, names, chunks)
+    return (UNKNOWN if witness is None else SAT), witness
 
 
 def _read(form, declared: list[str], assertion: list[Comparison]) -> bool:
@@ -199,8 +205,7 @@ def _solve(declared: list[str], assertion: list[Comparison], text: str):
     if any(lo > hi for _, lo, hi in request.variables):
         return (UNSAT, None, list(declared))
     seed = int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
-    witness = _search(request, seed)
-    return (UNKNOWN if witness is None else SAT, witness, list(declared))
+    return (*_search(request, seed), list(declared))
 
 
 def solve_script(text: str) -> tuple[str, dict[str, float] | None, list[str]]:

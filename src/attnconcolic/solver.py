@@ -8,7 +8,9 @@ reals, and parses sat/unsat/unknown plus a model from its standard output.
 Both backends read each comparison ``p relop 0`` off its one polynomial.  The
 grid oracle is an in-process fallback used for testing and small-instance
 verification; its "no point found" answer is reported as unknown, never as a
-proof of unsatisfiability (only an empty box is unsat).
+proof of unsatisfiability.  It answers unsat only with a proof: an empty box,
+or a box that its affine conjuncts, each widened by a float error bound, clip
+to nothing.
 """
 
 from __future__ import annotations
@@ -603,6 +605,18 @@ def _grid_axis(lo: float, hi: float, resolution: int) -> _Axis:
     return _Axis(lo + (hi - lo) * steps)
 
 
+def _tie_band(bound: float, terms: int, rows: int, cols: int) -> float:
+    """The float error bound of a conjunct with ``terms`` monomials whose
+    coefficient matrix is ``rows`` by ``cols``, at points whose magnitudes
+    give ``bound``.  In normal-range floats, evaluate rounds at most degree +
+    terms times, and the kernel at most 2 * (rows + cols) times (powers, the
+    two products); each error stays under gamma(rounds) * bound.  The factor
+    3 covers both errors and the rounding of the bound itself."""
+    rounds = terms + 3 * (rows + cols)
+    gamma = rounds * _UNIT_ROUNDOFF / (1.0 - rounds * _UNIT_ROUNDOFF)
+    return 3.0 * gamma * bound
+
+
 def _holds(cmp: Comparison, names: Sequence[str], axes: Sequence[_Axis],
            window: tuple, ok: Optional[np.ndarray]) -> np.ndarray:
     """Where ``cmp`` holds on the ``window`` ``(row, col, height, width)`` of
@@ -614,13 +628,7 @@ def _holds(cmp: Comparison, names: Sequence[str], axes: Sequence[_Axis],
     r0, c0, height, width = window
     diff = ((axes[0].powers(rows)[0][r0:r0 + height] @ coeffs)
             @ axes[1].powers(cols)[1][:, c0:c0 + width])
-    # In normal-range floats, evaluate rounds at most degree + terms times,
-    # and the kernel at most 2 * (rows + cols) times (powers, the two
-    # products); each error stays under gamma(rounds) * bound.  The factor 3
-    # covers both errors and the rounding of the bound itself.
-    rounds = terms + 3 * (rows + cols)
-    gamma = rounds * _UNIT_ROUNDOFF / (1.0 - rounds * _UNIT_ROUNDOFF)
-    tol = 3.0 * gamma * bound
+    tol = _tie_band(bound, terms, rows, cols)
     relation = _REL_APPLY[cmp.rel]
     holds = relation(diff, 0.0)
     np.abs(diff, out=diff)
@@ -648,6 +656,81 @@ def _bounded(window: tuple, ok: np.ndarray):
     return (window[0] + top, window[1] + left, bottom - top, right - left), ok[:, left:right]
 
 
+# The half-planes each relation keeps, as signs of p: both sides for =, none for !=
+_SIDES = {Rel.GT: (1.0,), Rel.GE: (1.0,), Rel.LT: (-1.0,), Rel.LE: (-1.0,),
+          Rel.EQ: (1.0, -1.0), Rel.NE: ()}
+_HUGE = 1e300  # past this bound a sign test could overflow
+
+
+def _cut(polygon: list, values: list) -> list:
+    """Sutherland–Hodgman: the vertices of ``polygon`` whose value is at
+    least zero, and in their order a point on each edge whose ends' values
+    straddle zero, for one affine function's ``values`` at the vertices."""
+    kept = []
+    prev, before = polygon[-1], values[-1]
+    for vertex, value in zip(polygon, values):
+        if (value >= 0.0) != (before >= 0.0):
+            t = before / (before - value)
+            kept.append((prev[0] + t * (vertex[0] - prev[0]),
+                         prev[1] + t * (vertex[1] - prev[1])))
+        if value >= 0.0:
+            kept.append(vertex)
+        prev, before = vertex, value
+    return kept
+
+
+def _clip(request: SolverRequest) -> list[tuple[float, float]]:
+    """The box of a 1- or 2-variable request clipped by the affine conjuncts
+    of its assertion: the vertices ``(x, y)`` of a convex polygon for two
+    variables, the ends ``(x, 0.0)`` of an interval for one, and none when no
+    point of the box satisfies every affine conjunct, which proves the
+    request unsat.  The box must not be empty.
+
+    Each conjunct ``c + a*x + b*y relop 0`` is one half-plane, two for ``=``
+    and none for ``!=``, cut by Sutherland–Hodgman (1974); conjuncts of
+    higher degree are left out.  So that an empty result is a proof, each
+    half-plane is widened by :func:`_tie_band`, so that it keeps every point
+    at which evaluate satisfies the conjunct, and by ``64 * (n + 1)`` unit
+    roundoffs of the conjunct's bound for ``n`` conjuncts (``2 * n + 2`` times
+    32: at most two half-planes each); the box by as many roundoffs of its
+    magnitudes.  That covers the clip's own rounding, in normal-range
+    floats: a cut places each vertex it makes a few roundoffs of the box's
+    magnitudes off the exact edge, and a sign test errs by a few roundoffs
+    of the bound.  It also covers grid and sample points rounded past
+    ``hi``.  So strict relations are clipped as non-strict ones, and a
+    sliver within that widening is not decided here.
+    """
+    widen = 64 * (len(request.assertion) + 1) * _UNIT_ROUNDOFF
+    boxes = [(lo, hi) for _, lo, hi in request.variables] + [(0.0, 0.0)]
+    (x0, x1), (y0, y1) = [(lo - widen * max(-lo, hi), hi + widen * max(-lo, hi))
+                          for lo, hi in boxes[:2]]
+    polygon = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)][:2 * len(request.variables)]
+    mx, my = max(-x0, x1), max(-y0, y1)
+    if not max(mx, my) < _HUGE:
+        return polygon
+    index = {name: k + 1 for k, (name, _, _) in enumerate(request.variables)}
+    for cmp in request.assertion:
+        p = cmp.p
+        if max(map(len, p.monomials), default=0) > 1:
+            continue
+        row = [0.0, 0.0, 0.0]  # c, a, b
+        for monomial, coeff in zip(p.monomials, p.coeffs):
+            row[index[monomial[0]] if monomial else 0] = coeff
+        c, a, b = row
+        bound = abs(c) + abs(a) * mx + abs(b) * my
+        if not bound < _HUGE:
+            continue
+        margin = _tie_band(bound, len(p.coeffs), 2, 2) + widen * bound
+        for sign in _SIDES[cmp.rel]:
+            sc, sa, sb = sign * c + margin, sign * a, sign * b
+            values = [sc + sa * x + sb * y for x, y in polygon]
+            if min(values) < 0.0:
+                polygon = _cut(polygon, values)
+                if not polygon:
+                    return polygon
+    return polygon
+
+
 def grid_oracle(request: SolverRequest, resolution: int = 1024,
                 prefixes: Optional[_PrefixTrie] = None) -> SolverVerdict:
     """Evaluate the assertion on a uniform grid over the variable bounds.
@@ -655,7 +738,9 @@ def grid_oracle(request: SolverRequest, resolution: int = 1024,
     Returns sat with the first satisfying grid point (lexicographic scan), or
     unknown when no grid point satisfies: absence at a finite resolution is
     not an unsatisfiability proof.  A request whose box is empty (some
-    ``lo > hi``) is unsat.  A request without variables is sat when its
+    ``lo > hi``) is unsat, and so is one whose box :func:`_clip` clips to
+    nothing by the affine conjuncts, before any prefix is looked up or any
+    grid point evaluated.  A request without variables is sat when its
     ground conjuncts hold and unknown otherwise.
 
     Each conjunct's coefficients are read off its polynomial and
@@ -686,6 +771,8 @@ def grid_oracle(request: SolverRequest, resolution: int = 1024,
         if all(cmp.holds_at({}) for cmp in request.assertion):
             return SolverVerdict(SAT, assignment={})
         return SolverVerdict(UNKNOWN)
+    if not _clip(request):
+        return SolverVerdict(UNSAT)
     names = [name for name, _, _ in request.variables]
     axes = [_grid_axis(lo, hi, resolution) for _, lo, hi in request.variables]
     if len(axes) == 1:

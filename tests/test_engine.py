@@ -36,7 +36,7 @@ from attnconcolic.symexpr import (
     var,
 )
 
-from conftest import GOLDEN_SEED, symbolic_forward
+from conftest import GOLDEN_SEED, random_toy_model, symbolic_forward
 
 
 def flip_at_half_model() -> ModelSpec:
@@ -267,6 +267,49 @@ def test_every_verdict_status_is_counted_apart():
     assert fields == [stats.sat, stats.unsat, stats.unknown, stats.timeout,
                       stats.solver_error]
     assert sum(fields) == doc["sol_constraints"] == stats.solved_constraints
+
+
+class UnsatAsUnknown:
+    """Reports each unsat verdict of ``backend`` as unknown."""
+
+    def __init__(self, backend) -> None:
+        self.backend = backend
+
+    def check(self, request):
+        verdict = self.backend.check(request)
+        return SolverVerdict("unknown") if verdict.status == "unsat" else verdict
+
+
+@pytest.mark.parametrize("pixels", [(0, 3), (0,)], ids=["2px-grid", "1px-refsolver"])
+def test_unsat_verdicts_leave_the_search_unchanged(pixels, refsolver_backend):
+    # the engine adopts only on sat, so an unsat where the grid said unknown
+    # moves nothing but the verdict counts
+    unsat = 0
+    for index in range(6):
+        rng = np.random.default_rng(index)
+        if len(pixels) == 2:
+            model, backend = random_toy_model(rng, seq_len=3, d_model=2, relu=True), GridOracle(256)
+        else:
+            model, backend = random_toy_model(rng), refsolver_backend
+        seed = rng.uniform(0.0, 1.0, model.shapes[0])
+        imap = toy_map(model, seed)
+        clipped, unclipped = (run_attack(model, imap, seed, pixels, backend=b)
+                              for b in (backend, UnsatAsUnknown(backend)))
+        for field in ("iterations", "sat", "outcome", "generated_constraints",
+                      "solved_constraints"):
+            assert getattr(clipped.stats, field) == getattr(unclipped.stats, field)
+        assert clipped.paths == unclipped.paths
+        assert clipped.pop_trace == unclipped.pop_trace
+        assert (clipped.original_label, clipped.flipped_label) == \
+            (unclipped.original_label, unclipped.flipped_label)
+        if clipped.adversarial is None:
+            assert unclipped.adversarial is None
+        else:
+            assert np.array_equal(clipped.adversarial, unclipped.adversarial)
+        assert unclipped.stats.unsat == 0
+        assert clipped.stats.unsat + clipped.stats.unknown == unclipped.stats.unknown
+        unsat += clipped.stats.unsat
+    assert unsat >= 10
 
 
 class FailingBackend:

@@ -1,12 +1,15 @@
 """The polynomial grid oracle against an array oracle.
 
-``reference_grid_oracle`` evaluates each conjunct with ``evaluate`` as one
-array over the full meshgrid.  The grid oracle's kernel, tie band and
+``reference_grid_oracle`` answers unsat where ``affine_closure_is_empty``,
+an exact rational rule, finds no point of the box that satisfies the affine
+conjuncts, and otherwise evaluates each conjunct with ``evaluate`` as one
+array over the full meshgrid.  The grid oracle's clip, kernel, tie band and
 re-check must give the same verdict and the same witness on every request it
-accepts.  A ``GridOracle`` reading prefix masks from its trie must give the
-uncached oracle's, and a check confined to the window of a prefix's points
-must find the witness of ``holds_at_scan``, which walks the whole grid point
-by point.
+accepts, and its clip must never be empty where a grid point or a sample
+satisfies the request.  A ``GridOracle`` reading prefix masks from its trie
+must give the uncached oracle's, and a check confined to the window of a
+prefix's points must find the witness of ``holds_at_scan``, which walks the
+whole grid point by point.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import math
 import pickle
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,9 +36,11 @@ from attnconcolic.solver import (
     grid_oracle,
 )
 from attnconcolic.symexpr import (
+    _REL_APPLY,
     Comparison,
     ConcolicArithmeticError,
     Rel,
+    SymExpr,
     add,
     const,
     div,
@@ -48,10 +54,51 @@ from attnconcolic.symexpr import (
 UNIT_ROUNDOFF = 2.0 ** -53
 
 
+def affine_closure_is_empty(request: SolverRequest) -> bool:
+    """Whether no point of the box satisfies the affine conjuncts of a 1- or
+    2-variable request, each closed (strict relations as non-strict ones,
+    ``!=`` left out), in exact rational arithmetic.
+
+    The closed set is a bounded convex polygon, so it is empty exactly when
+    it has no vertex: no point where two of its boundary lines meet (one
+    point per line for one variable) satisfies every conjunct."""
+    names = [name for name, _, _ in request.variables]
+    rows = []  # (c, a, b, rel): c + a * x + b * y relop 0
+    for name, lo, hi in request.variables:
+        unit = (Fraction(1), Fraction(0)) if name == names[0] else (Fraction(0), Fraction(1))
+        rows += [(-Fraction(lo), *unit, Rel.GE), (-Fraction(hi), *unit, Rel.LE)]
+    for cmp in request.assertion:
+        terms = dict(zip(cmp.p.monomials, cmp.p.coeffs))
+        if cmp.rel is not Rel.NE and all(len(monomial) <= 1 for monomial in terms):
+            rows.append((Fraction(terms.get((), 0.0)),
+                         *(Fraction(terms.get((name,), 0.0)) for name in (names + [""])[:2]),
+                         cmp.rel))
+
+    def feasible(x: Fraction, y: Fraction) -> bool:
+        for c, a, b, rel in rows:
+            value = c + a * x + b * y
+            if (value < 0 and rel in (Rel.GT, Rel.GE, Rel.EQ)) or \
+                    (value > 0 and rel in (Rel.LT, Rel.LE, Rel.EQ)):
+                return False
+        return True
+
+    lines = [(c, a, b) for c, a, b, _ in rows if a or b]
+    if len(names) == 1:
+        points = [(-c / a, Fraction(0)) for c, a, _ in lines]
+    else:
+        points = [((b1 * c2 - b2 * c1) / det, (a2 * c1 - a1 * c2) / det)
+                  for (c1, a1, b1), (c2, a2, b2) in itertools.combinations(lines, 2)
+                  if (det := a1 * b2 - a2 * b1)]
+    return not any(feasible(x, y) for x, y in points)
+
+
 def reference_grid_oracle(request: SolverRequest, resolution: int = 1024) -> SolverVerdict:
-    """Every conjunct evaluated as one array over the whole grid."""
+    """Every conjunct evaluated as one array over the whole grid, after the
+    exact emptiness rule of the affine conjuncts."""
     if not request.variables:
         return SolverVerdict("sat", assignment={})
+    if len(request.variables) <= 2 and affine_closure_is_empty(request):
+        return SolverVerdict("unsat")
     axes = []
     for _, lo, hi in request.variables:
         steps = np.arange(resolution + 1, dtype=float) / resolution
@@ -320,7 +367,8 @@ def test_windows_match_a_holds_at_scan(case):
 
 
 def test_an_emptied_window_answers_unknown():
-    request = SolverRequest(UNIT_SQUARE, (at_least(A, 0.5), at_most(A, 0.25)))
+    # a * a <= 1/16 is quadratic, so the affine clip leaves it to the grid
+    request = SolverRequest(UNIT_SQUARE, (at_least(A, 0.5), at_most(mul(A, A), 0.0625)))
     trie = _PrefixTrie()
     assert grid_oracle(request, 32, trie) == holds_at_scan(request, 32) == SolverVerdict("unknown")
     path = trie.walk((UNIT_SQUARE, 32), [cmp.key() for cmp in request.assertion])
@@ -401,11 +449,12 @@ def test_prefix_trie_matches_uncached_oracle(resolution, paths, length, n_vars,
     assert kernel_passes[0] < uncached  # some prefixes were read from the trie
     assert {"sat", "unknown"} <= {verdict.status for verdict in want}
 
-    # a prefix whose mask empties answers unknown from the trie
+    # a prefix whose mask empties answers unknown from the trie; the
+    # impossible conjunct is quadratic, so the affine clip leaves it to the grid
     variables, point = random_box(rng, n_vars)
     path = concolic_path(rng, point, 3)
     name, lo, hi = variables[0]
-    impossible = Comparison(Rel.GT, var(name), const(hi + 1.0))
+    impossible = Comparison(Rel.GT, mul(var(name), var(name)), const(max(lo * lo, hi * hi) + 1.0))
     emptied = SolverRequest(variables, path[:2] + (impossible,))
     assert oracle.check(emptied) == grid_oracle(emptied, resolution) == SolverVerdict("unknown")
     extended = SolverRequest(variables, emptied.assertion + path[2:])
@@ -452,7 +501,11 @@ def test_nested_prefixes_cost_at_most_two_kernel_passes_per_request(kernel_passe
     assert kernel_passes[0] <= 2 * len(requests)
     kernel_passes[0] = 0
     assert verdicts == [grid_oracle(request, 256) for request in requests]
-    assert kernel_passes[0] == sum(range(1, 41))  # uncached, every prefix again
+    # uncached, every prefix again, but for the requests the affine clip decides
+    clipped = [len(request.assertion) for request, verdict in zip(requests, verdicts)
+               if verdict.status == "unsat"]
+    assert 0 < len(clipped) < len(requests)
+    assert kernel_passes[0] == sum(range(1, 41)) - sum(clipped)
 
 
 def test_a_path_that_fills_the_cap_keeps_its_first_conjuncts(kernel_passes):
@@ -524,3 +577,149 @@ def test_threads_sharing_one_oracle_get_the_uncached_verdicts():
         sys.setswitchinterval(interval)
     assert got == want
     assert sum(verdict.status == "sat" for verdict in want) >= 20
+
+
+# ---------------------------------------------------------------------------
+# the affine clip: an empty clip is a proof
+# ---------------------------------------------------------------------------
+
+SAMPLES = 65536
+
+
+def satisfied_somewhere(request: SolverRequest, monkeypatch) -> bool:
+    """Whether ``grid_oracle`` at 1,024 without the clip finds a point, or
+    one of 65,536 seeded samples of the box satisfies every conjunct as
+    ``holds_at`` evaluates it."""
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_clip", lambda request: [(0.0, 0.0)])
+        if grid_oracle(request, 1024).status == "sat":
+            return True
+    lows, highs = np.array([(lo, hi) for _, lo, hi in request.variables]).T
+    samples = np.random.default_rng(0).uniform(lows, highs, (SAMPLES, len(lows)))
+    points = {name: samples[:, k] for k, (name, _, _) in enumerate(request.variables)}
+    ok = np.ones(SAMPLES, dtype=bool)
+    with np.errstate(all="ignore"):
+        for cmp in request.assertion:
+            ok &= np.asarray(_REL_APPLY[cmp.rel](evaluate(cmp.p, points), 0.0))
+    return bool(ok.any())
+
+
+def affine_through(rng: np.random.Generator, names, point) -> SymExpr:
+    """A random affine form whose zero line passes through ``point``, up to
+    the rounding of its constant."""
+    coeffs = {name: random_constant(rng) or 1.0 for name in names}
+    expr = const(-sum(coeffs[name] * point[name] for name in names))
+    for name in names:
+        expr = add(expr, mul(var(name), const(coeffs[name])))
+    return expr
+
+
+def clip_case(rng: np.random.Generator, n_vars: int) -> SolverRequest:
+    """Affine conjuncts through one point of the 1,024-step grid, so that
+    they touch there, and through random points of the box, mixed with
+    quadratic ones; on boxes of magnitude up to 1e9, some far from zero and
+    some negative."""
+    names = ["a", "b"][:n_vars]
+    scale = 10.0 ** int(rng.choice([0, 0, 3, 9]))
+    offset = scale * float(rng.choice([0.0, 0.0, 40.0, -40.0]))
+    variables, corner, inside = [], {}, {}
+    for name in names:
+        lo = offset + scale * random_constant(rng)
+        hi = lo + scale * (abs(random_constant(rng)) + 0.125)
+        variables.append((name, lo, hi))
+        corner[name] = lo + (hi - lo) * (int(rng.integers(1025)) / 1024)
+        inside[name] = float(rng.uniform(lo, hi))
+    assertion = []
+    for _ in range(int(rng.integers(1, 3 + 2 * n_vars))):
+        roll = rng.random()
+        if roll < 0.2:  # one line twice, scaled apart, each side facing the other
+            expr = affine_through(rng, names, corner)
+            twin = mul(expr, const(random_constant(rng) or 0.3))
+            assertion += [Comparison(Rel.GE, expr), Comparison(Rel.GE, neg(twin))]
+            continue
+        if roll < 0.5:
+            expr = affine_through(rng, names, corner)
+        elif roll < 0.8:
+            expr = affine_through(rng, names, inside)
+        else:  # a product of two affine forms, a quadratic the clip leaves out
+            expr = mul(affine_through(rng, names, inside), affine_through(rng, names, corner))
+        assertion.append(Comparison(RELS[rng.integers(len(RELS))], expr))
+    return SolverRequest(tuple(variables), tuple(assertion))
+
+
+@pytest.mark.parametrize("n_vars,count", [(1, 400), (2, 120)])
+def test_clip_is_never_empty_where_a_point_satisfies(n_vars, count, monkeypatch):
+    rng = np.random.default_rng(18 + n_vars)
+    empty = found = rounded_in = 0
+    for _ in range(count):
+        request = clip_case(rng, n_vars)
+        hit = satisfied_somewhere(request, monkeypatch)
+        exactly_empty = affine_closure_is_empty(request)
+        if not solver._clip(request):
+            empty += 1
+            assert not hit, request
+            assert exactly_empty, request
+        found += hit
+        # a point satisfies as evaluate rounds, though the exact closed set is
+        # empty: only the widening keeps it
+        rounded_in += hit and exactly_empty
+    assert empty >= count // 8 and found >= count // 4 and rounded_in >= 2
+
+
+UNIT_LINE = (("a", 0.0, 1.0),)
+
+# (variables, assertion, whether the clip is empty, whether a point satisfies)
+CLIP_EDGES = {
+    "touching non-strict pair": (UNIT_LINE, (Comparison(Rel.GE, mul(A, const(3.0)), const(1.0)),
+                                             Comparison(Rel.LE, mul(A, const(3.0)), const(1.0))),
+                                 False, False),
+    "touching strict pair": (UNIT_LINE, (Comparison(Rel.GT, mul(A, const(3.0)), const(1.0)),
+                                         Comparison(Rel.LT, mul(A, const(3.0)), const(1.0))),
+                             False, False),
+    "strict at the box edge": (UNIT_LINE, (Comparison(Rel.GT, A, const(1.0)),), False, False),
+    "non-unit coefficient": (UNIT_LINE, (Comparison(Rel.GT, mul(A, const(2.0)), const(3.0)),),
+                             True, False),
+    "affine equality": (UNIT_SQUARE, (Comparison(Rel.EQ, add(A, B), const(0.5)),), False, True),
+    "affine equality off the box": (UNIT_SQUARE, (Comparison(Rel.EQ, add(A, B), const(2.5)),),
+                                    True, False),
+    "line through a grid corner": (UNIT_SQUARE, (Comparison(Rel.LE, add(A, B), const(0.0)),),
+                                   False, True),
+    "slanted line through a corner": (
+        UNIT_SQUARE, (Comparison(Rel.GE, sub(mul(A, const(2.0)), B), const(2.0)),), False, True),
+    "just past a corner": (UNIT_SQUARE, (Comparison(Rel.LT, add(A, B), const(-1e-9)),),
+                           True, False),
+    "ground conjunct": (UNIT_SQUARE, (Comparison(Rel.GT, const(-0.5)),), True, False),
+    "quadratic left out": (UNIT_LINE, (Comparison(Rel.GT, mul(A, A), const(2.0)),), False, False),
+    "not equal left out": (UNIT_LINE, (Comparison(Rel.NE, A, A),), False, False),
+    "negative box, touching": ((("a", -2.0, -1.0),),
+                               (Comparison(Rel.LE, mul(A, const(-3.0)), const(3.0)),), False, True),
+    "negative box, past": ((("a", -2.0, -1.0),),
+                           (Comparison(Rel.LT, mul(A, const(-3.0)), const(2.9)),), True, False),
+    "large magnitude, touching": ((("a", 1e9 - 1.0, 1e9),), (Comparison(Rel.GE, A, const(1e9)),),
+                                  False, True),
+    "large magnitude, past": ((("a", 1e9 - 1.0, 1e9),),
+                              (Comparison(Rel.GE, A, const(1e9 + 1.0)),), True, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLIP_EDGES))
+def test_clip_edge_cases(case, monkeypatch):
+    variables, assertion, empty, satisfied = CLIP_EDGES[case]
+    request = SolverRequest(variables, assertion)
+    assert (not solver._clip(request)) == empty
+    assert satisfied_somewhere(request, monkeypatch) == satisfied
+    assert affine_closure_is_empty(request) or not empty
+
+
+def test_affine_infeasible_request_is_unsat_before_any_kernel_pass(kernel_passes,
+                                                                   refsolver_backend):
+    # 2v > 3 has no point in [0, 1]; its coefficient is not a unit, so the
+    # refsolver's narrowed box does not show it
+    request = SolverRequest(UNIT_LINE, (Comparison(Rel.GT, mul(A, const(2.0)), const(3.0)),))
+    oracle = GridOracle(256)
+    assert grid_oracle(request, 1024) == oracle.check(request) == SolverVerdict("unsat")
+    assert kernel_passes[0] == 0 and oracle._prefixes.nbytes == 0
+    assert refsolver_backend.check(request).status == "unsat"
+    two = SolverRequest(UNIT_SQUARE, (Comparison(Rel.GT, add(A, B), const(2.5)),
+                                      Comparison(Rel.GT, mul(A, B), const(0.1))))
+    assert grid_oracle(two, 256).status == refsolver_backend.check(two).status == "unsat"

@@ -1,11 +1,12 @@
 """The bundled refsolver against a reference built from the request.
 
 The reference narrows each variable's box by the conjuncts ``±x + c relop
-0``, runs the staged ``reference_grid_oracle`` of
-``test_grid_oracle`` (a 16-per-axis mesh past two variables), then draws the
-seeded random samples and evaluates the assertion on them as arrays.  The
-refsolver reads the emitted script and must give the same status and the
-same witness.
+0``, answers unsat for up to two variables where the exact rule
+``affine_closure_is_empty`` of ``test_grid_oracle`` finds no point of the
+narrowed box, runs the staged ``reference_grid_oracle`` (a 16-per-axis mesh
+past two variables), then draws the seeded random samples and evaluates the
+assertion on them as arrays.  The refsolver reads the emitted script and must
+give the same status and the same witness.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ from attnconcolic.symexpr import (
 )
 
 from conftest import REFSOLVER_CMD
-from test_grid_oracle import random_comparison, random_constant, reference_grid_oracle
+from test_grid_oracle import (affine_closure_is_empty, random_comparison, random_constant,
+                              reference_grid_oracle)
 
 STAGES = {1: (256, 1024, 4096), 2: (256, 1024), 3: (16,)}
 FLIPPED = {Rel.LT: Rel.GT, Rel.LE: Rel.GE, Rel.GT: Rel.LT, Rel.GE: Rel.LE,
@@ -78,6 +80,8 @@ def reference_solve(request: SolverRequest, script: str):
         return ("unsat", None)
     narrowed = SolverRequest(tuple((name, lo, hi) for name, (lo, hi) in box.items()),
                              assertion)
+    if len(box) <= 2 and affine_closure_is_empty(narrowed):
+        return ("unsat", None)
     for resolution in STAGES[len(box)]:
         verdict = reference_grid_oracle(narrowed, resolution)
         if verdict.status == "sat":
@@ -214,6 +218,22 @@ def test_empty_box_is_unsat_on_both_backends(refsolver_backend):
     assert grid_oracle(request, 256).status == "unsat"
     assert GridOracle(256).check(request).status == "unsat"
     assert refsolver_backend.check(request).status == "unsat"
+
+
+def test_affine_unsat_ends_the_search_at_the_first_grid_stage(monkeypatch):
+    stages = []
+    grid = refsolver.grid_oracle
+
+    def staged(request, resolution):
+        stages.append(resolution)
+        return grid(request, resolution)
+
+    monkeypatch.setattr(refsolver, "grid_oracle", staged)
+    monkeypatch.setattr(refsolver, "_first_hit", lambda *args: pytest.fail("samples drawn"))
+    # 2v > 3: no point of [0, 1], and no unit coefficient to narrow the box by
+    assert refsolver.solve_script(DECLARE + "(assert (> (* 2.0 v) 3.0))\n(check-sat)\n") == \
+        ("unsat", None, ["v"])
+    assert stages == [256]
 
 
 # ---------------------------------------------------------------------------
