@@ -17,18 +17,21 @@ arguments), unary and binary ``-``, and ``/`` by a constant, each read as the
 polynomial ``a - b`` against zero.  Every command outside it, wherever it
 stands, ``define-fun``, an excess ``)`` and terms nested too deeply included,
 prints one ``(error ...)`` line on stderr and exits 2.  It shares the grid
-oracle's parser and kernel: the box comes from the conjuncts ``±1.0 * x + c
-relop 0`` (negative bounds included), is scanned by
-:func:`~attnconcolic.solver.grid_oracle` at staged resolutions (a mesh of at
-most 17**5 points, streamed in chunks, past two variables), then seeded
-samples.
+oracle's parser, clip and kernel: the box comes from the conjuncts ``±1.0 *
+x + c relop 0`` (negative bounds included), is clipped by
+:func:`~attnconcolic.solver._clip` for one or two variables, is scanned by
+the grid oracle's kernel at staged resolutions (a mesh of at most 17**5
+points, streamed in chunks, past two variables), then seeded samples.  For
+one variable the clip's intervals hold every point that can satisfy the
+request, so a grid stage with no point in them is skipped, and only the
+samples in them are evaluated.
 
 Answers are honest about their strength: ``sat`` comes with a model that is a
 verified witness, printed in decimals.  ``unsat`` is emitted only with a
 proof: the bound assertions make the box empty, or, for one or two
-variables, the first grid stage's clip of the box by the affine conjuncts
-(:func:`~attnconcolic.solver._clip`) leaves nothing, and then no further
-stage or sample runs.  Everything else is ``unknown``.  This keeps a fully
+variables, the clip of the box by the conjuncts it reads (degree at most 2
+for one variable, affine for two) leaves nothing, and then no grid stage or
+sample runs.  Everything else is ``unknown``.  This keeps a fully
 working out-of-the-box pipeline on machines without z3/cvc5 installed; point
 a real solver at the engine for completeness.
 """
@@ -43,12 +46,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from .solver import (SAT, UNKNOWN, UNSAT, SolverError, SolverRequest, _forms, _grid_axis,
-                     _parse_sexprs, _render_decimal, _tokenize, grid_oracle)
+from .solver import (SAT, UNKNOWN, UNSAT, SolverError, SolverRequest, _clip, _forms,
+                     _grid_axis, _parse_sexprs, _render_decimal, _scan, _tokenize,
+                     grid_oracle)
 from .symexpr import (_REL_APPLY, Comparison, ConcolicArithmeticError, Rel, add, const,
                       div, evaluate, mul, neg, sub, var)
 
-GRID_STAGES = {0: (1,), 1: (256, 1024, 4096), 2: (256, 1024)}  # by variable count
+GRID_STAGES = {1: (256, 1024, 4096), 2: (256, 1024)}  # by variable count
 MESH_RESOLUTION = 16  # dense meshes blow up past two variables
 MESH_POINTS = (MESH_RESOLUTION + 1) ** 5  # mesh cap: past five variables, fewer per axis
 RANDOM_SAMPLES = 65536
@@ -146,27 +150,57 @@ def _mesh_points_per_axis(n_vars: int) -> int:
     return max(n for n in range(1, MESH_RESOLUTION + 2) if n ** n_vars <= MESH_POINTS)
 
 
+def _inside(intervals, points: np.ndarray) -> np.ndarray:
+    """Whether each of ``points`` lies in one of the closed ``intervals``."""
+    mask = np.zeros(points.shape, dtype=bool)
+    for lo, hi in intervals:
+        mask |= (lo <= points) & (points <= hi)
+    return mask
+
+
+def _samples(request: SolverRequest, seed: int) -> np.ndarray:
+    """``RANDOM_SAMPLES`` seeded points of the box, one row each: the bits of
+    ``Generator.uniform(lows, highs, size)``, which scales the same doubles
+    in the same order, in about a quarter of its time."""
+    lows, highs = np.array([(lo, hi) for _, lo, hi in request.variables]).T
+    samples = np.random.default_rng(seed).random((RANDOM_SAMPLES, lows.size))
+    samples *= highs - lows  # in place: broadcasting into a new array costs twice as much
+    samples += lows
+    return samples
+
+
 def _search(request: SolverRequest, seed: int):
     """Staged grid scan, then random sampling: ``(status, witness)``.  Up to
-    two variables, the first grid stage answers unsat when the affine
-    conjuncts leave no point of the box."""
+    two variables, :func:`~attnconcolic.solver._clip` runs first and answers
+    unsat when it leaves no point of the box.  For one variable, a grid
+    stage runs only if one of its points lies in the clip's intervals, and
+    only the samples in them are evaluated: no point outside can satisfy the
+    request, so the verdict and witness are those of the full search, but
+    for an unsat where that search finds nothing."""
     names = [name for name, _, _ in request.variables]
+    if not names:
+        verdict = grid_oracle(request)
+        return verdict.status, verdict.assignment
     if len(names) <= 2:
+        clip = _clip(request)
+        if not clip:
+            return UNSAT, None
         for resolution in GRID_STAGES[len(names)]:
-            verdict = grid_oracle(request, resolution)
-            if verdict.status != UNKNOWN:
-                return verdict.status, verdict.assignment
-        if not names:
-            return UNKNOWN, None
+            if len(names) == 1 and not _inside(
+                    clip, _grid_axis(*request.variables[0][1:], resolution).points).any():
+                continue
+            verdict = _scan(request, resolution)
+            if verdict.status == SAT:
+                return SAT, verdict.assignment
     elif (per_axis := _mesh_points_per_axis(len(names))) >= 2:
         axes = [_grid_axis(lo, hi, per_axis - 1).points for _, lo, hi in request.variables]
         witness = _first_hit(request.assertion, names, _mesh_chunks(axes))
         if witness is not None:
             return SAT, witness
-    lows, highs = np.array([(lo, hi) for _, lo, hi in request.variables]).T
-    samples = np.random.default_rng(seed).uniform(lows, highs,
-                                                  size=(RANDOM_SAMPLES, len(names)))
-    chunks = (samples[start:start + _CHUNK] for start in range(0, RANDOM_SAMPLES, _CHUNK))
+    samples = _samples(request, seed)
+    if len(names) == 1:
+        samples = samples[_inside(clip, samples[:, 0])]
+    chunks = (samples[start:start + _CHUNK] for start in range(0, len(samples), _CHUNK))
     witness = _first_hit(request.assertion, names, chunks)
     return (UNKNOWN if witness is None else SAT), witness
 

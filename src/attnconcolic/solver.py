@@ -9,13 +9,15 @@ Both backends read each comparison ``p relop 0`` off its one polynomial.  The
 grid oracle is an in-process fallback used for testing and small-instance
 verification; its "no point found" answer is reported as unknown, never as a
 proof of unsatisfiability.  It answers unsat only with a proof: an empty box,
-or a box that its affine conjuncts, each widened by a float error bound, clip
-to nothing.
+or a box that its conjuncts, each widened by a float error bound, clip to
+nothing: the conjuncts of degree at most 2 for one variable, whose roots cut
+the line into intervals, and the affine ones for two, which cut a polygon.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import os
 import re
 import select
@@ -679,32 +681,106 @@ def _cut(polygon: list, values: list) -> list:
     return kept
 
 
-def _clip(request: SolverRequest) -> list[tuple[float, float]]:
-    """The box of a 1- or 2-variable request clipped by the affine conjuncts
-    of its assertion: the vertices ``(x, y)`` of a convex polygon for two
-    variables, the ends ``(x, 0.0)`` of an interval for one, and none when no
-    point of the box satisfies every affine conjunct, which proves the
-    request unsat.  The box must not be empty.
+def _roots(a: float, b: float, c: float) -> list[float]:
+    """The real roots of ``a*x*x + b*x + c`` in floats, none for a constant:
+    the quadratic formula in the form that cancels no digits (Numerical
+    Recipes, 5.6)."""
+    if not a:
+        return [-c / b] if b else []
+    disc = b * b - 4.0 * a * c
+    if not disc >= 0.0:
+        return []
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    return [q / a, c / q] if q else [0.0]
 
-    Each conjunct ``c + a*x + b*y relop 0`` is one half-plane, two for ``=``
-    and none for ``!=``, cut by Sutherland–Hodgman (1974); conjuncts of
-    higher degree are left out.  So that an empty result is a proof, each
-    half-plane is widened by :func:`_tie_band`, so that it keeps every point
-    at which evaluate satisfies the conjunct, and by ``64 * (n + 1)`` unit
-    roundoffs of the conjunct's bound for ``n`` conjuncts (``2 * n + 2`` times
-    32: at most two half-planes each); the box by as many roundoffs of its
-    magnitudes.  That covers the clip's own rounding, in normal-range
-    floats: a cut places each vertex it makes a few roundoffs of the box's
-    magnitudes off the exact edge, and a sign test errs by a few roundoffs
-    of the bound.  It also covers grid and sample points rounded past
-    ``hi``.  So strict relations are clipped as non-strict ones, and a
-    sliver within that widening is not decided here.
+
+def _cut_line(intervals: list, a: float, b: float, c: float, magnitude: float,
+              slack: float) -> list:
+    """The parts of the sorted disjoint ``intervals`` that keep every point at
+    which ``q(x) = a*x*x + b*x + c`` reaches ``slack``, for points of
+    ``magnitude`` at most.
+
+    Each interval is split at the float roots of ``q`` inside it.  A piece
+    is dropped only when ``q`` is certified below ``slack`` on all of it: at
+    both ends and, for a concave ``q``, at its float vertex clamped to the
+    piece, each evaluated by Horner's rule, whose error stays under
+    ``gamma(4) * B`` for ``B = |a|*m*m + |b|*m + |c|`` at ``m = magnitude``
+    (Higham, 5.1);
+    ``16 * u * B`` also covers the rounding of ``B`` and the vertex's
+    error.  Between the points tested, convexity bounds ``q`` by them.  So
+    the roots' own errors cost no soundness, only a piece kept."""
+    limit = slack - 16.0 * _UNIT_ROUNDOFF * (abs(a) * magnitude * magnitude
+                                             + abs(b) * magnitude + abs(c))
+    roots = sorted(_roots(a, b, c))
+    vertex = -b / (2.0 * a) if a < 0.0 else None
+    kept: list = []
+    for lo, hi in intervals:
+        cuts = [lo, *(t for t in roots if lo < t < hi), hi]
+        for left, right in zip(cuts, cuts[1:]):
+            tested = [left, right]
+            if vertex is not None:  # where a concave q peaks on the piece
+                tested.append(min(max(vertex, left), right))
+            if all(c + x * (b + a * x) < limit for x in tested):
+                continue
+            if kept and kept[-1][1] == left:
+                kept[-1] = (kept[-1][0], right)
+            else:
+                kept.append((left, right))
+    return kept
+
+
+def _clip(request: SolverRequest) -> list[tuple[float, float]]:
+    """The box of a 1- or 2-variable request clipped by the conjuncts of its
+    assertion: for one variable, the sorted disjoint closed intervals left by
+    the conjuncts of degree at most 2; for two, the vertices ``(x, y)`` of
+    the convex polygon left by the affine ones.  None is left when no point
+    of the box satisfies them, which proves the request unsat.  The box must
+    not be empty.
+
+    Each conjunct ``p relop 0`` is one side ``s * p >= 0`` with ``s =
+    ±1``, two for ``=`` and none for ``!=``; conjuncts of higher degree are
+    left out.  So that an empty result is a proof, each side is widened by
+    :func:`_tie_band`, so that it keeps every point at which evaluate
+    satisfies the conjunct, and by ``64 * (n + 1)`` unit roundoffs of the
+    conjunct's bound for ``n`` conjuncts (``2 * n + 2`` times 32: at most
+    two sides each); the box by as many roundoffs of its magnitudes.  Two
+    variables: each side of an affine conjunct is a half-plane, cut by
+    Sutherland–Hodgman (1974).  One variable: each side cuts the intervals
+    at its roots, and a piece goes only where :func:`_cut_line` certifies
+    the side below half its roundoff widening.  That covers the clip's own
+    rounding, in normal-range floats: a cut places each vertex it makes a
+    few roundoffs of the box's magnitudes off the exact edge, and a sign
+    test errs by a few roundoffs of the bound.  It also covers grid and
+    sample points rounded past ``hi``.  So strict relations are clipped as
+    non-strict ones, and a sliver within that widening is not decided here.
     """
     widen = 64 * (len(request.assertion) + 1) * _UNIT_ROUNDOFF
-    boxes = [(lo, hi) for _, lo, hi in request.variables] + [(0.0, 0.0)]
-    (x0, x1), (y0, y1) = [(lo - widen * max(-lo, hi), hi + widen * max(-lo, hi))
-                          for lo, hi in boxes[:2]]
-    polygon = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)][:2 * len(request.variables)]
+    boxes = [(lo - widen * max(-lo, hi), hi + widen * max(-lo, hi))
+             for _, lo, hi in request.variables]
+    if len(boxes) == 1:
+        intervals, m = boxes, max(-boxes[0][0], boxes[0][1])
+        if not m < _HUGE:
+            return intervals
+        for cmp in request.assertion:
+            p = cmp.p
+            if max(map(len, p.monomials), default=0) > 2:
+                continue
+            row = [0.0, 0.0, 0.0]  # c, b, a
+            for monomial, coeff in zip(p.monomials, p.coeffs):
+                row[len(monomial)] = coeff
+            c, b, a = row
+            bound = abs(c) + abs(b) * m + abs(a) * m * m
+            if not bound < _HUGE:
+                continue
+            margin = _tie_band(bound, len(p.coeffs), 2, 2) + widen * bound
+            for sign in _SIDES[cmp.rel]:
+                intervals = _cut_line(intervals, sign * a, sign * b, sign * c + margin, m,
+                                      0.5 * widen * bound)
+                if not intervals:
+                    return intervals
+        return intervals
+    (x0, x1), (y0, y1) = boxes
+    polygon = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
     mx, my = max(-x0, x1), max(-y0, y1)
     if not max(mx, my) < _HUGE:
         return polygon
@@ -739,8 +815,9 @@ def grid_oracle(request: SolverRequest, resolution: int = 1024,
     unknown when no grid point satisfies: absence at a finite resolution is
     not an unsatisfiability proof.  A request whose box is empty (some
     ``lo > hi``) is unsat, and so is one whose box :func:`_clip` clips to
-    nothing by the affine conjuncts, before any prefix is looked up or any
-    grid point evaluated.  A request without variables is sat when its
+    nothing (by the conjuncts of degree at most 2 for one variable, by the
+    affine ones for two), before any prefix is looked up or any grid point
+    evaluated.  A request without variables is sat when its
     ground conjuncts hold and unknown otherwise.
 
     Each conjunct's coefficients are read off its polynomial and
@@ -773,6 +850,13 @@ def grid_oracle(request: SolverRequest, resolution: int = 1024,
         return SolverVerdict(UNKNOWN)
     if not _clip(request):
         return SolverVerdict(UNSAT)
+    return _scan(request, resolution, prefixes)
+
+
+def _scan(request: SolverRequest, resolution: int,
+          prefixes: Optional[_PrefixTrie] = None) -> SolverVerdict:
+    """The grid part of :func:`grid_oracle`, for a request with one or two
+    variables and a box that is not empty: sat or unknown."""
     names = [name for name, _, _ in request.variables]
     axes = [_grid_axis(lo, hi, resolution) for _, lo, hi in request.variables]
     if len(axes) == 1:

@@ -1,8 +1,9 @@
 """The polynomial grid oracle against an array oracle.
 
-``reference_grid_oracle`` answers unsat where ``affine_closure_is_empty``,
-an exact rational rule, finds no point of the box that satisfies the affine
-conjuncts, and otherwise evaluates each conjunct with ``evaluate`` as one
+``reference_grid_oracle`` answers unsat where ``closure_is_empty``,
+an exact rational rule, finds no point of the box that satisfies the
+conjuncts the clip reads (degree at most 2 for one variable, affine for
+two), and otherwise evaluates each conjunct with ``evaluate`` as one
 array over the full meshgrid.  The grid oracle's clip, kernel, tie band and
 re-check must give the same verdict and the same witness on every request it
 accepts, and its clip must never be empty where a grid point or a sample
@@ -54,15 +55,63 @@ from attnconcolic.symexpr import (
 UNIT_ROUNDOFF = 2.0 ** -53
 
 
-def affine_closure_is_empty(request: SolverRequest) -> bool:
-    """Whether no point of the box satisfies the affine conjuncts of a 1- or
-    2-variable request, each closed (strict relations as non-strict ones,
-    ``!=`` left out), in exact rational arithmetic.
+def sign(value) -> int:
+    return (value > 0) - (value < 0)
 
-    The closed set is a bounded convex polygon, so it is empty exactly when
-    it has no vertex: no point where two of its boundary lines meet (one
-    point per line for one variable) satisfies every conjunct."""
+
+def sign_at(c: Fraction, b: Fraction, a: Fraction, point) -> int:
+    """The sign of ``c + b*x + a*x*x`` at ``x = u + w*sqrt(d)``, for ``point =
+    (u, w, d)`` with ``d >= 0``, exactly: the value is ``alpha + beta *
+    sqrt(d)``, and where the two terms' signs differ, their squares say which
+    one is larger."""
+    u, w, d = point
+    alpha = c + b * u + a * (u * u + w * w * d)
+    beta = (b + 2 * a * u) * w
+    if sign(alpha) * sign(beta) >= 0 or not d:
+        return sign(alpha) or (sign(beta) if d else 0)
+    return sign(alpha) * sign(alpha * alpha - beta * beta * d)
+
+
+def line_closure_is_empty(request: SolverRequest) -> bool:
+    """Whether no point of the box of a 1-variable request satisfies its
+    conjuncts of degree at most 2, each closed, exactly.
+
+    The closed set is a finite union of closed intervals, and the left end
+    of each is a box end or a root of some conjunct.  So it is empty exactly
+    when no box end and no real root satisfies every conjunct; a root is
+    ``u ± w*sqrt(d)`` in rationals, and :func:`sign_at` decides each sign
+    there."""
+    ((name, lo, hi),) = request.variables
+    one, zero = Fraction(1), Fraction(0)
+    rows = [(-Fraction(lo), one, zero, Rel.GE), (-Fraction(hi), one, zero, Rel.LE)]  # c, b, a
+    for cmp in request.assertion:
+        terms = dict(zip(cmp.p.monomials, cmp.p.coeffs))
+        if cmp.rel is not Rel.NE and all(len(monomial) <= 2 for monomial in terms):
+            rows.append((*(Fraction(terms.get(monomial, 0.0)) for monomial in
+                           [(), (name,), (name, name)]), cmp.rel))
+    points = []
+    for c, b, a, _ in rows:
+        if a and (d := b * b - 4 * a * c) >= 0:
+            points += [(-b / (2 * a), w / (2 * a), d) for w in (one, -one)]
+        elif b and not a:
+            points.append((-c / b, zero, zero))
+    allowed = {Rel.GT: (1, 0), Rel.GE: (1, 0), Rel.LT: (-1, 0), Rel.LE: (-1, 0), Rel.EQ: (0,)}
+    return not any(all(sign_at(c, b, a, point) in allowed[rel] for c, b, a, rel in rows)
+                   for point in points)
+
+
+def closure_is_empty(request: SolverRequest) -> bool:
+    """Whether no point of the box satisfies the conjuncts the clip reads, each
+    closed (strict relations as non-strict ones, ``!=`` left out), in exact
+    rational arithmetic: those of degree at most 2 for one variable
+    (:func:`line_closure_is_empty`), the affine ones for two.
+
+    For two variables the closed set is a bounded convex polygon, so it is
+    empty exactly when it has no vertex: no point where two of its boundary
+    lines meet satisfies every conjunct."""
     names = [name for name, _, _ in request.variables]
+    if len(names) == 1:
+        return line_closure_is_empty(request)
     rows = []  # (c, a, b, rel): c + a * x + b * y relop 0
     for name, lo, hi in request.variables:
         unit = (Fraction(1), Fraction(0)) if name == names[0] else (Fraction(0), Fraction(1))
@@ -71,8 +120,7 @@ def affine_closure_is_empty(request: SolverRequest) -> bool:
         terms = dict(zip(cmp.p.monomials, cmp.p.coeffs))
         if cmp.rel is not Rel.NE and all(len(monomial) <= 1 for monomial in terms):
             rows.append((Fraction(terms.get((), 0.0)),
-                         *(Fraction(terms.get((name,), 0.0)) for name in (names + [""])[:2]),
-                         cmp.rel))
+                         *(Fraction(terms.get((name,), 0.0)) for name in names), cmp.rel))
 
     def feasible(x: Fraction, y: Fraction) -> bool:
         for c, a, b, rel in rows:
@@ -83,21 +131,18 @@ def affine_closure_is_empty(request: SolverRequest) -> bool:
         return True
 
     lines = [(c, a, b) for c, a, b, _ in rows if a or b]
-    if len(names) == 1:
-        points = [(-c / a, Fraction(0)) for c, a, _ in lines]
-    else:
-        points = [((b1 * c2 - b2 * c1) / det, (a2 * c1 - a1 * c2) / det)
-                  for (c1, a1, b1), (c2, a2, b2) in itertools.combinations(lines, 2)
-                  if (det := a1 * b2 - a2 * b1)]
+    points = [((b1 * c2 - b2 * c1) / det, (a2 * c1 - a1 * c2) / det)
+              for (c1, a1, b1), (c2, a2, b2) in itertools.combinations(lines, 2)
+              if (det := a1 * b2 - a2 * b1)]
     return not any(feasible(x, y) for x, y in points)
 
 
 def reference_grid_oracle(request: SolverRequest, resolution: int = 1024) -> SolverVerdict:
     """Every conjunct evaluated as one array over the whole grid, after the
-    exact emptiness rule of the affine conjuncts."""
+    exact emptiness rule of the conjuncts the clip reads."""
     if not request.variables:
         return SolverVerdict("sat", assignment={})
-    if len(request.variables) <= 2 and affine_closure_is_empty(request):
+    if len(request.variables) <= 2 and closure_is_empty(request):
         return SolverVerdict("unsat")
     axes = []
     for _, lo, hi in request.variables:
@@ -450,11 +495,12 @@ def test_prefix_trie_matches_uncached_oracle(resolution, paths, length, n_vars,
     assert {"sat", "unknown"} <= {verdict.status for verdict in want}
 
     # a prefix whose mask empties answers unknown from the trie; the
-    # impossible conjunct is quadratic, so the affine clip leaves it to the grid
+    # impossible conjunct is cubic, so the clip leaves it to the grid
     variables, point = random_box(rng, n_vars)
     path = concolic_path(rng, point, 3)
     name, lo, hi = variables[0]
-    impossible = Comparison(Rel.GT, mul(var(name), var(name)), const(max(lo * lo, hi * hi) + 1.0))
+    cube = mul(mul(var(name), var(name)), var(name))
+    impossible = Comparison(Rel.GT, cube, const(max(abs(lo), abs(hi)) ** 3 + 1.0))
     emptied = SolverRequest(variables, path[:2] + (impossible,))
     assert oracle.check(emptied) == grid_oracle(emptied, resolution) == SolverVerdict("unknown")
     extended = SolverRequest(variables, emptied.assertion + path[2:])
@@ -614,11 +660,34 @@ def affine_through(rng: np.random.Generator, names, point) -> SymExpr:
     return expr
 
 
+def line_quadratics(rng: np.random.Generator, box, corner, inside) -> list[Comparison]:
+    """Quadratic conjuncts in the one variable ``a`` that the clip decides:
+    a double root on the grid point ``corner``; the affine form through it
+    and a product through the same root, as the touching guards of a
+    1-pixel attack are; a concave product with its roots just outside the
+    box; a near-affine form, ``|a| <= 1e-12 * |b|``."""
+    lo, hi = box
+    rel = RELS[rng.integers(len(RELS))]
+    f = affine_through(rng, ["a"], corner)
+    kind = rng.integers(4)
+    if kind == 0:
+        return [Comparison(rel, mul(f, mul(f, const(random_constant(rng) or 0.3))))]
+    if kind == 1:
+        twin = mul(f, const(random_constant(rng) or 0.3))
+        product = mul(twin, affine_through(rng, ["a"], inside))
+        return [Comparison(Rel.GE, f), Comparison(rel, product)]
+    if kind == 2:
+        gap = (hi - lo) * 10.0 ** -rng.uniform(4.0, 16.0)
+        return [Comparison(rel, mul(sub(A, const(lo - gap)), sub(const(hi + gap), A)))]
+    b = f.coeffs[f.monomials.index(("a",))]
+    return [Comparison(rel, add(f, mul(mul(A, A), const(b * 1e-12 * rng.uniform(-1.0, 1.0)))))]
+
+
 def clip_case(rng: np.random.Generator, n_vars: int) -> SolverRequest:
     """Affine conjuncts through one point of the 1,024-step grid, so that
     they touch there, and through random points of the box, mixed with
-    quadratic ones; on boxes of magnitude up to 1e9, some far from zero and
-    some negative."""
+    products of two, and for one variable with :func:`line_quadratics`; on
+    boxes of magnitude up to 1e9, some far from zero and some negative."""
     names = ["a", "b"][:n_vars]
     scale = 10.0 ** int(rng.choice([0, 0, 3, 9]))
     offset = scale * float(rng.choice([0.0, 0.0, 40.0, -40.0]))
@@ -631,6 +700,9 @@ def clip_case(rng: np.random.Generator, n_vars: int) -> SolverRequest:
         inside[name] = float(rng.uniform(lo, hi))
     assertion = []
     for _ in range(int(rng.integers(1, 3 + 2 * n_vars))):
+        if n_vars == 1 and rng.random() < 0.4:
+            assertion += line_quadratics(rng, variables[0][1:], corner, inside)
+            continue
         roll = rng.random()
         if roll < 0.2:  # one line twice, scaled apart, each side facing the other
             expr = affine_through(rng, names, corner)
@@ -641,7 +713,7 @@ def clip_case(rng: np.random.Generator, n_vars: int) -> SolverRequest:
             expr = affine_through(rng, names, corner)
         elif roll < 0.8:
             expr = affine_through(rng, names, inside)
-        else:  # a product of two affine forms, a quadratic the clip leaves out
+        else:  # a product of two affine forms: for two variables, the clip leaves it out
             expr = mul(affine_through(rng, names, inside), affine_through(rng, names, corner))
         assertion.append(Comparison(RELS[rng.integers(len(RELS))], expr))
     return SolverRequest(tuple(variables), tuple(assertion))
@@ -650,20 +722,25 @@ def clip_case(rng: np.random.Generator, n_vars: int) -> SolverRequest:
 @pytest.mark.parametrize("n_vars,count", [(1, 400), (2, 120)])
 def test_clip_is_never_empty_where_a_point_satisfies(n_vars, count, monkeypatch):
     rng = np.random.default_rng(18 + n_vars)
-    empty = found = rounded_in = 0
+    empty = found = rounded_in = quadratic = 0
     for _ in range(count):
         request = clip_case(rng, n_vars)
         hit = satisfied_somewhere(request, monkeypatch)
-        exactly_empty = affine_closure_is_empty(request)
+        exactly_empty = closure_is_empty(request)
         if not solver._clip(request):
             empty += 1
             assert not hit, request
             assert exactly_empty, request
+            affine = tuple(cmp for cmp in request.assertion
+                           if all(len(monomial) <= 1 for monomial in cmp.p.monomials))
+            quadratic += bool(solver._clip(SolverRequest(request.variables, affine)))
         found += hit
         # a point satisfies as evaluate rounds, though the exact closed set is
         # empty: only the widening keeps it
         rounded_in += hit and exactly_empty
     assert empty >= count // 8 and found >= count // 4 and rounded_in >= 2
+    # for one variable, quadratic conjuncts empty clips the affine ones leave
+    assert quadratic >= (count // 10 if n_vars == 1 else 0)
 
 
 UNIT_LINE = (("a", 0.0, 1.0),)
@@ -689,7 +766,15 @@ CLIP_EDGES = {
     "just past a corner": (UNIT_SQUARE, (Comparison(Rel.LT, add(A, B), const(-1e-9)),),
                            True, False),
     "ground conjunct": (UNIT_SQUARE, (Comparison(Rel.GT, const(-0.5)),), True, False),
-    "quadratic left out": (UNIT_LINE, (Comparison(Rel.GT, mul(A, A), const(2.0)),), False, False),
+    "quadratic past the box": (UNIT_LINE, (Comparison(Rel.GT, mul(A, A), const(2.0)),),
+                               True, False),
+    "double root": (UNIT_LINE, (Comparison(Rel.LE, mul(sub(A, const(0.5)), sub(A, const(0.5)))),),
+                    False, True),
+    "strict double root": (UNIT_LINE,
+                           (Comparison(Rel.LT, mul(sub(A, const(0.5)), sub(A, const(0.5)))),),
+                           False, False),
+    "quadratic left out": (UNIT_SQUARE, (Comparison(Rel.GT, mul(A, B), const(2.0)),),
+                           False, False),
     "not equal left out": (UNIT_LINE, (Comparison(Rel.NE, A, A),), False, False),
     "negative box, touching": ((("a", -2.0, -1.0),),
                                (Comparison(Rel.LE, mul(A, const(-3.0)), const(3.0)),), False, True),
@@ -708,7 +793,7 @@ def test_clip_edge_cases(case, monkeypatch):
     request = SolverRequest(variables, assertion)
     assert (not solver._clip(request)) == empty
     assert satisfied_somewhere(request, monkeypatch) == satisfied
-    assert affine_closure_is_empty(request) or not empty
+    assert closure_is_empty(request) or not empty
 
 
 def test_affine_infeasible_request_is_unsat_before_any_kernel_pass(kernel_passes,
@@ -723,3 +808,20 @@ def test_affine_infeasible_request_is_unsat_before_any_kernel_pass(kernel_passes
     two = SolverRequest(UNIT_SQUARE, (Comparison(Rel.GT, add(A, B), const(2.5)),
                                       Comparison(Rel.GT, mul(A, B), const(0.1))))
     assert grid_oracle(two, 256).status == refsolver_backend.check(two).status == "unsat"
+
+
+def test_quadratic_infeasible_request_is_unsat_before_any_kernel_pass(kernel_passes,
+                                                                      refsolver_backend):
+    # v * v > 2 has no point in [0, 1]: for one variable the clip reads degree 2
+    request = SolverRequest(UNIT_LINE, (Comparison(Rel.GT, mul(A, A), const(2.0)),))
+    oracle = GridOracle(256)
+    assert grid_oracle(request, 1024) == oracle.check(request) == SolverVerdict("unsat")
+    assert kernel_passes[0] == 0 and oracle._prefixes.nbytes == 0
+    assert refsolver_backend.check(request).status == "unsat"
+    # (v - 0.5)**2 <= 0 holds at its double root alone
+    square = mul(sub(A, const(0.5)), sub(A, const(0.5)))
+    touching = SolverRequest(UNIT_LINE, (Comparison(Rel.LE, square),))
+    want = SolverVerdict("sat", assignment={"a": 0.5})
+    assert grid_oracle(touching, 1024) == GridOracle(256).check(touching) == want
+    verdict = refsolver_backend.check(touching)
+    assert (verdict.status, verdict.assignment) == ("sat", {"a": 0.5})

@@ -2,7 +2,7 @@
 
 The reference narrows each variable's box by the conjuncts ``±x + c relop
 0``, answers unsat for up to two variables where the exact rule
-``affine_closure_is_empty`` of ``test_grid_oracle`` finds no point of the
+``closure_is_empty`` of ``test_grid_oracle`` finds no point of the
 narrowed box, runs the staged ``reference_grid_oracle`` (a 16-per-axis mesh
 past two variables), then draws the seeded random samples and evaluates the
 assertion on them as arrays.  The refsolver reads the emitted script and must
@@ -12,17 +12,19 @@ give the same status and the same witness.
 from __future__ import annotations
 
 import hashlib
+import math
 import select
 import shlex
 import subprocess
 import time
 import tracemalloc
+from collections import Counter
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from attnconcolic import refsolver
+from attnconcolic import refsolver, solver
 from attnconcolic.solver import (ExternalSolver, GridOracle, SolverRequest, _parse_sexprs,
                                  _render_decimal, _tokenize, assignment_satisfies,
                                  emit_smtlib, grid_oracle)
@@ -38,11 +40,12 @@ from attnconcolic.symexpr import (
     mul,
     neg,
     polynomial,
+    sub,
     var,
 )
 
 from conftest import REFSOLVER_CMD
-from test_grid_oracle import (affine_closure_is_empty, random_comparison, random_constant,
+from test_grid_oracle import (closure_is_empty, random_comparison, random_constant,
                               reference_grid_oracle)
 
 STAGES = {1: (256, 1024, 4096), 2: (256, 1024), 3: (16,)}
@@ -80,7 +83,7 @@ def reference_solve(request: SolverRequest, script: str):
         return ("unsat", None)
     narrowed = SolverRequest(tuple((name, lo, hi) for name, (lo, hi) in box.items()),
                              assertion)
-    if len(box) <= 2 and affine_closure_is_empty(narrowed):
+    if len(box) <= 2 and closure_is_empty(narrowed):
         return ("unsat", None)
     for resolution in STAGES[len(box)]:
         verdict = reference_grid_oracle(narrowed, resolution)
@@ -220,20 +223,82 @@ def test_empty_box_is_unsat_on_both_backends(refsolver_backend):
     assert refsolver_backend.check(request).status == "unsat"
 
 
-def test_affine_unsat_ends_the_search_at_the_first_grid_stage(monkeypatch):
-    stages = []
-    grid = refsolver.grid_oracle
-
-    def staged(request, resolution):
-        stages.append(resolution)
-        return grid(request, resolution)
-
-    monkeypatch.setattr(refsolver, "grid_oracle", staged)
+def test_affine_unsat_ends_the_search_before_any_grid_stage(monkeypatch):
+    monkeypatch.setattr(refsolver, "_scan", lambda *args: pytest.fail("grid stage run"))
     monkeypatch.setattr(refsolver, "_first_hit", lambda *args: pytest.fail("samples drawn"))
     # 2v > 3: no point of [0, 1], and no unit coefficient to narrow the box by
     assert refsolver.solve_script(DECLARE + "(assert (> (* 2.0 v) 3.0))\n(check-sat)\n") == \
         ("unsat", None, ["v"])
-    assert stages == [256]
+
+
+# ---------------------------------------------------------------------------
+# one variable: no grid stage or sample outside the clip's intervals
+# ---------------------------------------------------------------------------
+
+
+def line_request(rng: np.random.Generator) -> SolverRequest:
+    """A request in ``v`` on a random box: a quadratic window ``(v - c) *
+    (v - c - width) <= 0``, from as wide as the box to narrower than the
+    4,096-step grid's spacing, so that the first, a later or no grid stage
+    meets it; or a touching pair, an affine form at least zero and its
+    product with a form positive on the box at most zero.  Half of them get
+    one more random conjunct."""
+    lo, hi = random_box(rng, bool(rng.random() < 0.5))
+    v = var("v")
+    if rng.random() < 0.75:
+        width = (hi - lo) * 10.0 ** -rng.uniform(0.0, 4.5)
+        c = float(rng.uniform(lo - 0.1 * width, hi))
+        assertion = (Comparison(Rel.LE, mul(sub(v, const(c)), sub(v, const(c + width)))),)
+    else:
+        slope = random_constant(rng) or 0.3
+        f = add(mul(v, const(slope)), const(-slope * float(rng.uniform(lo, hi))))
+        positive = mul(sub(v, const(2 * lo - hi)), const(slope))
+        assertion = (Comparison(Rel.GE, f), Comparison(Rel.LE, mul(f, positive)))
+    if rng.random() < 0.5:
+        assertion += (random_comparison(rng, ["v"]),)
+    return SolverRequest((("v", lo, hi),), assertion)
+
+
+def test_one_variable_search_skips_only_points_that_cannot_satisfy(monkeypatch):
+    scan, stages = refsolver._scan, []
+
+    def recorded(request, resolution):
+        verdict = scan(request, resolution)
+        stages.append((resolution, verdict.status))
+        return verdict
+
+    monkeypatch.setattr(refsolver, "_scan", recorded)
+    rng = np.random.default_rng(19)
+    found = Counter()
+    for _ in range(240):
+        request = line_request(rng)
+        seed = int(rng.integers(2 ** 63))
+        got = refsolver._search(request, seed)
+        stages.clear()
+        with monkeypatch.context() as patch:  # every stage and sample, no unsat
+            patch.setattr(refsolver, "_clip", lambda request: [(-math.inf, math.inf)])
+            want = refsolver._search(request, seed)
+        assert got == want or (got, want) == (("unsat", None), ("unknown", None)), request
+        if want[0] == "sat":
+            found[stages[-1][0] if stages[-1][1] == "sat" else "sample"] += 1
+        elif got[0] == "unsat":
+            found["unsat"] += 1
+        elif sum(hi - lo for lo, hi in solver._clip(request)) < 1e-9:
+            found["sliver"] += 1  # a touching pair
+    assert min(found[kind] for kind in (256, 1024, 4096, "sample", "unsat", "sliver")) >= 5, found
+
+
+def test_samples_are_the_bits_of_generator_uniform():
+    rng = np.random.default_rng(7)
+    for n_vars in range(1, 8):
+        magnitudes = 10.0 ** rng.integers(-3, 10, n_vars)
+        lows = rng.uniform(-1.0, 1.0, n_vars) * magnitudes
+        highs = lows + rng.uniform(0.0, 2.0, n_vars) * magnitudes
+        request = SolverRequest(tuple((f"x{k}", float(lo), float(hi))
+                                      for k, (lo, hi) in enumerate(zip(lows, highs))), ())
+        seed = int(rng.integers(2 ** 63))
+        want = np.random.default_rng(seed).uniform(lows, highs, (refsolver.RANDOM_SAMPLES, n_vars))
+        assert refsolver._samples(request, seed).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
