@@ -61,7 +61,10 @@ def _read_json(path, what: str, parse):
 
 
 def _as_array(doc) -> np.ndarray:
-    return np.asarray(doc, dtype=float)
+    array = np.asarray(doc, dtype=float)
+    if not np.isfinite(array).all():
+        raise ValueError("entries must be finite numbers")
+    return array
 
 
 def _read_seed(path) -> np.ndarray:

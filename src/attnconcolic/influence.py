@@ -18,7 +18,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .semantics import ModelSpec, MultiHeadAttention, apply_layer_concrete, concrete_forward
+from .semantics import Dense, ModelSpec, MultiHeadAttention, apply_layer_concrete, concrete_forward
 from .symexpr import BranchEvent, NeuronId
 
 __all__ = [
@@ -63,6 +63,8 @@ class BackgroundSet:
         arr = np.asarray(self.inputs, dtype=float)
         if arr.ndim < 1 or arr.shape[0] == 0:
             raise ConfigurationError("background set must be non-empty")
+        if not np.isfinite(arr).all():
+            raise ConfigurationError("background inputs must be finite")
         object.__setattr__(self, "inputs", arr)
 
     def conforming(self, input_shape: tuple[int, ...]) -> np.ndarray:
@@ -85,11 +87,12 @@ def _coalition_logits(subnet: ModelSpec, x_flat: np.ndarray, baseline_flat: np.n
     return concrete_forward(subnet, batch)
 
 
-def _row_bytes(subnet: ModelSpec) -> int:
-    """Bytes per row of the widest neuron grid or attention projections or scores."""
-    widths = [int(np.prod(shape)) for shape in subnet.shapes]
+def _row_bytes(subnet: ModelSpec, start: int = 0) -> int:
+    """Bytes per row of the widest neuron grid or attention projections or
+    scores from depth ``start`` of the subnet on."""
+    widths = [int(np.prod(shape)) for shape in subnet.shapes[start:]]
     widths += [layer.num_heads * shape[0] * max(shape[0], layer.key_dim)
-               for layer, shape in zip(subnet.layers, subnet.shapes)
+               for layer, shape in zip(subnet.layers[start:], subnet.shapes[start:])
                if isinstance(layer, MultiHeadAttention)]
     return 8 * max(widths)
 
@@ -126,14 +129,72 @@ def _exact_matrix(subnet: ModelSpec, x_flat, baseline_flat) -> np.ndarray:
     return phi
 
 
+def _first_dense(subnet: ModelSpec):
+    """The index of the subnet's first weighted layer if it is Dense, else None."""
+    for index, layer in enumerate(subnet.layers):
+        if isinstance(layer, (Dense, MultiHeadAttention)):
+            return index if isinstance(layer, Dense) else None
+    return None
+
+
+def _dense_logits(subnet: ModelSpec, first: int, pre: np.ndarray) -> np.ndarray:
+    """The logits of a chunk of pre-activation rows of ``subnet.layers[first]``."""
+    out = subnet.layers[first].activate(pre)
+    for layer, shape in zip(subnet.layers[first + 1:], subnet.shapes[first + 2:]):
+        out = apply_layer_concrete(layer, out, shape)
+    return out.reshape(len(out), -1)
+
+
+def _dense_values(subnet: ModelSpec, first: int, x_flat, baseline_flat,
+                  perms: np.ndarray) -> np.ndarray:
+    """The (rows x classes) logits of the permutation rows of a subnet whose
+    first weighted layer, ``subnet.layers[first]``, is Dense (the layers
+    before it only reshape the flat input).  Along a permutation each
+    coalition adds one feature f, so its pre-activations are the row before
+    plus the rank-1 step (x - baseline)[f] * W[f], from ``baseline @ W + b``
+    at rank 0.  The running sums are taken by blocks of whole permutations
+    under the byte budget, or of consecutive ranks of one permutation, each
+    carrying the row before it, so a row's bits do not depend on the block."""
+    n, d = perms.shape
+    w, b = subnet.layers[first].arrays
+    # every permutation first "adds" row d of steps, baseline @ W + b, times 1
+    steps = np.vstack([w, baseline_flat @ w + b])
+    scales = np.append(x_flat - baseline_flat, 1.0)
+    added = np.hstack([np.full((n, 1), d), perms])
+    step = max(1, _CHUNK_BYTES // _row_bytes(subnet, first + 1))
+    if step > d:  # blocks of whole permutations p0 .. p1 - 1
+        per = step // (d + 1)
+        blocks = ((p, min(p + per, n), 0, d + 1) for p in range(0, n, per))
+    else:  # blocks of ranks k0 .. k1 - 1 of one permutation
+        blocks = ((p, p + 1, k, min(k + step, d + 1))
+                  for p in range(n) for k in range(0, d + 1, step))
+    values = np.empty((n * (d + 1), subnet.class_count))
+    for p0, p1, k0, k1 in blocks:
+        features = added[p0:p1, k0:k1]
+        pre = steps[features]
+        pre *= scales[features][..., None]
+        if k0:
+            pre[0, 0] += carry
+        np.cumsum(pre, axis=1, out=pre)
+        carry = pre[0, -1]
+        start = p0 * (d + 1) + k0
+        values[start:start + features.size] = _dense_logits(subnet, first,
+                                                            pre.reshape(features.size, -1))
+    return values
+
+
 def _permutation_matrix(subnet: ModelSpec, x_flat, baseline_flat,
                         n_permutations: int, rng: np.random.Generator) -> np.ndarray:
     d = x_flat.size
     perms = np.array([rng.permutation(d) for _ in range(n_permutations)])
-    # row r holds the features ranked below r % (d+1) in permutation r // (d+1)
-    ranks = np.argsort(perms, axis=1)
-    values = _coalition_values(subnet, x_flat, baseline_flat, n_permutations * (d + 1),
-                               lambda rows: ranks[rows // (d + 1)] < (rows % (d + 1))[:, None])
+    first = _first_dense(subnet)
+    if first is not None:
+        values = _dense_values(subnet, first, x_flat, baseline_flat, perms)
+    else:
+        # row r holds the features ranked below r % (d+1) in permutation r // (d+1)
+        ranks = np.argsort(perms, axis=1)
+        values = _coalition_values(subnet, x_flat, baseline_flat, n_permutations * (d + 1),
+                                   lambda rows: ranks[rows // (d + 1)] < (rows % (d + 1))[:, None])
     phi = np.zeros((d, subnet.class_count))
     for perm, along in zip(perms, values.reshape(n_permutations, d + 1, -1)):
         phi[perm] += along[1:] - along[:-1]

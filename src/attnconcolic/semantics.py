@@ -161,6 +161,10 @@ class Dense:
             raise ModelConfigError(f"unknown activation {self.activation!r}")
         return (shape[1],)
 
+    def activate(self, pre: np.ndarray) -> np.ndarray:
+        """The activation of a batch of pre-activations."""
+        return np.where(pre > 0.0, pre, 0.0) if self.activation == "relu" else pre
+
 
 @dataclass(frozen=True)
 class Flatten:
@@ -417,7 +421,7 @@ def stable_softmax(x, ctx: Optional[ExecutionContext] = None,
         t, width = index[-1], x.value.shape[-1]
         assoc = row_assoc(t) if row_assoc else [NeuronId(layer_index, (t, u)) for u in range(width)]
         rowmax(x[tuple(index)], ctx, assoc, layer_index)
-    probs = _softmax(x.value[None])[0]
+    probs = _softmax(x.value[None].copy())[0]
     return ConcolicArray(probs, probs[..., None])
 
 
@@ -563,14 +567,43 @@ def _merge(a: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(a.shape[:-3] + (a.shape[-2], l))
 
 
+def _column_sums(cols: np.ndarray) -> np.ndarray:
+    """``cols.sum(axis=0)`` with the bits that ``sum(axis=-1)`` gives each
+    column as a contiguous row (of entries other than -0.0): numpy's pairwise
+    order, one add of column vectors per step."""
+    n = len(cols)
+    if n < 8:
+        total = cols[0].copy()
+        for row in cols[1:]:
+            total += row
+        return total
+    if n <= 128:
+        r = cols[:8]
+        for i in range(8, n - n % 8, 8):
+            r = r + cols[i:i + 8]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for row in cols[n - n % 8:]:
+            total += row
+        return total
+    half = n // 2 - n // 2 % 8
+    return _column_sums(cols[:half]) + _column_sums(cols[half:])
+
+
 def _softmax(scores: np.ndarray) -> np.ndarray:
-    # Each row's max as a reduce over the leading axis of the transposed rows
-    # (numpy runs a short last axis row by row); a max is exact: the same bits.
-    top = scores.reshape(-1, scores.shape[-1]).T.copy().max(axis=0)
-    probs = scores - top.reshape(scores.shape[:-1] + (1,))
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    return probs
+    """Softmax over the last axis of a C-contiguous array, written over it.
+    It runs on the transposed rows, so that each row's max and sum are
+    reduces over the leading axis (numpy runs a short last axis row by row);
+    a max is exact and the sum keeps numpy's order: the bits of the per-row
+    form.  Writing over ``scores``, not into a third chunk-sized array, keeps
+    the heap under glibc's trim threshold: a 28x28 map whose chunks crossed
+    it faulted its pages in again on every chunk."""
+    rows = scores.reshape(-1, scores.shape[-1])
+    cols = rows.T.copy()
+    cols -= cols.max(axis=0)
+    np.exp(cols, out=cols)
+    cols /= _column_sums(cols)
+    rows[...] = cols.T
+    return scores
 
 
 def apply_layer_concrete(layer: LayerSpec, batch: np.ndarray,
@@ -585,10 +618,7 @@ def apply_layer_concrete(layer: LayerSpec, batch: np.ndarray,
         return _merge(_attend(probs, _project(batch, wv, bv)), wo, bo)
     if isinstance(layer, Dense):
         w, b = layer.arrays
-        out = batch @ w + b
-        if layer.activation == "relu":
-            out = np.where(out > 0.0, out, 0.0)
-        return out
+        return layer.activate(batch @ w + b)
     # flatten / reshape
     return batch.reshape((batch.shape[0],) + out_shape)
 

@@ -642,7 +642,7 @@ def test_attack_unreadable_influence_map_exits_2(workspace, tmp_path, text, caps
     assert_one_input_error(capsys, "influence-map: ")
 
 
-@pytest.mark.parametrize("text", ["{oops", '"abc"'])
+@pytest.mark.parametrize("text", ["{oops", '"abc"', "[[0.3], [NaN]]", "[[Infinity], [0.6]]"])
 def test_unreadable_seed_input_exits_2(workspace, tmp_path, text, capsys):
     bad = tmp_path / "seed.json"
     bad.write_text(text)
@@ -651,6 +651,18 @@ def test_unreadable_seed_input_exits_2(workspace, tmp_path, text, capsys):
                "--output-dir", str(tmp_path / "out")])
     assert rc == 2
     assert_one_input_error(capsys, "seed-input: ")
+
+
+@pytest.mark.parametrize("entry", ["Infinity", "-Infinity", "NaN"])
+def test_non_finite_background_exits_2(workspace, tmp_path, entry, capsys):
+    # json reads these words as floats: an Infinity entry made a map of
+    # Infinity, and a NaN one a finite map that ReLU had masked
+    bad = tmp_path / "bg.json"
+    bad.write_text(json.dumps(BACKGROUND).replace("0.1", entry, 1))
+    rc = main(["influence", "--model", str(workspace["model"]), "--background", str(bad),
+               "--seed-input", str(workspace["seed0"]), "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert_one_input_error(capsys, "background: background inputs must be finite")
 
 
 @pytest.mark.parametrize("text", ["{oops", '"abc"'])

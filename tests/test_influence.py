@@ -147,8 +147,8 @@ def test_sampling_without_permutations_is_a_configuration_error(n_permutations):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_rank_built_masks_match_the_prefix_loop(seed, monkeypatch):
-    # the masks of the estimator's rows, in chunks of 4 rows that split the
-    # 10-row permutations, are each permutation's prefixes in order
+    # the masks of an attention-first tail's rows, in chunks of 4 rows that
+    # split the 10-row permutations, are each permutation's prefixes in order
     rng = np.random.default_rng(seed)
     d = 9
     perms = np.array([rng.permutation(d) for _ in range(5)])
@@ -158,7 +158,7 @@ def test_rank_built_masks_match_the_prefix_loop(seed, monkeypatch):
         for j, feature in enumerate(perm):
             row[j + 1] = row[j]
             row[j + 1, feature] = True
-    model = linear_model(np.ones((d, 2)))
+    model = _attention_model(rng, 3)
     chunks = []
 
     def record(subnet, x_flat, baseline_flat, masks):
@@ -167,7 +167,7 @@ def test_rank_built_masks_match_the_prefix_loop(seed, monkeypatch):
 
     monkeypatch.setattr(influence, "_coalition_logits", record)
     monkeypatch.setattr(influence, "_CHUNK_BYTES", 4 * influence._row_bytes(model))
-    shap_matrix(model, np.zeros((1, d)), np.ones(d), method="permutation",
+    shap_matrix(model, np.zeros((1, 3, 3)), np.ones((3, 3)), method="permutation",
                 n_permutations=len(perms), seed=seed)
     assert [len(chunk) for chunk in chunks] == [4] * 12 + [2]
     masks = np.concatenate(chunks).reshape(expected.shape)
@@ -200,6 +200,61 @@ def test_chunked_coalitions_match_one_chunk(method, rows, monkeypatch):
     np.testing.assert_allclose(chunked, whole, rtol=1e-12)
     gap = concrete_forward(model, x) - concrete_forward(model, bg.mean(axis=0))
     np.testing.assert_allclose(chunked.sum(axis=0), gap, atol=1e-9)  # efficiency
+
+
+def _blended_reference(model: ModelSpec, bg, x, n_permutations: int, seed) -> np.ndarray:
+    """The permutation estimate from each permutation's prefix masks, blended
+    and run through concrete_forward one permutation at a time."""
+    rng = np.random.default_rng(seed)
+    d = x.size
+    perms = [rng.permutation(d) for _ in range(n_permutations)]
+    x_flat, baseline = x.reshape(-1), bg.reshape(len(bg), -1).mean(axis=0)
+    phi = np.zeros((d, model.class_count))
+    for perm in perms:
+        masks = np.zeros((d + 1, d), dtype=bool)
+        for j, feature in enumerate(perm):
+            masks[j + 1] = masks[j]
+            masks[j + 1, feature] = True
+        blended = np.where(masks, x_flat, baseline).reshape((d + 1,) + model.shapes[0])
+        along = concrete_forward(model, blended)
+        phi[perm] += along[1:] - along[:-1]
+    return phi / n_permutations
+
+
+def _dense_tail(kind: str, rng) -> ModelSpec:
+    def w(*shape):
+        return rng.uniform(-1, 1, size=shape).tolist()
+
+    if kind == "flatten-relu":
+        return ModelSpec((4, 4), (Flatten(), Dense(weights=w(16, 6), bias=w(6),
+                                                   activation="relu")))
+    if kind == "linear":
+        return ModelSpec((16,), (Dense(weights=w(16, 3), bias=w(3)),))
+    return ModelSpec((16,), (Dense(weights=w(16, 7), bias=w(7), activation="relu"),
+                             Dense(weights=w(7, 3), bias=w(3))))
+
+
+@pytest.mark.parametrize("rows", [None, 1, 5, 40])
+@pytest.mark.parametrize("kind", ["flatten-relu", "linear", "dense-dense"])
+def test_dense_tails_match_blended_masks(kind, rows, monkeypatch):
+    # a Dense-first tail's rows are running sums of rank-1 steps; in chunks
+    # under the default budget, of one rank, of 5-rank pieces of the 17-row
+    # permutations and of two permutations, they score as blended masks do
+    rng = np.random.default_rng(61)
+    model = _dense_tail(kind, rng)
+    bg = rng.uniform(0, 1, (5,) + model.shapes[0])
+    x = rng.uniform(0, 1, model.shapes[0])
+    if rows is not None:
+        first = 1 if kind == "flatten-relu" else 0
+        monkeypatch.setattr(influence, "_CHUNK_BYTES",
+                            rows * influence._row_bytes(model, first + 1))
+    got = shap_matrix(model, bg, x, method="permutation", n_permutations=24, seed=5)
+    want = _blended_reference(model, bg, x, 24, 5)
+    # both round each row once per feature: a value near zero may differ in
+    # its last bits relative to itself, not to the largest value of the matrix
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    gap = concrete_forward(model, x) - concrete_forward(model, bg.mean(axis=0))
+    np.testing.assert_allclose(got.sum(axis=0), gap, atol=1e-9)  # efficiency
 
 
 def _attention_model(rng, side: int) -> ModelSpec:
@@ -242,9 +297,17 @@ def test_chunks_stay_within_the_byte_budget(budget, monkeypatch):
         chunks.append((len(masks), max(seen)))
         return out
 
+    def dense(subnet, first, pre):  # depths 1 and 2: a Dense-first tail's rows
+        seen.clear()
+        out = track(dense_logits(subnet, first, track(pre)))
+        chunks.append((len(pre), max(seen)))
+        return out
+
     coalition_logits, layer = influence._coalition_logits, semantics.apply_layer_concrete
     project, softmax = semantics._project, semantics._softmax
+    dense_logits = influence._dense_logits
     monkeypatch.setattr(influence, "_coalition_logits", logits)
+    monkeypatch.setattr(influence, "_dense_logits", dense)
     monkeypatch.setattr(semantics, "apply_layer_concrete",
                         lambda spec, batch, shape: track(layer(spec, track(batch), shape)))
     monkeypatch.setattr(semantics, "_project", lambda *args: track(project(*args)))
@@ -276,6 +339,14 @@ def test_8x8_map_peak_memory_is_bounded():
 def test_empty_background_is_a_configuration_error():
     with pytest.raises(ConfigurationError):
         BackgroundSet(np.zeros((0, 3)))
+
+
+@pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
+def test_non_finite_background_is_a_configuration_error(entry):
+    inputs = np.full((2, 4, 4), 0.5)
+    inputs[1, 2, 3] = entry
+    with pytest.raises(ConfigurationError, match="finite"):
+        BackgroundSet(inputs)
 
 
 def test_shapley_validates_output_index():

@@ -248,7 +248,7 @@ def reference_softmax(scores: np.ndarray) -> np.ndarray:
 
 
 @pytest.mark.parametrize("batch", [1, 1024])
-@pytest.mark.parametrize("width", [1, 2, 3, 8, 28])
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 7, 8, 9, 16, 28, 129, 300])
 def test_softmax_matches_the_per_row_max_bit_for_bit(width, batch):
     rng = np.random.default_rng([width, batch])
     shape = (batch, 2, width)
