@@ -278,6 +278,8 @@ def run_attack(model: ModelSpec, influence_map: InfluenceMap, seed,
     if seed_arr.shape != model.shapes[0]:
         raise ValueError(
             f"seed shape {seed_arr.shape} does not match model input {model.shapes[0]}")
+    if not np.isfinite(seed_arr).all():
+        raise ValueError("seed entries must be finite numbers")
     pixels = check_pixels(pixels, seed_arr.size)
     domains = normalize_domains(domain, len(pixels))
     var_names = [f"p{p}" for p in pixels]
@@ -311,8 +313,7 @@ def run_attack(model: ModelSpec, influence_map: InfluenceMap, seed,
         paths.append(tuple((e.layer_index, e.taken) for e in result.events))
         if y0 is None:
             y0 = result.label
-        elif any(x_cur.reshape(-1)[p] != seed_arr.reshape(-1)[p] for p in pixels) \
-                and result.label != y0:
+        elif result.label != y0:  # an input equal to the seed reproduces y0
             confirm = concrete_label(model, x_cur)
             if confirm != y0:
                 adversarial = x_cur.copy()

@@ -293,7 +293,11 @@ class InfluenceMap:
 
     @classmethod
     def from_json(cls, doc: Mapping[str, float]) -> "InfluenceMap":
-        return cls({NeuronId.from_key(key): float(val) for key, val in doc.items()})
+        imap = cls({NeuronId.from_key(key): float(val) for key, val in doc.items()})
+        for nid, val in imap.items():
+            if not 0.0 <= val < math.inf:
+                raise ValueError(f"{nid.key()}: {val} is not a finite influence >= 0")
+        return imap
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -8,8 +8,9 @@ ends with the line that closes every ``(``; those in a string literal or a
 prints the model of a ``sat`` answer on ``(get-model)`` (nothing after any
 other answer), and starts a new problem on ``(reset)``.  A check solves what
 was declared and asserted since the last ``(reset)``, its random samples
-seeded from the text since the ``(reset)`` line, through the ``(check-sat)``
-line; :func:`solve_script` solves a whole script the same way.  Scripts must
+seeded from the text since the ``(reset)`` line through the ``(check-sat)``
+line, stripped of the white space around it; :func:`solve_script` answers a
+script's last ``(check-sat)`` the same way, whatever follows.  Scripts must
 stay in the subset it reads, which holds what
 :func:`~attnconcolic.solver.emit_smtlib` writes: declared Real constants, and
 comparisons between two terms over ``+`` and ``*`` (any number of
@@ -47,8 +48,7 @@ from dataclasses import replace
 import numpy as np
 
 from .solver import (SAT, UNKNOWN, UNSAT, SolverError, SolverRequest, _clip, _forms,
-                     _grid_axis, _parse_sexprs, _render_decimal, _scan, _tokenize,
-                     grid_oracle)
+                     _grid_axis, _render_decimal, _scan, grid_oracle)
 from .symexpr import (_REL_APPLY, Comparison, ConcolicArithmeticError, Rel, add, const,
                       div, evaluate, mul, neg, sub, var)
 
@@ -233,23 +233,29 @@ def _read(form, declared: list[str], assertion: list[Comparison]) -> bool:
 
 def _solve(declared: list[str], assertion: list[Comparison], text: str):
     """(status, witness, declared variable order) of a check, its random
-    samples seeded from ``text``."""
+    samples seeded from ``text`` stripped of the white space around it."""
     request = _narrowed(SolverRequest(tuple((name, *DEFAULT_BOX) for name in declared),
                                       tuple(assertion)))
     if any(lo > hi for _, lo, hi in request.variables):
         return (UNSAT, None, list(declared))
-    seed = int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
+    seed = int.from_bytes(hashlib.sha256((text.strip() + "\n").encode()).digest()[:8], "big")
     return (*_search(request, seed), list(declared))
 
 
 def solve_script(text: str) -> tuple[str, dict[str, float] | None, list[str]]:
-    """Returns (status, witness, declared variable order); unknown if the
-    script asks for no check.  Raises SolverError on a script it cannot read
-    (ScriptError for a form outside the subset)."""
+    """(status, witness, declared variable order) of the script's last
+    ``(check-sat)``, as a session answers it; unknown if it asks for none.
+    SolverError on a script it cannot read (ScriptError for a form outside
+    the subset, ``(reset)`` included)."""
     declared: list[str] = []
     assertion: list[Comparison] = []
-    checks = [_read(form, declared, assertion) for form in _parse_sexprs(_tokenize(text))]
-    return _solve(declared, assertion, text) if any(checks) else (UNKNOWN, None, declared)
+    read, check = "", None  # the text so far; the last check's arguments
+    for lines, forms in _forms(text.splitlines(keepends=True)):
+        read += lines
+        for form in forms:
+            if _read(form, declared, assertion):
+                check = (list(declared), list(assertion), read)
+    return _solve(*check) if check else (UNKNOWN, None, declared)
 
 
 def _print_model(witness: dict[str, float], declared: list[str]) -> None:
@@ -272,7 +278,7 @@ def main() -> int:
                     declared, assertion, text, answer = [], [], "", None
                 elif _read(form, declared, assertion):
                     # the text up to and including the (check-sat) line
-                    answer = _solve(declared, assertion, text.strip() + "\n")
+                    answer = _solve(declared, assertion, text)
                     print(answer[0], flush=True)
                 elif form == ["get-model"] and answer and answer[0] == SAT:
                     _print_model(*answer[1:])

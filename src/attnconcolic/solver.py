@@ -664,10 +664,11 @@ _SIDES = {Rel.GT: (1.0,), Rel.GE: (1.0,), Rel.LT: (-1.0,), Rel.LE: (-1.0,),
 _HUGE = 1e300  # past this bound a sign test could overflow
 
 
-def _cut(polygon: list, values: list) -> list:
-    """Sutherland–Hodgman: the vertices of ``polygon`` whose value is at
-    least zero, and in their order a point on each edge whose ends' values
-    straddle zero, for one affine function's ``values`` at the vertices."""
+def _cut(polygon: list, c: float, b: float, a: float) -> list:
+    """Sutherland–Hodgman: the vertices ``(x, y)`` of ``polygon`` at which
+    ``c + b*x + a*y`` is at least zero, and in their order a point on each
+    edge whose ends' values straddle zero."""
+    values = [c + b * x + a * y for x, y in polygon]
     kept = []
     prev, before = polygon[-1], values[-1]
     for vertex, value in zip(polygon, values):
@@ -731,20 +732,23 @@ def _cut_line(intervals: list, a: float, b: float, c: float, magnitude: float,
 
 def _clip(request: SolverRequest) -> list[tuple[float, float]]:
     """The box of a 1- or 2-variable request clipped by the conjuncts of its
-    assertion: for one variable, the sorted disjoint closed intervals left by
-    the conjuncts of degree at most 2; for two, the vertices ``(x, y)`` of
-    the convex polygon left by the affine ones.  None is left when no point
-    of the box satisfies them, which proves the request unsat.  The box must
-    not be empty.
+    assertion, in one pass: for one variable, the sorted disjoint closed
+    intervals left by the conjuncts of degree at most 2; for two, the
+    vertices ``(x, y)`` of the convex polygon left by the affine ones.  None
+    is left when the box is empty (some ``lo > hi``) or no point of it
+    satisfies them, which proves the request unsat.
 
-    Each conjunct ``p relop 0`` is one side ``s * p >= 0`` with ``s =
-    ±1``, two for ``=`` and none for ``!=``; conjuncts of higher degree are
-    left out.  So that an empty result is a proof, each side is widened by
-    :func:`_tie_band`, so that it keeps every point at which evaluate
-    satisfies the conjunct, and by ``64 * (n + 1)`` unit roundoffs of the
-    conjunct's bound for ``n`` conjuncts (``2 * n + 2`` times 32: at most
-    two sides each); the box by as many roundoffs of its magnitudes.  Two
-    variables: each side of an affine conjunct is a half-plane, cut by
+    Each conjunct ``p relop 0`` is read once, as a dict of its monomials
+    from which ``p = c + b*x + a*z`` is popped, with ``z = x*x`` for one
+    variable and ``y`` for two; a term left over is of a degree the clip
+    does not read, and the conjunct is left out.  The rest is one side ``s
+    * p >= 0`` with ``s = ±1``, two for ``=`` and none for ``!=``.  So that an
+    empty result is a proof, each side is widened by :func:`_tie_band`, so
+    that it keeps every point at which evaluate satisfies the conjunct, and
+    by ``64 * (n + 1)`` unit roundoffs of the conjunct's bound for ``n``
+    conjuncts (``2 * n + 2`` times 32: at most two sides each); the box by
+    as many roundoffs of its magnitudes.  Only the bound and the cut depend
+    on the variable count.  Two variables: each side is a half-plane, cut by
     Sutherland–Hodgman (1974).  One variable: each side cuts the intervals
     at its roots, and a piece goes only where :func:`_cut_line` certifies
     the side below half its roundoff widening.  That covers the clip's own
@@ -754,57 +758,37 @@ def _clip(request: SolverRequest) -> list[tuple[float, float]]:
     sample points rounded past ``hi``.  So strict relations are clipped as
     non-strict ones, and a sliver within that widening is not decided here.
     """
+    if any(lo > hi for _, lo, hi in request.variables):
+        return []
     widen = 64 * (len(request.assertion) + 1) * _UNIT_ROUNDOFF
     boxes = [(lo - widen * max(-lo, hi), hi + widen * max(-lo, hi))
              for _, lo, hi in request.variables]
-    if len(boxes) == 1:
-        intervals, m = boxes, max(-boxes[0][0], boxes[0][1])
-        if not m < _HUGE:
-            return intervals
-        for cmp in request.assertion:
-            p = cmp.p
-            if max(map(len, p.monomials), default=0) > 2:
-                continue
-            row = [0.0, 0.0, 0.0]  # c, b, a
-            for monomial, coeff in zip(p.monomials, p.coeffs):
-                row[len(monomial)] = coeff
-            c, b, a = row
-            bound = abs(c) + abs(b) * m + abs(a) * m * m
-            if not bound < _HUGE:
-                continue
-            margin = _tie_band(bound, len(p.coeffs), 2, 2) + widen * bound
-            for sign in _SIDES[cmp.rel]:
-                intervals = _cut_line(intervals, sign * a, sign * b, sign * c + margin, m,
-                                      0.5 * widen * bound)
-                if not intervals:
-                    return intervals
-        return intervals
-    (x0, x1), (y0, y1) = boxes
-    polygon = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+    one = len(boxes) == 1
+    (x0, x1), (y0, y1) = boxes[0], boxes[-1]  # for one variable, y is x
+    clip = boxes if one else [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
     mx, my = max(-x0, x1), max(-y0, y1)
     if not max(mx, my) < _HUGE:
-        return polygon
-    index = {name: k + 1 for k, (name, _, _) in enumerate(request.variables)}
+        return clip
+    x, y = request.variables[0][0], request.variables[-1][0]
+    linear, top = (x,), ((x, x) if one else (y,))
     for cmp in request.assertion:
-        p = cmp.p
-        if max(map(len, p.monomials), default=0) > 1:
+        terms = dict(zip(cmp.p.monomials, cmp.p.coeffs))
+        c, b, a = terms.pop((), 0.0), terms.pop(linear, 0.0), terms.pop(top, 0.0)
+        if terms:
             continue
-        row = [0.0, 0.0, 0.0]  # c, a, b
-        for monomial, coeff in zip(p.monomials, p.coeffs):
-            row[index[monomial[0]] if monomial else 0] = coeff
-        c, a, b = row
-        bound = abs(c) + abs(a) * mx + abs(b) * my
+        bound = abs(c) + abs(b) * mx + (abs(a) * mx * mx if one else abs(a) * my)
         if not bound < _HUGE:
             continue
-        margin = _tie_band(bound, len(p.coeffs), 2, 2) + widen * bound
+        margin = _tie_band(bound, len(cmp.p.coeffs), 2, 2) + widen * bound
         for sign in _SIDES[cmp.rel]:
-            sc, sa, sb = sign * c + margin, sign * a, sign * b
-            values = [sc + sa * x + sb * y for x, y in polygon]
-            if min(values) < 0.0:
-                polygon = _cut(polygon, values)
-                if not polygon:
-                    return polygon
-    return polygon
+            if one:
+                clip = _cut_line(clip, sign * a, sign * b, sign * c + margin, mx,
+                                 0.5 * widen * bound)
+            else:
+                clip = _cut(clip, sign * c + margin, sign * b, sign * a)
+            if not clip:
+                return clip
+    return clip
 
 
 def grid_oracle(request: SolverRequest, resolution: int = 1024,
@@ -813,12 +797,11 @@ def grid_oracle(request: SolverRequest, resolution: int = 1024,
 
     Returns sat with the first satisfying grid point (lexicographic scan), or
     unknown when no grid point satisfies: absence at a finite resolution is
-    not an unsatisfiability proof.  A request whose box is empty (some
-    ``lo > hi``) is unsat, and so is one whose box :func:`_clip` clips to
-    nothing (by the conjuncts of degree at most 2 for one variable, by the
-    affine ones for two), before any prefix is looked up or any grid point
-    evaluated.  A request without variables is sat when its
-    ground conjuncts hold and unknown otherwise.
+    not an unsatisfiability proof.  A request whose box :func:`_clip` clips
+    to nothing (an empty box, or none of it left by the conjuncts of degree
+    at most 2 for one variable, by the affine ones for two) is unsat, before
+    any prefix is looked up or any grid point evaluated.  A request without
+    variables is sat when its ground conjuncts hold and unknown otherwise.
 
     Each conjunct's coefficients are read off its polynomial and
     evaluated as ``(V_a @ C) @ V_b.T`` on the window of the grid that bounds
@@ -842,8 +825,6 @@ def grid_oracle(request: SolverRequest, resolution: int = 1024,
     """
     if len(request.variables) > 2:
         raise SolverError("grid oracle supports at most 2 variables")
-    if any(lo > hi for _, lo, hi in request.variables):
-        return SolverVerdict(UNSAT)
     if not request.variables:
         if all(cmp.holds_at({}) for cmp in request.assertion):
             return SolverVerdict(SAT, assignment={})

@@ -642,6 +642,27 @@ def test_attack_unreadable_influence_map_exits_2(workspace, tmp_path, text, caps
     assert_one_input_error(capsys, "influence-map: ")
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-0.5"])
+def test_attack_influence_map_with_a_value_no_influence_takes_exits_2(workspace, tmp_path,
+                                                                      value, capsys):
+    full = tmp_path / "full"
+    assert main(["influence", "--model", str(workspace["model"]),
+                 "--seed-input", str(workspace["seed0"]),
+                 "--background", str(workspace["background"]),
+                 "--output-dir", str(full)]) == 0
+    doc = json.loads((full / "influence.json").read_text())
+    bad = tmp_path / "map.json"
+    doc[max(doc)] = 12345.5  # a mark to put the word in place of
+    bad.write_text(json.dumps(doc).replace("12345.5", value))
+    capsys.readouterr()
+    # a solver that would fail its pre-flight (exit 3) shows the check comes first
+    rc = main(["attack", "--model", str(workspace["model"]),
+               "--seeds", str(workspace["seed0"]), "--influence-map", str(bad),
+               "--solver-cmd", "no-such-solver-binary", "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert_one_input_error(capsys, "influence-map: ")
+
+
 @pytest.mark.parametrize("text", ["{oops", '"abc"', "[[0.3], [NaN]]", "[[Infinity], [0.6]]"])
 def test_unreadable_seed_input_exits_2(workspace, tmp_path, text, capsys):
     bad = tmp_path / "seed.json"

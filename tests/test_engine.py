@@ -367,6 +367,17 @@ def test_attack_rejects_bad_pixel_choices():
                    backend=GridOracle(64))
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_attack_rejects_a_non_finite_seed_before_any_forward(entry, monkeypatch):
+    model = flip_at_half_model()
+    imap = toy_map(model, np.array([[0.2]]))
+    calls = []
+    monkeypatch.setattr("attnconcolic.engine.forward", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="finite"):
+        run_attack(model, imap, np.array([[entry]]), pixels=[0], backend=GridOracle(64))
+    assert calls == []
+
+
 def test_make_symbolic_input_marks_only_chosen_pixels():
     ctx = ExecutionContext()
     grid = make_symbolic_input(np.array([[0.1, 0.2], [0.3, 0.4]]), [2], ctx)

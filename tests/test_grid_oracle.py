@@ -796,6 +796,34 @@ def test_clip_edge_cases(case, monkeypatch):
     assert closure_is_empty(request) or not empty
 
 
+ONE_ULP_BELOW_HALF = 0.49999999999999994
+
+
+@pytest.mark.parametrize("variables", [
+    (("a", 0.5, ONE_ULP_BELOW_HALF),),
+    (("a", 1.0, 0.0),),
+    (("a", 0.0, 1.0), ("b", 0.5, ONE_ULP_BELOW_HALF)),
+    (("a", 1.0, 0.0), ("b", 0.0, 1.0)),
+], ids=["one variable, one ulp", "one variable", "two variables, one ulp", "two variables"])
+def test_clip_of_an_empty_box_is_empty(variables):
+    # the box is empty before it is widened, whatever the conjuncts
+    assert solver._clip(SolverRequest(variables, ())) == []
+    assert solver._clip(SolverRequest(variables, (Comparison(Rel.GT, const(1.0)),))) == []
+
+
+@pytest.mark.parametrize("variables,p", [
+    (UNIT_LINE, add(mul(A, mul(A, A)), A)),
+    (UNIT_SQUARE, add(mul(A, B), A)),
+    (UNIT_SQUARE, add(mul(A, A), B)),
+], ids=["cube of one variable", "product of two", "square of one of two"])
+def test_clip_leaves_out_a_conjunct_of_a_degree_it_does_not_read(variables, p):
+    # no point of the box has p > 2, but read without its top term, as a > 2
+    # or b > 2, the conjunct would empty the clip: it must be left out whole
+    request = SolverRequest(variables, (Comparison(Rel.GT, p, const(2.0)),))
+    always = SolverRequest(variables, (Comparison(Rel.GT, const(1.0)),))
+    assert solver._clip(request) == solver._clip(always) != []
+
+
 def test_affine_infeasible_request_is_unsat_before_any_kernel_pass(kernel_passes,
                                                                    refsolver_backend):
     # 2v > 3 has no point in [0, 1]; its coefficient is not a unit, so the

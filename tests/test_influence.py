@@ -434,6 +434,15 @@ def test_map_json_round_trip(tmp_path, golden_model, golden_background):
     assert dict(clone.items()) == dict(imap.items())
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-3])
+def test_map_json_rejects_a_value_no_influence_takes(value, golden_model, golden_background):
+    # an influence is a mean absolute Shapley value: finite and >= 0
+    doc = build_influence_map(golden_model, golden_background, GOLDEN_SEED).to_json()
+    doc[next(iter(doc))] = value
+    with pytest.raises(ValueError, match="finite influence"):
+        InfluenceMap.from_json(doc)
+
+
 # ---------------------------------------------------------------------------
 # branch_influence
 # ---------------------------------------------------------------------------

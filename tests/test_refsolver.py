@@ -89,7 +89,9 @@ def reference_solve(request: SolverRequest, script: str):
         verdict = reference_grid_oracle(narrowed, resolution)
         if verdict.status == "sat":
             return ("sat", verdict.assignment)
-    seed = int.from_bytes(hashlib.sha256(script.encode()).digest()[:8], "big")
+    # the samples are seeded from the text through the (check-sat) line
+    through = script[:script.index("(check-sat)\n")] + "(check-sat)\n"
+    seed = int.from_bytes(hashlib.sha256(through.encode()).digest()[:8], "big")
     lows, highs = np.array(list(box.values())).T
     samples = np.random.default_rng(seed).uniform(lows, highs, size=(65536, len(box)))
     points = {name: samples[:, k] for k, name in enumerate(box)}
@@ -417,6 +419,19 @@ def test_session_answers_each_request_as_solve_script_does():
                          for name in declared])
     assert want[:1] + want[2:3] == ["sat", "unsat"]
     assert _parse_sexprs(_tokenize(proc.stdout)) == want
+
+
+def test_solve_script_of_an_emitted_script_answers_as_a_session_check(refsolver_backend):
+    names = ["a", "b", "c"]
+    total = add(add(var("a"), var("b")), var("c"))
+    # the seeded samples find the witness, so it shows the seed: the text
+    # through the (check-sat) line, not the (get-model) after it
+    request = SolverRequest(tuple((name, 0.0, 1.0) for name in names),
+                            (Comparison(Rel.GT, total, const(1.01)),
+                             Comparison(Rel.LT, total, const(1.05))))
+    verdict = refsolver_backend.check(request)
+    assert verdict.status == "sat"
+    assert refsolver.solve_script(emit_smtlib(request)) == ("sat", verdict.assignment, names)
 
 
 def test_check_sat_is_answered_while_stdin_is_open():
