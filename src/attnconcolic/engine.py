@@ -10,6 +10,7 @@ re-execution before being reported.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass
 from typing import ClassVar, Optional, Sequence
@@ -21,9 +22,11 @@ from .semantics import ConcolicArray, ModelSpec, concrete_label, forward
 from .solver import (
     SAT,
     SOLVER_ERROR,
+    UNKNOWN,
     UNSAT,
     Backend,
     TIMEOUT as SOLVER_TIMEOUT,
+    SolverError,
     SolverRequest,
     assignment_satisfies,
 )
@@ -48,6 +51,9 @@ __all__ = [
 SUCCESS = "success"
 EXHAUSTED = "exhausted"
 TIMEOUT = "timeout"
+
+# each verdict status names the RunStats field that counts it
+_VERDICTS = (SAT, UNSAT, UNKNOWN, SOLVER_TIMEOUT, SOLVER_ERROR)
 
 _log = logging.getLogger("attnconcolic")
 
@@ -268,10 +274,13 @@ def run_attack(model: ModelSpec, influence_map: InfluenceMap, seed,
                backend: Backend, solver_timeout_s: float = 60.0) -> AttackResult:
     """Search for a label flip by perturbing the chosen pixels within bounds.
 
-    Implements the concolic loop: forward at the current input, harvest
-    bypassed branches, pop per scheduler, solve, adopt SAT solutions as the
-    next input; stops on a validated flip, a drained queue, or the wall
-    budget.  Every reported adversarial input is confirmed by concrete_label.
+    The original label is ``concrete_label`` of the seed.  Each iteration runs
+    the concolic forward at the current input and checks for a flip, harvests
+    the bypassed branches, then pops and solves them per scheduler until a
+    SAT model is adopted as the next input.  The attack stops, in this order
+    of checks: ``success`` on a flip that ``concrete_label`` confirms;
+    ``timeout`` on a budget spent at the end of an iteration, also right
+    after an adoption; ``exhausted`` on a queue drained without an adoption.
     """
     scheduler = scheduler if scheduler is not None else Scheduler.pq()
     seed_arr = np.asarray(seed, dtype=float)
@@ -292,17 +301,16 @@ def run_attack(model: ModelSpec, influence_map: InfluenceMap, seed,
     pop_trace: list[tuple[int, float]] = []
     paths: list[tuple] = []
     x_cur = seed_arr.copy()
-    y0: Optional[int] = None
     flipped: Optional[int] = None
     adversarial: Optional[np.ndarray] = None
     start_wall = time.monotonic()
     start_cpu = time.process_time()
+    y0 = concrete_label(model, seed_arr)
 
-    def out_of_budget() -> bool:
-        return wall_budget_s is not None and \
-            time.monotonic() - start_wall >= wall_budget_s
+    def remaining() -> float:  # seconds left of the wall budget
+        return math.inf if wall_budget_s is None else \
+            wall_budget_s - (time.monotonic() - start_wall)
 
-    outcome = ""
     while True:
         stats.iterations += 1
         ctx = ExecutionContext()
@@ -311,74 +319,51 @@ def run_attack(model: ModelSpec, influence_map: InfluenceMap, seed,
         # outcome sequence identifies the concrete path (guard formulas differ
         # across inputs once softmax constants are baked in)
         paths.append(tuple((e.layer_index, e.taken) for e in result.events))
-        if y0 is None:
-            y0 = result.label
-        elif result.label != y0:  # an input equal to the seed reproduces y0
-            confirm = concrete_label(model, x_cur)
-            if confirm != y0:
-                adversarial = x_cur.copy()
-                flipped = confirm
-                outcome = SUCCESS
-                break
+        # the instrumented label screens; the reference semantics decides
+        if result.label != y0 and (confirm := concrete_label(model, x_cur)) != y0:
+            adversarial, flipped, outcome = x_cur.copy(), confirm, SUCCESS
+            break
 
         new_items = harvest(result.events, influence_map, tree)
         stats.generated_constraints += len(new_items)
         queue.extend(new_items)
 
-        adopted = False
-        while queue:
-            if out_of_budget():
-                outcome = TIMEOUT
-                break
+        candidate = None
+        while candidate is None and queue and remaining() > 0.0:
             item = schedule_pop(queue, scheduler)
             pop_trace.append((item.layer_index, item.influence))
             built = build_constraint(item, scheduler.build_cap_s)
             if built is None:
                 stats.skipped_builds += 1
                 continue
-            timeout_s = solver_timeout_s
-            if wall_budget_s is not None:  # a solver call may not outlast the budget
-                timeout_s = min(timeout_s, max(
-                    0.0, wall_budget_s - (time.monotonic() - start_wall)))
-            request = SolverRequest(variables, built, timeout_s)
+            # a solver call may not outlast the budget
+            request = SolverRequest(variables, built,
+                                    min(solver_timeout_s, max(0.0, remaining())))
             verdict = backend.check(request)
             stats.solved_constraints += 1
-            if verdict.status == SAT:
-                stats.sat += 1
-                candidate = _adopt(verdict.assignment, request)
-                if candidate is None:
-                    continue
-                nxt = x_cur.copy().reshape(-1)
-                for name, pixel in zip(var_names, pixels):
-                    nxt[pixel] = candidate[name]
-                x_cur = nxt.reshape(seed_arr.shape)
-                adopted = True
-                break
-            if verdict.status == UNSAT:
-                stats.unsat += 1
-            elif verdict.status == SOLVER_TIMEOUT:
-                stats.timeout += 1
-            elif verdict.status == SOLVER_ERROR:
-                stats.solver_error += 1
+            if verdict.status not in _VERDICTS:
+                raise SolverError(f"backend answered an unknown status {verdict.status!r}")
+            setattr(stats, verdict.status, getattr(stats, verdict.status) + 1)
+            if verdict.status == SOLVER_ERROR:
                 _log.warning("solver error on a %d-conjunct check; transcript (first "
                              "2048 characters):\n%s", len(built), verdict.transcript[:2048])
-            else:
-                stats.unknown += 1
-        if outcome:
-            break
-        if out_of_budget():  # also when the budget cut the last check short
+            elif verdict.status == SAT:
+                candidate = _adopt(verdict.assignment, request)
+        if remaining() <= 0.0:  # also when the budget cut the last check short
             outcome = TIMEOUT
             break
-        if not adopted:
+        if candidate is None:
             outcome = EXHAUSTED
             break
+        x_cur = x_cur.copy()
+        x_cur.flat[list(pixels)] = [candidate[name] for name in var_names]
 
     stats.outcome = outcome
     stats.wall_seconds = time.monotonic() - start_wall
     stats.cpu_seconds = time.process_time() - start_cpu
     return AttackResult(
         seed=seed_arr, pixel_indices=pixels, domains=domains,
-        original_label=int(y0), flipped_label=flipped, adversarial=adversarial,
+        original_label=y0, flipped_label=flipped, adversarial=adversarial,
         stats=stats, pop_trace=tuple(pop_trace), paths=tuple(paths))
 
 

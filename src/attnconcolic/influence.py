@@ -65,6 +65,8 @@ class BackgroundSet:
             raise ConfigurationError("background set must be non-empty")
         if not np.isfinite(arr).all():
             raise ConfigurationError("background inputs must be finite")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ConfigurationError(f"random seed {self.seed!r} is not a non-negative integer")
         object.__setattr__(self, "inputs", arr)
 
     def conforming(self, input_shape: tuple[int, ...]) -> np.ndarray:

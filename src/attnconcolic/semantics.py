@@ -59,11 +59,13 @@ class ModelConfigError(ValueError):
 
 def _frozen(tensor) -> np.ndarray:
     """A nested list of numbers as a read-only float array, insisting on
-    rectangularity."""
+    rectangularity and finite entries."""
     try:
         array = np.array(tensor, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ModelConfigError(f"weights are not a rectangular array of numbers: {exc}") from None
+    if not np.isfinite(array).all():
+        raise ModelConfigError("weights must be finite numbers")
     array.setflags(write=False)
     return array
 

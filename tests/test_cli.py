@@ -142,6 +142,54 @@ def test_ragged_model_weights_exit_2(workspace, capsys):
     assert "input error: model: weights are not" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["influence", "attack"])
+def test_non_finite_model_weight_exits_2_before_any_map(tmp_path, command, capsys,
+                                                        monkeypatch):
+    # a NaN weight wrote a map of NaN influences, and failed an attack at the
+    # solver ("cannot emit non-finite constant nan", exit 3)
+    monkeypatch.setattr("attnconcolic.cli.build_influence_map",
+                        lambda *a, **k: pytest.fail("influence map built"))
+    bad = tmp_path / "model.json"
+    bad.write_text('{"input_shape": [2], "layers": [{"type": "dense", '
+                   '"weights": [[1.0, NaN], [0.5, 0.25]], "bias": [0.0, 0.1]}]}')
+    inputs = tmp_path / "seed.json"
+    inputs.write_text("[0.3, 0.4]")
+    background = tmp_path / "bg.json"
+    background.write_text("[[0.1, 0.2], [0.5, 0.6]]")
+    out = tmp_path / "out"
+    extra = {"influence": ["--seed-input", str(inputs)],
+             "attack": ["--seeds", str(inputs), "--solver-cmd", "no-such-solver-binary"]}[command]
+    rc = main([command, "--model", str(bad), "--background", str(background),
+               *extra, "--output-dir", str(out)])
+    assert rc == 2
+    assert_one_input_error(capsys, "model: ")
+    assert not (out / "influence.json").exists()
+
+
+@pytest.mark.parametrize("command", ["influence", "attack", "acdp"])
+def test_negative_random_seed_exits_2_before_any_map(tmp_path, command, capsys, monkeypatch):
+    # 13 features are past the exact estimator: the sampled depth 0 handed
+    # the seed to numpy, which died with a ValueError traceback (exit 1)
+    for name in ("build_influence_map", "relevance"):
+        monkeypatch.setattr(f"attnconcolic.cli.{name}",
+                            lambda *a, **k: pytest.fail("map built"))
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"input_shape": [13], "layers": [{
+        "type": "dense", "weights": [[(i % 5 - 2) / 4, (i % 3 - 1) / 2] for i in range(13)],
+        "bias": [0.1, -0.1]}]}))
+    inputs = tmp_path / "seed.json"
+    inputs.write_text(json.dumps([0.5] * 13))
+    background = tmp_path / "bg.json"
+    background.write_text(json.dumps([[k / 13 for k in range(13)], [0.25] * 13]))
+    extra = {"influence": ["--seed-input", str(inputs)],
+             "attack": ["--seeds", str(inputs), "--solver-cmd", "no-such-solver-binary"],
+             "acdp": ["--reports", str(tmp_path)]}[command]
+    rc = main([command, "--model", str(model), "--background", str(background),
+               "--random-seed", "-1", *extra, "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert_one_input_error(capsys, "background: random seed -1 ")
+
+
 # ---------------------------------------------------------------------------
 # attack
 # ---------------------------------------------------------------------------

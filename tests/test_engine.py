@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import logging
+import time
 import weakref
 
 import numpy as np
@@ -24,9 +25,10 @@ from attnconcolic.semantics import (
     Flatten,
     ModelSpec,
     MultiHeadAttention,
+    concrete_label,
     forward,
 )
-from attnconcolic.solver import ExternalSolver, GridOracle, SolverVerdict
+from attnconcolic.solver import ExternalSolver, GridOracle, SolverError, SolverVerdict
 from attnconcolic.symexpr import (
     Comparison,
     ExecutionContext,
@@ -190,6 +192,7 @@ def test_attack_finds_flip_and_validates_it():
     assert 0.5 <= float(result.adversarial.reshape(-1)[0]) <= 1.0
     assert forward(model, result.adversarial).label != result.original_label
     assert result.flipped_label is not None
+    assert result.original_label == concrete_label(model, seed)
 
 
 def test_attack_on_flip_proof_model_exhausts_without_false_positives():
@@ -223,6 +226,32 @@ def test_solver_calls_are_clamped_to_the_wall_budget():
                         solver_timeout_s=60.0)
     assert result.stats.outcome == "timeout"
     assert result.stats.wall_seconds <= 0.5 + 0.3
+
+
+class SlowBackend:
+    """Sleeps ``seconds`` before each check, then answers as ``backend``."""
+
+    def __init__(self, backend, seconds: float) -> None:
+        self.backend, self.seconds = backend, seconds
+
+    def check(self, request):
+        time.sleep(self.seconds)
+        return self.backend.check(request)
+
+
+def test_budget_spent_by_an_adopted_check_ends_timeout_without_another_forward(monkeypatch):
+    # the adopted input would flip at the next forward; the budget comes first
+    model = flip_at_half_model()
+    seed = np.array([[0.2]])
+    calls = []
+    monkeypatch.setattr("attnconcolic.engine.forward",
+                        lambda *args: calls.append(args) or forward(*args))
+    result = run_attack(model, toy_map(model, seed), seed, pixels=[0], wall_budget_s=0.05,
+                        backend=SlowBackend(GridOracle(256), 0.1))
+    stats = result.stats
+    assert (stats.outcome, stats.iterations, len(calls)) == ("timeout", 1, 1)
+    assert stats.solved_constraints == stats.sat == 1
+    assert result.adversarial is None and result.flipped_label is None
 
 
 def test_attack_stats_are_consistent(golden_model, golden_background):
@@ -267,6 +296,14 @@ def test_every_verdict_status_is_counted_apart():
     assert fields == [stats.sat, stats.unsat, stats.unknown, stats.timeout,
                       stats.solver_error]
     assert sum(fields) == doc["sol_constraints"] == stats.solved_constraints
+
+
+def test_a_verdict_status_outside_the_five_is_a_solver_error():
+    model = no_flip_model()
+    seed = np.array([[0.4], [0.7], [0.1]])
+    with pytest.raises(SolverError, match="'maybe'"):
+        run_attack(model, toy_map(model, seed), seed, pixels=[0],
+                   backend=StubBackend(["maybe"]))
 
 
 class UnsatAsUnknown:

@@ -349,6 +349,14 @@ def test_non_finite_background_is_a_configuration_error(entry):
         BackgroundSet(inputs)
 
 
+@pytest.mark.parametrize("seed", [-1, 0.5, "3"])
+def test_random_seed_not_a_non_negative_integer_is_a_configuration_error(seed):
+    # numpy's default_rng rejects a negative seed, but only once a depth is
+    # sampled, past EXACT_FEATURE_LIMIT features
+    with pytest.raises(ConfigurationError, match="random seed"):
+        BackgroundSet(np.zeros((2, 3)), seed=seed)
+
+
 def test_shapley_validates_output_index():
     model = linear_model([[1.0]])
     bg = BackgroundSet(np.array([[0.0]]))

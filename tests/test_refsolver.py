@@ -117,7 +117,7 @@ def random_box(rng: np.random.Generator, negative: bool) -> tuple[float, float]:
 def test_matches_reference(n_vars, count, negative):
     rng = np.random.default_rng(100 * n_vars + negative)
     names = ["a", "b", "c"][:n_vars]
-    statuses = []
+    requests = []
     for _ in range(count):
         variables = tuple((name, *random_box(rng, negative)) for name in names)
         assertion = tuple(random_comparison(rng, names)
@@ -125,13 +125,23 @@ def test_matches_reference(n_vars, count, negative):
         if rng.random() < 0.2:  # a bound inside the assertion narrows the box
             assertion += (Comparison(Rel.LT, var(names[0]),
                                      const(variables[0][1] + 0.25)),)
-        request = SolverRequest(variables, assertion)
+        requests.append(SolverRequest(variables, assertion))
+    # 0 < a - b < 1e-4 over a square box: two points of one grid differ by 0
+    # or by at least a step, here above 1e-4, so only a sample can land there
+    slab = (Comparison(Rel.GT, sub(var("a"), var("b")), const(0.0)),
+            Comparison(Rel.LT, sub(var("a"), var("b")), const(1e-4)))
+    sides = [random_box(rng, negative) for _ in range(4)] if n_vars == 2 else []
+    requests += [SolverRequest((("a", *side), ("b", *side)), slab) for side in sides]
+    statuses = []
+    for request in requests:
         script = emit_smtlib(request)
         status, witness, declared = refsolver.solve_script(script)
         assert declared == names
         assert (status, witness) == reference_solve(request, script)
         statuses.append(status)
-    assert "sat" in statuses
+    assert "sat" in statuses[:count]
+    if sides:  # a sat slab case takes its witness from the seeded samples
+        assert "sat" in statuses[count:]
 
 
 # ---------------------------------------------------------------------------

@@ -574,6 +574,23 @@ def test_fractional_shape_entry_is_a_config_error(doc):
         ModelSpec.from_json(doc)
 
 
+@pytest.mark.parametrize("word", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("doc", [
+    {"input_shape": [2], "layers": [{"type": "dense", "weights": [[1.0, 0.5], [12345.5, 0.25]],
+                                     "bias": [0.0, 0.1]}]},
+    {"input_shape": [2], "layers": [{"type": "dense", "weights": [[1.0, 0.5], [0.5, 0.25]],
+                                     "bias": [0.0, 12345.5]}]},
+    {"input_shape": [2, 1], "layers": [{**one_head(1, 1), "w_k": [[[12345.5]]]}]},
+    {"input_shape": [2, 1], "layers": [{**one_head(1, 1), "b_o": [12345.5]}]},
+], ids=["dense-weights", "dense-bias", "mha-w_k", "mha-b_o"])
+def test_non_finite_weight_is_a_config_error(doc, word):
+    # json reads these words as floats; a NaN weight made NaN logits
+    text = json.dumps(doc).replace("12345.5", word)
+    assert word in text
+    with pytest.raises(ModelConfigError, match="finite"):
+        ModelSpec.from_json(json.loads(text))
+
+
 def test_whole_float_shape_entries_load_as_ints():
     model = ModelSpec.from_json({"input_shape": [2.0, 1], "layers": [
         one_head(1.0, 1.0), {"type": "reshape", "target_shape": [1.0, 2]}]})
