@@ -51,6 +51,12 @@ class MissingInfluenceError(KeyError):
     """A branch event references a neuron absent from the influence map."""
 
 
+def _check_seed(seed) -> None:
+    """ConfigurationError unless ``seed`` is an integer >= 0."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigurationError(f"random seed {seed!r} is not a non-negative integer")
+
+
 @dataclass(frozen=True)
 class BackgroundSet:
     """Reference inputs defining the absent-feature baseline, plus the RNG
@@ -65,8 +71,7 @@ class BackgroundSet:
             raise ConfigurationError("background set must be non-empty")
         if not np.isfinite(arr).all():
             raise ConfigurationError("background inputs must be finite")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ConfigurationError(f"random seed {self.seed!r} is not a non-negative integer")
+        _check_seed(self.seed)
         object.__setattr__(self, "inputs", arr)
 
     def conforming(self, input_shape: tuple[int, ...]) -> np.ndarray:
@@ -209,8 +214,11 @@ def shap_matrix(subnet: ModelSpec, background_inputs: np.ndarray, x: np.ndarray,
     """Shapley values of every flat input feature for every output logit.
 
     Returns a (features x outputs) array.  ``method`` is ``"exact"``,
-    ``"permutation"``, or ``"auto"`` (exact up to 12 features).
+    ``"permutation"``, or ``"auto"`` (exact up to 12 features).  ``seed`` is
+    an integer >= 0, or a tuple of them; else ConfigurationError.
     """
+    for entry in seed if isinstance(seed, tuple) else (seed,):
+        _check_seed(entry)
     x_flat = np.asarray(x, dtype=float).reshape(-1)
     bg = np.asarray(background_inputs, dtype=float).reshape(len(background_inputs), -1)
     if bg.shape[0] == 0:

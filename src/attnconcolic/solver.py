@@ -4,14 +4,15 @@ grid oracle over polynomial constraints.
 The engine never links a solver library: the external backend keeps one
 live child process per thread running a configurable solver command, writes
 each request to it as an SMT-LIB2 script over quantifier-free nonlinear
-reals, and parses sat/unsat/unknown plus a model from its standard output.
-Both backends read each comparison ``p relop 0`` off its one polynomial.  The
-grid oracle is an in-process fallback used for testing and small-instance
-verification; its "no point found" answer is reported as unknown, never as a
-proof of unsatisfiability.  It answers unsat only with a proof: an empty box,
-or a box that its conjuncts, each widened by a float error bound, clip to
-nothing: the conjuncts of degree at most 2 for one variable, whose roots cut
-the line into intervals, and the affine ones for two, which cut a polygon.
+reals, and parses sat/unsat/unknown, then after sat the model it asks for,
+from its standard output.  Both backends read each comparison ``p relop 0``
+off its one polynomial.  The grid oracle is an in-process fallback used for
+testing and small-instance verification; its "no point found" answer is
+reported as unknown, never as a proof of unsatisfiability.  It answers
+unsat only with a proof: an empty box, or a box that its conjuncts, each
+widened by a float error bound, clip to nothing: the conjuncts of degree at
+most 2 for one variable, whose roots cut the line into intervals, and the
+affine ones for two, which cut a polygon.
 """
 
 from __future__ import annotations
@@ -91,9 +92,11 @@ class SolverVerdict:
 
 def _render_decimal(value: float) -> str:
     """Shortest round-trip decimal with a trailing .0 for integers; negatives
-    wrapped as (- x) per SMT-LIB syntax."""
+    wrapped as (- x) per SMT-LIB syntax, and a zero of either sign is 0.0."""
     if value != value or value in (float("inf"), float("-inf")):
         raise SolverError(f"cannot emit non-finite constant {value!r}")
+    if not value:  # repr(-0.0) is no SMT-LIB numeral
+        return "0.0"
     if value < 0:
         return f"(- {_render_decimal(-value)})"
     text = repr(value)
@@ -122,7 +125,7 @@ def _render_poly(expr: SymExpr) -> str:
 def emit_smtlib(request: SolverRequest) -> str:
     """Deterministic SMT-LIB2 text over quantifier-free nonlinear reals: the
     variables with their bounds, then each comparison as its polynomial
-    against ``0.0``, ``(not (= p 0.0))`` for ``!=``."""
+    against ``0.0``, ``(not (= p 0.0))`` for ``!=``, and last ``(check-sat)``."""
     lines = ["(set-logic QF_NRA)"]
     for name, lo, hi in request.variables:
         lines.append(f"(declare-const {name} Real)")
@@ -135,7 +138,6 @@ def emit_smtlib(request: SolverRequest) -> str:
         else:
             lines.append(f"(assert ({cmp.rel.value} {p} 0.0))")
     lines.append("(check-sat)")
-    lines.append("(get-model)")
     return "\n".join(lines) + "\n"
 
 
@@ -162,30 +164,6 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
-def _parse_into(tokens: list[str], stack: list[list], forms: list) -> None:
-    """Parse ``tokens`` onto the forms open in ``stack``, appending those
-    they complete to ``forms``; SolverError at an excess ``)``."""
-    for token in tokens:
-        if token == "(":
-            stack.append([])
-        elif token == ")":
-            if not stack:
-                raise SolverError("unbalanced parentheses")
-            done = stack.pop()
-            (stack[-1] if stack else forms).append(done)
-        else:
-            (stack[-1] if stack else forms).append(token)
-
-
-def _parse_sexprs(tokens: list[str]):
-    forms: list = []
-    stack: list[list] = []
-    _parse_into(tokens, stack, forms)
-    if stack:
-        raise SolverError("unbalanced parentheses")
-    return forms
-
-
 def _forms(lines: Iterable[str]) -> Iterator[tuple[str, list]]:
     """Yield ``(text, forms)`` each time the lines read so far close every
     ``(`` outside literals: their text and the forms they complete (none for
@@ -202,7 +180,15 @@ def _forms(lines: Iterable[str]) -> Iterator[tuple[str, list]]:
         carry = ""
         if tokens and tokens[-1][0] in '"|' and not _CLOSED_LITERAL.fullmatch(tokens[-1]):
             carry = tokens.pop()
-        _parse_into(tokens, stack, forms)
+        for token in tokens:
+            if token == "(":
+                stack.append([])
+                continue
+            if token == ")":
+                if not stack:
+                    raise SolverError("unbalanced parentheses")
+                token = stack.pop()
+            (stack[-1] if stack else forms).append(token)
         if not stack and not carry:
             yield "".join(text), forms
             text, forms = [], []
@@ -272,9 +258,9 @@ def _wait(fd: int, event: int, deadline: float) -> None:
 
 
 class _Session:
-    """One live solver child.  Requests go to its stdin, replies are read
-    from its stdout by a deadline, and its stderr collects in a file for the
-    transcript."""
+    """One live solver child.  Commands go to its stdin and their replies
+    are read from its stdout by a deadline, each before the next check; its
+    stderr collects in a file for the transcript."""
 
     def __init__(self, argv: list[str]) -> None:
         self.stderr = tempfile.TemporaryFile()
@@ -287,10 +273,6 @@ class _Session:
         os.set_blocking(self.proc.stdin.fileno(), False)
         self.buffer = b""
         self.lines: list[str] = []  # stdout lines read for the current request
-        # after unsat or unknown, a solver may reply to the (get-model) that
-        # followed, before the next answer: z3 prints an error, the refsolver
-        # nothing
-        self.owes_reply = False
 
     def send(self, text: str, deadline: float) -> None:
         data = memoryview(text.encode())
@@ -357,15 +339,17 @@ class ExternalSolver:
     solver must speak the SMT-LIB 2.6 interactive protocol on stdin/stdout
     and answer each ``(check-sat)`` as the command arrives, as ``z3 -in``,
     ``cvc5 --incremental`` and the refsolver do; one that reads stdin to EOF
-    before it answers times out.  Each request is sent as ``(reset)``
-    followed by :func:`emit_smtlib`, and the answer, then after ``sat`` the
-    model, is read as forms framed by :func:`_forms` by the request's
-    deadline.  A timeout kills the child, and so does a ``solver_error``
-    (end of output before an answer, an ``(error ...)`` reply, a broken
-    pipe, a reply that does not parse, an unusable model); the next check
-    starts a fresh one.  Starting a child closes those of threads that have
-    ended; the others end when the backend is garbage-collected or the
-    interpreter exits.  A pickled copy starts with no child.
+    before it answers times out.  Each check is one exchange by the
+    request's deadline: it sends ``(reset)`` and the script of
+    :func:`emit_smtlib`, which ends with ``(check-sat)``, and reads forms
+    framed by :func:`_forms` up to the answer; only after ``sat`` does it
+    send ``(get-model)`` and read the model as the next form.  A timeout
+    kills the child, and so does a ``solver_error`` (end of output before
+    an answer, an ``(error ...)`` reply, a broken pipe, a reply that does
+    not parse, an unusable model); the next check starts a fresh one.
+    Starting a child closes those of threads that have ended; the others
+    end when the backend is garbage-collected or the interpreter exits.  A
+    pickled copy starts with no child.
     """
 
     command: Union[str, Sequence[str]]
@@ -409,36 +393,29 @@ class ExternalSolver:
         answer = assignment = None
         try:
             session.send("(reset)\n" + script, deadline)
-            stale = session.owes_reply
             replies = session.forms(deadline)
             for form in replies:
-                if isinstance(form, list) and form[:1] == ["error"] and not stale:
+                if isinstance(form, list) and form[:1] == ["error"]:
                     break
                 if form in (SAT, UNSAT, UNKNOWN):  # other output is skipped
                     answer = form
                     break
-                stale = False
-            if answer == SAT and (model := next(replies, None)) is not None:
-                names = [name for name, _, _ in request.variables]
-                assignment = _extract_assignment([model], names)
+            if answer == SAT:
+                session.send("(get-model)\n", deadline)
+                if (model := next(replies, None)) is not None:
+                    names = [name for name, _, _ in request.variables]
+                    assignment = _extract_assignment([model], names)
         except TimeoutError:
-            del self._sessions[key]
-            session.close()
+            self._sessions.pop(key).close()
             return SolverVerdict(TIMEOUT)
         except (OSError, SolverError):  # the child no longer reads its stdin, or
             pass  # its reply does not parse
         except BaseException:  # an interrupt leaves the child's replies out of step
-            del self._sessions[key]
-            session.close()
+            self._sessions.pop(key).close()
             raise
-        transcript = "\n".join(session.lines)
-        session.owes_reply = answer in (UNSAT, UNKNOWN)
-        if session.owes_reply:
-            return SolverVerdict(answer, transcript=transcript)
-        if assignment is not None:
-            return SolverVerdict(SAT, assignment, transcript)
-        del self._sessions[key]
-        return SolverVerdict(SOLVER_ERROR, transcript=session.close())
+        if answer in (UNSAT, UNKNOWN) or assignment is not None:
+            return SolverVerdict(answer, assignment, "\n".join(session.lines))
+        return SolverVerdict(SOLVER_ERROR, transcript=self._sessions.pop(key).close())
 
 
 _UNIT_ROUNDOFF = 2.0 ** -53

@@ -836,6 +836,20 @@ def test_attack_runs_are_deterministic_modulo_timing(workspace):
     assert docs[0] == docs[1]
 
 
+def test_attack_domain_from_negative_zero_reports_as_from_zero(workspace, tmp_path):
+    # each script writes the bound -0.0 as 0.0, a numeral the solver reads
+    runs = []
+    for low in ("-0", "0"):
+        out = tmp_path / f"domain{low}"
+        assert main(["attack", "--model", str(workspace["model"]),
+                     "--seeds", str(workspace["seed0"]), str(workspace["seed1"]),
+                     "--background", str(workspace["background"]),
+                     "--domain", low, "1", "--output-dir", str(out)]) == 0
+        runs.append(untimed_reports(out))
+    assert runs[0] == runs[1]
+    assert "success" in {doc["outcome"] for doc in runs[0].values()}
+
+
 def test_pooled_attack_builds_the_map_once_and_matches_sequential(workspace, attack_dir,
                                                                   tmp_path, monkeypatch):
     # the workers are forked from this process, so a build there would count too

@@ -349,12 +349,20 @@ def test_non_finite_background_is_a_configuration_error(entry):
         BackgroundSet(inputs)
 
 
-@pytest.mark.parametrize("seed", [-1, 0.5, "3"])
+@pytest.mark.parametrize("seed", [-1, 0.5, "3", (0, 1)])  # a tuple only in shap_matrix
 def test_random_seed_not_a_non_negative_integer_is_a_configuration_error(seed):
     # numpy's default_rng rejects a negative seed, but only once a depth is
     # sampled, past EXACT_FEATURE_LIMIT features
     with pytest.raises(ConfigurationError, match="random seed"):
         BackgroundSet(np.zeros((2, 3)), seed=seed)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, (-1, 0), (0, -2), (0, 0.5)])
+def test_shap_matrix_seed_not_a_non_negative_integer_is_a_configuration_error(seed):
+    # 13 features: past EXACT_FEATURE_LIMIT, so the seed reaches numpy's default_rng
+    model = linear_model([[0.1 * i, -0.2] for i in range(13)])
+    with pytest.raises(ConfigurationError, match="random seed"):
+        shap_matrix(model, np.zeros((2, 13)), np.full(13, 0.5), seed=seed)
 
 
 def test_shapley_validates_output_index():

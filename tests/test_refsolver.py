@@ -25,9 +25,9 @@ import numpy as np
 import pytest
 
 from attnconcolic import refsolver, solver
-from attnconcolic.solver import (ExternalSolver, GridOracle, SolverRequest, _parse_sexprs,
-                                 _render_decimal, _tokenize, assignment_satisfies,
-                                 emit_smtlib, grid_oracle)
+from attnconcolic.solver import (ExternalSolver, GridOracle, SolverRequest, _forms,
+                                 _render_decimal, assignment_satisfies, emit_smtlib,
+                                 grid_oracle)
 from attnconcolic.symexpr import (
     _REL_APPLY,
     Comparison,
@@ -155,6 +155,15 @@ def test_negative_bound_is_honoured(refsolver_backend):
     verdict = refsolver_backend.check(request)
     assert verdict.status == "sat"
     assert verdict.assignment == {"v": -1.0}
+
+
+@pytest.mark.parametrize("rel,bound", [(Rel.LT, 0.5), (Rel.GT, 2.0)])
+def test_negative_zero_bound_agrees_with_grid_oracle(rel, bound, refsolver_backend):
+    # the bound -0.0 is written 0.0: "-0.0" would read as an undeclared symbol
+    request = SolverRequest((("v", -0.0, 1.0),), (Comparison(rel, var("v"), const(bound)),))
+    want = grid_oracle(request, 256)
+    verdict = refsolver_backend.check(request)
+    assert (verdict.status, verdict.assignment) == (want.status, want.assignment)
 
 
 def test_negative_two_variable_box_agrees_with_grid_oracle(refsolver_backend):
@@ -415,20 +424,22 @@ def test_session_answers_each_request_as_solve_script_does():
     empty_box = SolverRequest((("v", 0.0, 1.0),), (Comparison(Rel.GT, var("v"), const(2.0)),))
     requests = [sampled, empty_box, sampled]
     scripts = [emit_smtlib(request) for request in requests]
-    proc = subprocess.run(REFSOLVER_CMD, input="".join("(reset)\n" + s for s in scripts),
+    # a (get-model) after each check: the refsolver prints nothing after unsat
+    proc = subprocess.run(REFSOLVER_CMD,
+                          input="".join(f"(reset)\n{s}(get-model)\n" for s in scripts),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     want = []
     for script in scripts:
         # a check solves the text since the (reset), up to its (check-sat) line
-        status, witness, declared = refsolver.solve_script(
-            script[:script.index("(get-model)")])
+        status, witness, declared = refsolver.solve_script(script)
         want.append(status)
         if witness is not None:
             want.append([["define-fun", name, [], "Real", _render_decimal(witness[name])]
                          for name in declared])
     assert want[:1] + want[2:3] == ["sat", "unsat"]
-    assert _parse_sexprs(_tokenize(proc.stdout)) == want
+    assert [form for _, forms in _forms(proc.stdout.splitlines(keepends=True))
+            for form in forms] == want
 
 
 def test_solve_script_of_an_emitted_script_answers_as_a_session_check(refsolver_backend):

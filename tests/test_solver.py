@@ -21,7 +21,6 @@ from attnconcolic.solver import (
     grid_oracle,
     parse_model_value,
     _forms,
-    _parse_sexprs,
     _tokenize,
 )
 from attnconcolic.symexpr import Comparison, Rel, add, const, div, mul, var
@@ -36,6 +35,11 @@ V = var("v")
 V_SQUARED_LT_1 = Comparison(Rel.LT, mul(V, V), const(1.0))
 
 
+def parsed(text: str) -> list:
+    """The forms of ``text``, framed as both ends of the pipe frame them."""
+    return [form for _, forms in _forms(text.splitlines(keepends=True)) for form in forms]
+
+
 # ---------------------------------------------------------------------------
 # emission
 # ---------------------------------------------------------------------------
@@ -47,7 +51,7 @@ def test_emit_contains_declaration_bounds_and_assertion():
     assert "(declare-const v Real)" in text
     assert "(assert (>= v 0.0))" in text and "(assert (<= v 1.0))" in text
     assert "(assert (< (+ (- 1.0) (* v v)) 0.0))" in text
-    assert text.index("(check-sat)") < text.index("(get-model)")
+    assert text.endswith(" 0.0))\n(check-sat)\n")
 
 
 def test_emit_is_byte_deterministic():
@@ -69,9 +73,16 @@ def test_emit_rewrites_exact_reciprocal_division():
     assert "(* v 0.5)" in text
     # the coefficient 1/3 is written so that it reads back as the same float
     text = emit_smtlib(unit_request(Comparison(Rel.GT, div(V, const(3.0)), const(0.0))))
-    assertion = _parse_sexprs(_tokenize(text))[-3]
+    assertion = parsed(text)[-2]
     assert assertion == ["assert", [">", ["*", "v", "0.3333333333333333"], "0.0"]]
     assert float(assertion[1][1][2]) == 1.0 / 3.0
+
+
+def test_emit_writes_a_zero_of_either_sign_as_a_numeral():
+    # repr(-0.0) is "-0.0", which SMT-LIB reads as a symbol
+    text = emit_smtlib(SolverRequest((("v", -0.0, 1.0),), (Comparison(Rel.LT, V, const(0.5)),)))
+    assert "(assert (>= v 0.0))" in text
+    assert "-0.0" not in text
 
 
 def test_emit_not_equal_uses_negated_equality():
@@ -110,8 +121,7 @@ def test_request_construction_walks_shared_subterms_once():
     ("(/ 3602879701896397 36028797018963968)", 0.1),
 ])
 def test_parse_model_value_forms(text, value):
-    forms = _parse_sexprs(_tokenize(text))
-    assert parse_model_value(forms[0]) == value
+    assert parse_model_value(parsed(text)[0]) == value
 
 
 def test_parse_model_value_rejects_garbage():
@@ -203,10 +213,10 @@ def test_external_unparseable_output_is_solver_error():
 def test_external_model_is_read_after_the_answer_line():
     stub = ("import sys\n"
             "for line in sys.stdin:\n"
-            "    if line.strip() == '(get-model)':\n"
-            "        break\n"
-            "print('(set-info :status unsatisfiable)'); print('sat'); "
-            "print('(model (define-fun v () Real 0.25))')")
+            "    if line.strip() == '(check-sat)':\n"
+            "        print('(set-info :status unsatisfiable)'); print('sat', flush=True)\n"
+            "    elif line.strip() == '(get-model)':\n"
+            "        print('(model (define-fun v () Real 0.25))', flush=True)\n")
     verdict = ExternalSolver([sys.executable, "-c", stub]).check(
         unit_request(V_SQUARED_LT_1))
     assert verdict.status == "sat"
@@ -323,22 +333,46 @@ def test_interrupted_check_discards_its_process(tmp_path):
     assert len(pids()) == 2
 
 
-def test_error_reply_to_get_model_after_unsat_is_skipped():
-    # z3 answers (get-model) after unsat or unknown with an (error ...) line
-    stub = ("import sys\n"
+def test_no_get_model_follows_unsat_or_unknown(tmp_path):
+    # SMT-LIB 2.6 allows (get-model) only after sat or unknown: this stub
+    # exits if one follows unsat or unknown
+    log = tmp_path / "pids.txt"
+    stub = ("import os, sys\n"
+            "with open(sys.argv[1], 'a') as fh:\n"
+            "    fh.write(f'{os.getpid()}\\n')\n"
             "answers = iter(['unsat', 'unknown', 'sat'])\n"
             "for line in sys.stdin:\n"
             "    if line.strip() == '(check-sat)':\n"
             "        answer = next(answers)\n"
             "        print(answer, flush=True)\n"
-            "    elif line.strip() == '(get-model)' and answer == 'sat':\n"
-            "        print('((define-fun v () Real 0.25))', flush=True)\n"
+            "    elif line.strip() == '(get-model)' and answer != 'sat':\n"
+            "        sys.exit(1)\n"
             "    elif line.strip() == '(get-model)':\n"
-            "        print('(error \"model is not available\")', flush=True)\n")
-    backend = ExternalSolver([sys.executable, "-c", stub])
+            "        print('((define-fun v () Real 0.25))', flush=True)\n")
+    backend = ExternalSolver([sys.executable, "-c", stub, str(log)])
     verdicts = [backend.check(unit_request(V_SQUARED_LT_1)) for _ in range(3)]
     assert [(v.status, v.assignment) for v in verdicts] == \
         [("unsat", None), ("unknown", None), ("sat", {"v": 0.25})]
+    assert len(log.read_text().split()) == 1
+
+
+def test_transcript_holds_only_the_replies_of_its_own_check():
+    # z3 answers (get-model) after unsat with an (error ...) line; none is
+    # asked for, so none reaches the next check's transcript
+    stub = ("import sys\n"
+            "answers = iter(['unsat', '(error \"boom\")'])\n"
+            "for line in sys.stdin:\n"
+            "    if line.strip() == '(check-sat)':\n"
+            "        answer = next(answers)\n"
+            "        print(answer, flush=True)\n"
+            "    elif line.strip() == '(get-model)':\n"
+            "        print('(error \"model is not available\")', flush=True)\n")
+    backend = ExternalSolver([sys.executable, "-c", stub])
+    assert backend.check(unit_request(V_SQUARED_LT_1)).status == "unsat"
+    verdict = backend.check(unit_request(V_SQUARED_LT_1))
+    assert verdict.status == "solver_error"
+    assert "boom" in verdict.transcript
+    assert "model is not available" not in verdict.transcript
 
 
 @pytest.mark.parametrize("error", ['(error "expected ( here")',
