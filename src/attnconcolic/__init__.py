@@ -73,7 +73,6 @@ from .symexpr import (
     Rel,
     SymExpr,
     arith,
-    compare,
     concretize,
     const,
     evaluate,

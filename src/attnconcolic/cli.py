@@ -246,7 +246,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
     if args.pixel_indices:
         try:
             args.pixel_indices = check_pixels(
-                [s for s in args.pixel_indices.split(",") if s], size)
+                [int(s) for s in args.pixel_indices.split(",") if s], size)
         except ValueError as exc:
             raise InputError(f"pixel-indices: {exc}") from None
     if not 1 <= args.pixels <= size:

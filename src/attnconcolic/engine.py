@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 import time
 from dataclasses import dataclass
 from typing import ClassVar, Optional, Sequence
@@ -243,8 +244,11 @@ def make_symbolic_input(x: np.ndarray, pixel_indices: Sequence[int],
 def check_pixels(pixels: Sequence[int], size: int) -> tuple[int, ...]:
     """The flat indices of the pixels to perturb in an input of ``size``
     pixels; ValueError unless there is at least one, none repeats and each is
-    in ``0..size-1``."""
-    pixels = tuple(int(p) for p in pixels)
+    an integer in ``0..size-1``."""
+    try:
+        pixels = tuple(map(operator.index, pixels))
+    except TypeError:
+        raise ValueError(f"{pixels!r} holds a pixel index that is not an integer") from None
     if not pixels:
         raise ValueError("at least one pixel to perturb is required")
     if len(set(pixels)) != len(pixels) or any(not 0 <= p < size for p in pixels):
@@ -253,14 +257,15 @@ def check_pixels(pixels: Sequence[int], size: int) -> tuple[int, ...]:
 
 
 def normalize_domains(domain, n_pixels: int) -> tuple[tuple[float, float], ...]:
-    """One ``(lo, hi)`` pair per pixel, from a single pair for all or one per
-    pixel; ValueError unless each is finite with ``lo <= hi``."""
-    if isinstance(domain, (tuple, list)) and len(domain) == 2 \
-            and not isinstance(domain[0], (tuple, list)):
-        domain = [domain] * n_pixels
-    domains = tuple((float(lo), float(hi)) for lo, hi in domain)
-    if len(domains) != n_pixels:
+    """One ``(lo, hi)`` pair per pixel, from a single pair of numbers for all
+    (any sequence of two) or one per pixel; ValueError for any other shape,
+    or unless each is finite with ``lo <= hi``."""
+    pairs = np.asarray(domain, dtype=float)
+    if pairs.shape == (2,):
+        pairs = np.tile(pairs, (n_pixels, 1))
+    if pairs.shape != (n_pixels, 2):
         raise ValueError("one (lo, hi) pair per perturbed pixel required")
+    domains = tuple(map(tuple, pairs.tolist()))
     for lo, hi in domains:
         if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
             raise ValueError(f"[{lo}, {hi}] is not a finite interval")

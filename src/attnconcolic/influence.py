@@ -193,7 +193,7 @@ def _dense_values(subnet: ModelSpec, first: int, x_flat, baseline_flat,
 def _permutation_matrix(subnet: ModelSpec, x_flat, baseline_flat,
                         n_permutations: int, rng: np.random.Generator) -> np.ndarray:
     d = x_flat.size
-    perms = np.array([rng.permutation(d) for _ in range(n_permutations)])
+    perms = rng.permuted(np.tile(np.arange(d), (n_permutations, 1)), axis=1)
     first = _first_dense(subnet)
     if first is not None:
         values = _dense_values(subnet, first, x_flat, baseline_flat, perms)
@@ -215,7 +215,8 @@ def shap_matrix(subnet: ModelSpec, background_inputs: np.ndarray, x: np.ndarray,
 
     Returns a (features x outputs) array.  ``method`` is ``"exact"``,
     ``"permutation"``, or ``"auto"`` (exact up to 12 features).  ``seed`` is
-    an integer >= 0, or a tuple of them; else ConfigurationError.
+    an integer >= 0, or a tuple of them, and ``n_permutations`` (for
+    sampling) an integer >= 1; else ConfigurationError.
     """
     for entry in seed if isinstance(seed, tuple) else (seed,):
         _check_seed(entry)
@@ -234,8 +235,9 @@ def shap_matrix(subnet: ModelSpec, background_inputs: np.ndarray, x: np.ndarray,
             raise ConfigurationError("exact enumeration is limited to 30 features")
         return _exact_matrix(subnet, x_flat, baseline)
     if method == "permutation":
-        if n_permutations < 1:
-            raise ConfigurationError(f"n_permutations must be at least 1, got {n_permutations}")
+        if not isinstance(n_permutations, (int, np.integer)) or n_permutations < 1:
+            raise ConfigurationError(
+                f"n_permutations must be at least 1 and an integer, got {n_permutations!r}")
         rng = np.random.default_rng(seed)
         return _permutation_matrix(subnet, x_flat, baseline, n_permutations, rng)
     raise ConfigurationError(f"unknown estimator {method!r}")

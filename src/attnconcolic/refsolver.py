@@ -49,8 +49,8 @@ import numpy as np
 
 from .solver import (SAT, UNKNOWN, UNSAT, SolverError, SolverRequest, _clip, _forms,
                      _grid_axis, _render_decimal, _scan, grid_oracle)
-from .symexpr import (_REL_APPLY, Comparison, ConcolicArithmeticError, Rel, add, const,
-                      div, evaluate, mul, neg, sub, var)
+from .symexpr import (_OPS, _REL_APPLY, Comparison, ConcolicArithmeticError, Rel, _bin,
+                      const, evaluate, neg, var)
 
 GRID_STAGES = {1: (256, 1024, 4096), 2: (256, 1024)}  # by variable count
 MESH_RESOLUTION = 16  # dense meshes blow up past two variables
@@ -59,7 +59,6 @@ RANDOM_SAMPLES = 65536
 DEFAULT_BOX = (-1e9, 1e9)
 _CHUNK = 2048  # rows per evaluate: fastest of 512 to 65536
 
-_BUILDERS = {"+": add, "-": sub, "*": mul, "/": div}
 _RELATIONS = {rel.value: rel for rel in (Rel.LT, Rel.LE, Rel.GT, Rel.GE, Rel.EQ)}
 _IGNORED = ("set-logic", "get-model")
 
@@ -79,14 +78,14 @@ def _term(form):
         except ValueError:
             raise ScriptError(f"bad numeral {form!r}") from None
     head, *args = form or [None]
-    if head not in _BUILDERS or not (len(args) == 2 or (len(args) == 1 and head == "-")
-                                     or (len(args) > 2 and head in ("+", "*"))):
+    if head not in _OPS or not (len(args) == 2 or (len(args) == 1 and head == "-")
+                                or (len(args) > 2 and head in ("+", "*"))):
         raise ScriptError(f"unsupported term {form!r}")
     terms = [_term(arg) for arg in args]
     if len(terms) == 1:
         return neg(terms[0])
     try:
-        return functools.reduce(_BUILDERS[head], terms)
+        return functools.reduce(functools.partial(_bin, head), terms)
     except ConcolicArithmeticError as exc:  # a zero or symbolic divisor
         raise ScriptError(str(exc)) from None
 

@@ -798,8 +798,10 @@ def grid_oracle(request: SolverRequest, resolution: int = 1024,
     conjuncts are evaluated, and the window and mask after each of them are
     stored.  Either way the final mask is the intersection of the conjuncts'
     satisfying sets, so the verdict and the witness are those of an uncached
-    check.
+    check.  SolverError unless ``resolution`` is an integer >= 0.
     """
+    if not isinstance(resolution, (int, np.integer)) or resolution < 0:
+        raise SolverError(f"grid resolution {resolution!r} is not an integer >= 0")
     if len(request.variables) > 2:
         raise SolverError("grid oracle supports at most 2 variables")
     if not request.variables:

@@ -8,12 +8,17 @@ construction, and it carries its polynomial: float coefficients per monomial,
 of any degree and over any number of variables.  The polynomial is the
 expression's meaning; equality, hashing and :func:`evaluate` go by it.  A
 node made by the arithmetic builders also keeps its operands, for
-:func:`to_infix` and node counts; a forward's cells are :func:`polynomial`
-leaves, and a recorded guard is ``p relop 0``.
+:func:`to_infix` and :func:`count_unique_nodes`; a forward's cells are
+:func:`polynomial` leaves, and a recorded guard is ``p relop 0``.
+
+``_OPS`` is the one table of the four operators, by their SMT-LIB symbols
+``+ - * /``: it folds two constants, computes :func:`arith`'s concrete
+parts, and names the heads the refsolver reads.
 """
 
 from __future__ import annotations
 
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
@@ -34,7 +39,6 @@ __all__ = [
     "SymExpr",
     "arith",
     "as_scalar",
-    "compare",
     "concretize",
     "const",
     "count_unique_nodes",
@@ -105,10 +109,6 @@ class SymExpr:
 
     def __hash__(self) -> int:
         return hash((self.monomials, self.coeffs))
-
-    def node_count(self) -> int:
-        """Number of distinct nodes reachable from this expression."""
-        return count_unique_nodes([self])
 
 
 def _make(kind: str, op: Optional[str], value: Optional[float], name: Optional[str],
@@ -193,23 +193,18 @@ def polynomial(terms: Iterable[tuple[Monomial, float]]) -> SymExpr:
     return _make("poly", None, None, None, (), *_canonical(acc))
 
 
-def _fold_bin(op: str, a: float, b: float, rhs: SymExpr) -> SymExpr:
-    if op == "+":
-        return const(a + b)
-    if op == "-":
-        return const(a - b)
-    if op == "*":
-        return const(a * b)
-    if b == 0.0:
-        raise ConcolicArithmeticError("division by zero constant", rhs)
-    return const(a / b)
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 def _bin(op: str, a: SymExpr, b: SymExpr) -> SymExpr:
+    """The node ``a op b`` for an ``op`` of :data:`_OPS`, folded to a constant
+    when both sides are constants."""
     a_value = a.value if a.kind == "const" else None
     b_value = b.value if b.kind == "const" else None
     if a_value is not None and b_value is not None:
-        return _fold_bin(op, a_value, b_value, b)
+        if op == "/" and b_value == 0.0:
+            raise ConcolicArithmeticError("division by zero constant", b)
+        return const(_OPS[op](a_value, b_value))
     if op == "+":
         if a_value == 0.0:
             return b
@@ -378,21 +373,15 @@ def as_scalar(x: Union[ConcolicScalar, Number]) -> ConcolicScalar:
     return ConcolicScalar(float(x))
 
 
-_CONCRETE_OPS = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
-}
-
-_SYMBOLIC_OPS = {"add": add, "sub": sub, "mul": mul, "div": div}
+_SYMBOLS = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
 
 
 def arith(op: str, a: Union[ConcolicScalar, Number],
           b: Union[ConcolicScalar, Number, None] = None) -> ConcolicScalar:
-    """Concolic arithmetic: real arithmetic on the concrete parts, a folded
-    expression node on the symbolic parts.  Results of two plain scalars stay
-    plain."""
+    """Concolic arithmetic for ``op`` in ``add``, ``sub``, ``mul``, ``div``
+    (binary) and ``neg`` (unary): the operator of :data:`_OPS` on the
+    concrete parts, the folded node of :func:`_bin` on the symbolic parts.
+    Results of two plain scalars stay plain."""
     a = as_scalar(a)
     if op == "neg":
         sym = neg(a.sym) if a.sym is not None else None
@@ -401,11 +390,11 @@ def arith(op: str, a: Union[ConcolicScalar, Number],
     if op == "div" and b.concrete == 0.0:
         raise ConcolicArithmeticError(
             "division by concrete zero", b.sym if b.sym is not None else const(0.0))
-    value = _CONCRETE_OPS[op](a.concrete, b.concrete)
+    symbol = _SYMBOLS[op]
+    value = _OPS[symbol](a.concrete, b.concrete)
     if a.sym is None and b.sym is None:
         return ConcolicScalar(value)
-    sym = _SYMBOLIC_OPS[op](a.expr(), b.expr())
-    return ConcolicScalar(value, sym)
+    return ConcolicScalar(value, _bin(symbol, a.expr(), b.expr()))
 
 
 def concretize(a: Union[ConcolicScalar, Number]) -> ConcolicScalar:
@@ -577,9 +566,3 @@ class ExecutionContext:
             layer_index=self._scope.layer_index,
         ))
         return truth
-
-
-def compare(rel: Rel, a: Union[ConcolicScalar, Number],
-            b: Union[ConcolicScalar, Number], ctx: ExecutionContext) -> bool:
-    """Free-function form of :meth:`ExecutionContext.compare`."""
-    return ctx.compare(rel, a, b)

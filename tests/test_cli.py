@@ -306,7 +306,7 @@ def test_attack_report_counts_the_builds_its_cap_skipped(workspace, tmp_path):
         "seed,iterations,sat,unsat,gen_constraints,sol_constraints,wall_s,cpu_s,outcome"
 
 
-@pytest.mark.parametrize("indices", ["1,a", "0,2", "-1", "1,1"])
+@pytest.mark.parametrize("indices", ["1,a", "0,2", "-1", "1,1", "1.5"])
 def test_attack_bad_pixel_indices_exit_2_before_the_solver(workspace, indices, capsys):
     # a solver that would fail its pre-flight (exit 3) shows the check comes first
     out = workspace["root"] / "bad_indices"

@@ -14,8 +14,10 @@ from attnconcolic.engine import (
     Scheduler,
     WorkItem,
     build_constraint,
+    check_pixels,
     harvest,
     make_symbolic_input,
+    normalize_domains,
     run_attack,
     schedule_pop,
 )
@@ -402,6 +404,24 @@ def test_attack_rejects_bad_pixel_choices():
     with pytest.raises(ValueError):
         run_attack(model, imap, seed, pixels=[0], domain=(1.0, 0.0),
                    backend=GridOracle(64))
+
+
+def test_a_fractional_pixel_index_is_rejected_not_truncated():
+    assert check_pixels([np.int64(1), 0], 6) == (1, 0)
+    with pytest.raises(ValueError, match="not an integer"):
+        check_pixels([1.5], 6)
+    model = flip_at_half_model()
+    seed = np.array([[0.2]])
+    with pytest.raises(ValueError, match="not an integer"):
+        run_attack(model, toy_map(model, seed), seed, pixels=[0.5], backend=GridOracle(64))
+
+
+def test_a_pair_of_numbers_of_any_sequence_type_is_every_pixels_domain():
+    assert normalize_domains(np.array([0.0, 1.0]), 2) == ((0.0, 1.0), (0.0, 1.0))
+    assert normalize_domains(np.array([[0.0, 1.0], [0.5, 2.0]]), 2) == ((0.0, 1.0), (0.5, 2.0))
+    for domain in ([0.0, 1.0, 2.0], np.zeros((2, 3)), np.zeros((1, 2, 2)), [[0.0, 1.0], [0.5]]):
+        with pytest.raises(ValueError):
+            normalize_domains(domain, 2)
 
 
 @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])

@@ -137,12 +137,32 @@ def test_sampling_error_shrinks_with_more_permutations():
     assert np.mean(better) < np.mean(worse)
 
 
-@pytest.mark.parametrize("n_permutations", [0, -2])
+@pytest.mark.parametrize("n_permutations", [0, -2, 2.5, np.float64(3.0), "3"])
 def test_sampling_without_permutations_is_a_configuration_error(n_permutations):
     model = linear_model([[1.0, -1.0]] * 3)
     with pytest.raises(ConfigurationError, match="n_permutations"):
         shap_matrix(model, np.zeros((1, 3)), np.ones(3), method="permutation",
                     n_permutations=n_permutations)
+
+
+@pytest.mark.parametrize("d", [1, 6, 13, 64, 784])
+def test_a_depths_permutations_are_those_of_one_draw_per_permutation(d, monkeypatch):
+    # the one Generator.permuted call gives the permutations of 128
+    # rng.permutation(d) calls, in order, and leaves the generator in their
+    # state: a numpy that changes either would move every sampled map
+    drawn = []
+    dense_values = influence._dense_values
+
+    def record(subnet, first, x_flat, baseline_flat, perms):
+        drawn.append(perms)
+        return dense_values(subnet, first, x_flat, baseline_flat, perms)
+
+    monkeypatch.setattr(influence, "_dense_values", record)
+    rng, reference = np.random.default_rng(d), np.random.default_rng(d)
+    influence._permutation_matrix(linear_model(np.ones((d, 2))), np.ones(d), np.zeros(d),
+                                  128, rng)
+    assert np.array_equal(drawn[0], [reference.permutation(d) for _ in range(128)])
+    assert rng.bit_generator.state == reference.bit_generator.state
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

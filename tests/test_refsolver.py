@@ -24,7 +24,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from attnconcolic import refsolver, solver
+from attnconcolic import refsolver, solver, symexpr
 from attnconcolic.solver import (ExternalSolver, GridOracle, SolverRequest, _forms,
                                  _render_decimal, assignment_satisfies, emit_smtlib,
                                  grid_oracle)
@@ -32,8 +32,10 @@ from attnconcolic.symexpr import (
     _REL_APPLY,
     Comparison,
     ConcolicArithmeticError,
+    ConcolicScalar,
     Rel,
     add,
+    arith,
     const,
     div,
     evaluate,
@@ -400,6 +402,49 @@ def test_symbolic_divisor_cannot_reach_a_request():
         div(v, add(v, const(1.0)))
 
 
+MONOMIALS = ((), ("x",), ("x", "x"), ("x", "y"))
+
+
+def random_finite(rng) -> float:
+    """A float of uniformly random bits, redrawn until finite."""
+    value = math.inf
+    while not math.isfinite(value):
+        value = float(rng.integers(1 << 64, dtype=np.uint64).view(np.float64))
+    return value
+
+
+@pytest.mark.parametrize("op, name", [("+", "add"), ("-", "sub"), ("*", "mul"), ("/", "div")])
+def test_one_operator_table_computes_folds_and_reads(op, name):
+    # symexpr._OPS gives arith's concrete part and the constant fold, and
+    # names the heads the refsolver reads into the builders' polynomials
+    rng = np.random.default_rng(ord(op))
+    builder = getattr(symexpr, name)
+    for _ in range(200):
+        a, b = random_finite(rng), random_finite(rng)
+        want = symexpr._OPS[op](a, b)
+        assert arith(name, a, b).concrete == want
+        assert arith(name, ConcolicScalar(a, var("x")), b).concrete == want
+        folded = builder(const(a), const(b))
+        assert folded.kind == "const" and folded == const(want)
+    for _ in range(50):
+        p, q = (polynomial((m, random_constant(rng)) for m in MONOMIALS
+                           if rng.random() < 0.7) for _ in range(2))
+        if op == "/":
+            q = const(random_constant(rng) or 0.5)
+        text = f"({op} {solver._render_poly(p)} {solver._render_poly(q)})\n"
+        (form,) = [form for _, forms in _forms([text]) for form in forms]
+        assert refsolver._term(form) == builder(p, q)
+    if op == "/":
+        with pytest.raises(ConcolicArithmeticError, match="zero constant"):
+            builder(var("x"), const(0.0))
+        with pytest.raises(ConcolicArithmeticError, match="zero constant"):
+            builder(const(1.0), const(0.0))
+        for text in ("(/ x 0.0)\n", "(/ 1.0 0.0)\n"):
+            (form,) = [form for _, forms in _forms([text]) for form in forms]
+            with pytest.raises(refsolver.ScriptError, match="zero constant"):
+                refsolver._term(form)
+
+
 def test_comment_lines_are_ignored():
     script = ("; a comment with ( unbalanced parentheses\n" + DECLARE
               + "(assert (> v 0.5)) ; trailing ) comment\n(check-sat)\n(get-model)\n")
@@ -445,8 +490,8 @@ def test_session_answers_each_request_as_solve_script_does():
 def test_solve_script_of_an_emitted_script_answers_as_a_session_check(refsolver_backend):
     names = ["a", "b", "c"]
     total = add(add(var("a"), var("b")), var("c"))
-    # the seeded samples find the witness, so it shows the seed: the text
-    # through the (check-sat) line, not the (get-model) after it
+    # the seeded samples find the witness, so it shows the seed: the whole
+    # emitted script, which ends with (check-sat), sent by the session after (reset)
     request = SolverRequest(tuple((name, 0.0, 1.0) for name in names),
                             (Comparison(Rel.GT, total, const(1.01)),
                              Comparison(Rel.LT, total, const(1.05))))

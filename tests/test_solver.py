@@ -14,6 +14,7 @@ import pytest
 
 from attnconcolic.solver import (
     ExternalSolver,
+    GridOracle,
     SolverError,
     SolverRequest,
     assignment_satisfies,
@@ -167,6 +168,17 @@ def test_grid_oracle_rejects_three_variables():
                         assertion=())
     with pytest.raises(SolverError):
         grid_oracle(req)
+
+
+@pytest.mark.parametrize("resolution", [2.5, -1])
+def test_grid_oracle_resolution_not_an_integer_at_least_0_is_an_error(resolution):
+    # v * w > 1.05 has no point in [0, 1]^2, but an axis of arange(3.5) / 2.5
+    # runs to 1.2 and is sat there, and at -1 numpy took the max of no points
+    request = SolverRequest((("v", 0.0, 1.0), ("w", 0.0, 1.0)),
+                            (Comparison(Rel.GT, mul(V, var("w")), const(1.05)),))
+    with pytest.raises(SolverError, match="resolution"):
+        GridOracle(resolution).check(request)
+    assert GridOracle(np.int64(2)).check(request).status == "unknown"
 
 
 def test_empty_assertion_is_sat_for_both_backends(refsolver_backend):

@@ -16,7 +16,6 @@ from attnconcolic.symexpr import (
     Rel,
     arith,
     as_scalar,
-    compare,
     concretize,
     const,
     count_unique_nodes,
@@ -135,7 +134,7 @@ def test_compare_emits_event_with_bypassed_guard():
     r = 1 / math.sqrt(2)
     s01 = (v * 6 + 6) * r
     s00 = (v * v * 3 + v * 6 + 3) * r
-    assert compare(Rel.GT, s01, s00, ctx) is False
+    assert ctx.compare(Rel.GT, s01, s00) is False
     assert len(ctx.events) == 1
     event = ctx.events[0]
     assert event.taken is False
@@ -164,7 +163,7 @@ def test_compare_records_the_guard_as_relop_zero():
 
 def test_compare_concrete_operands_emit_nothing():
     ctx = ExecutionContext()
-    assert compare(Rel.GT, as_scalar(5), as_scalar(3), ctx) is True
+    assert ctx.compare(Rel.GT, as_scalar(5), as_scalar(3)) is True
     assert ctx.events == []
 
 
@@ -293,7 +292,7 @@ def test_node_count_counts_unique_nodes():
     x = var("x")
     square = mul(x, x)
     expr = add(square, square)  # shares the square node
-    assert expr.node_count() == 3  # x, x*x, +
+    assert count_unique_nodes([expr]) == 3  # x, x*x, +
     assert count_unique_nodes([expr, square]) == 3
 
 
