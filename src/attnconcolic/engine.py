@@ -31,7 +31,7 @@ from .solver import (
     SolverRequest,
     assignment_satisfies,
 )
-from .symexpr import BranchEvent, Comparison, ExecutionContext, count_unique_nodes
+from .symexpr import BranchEvent, Comparison, ExecutionContext
 
 __all__ = [
     "AttackResult",
@@ -93,7 +93,9 @@ class Scheduler:
 @dataclass(frozen=True)
 class WorkItem:
     """One bypassed branch: the path prefix in taken polarity conjoined with
-    the negated guard, each the event's ``p relop 0``, plus scheduling metadata."""
+    the negated guard, each the event's ``p relop 0``, plus scheduling
+    metadata.  ``node_count`` is the number of literals: a forward's guard
+    ``p`` is one polynomial leaf, one expression node per literal."""
 
     constraint: tuple[Comparison, ...]
     influence: float
@@ -166,24 +168,18 @@ def harvest(events: Sequence[BranchEvent], influence_map: InfluenceMap,
     items: list[WorkItem] = []
     node = 0
     prefix: list[Comparison] = []
-    # every literal up to an event is the polynomial of that event's guard or
-    # an earlier one's: count the union of their nodes as it grows
-    seen: set[int] = set()
-    unseen: list = []
     for event in events:
         guard_key = event.guard.key()
         bypass_edge = (guard_key, not event.taken)
-        unseen.append(event.guard.p)
         if bypass_edge not in tree.children[node]:
             tree.child(node, bypass_edge)
             items.append(WorkItem(
                 constraint=(*prefix, event.bypassed_predicate),
                 influence=branch_influence(event, influence_map),
                 layer_index=event.layer_index,
-                node_count=count_unique_nodes(unseen, seen),
+                node_count=len(prefix) + 1,
                 ordinal=tree.next_ordinal,
             ))
-            unseen = []
             tree.next_ordinal += 1
         node = tree.child(node, (guard_key, event.taken))
         prefix.append(event.taken_literal())

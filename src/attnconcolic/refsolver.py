@@ -77,7 +77,7 @@ def _term(form):
             return const(float(form))
         except ValueError:
             raise ScriptError(f"bad numeral {form!r}") from None
-    head, *args = form or [None]
+    head, *args = form if form and isinstance(form[0], str) else [None]
     if head not in _OPS or not (len(args) == 2 or (len(args) == 1 and head == "-")
                                 or (len(args) > 2 and head in ("+", "*"))):
         raise ScriptError(f"unsupported term {form!r}")
@@ -95,7 +95,8 @@ def _comparison(form) -> Comparison:
         inner = _comparison(form[1])
         if inner.rel is Rel.EQ:
             return Comparison(Rel.NE, inner.p)
-    elif isinstance(form, list) and len(form) == 3 and form[0] in _RELATIONS:
+    elif isinstance(form, list) and len(form) == 3 and isinstance(form[0], str) \
+            and form[0] in _RELATIONS:
         return Comparison(_RELATIONS[form[0]], _term(form[1]), _term(form[2]))
     raise ScriptError(f"unsupported assertion {form!r}")
 

@@ -6,7 +6,10 @@ bit for bit, and carry each cell's exact polynomial in the symbolic pixels
 (:class:`ConcolicArray`).  Exponent arguments are concretized.  Guards read
 their truth off the values; one is a branch event when a side is symbolic,
 i.e. has a non-constant term (pixel terms that cancel to zero leave a
-constant, as no pixel value could flip it).
+constant, as no pixel value could flip it).  A comparison stage (a softmax's
+rows, a layer's ReLUs, the argmax ladder) takes its guards' polynomials from
+the coefficient arrays in one subtraction, each one leaf, with no per-cell
+scalar.
 """
 
 from __future__ import annotations
@@ -14,14 +17,14 @@ from __future__ import annotations
 import functools
 import json
 import math
-from contextlib import nullcontext
 from dataclasses import MISSING, dataclass, field, fields
+from itertools import compress, islice
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .symexpr import (ConcolicScalar, ExecutionContext, Monomial, NeuronId, Rel, as_scalar,
-                      polynomial)
+from .symexpr import (ConcolicScalar, ExecutionContext, Monomial, NeuronId, Rel, _leaf,
+                      as_scalar, polynomial)
 
 __all__ = [
     "ConcolicArray",
@@ -353,21 +356,55 @@ def _as_array(x) -> ConcolicArray:
     return ConcolicArray(value, coef.reshape(cells.shape + (-1,)), names)
 
 
-def _max_scan(row: ConcolicArray, ctx: ExecutionContext) -> int:
-    """Index of a row's first maximum by a strict ``>`` scan from the left; each
-    comparison with a symbolic side is a branch event through ``ctx.compare``."""
-    values, symbolic = row.value.tolist(), row.symbolic().tolist()
-    best, best_cell = 0, None
-    for u in range(1, len(values)):
-        if symbolic[u] or symbolic[best]:
-            cell = row[u]
-            best_cell = row[best] if best_cell is None else best_cell
-            taken = ctx.compare(Rel.GT, cell, best_cell)
-        else:
-            cell, taken = None, values[u] > values[best]
-        if taken:
-            best, best_cell = u, cell
-    return best
+@functools.lru_cache(maxsize=64)
+def _basis(names: tuple[str, ...], quadratic: bool):
+    """The sorted distinct monomials of the columns over ``names``, the columns
+    grouped by monomial (a product's two in order), and where each group starts."""
+    columns = _monomials(names, quadratic)
+    basis = tuple(sorted(set(columns)))
+    order = sorted(range(len(columns)), key=lambda j: basis.index(columns[j]))
+    return basis, order, [[columns[j] for j in order].index(m) for m in basis]
+
+
+def _max_scans(rows: ConcolicArray, ctx: ExecutionContext,
+               scope: Callable[[int], Optional[tuple[tuple[NeuronId, ...], int]]]) -> list[int]:
+    """Each row's first-maximum index by a strict ``>`` scan from the left,
+    for the rows of a 2-D array.  A comparison with a symbolic side, ``row[u]
+    > row[best]``, is a branch event of ``scope(r)``, its truth from the
+    values and its ``p`` from one subtraction for all rows: the two cells'
+    polynomials as indexing makes them (a constant cell's is its value),
+    over the sorted distinct monomials, zero coefficients dropped."""
+    symbolic, width = rows.symbolic(), rows.value.shape[-1]
+    cells, rivals, taken, counts, winners = [], [], [], [], []
+    for r, (values, sym) in enumerate(zip(rows.value.tolist(), symbolic.tolist())):
+        best, start = 0, len(taken)
+        for u in range(1, width):
+            wins = values[u] > values[best]
+            if sym[u] or sym[best]:
+                cells.append(r * width + u)
+                rivals.append(r * width + best)
+                taken.append(wins)
+            best = u if wins else best
+        counts.append(len(taken) - start)
+        winners.append(best)
+    if taken:
+        basis, order, starts = _basis(rows.names, rows.coef.shape[-1] > 1 + len(rows.names))
+        folded = np.add.reduceat(rows.coef.take(order, -1), starts, axis=-1)
+        folded[..., 0] = np.where(symbolic, folded[..., 0], rows.value)
+        folded = folded.reshape(-1, len(basis))
+        guards = zip((folded.take(cells, 0) - folded.take(rivals, 0)).tolist(), taken)
+        for r, count in enumerate(counts):
+            assoc = scope(r) if count else None
+            for p, truth in islice(guards, count):
+                ctx.record(Rel.GT, _leaf(basis, tuple(p)) if all(p) else _leaf(
+                    tuple(compress(basis, p)), tuple(c for c in p if c)), truth, assoc)
+    return winners
+
+
+@functools.lru_cache(maxsize=1024)
+def _row_neurons(depth: int, row: tuple[int, ...], width: int) -> tuple[NeuronId, ...]:
+    """The neurons ``(*row, c)`` for ``c < width`` at ``depth``."""
+    return tuple(NeuronId(depth, (*row, c)) for c in range(width))
 
 
 def tas(vectors, weights, bias) -> ConcolicArray:
@@ -403,8 +440,8 @@ def rowmax(row, ctx: Optional[ExecutionContext] = None,
     """
     ctx = ctx if ctx is not None else ExecutionContext()
     row = _as_array(row)
-    with ctx.association(assoc, layer_index) if assoc is not None else nullcontext():
-        return row[_max_scan(row, ctx)]
+    return row[_max_scans(row.reshape((1, -1)), ctx,
+                          lambda r: None if assoc is None else (tuple(assoc), layer_index))[0]]
 
 
 def stable_softmax(x, ctx: Optional[ExecutionContext] = None,
@@ -412,17 +449,21 @@ def stable_softmax(x, ctx: Optional[ExecutionContext] = None,
                    layer_index: int = 0) -> ConcolicArray:
     """Row-wise stable softmax with concretized exponent arguments.
 
-    Each row (last axis) with a symbolic cell is scanned by :func:`rowmax`,
-    emitting branch events; the probabilities are the reference softmax of
-    the values, constants.  Without ``row_assoc``, a row's guards associate
-    with the row's own cells.
+    Each row (last axis) with a symbolic cell is max-scanned, emitting branch
+    events (:func:`_max_scans`); the probabilities are the reference softmax
+    of the values, constants.  Row ``t`` of a matrix (each head's, for
+    head-major scores) associates its guards with ``row_assoc(t)``, or else
+    with its own cells ``(t, u)`` at depth ``layer_index``; a 1-D input is
+    one row, ``t = 0``, whose own cells are ``(u,)``.
     """
     ctx = ctx if ctx is not None else ExecutionContext()
     x = _as_array(x)
-    for index in np.argwhere(x.symbolic().any(axis=-1)).tolist() if x.names else ():
-        t, width = index[-1], x.value.shape[-1]
-        assoc = row_assoc(t) if row_assoc else [NeuronId(layer_index, (t, u)) for u in range(width)]
-        rowmax(x[tuple(index)], ctx, assoc, layer_index)
+    if x.names:
+        *lead, width = x.value.shape
+        height = lead[-1] if lead else 1
+        _max_scans(x.reshape((-1, width)), ctx, lambda r: (
+            tuple(row_assoc(r % height)) if row_assoc else
+            _row_neurons(layer_index, (r % height,)[:len(lead)], width), layer_index))
     probs = _softmax(x.value[None].copy())[0]
     return ConcolicArray(probs, probs[..., None])
 
@@ -442,7 +483,7 @@ def dpa(Q, K, V, ctx: Optional[ExecutionContext] = None,
     scale = 1.0 / math.sqrt(q.value.shape[-1])
     scores = attention_scores(q, K)
     scaled = ConcolicArray(scores.value * scale, scores.coef * scale, scores.names)
-    probs = stable_softmax(scaled, ctx, lambda t: [NeuronId(depth, (t, c)) for c in range(width)],
+    probs = stable_softmax(scaled, ctx, lambda t: _row_neurons(depth, (t,), width),
                            layer_index).value
     return ConcolicArray(_attend(probs[None], v.value[None])[0],
                          np.einsum("...tu,...ujc->...tjc", probs, v.coef), v.names)
@@ -462,9 +503,9 @@ def dense_forward(x, weights, bias, activation: str = "none",
                   layer_index: int = 0) -> ConcolicArray:
     """Affine map with optional ReLU.
 
-    Each ReLU guard on a symbolic pre-activation is ``pre > 0`` with the
-    single affected output neuron as its association; the negative branch
-    yields a plain concrete zero.
+    Each ReLU guard on a symbolic pre-activation is ``pre > 0``, a max scan
+    of ``[0, pre]``, with the single affected output neuron as its
+    association; the negative branch yields a plain concrete zero.
     """
     ctx = ctx if ctx is not None else ExecutionContext()
     x = _as_array(x)
@@ -474,9 +515,10 @@ def dense_forward(x, weights, bias, activation: str = "none",
     out = ConcolicArray((x.value[None] @ w + b)[0], coef, x.names)
     if activation != "relu":
         return out
-    for j in np.flatnonzero(out.symbolic()).tolist():
-        with ctx.association([NeuronId(depth, (j,))], layer_index):
-            ctx.compare(Rel.GT, out[j], 0.0)
+    pairs = ConcolicArray(np.zeros((len(coef), 2)), np.zeros((len(coef), 2, coef.shape[-1])),
+                          x.names)
+    pairs.value[:, 1], pairs.coef[:, 1] = out.value, coef
+    _max_scans(pairs, ctx, lambda j: ((NeuronId(depth, (j,)),), layer_index))
     positive = out.value > 0.0
     return ConcolicArray(np.where(positive, out.value, 0.0),
                          np.where(positive[:, None], coef, 0.0), x.names)
@@ -528,8 +570,8 @@ def forward(model: ModelSpec, x, ctx: Optional[ExecutionContext] = None) -> Forw
             _audit(vals, ctx.variables)
 
     logits = vals.reshape((model.class_count,))
-    with ctx.association(model.neuron_ids(model.output_depth), len(model.layers)):
-        label = _max_scan(logits, ctx)
+    (label,) = _max_scans(logits.reshape((1, -1)), ctx, lambda r: (
+        tuple(model.neuron_ids(model.output_depth)), len(model.layers)))
     return ForwardResult(logits, tuple(ctx.events[start:]), label)
 
 

@@ -8,8 +8,8 @@ construction, and it carries its polynomial: float coefficients per monomial,
 of any degree and over any number of variables.  The polynomial is the
 expression's meaning; equality, hashing and :func:`evaluate` go by it.  A
 node made by the arithmetic builders also keeps its operands, for
-:func:`to_infix` and :func:`count_unique_nodes`; a forward's cells are
-:func:`polynomial` leaves, and a recorded guard is ``p relop 0``.
+:func:`to_infix` and :func:`count_unique_nodes`; a forward's guards are
+polynomial leaves, each recorded as ``p relop 0``.
 
 ``_OPS`` is the one table of the four operators, by their SMT-LIB symbols
 ``+ - * /``: it folds two constants, computes :func:`arith`'s concrete
@@ -84,8 +84,8 @@ class SymExpr:
     has none.  ``kind`` is one of ``"const"``, ``"var"``, ``"poly"`` (the
     leaves) or ``"bin"``, ``"neg"``, and ``op``/``value``/``name``/``args``
     record how the node was built.  Leaves are made by :func:`const`,
-    :func:`var` and :func:`polynomial` (the forward's cells), inner nodes by
-    the binary builders and :func:`neg`.
+    :func:`var`, :func:`polynomial` and ``_leaf`` (the forward's guards),
+    inner nodes by the binary builders and :func:`neg`.
     """
 
     __slots__ = ("kind", "op", "value", "name", "args", "monomials", "coeffs",
@@ -144,14 +144,6 @@ def _scaled(e: SymExpr, k: float):
 
 def _plus(a: SymExpr, b: SymExpr, sign: float):
     """The polynomial of ``a + sign * b``."""
-    if a.monomials == b.monomials:  # the common case: one affine support
-        if sign > 0:
-            coeffs = [x + y for x, y in zip(a.coeffs, b.coeffs)]
-        else:
-            coeffs = [x - y for x, y in zip(a.coeffs, b.coeffs)]
-        if 0.0 not in coeffs:
-            return a.monomials, tuple(coeffs)
-        return _canonical(dict(zip(a.monomials, coeffs)))
     terms = dict(zip(a.monomials, a.coeffs))
     for m, c in zip(b.monomials, b.coeffs):
         terms[m] = terms.get(m, 0.0) + sign * c
@@ -190,7 +182,12 @@ def polynomial(terms: Iterable[tuple[Monomial, float]]) -> SymExpr:
     for monomial, coeff in terms:
         if coeff:
             acc[monomial] = acc.get(monomial, 0.0) + coeff
-    return _make("poly", None, None, None, (), *_canonical(acc))
+    return _leaf(*_canonical(acc))
+
+
+def _leaf(monomials: tuple[Monomial, ...], coeffs: tuple[float, ...]) -> SymExpr:
+    """The leaf of sorted distinct monomials with non-zero coefficients."""
+    return _make("poly", None, None, None, (), monomials, coeffs)
 
 
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
@@ -511,8 +508,7 @@ class BranchEvent:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Scope:
+class _Scope(NamedTuple):
     neurons: tuple[NeuronId, ...]
     layer_index: int
 
@@ -554,15 +550,17 @@ class ExecutionContext:
         a = as_scalar(a)
         b = as_scalar(b)
         truth = bool(_REL_APPLY[rel](a.concrete, b.concrete))
-        if a.sym is None and b.sym is None:
-            return truth
-        if self._scope is None:
+        if a.sym is not None or b.sym is not None:
+            self.record(rel, sub(a.expr(), b.expr()), truth)
+        return truth
+
+    def record(self, rel: Rel, p: SymExpr, taken: bool,
+               scope: Optional[tuple[tuple[NeuronId, ...], int]] = None) -> None:
+        """Log the guard ``p relop 0``, whose truth on the concrete path was
+        ``taken``, as a branch event of ``scope``, a pair of the associated
+        neurons and the layer index, by default the current association scope."""
+        neurons, layer_index = scope or self._scope or ((), None)
+        if not neurons:
             raise AssociationScopeError(
                 "symbolic comparison outside an association scope")
-        self.events.append(BranchEvent(
-            guard=Comparison(rel, a.expr(), b.expr()),
-            taken=truth,
-            assoc_neurons=self._scope.neurons,
-            layer_index=self._scope.layer_index,
-        ))
-        return truth
+        self.events.append(BranchEvent(Comparison(rel, p), taken, neurons, layer_index))

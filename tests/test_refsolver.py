@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from attnconcolic import refsolver, solver, symexpr
-from attnconcolic.solver import (ExternalSolver, GridOracle, SolverRequest, _forms,
+from attnconcolic.solver import (ExternalSolver, GridOracle, SolverError, SolverRequest, _forms,
                                  _render_decimal, assignment_satisfies, emit_smtlib,
                                  grid_oracle)
 from attnconcolic.symexpr import (
@@ -375,6 +375,8 @@ REJECTED = {
     "define-fun": DECLARE + "(define-fun s () Real (* v v))\n(assert (> s 0.5))\n(check-sat)\n",
     "deep nesting": DECLARE + "(assert (> " + "(+ 0.5 " * 1500 + "v" + ")" * 1500
     + " 0.5))\n(check-sat)\n",
+    "list-headed term": DECLARE + "(assert (> ((+ v 1.0) v) 0.0))\n(check-sat)\n",
+    "list-headed assertion": DECLARE + "(assert ((> v 1.0) v 0.0))\n(check-sat)\n",
 }
 
 
@@ -384,6 +386,8 @@ def run_script(script: str) -> subprocess.CompletedProcess:
 
 @pytest.mark.parametrize("name", sorted(REJECTED))
 def test_rejected_script_exits_2(name, tmp_path):
+    with pytest.raises(SolverError):
+        refsolver.solve_script(REJECTED[name])
     proc = run_script(REJECTED[name])
     assert proc.returncode == 2
     assert proc.stdout == ""

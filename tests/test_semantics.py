@@ -32,7 +32,8 @@ from attnconcolic.semantics import (
     stable_softmax,
     tas,
 )
-from attnconcolic.symexpr import ExecutionContext, NeuronId, add, as_scalar, const, mul, var
+from attnconcolic.symexpr import (ExecutionContext, NeuronId, Rel, add, as_scalar, const, mul,
+                                  var)
 
 from conftest import golden_mha, linear_coeffs, quad_coeffs, random_toy_model
 
@@ -297,6 +298,100 @@ def test_rowmax_five_symbolic_entries_emit_four_events():
     entries = [ctx.symvar(f"x{i}", float(i % 3)) for i in range(5)]
     rowmax(entries, ctx, assoc=[NeuronId(0, (0,))], layer_index=0)
     assert len(ctx.events) == 4
+
+
+def test_softmax_of_a_one_dimensional_row_is_one_row():
+    for row_assoc, want in ((None, (NeuronId(2, (0,)), NeuronId(2, (1,)))),
+                            (lambda t: [NeuronId(5, (t, 7))], (NeuronId(5, (0, 7)),))):
+        ctx = ExecutionContext()
+        out = stable_softmax([ctx.symvar("v", 0.3), as_scalar(0.5)], ctx, row_assoc, 2)
+        assert out.value.shape == (2,)
+        assert out.value.tolist() == stable_softmax([0.3, 0.5]).value.tolist()
+        (event,) = ctx.events
+        assert event.taken is True and event.assoc_neurons == want and event.layer_index == 2
+        assert event.guard.key() == (">", ((), ("v",)), (0.5, -1.0))  # 0.5 - v > 0
+
+
+# ---------------------------------------------------------------------------
+# guards from coefficient rows, against the per-cell path
+# ---------------------------------------------------------------------------
+
+
+def reference_scan(row: ConcolicArray, ctx: ExecutionContext) -> int:
+    """The per-cell max scan: each comparison with a symbolic side goes
+    through ``ctx.compare`` on the two indexed cells."""
+    values, symbolic = row.value.tolist(), row.symbolic().tolist()
+    best = 0
+    for u in range(1, len(values)):
+        if symbolic[u] or symbolic[best]:
+            taken = ctx.compare(Rel.GT, row[u], row[best])
+        else:
+            taken = values[u] > values[best]
+        best = u if taken else best
+    return best
+
+
+def event_keys(ctx: ExecutionContext) -> list:
+    return [(e.guard.rel, e.guard.p.monomials, [c.hex() for c in e.guard.p.coeffs], e.taken,
+             e.assoc_neurons, e.layer_index) for e in ctx.events]
+
+
+def random_concolic(rng: np.random.Generator, shape: tuple[int, ...],
+                    quadratic: bool) -> ConcolicArray:
+    """Values with ties and signed zeros; coefficients with zero and -0.0
+    entries, product pairs that cancel, repeated cells whose guards cancel to
+    exact zero, and constant cells whose constant column is not their value."""
+    names = tuple(rng.permutation(["p3", "p10", "p2"])[:rng.integers(1, 4)].tolist())
+    k = 1 + len(names)
+    value = rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0], size=shape)
+    coef = rng.normal(size=shape + (k * k if quadratic else k,))
+    coef[rng.random(coef.shape) < 0.3] = 0.0
+    coef[rng.random(coef.shape) < 0.2] = -0.0
+    for a, b in itertools.combinations(range(k), 2) if quadratic else ():
+        cancel = rng.random(shape) < 0.5
+        coef[..., b * k + a] = np.where(cancel, -coef[..., a * k + b], coef[..., b * k + a])
+    flat_value, flat_coef = value.reshape(-1), coef.reshape(-1, coef.shape[-1])
+    for i in rng.choice(len(flat_value), size=len(flat_value) // 3).tolist():
+        flat_value[i], flat_coef[i] = flat_value[i - 1], flat_coef[i - 1]
+    constant = rng.random(shape) < 0.3
+    coef[..., 1:][constant] = rng.choice([0.0, -0.0],
+                                         size=(int(constant.sum()), coef.shape[-1] - 1))
+    return ConcolicArray(value, coef, names)
+
+
+@pytest.mark.parametrize("quadratic", [False, True])
+@pytest.mark.parametrize("seed", range(40))
+def test_stage_guards_match_the_per_cell_path(seed, quadratic):
+    rng = np.random.default_rng([seed, quadratic])
+    shape = (int(rng.integers(1, 3)), int(rng.integers(1, 4)), int(rng.integers(1, 6)))
+    x = random_concolic(rng, shape, quadratic)
+    row_assoc = (lambda t: [NeuronId(1, (t, 0)), NeuronId(1, (t, 1))]) if seed % 2 else None
+    stage, reference = ExecutionContext(), ExecutionContext()
+    stable_softmax(x, stage, row_assoc, layer_index=4)
+    for index in np.ndindex(*shape[:-1]):
+        t = index[-1]
+        assoc = row_assoc(t) if row_assoc else [NeuronId(4, (t, u)) for u in range(shape[-1])]
+        if x.symbolic()[index].any():
+            with reference.association(assoc, 4):
+                reference_scan(x[index], reference)
+    assert event_keys(stage) == event_keys(reference)
+
+    row = x.reshape((-1,))
+    stage, reference = ExecutionContext(), ExecutionContext()
+    best = rowmax(row, stage, [NeuronId(0, (0,))], 2)
+    with reference.association([NeuronId(0, (0,))], 2):
+        assert best == row[reference_scan(row, reference)]
+    assert event_keys(stage) == event_keys(reference)
+
+    if not quadratic:  # ReLU guards read an affine pre-activation
+        identity = np.eye(row.value.size)
+        out = dense_forward(row, identity, np.zeros(row.value.size))
+        stage, reference = ExecutionContext(), ExecutionContext()
+        dense_forward(row, identity, np.zeros(row.value.size), "relu", stage, 3, 1)
+        for j in np.flatnonzero(out.symbolic()).tolist():
+            with reference.association([NeuronId(3, (j,))], 1):
+                reference.compare(Rel.GT, out[j], 0.0)
+        assert event_keys(stage) == event_keys(reference)
 
 
 # ---------------------------------------------------------------------------
