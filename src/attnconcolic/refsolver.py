@@ -25,7 +25,17 @@ the grid oracle's kernel at staged resolutions (a mesh of at most 17**5
 points, streamed in chunks, past two variables), then seeded samples.  For
 one variable the clip's intervals hold every point that can satisfy the
 request, so a grid stage with no point in them is skipped, and only the
-samples in them are evaluated.
+samples in them are evaluated.  A session keeps one
+:class:`~attnconcolic.solver._PrefixTrie` per grid resolution, each under
+the grid oracle's byte cap, for the life of the process, across
+``(reset)``, as a :class:`~attnconcolic.solver.GridOracle` keeps its own: a
+check that extends a prefix checked before, under the same box, evaluates
+only the conjuncts after it, with the same verdict and witness.
+
+The engine's :class:`~attnconcolic.solver.ExternalSolver` answers the
+requests that the clip proves unsat without asking its child, so a session
+sees only those the clip does not decide.  The refsolver keeps its own clip
+for scripts from anywhere else.
 
 Answers are honest about their strength: ``sat`` comes with a model that is a
 verified witness, printed in decimals.  ``unsat`` is emitted only with a
@@ -43,12 +53,13 @@ import functools
 import hashlib
 import math
 import sys
+from collections import defaultdict
 from dataclasses import replace
 
 import numpy as np
 
 from .solver import (SAT, UNKNOWN, UNSAT, SolverError, SolverRequest, _clip, _forms,
-                     _grid_axis, _render_decimal, _scan, grid_oracle)
+                     _grid_axis, _PrefixTrie, _render_decimal, _scan, grid_oracle)
 from .symexpr import (_OPS, _REL_APPLY, Comparison, ConcolicArithmeticError, Rel, _bin,
                       const, evaluate, neg, var)
 
@@ -169,8 +180,9 @@ def _samples(request: SolverRequest, seed: int) -> np.ndarray:
     return samples
 
 
-def _search(request: SolverRequest, seed: int):
-    """Staged grid scan, then random sampling: ``(status, witness)``.  Up to
+def _search(request: SolverRequest, seed: int, tries: defaultdict[int, _PrefixTrie]):
+    """Staged grid scan, then random sampling: ``(status, witness)``.  Each
+    grid stage reads and stores prefix masks in ``tries[resolution]``.  Up to
     two variables, :func:`~attnconcolic.solver._clip` runs first and answers
     unsat when it leaves no point of the box.  For one variable, a grid
     stage runs only if one of its points lies in the clip's intervals, and
@@ -189,7 +201,7 @@ def _search(request: SolverRequest, seed: int):
             if len(names) == 1 and not _inside(
                     clip, _grid_axis(*request.variables[0][1:], resolution).points).any():
                 continue
-            verdict = _scan(request, resolution)
+            verdict = _scan(request, resolution, tries[resolution])
             if verdict.status == SAT:
                 return SAT, verdict.assignment
     elif (per_axis := _mesh_points_per_axis(len(names))) >= 2:
@@ -231,22 +243,25 @@ def _read(form, declared: list[str], assertion: list[Comparison]) -> bool:
     return False
 
 
-def _solve(declared: list[str], assertion: list[Comparison], text: str):
+def _solve(declared: list[str], assertion: list[Comparison], text: str,
+           tries: defaultdict[int, _PrefixTrie]):
     """(status, witness, declared variable order) of a check, its random
-    samples seeded from ``text`` stripped of the white space around it."""
+    samples seeded from ``text`` stripped of the white space around it, its
+    grid stages reading and storing the prefix masks of ``tries``."""
     request = _narrowed(SolverRequest(tuple((name, *DEFAULT_BOX) for name in declared),
                                       tuple(assertion)))
     if any(lo > hi for _, lo, hi in request.variables):
         return (UNSAT, None, list(declared))
     seed = int.from_bytes(hashlib.sha256((text.strip() + "\n").encode()).digest()[:8], "big")
-    return (*_search(request, seed), list(declared))
+    return (*_search(request, seed, tries), list(declared))
 
 
 def solve_script(text: str) -> tuple[str, dict[str, float] | None, list[str]]:
     """(status, witness, declared variable order) of the script's last
     ``(check-sat)``, as a session answers it; unknown if it asks for none.
-    SolverError on a script it cannot read (ScriptError for a form outside
-    the subset, ``(reset)`` included)."""
+    Its grid stages start from empty prefix tries.  SolverError on a script
+    it cannot read (ScriptError for a form outside the subset, ``(reset)``
+    included)."""
     declared: list[str] = []
     assertion: list[Comparison] = []
     read, check = "", None  # the text so far; the last check's arguments
@@ -255,7 +270,7 @@ def solve_script(text: str) -> tuple[str, dict[str, float] | None, list[str]]:
         for form in forms:
             if _read(form, declared, assertion):
                 check = (list(declared), list(assertion), read)
-    return _solve(*check) if check else (UNKNOWN, None, declared)
+    return _solve(*check, defaultdict(_PrefixTrie)) if check else (UNKNOWN, None, declared)
 
 
 def _print_model(witness: dict[str, float], declared: list[str]) -> None:
@@ -270,6 +285,9 @@ def main() -> int:
     assertion: list[Comparison] = []
     text = ""  # the lines received since the (reset) line
     answer = None  # (status, witness, declared) of the last (check-sat)
+    # one per grid resolution, for the life of the process: (reset) keeps
+    # them, as their keys are exact
+    tries = defaultdict(_PrefixTrie)
     try:
         for lines, forms in _forms(sys.stdin):
             text += lines
@@ -278,7 +296,7 @@ def main() -> int:
                     declared, assertion, text, answer = [], [], "", None
                 elif _read(form, declared, assertion):
                     # the text up to and including the (check-sat) line
-                    answer = _solve(declared, assertion, text)
+                    answer = _solve(declared, assertion, text, tries)
                     print(answer[0], flush=True)
                 elif form == ["get-model"] and answer and answer[0] == SAT:
                     _print_model(*answer[1:])

@@ -3,16 +3,17 @@ grid oracle over polynomial constraints.
 
 The engine never links a solver library: the external backend keeps one
 live child process per thread running a configurable solver command, writes
-each request to it as an SMT-LIB2 script over quantifier-free nonlinear
-reals, and parses sat/unsat/unknown, then after sat the model it asks for,
-from its standard output.  Both backends read each comparison ``p relop 0``
-off its one polynomial.  The grid oracle is an in-process fallback used for
-testing and small-instance verification; its "no point found" answer is
-reported as unknown, never as a proof of unsatisfiability.  It answers
-unsat only with a proof: an empty box, or a box that its conjuncts, each
-widened by a float error bound, clip to nothing: the conjuncts of degree at
-most 2 for one variable, whose roots cut the line into intervals, and the
-affine ones for two, which cut a polygon.
+each request that the clip below does not decide to it as an SMT-LIB2
+script over quantifier-free nonlinear reals, and parses sat/unsat/unknown,
+then after sat the model it asks for, from its standard output.  Both
+backends read each comparison ``p relop 0`` off its one polynomial.  The
+grid oracle is an in-process fallback used for testing and small-instance
+verification; its "no point found" answer is reported as unknown, never as
+a proof of unsatisfiability.  Both answer unsat in process only with a
+proof: an empty box, or a box that the conjuncts, each widened by a float
+error bound, clip to nothing: the conjuncts of degree at most 2 for one
+variable, whose roots cut the line into intervals, and the affine ones for
+two, which cut a polygon.
 """
 
 from __future__ import annotations
@@ -339,17 +340,18 @@ class ExternalSolver:
     solver must speak the SMT-LIB 2.6 interactive protocol on stdin/stdout
     and answer each ``(check-sat)`` as the command arrives, as ``z3 -in``,
     ``cvc5 --incremental`` and the refsolver do; one that reads stdin to EOF
-    before it answers times out.  Each check is one exchange by the
-    request's deadline: it sends ``(reset)`` and the script of
-    :func:`emit_smtlib`, which ends with ``(check-sat)``, and reads forms
-    framed by :func:`_forms` up to the answer; only after ``sat`` does it
-    send ``(get-model)`` and read the model as the next form.  A timeout
-    kills the child, and so does a ``solver_error`` (end of output before
-    an answer, an ``(error ...)`` reply, a broken pipe, a reply that does
-    not parse, an unusable model); the next check starts a fresh one.
-    Starting a child closes those of threads that have ended; the others
-    end when the backend is garbage-collected or the interpreter exits.  A
-    pickled copy starts with no child.
+    before it answers times out.  A request of one or two variables that
+    :func:`_clip` clips to nothing is unsat without a child.  Any other
+    check is one exchange by the request's deadline: it sends ``(reset)``
+    and the script of :func:`emit_smtlib`, which ends with ``(check-sat)``,
+    and reads forms framed by :func:`_forms` up to the answer; only after
+    ``sat`` does it send ``(get-model)`` and read the model as the next
+    form.  A timeout kills the child, and so does a ``solver_error`` (end of
+    output before an answer, an ``(error ...)`` reply, a broken pipe, a
+    reply that does not parse, an unusable model); the next check starts a
+    fresh one.  Starting a child closes those of threads that have ended;
+    the others end when the backend is garbage-collected or the interpreter
+    exits.  A pickled copy starts with no child.
     """
 
     command: Union[str, Sequence[str]]
@@ -376,6 +378,9 @@ class ExternalSolver:
         return argv
 
     def check(self, request: SolverRequest) -> SolverVerdict:
+        # the pre-flight's request, with no variables, clips to one point
+        if len(request.variables) <= 2 and not _clip(request):
+            return SolverVerdict(UNSAT)
         script = emit_smtlib(request)
         deadline = time.monotonic() + request.timeout_s
         key = (os.getpid(), threading.get_ident())
@@ -707,7 +712,7 @@ def _cut_line(intervals: list, a: float, b: float, c: float, magnitude: float,
     return kept
 
 
-def _clip(request: SolverRequest) -> list[tuple[float, float]]:
+def _clip(request: SolverRequest) -> list[tuple[float, ...]]:
     """The box of a 1- or 2-variable request clipped by the conjuncts of its
     assertion, in one pass: for one variable, the sorted disjoint closed
     intervals left by the conjuncts of degree at most 2; for two, the
@@ -734,7 +739,10 @@ def _clip(request: SolverRequest) -> list[tuple[float, float]]:
     test errs by a few roundoffs of the bound.  It also covers grid and
     sample points rounded past ``hi``.  So strict relations are clipped as
     non-strict ones, and a sliver within that widening is not decided here.
+    With no variables, the clip is the box's one point, ``[()]``.
     """
+    if not request.variables:
+        return [()]
     if any(lo > hi for _, lo, hi in request.variables):
         return []
     widen = 64 * (len(request.assertion) + 1) * _UNIT_ROUNDOFF

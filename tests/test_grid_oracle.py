@@ -811,6 +811,14 @@ def test_clip_of_an_empty_box_is_empty(variables):
     assert solver._clip(SolverRequest(variables, (Comparison(Rel.GT, const(1.0)),))) == []
 
 
+@pytest.mark.parametrize("assertion", [(), (Comparison(Rel.GT, const(1.0)),),
+                                       (Comparison(Rel.LT, const(1.0)),)],
+                         ids=["none", "true", "false"])
+def test_clip_without_variables_is_the_one_point_of_its_box(assertion):
+    # the conjuncts are ground: the clip reads none of them, true or false
+    assert solver._clip(SolverRequest((), assertion)) == [()]
+
+
 @pytest.mark.parametrize("variables,p", [
     (UNIT_LINE, add(mul(A, mul(A, A)), A)),
     (UNIT_SQUARE, add(mul(A, B), A)),
@@ -833,9 +841,13 @@ def test_affine_infeasible_request_is_unsat_before_any_kernel_pass(kernel_passes
     assert grid_oracle(request, 1024) == oracle.check(request) == SolverVerdict("unsat")
     assert kernel_passes[0] == 0 and oracle._prefixes.nbytes == 0
     assert refsolver_backend.check(request).status == "unsat"
+    # the backend answers without its child; the child proves it on its own
+    assert refsolver.solve_script(emit_smtlib(request)) == ("unsat", None, ["a"])
     two = SolverRequest(UNIT_SQUARE, (Comparison(Rel.GT, add(A, B), const(2.5)),
                                       Comparison(Rel.GT, mul(A, B), const(0.1))))
     assert grid_oracle(two, 256).status == refsolver_backend.check(two).status == "unsat"
+    assert refsolver.solve_script(emit_smtlib(two)) == ("unsat", None, ["a", "b"])
+    assert kernel_passes[0] == 0
 
 
 def test_quadratic_infeasible_request_is_unsat_before_any_kernel_pass(kernel_passes,
@@ -846,6 +858,8 @@ def test_quadratic_infeasible_request_is_unsat_before_any_kernel_pass(kernel_pas
     assert grid_oracle(request, 1024) == oracle.check(request) == SolverVerdict("unsat")
     assert kernel_passes[0] == 0 and oracle._prefixes.nbytes == 0
     assert refsolver_backend.check(request).status == "unsat"
+    assert refsolver.solve_script(emit_smtlib(request)) == ("unsat", None, ["a"])
+    assert kernel_passes[0] == 0
     # (v - 0.5)**2 <= 0 holds at its double root alone
     square = mul(sub(A, const(0.5)), sub(A, const(0.5)))
     touching = SolverRequest(UNIT_LINE, (Comparison(Rel.LE, square),))

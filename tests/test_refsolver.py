@@ -12,13 +12,15 @@ give the same status and the same witness.
 from __future__ import annotations
 
 import hashlib
+import io
 import math
 import select
 import shlex
 import subprocess
+import sys
 import time
 import tracemalloc
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import fields
 
 import numpy as np
@@ -27,7 +29,7 @@ import pytest
 from attnconcolic import refsolver, solver, symexpr
 from attnconcolic.solver import (ExternalSolver, GridOracle, SolverError, SolverRequest, _forms,
                                  _render_decimal, assignment_satisfies, emit_smtlib,
-                                 grid_oracle)
+                                 grid_oracle, parse_model_value)
 from attnconcolic.symexpr import (
     _REL_APPLY,
     Comparison,
@@ -47,8 +49,9 @@ from attnconcolic.symexpr import (
 )
 
 from conftest import REFSOLVER_CMD
-from test_grid_oracle import (closure_is_empty, random_comparison, random_constant,
-                              reference_grid_oracle)
+from test_grid_oracle import (closure_is_empty, concolic_path, generational_items,
+                              random_comparison, random_constant, reference_grid_oracle)
+from test_grid_oracle import random_box as grid_box
 
 STAGES = {1: (256, 1024, 4096), 2: (256, 1024), 3: (16,)}
 FLIPPED = {Rel.LT: Rel.GT, Rel.LE: Rel.GE, Rel.GT: Rel.LT, Rel.GE: Rel.LE,
@@ -244,6 +247,8 @@ def test_empty_box_is_unsat_on_both_backends(refsolver_backend):
     assert grid_oracle(request, 256).status == "unsat"
     assert GridOracle(256).check(request).status == "unsat"
     assert refsolver_backend.check(request).status == "unsat"
+    # the backend answers without its child; the child proves it on its own
+    assert refsolver.solve_script(emit_smtlib(request)) == ("unsat", None, ["v"])
 
 
 def test_affine_unsat_ends_the_search_before_any_grid_stage(monkeypatch):
@@ -285,8 +290,8 @@ def line_request(rng: np.random.Generator) -> SolverRequest:
 def test_one_variable_search_skips_only_points_that_cannot_satisfy(monkeypatch):
     scan, stages = refsolver._scan, []
 
-    def recorded(request, resolution):
-        verdict = scan(request, resolution)
+    def recorded(request, resolution, trie):
+        verdict = scan(request, resolution, trie)
         stages.append((resolution, verdict.status))
         return verdict
 
@@ -296,11 +301,11 @@ def test_one_variable_search_skips_only_points_that_cannot_satisfy(monkeypatch):
     for _ in range(240):
         request = line_request(rng)
         seed = int(rng.integers(2 ** 63))
-        got = refsolver._search(request, seed)
+        got = refsolver._search(request, seed, defaultdict(solver._PrefixTrie))
         stages.clear()
         with monkeypatch.context() as patch:  # every stage and sample, no unsat
             patch.setattr(refsolver, "_clip", lambda request: [(-math.inf, math.inf)])
-            want = refsolver._search(request, seed)
+            want = refsolver._search(request, seed, defaultdict(solver._PrefixTrie))
         assert got == want or (got, want) == (("unsat", None), ("unknown", None)), request
         if want[0] == "sat":
             found[stages[-1][0] if stages[-1][1] == "sat" else "sample"] += 1
@@ -489,6 +494,53 @@ def test_session_answers_each_request_as_solve_script_does():
     assert want[:1] + want[2:3] == ["sat", "unsat"]
     assert [form for _, forms in _forms(proc.stdout.splitlines(keepends=True))
             for form in forms] == want
+
+
+def test_a_session_keeps_prefix_masks_across_resets(monkeypatch, capsys):
+    # concolic paths in one and two variables: each prefix with its next
+    # literal negated, then the whole path, all in one session
+    rng = np.random.default_rng(26)
+    requests = []
+    for n_vars in (1, 2, 1, 2):
+        variables, point = grid_box(rng, n_vars)
+        path = concolic_path(rng, point, 6)
+        requests += generational_items(variables, path) + [SolverRequest(variables, path)]
+    scripts = [emit_smtlib(request) for request in requests]
+    session = "".join(f"(reset)\n{script}(get-model)\n" for script in scripts)
+    passes = [0]
+    holds = solver._holds
+
+    def counted(*args):
+        passes[0] += 1
+        return holds(*args)
+
+    monkeypatch.setattr(solver, "_holds", counted)
+    want = []
+    for script in scripts:  # each alone, from empty tries
+        status, witness, _ = refsolver.solve_script(script)
+        want += [status] if witness is None else [status, witness]
+    assert {"sat", "unsat", "unknown"} <= {answer for answer in want if isinstance(answer, str)}
+    proc = subprocess.run(REFSOLVER_CMD, input=session, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    # a status, or a model as {name: value}
+    got = [form if isinstance(form, str) else
+           {name: parse_model_value(value) for _, name, _, _, value in form}
+           for _, forms in _forms(proc.stdout.splitlines(keepends=True)) for form in forms]
+    assert got == want
+    # the same session in process: it reads masks that earlier checks stored
+    # and evicts some, and answers as the live one does
+    alone, passes[0] = passes[0], 0
+    evict, evicted = solver._PrefixTrie._evict, [0]
+
+    def counted_evict(self, leaf):
+        evicted[0] += 1
+        evict(self, leaf)
+
+    monkeypatch.setattr(solver._PrefixTrie, "_evict", counted_evict)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(session))
+    assert refsolver.main() == 0
+    assert capsys.readouterr().out == proc.stdout
+    assert evicted[0] > 0 and passes[0] < alone
 
 
 def test_solve_script_of_an_emitted_script_answers_as_a_session_check(refsolver_backend):

@@ -12,11 +12,13 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from attnconcolic import refsolver
 from attnconcolic.solver import (
     ExternalSolver,
     GridOracle,
     SolverError,
     SolverRequest,
+    SolverVerdict,
     assignment_satisfies,
     emit_smtlib,
     grid_oracle,
@@ -193,8 +195,11 @@ def test_empty_assertion_is_sat_for_both_backends(refsolver_backend):
 
 
 def test_external_unsat_on_conflicting_bounds(refsolver_backend):
-    verdict = refsolver_backend.check(unit_request(Comparison(Rel.GE, V, const(2.0))))
+    request = unit_request(Comparison(Rel.GE, V, const(2.0)))
+    verdict = refsolver_backend.check(request)
     assert verdict.status == "unsat"
+    # the backend answers without its child; the child proves it on its own
+    assert refsolver.solve_script(emit_smtlib(request)) == ("unsat", None, ["v"])
 
 
 def test_external_sat_with_substitution_check(refsolver_backend):
@@ -247,6 +252,29 @@ def test_external_missing_command_raises():
     with pytest.raises(SolverError):
         ExternalSolver(["definitely-not-a-solver-binary"]).check(
             unit_request(V_SQUARED_LT_1))
+
+
+SQUARE = (("a", 0.0, 1.0), ("b", 0.0, 1.0))
+
+
+@pytest.mark.parametrize("clipped", [
+    unit_request(Comparison(Rel.GE, V, const(2.0))),
+    unit_request(Comparison(Rel.GT, mul(V, V), const(2.0))),
+    SolverRequest((("v", 1.0, 0.0),), ()),
+    SolverRequest(SQUARE, (Comparison(Rel.GT, add(var("a"), var("b")), const(2.5)),)),
+    SolverRequest((("a", 0.0, 1.0), ("b", 1.0, 0.0)), ()),
+], ids=["affine", "quadratic", "empty box", "two variables", "two variables, empty box"])
+def test_clip_empty_request_is_unsat_without_the_solver(clipped):
+    backend = ExternalSolver(["definitely-not-a-solver-binary"])
+    assert backend.check(clipped) == SolverVerdict("unsat")
+    assert not backend._sessions  # nothing was started
+    # what the clip does not decide still goes to the solver: a request it
+    # leaves a point of, one without variables (the CLI's pre-flight), and
+    # one past two variables, which it does not read
+    for request in (unit_request(V_SQUARED_LT_1), SolverRequest((), ()),
+                    SolverRequest(SQUARE + (("c", 1.0, 0.0),), ())):
+        with pytest.raises(SolverError, match="cannot run solver command"):
+            backend.check(request)
 
 
 @pytest.mark.parametrize("command", [" ", "", [], "'x", 'z3 "-in'])
