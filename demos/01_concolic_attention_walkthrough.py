@@ -8,19 +8,9 @@ scores.
 
 import math
 
-from attnconcolic import (
-    ExecutionContext,
-    ModelSpec,
-    MultiHeadAttention,
-    attention_scores,
-    concat,
-    dpa,
-    forward,
-    stable_softmax,
-    tas,
-    to_infix,
-)
-from attnconcolic.symexpr import as_scalar
+from attnconcolic.semantics import (ModelSpec, MultiHeadAttention, attention_scores, concat, dpa,
+                                    forward, stable_softmax, tas)
+from attnconcolic.symexpr import ExecutionContext, as_scalar, to_infix
 
 layer = MultiHeadAttention(
     num_heads=1, key_dim=2,

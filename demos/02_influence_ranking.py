@@ -9,16 +9,8 @@ trustworthy: efficiency (values sum to v(all) - v(empty)) and the dummy rule
 
 import numpy as np
 
-from attnconcolic import (
-    BackgroundSet,
-    Dense,
-    Flatten,
-    ModelSpec,
-    MultiHeadAttention,
-    build_influence_map,
-    concrete_forward,
-    shap_matrix,
-)
+from attnconcolic.influence import BackgroundSet, build_influence_map, shap_matrix
+from attnconcolic.semantics import Dense, Flatten, ModelSpec, MultiHeadAttention, concrete_forward
 
 rng = np.random.default_rng(7)
 

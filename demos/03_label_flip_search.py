@@ -9,18 +9,10 @@ production point the engine at a real SMT solver process.
 
 import numpy as np
 
-from attnconcolic import (
-    BackgroundSet,
-    Dense,
-    Flatten,
-    GridOracle,
-    ModelSpec,
-    MultiHeadAttention,
-    Scheduler,
-    build_influence_map,
-    forward,
-    run_attack,
-)
+from attnconcolic.engine import Scheduler, run_attack
+from attnconcolic.influence import BackgroundSet, build_influence_map
+from attnconcolic.semantics import Dense, Flatten, ModelSpec, MultiHeadAttention, forward
+from attnconcolic.solver import GridOracle
 
 rng = np.random.default_rng(3)
 

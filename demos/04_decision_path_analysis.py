@@ -10,18 +10,11 @@ histogram and its entropy summarize how scattered the attacks are.
 
 import numpy as np
 
-from attnconcolic import (
-    BackgroundSet,
-    Dense,
-    Flatten,
-    GridOracle,
-    ModelSpec,
-    MultiHeadAttention,
-    abstract_path,
-    build_influence_map,
-    relevance,
-    run_attack,
-)
+from attnconcolic.acdp import abstract_path, relevance
+from attnconcolic.engine import run_attack
+from attnconcolic.influence import BackgroundSet, build_influence_map
+from attnconcolic.semantics import Dense, Flatten, ModelSpec, MultiHeadAttention
+from attnconcolic.solver import GridOracle
 
 rng = np.random.default_rng(11)
 

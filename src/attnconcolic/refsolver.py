@@ -35,7 +35,8 @@ only the conjuncts after it, with the same verdict and witness.
 The engine's :class:`~attnconcolic.solver.ExternalSolver` answers the
 requests that the clip proves unsat without asking its child, so a session
 sees only those the clip does not decide.  The refsolver keeps its own clip
-for scripts from anywhere else.
+for scripts from anywhere else.  It imports only ``solver`` and ``symexpr``,
+so a solver process never loads the attack stack.
 
 Answers are honest about their strength: ``sat`` comes with a model that is a
 verified witness, printed in decimals.  ``unsat`` is emitted only with a

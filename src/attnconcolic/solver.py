@@ -583,10 +583,10 @@ class _Axis:
 
 @functools.lru_cache(maxsize=32)
 def _grid_axis(lo: float, hi: float, resolution: int) -> _Axis:
-    """``resolution + 1`` evenly spaced points from ``lo`` to about ``hi``;
-    resolution 0 is the one point ``lo``."""
+    """``resolution + 1`` evenly spaced points from ``lo`` to ``hi``, clamped
+    to ``hi``, which the last can round past; resolution 0 is the point ``lo``."""
     steps = np.arange(resolution + 1, dtype=float) / max(resolution, 1)
-    return _Axis(lo + (hi - lo) * steps)
+    return _Axis(np.minimum(lo + (hi - lo) * steps, hi))
 
 
 def _tie_band(bound: float, terms: int, rows: int, cols: int) -> float:
@@ -736,8 +736,8 @@ def _clip(request: SolverRequest) -> list[tuple[float, ...]]:
     the side below half its roundoff widening.  That covers the clip's own
     rounding, in normal-range floats: a cut places each vertex it makes a
     few roundoffs of the box's magnitudes off the exact edge, and a sign
-    test errs by a few roundoffs of the bound.  It also covers grid and
-    sample points rounded past ``hi``.  So strict relations are clipped as
+    test errs by a few roundoffs of the bound.  It also covers sample
+    points rounded past ``hi``.  So strict relations are clipped as
     non-strict ones, and a sliver within that widening is not decided here.
     With no variables, the clip is the box's one point, ``[()]``.
     """

@@ -137,6 +137,13 @@ def closure_is_empty(request: SolverRequest) -> bool:
     return not any(feasible(x, y) for x, y in points)
 
 
+def grid_axis(lo: float, hi: float, resolution: int) -> np.ndarray:
+    """``resolution + 1`` evenly spaced points from ``lo`` to ``hi``, each
+    clamped to ``hi``: where ``lo != 0`` the last can round one ulp above."""
+    steps = np.arange(resolution + 1, dtype=float) / resolution
+    return np.minimum(lo + (hi - lo) * steps, hi)
+
+
 def reference_grid_oracle(request: SolverRequest, resolution: int = 1024) -> SolverVerdict:
     """Every conjunct evaluated as one array over the whole grid, after the
     exact emptiness rule of the conjuncts the clip reads."""
@@ -144,10 +151,7 @@ def reference_grid_oracle(request: SolverRequest, resolution: int = 1024) -> Sol
         return SolverVerdict("sat", assignment={})
     if len(request.variables) <= 2 and closure_is_empty(request):
         return SolverVerdict("unsat")
-    axes = []
-    for _, lo, hi in request.variables:
-        steps = np.arange(resolution + 1, dtype=float) / resolution
-        axes.append(lo + (hi - lo) * steps)
+    axes = [grid_axis(lo, hi, resolution) for _, lo, hi in request.variables]
     grids = np.meshgrid(*axes, indexing="ij")
     assignment_arrays = {name: grid.reshape(-1)
                          for (name, _, _), grid in zip(request.variables, grids)}
@@ -340,6 +344,20 @@ def test_a_cubic_conjunct_keeps_its_verdict_and_witness():
                                                                     "y": 0.98828125}, ["x", "y"])
 
 
+def test_grid_points_stay_in_the_box():
+    # lo + (hi - lo) * 1.0 rounds to one ulp above hi here
+    lo, hi = -1.9907001027432838, 0.515690120220412
+    top = 0.5156901202204123
+    assert top > hi and lo + (hi - lo) * 1.0 == top
+    request = SolverRequest((("x", lo, hi),), (Comparison(Rel.GE, var("x"), const(top)),))
+    assert refsolver.solve_script(emit_smtlib(request))[0] == "unsat"
+    assert grid_oracle(request, 256).status == "unknown"
+    boxes = np.sort(np.random.default_rng(0).uniform(-3.0, 3.0, (2000, 2)), axis=1)
+    for lo, hi in boxes:
+        points = solver._grid_axis(lo, hi, 256).points
+        assert lo <= points.min() and points.max() <= hi
+
+
 # ---------------------------------------------------------------------------
 # windows: each conjunct is evaluated on the bounding box of the points the
 # ones before it left
@@ -350,8 +368,7 @@ def holds_at_scan(request: SolverRequest, resolution: int) -> SolverVerdict:
     """The whole grid scanned point by point in row-major order with
     ``holds_at``; the first hit is the witness."""
     names = [name for name, _, _ in request.variables]
-    axes = [lo + (hi - lo) * (np.arange(resolution + 1, dtype=float) / resolution)
-            for _, lo, hi in request.variables]
+    axes = [grid_axis(lo, hi, resolution) for _, lo, hi in request.variables]
     for point in itertools.product(*axes):
         assignment = dict(zip(names, map(float, point)))
         if all(cmp.holds_at(assignment) for cmp in request.assertion):

@@ -154,6 +154,18 @@ def test_matches_reference(n_vars, count, negative):
 # ---------------------------------------------------------------------------
 
 
+def test_the_solver_process_loads_no_attack_module():
+    # a fresh interpreter, as a solver child starts: only solver and symexpr
+    # come with the refsolver, never the attack stack
+    attack = [f"attnconcolic.{name}" for name in ("engine", "influence", "acdp", "semantics",
+                                                   "cli")]
+    code = ("import sys, attnconcolic.refsolver; "
+            f"print([m for m in {attack!r} if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 def test_negative_bound_is_honoured(refsolver_backend):
     v = var("v")
     request = SolverRequest((("v", -1.0, 0.0),), (Comparison(Rel.LT, v, const(-0.5)),))
