@@ -108,14 +108,11 @@ def _write_manifest(out_dir: Path, args: argparse.Namespace, artifacts: list[Pat
 
 def _default_pixels(imap: InfluenceMap, model: ModelSpec, count: int) -> list[int]:
     """Top-``count`` input neurons by influence (ties to the lower index)."""
-    entries = [(nid, val) for nid, val in imap.items() if nid.layer == 0]
-    entries.sort(key=lambda kv: (-kv[1],
-                                 int(np.ravel_multi_index(kv[0].index, model.shapes[0]))))
-    flat = [int(np.ravel_multi_index(nid.index, model.shapes[0]))
-            for nid, _ in entries[:count]]
-    if len(flat) < count:
-        raise InputError(f"pixels: model has only {len(entries)} input neurons")
-    return flat
+    ranked = sorted((-val, int(np.ravel_multi_index(nid.index, model.shapes[0])))
+                    for nid, val in imap.items() if nid.layer == 0)
+    if len(ranked) < count:
+        raise InputError(f"pixels: model has only {len(ranked)} input neurons")
+    return [flat for _, flat in ranked[:count]]
 
 
 class _Adversarial(NamedTuple):
@@ -242,7 +239,7 @@ def _load_influence(args: argparse.Namespace, model: ModelSpec) -> InfluenceMap:
 
 def cmd_attack(args: argparse.Namespace) -> int:
     model = _read_json(args.model, "model", ModelSpec.from_json)
-    size = int(np.prod(model.shapes[0]))
+    size = math.prod(model.shapes[0])
     if args.pixel_indices:
         try:
             args.pixel_indices = check_pixels(

@@ -8,6 +8,7 @@ all coalitions; larger ones by seeded permutation sampling.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -97,7 +98,7 @@ def _coalition_logits(subnet: ModelSpec, x_flat: np.ndarray, baseline_flat: np.n
 def _row_bytes(subnet: ModelSpec, start: int = 0) -> int:
     """Bytes per row of the widest neuron grid or attention projections or
     scores from depth ``start`` of the subnet on."""
-    widths = [int(np.prod(shape)) for shape in subnet.shapes[start:]]
+    widths = [math.prod(shape) for shape in subnet.shapes[start:]]
     widths += [layer.num_heads * shape[0] * max(shape[0], layer.key_dim)
                for layer, shape in zip(subnet.layers[start:], subnet.shapes[start:])
                if isinstance(layer, MultiHeadAttention)]
@@ -117,22 +118,39 @@ def _coalition_values(subnet: ModelSpec, x_flat: np.ndarray, baseline_flat: np.n
     return values
 
 
-def _exact_matrix(subnet: ModelSpec, x_flat, baseline_flat) -> np.ndarray:
-    d = x_flat.size
-    bits = np.arange(1 << d, dtype=np.int64)
-    shifts = np.arange(d)
-    values = _coalition_values(subnet, x_flat, baseline_flat, bits.size,
-                               lambda rows: ((rows[:, None] >> shifts) & 1) == 1)
-    popcount = np.zeros(bits.size, dtype=np.int64)
-    for i in range(d):
-        popcount += (bits >> i) & 1
+@functools.lru_cache(maxsize=None)
+def _coalition_table(d: int):
+    """The masks of all coalitions of ``d`` features (row r holds the bits of
+    r); per feature, the coalitions without it in increasing order and the
+    same with it; and the weight |S|!(d-|S|-1)!/d! of the k-th, |S| = popcount(k)."""
+    rows = np.arange(1 << d)
+    masks = ((rows[:, None] >> np.arange(d)) & 1) == 1
+    without = np.array([rows[~mask] for mask in masks.T]).astype(np.int16 if d < 16 else np.int32)
     fact = [math.factorial(s) for s in range(d + 1)]
     weights = np.array([fact[s] * fact[d - 1 - s] / fact[d] for s in range(d)])
-    phi = np.zeros((d, subnet.class_count))
-    for i in range(d):
-        without = bits[((bits >> i) & 1) == 0]
-        gains = values[without | (1 << i)] - values[without]
-        phi[i] = (weights[popcount[without], None] * gains).sum(axis=0)
+    table = (masks, without, without | (1 << np.arange(d, dtype=without.dtype))[:, None],
+             weights[masks[:len(rows) // 2].sum(axis=1), None])
+    for array in table:  # shared by every call
+        array.flags.writeable = False
+    return table
+
+
+def _exact_matrix(subnet: ModelSpec, x_flat, baseline_flat) -> np.ndarray:
+    """Shapley values from all 2^d coalitions in one pass: each feature's gains
+    from :func:`_coalition_table` (kept up to ``EXACT_FEATURE_LIMIT`` features),
+    weighted and summed over the coalitions in increasing order, by blocks of
+    features whose two gathers stay under ``_CHUNK_BYTES``, or of one feature."""
+    d = x_flat.size
+    table = _coalition_table if d <= EXACT_FEATURE_LIMIT else _coalition_table.__wrapped__
+    masks, without, with_, weights = table(d)
+    values = _coalition_values(subnet, x_flat, baseline_flat, len(masks), masks.__getitem__)
+    block = max(1, _CHUNK_BYTES // values.nbytes)
+    phi = np.empty((d, subnet.class_count))
+    for i in range(0, d, block):
+        gains = values.take(with_[i:i + block], axis=0)
+        gains -= values.take(without[i:i + block], axis=0)
+        gains *= weights
+        gains.sum(axis=1, out=phi[i:i + block])
     return phi
 
 

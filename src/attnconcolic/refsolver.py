@@ -19,13 +19,15 @@ polynomial ``a - b`` against zero.  Every command outside it, wherever it
 stands, ``define-fun``, an excess ``)`` and terms nested too deeply included,
 prints one ``(error ...)`` line on stderr and exits 2.  It shares the grid
 oracle's parser, clip and kernel: the box comes from the conjuncts ``±1.0 *
-x + c relop 0`` (negative bounds included), is clipped by
-:func:`~attnconcolic.solver._clip` for one or two variables, is scanned by
-the grid oracle's kernel at staged resolutions (a mesh of at most 17**5
-points, streamed in chunks, past two variables), then seeded samples.  For
-one variable the clip's intervals hold every point that can satisfy the
-request, so a grid stage with no point in them is skipped, and only the
-samples in them are evaluated.  A session keeps one
+x + c relop 0`` (negative bounds included), and the non-strict ones leave
+the assertion, so an emitted script's bounds are read once; the box is
+clipped by :func:`~attnconcolic.solver._clip` for one or two variables, is
+scanned by the grid oracle's kernel at staged resolutions (a mesh of at
+most 17**5 points, streamed in chunks, past two variables), then seeded
+samples, only those inside the box.  The clip holds every point that can
+satisfy the request: for one variable a grid stage with no point in its
+intervals is skipped, and only the samples in them are evaluated; for two,
+only those in its polygon's bounding box.  A session keeps one
 :class:`~attnconcolic.solver._PrefixTrie` per grid resolution, each under
 the grid oracle's byte cap, for the life of the process, across
 ``(reset)``, as a :class:`~attnconcolic.solver.GridOracle` keeps its own: a
@@ -116,20 +118,25 @@ def _comparison(form) -> Comparison:
 def _narrowed(request: SolverRequest) -> SolverRequest:
     """``request`` with each variable's box narrowed by the order conjuncts
     ``s * x + c relop 0`` with ``s = ±1.0``: each bounds ``x`` by ``-s * c``,
-    with the relation flipped when ``s = -1.0``."""
+    with the relation flipped when ``s = -1.0``.  The non-strict ones leave
+    the assertion, as every point of the box satisfies them; a strict one
+    stays, as the closed box cannot exclude its bound."""
     boxes = {name: [lo, hi] for name, lo, hi in request.variables}
+    kept = []
     for cmp in request.assertion:
         terms = dict(zip(cmp.p.monomials, cmp.p.coeffs))
         c = terms.pop((), 0.0)
-        if cmp.rel in (Rel.EQ, Rel.NE) or len(terms) != 1:
-            continue
-        ((monomial, s),) = terms.items()
-        if len(monomial) == 1 and s in (1.0, -1.0):
+        monomial, s = next(iter(terms.items())) if len(terms) == 1 else ((), 0.0)
+        if cmp.rel not in (Rel.EQ, Rel.NE) and len(monomial) == 1 and s in (1.0, -1.0):
             lo, hi = boxes[monomial[0]]
             bound = -s * c
             upper = (cmp.rel in (Rel.LT, Rel.LE)) == (s > 0)
             boxes[monomial[0]] = [lo, min(hi, bound)] if upper else [max(lo, bound), hi]
-    return replace(request, variables=tuple((name, lo, hi) for name, (lo, hi) in boxes.items()))
+            if cmp.rel in (Rel.LE, Rel.GE):
+                continue
+        kept.append(cmp)
+    return replace(request, assertion=tuple(kept),
+                   variables=tuple((name, lo, hi) for name, (lo, hi) in boxes.items()))
 
 
 def _first_hit(assertion, names: list[str], chunks):
@@ -187,9 +194,11 @@ def _search(request: SolverRequest, seed: int, tries: defaultdict[int, _PrefixTr
     two variables, :func:`~attnconcolic.solver._clip` runs first and answers
     unsat when it leaves no point of the box.  For one variable, a grid
     stage runs only if one of its points lies in the clip's intervals, and
-    only the samples in them are evaluated: no point outside can satisfy the
-    request, so the verdict and witness are those of the full search, but
-    for an unsat where that search finds nothing."""
+    only the samples in them are evaluated; for two, only those in the clip
+    polygon's bounding box.  No point outside can satisfy the request, so
+    the verdict and witness are those of the full search, but for an unsat
+    where that search finds nothing.  Samples are kept inside the box by an
+    explicit test, as the box's non-strict bounds are not in the assertion."""
     names = [name for name, _, _ in request.variables]
     if not names:
         verdict = grid_oracle(request)
@@ -210,9 +219,18 @@ def _search(request: SolverRequest, seed: int, tries: defaultdict[int, _PrefixTr
         witness = _first_hit(request.assertion, names, _mesh_chunks(axes))
         if witness is not None:
             return SAT, witness
+    # only points of the box, which lo + u * (hi - lo) can round past, and of
+    # the clip's intervals (one variable) or its polygon's bounding box (two)
+    lows, highs = np.array([(lo, hi) for _, lo, hi in request.variables]).T
+    if len(names) == 2:
+        lows = np.maximum(lows, np.min(clip, axis=0))
+        highs = np.minimum(highs, np.max(clip, axis=0))
     samples = _samples(request, seed)
     if len(names) == 1:
-        samples = samples[_inside(clip, samples[:, 0])]
+        samples = samples[_inside([(max(a, lows[0]), min(b, highs[0])) for a, b in clip],
+                                  samples[:, 0])]
+    else:
+        samples = samples[((lows <= samples) & (samples <= highs)).all(axis=1)]
     chunks = (samples[start:start + _CHUNK] for start in range(0, len(samples), _CHUNK))
     witness = _first_hit(request.assertion, names, chunks)
     return (UNKNOWN if witness is None else SAT), witness

@@ -174,7 +174,7 @@ class Dense:
 @dataclass(frozen=True)
 class Flatten:
     def validate(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
-        return (int(np.prod(in_shape)),)
+        return (math.prod(in_shape),)
 
 
 @dataclass(frozen=True)
@@ -186,7 +186,7 @@ class Reshape:
             target = tuple(_whole(d) for d in self.target_shape)
         except (TypeError, ValueError):
             raise ModelConfigError(f"target_shape {self.target_shape!r} is not a shape") from None
-        if int(np.prod(in_shape)) != int(np.prod(target)):
+        if math.prod(in_shape) != math.prod(target):
             raise ModelConfigError(
                 f"cannot reshape {in_shape} into {target}")
         return target
@@ -223,7 +223,7 @@ class ModelSpec:
         for layer in self.layers:
             shapes.append(layer.validate(shapes[-1]))
         object.__setattr__(self, "shapes", tuple(shapes))
-        object.__setattr__(self, "class_count", int(np.prod(shapes[-1])))
+        object.__setattr__(self, "class_count", math.prod(shapes[-1]))
 
     @property
     def output_depth(self) -> int:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import logging
+import math
 import tracemalloc
 
 import numpy as np
@@ -220,6 +221,91 @@ def test_chunked_coalitions_match_one_chunk(method, rows, monkeypatch):
     np.testing.assert_allclose(chunked, whole, rtol=1e-12)
     gap = concrete_forward(model, x) - concrete_forward(model, bg.mean(axis=0))
     np.testing.assert_allclose(chunked.sum(axis=0), gap, atol=1e-9)  # efficiency
+
+
+def _feature_loop_reference(subnet: ModelSpec, x_flat, baseline_flat) -> np.ndarray:
+    """The exact estimator as one loop over the features: each feature's
+    coalitions without it, by bit tests, their gains and weights by
+    popcount, summed over the coalitions in increasing order."""
+    d = x_flat.size
+    bits = np.arange(1 << d, dtype=np.int64)
+    shifts = np.arange(d)
+    values = influence._coalition_values(subnet, x_flat, baseline_flat, bits.size,
+                                         lambda rows: ((rows[:, None] >> shifts) & 1) == 1)
+    popcount = np.zeros(bits.size, dtype=np.int64)
+    for i in range(d):
+        popcount += (bits >> i) & 1
+    fact = [math.factorial(s) for s in range(d + 1)]
+    weights = np.array([fact[s] * fact[d - 1 - s] / fact[d] for s in range(d)])
+    phi = np.zeros((d, subnet.class_count))
+    for i in range(d):
+        without = bits[((bits >> i) & 1) == 0]
+        gains = values[without | (1 << i)] - values[without]
+        phi[i] = (weights[popcount[without], None] * gains).sum(axis=0)
+    return phi
+
+
+def _exact_case(kind: str, d: int, classes: int, seed: int):
+    """A dense-first (ReLU then linear) or attention-first (one head over d
+    tokens of width 1, flatten, dense) tail of d features, a probe and a
+    baseline."""
+    rng = np.random.default_rng([seed, d, classes])
+
+    def w(*shape):
+        return rng.uniform(-1.5, 1.5, size=shape).tolist()
+
+    if kind == "dense":
+        model = ModelSpec((d,), (Dense(weights=w(d, 5), bias=w(5), activation="relu"),
+                                 Dense(weights=w(5, classes), bias=w(classes))))
+    else:
+        model = ModelSpec((d, 1), (
+            MultiHeadAttention(num_heads=1, key_dim=2, w_q=w(1, 1, 2), b_q=w(1, 2),
+                               w_k=w(1, 1, 2), b_k=w(1, 2), w_v=w(1, 1, 2), b_v=w(1, 2),
+                               w_o=w(1, 2, 1), b_o=w(1)),
+            Flatten(), Dense(weights=w(d, classes), bias=w(classes))))
+    return model, rng.uniform(0, 1, d), rng.uniform(0, 1, d)
+
+
+def _hex(matrix: np.ndarray) -> list[str]:
+    return [float(v).hex() for v in matrix.ravel()]
+
+
+@pytest.mark.parametrize("kind", ["dense", "attention"])
+@pytest.mark.parametrize("classes", [1, 2, 10])
+def test_coalition_table_matches_the_feature_loop_bit_for_bit(kind, classes):
+    # every depth that "auto" enumerates, and two that only an explicit
+    # method="exact" does; their tables are built per call, not kept
+    for d in range(1, influence.EXACT_FEATURE_LIMIT + 3):
+        model, x, baseline = _exact_case(kind, d, classes, 29)
+        got = shap_matrix(model, baseline[None], x.reshape(model.shapes[0]), method="exact")
+        assert _hex(got) == _hex(_feature_loop_reference(model, x, baseline)), d
+    # one table kept per feature count up to the limit, none past it
+    assert influence._coalition_table.cache_info().currsize == influence.EXACT_FEATURE_LIMIT
+
+
+@pytest.mark.parametrize("budget", [1, 600, 1 << 30])
+def test_feature_blocks_under_any_budget_match_the_feature_loop(budget, monkeypatch):
+    # one feature per block, blocks of a few features and one block of all
+    monkeypatch.setattr(influence, "_CHUNK_BYTES", budget)
+    model, x, baseline = _exact_case("dense", 9, 2, 31)
+    assert _hex(influence._exact_matrix(model, x, baseline)) == \
+        _hex(_feature_loop_reference(model, x, baseline))
+
+
+def test_coalition_table_is_small_and_a_warm_call_peaks_below_the_loop():
+    d = influence.EXACT_FEATURE_LIMIT
+    model, x, baseline = _exact_case("dense", d, 10, 37)
+    assert sum(array.nbytes for array in influence._coalition_table(d)) <= 256 << 10
+    peaks = []
+    for estimator in (_feature_loop_reference, influence._exact_matrix):
+        estimator(model, x, baseline)  # warm: the table is built
+        tracemalloc.start()
+        try:
+            estimator(model, x, baseline)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0], peaks
 
 
 def _blended_reference(model: ModelSpec, bg, x, n_permutations: int, seed) -> np.ndarray:

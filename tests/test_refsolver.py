@@ -248,7 +248,10 @@ def test_box_is_narrowed_by_unit_variable_conjuncts():
          Comparison(Rel.LE, const(0.1), w),
          Comparison(Rel.GT, mul(v, const(2.0)), const(-0.75)),  # not a unit coefficient
          Comparison(Rel.EQ, w, const(0.2))))  # not an order
-    assert refsolver._narrowed(request).variables == (("v", -0.5, 0.75), ("w", 0.1, 0.3))
+    narrowed = refsolver._narrowed(request)
+    assert narrowed.variables == (("v", -0.5, 0.75), ("w", 0.1, 0.3))
+    # the box holds the non-strict bounds; the strict one and the rest stay
+    assert narrowed.assertion == tuple(request.assertion[k] for k in (1, 4, 5))
     # a bound past the declared box, as a script writes it: v - 2.0 >= 0
     beyond = SolverRequest((("v", 0.0, 1.0),), (Comparison(Rel.GE, v, const(2.0)),))
     assert refsolver.solve_script(emit_smtlib(beyond))[0] == "unsat"
@@ -342,6 +345,52 @@ def test_samples_are_the_bits_of_generator_uniform():
 
 
 # ---------------------------------------------------------------------------
+# two variables: samples only in the clip polygon's bounding box
+# ---------------------------------------------------------------------------
+
+
+def sliver_request(rng: np.random.Generator) -> SolverRequest:
+    """A request in ``a`` and ``b`` over a random square: ``0 < a - b < w``,
+    with ``w`` below a grid step, so only a sample can land in it, and a
+    random half-plane ``a + b <= t`` through the square; half of them get
+    one more random conjunct."""
+    side = random_box(rng, bool(rng.random() < 0.5))
+    lo, hi = side
+    a, b = var("a"), var("b")
+    width = 10.0 ** -rng.uniform(3.5, 5.5)
+    assertion = (Comparison(Rel.GT, sub(a, b), const(0.0)),
+                 Comparison(Rel.LT, sub(a, b), const(width)),
+                 Comparison(Rel.LE, add(a, b), const(float(rng.uniform(2 * lo, 2 * hi)))))
+    if rng.random() < 0.5:
+        assertion += (random_comparison(rng, ["a", "b"]),)
+    return SolverRequest((("a", *side), ("b", *side)), assertion)
+
+
+def test_two_variable_samples_outside_the_clip_cannot_change_the_answer(monkeypatch):
+    first_hit, drawn = refsolver._first_hit, []
+
+    def counted(assertion, names, chunks):
+        chunks = list(chunks)
+        drawn.append(sum(map(len, chunks)))
+        return first_hit(assertion, names, chunks)
+
+    monkeypatch.setattr(refsolver, "_first_hit", counted)
+    rng = np.random.default_rng(29)
+    statuses = Counter()
+    for _ in range(48):
+        request = sliver_request(rng)
+        script = emit_smtlib(request)
+        drawn.clear()
+        status, witness, _ = refsolver.solve_script(script)
+        assert (status, witness) == reference_solve(request, script), request
+        statuses[status] += 1
+        assert all(n <= refsolver.RANDOM_SAMPLES for n in drawn)
+        if drawn and drawn[0] < refsolver.RANDOM_SAMPLES // 2:
+            statuses["cut"] += 1
+    assert min(statuses[kind] for kind in ("sat", "unknown", "cut")) >= 5, statuses
+
+
+# ---------------------------------------------------------------------------
 # past two variables
 # ---------------------------------------------------------------------------
 
@@ -357,6 +406,20 @@ def box_script(n_vars: int, assertion: str) -> str:
 def test_mesh_is_scanned_in_row_major_order():
     script = box_script(3, "(> (+ x0 (* x1 x2)) 1.2)")
     assert refsolver.solve_script(script)[:2] == ("sat", {"x0": 0.25, "x1": 1.0, "x2": 1.0})
+
+
+def test_a_sample_rounded_past_the_box_is_no_witness(monkeypatch):
+    # lo + u * (hi - lo) can round past hi: such a point satisfies 2 x0 > 2,
+    # but not the bound x0 <= 1, which the box holds and the assertion no more
+    samples = refsolver._samples
+
+    def past(request, seed):
+        points = samples(request, seed)
+        points[0] = np.nextafter(1.0, 2.0)
+        return points
+
+    monkeypatch.setattr(refsolver, "_samples", past)
+    assert refsolver.solve_script(box_script(3, "(> (* 2.0 x0) 2.0)"))[:2] == ("unknown", None)
 
 
 def test_mesh_is_streamed_in_chunks():
@@ -553,6 +616,34 @@ def test_a_session_keeps_prefix_masks_across_resets(monkeypatch, capsys):
     assert refsolver.main() == 0
     assert capsys.readouterr().out == proc.stdout
     assert evicted[0] > 0 and passes[0] < alone
+
+
+def test_a_two_variable_check_caches_its_path_at_the_finest_stage(monkeypatch, capsys):
+    # a disc too small for any grid point or sample: both stages scan the
+    # whole path.  The box's bounds are not in the assertion, so at 1024 the
+    # trie holds the path's conjuncts, not four whole-grid bound masks
+    a, b = var("a"), var("b")
+    disc = add(mul(sub(a, const(0.30001)), sub(a, const(0.30001))),
+               mul(sub(b, const(0.60001)), sub(b, const(0.60001))))
+    path = (Comparison(Rel.GE, add(a, b), const(0.2)), Comparison(Rel.LT, disc, const(1e-12)))
+    request = SolverRequest((("a", 0.0, 1.0), ("b", 0.0, 1.0)), path)
+    search, sessions = refsolver._search, []
+
+    def recorded(request, seed, tries):
+        sessions.append(tries)
+        return search(request, seed, tries)
+
+    def keys(node):
+        for key, child in node.children.items():
+            yield key
+            yield from keys(child)
+
+    monkeypatch.setattr(refsolver, "_search", recorded)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(emit_smtlib(request)))
+    assert refsolver.main() == 0
+    assert capsys.readouterr().out == "unknown\n"
+    for resolution in refsolver.GRID_STAGES[2]:
+        assert {cmp.key() for cmp in path} <= set(keys(sessions[0][resolution]._top))
 
 
 def test_solve_script_of_an_emitted_script_answers_as_a_session_check(refsolver_backend):
