@@ -275,8 +275,9 @@ def cmd_attack(args: argparse.Namespace) -> int:
         pixels=args.pixel_indices or _default_pixels(imap, model, args.pixels),
         domain=args.domain, scheduler=scheduler, wall_budget_s=args.wall_budget_s,
         backend=backend, solver_timeout_s=args.solver_timeout_s))
-    if args.workers > 1:  # each task gets copies: the map, and the backend without its session
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    workers = min(args.workers, len(seed_paths))  # a pool starts all its workers at once
+    if workers > 1:  # each task gets copies: the map, and the backend without its session
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(attack, path) for path in seed_paths]
             try:
                 docs = [_seed_report(path, f.result) for path, f in zip(seed_paths, futures)]

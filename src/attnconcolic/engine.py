@@ -282,7 +282,13 @@ def run_attack(model: ModelSpec, influence_map: InfluenceMap, seed,
     of checks: ``success`` on a flip that ``concrete_label`` confirms;
     ``timeout`` on a budget spent at the end of an iteration, also right
     after an adoption; ``exhausted`` on a queue drained without an adoption.
+    ``wall_budget_s`` (None for no budget) and ``solver_timeout_s`` are
+    seconds above 0, inf allowed; anything else, NaN included, is a ValueError.
     """
+    if wall_budget_s is not None and not wall_budget_s > 0.0:
+        raise ValueError(f"wall budget {wall_budget_s!r} is not a positive number of seconds")
+    if not solver_timeout_s > 0.0:
+        raise ValueError(f"solver timeout {solver_timeout_s!r} is not a positive number of seconds")
     scheduler = scheduler if scheduler is not None else Scheduler.pq()
     seed_arr = np.asarray(seed, dtype=float)
     if seed_arr.shape != model.shapes[0]:

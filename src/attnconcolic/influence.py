@@ -29,8 +29,9 @@ __all__ = [
     "MissingInfluenceError",
     "branch_influence",
     "build_influence_map",
+    "depth_activations",
+    "depth_shap",
     "shap_matrix",
-    "shapley",
 ]
 
 EXACT_FEATURE_LIMIT = 12
@@ -45,7 +46,7 @@ _log = logging.getLogger("attnconcolic")
 
 
 class ConfigurationError(ValueError):
-    """Ill-formed attribution inputs (empty background, bad feature index)."""
+    """Ill-formed attribution inputs (empty background, bad seed or estimator)."""
 
 
 class MissingInfluenceError(KeyError):
@@ -259,30 +260,6 @@ def shap_matrix(subnet: ModelSpec, background_inputs: np.ndarray, x: np.ndarray,
         rng = np.random.default_rng(seed)
         return _permutation_matrix(subnet, x_flat, baseline, n_permutations, rng)
     raise ConfigurationError(f"unknown estimator {method!r}")
-
-
-def _feature_flat_index(feature, input_shape: tuple[int, ...]) -> int:
-    if isinstance(feature, NeuronId):
-        feature = feature.index
-    if isinstance(feature, (tuple, list)):
-        return int(np.ravel_multi_index(tuple(feature), input_shape))
-    return int(feature)
-
-
-def shapley(subnet: ModelSpec, background: BackgroundSet, input, feature,
-            output: int, *, method: str = "auto",
-            n_permutations: int = DEFAULT_PERMUTATIONS) -> float:
-    """Shapley value of one input feature of ``subnet`` for one output logit.
-
-    ``feature`` may be a flat index, a multi-index, or a :class:`NeuronId`
-    whose index addresses the subnet's input grid.
-    """
-    if not 0 <= output < subnet.class_count:
-        raise ConfigurationError(f"output {output} out of range")
-    inputs = background.conforming(subnet.shapes[0])
-    matrix = shap_matrix(subnet, inputs, input, method=method,
-                         n_permutations=n_permutations, seed=background.seed)
-    return float(matrix[_feature_flat_index(feature, subnet.shapes[0]), output])
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Forward semantics: the numpy reference (:func:`concrete_forward`), and the
 instrumented :func:`forward` with its stages (``tas``, ``attention_scores``,
-``stable_softmax``, ``rowmax``, ``dpa``, ``concat``, ``dense_forward``).  These
-run the same numpy code over a batch of one, so the logits match the reference
-bit for bit, and carry each cell's exact polynomial in the symbolic pixels
+``stable_softmax``, ``dpa``, ``concat``, ``dense_forward``).  These run the
+same numpy code over a batch of one, so the logits match the reference bit for
+bit, and carry each cell's exact polynomial in the symbolic pixels
 (:class:`ConcolicArray`).  Exponent arguments are concretized.  Guards read
 their truth off the values; one is a branch event when a side is symbolic,
 i.e. has a non-constant term (pixel terms that cancel to zero leave a
@@ -36,6 +36,7 @@ __all__ = [
     "ModelSpec",
     "MultiHeadAttention",
     "Reshape",
+    "apply_layer_concrete",
     "attention_scores",
     "concat",
     "concrete_forward",
@@ -45,7 +46,6 @@ __all__ = [
     "forward",
     "load_model",
     "load_seed_input",
-    "rowmax",
     "stable_softmax",
     "tas",
 ]
@@ -367,7 +367,7 @@ def _basis(names: tuple[str, ...], quadratic: bool):
 
 
 def _max_scans(rows: ConcolicArray, ctx: ExecutionContext,
-               scope: Callable[[int], Optional[tuple[tuple[NeuronId, ...], int]]]) -> list[int]:
+               scope: Callable[[int], tuple[tuple[NeuronId, ...], int]]) -> list[int]:
     """Each row's first-maximum index by a strict ``>`` scan from the left,
     for the rows of a 2-D array.  A comparison with a symbolic side, ``row[u]
     > row[best]``, is a branch event of ``scope(r)``, its truth from the
@@ -428,20 +428,6 @@ def attention_scores(q_head, k_head) -> ConcolicArray:
     coef = np.einsum("...tja,...ujb->...tuab", q.coef, k.coef)
     coef = coef.reshape(coef.shape[:-2] + (-1,))
     return ConcolicArray(_scores(q.value[None], k.value[None])[0], coef, q.names)
-
-
-def rowmax(row, ctx: Optional[ExecutionContext] = None,
-           assoc: Optional[Sequence[NeuronId]] = None,
-           layer_index: int = 0) -> ConcolicScalar:
-    """Running maximum by a left-to-right strict ``>`` scan.
-
-    Each comparison against the running max with a symbolic side goes
-    through the branch listener, so it emits one event.
-    """
-    ctx = ctx if ctx is not None else ExecutionContext()
-    row = _as_array(row)
-    return row[_max_scans(row.reshape((1, -1)), ctx,
-                          lambda r: None if assoc is None else (tuple(assoc), layer_index))[0]]
 
 
 def stable_softmax(x, ctx: Optional[ExecutionContext] = None,

@@ -8,8 +8,8 @@ construction, and it carries its polynomial: float coefficients per monomial,
 of any degree and over any number of variables.  The polynomial is the
 expression's meaning; equality, hashing and :func:`evaluate` go by it.  A
 node made by the arithmetic builders also keeps its operands, for
-:func:`to_infix` and :func:`count_unique_nodes`; a forward's guards are
-polynomial leaves, each recorded as ``p relop 0``.
+:func:`to_infix`; a forward's guards are polynomial leaves, each recorded as
+``p relop 0`` with the output neurons it affects.
 
 ``_OPS`` is the one table of the four operators, by their SMT-LIB symbols
 ``+ - * /``: it folds two constants, computes :func:`arith`'s concrete
@@ -19,10 +19,9 @@ parts, and names the heads the refsolver reads.
 from __future__ import annotations
 
 import operator
-from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 Number = Union[int, float]
 
@@ -39,9 +38,7 @@ __all__ = [
     "SymExpr",
     "arith",
     "as_scalar",
-    "concretize",
     "const",
-    "count_unique_nodes",
     "evaluate",
     "neg",
     "polynomial",
@@ -64,7 +61,7 @@ class ConcolicArithmeticError(ArithmeticError):
 
 
 class AssociationScopeError(RuntimeError):
-    """A symbolic comparison ran without an active association scope."""
+    """A guard was recorded with no associated output neuron."""
 
 
 # ---------------------------------------------------------------------------
@@ -272,22 +269,6 @@ def evaluate(expr: SymExpr, assignment: Mapping[str, object]):
     return total
 
 
-def count_unique_nodes(roots: Iterable[SymExpr], seen: Optional[set[int]] = None) -> int:
-    """Distinct node count (by identity) of the operand graph under ``roots``.
-    Passing the same ``seen`` set across calls counts their growing union,
-    walking each node once."""
-    if seen is None:
-        seen = set()
-    stack = list(roots)
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.extend(node.args)
-    return len(seen)
-
-
 def to_infix(expr: SymExpr) -> str:
     """Parenthesized infix text of how ``expr`` was built: variables by name,
     constants in shortest round-trip decimal, a polynomial leaf as the sum of
@@ -394,12 +375,6 @@ def arith(op: str, a: Union[ConcolicScalar, Number],
     return ConcolicScalar(value, _bin(symbol, a.expr(), b.expr()))
 
 
-def concretize(a: Union[ConcolicScalar, Number]) -> ConcolicScalar:
-    """Drop the symbolic part: conc(<c, phi>) = <c, absent>."""
-    a = as_scalar(a)
-    return ConcolicScalar(a.concrete) if a.sym is not None else a
-
-
 # ---------------------------------------------------------------------------
 # Comparisons and branch events
 # ---------------------------------------------------------------------------
@@ -485,7 +460,7 @@ class Comparison:
 @dataclass(frozen=True)
 class BranchEvent:
     """One guard ``p relop 0`` observed on the concrete path, with the
-    neurons and layer of the scope it ran in."""
+    output neurons it affects and its layer."""
 
     guard: Comparison
     taken: bool
@@ -508,21 +483,14 @@ class BranchEvent:
 # ---------------------------------------------------------------------------
 
 
-class _Scope(NamedTuple):
-    neurons: tuple[NeuronId, ...]
-    layer_index: int
-
-
 class ExecutionContext:
-    """Per-execution state: declared inputs, the branch-event log, and the
-    current association scope.  Single-writer; one concolic execution owns
-    one context."""
+    """Per-execution state: declared inputs and the branch-event log.
+    Single-writer; one concolic execution owns one context."""
 
     def __init__(self, audit: bool = False) -> None:
         self.variables: dict[str, float] = {}
         self.events: list[BranchEvent] = []
         self.audit = audit
-        self._scope: Optional[_Scope] = None
 
     def symvar(self, name: str, c0: Number) -> ConcolicScalar:
         """Declare an input variable with concrete seed ``c0``."""
@@ -531,36 +499,12 @@ class ExecutionContext:
         self.variables[name] = float(c0)
         return ConcolicScalar(float(c0), var(name))
 
-    @contextmanager
-    def association(self, neurons: Sequence[NeuronId], layer_index: int) -> Iterator[None]:
-        """Set the associated output neurons for the guarded region."""
-        if not neurons:
-            raise AssociationScopeError("association scope must be non-empty")
-        previous = self._scope
-        self._scope = _Scope(tuple(neurons), layer_index)
-        try:
-            yield
-        finally:
-            self._scope = previous
-
-    def compare(self, rel: Rel, a: Union[ConcolicScalar, Number],
-                b: Union[ConcolicScalar, Number]) -> bool:
-        """Evaluate a guard concretely; when symbolic, log it as one
-        polynomial against zero, ``p = a - b``."""
-        a = as_scalar(a)
-        b = as_scalar(b)
-        truth = bool(_REL_APPLY[rel](a.concrete, b.concrete))
-        if a.sym is not None or b.sym is not None:
-            self.record(rel, sub(a.expr(), b.expr()), truth)
-        return truth
-
     def record(self, rel: Rel, p: SymExpr, taken: bool,
-               scope: Optional[tuple[tuple[NeuronId, ...], int]] = None) -> None:
+               scope: tuple[tuple[NeuronId, ...], int]) -> None:
         """Log the guard ``p relop 0``, whose truth on the concrete path was
-        ``taken``, as a branch event of ``scope``, a pair of the associated
-        neurons and the layer index, by default the current association scope."""
-        neurons, layer_index = scope or self._scope or ((), None)
+        ``taken``, as a branch event of ``scope``: the associated output
+        neurons, at least one, and the layer index."""
+        neurons, layer_index = scope
         if not neurons:
-            raise AssociationScopeError(
-                "symbolic comparison outside an association scope")
+            raise AssociationScopeError("a guard needs at least one associated neuron")
         self.events.append(BranchEvent(Comparison(rel, p), taken, neurons, layer_index))

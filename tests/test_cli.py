@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -868,6 +869,30 @@ def test_pooled_attack_builds_the_map_once_and_matches_sequential(workspace, att
                  "--pixels", "1", "--workers", "2", "--output-dir", str(out)]) == 0
     assert builds.read_text().split() == [str(os.getpid())]
     assert untimed_reports(out) == untimed_reports(attack_dir)
+
+
+def test_the_pool_starts_at_most_one_worker_per_seed(workspace, attack_dir, tmp_path,
+                                                     monkeypatch):
+    # a fork-started pool launches all its workers at the first submit
+    pools = []
+
+    def recorded_pool(max_workers):
+        pools.append(max_workers)
+        return ProcessPoolExecutor(max_workers=max_workers)
+
+    monkeypatch.setattr("attnconcolic.cli.ProcessPoolExecutor", recorded_pool)
+    for seeds, want in (([workspace["seed0"], workspace["seed1"]], [2]),
+                        ([workspace["seed0"]], [])):  # one seed runs in process
+        pools.clear()
+        out = tmp_path / f"pool{len(seeds)}"
+        assert main(["attack", "--model", str(workspace["model"]),
+                     "--seeds", *map(str, seeds), "--background", str(workspace["background"]),
+                     "--pixels", "1", "--workers", "3", "--output-dir", str(out)]) == 0
+        assert pools == want
+        assert manifest_config(out, "attack")["workers"] == 3
+        got = untimed_reports(out)
+        assert got == {name: doc for name, doc in untimed_reports(attack_dir).items()
+                       if name in got}
 
 
 # ---------------------------------------------------------------------------

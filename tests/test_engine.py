@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import logging
+import math
 import time
 import weakref
 
@@ -404,6 +405,30 @@ def test_attack_rejects_bad_pixel_choices():
     with pytest.raises(ValueError):
         run_attack(model, imap, seed, pixels=[0], domain=(1.0, 0.0),
                    backend=GridOracle(64))
+
+
+@pytest.mark.parametrize("budget,timeout", [
+    (float("nan"), 60.0), (0.0, 60.0), (-1.0, 60.0), (-math.inf, 60.0),
+    (None, float("nan")), (None, 0.0), (None, -5.0)])
+def test_a_wall_budget_or_solver_timeout_that_is_not_above_zero_is_rejected(budget, timeout):
+    # a NaN budget compares false both ways: the attack stopped `exhausted`
+    # after one iteration and no check, with its queue never searched
+    model = flip_at_half_model()
+    seed = np.array([[0.2]])
+    with pytest.raises(ValueError, match="not a positive number of seconds"):
+        run_attack(model, toy_map(model, seed), seed, pixels=[0], wall_budget_s=budget,
+                   backend=GridOracle(64), solver_timeout_s=timeout)
+
+
+def test_an_infinite_wall_budget_and_solver_timeout_run_as_no_budget():
+    model = flip_at_half_model()
+    seed = np.array([[0.2]])
+    runs = [run_attack(model, toy_map(model, seed), seed, pixels=[0], backend=GridOracle(64),
+                       wall_budget_s=budget, solver_timeout_s=timeout)
+            for budget, timeout in ((None, 60.0), (math.inf, math.inf))]
+    assert [attack_result_to_json(r)["outcome"] for r in runs] == ["success"] * 2
+    assert runs[0].stats.iterations == runs[1].stats.iterations
+    assert runs[0].adversarial.tolist() == runs[1].adversarial.tolist()
 
 
 def test_a_fractional_pixel_index_is_rejected_not_truncated():

@@ -17,7 +17,6 @@ from attnconcolic.influence import (
     branch_influence,
     build_influence_map,
     shap_matrix,
-    shapley,
 )
 from attnconcolic.semantics import (
     Dense,
@@ -39,34 +38,33 @@ def linear_model(weights, bias=None) -> ModelSpec:
 
 
 # ---------------------------------------------------------------------------
-# shapley
+# shap_matrix
 # ---------------------------------------------------------------------------
 
 
 def test_linear_model_matches_closed_form():
     w = [[0.5, -1.0], [2.0, 0.0], [0.0, 3.0]]
     model = linear_model(w)
-    bg = BackgroundSet(np.array([[0.1, 0.2, 0.3], [0.3, 0.0, 0.1]]), seed=4)
+    bg = np.array([[0.1, 0.2, 0.3], [0.3, 0.0, 0.1]])
     x = np.array([1.0, 0.5, 0.25])
-    mean = bg.inputs.mean(axis=0)
+    mean = bg.mean(axis=0)
+    phi = shap_matrix(model, bg, x, seed=4)
     for i in range(3):
         for o in range(2):
-            assert shapley(model, bg, x, i, o) == pytest.approx(
-                w[i][o] * (x[i] - mean[i]), abs=1e-9)
+            assert phi[i, o] == pytest.approx(w[i][o] * (x[i] - mean[i]), abs=1e-9)
 
 
 def test_zero_weight_feature_is_a_dummy():
     model = linear_model([[0.0], [1.0]])
-    bg = BackgroundSet(np.array([[0.2, 0.4], [0.8, 0.6]]))
-    assert shapley(model, bg, np.array([0.9, 0.1]), 0, 0) == pytest.approx(0.0, abs=1e-9)
+    bg = np.array([[0.2, 0.4], [0.8, 0.6]])
+    assert shap_matrix(model, bg, np.array([0.9, 0.1]))[0, 0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_symmetry_and_efficiency_on_additive_pair():
     model = linear_model([[1.0], [1.0]])
-    bg = BackgroundSet(np.zeros((2, 2)))
-    x = np.array([1.0, 1.0])
-    assert shapley(model, bg, x, 0, 0) == pytest.approx(1.0, abs=1e-9)
-    assert shapley(model, bg, x, 1, 0) == pytest.approx(1.0, abs=1e-9)
+    phi = shap_matrix(model, np.zeros((2, 2)), np.array([1.0, 1.0]))
+    assert phi[0, 0] == pytest.approx(1.0, abs=1e-9)
+    assert phi[1, 0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_exact_estimator_axioms_on_random_nonlinear_model():
@@ -469,13 +467,6 @@ def test_shap_matrix_seed_not_a_non_negative_integer_is_a_configuration_error(se
     model = linear_model([[0.1 * i, -0.2] for i in range(13)])
     with pytest.raises(ConfigurationError, match="random seed"):
         shap_matrix(model, np.zeros((2, 13)), np.full(13, 0.5), seed=seed)
-
-
-def test_shapley_validates_output_index():
-    model = linear_model([[1.0]])
-    bg = BackgroundSet(np.array([[0.0]]))
-    with pytest.raises(ConfigurationError):
-        shapley(model, bg, np.array([1.0]), 0, 5)
 
 
 # ---------------------------------------------------------------------------

@@ -28,12 +28,11 @@ from attnconcolic.semantics import (
     dense_forward,
     dpa,
     forward,
-    rowmax,
     stable_softmax,
     tas,
 )
-from attnconcolic.symexpr import (ExecutionContext, NeuronId, Rel, add, as_scalar, const, mul,
-                                  var)
+from attnconcolic.symexpr import (Comparison, ExecutionContext, NeuronId, Rel, add, as_scalar,
+                                  const, mul, var)
 
 from conftest import golden_mha, linear_coeffs, quad_coeffs, random_toy_model
 
@@ -231,10 +230,9 @@ def test_softmax_rows_are_stochastic():
     ctx = ExecutionContext()
     v = ctx.symvar("v", 0.25)
     for width in (2, 3, 5):
-        with ctx.association([NeuronId(0, (0,))], 0):
-            rows = [[v * float(c) + float(rng.uniform(-4, 4)) for c in
-                     rng.uniform(-2, 2, size=width)]]
-            out = stable_softmax(rows, ctx, row_assoc=lambda t: [NeuronId(0, (0,))])
+        rows = [[v * float(c) + float(rng.uniform(-4, 4)) for c in
+                 rng.uniform(-2, 2, size=width)]]
+        out = stable_softmax(rows, ctx, row_assoc=lambda t: [NeuronId(0, (0,))])
         total = sum(e.concrete for e in out[0])
         assert all(e.concrete >= 0.0 for e in out[0])
         assert total == pytest.approx(1.0, abs=1e-9)
@@ -267,7 +265,7 @@ def test_softmax_matches_the_per_row_max_bit_for_bit(width, batch):
 
 
 # ---------------------------------------------------------------------------
-# rowmax
+# the max scan of a softmax row
 # ---------------------------------------------------------------------------
 
 
@@ -277,26 +275,25 @@ def test_rowmax_emits_one_event_per_worked_row():
     S = attention_scores(Q[0], K[0])
     r = 1 / math.sqrt(2)
     row0 = [entry * r for entry in S[0]]
-    best = rowmax(row0, ctx, assoc=[NeuronId(1, (0, 0))], layer_index=0)
-    assert best.concrete == pytest.approx(27 * r, rel=1e-12)
+    stable_softmax(row0, ctx, lambda t: [NeuronId(1, (0, 0))])
     assert len(ctx.events) == 1
     event = ctx.events[0]
     # bypassed branch: entry1 > entry0 (the guard that did not hold)
     assert event.taken is False
     assert event.bypassed_predicate == event.guard
+    assert event.assoc_neurons == (NeuronId(1, (0, 0)),)
 
 
 def test_rowmax_all_concrete_row_emits_nothing():
     ctx = ExecutionContext()
-    out = rowmax([as_scalar(1), as_scalar(5), as_scalar(3)], ctx)
-    assert out.concrete == 5.0
+    stable_softmax([as_scalar(1), as_scalar(5), as_scalar(3)], ctx)
     assert ctx.events == []
 
 
 def test_rowmax_five_symbolic_entries_emit_four_events():
     ctx = ExecutionContext()
     entries = [ctx.symvar(f"x{i}", float(i % 3)) for i in range(5)]
-    rowmax(entries, ctx, assoc=[NeuronId(0, (0,))], layer_index=0)
+    stable_softmax(entries, ctx, lambda t: [NeuronId(0, (0,))])
     assert len(ctx.events) == 4
 
 
@@ -317,18 +314,25 @@ def test_softmax_of_a_one_dimensional_row_is_one_row():
 # ---------------------------------------------------------------------------
 
 
-def reference_scan(row: ConcolicArray, ctx: ExecutionContext) -> int:
-    """The per-cell max scan: each comparison with a symbolic side goes
-    through ``ctx.compare`` on the two indexed cells."""
+def reference_guard(ctx: ExecutionContext, a, b, scope) -> bool:
+    """The guard ``a > b`` of two indexed cells, ``Comparison(Rel.GT, a, b)``
+    with its truth from the concrete parts, recorded in ``scope``."""
+    taken = a.concrete > b.concrete
+    ctx.record(Rel.GT, Comparison(Rel.GT, a.expr(), b.expr()).p, taken, scope)
+    return taken
+
+
+def reference_scan(row: ConcolicArray, ctx: ExecutionContext, scope) -> None:
+    """The per-cell max scan: each comparison with a symbolic side is
+    recorded by :func:`reference_guard` on the two indexed cells."""
     values, symbolic = row.value.tolist(), row.symbolic().tolist()
     best = 0
     for u in range(1, len(values)):
         if symbolic[u] or symbolic[best]:
-            taken = ctx.compare(Rel.GT, row[u], row[best])
+            taken = reference_guard(ctx, row[u], row[best], scope)
         else:
             taken = values[u] > values[best]
         best = u if taken else best
-    return best
 
 
 def event_keys(ctx: ExecutionContext) -> list:
@@ -372,15 +376,13 @@ def test_stage_guards_match_the_per_cell_path(seed, quadratic):
         t = index[-1]
         assoc = row_assoc(t) if row_assoc else [NeuronId(4, (t, u)) for u in range(shape[-1])]
         if x.symbolic()[index].any():
-            with reference.association(assoc, 4):
-                reference_scan(x[index], reference)
+            reference_scan(x[index], reference, (tuple(assoc), 4))
     assert event_keys(stage) == event_keys(reference)
 
     row = x.reshape((-1,))
     stage, reference = ExecutionContext(), ExecutionContext()
-    best = rowmax(row, stage, [NeuronId(0, (0,))], 2)
-    with reference.association([NeuronId(0, (0,))], 2):
-        assert best == row[reference_scan(row, reference)]
+    stable_softmax(row, stage, lambda t: [NeuronId(0, (0,))], 2)
+    reference_scan(row, reference, ((NeuronId(0, (0,)),), 2))
     assert event_keys(stage) == event_keys(reference)
 
     if not quadratic:  # ReLU guards read an affine pre-activation
@@ -389,8 +391,7 @@ def test_stage_guards_match_the_per_cell_path(seed, quadratic):
         stage, reference = ExecutionContext(), ExecutionContext()
         dense_forward(row, identity, np.zeros(row.value.size), "relu", stage, 3, 1)
         for j in np.flatnonzero(out.symbolic()).tolist():
-            with reference.association([NeuronId(3, (j,))], 1):
-                reference.compare(Rel.GT, out[j], 0.0)
+            reference_guard(reference, out[j], as_scalar(0.0), ((NeuronId(3, (j,)),), 1))
         assert event_keys(stage) == event_keys(reference)
 
 

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import math
+import operator
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from attnconcolic.semantics import stable_softmax
 from attnconcolic.symexpr import (
     AssociationScopeError,
     Comparison,
@@ -16,9 +18,7 @@ from attnconcolic.symexpr import (
     Rel,
     arith,
     as_scalar,
-    concretize,
     const,
-    count_unique_nodes,
     evaluate,
     mul,
     add,
@@ -30,14 +30,20 @@ from attnconcolic.symexpr import (
     var,
 )
 
-SCOPE = [NeuronId(1, (0, 0))]
+SCOPE = ((NeuronId(1, (0, 0)),), 0)
 
 
-def scoped_ctx() -> ExecutionContext:
-    ctx = ExecutionContext()
-    ctx.__scope_cm = ctx.association(SCOPE, 0)
-    ctx.__scope_cm.__enter__()
-    return ctx
+HOLDS = {Rel.LT: operator.lt, Rel.LE: operator.le, Rel.GT: operator.gt,
+         Rel.GE: operator.ge, Rel.EQ: operator.eq, Rel.NE: operator.ne}
+
+
+def record(ctx: ExecutionContext, rel: Rel, a, b) -> bool:
+    """Record ``a rel b`` of two concolic scalars in ``SCOPE`` as the guard
+    ``Comparison(rel, a, b)``, its truth from the concrete parts; return it."""
+    a, b = as_scalar(a), as_scalar(b)
+    taken = HOLDS[rel](a.concrete, b.concrete)
+    ctx.record(rel, Comparison(rel, a.expr(), b.expr()).p, taken, SCOPE)
+    return taken
 
 
 # ---------------------------------------------------------------------------
@@ -123,34 +129,34 @@ def test_negation_operator():
 
 
 # ---------------------------------------------------------------------------
-# compare
+# record
 # ---------------------------------------------------------------------------
 
 
 def test_compare_emits_event_with_bypassed_guard():
     # scaled attention scores of the worked example, row 0: 18/sqrt(2) vs 27/sqrt(2)
-    ctx = scoped_ctx()
+    ctx = ExecutionContext()
     v = ctx.symvar("v", 2)
     r = 1 / math.sqrt(2)
     s01 = (v * 6 + 6) * r
     s00 = (v * v * 3 + v * 6 + 3) * r
-    assert ctx.compare(Rel.GT, s01, s00) is False
+    assert record(ctx, Rel.GT, s01, s00) is False
     assert len(ctx.events) == 1
     event = ctx.events[0]
     assert event.taken is False
     # branch not entered is the guard itself: s01 > s00
     assert event.bypassed_predicate == event.guard
     assert event.guard.rel is Rel.GT
-    assert event.assoc_neurons == tuple(SCOPE)
+    assert (event.assoc_neurons, event.layer_index) == SCOPE
 
 
 def test_compare_records_the_guard_as_relop_zero():
     # the worked example's row-0 sides, normalized once when recorded
-    ctx = scoped_ctx()
+    ctx = ExecutionContext()
     v = ctx.symvar("v", 2)
     r = 1 / math.sqrt(2)
     a, b = (v * 6 + 6) * r, (v * v * 3 + v * 6 + 3) * r
-    ctx.compare(Rel.GT, a, b)
+    record(ctx, Rel.GT, a, b)
     (event,) = ctx.events
     assert event.guard.p == sub(a.sym, b.sym)
     assert event.bypassed_predicate.p is event.taken_literal().p is event.guard.p
@@ -161,19 +167,9 @@ def test_compare_records_the_guard_as_relop_zero():
         assert holds == (point["v"] ** 2 < 1.0)
 
 
-def test_compare_concrete_operands_emit_nothing():
-    ctx = ExecutionContext()
-    assert ctx.compare(Rel.GT, as_scalar(5), as_scalar(3)) is True
-    assert ctx.events == []
-
-
 def test_max_scan_on_half_symbolic_row_emits_one_event():
-    ctx = scoped_ctx()
-    row = [ctx.symvar("v", 1), as_scalar(1)]
-    best = row[0]
-    for entry in row[1:]:
-        if ctx.compare(Rel.GT, entry, best):
-            best = entry
+    ctx = ExecutionContext()
+    stable_softmax([ctx.symvar("v", 1), as_scalar(1)], ctx)
     assert len(ctx.events) == 1
 
 
@@ -181,14 +177,15 @@ def test_symbolic_compare_requires_scope():
     ctx = ExecutionContext()
     v = ctx.symvar("v", 1)
     with pytest.raises(AssociationScopeError):
-        ctx.compare(Rel.GT, v, as_scalar(0))
+        ctx.record(Rel.GT, v.sym, True, ((), 0))
+    assert ctx.events == []
 
 
 def test_event_negation_holds_exactly_one_side():
-    ctx = scoped_ctx()
+    ctx = ExecutionContext()
     v = ctx.symvar("v", 0.7)
-    ctx.compare(Rel.GT, v * v, as_scalar(0.3))
-    ctx.compare(Rel.LE, v + 1, v * 2)
+    record(ctx, Rel.GT, v * v, as_scalar(0.3))
+    record(ctx, Rel.LE, v + 1, v * 2)
     assignment = dict(ctx.variables)
     for event in ctx.events:
         assert event.guard.holds_at(assignment) is event.taken
@@ -199,11 +196,11 @@ def test_event_negation_holds_exactly_one_side():
 
 
 def test_taken_and_bypassed_literals_hold_on_complementary_points():
-    ctx = scoped_ctx()
+    ctx = ExecutionContext()
     v, w = ctx.symvar("v", 0.75), ctx.symvar("w", 0.25)
     for rel in Rel:  # each relation, as a guard that holds and one that does not
-        ctx.compare(rel, v, w)
-        ctx.compare(rel, v * v, as_scalar(0.25))
+        record(ctx, rel, v, w)
+        record(ctx, rel, v * v, as_scalar(0.25))
     assert {event.taken for event in ctx.events} == {True, False}
     # a grid with ties v == w and v * v == 0.25 on it
     points = [{"v": i / 8, "w": j / 8} for i in range(-8, 9) for j in range(-8, 9)]
@@ -214,27 +211,13 @@ def test_taken_and_bypassed_literals_hold_on_complementary_points():
                 event.bypassed_predicate.holds_at(point)
 
 
-# ---------------------------------------------------------------------------
-# concretize
-# ---------------------------------------------------------------------------
-
-
-def test_concretize_drops_symbolic_part():
-    ctx = ExecutionContext()
-    v = ctx.symvar("v", 2)
-    out = concretize(v)
-    assert out.concrete == 2.0 and out.sym is None
-
-
-def test_concretize_idempotent_on_plain_scalar():
-    out = concretize(as_scalar(7))
-    assert out.concrete == 7.0 and out.sym is None
-
-
 def test_exp_pipeline_matches_real_exp_oracle():
-    ctx = scoped_ctx()
+    # the softmax concretizes its exponent arguments through the values
+    ctx = ExecutionContext()
     v = ctx.symvar("v", -9 / math.sqrt(2))
-    got = math.exp(concretize(v).concrete)
+    probs = stable_softmax([as_scalar(0.0), v], ctx)
+    assert probs[1].sym is None
+    got = probs[1].concrete / probs[0].concrete
     assert got == pytest.approx(math.exp(-9 / math.sqrt(2)), rel=1e-12)
     assert got == pytest.approx(0.00172253, rel=1e-5)
 
@@ -286,14 +269,6 @@ def test_symbolic_divisor_is_rejected_at_construction():
     with pytest.raises(ConcolicArithmeticError):
         div(x, sub(x, x))  # a divisor whose polynomial is zero
     assert div(x, add(const(4.0), sub(x, x))) == mul(x, const(0.25))
-
-
-def test_node_count_counts_unique_nodes():
-    x = var("x")
-    square = mul(x, x)
-    expr = add(square, square)  # shares the square node
-    assert count_unique_nodes([expr]) == 3  # x, x*x, +
-    assert count_unique_nodes([expr, square]) == 3
 
 
 def test_normalization_invariants():
