@@ -7,10 +7,11 @@ ends with the line that closes every ``(``; those in a string literal or a
 ``|quoted symbol|`` do not count).  It answers each ``(check-sat)`` at once,
 prints the model of a ``sat`` answer on ``(get-model)`` (nothing after any
 other answer), and starts a new problem on ``(reset)``.  A check solves what
-was declared and asserted since the last ``(reset)``, its random samples
-seeded from the text since the ``(reset)`` line through the ``(check-sat)``
-line, stripped of the white space around it; :func:`solve_script` answers a
-script's last ``(check-sat)`` the same way, whatever follows.  Scripts must
+was declared and asserted since the last ``(reset)``; where it draws random
+samples (two or more variables), they are seeded from the text since the
+``(reset)`` line through the ``(check-sat)`` line, stripped of the white
+space around it.  :func:`solve_script` answers a script's last
+``(check-sat)`` the same way, whatever follows.  Scripts must
 stay in the subset it reads, which holds what
 :func:`~attnconcolic.solver.emit_smtlib` writes: declared Real constants, and
 comparisons between two terms over ``+`` and ``*`` (any number of
@@ -23,11 +24,13 @@ x + c relop 0`` (negative bounds included), and the non-strict ones leave
 the assertion, so an emitted script's bounds are read once; the box is
 clipped by :func:`~attnconcolic.solver._clip` for one or two variables, is
 scanned by the grid oracle's kernel at staged resolutions (a mesh of at
-most 17**5 points, streamed in chunks, past two variables), then seeded
-samples, only those inside the box.  The clip holds every point that can
-satisfy the request: for one variable a grid stage with no point in its
-intervals is skipped, and only the samples in them are evaluated; for two,
-only those in its polygon's bounding box.  A session keeps one
+most 17**5 points, streamed in chunks, past two variables), then tried at
+further points.  The clip holds every point that can satisfy the request.
+For one variable a grid stage with no point in its intervals is skipped,
+and after the grid stages come the midpoints of its intervals, with no
+random draws.  From two variables on come seeded random samples, only those
+inside the box, and for two only those in the clip polygon's bounding box.
+A session keeps one
 :class:`~attnconcolic.solver._PrefixTrie` per grid resolution, each under
 the grid oracle's byte cap, for the life of the process, across
 ``(reset)``, as a :class:`~attnconcolic.solver.GridOracle` keeps its own: a
@@ -44,8 +47,8 @@ Answers are honest about their strength: ``sat`` comes with a model that is a
 verified witness, printed in decimals.  ``unsat`` is emitted only with a
 proof: the bound assertions make the box empty, or, for one or two
 variables, the clip of the box by the conjuncts it reads (degree at most 2
-for one variable, affine for two) leaves nothing, and then no grid stage or
-sample runs.  Everything else is ``unknown``.  This keeps a fully
+for one variable, affine for two) leaves nothing, and then no grid stage,
+midpoint or sample runs.  Everything else is ``unknown``.  This keeps a fully
 working out-of-the-box pipeline on machines without z3/cvc5 installed; point
 a real solver at the engine for completeness.
 """
@@ -189,16 +192,19 @@ def _samples(request: SolverRequest, seed: int) -> np.ndarray:
 
 
 def _search(request: SolverRequest, seed: int, tries: defaultdict[int, _PrefixTrie]):
-    """Staged grid scan, then random sampling: ``(status, witness)``.  Each
-    grid stage reads and stores prefix masks in ``tries[resolution]``.  Up to
-    two variables, :func:`~attnconcolic.solver._clip` runs first and answers
-    unsat when it leaves no point of the box.  For one variable, a grid
-    stage runs only if one of its points lies in the clip's intervals, and
-    only the samples in them are evaluated; for two, only those in the clip
-    polygon's bounding box.  No point outside can satisfy the request, so
-    the verdict and witness are those of the full search, but for an unsat
-    where that search finds nothing.  Samples are kept inside the box by an
-    explicit test, as the box's non-strict bounds are not in the assertion."""
+    """Staged grid scan, then further candidates: ``(status, witness)``.
+    Each grid stage reads and stores prefix masks in ``tries[resolution]``.
+    Up to two variables, :func:`~attnconcolic.solver._clip` runs first and
+    answers unsat when it leaves no point of the box.  For one variable, a
+    grid stage runs only if one of its points lies in the clip's intervals,
+    as no point outside them can satisfy the request; after the stages, the
+    midpoint of each interval, in ascending order and clamped to the box,
+    is tried, and no random point is drawn.  From two variables on, seeded
+    random samples follow the grid or mesh; for two, only those in the clip
+    polygon's bounding box are evaluated, which changes no verdict or
+    witness.  Candidates are kept inside the box, by clamping or by an
+    explicit test, as the box's non-strict bounds are not in the
+    assertion."""
     names = [name for name, _, _ in request.variables]
     if not names:
         verdict = grid_oracle(request)
@@ -219,19 +225,18 @@ def _search(request: SolverRequest, seed: int, tries: defaultdict[int, _PrefixTr
         witness = _first_hit(request.assertion, names, _mesh_chunks(axes))
         if witness is not None:
             return SAT, witness
-    # only points of the box, which lo + u * (hi - lo) can round past, and of
-    # the clip's intervals (one variable) or its polygon's bounding box (two)
-    lows, highs = np.array([(lo, hi) for _, lo, hi in request.variables]).T
-    if len(names) == 2:
-        lows = np.maximum(lows, np.min(clip, axis=0))
-        highs = np.minimum(highs, np.max(clip, axis=0))
-    samples = _samples(request, seed)
-    if len(names) == 1:
-        samples = samples[_inside([(max(a, lows[0]), min(b, highs[0])) for a, b in clip],
-                                  samples[:, 0])]
+    if len(names) == 1:  # each clip interval's midpoint, ascending, clamped to the box
+        points = np.clip([0.5 * (a + b) for a, b in clip], *request.variables[0][1:])[:, None]
     else:
-        samples = samples[((lows <= samples) & (samples <= highs)).all(axis=1)]
-    chunks = (samples[start:start + _CHUNK] for start in range(0, len(samples), _CHUNK))
+        # only points of the box, which lo + u * (hi - lo) can round past,
+        # and for two variables of the clip polygon's bounding box
+        lows, highs = np.array([(lo, hi) for _, lo, hi in request.variables]).T
+        if len(names) == 2:
+            lows = np.maximum(lows, np.min(clip, axis=0))
+            highs = np.minimum(highs, np.max(clip, axis=0))
+        points = _samples(request, seed)
+        points = points[((lows <= points) & (points <= highs)).all(axis=1)]
+    chunks = (points[start:start + _CHUNK] for start in range(0, len(points), _CHUNK))
     witness = _first_hit(request.assertion, names, chunks)
     return (UNKNOWN if witness is None else SAT), witness
 
@@ -265,8 +270,9 @@ def _read(form, declared: list[str], assertion: list[Comparison]) -> bool:
 def _solve(declared: list[str], assertion: list[Comparison], text: str,
            tries: defaultdict[int, _PrefixTrie]):
     """(status, witness, declared variable order) of a check, its random
-    samples seeded from ``text`` stripped of the white space around it, its
-    grid stages reading and storing the prefix masks of ``tries``."""
+    samples (two or more variables) seeded from ``text`` stripped of the
+    white space around it, its grid stages reading and storing the prefix
+    masks of ``tries``."""
     request = _narrowed(SolverRequest(tuple((name, *DEFAULT_BOX) for name in declared),
                                       tuple(assertion)))
     if any(lo > hi for _, lo, hi in request.variables):

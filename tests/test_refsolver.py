@@ -3,10 +3,12 @@
 The reference narrows each variable's box by the conjuncts ``±x + c relop
 0``, answers unsat for up to two variables where the exact rule
 ``closure_is_empty`` of ``test_grid_oracle`` finds no point of the
-narrowed box, runs the staged ``reference_grid_oracle`` (a 16-per-axis mesh
-past two variables), then draws the seeded random samples and evaluates the
-assertion on them as arrays.  The refsolver reads the emitted script and must
-give the same status and the same witness.
+narrowed box, and runs the staged ``reference_grid_oracle`` (a 16-per-axis
+mesh past two variables).  Then, for one variable, it takes the midpoint of
+each interval of the clip, clamped to the box, with no random draws; from
+two variables on, it draws the seeded random samples.  It evaluates the
+assertion on those points as arrays.  The refsolver reads the emitted
+script and must give the same status and the same witness.
 """
 
 from __future__ import annotations
@@ -94,13 +96,22 @@ def reference_solve(request: SolverRequest, script: str):
         verdict = reference_grid_oracle(narrowed, resolution)
         if verdict.status == "sat":
             return ("sat", verdict.assignment)
-    # the samples are seeded from the text through the (check-sat) line
-    through = script[:script.index("(check-sat)\n")] + "(check-sat)\n"
-    seed = int.from_bytes(hashlib.sha256(through.encode()).digest()[:8], "big")
-    lows, highs = np.array(list(box.values())).T
-    samples = np.random.default_rng(seed).uniform(lows, highs, size=(65536, len(box)))
-    points = {name: samples[:, k] for k, name in enumerate(box)}
-    ok = np.ones(len(samples), dtype=bool)
+    if len(box) == 1:
+        # the midpoints of the clip the refsolver reads: the narrowed box,
+        # the non-strict bounds out of the assertion, in the script's order
+        (name, (lo, hi)), = box.items()
+        kept = tuple(cmp for cmp in assertion
+                     if (variable_bound(cmp) or (None, None))[1] not in (Rel.LE, Rel.GE))
+        clip = solver._clip(SolverRequest(((name, lo, hi),), kept))
+        points = {name: np.clip([(a + b) / 2 for a, b in clip], lo, hi)}
+    else:
+        # the samples are seeded from the text through the (check-sat) line
+        through = script[:script.index("(check-sat)\n")] + "(check-sat)\n"
+        seed = int.from_bytes(hashlib.sha256(through.encode()).digest()[:8], "big")
+        lows, highs = np.array(list(box.values())).T
+        samples = np.random.default_rng(seed).uniform(lows, highs, size=(65536, len(box)))
+        points = {name: samples[:, k] for k, name in enumerate(box)}
+    ok = np.ones(len(next(iter(points.values()))), dtype=bool)
     with np.errstate(all="ignore"):
         for cmp in assertion:
             ok &= _REL_APPLY[cmp.rel](evaluate(cmp.p, points), 0.0)
@@ -137,6 +148,12 @@ def test_matches_reference(n_vars, count, negative):
             Comparison(Rel.LT, sub(var("a"), var("b")), const(1e-4)))
     sides = [random_box(rng, negative) for _ in range(4)] if n_vars == 2 else []
     requests += [SolverRequest((("a", *side), ("b", *side)), slab) for side in sides]
+    # (a - c)(a - c - w) <= 0 with w below the 4,096-step grid's spacing:
+    # past the grid stages, only a clip interval's midpoint lands in it
+    for lo, hi in [random_box(rng, negative) for _ in range(4)] if n_vars == 1 else []:
+        c, w = float(rng.uniform(lo, hi)), (hi - lo) * 1e-5
+        window = mul(sub(var("a"), const(c)), sub(var("a"), const(c + w)))
+        requests.append(SolverRequest((("a", lo, hi),), (Comparison(Rel.LE, window),)))
     statuses = []
     for request in requests:
         script = emit_smtlib(request)
@@ -145,7 +162,8 @@ def test_matches_reference(n_vars, count, negative):
         assert (status, witness) == reference_solve(request, script)
         statuses.append(status)
     assert "sat" in statuses[:count]
-    if sides:  # a sat slab case takes its witness from the seeded samples
+    if n_vars <= 2:  # a sat slab case takes its witness from the seeded
+        # samples, a sat window case from a midpoint
         assert "sat" in statuses[count:]
 
 
@@ -275,7 +293,8 @@ def test_affine_unsat_ends_the_search_before_any_grid_stage(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# one variable: no grid stage or sample outside the clip's intervals
+# one variable: no grid stage outside the clip's intervals, then their
+# midpoints, and no random samples
 # ---------------------------------------------------------------------------
 
 
@@ -311,29 +330,73 @@ def test_one_variable_search_skips_only_points_that_cannot_satisfy(monkeypatch):
         return verdict
 
     monkeypatch.setattr(refsolver, "_scan", recorded)
+    monkeypatch.setattr(refsolver, "_samples", lambda *args: pytest.fail("samples drawn"))
     rng = np.random.default_rng(19)
     found = Counter()
     for _ in range(240):
         request = line_request(rng)
         seed = int(rng.integers(2 ** 63))
         got = refsolver._search(request, seed, defaultdict(solver._PrefixTrie))
-        stages.clear()
-        with monkeypatch.context() as patch:  # every stage and sample, no unsat
-            patch.setattr(refsolver, "_clip", lambda request: [(-math.inf, math.inf)])
-            want = refsolver._search(request, seed, defaultdict(solver._PrefixTrie))
-        assert got == want or (got, want) == (("unsat", None), ("unknown", None)), request
-        if want[0] == "sat":
-            found[stages[-1][0] if stages[-1][1] == "sat" else "sample"] += 1
-        elif got[0] == "unsat":
+        if got[0] == "unsat":  # the clip's proof: no grid stage finds a point either
+            assert all(solver._scan(request, resolution).status == "unknown"
+                       for resolution in STAGES[1]), request
             found["unsat"] += 1
+            continue
+        stages.clear()
+        with monkeypatch.context() as patch:  # every grid stage runs
+            patch.setattr(refsolver, "_inside", lambda clip, points: np.ones(points.shape, bool))
+            want = refsolver._search(request, seed, defaultdict(solver._PrefixTrie))
+        assert got == want, request
+        if want[0] == "sat":
+            assert assignment_satisfies(request, want[1])
+            found[stages[-1][0] if stages[-1][1] == "sat" else "midpoint"] += 1
         elif sum(hi - lo for lo, hi in solver._clip(request)) < 1e-9:
             found["sliver"] += 1  # a touching pair
-    assert min(found[kind] for kind in (256, 1024, 4096, "sample", "unsat", "sliver")) >= 5, found
+    assert min(found[kind] for kind in (256, 1024, 4096, "midpoint", "unsat", "sliver")) >= 5, \
+        found
+
+
+def test_a_window_between_grid_points_is_found_at_its_midpoint(monkeypatch):
+    # (v - c)(v - c - 1e-7) <= 0 holds on [c, c + 1e-7]: narrower than the
+    # 4,096-step grid's spacing and clear of its points, so no grid stage
+    # meets it.  The clip keeps it as one interval, whose midpoint satisfies
+    # the request
+    monkeypatch.setattr(refsolver, "_samples", lambda *args: pytest.fail("samples drawn"))
+    v, c = var("v"), 0.3
+    request = SolverRequest((("v", 0.0, 1.0),),
+                            (Comparison(Rel.LE, mul(sub(v, const(c)), sub(v, const(c + 1e-7)))),))
+    assert all(grid_oracle(request, resolution).status == "unknown" for resolution in STAGES[1])
+    status, witness, _ = refsolver.solve_script(emit_smtlib(request))
+    ((lo, hi),) = solver._clip(request)
+    assert (status, witness) == ("sat", {"v": (lo + hi) / 2})
+    assert c < witness["v"] < c + 1e-7
+    assert witness["v"] == pytest.approx(c + 5e-8, abs=1e-15)
+    assert assignment_satisfies(request, witness)
+
+
+def test_a_one_variable_unknown_draws_no_samples(monkeypatch):
+    # 3v > 1 and 3v < 1 leave no point, but the clip reads the strict
+    # relations as non-strict ones and keeps a sliver around v = 1/3, whose
+    # midpoint is tried and fails
+    monkeypatch.setattr(refsolver, "_samples", lambda *args: pytest.fail("samples drawn"))
+    first_hit, tried = refsolver._first_hit, []
+
+    def recorded(assertion, names, chunks):
+        chunks = list(chunks)
+        tried.extend(chunks)
+        return first_hit(assertion, names, chunks)
+
+    monkeypatch.setattr(refsolver, "_first_hit", recorded)
+    script = DECLARE + "(assert (> (* 3.0 v) 1.0))\n(assert (< (* 3.0 v) 1.0))\n(check-sat)\n"
+    assert refsolver.solve_script(script) == ("unknown", None, ["v"])
+    ((midpoint,),) = np.concatenate(tried)
+    assert midpoint == pytest.approx(1 / 3)
 
 
 def test_samples_are_the_bits_of_generator_uniform():
+    # samples are drawn from two variables on
     rng = np.random.default_rng(7)
-    for n_vars in range(1, 8):
+    for n_vars in range(2, 8):
         magnitudes = 10.0 ** rng.integers(-3, 10, n_vars)
         lows = rng.uniform(-1.0, 1.0, n_vars) * magnitudes
         highs = lows + rng.uniform(0.0, 2.0, n_vars) * magnitudes
