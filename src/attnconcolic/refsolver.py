@@ -2,7 +2,7 @@
 
 Run as ``python -m attnconcolic.refsolver``.  It speaks the SMT-LIB 2.6
 interactive protocol: it reads each command from stdin once, as it arrives,
-framed by the client's rule (:func:`~attnconcolic.solver._forms`: a command
+framed by the client's rule (:func:`~attnconcolic.smt._forms`: a command
 ends with the line that closes every ``(``; those in a string literal or a
 ``|quoted symbol|`` do not count).  It answers each ``(check-sat)`` at once,
 prints the model of a ``sat`` answer on ``(get-model)`` (nothing after any
@@ -19,29 +19,35 @@ arguments), unary and binary ``-``, and ``/`` by a constant, each read as the
 polynomial ``a - b`` against zero.  Every command outside it, wherever it
 stands, ``define-fun``, an excess ``)`` and terms nested too deeply included,
 prints one ``(error ...)`` line on stderr and exits 2.  It shares the grid
-oracle's parser, clip and kernel: the box comes from the conjuncts ``±1.0 *
-x + c relop 0`` (negative bounds included), and the non-strict ones leave
+oracle's parser, clip and searches: the box comes from the conjuncts ``±1.0
+* x + c relop 0`` (negative bounds included), and the non-strict ones leave
 the assertion, so an emitted script's bounds are read once; the box is
-clipped by :func:`~attnconcolic.solver._clip` for one or two variables, is
-scanned by the grid oracle's kernel at staged resolutions (a mesh of at
-most 17**5 points, streamed in chunks, past two variables), then tried at
-further points.  The clip holds every point that can satisfy the request.
-For one variable a grid stage with no point in its intervals is skipped,
-and after the grid stages come the midpoints of its intervals, with no
-random draws.  From two variables on come seeded random samples, only those
-inside the box, and for two only those in the clip polygon's bounding box.
-A session keeps one
-:class:`~attnconcolic.solver._PrefixTrie` per grid resolution, each under
-the grid oracle's byte cap, for the life of the process, across
-``(reset)``, as a :class:`~attnconcolic.solver.GridOracle` keeps its own: a
-check that extends a prefix checked before, under the same box, evaluates
-only the conjuncts after it, with the same verdict and witness.
+clipped by :func:`~attnconcolic.smt._clip` for one or two variables.  The
+clip holds every point that can satisfy the request.
+
+For one variable, :func:`~attnconcolic.smt._line_search` tries, in plain
+Python, the points of the 256-, 1,024- and 4,096-step grids that lie in the
+clip's intervals, grid by grid and each in ascending order, then the
+midpoint of each interval, clamped to the box: no kernel, no prefix trie
+and no random draws.  For two variables, the grid oracle's kernel scans the
+256- and 1,024-step grids, and past two a mesh of at most 17**5 points,
+streamed in chunks; then come seeded random samples, only those inside the
+box, and for two only those in the clip polygon's bounding box.  A session
+keeps one :class:`~attnconcolic.solver._PrefixTrie` per two-variable grid
+resolution, each under the grid oracle's byte cap, for the life of the
+process, across ``(reset)``, as a :class:`~attnconcolic.solver.GridOracle`
+keeps its own: a check that extends a prefix checked before, under the same
+box, evaluates only the conjuncts after it, with the same verdict and
+witness.
 
 The engine's :class:`~attnconcolic.solver.ExternalSolver` answers the
 requests that the clip proves unsat without asking its child, so a session
 sees only those the clip does not decide.  The refsolver keeps its own clip
-for scripts from anywhere else.  It imports only ``solver`` and ``symexpr``,
-so a solver process never loads the attack stack.
+for scripts from anywhere else.  At start it imports only ``smt`` and
+``symexpr``, which load neither numpy nor the attack stack; ``solver``,
+numpy and ``hashlib`` (for the sample seed) load at the first check of two
+or more variables.  So a session of checks of no or one variable, such as
+the CLI's pre-flight and its default of one pixel, never loads numpy.
 
 Answers are honest about their strength: ``sat`` comes with a model that is a
 verified witness, printed in decimals.  ``unsat`` is emitted only with a
@@ -56,18 +62,17 @@ a real solver at the engine for completeness.
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 import sys
-from collections import defaultdict
 from dataclasses import replace
 
-import numpy as np
-
-from .solver import (SAT, UNKNOWN, UNSAT, SolverError, SolverRequest, _clip, _forms,
-                     _grid_axis, _PrefixTrie, _render_decimal, _scan, grid_oracle)
+from .smt import (SAT, UNKNOWN, UNSAT, SolverError, SolverRequest, _clip, _forms, _line_search,
+                  _render_decimal)
 from .symexpr import (_OPS, _REL_APPLY, Comparison, ConcolicArithmeticError, Rel, _bin,
                       const, evaluate, neg, var)
+
+# numpy and solver load at the first check of two or more variables: the
+# functions of that search import them where they run
 
 GRID_STAGES = {1: (256, 1024, 4096), 2: (256, 1024)}  # by variable count
 MESH_RESOLUTION = 16  # dense meshes blow up past two variables
@@ -145,6 +150,8 @@ def _narrowed(request: SolverRequest) -> SolverRequest:
 def _first_hit(assertion, names: list[str], chunks):
     """The first row of the ``chunks`` of points (one column per variable) at
     which every conjunct holds, as an assignment, or None."""
+    import numpy as np
+
     for chunk in chunks:
         env = dict(zip(names, chunk.T))
         ok = np.ones(len(chunk), dtype=bool)
@@ -160,6 +167,8 @@ def _first_hit(assertion, names: list[str], chunks):
 
 def _mesh_chunks(axes):
     """The mesh over ``axes`` in row-major order, ``_CHUNK`` rows at a time."""
+    import numpy as np
+
     shape = tuple(axis.size for axis in axes)
     total = math.prod(shape)
     for start in range(0, total, _CHUNK):
@@ -172,18 +181,12 @@ def _mesh_points_per_axis(n_vars: int) -> int:
     return max(n for n in range(1, MESH_RESOLUTION + 2) if n ** n_vars <= MESH_POINTS)
 
 
-def _inside(intervals, points: np.ndarray) -> np.ndarray:
-    """Whether each of ``points`` lies in one of the closed ``intervals``."""
-    mask = np.zeros(points.shape, dtype=bool)
-    for lo, hi in intervals:
-        mask |= (lo <= points) & (points <= hi)
-    return mask
-
-
-def _samples(request: SolverRequest, seed: int) -> np.ndarray:
+def _samples(request: SolverRequest, seed: int):
     """``RANDOM_SAMPLES`` seeded points of the box, one row each: the bits of
     ``Generator.uniform(lows, highs, size)``, which scales the same doubles
     in the same order, in about a quarter of its time."""
+    import numpy as np
+
     lows, highs = np.array([(lo, hi) for _, lo, hi in request.variables]).T
     samples = np.random.default_rng(seed).random((RANDOM_SAMPLES, lows.size))
     samples *= highs - lows  # in place: broadcasting into a new array costs twice as much
@@ -191,33 +194,36 @@ def _samples(request: SolverRequest, seed: int) -> np.ndarray:
     return samples
 
 
-def _search(request: SolverRequest, seed: int, tries: defaultdict[int, _PrefixTrie]):
+def _search(request: SolverRequest, seed, tries: dict):
     """Staged grid scan, then further candidates: ``(status, witness)``.
-    Each grid stage reads and stores prefix masks in ``tries[resolution]``.
-    Up to two variables, :func:`~attnconcolic.solver._clip` runs first and
-    answers unsat when it leaves no point of the box.  For one variable, a
-    grid stage runs only if one of its points lies in the clip's intervals,
-    as no point outside them can satisfy the request; after the stages, the
-    midpoint of each interval, in ascending order and clamped to the box,
-    is tried, and no random point is drawn.  From two variables on, seeded
-    random samples follow the grid or mesh; for two, only those in the clip
-    polygon's bounding box are evaluated, which changes no verdict or
-    witness.  Candidates are kept inside the box, by clamping or by an
-    explicit test, as the box's non-strict bounds are not in the
-    assertion."""
+
+    No or one variable: the grid stages, then the clip's interval midpoints,
+    by :func:`~attnconcolic.smt._line_search`; ``seed`` and ``tries`` go
+    unread.  Two variables: :func:`~attnconcolic.smt._clip` runs first and
+    answers unsat when it leaves no point of the box, and each grid stage
+    reads and stores prefix masks in ``tries[resolution]``, a
+    :class:`~attnconcolic.solver._PrefixTrie` made at its first use.  Past
+    two: a mesh.  From two on, seeded random samples (``seed``, an integer)
+    follow; for two variables only those in the clip polygon's bounding box
+    are evaluated, which changes no verdict or witness.  Samples are kept
+    inside the box by an explicit test, as the box's non-strict bounds are
+    not in the assertion."""
     names = [name for name, _, _ in request.variables]
-    if not names:
-        verdict = grid_oracle(request)
-        return verdict.status, verdict.assignment
-    if len(names) <= 2:
+    if len(names) <= 1:
+        return _line_search(request, GRID_STAGES[1], midpoints=True)
+    import numpy as np
+
+    from .solver import _grid_axis, _PrefixTrie, _scan
+
+    if len(names) == 2:
         clip = _clip(request)
         if not clip:
             return UNSAT, None
-        for resolution in GRID_STAGES[len(names)]:
-            if len(names) == 1 and not _inside(
-                    clip, _grid_axis(*request.variables[0][1:], resolution).points).any():
-                continue
-            verdict = _scan(request, resolution, tries[resolution])
+        for resolution in GRID_STAGES[2]:
+            trie = tries.get(resolution)
+            if trie is None:
+                trie = tries[resolution] = _PrefixTrie()
+            verdict = _scan(request, resolution, trie)
             if verdict.status == SAT:
                 return SAT, verdict.assignment
     elif (per_axis := _mesh_points_per_axis(len(names))) >= 2:
@@ -225,17 +231,14 @@ def _search(request: SolverRequest, seed: int, tries: defaultdict[int, _PrefixTr
         witness = _first_hit(request.assertion, names, _mesh_chunks(axes))
         if witness is not None:
             return SAT, witness
-    if len(names) == 1:  # each clip interval's midpoint, ascending, clamped to the box
-        points = np.clip([0.5 * (a + b) for a, b in clip], *request.variables[0][1:])[:, None]
-    else:
-        # only points of the box, which lo + u * (hi - lo) can round past,
-        # and for two variables of the clip polygon's bounding box
-        lows, highs = np.array([(lo, hi) for _, lo, hi in request.variables]).T
-        if len(names) == 2:
-            lows = np.maximum(lows, np.min(clip, axis=0))
-            highs = np.minimum(highs, np.max(clip, axis=0))
-        points = _samples(request, seed)
-        points = points[((lows <= points) & (points <= highs)).all(axis=1)]
+    # only points of the box, which lo + u * (hi - lo) can round past, and
+    # for two variables of the clip polygon's bounding box
+    lows, highs = np.array([(lo, hi) for _, lo, hi in request.variables]).T
+    if len(names) == 2:
+        lows = np.maximum(lows, np.min(clip, axis=0))
+        highs = np.minimum(highs, np.max(clip, axis=0))
+    points = _samples(request, seed)
+    points = points[((lows <= points) & (points <= highs)).all(axis=1)]
     chunks = (points[start:start + _CHUNK] for start in range(0, len(points), _CHUNK))
     witness = _first_hit(request.assertion, names, chunks)
     return (UNKNOWN if witness is None else SAT), witness
@@ -267,17 +270,21 @@ def _read(form, declared: list[str], assertion: list[Comparison]) -> bool:
     return False
 
 
-def _solve(declared: list[str], assertion: list[Comparison], text: str,
-           tries: defaultdict[int, _PrefixTrie]):
+def _solve(declared: list[str], assertion: list[Comparison], text: str, tries: dict):
     """(status, witness, declared variable order) of a check, its random
     samples (two or more variables) seeded from ``text`` stripped of the
-    white space around it, its grid stages reading and storing the prefix
-    masks of ``tries``."""
+    white space around it, its two-variable grid stages reading and storing
+    the prefix masks of ``tries``."""
     request = _narrowed(SolverRequest(tuple((name, *DEFAULT_BOX) for name in declared),
                                       tuple(assertion)))
     if any(lo > hi for _, lo, hi in request.variables):
         return (UNSAT, None, list(declared))
-    seed = int.from_bytes(hashlib.sha256((text.strip() + "\n").encode()).digest()[:8], "big")
+    seed = None
+    if len(declared) >= 2:  # only such checks draw samples
+        import hashlib
+
+        seed = int.from_bytes(hashlib.sha256((text.strip() + "\n").encode()).digest()[:8],
+                              "big")
     return (*_search(request, seed, tries), list(declared))
 
 
@@ -295,7 +302,7 @@ def solve_script(text: str) -> tuple[str, dict[str, float] | None, list[str]]:
         for form in forms:
             if _read(form, declared, assertion):
                 check = (list(declared), list(assertion), read)
-    return _solve(*check, defaultdict(_PrefixTrie)) if check else (UNKNOWN, None, declared)
+    return _solve(*check, {}) if check else (UNKNOWN, None, declared)
 
 
 def _print_model(witness: dict[str, float], declared: list[str]) -> None:
@@ -310,9 +317,9 @@ def main() -> int:
     assertion: list[Comparison] = []
     text = ""  # the lines received since the (reset) line
     answer = None  # (status, witness, declared) of the last (check-sat)
-    # one per grid resolution, for the life of the process: (reset) keeps
-    # them, as their keys are exact
-    tries = defaultdict(_PrefixTrie)
+    # a prefix trie per two-variable grid resolution, for the life of the
+    # process: (reset) keeps them, as their keys are exact
+    tries: dict = {}
     try:
         for lines, forms in _forms(sys.stdin):
             text += lines

@@ -3,25 +3,30 @@ grid oracle over polynomial constraints.
 
 The engine never links a solver library: the external backend keeps one
 live child process per thread running a configurable solver command, writes
-each request that the clip below does not decide to it as an SMT-LIB2
-script over quantifier-free nonlinear reals, and parses sat/unsat/unknown,
-then after sat the model it asks for, from its standard output.  Both
-backends read each comparison ``p relop 0`` off its one polynomial.  The
-grid oracle is an in-process fallback used for testing and small-instance
-verification; its "no point found" answer is reported as unknown, never as
-a proof of unsatisfiability.  Both answer unsat in process only with a
-proof: an empty box, or a box that the conjuncts, each widened by a float
-error bound, clip to nothing: the conjuncts of degree at most 2 for one
-variable, whose roots cut the line into intervals, and the affine ones for
-two, which cut a polygon.
+each request that the clip does not decide to it as an SMT-LIB2 script over
+quantifier-free nonlinear reals, and parses sat/unsat/unknown, then after
+sat the model it asks for, from its standard output.  Both backends read
+each comparison ``p relop 0`` off its one polynomial.  The grid oracle is an
+in-process fallback used for testing and small-instance verification; its
+"no point found" answer is reported as unknown, never as a proof of
+unsatisfiability.  Both answer unsat in process only with a proof: an empty
+box, or a box that the conjuncts, each widened by a float error bound, clip
+to nothing: the conjuncts of degree at most 2 for one variable, whose roots
+cut the line into intervals, and the affine ones for two, which cut a
+polygon.
+
+What the refsolver child shares with it, numpy-free, is in
+:mod:`~attnconcolic.smt`: requests and statuses (re-exported here),
+SMT-LIB framing and numerals, the clip, and the plain-Python search of no
+or one variable.  This module holds what needs numpy, the two-variable
+kernel, its prefix trie and :class:`GridOracle`, so a refsolver loads it
+only at its first check of two or more variables.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import os
-import re
 import select
 import shlex
 import subprocess
@@ -31,12 +36,13 @@ import time
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from decimal import Decimal
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
+from .smt import (SAT, SOLVER_ERROR, TIMEOUT, UNKNOWN, UNSAT, SolverError, SolverRequest,
+                  _clip, _forms, _grid_point, _line_search, _render_decimal, _tie_band)
 from .symexpr import _REL_APPLY, Comparison, Rel, SymExpr, evaluate
 
 __all__ = [
@@ -51,33 +57,6 @@ __all__ = [
     "parse_model_value",
 ]
 
-SAT = "sat"
-UNSAT = "unsat"
-UNKNOWN = "unknown"
-TIMEOUT = "timeout"
-SOLVER_ERROR = "solver_error"
-
-
-class SolverError(RuntimeError):
-    """Misconfigured solver command or unusable solver output."""
-
-
-@dataclass(frozen=True)
-class SolverRequest:
-    """Bounded variables plus a conjunction of comparisons ``p relop 0``."""
-
-    variables: tuple[tuple[str, float, float], ...]
-    assertion: tuple[Comparison, ...]
-    timeout_s: float = 60.0
-
-    def __post_init__(self) -> None:
-        declared = {name for name, _, _ in self.variables}
-        free = {name for cmp in self.assertion for monomial in cmp.p.monomials
-                for name in monomial}
-        missing = free - declared
-        if missing:
-            raise SolverError(f"assertion uses undeclared variables: {sorted(missing)}")
-
 
 @dataclass(frozen=True)
 class SolverVerdict:
@@ -89,23 +68,6 @@ class SolverVerdict:
 # ---------------------------------------------------------------------------
 # Emission
 # ---------------------------------------------------------------------------
-
-
-def _render_decimal(value: float) -> str:
-    """Shortest round-trip decimal with a trailing .0 for integers; negatives
-    wrapped as (- x) per SMT-LIB syntax, and a zero of either sign is 0.0."""
-    if value != value or value in (float("inf"), float("-inf")):
-        raise SolverError(f"cannot emit non-finite constant {value!r}")
-    if not value:  # repr(-0.0) is no SMT-LIB numeral
-        return "0.0"
-    if value < 0:
-        return f"(- {_render_decimal(-value)})"
-    text = repr(value)
-    if "e" in text or "E" in text:
-        text = format(Decimal(text), "f")
-    if "." not in text:
-        text += ".0"
-    return text
 
 
 def _render_poly(expr: SymExpr) -> str:
@@ -145,56 +107,6 @@ def emit_smtlib(request: SolverRequest) -> str:
 # ---------------------------------------------------------------------------
 # Model parsing
 # ---------------------------------------------------------------------------
-
-
-# a ; comment, or a string literal ("" escapes a quote) or |quoted symbol|,
-# which runs to the end of the text if left open
-_LITERAL = re.compile(r'(;[^\n]*|"(?:[^"]|"")*"?|\|[^|]*\|?)')
-_CLOSED_LITERAL = re.compile(r'"(?:[^"]|"")*"|\|[^|]*\|')
-
-
-def _tokenize(text: str) -> list[str]:
-    """SMT-LIB tokens.  A string literal or a quoted symbol is one token, and
-    a ``;`` comment outside them runs to the end of its line."""
-    tokens: list[str] = []
-    for i, part in enumerate(_LITERAL.split(text)):
-        if i % 2 == 0:
-            tokens += part.replace("(", " ( ").replace(")", " ) ").split()
-        elif part[0] != ";":
-            tokens.append(part)
-    return tokens
-
-
-def _forms(lines: Iterable[str]) -> Iterator[tuple[str, list]]:
-    """Yield ``(text, forms)`` each time the lines read so far close every
-    ``(`` outside literals: their text and the forms they complete (none for
-    blank and comment lines), reading no line further.  Each line is
-    tokenized once, with the literal left open at the end of the one before.
-    SolverError at an excess ``)``, and at the end within a form."""
-    text: list[str] = []
-    forms: list = []
-    stack: list[list] = []
-    carry = ""  # a literal left open
-    for line in lines:
-        text.append(line)
-        tokens = _tokenize(carry + line)
-        carry = ""
-        if tokens and tokens[-1][0] in '"|' and not _CLOSED_LITERAL.fullmatch(tokens[-1]):
-            carry = tokens.pop()
-        for token in tokens:
-            if token == "(":
-                stack.append([])
-                continue
-            if token == ")":
-                if not stack:
-                    raise SolverError("unbalanced parentheses")
-                token = stack.pop()
-            (stack[-1] if stack else forms).append(token)
-        if not stack and not carry:
-            yield "".join(text), forms
-            text, forms = [], []
-    if stack or carry:
-        raise SolverError("unbalanced parentheses")
 
 
 def parse_model_value(form) -> float:
@@ -423,8 +335,6 @@ class ExternalSolver:
         return SolverVerdict(SOLVER_ERROR, transcript=self._sessions.pop(key).close())
 
 
-_UNIT_ROUNDOFF = 2.0 ** -53
-
 # The bytes a GridOracle's prefix trie may hold.  A mask covers only the
 # bounding window of its prefix's points: 8 kB at most for two variables at
 # resolution 256 (131 kB at 1024), a median of about 0.85 kB over grid-2px's
@@ -540,7 +450,7 @@ class _PrefixTrie:
 
 
 def _dense(cmp: Comparison, names: Sequence[str], magnitudes: Sequence[float]):
-    """``(C, bound, terms)`` for one conjunct over at most two variables.
+    """``(C, bound, terms)`` for one conjunct over two variables.
 
     ``C[i, j]`` is the coefficient of ``a**i * b**j`` in ``p`` for ``names =
     (a, b)``; ``bound`` is the sum of ``|c| * |a|**i * |b|**j`` over its
@@ -583,22 +493,8 @@ class _Axis:
 
 @functools.lru_cache(maxsize=32)
 def _grid_axis(lo: float, hi: float, resolution: int) -> _Axis:
-    """``resolution + 1`` evenly spaced points from ``lo`` to ``hi``, clamped
-    to ``hi``, which the last can round past; resolution 0 is the point ``lo``."""
-    steps = np.arange(resolution + 1, dtype=float) / max(resolution, 1)
-    return _Axis(np.minimum(lo + (hi - lo) * steps, hi))
-
-
-def _tie_band(bound: float, terms: int, rows: int, cols: int) -> float:
-    """The float error bound of a conjunct with ``terms`` monomials whose
-    coefficient matrix is ``rows`` by ``cols``, at points whose magnitudes
-    give ``bound``.  In normal-range floats, evaluate rounds at most degree +
-    terms times, and the kernel at most 2 * (rows + cols) times (powers, the
-    two products); each error stays under gamma(rounds) * bound.  The factor
-    3 covers both errors and the rounding of the bound itself."""
-    rounds = terms + 3 * (rows + cols)
-    gamma = rounds * _UNIT_ROUNDOFF / (1.0 - rounds * _UNIT_ROUNDOFF)
-    return 3.0 * gamma * bound
+    """The ``resolution + 1`` points of :func:`~attnconcolic.smt._grid_point`."""
+    return _Axis(np.array([_grid_point(lo, hi, resolution, k) for k in range(resolution + 1)]))
 
 
 def _holds(cmp: Comparison, names: Sequence[str], axes: Sequence[_Axis],
@@ -640,142 +536,6 @@ def _bounded(window: tuple, ok: np.ndarray):
     return (window[0] + top, window[1] + left, bottom - top, right - left), ok[:, left:right]
 
 
-# The half-planes each relation keeps, as signs of p: both sides for =, none for !=
-_SIDES = {Rel.GT: (1.0,), Rel.GE: (1.0,), Rel.LT: (-1.0,), Rel.LE: (-1.0,),
-          Rel.EQ: (1.0, -1.0), Rel.NE: ()}
-_HUGE = 1e300  # past this bound a sign test could overflow
-
-
-def _cut(polygon: list, c: float, b: float, a: float) -> list:
-    """Sutherland–Hodgman: the vertices ``(x, y)`` of ``polygon`` at which
-    ``c + b*x + a*y`` is at least zero, and in their order a point on each
-    edge whose ends' values straddle zero."""
-    values = [c + b * x + a * y for x, y in polygon]
-    kept = []
-    prev, before = polygon[-1], values[-1]
-    for vertex, value in zip(polygon, values):
-        if (value >= 0.0) != (before >= 0.0):
-            t = before / (before - value)
-            kept.append((prev[0] + t * (vertex[0] - prev[0]),
-                         prev[1] + t * (vertex[1] - prev[1])))
-        if value >= 0.0:
-            kept.append(vertex)
-        prev, before = vertex, value
-    return kept
-
-
-def _roots(a: float, b: float, c: float) -> list[float]:
-    """The real roots of ``a*x*x + b*x + c`` in floats, none for a constant:
-    the quadratic formula in the form that cancels no digits (Numerical
-    Recipes, 5.6)."""
-    if not a:
-        return [-c / b] if b else []
-    disc = b * b - 4.0 * a * c
-    if not disc >= 0.0:
-        return []
-    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-    return [q / a, c / q] if q else [0.0]
-
-
-def _cut_line(intervals: list, a: float, b: float, c: float, magnitude: float,
-              slack: float) -> list:
-    """The parts of the sorted disjoint ``intervals`` that keep every point at
-    which ``q(x) = a*x*x + b*x + c`` reaches ``slack``, for points of
-    ``magnitude`` at most.
-
-    Each interval is split at the float roots of ``q`` inside it.  A piece
-    is dropped only when ``q`` is certified below ``slack`` on all of it: at
-    both ends and, for a concave ``q``, at its float vertex clamped to the
-    piece, each evaluated by Horner's rule, whose error stays under
-    ``gamma(4) * B`` for ``B = |a|*m*m + |b|*m + |c|`` at ``m = magnitude``
-    (Higham, 5.1);
-    ``16 * u * B`` also covers the rounding of ``B`` and the vertex's
-    error.  Between the points tested, convexity bounds ``q`` by them.  So
-    the roots' own errors cost no soundness, only a piece kept."""
-    limit = slack - 16.0 * _UNIT_ROUNDOFF * (abs(a) * magnitude * magnitude
-                                             + abs(b) * magnitude + abs(c))
-    roots = sorted(_roots(a, b, c))
-    vertex = -b / (2.0 * a) if a < 0.0 else None
-    kept: list = []
-    for lo, hi in intervals:
-        cuts = [lo, *(t for t in roots if lo < t < hi), hi]
-        for left, right in zip(cuts, cuts[1:]):
-            tested = [left, right]
-            if vertex is not None:  # where a concave q peaks on the piece
-                tested.append(min(max(vertex, left), right))
-            if all(c + x * (b + a * x) < limit for x in tested):
-                continue
-            if kept and kept[-1][1] == left:
-                kept[-1] = (kept[-1][0], right)
-            else:
-                kept.append((left, right))
-    return kept
-
-
-def _clip(request: SolverRequest) -> list[tuple[float, ...]]:
-    """The box of a 1- or 2-variable request clipped by the conjuncts of its
-    assertion, in one pass: for one variable, the sorted disjoint closed
-    intervals left by the conjuncts of degree at most 2; for two, the
-    vertices ``(x, y)`` of the convex polygon left by the affine ones.  None
-    is left when the box is empty (some ``lo > hi``) or no point of it
-    satisfies them, which proves the request unsat.
-
-    Each conjunct ``p relop 0`` is read once, as a dict of its monomials
-    from which ``p = c + b*x + a*z`` is popped, with ``z = x*x`` for one
-    variable and ``y`` for two; a term left over is of a degree the clip
-    does not read, and the conjunct is left out.  The rest is one side ``s
-    * p >= 0`` with ``s = ±1``, two for ``=`` and none for ``!=``.  So that an
-    empty result is a proof, each side is widened by :func:`_tie_band`, so
-    that it keeps every point at which evaluate satisfies the conjunct, and
-    by ``64 * (n + 1)`` unit roundoffs of the conjunct's bound for ``n``
-    conjuncts (``2 * n + 2`` times 32: at most two sides each); the box by
-    as many roundoffs of its magnitudes.  Only the bound and the cut depend
-    on the variable count.  Two variables: each side is a half-plane, cut by
-    Sutherland–Hodgman (1974).  One variable: each side cuts the intervals
-    at its roots, and a piece goes only where :func:`_cut_line` certifies
-    the side below half its roundoff widening.  That covers the clip's own
-    rounding, in normal-range floats: a cut places each vertex it makes a
-    few roundoffs of the box's magnitudes off the exact edge, and a sign
-    test errs by a few roundoffs of the bound.  It also covers sample
-    points rounded past ``hi``.  So strict relations are clipped as
-    non-strict ones, and a sliver within that widening is not decided here.
-    With no variables, the clip is the box's one point, ``[()]``.
-    """
-    if not request.variables:
-        return [()]
-    if any(lo > hi for _, lo, hi in request.variables):
-        return []
-    widen = 64 * (len(request.assertion) + 1) * _UNIT_ROUNDOFF
-    boxes = [(lo - widen * max(-lo, hi), hi + widen * max(-lo, hi))
-             for _, lo, hi in request.variables]
-    one = len(boxes) == 1
-    (x0, x1), (y0, y1) = boxes[0], boxes[-1]  # for one variable, y is x
-    clip = boxes if one else [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
-    mx, my = max(-x0, x1), max(-y0, y1)
-    if not max(mx, my) < _HUGE:
-        return clip
-    x, y = request.variables[0][0], request.variables[-1][0]
-    linear, top = (x,), ((x, x) if one else (y,))
-    for cmp in request.assertion:
-        terms = dict(zip(cmp.p.monomials, cmp.p.coeffs))
-        c, b, a = terms.pop((), 0.0), terms.pop(linear, 0.0), terms.pop(top, 0.0)
-        if terms:
-            continue
-        bound = abs(c) + abs(b) * mx + (abs(a) * mx * mx if one else abs(a) * my)
-        if not bound < _HUGE:
-            continue
-        margin = _tie_band(bound, len(cmp.p.coeffs), 2, 2) + widen * bound
-        for sign in _SIDES[cmp.rel]:
-            if one:
-                clip = _cut_line(clip, sign * a, sign * b, sign * c + margin, mx,
-                                 0.5 * widen * bound)
-            else:
-                clip = _cut(clip, sign * c + margin, sign * b, sign * a)
-            if not clip:
-                return clip
-    return clip
-
-
 def grid_oracle(request: SolverRequest, resolution: int = 1024,
                 prefixes: Optional[_PrefixTrie] = None) -> SolverVerdict:
     """Evaluate the assertion on a uniform grid over the variable bounds.
@@ -788,7 +548,12 @@ def grid_oracle(request: SolverRequest, resolution: int = 1024,
     any prefix is looked up or any grid point evaluated.  A request without
     variables is sat when its ground conjuncts hold and unknown otherwise.
 
-    Each conjunct's coefficients are read off its polynomial and
+    One variable runs no kernel and reads no trie: the clip's intervals hold
+    every point that can satisfy the request, and
+    :func:`~attnconcolic.smt._line_search` tries the grid points in them,
+    ascending, in plain Python.
+
+    For two, each conjunct's coefficients are read off its polynomial and
     evaluated as ``(V_a @ C) @ V_b.T`` on the window of the grid that bounds
     the points the conjuncts before it left: the whole grid for the first,
     then after each conjunct the bounding box of its survivors.  The axes'
@@ -812,10 +577,8 @@ def grid_oracle(request: SolverRequest, resolution: int = 1024,
         raise SolverError(f"grid resolution {resolution!r} is not an integer >= 0")
     if len(request.variables) > 2:
         raise SolverError("grid oracle supports at most 2 variables")
-    if not request.variables:
-        if all(cmp.holds_at({}) for cmp in request.assertion):
-            return SolverVerdict(SAT, assignment={})
-        return SolverVerdict(UNKNOWN)
+    if len(request.variables) <= 1:
+        return SolverVerdict(*_line_search(request, (resolution,)))
     if not _clip(request):
         return SolverVerdict(UNSAT)
     return _scan(request, resolution, prefixes)
@@ -823,12 +586,10 @@ def grid_oracle(request: SolverRequest, resolution: int = 1024,
 
 def _scan(request: SolverRequest, resolution: int,
           prefixes: Optional[_PrefixTrie] = None) -> SolverVerdict:
-    """The grid part of :func:`grid_oracle`, for a request with one or two
+    """The grid part of :func:`grid_oracle`, for a request with two
     variables and a box that is not empty: sat or unknown."""
     names = [name for name, _, _ in request.variables]
     axes = [_grid_axis(lo, hi, resolution) for _, lo, hi in request.variables]
-    if len(axes) == 1:
-        axes.append(_grid_axis(0.0, 0.0, 0))  # a one-point second axis: C has one column
     window = (0, 0, axes[0].points.size, axes[1].points.size)
     ok = None  # the points left in the window; None for all of them
     path, depth = None, 0
@@ -869,12 +630,13 @@ def _scan(request: SolverRequest, resolution: int,
 class GridOracle:
     """Backend wrapper so the grid oracle can stand in for a solver.
 
-    It keeps the windows and masks of the assertion prefixes it has checked
-    in a trie whose stored bytes stay under ``_PREFIX_BYTES`` (512 kB), so a
-    request that extends a checked prefix evaluates only its new conjuncts,
-    each on the window its prefix left; verdicts and witnesses are those of
-    :func:`grid_oracle` without the trie.  Any number of threads may share
-    one oracle.
+    For two variables it keeps the windows and masks of the assertion
+    prefixes it has checked in a trie whose stored bytes stay under
+    ``_PREFIX_BYTES`` (512 kB), so a request that extends a checked prefix
+    evaluates only its new conjuncts, each on the window its prefix left;
+    verdicts and witnesses are those of :func:`grid_oracle` without the
+    trie.  A request of one variable stores nothing: it tries the grid
+    points in its clip.  Any number of threads may share one oracle.
     """
 
     resolution: int = 1024

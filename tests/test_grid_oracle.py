@@ -19,13 +19,14 @@ import itertools
 import math
 import pickle
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from attnconcolic import refsolver, solver
+from attnconcolic import refsolver, smt, solver
 from attnconcolic.solver import (
     _PREFIX_BYTES,
     GridOracle,
@@ -358,6 +359,29 @@ def test_grid_points_stay_in_the_box():
         assert lo <= points.min() and points.max() <= hi
 
 
+@pytest.mark.parametrize("resolution", [0, 1, 256, 1024, 4096])
+def test_grid_points_have_one_definition(resolution):
+    # the kernel's axes and the one-variable search read the same points:
+    # those of the grid's numpy formula, bit for bit
+    rng = np.random.default_rng(resolution)
+    boxes = [(0.0, 1.0), (-1.9907001027432838, 0.515690120220412), (-3.0, -0.5),
+             (0.25, 0.25), (-1e9, 1e9)]
+    for lo, hi in boxes:
+        points = np.array([smt._grid_point(lo, hi, resolution, k)
+                           for k in range(resolution + 1)])
+        assert points.tobytes() == solver._grid_axis(lo, hi, resolution).points.tobytes()
+        steps = np.arange(resolution + 1, dtype=float) / max(resolution, 1)
+        assert points.tobytes() == np.minimum(lo + (hi - lo) * steps, hi).tobytes()
+        # the points in sorted disjoint intervals, found by bisection: those
+        # of the whole grid that lie in them, in order
+        ends = np.sort(rng.uniform(lo - 0.1 * (hi - lo) - 1e-3, hi + 0.1 * (hi - lo) + 1e-3, 8))
+        clip = [(float(a), float(b)) for a, b in zip(ends[::2], ends[1::2])]
+        if lo == hi:  # every point of the grid, all equal, in the middle interval
+            clip = [(lo - 1.0, lo - 0.5), (lo, hi), (hi + 0.5, hi + 1.0)]
+        want = [x for x in points.tolist() if any(a <= x <= b for a, b in clip)]
+        assert list(smt._line_points(lo, hi, clip, [resolution])) == want
+
+
 # ---------------------------------------------------------------------------
 # windows: each conjunct is evaluated on the bounding box of the points the
 # ones before it left
@@ -388,7 +412,8 @@ def at_most(expr, value):
     return Comparison(Rel.LE, expr, const(value))
 
 
-# (variables, assertion, the last window (row, col, height, width) at 32 steps)
+# (variables, assertion, the last window (row, col, height, width) at 32 steps;
+# None for one variable, which stores none)
 SURVIVORS = {
     "corner (0, 0)": (UNIT_SQUARE, (at_most(add(A, B), 0.5),
                                     at_most(add(mul(A, A), mul(B, B)), 0.0)), (0, 0, 1, 1)),
@@ -407,7 +432,7 @@ SURVIVORS = {
                                        Comparison(Rel.EQ, mul(A, B), const(0.25))),
                          (8, 8, 25, 25)),
     "one variable": ((("a", -1.0, 1.0),), (at_most(mul(A, A), 0.24),
-                                           Comparison(Rel.GT, A, const(0.1))), (18, 0, 6, 1)),
+                                           Comparison(Rel.GT, A, const(0.1))), None),
 }
 
 
@@ -423,6 +448,9 @@ def test_windows_match_a_holds_at_scan(case):
         assert grid_oracle(request, 32) == verdict
         assert grid_oracle(request, 32, trie) == verdict
     assert grid_oracle(SolverRequest(variables, assertion), 32, trie) == want
+    if last_window is None:  # the grid points in the clip, with no window or mask
+        assert trie.nbytes == 0
+        return
     path = trie.walk((variables, 32), [cmp.key() for cmp in assertion])
     assert len(path) == len(assertion) + 1
     assert path[-1].window == last_window
@@ -508,7 +536,10 @@ def test_prefix_trie_matches_uncached_oracle(resolution, paths, length, n_vars,
     oracle = GridOracle(resolution)
     for request, verdict in zip(requests, want):
         assert oracle.check(request) == verdict
-    assert kernel_passes[0] < uncached  # some prefixes were read from the trie
+    if n_vars == 1:  # the grid points in the clip: no kernel pass, no mask stored
+        assert kernel_passes[0] == uncached == 0 and oracle._prefixes.nbytes == 0
+    else:
+        assert kernel_passes[0] < uncached  # some prefixes were read from the trie
     assert {"sat", "unknown"} <= {verdict.status for verdict in want}
 
     # a prefix whose mask empties answers unknown from the trie; the
@@ -547,8 +578,8 @@ def test_prefix_masks_are_keyed_by_bounds_variable_order_and_resolution():
 
 
 def test_a_pickled_oracle_starts_with_an_empty_trie():
-    oracle = GridOracle(256)
-    request = SolverRequest((("a", 0.0, 1.0),), (Comparison(Rel.GT, var("a"), const(0.5)),))
+    oracle = GridOracle(256)  # two variables: one stores no mask
+    request = SolverRequest(UNIT_SQUARE, (Comparison(Rel.GT, var("a"), const(0.5)),))
     verdict = oracle.check(request)
     copy = pickle.loads(pickle.dumps(oracle))
     assert copy == oracle and copy._prefixes.nbytes == 0 < oracle._prefixes.nbytes
@@ -654,7 +685,10 @@ def satisfied_somewhere(request: SolverRequest, monkeypatch) -> bool:
     one of 65,536 seeded samples of the box satisfies every conjunct as
     ``holds_at`` evaluates it."""
     with monkeypatch.context() as patch:
-        patch.setattr(solver, "_clip", lambda request: [(0.0, 0.0)])
+        # the whole box: for one variable, every grid point is a candidate
+        for module in (solver, smt):
+            patch.setattr(module, "_clip", lambda request: [
+                (lo, hi) for _, lo, hi in request.variables])
         if grid_oracle(request, 1024).status == "sat":
             return True
     lows, highs = np.array([(lo, hi) for _, lo, hi in request.variables]).T
@@ -884,3 +918,21 @@ def test_quadratic_infeasible_request_is_unsat_before_any_kernel_pass(kernel_pas
     assert grid_oracle(touching, 1024) == GridOracle(256).check(touching) == want
     verdict = refsolver_backend.check(touching)
     assert (verdict.status, verdict.assignment) == ("sat", {"a": 0.5})
+
+
+@pytest.mark.parametrize("resolution", [32, 256, 1024])
+def test_one_variable_needs_no_kernel_pass_or_trie(resolution, monkeypatch):
+    # with the kernel gone, the answers are those of the clip and then the
+    # whole grid scanned point by point, and the oracle stores no prefix
+    monkeypatch.setattr(solver, "_holds", lambda *args: pytest.fail("kernel pass"))
+    rng = np.random.default_rng(resolution)
+    oracle = GridOracle(resolution)
+    statuses = Counter()
+    for _ in range(80):
+        request = random_request(rng, 1) if rng.random() < 0.5 else clip_case(rng, 1)
+        want = SolverVerdict("unsat") if not solver._clip(request) \
+            else holds_at_scan(request, resolution)
+        assert grid_oracle(request, resolution) == oracle.check(request) == want, request
+        statuses[want.status] += 1
+    assert oracle._prefixes.nbytes == 0 and not oracle._prefixes._top.children
+    assert min(statuses[status] for status in ("sat", "unsat", "unknown")) >= 5, statuses

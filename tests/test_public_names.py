@@ -20,7 +20,7 @@ EXPORTING = [name for name in MODULES if hasattr(importlib.import_module(name), 
 
 def test_the_modules_with_public_lists():
     assert EXPORTING == ["attnconcolic.acdp", "attnconcolic.engine", "attnconcolic.influence",
-                         "attnconcolic.semantics", "attnconcolic.solver",
+                         "attnconcolic.semantics", "attnconcolic.smt", "attnconcolic.solver",
                          "attnconcolic.symexpr"]
 
 

@@ -3,12 +3,13 @@
 The reference narrows each variable's box by the conjuncts ``±x + c relop
 0``, answers unsat for up to two variables where the exact rule
 ``closure_is_empty`` of ``test_grid_oracle`` finds no point of the
-narrowed box, and runs the staged ``reference_grid_oracle`` (a 16-per-axis
-mesh past two variables).  Then, for one variable, it takes the midpoint of
-each interval of the clip, clamped to the box, with no random draws; from
-two variables on, it draws the seeded random samples.  It evaluates the
-assertion on those points as arrays.  The refsolver reads the emitted
-script and must give the same status and the same witness.
+narrowed box, and runs the staged ``reference_grid_oracle`` over the whole
+grid (a 16-per-axis mesh past two variables).  Then, for one variable, it
+takes the midpoint of each interval of the clip, clamped to the box, with no
+random draws; from two variables on, it draws the seeded random samples.  It
+evaluates the assertion on those points as arrays.  The refsolver reads the
+emitted script and must give the same status and the same witness, though
+for one variable it tries only the grid points in the clip, in plain Python.
 """
 
 from __future__ import annotations
@@ -22,13 +23,13 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from attnconcolic import refsolver, solver, symexpr
+from attnconcolic import refsolver, smt, solver, symexpr
 from attnconcolic.solver import (ExternalSolver, GridOracle, SolverError, SolverRequest, _forms,
                                  _render_decimal, assignment_satisfies, emit_smtlib,
                                  grid_oracle, parse_model_value)
@@ -52,7 +53,8 @@ from attnconcolic.symexpr import (
 
 from conftest import REFSOLVER_CMD
 from test_grid_oracle import (closure_is_empty, concolic_path, generational_items,
-                              random_comparison, random_constant, reference_grid_oracle)
+                              holds_at_scan, random_comparison, random_constant,
+                              reference_grid_oracle)
 from test_grid_oracle import random_box as grid_box
 
 STAGES = {1: (256, 1024, 4096), 2: (256, 1024), 3: (16,)}
@@ -184,6 +186,25 @@ def test_the_solver_process_loads_no_attack_module():
     assert proc.stdout.strip() == "[]"
 
 
+def test_a_session_of_one_variable_loads_neither_numpy_nor_the_solver_module():
+    # the pre-flight's empty request, then one-variable sat, unsat and a
+    # sliver's unknown: all answered in plain Python from smt
+    checks = ["", DECLARE + "(assert (> v 0.5))\n",
+              DECLARE + "(assert (> (* 2.0 v) 3.0))\n",
+              DECLARE + "(assert (> (* 3.0 v) 1.0))\n(assert (< (* 3.0 v) 1.0))\n"]
+    session = "".join(f"(reset)\n{check}(check-sat)\n(get-model)\n" for check in checks)
+    code = ("import sys\n"
+            "from attnconcolic import refsolver\n"
+            "assert refsolver.main() == 0\n"
+            "print([m for m in ('numpy', 'attnconcolic.solver', 'hashlib') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], input=session, capture_output=True,
+                          text=True, timeout=60, check=True)
+    *answers, loaded = proc.stdout.splitlines(keepends=True)
+    statuses = [form for _, forms in _forms(answers) for form in forms if isinstance(form, str)]
+    assert statuses == ["sat", "sat", "unsat", "unknown"]
+    assert loaded.strip() == "[]"
+
+
 def test_negative_bound_is_honoured(refsolver_backend):
     v = var("v")
     request = SolverRequest((("v", -1.0, 0.0),), (Comparison(Rel.LT, v, const(-0.5)),))
@@ -285,7 +306,7 @@ def test_empty_box_is_unsat_on_both_backends(refsolver_backend):
 
 
 def test_affine_unsat_ends_the_search_before_any_grid_stage(monkeypatch):
-    monkeypatch.setattr(refsolver, "_scan", lambda *args: pytest.fail("grid stage run"))
+    monkeypatch.setattr(smt, "_first_satisfying", lambda *args: pytest.fail("point tried"))
     monkeypatch.setattr(refsolver, "_first_hit", lambda *args: pytest.fail("samples drawn"))
     # 2v > 3: no point of [0, 1], and no unit coefficient to narrow the box by
     assert refsolver.solve_script(DECLARE + "(assert (> (* 2.0 v) 3.0))\n(check-sat)\n") == \
@@ -322,35 +343,37 @@ def line_request(rng: np.random.Generator) -> SolverRequest:
 
 
 def test_one_variable_search_skips_only_points_that_cannot_satisfy(monkeypatch):
-    scan, stages = refsolver._scan, []
-
-    def recorded(request, resolution, trie):
-        verdict = scan(request, resolution, trie)
-        stages.append((resolution, verdict.status))
-        return verdict
-
-    monkeypatch.setattr(refsolver, "_scan", recorded)
+    # against every point of each grid stage, scanned in turn, then the
+    # clip's midpoints; no kernel pass and no sample
+    monkeypatch.setattr(solver, "_holds", lambda *args: pytest.fail("kernel pass"))
     monkeypatch.setattr(refsolver, "_samples", lambda *args: pytest.fail("samples drawn"))
     rng = np.random.default_rng(19)
     found = Counter()
     for _ in range(240):
         request = line_request(rng)
-        seed = int(rng.integers(2 ** 63))
-        got = refsolver._search(request, seed, defaultdict(solver._PrefixTrie))
+        got = refsolver._search(request, int(rng.integers(2 ** 63)), {})
+        verdicts = {resolution: holds_at_scan(request, resolution) for resolution in STAGES[1]}
         if got[0] == "unsat":  # the clip's proof: no grid stage finds a point either
-            assert all(solver._scan(request, resolution).status == "unknown"
-                       for resolution in STAGES[1]), request
+            assert all(verdict.status == "unknown" for verdict in verdicts.values()), request
             found["unsat"] += 1
             continue
-        stages.clear()
-        with monkeypatch.context() as patch:  # every grid stage runs
-            patch.setattr(refsolver, "_inside", lambda clip, points: np.ones(points.shape, bool))
-            want = refsolver._search(request, seed, defaultdict(solver._PrefixTrie))
+        (_, lo, hi), = request.variables
+        want, kind = ("unknown", None), "midpoint"
+        for resolution, verdict in verdicts.items():
+            if verdict.status == "sat":
+                want, kind = ("sat", verdict.assignment), resolution
+                break
+        else:
+            for a, b in solver._clip(request):
+                point = {"v": min(max((a + b) / 2, lo), hi)}
+                if all(cmp.holds_at(point) for cmp in request.assertion):
+                    want = ("sat", point)
+                    break
         assert got == want, request
         if want[0] == "sat":
             assert assignment_satisfies(request, want[1])
-            found[stages[-1][0] if stages[-1][1] == "sat" else "midpoint"] += 1
-        elif sum(hi - lo for lo, hi in solver._clip(request)) < 1e-9:
+            found[kind] += 1
+        elif sum(b - a for a, b in solver._clip(request)) < 1e-9:
             found["sliver"] += 1  # a touching pair
     assert min(found[kind] for kind in (256, 1024, 4096, "midpoint", "unsat", "sliver")) >= 5, \
         found
@@ -376,20 +399,20 @@ def test_a_window_between_grid_points_is_found_at_its_midpoint(monkeypatch):
 
 def test_a_one_variable_unknown_draws_no_samples(monkeypatch):
     # 3v > 1 and 3v < 1 leave no point, but the clip reads the strict
-    # relations as non-strict ones and keeps a sliver around v = 1/3, whose
-    # midpoint is tried and fails
+    # relations as non-strict ones and keeps a sliver around v = 1/3, which
+    # holds no grid point: only its midpoint is tried, and fails
     monkeypatch.setattr(refsolver, "_samples", lambda *args: pytest.fail("samples drawn"))
-    first_hit, tried = refsolver._first_hit, []
+    first_satisfying, tried = smt._first_satisfying, []
 
-    def recorded(assertion, names, chunks):
-        chunks = list(chunks)
-        tried.extend(chunks)
-        return first_hit(assertion, names, chunks)
+    def recorded(request, points):
+        points = list(points)
+        tried.extend(points)
+        return first_satisfying(request, points)
 
-    monkeypatch.setattr(refsolver, "_first_hit", recorded)
+    monkeypatch.setattr(smt, "_first_satisfying", recorded)
     script = DECLARE + "(assert (> (* 3.0 v) 1.0))\n(assert (< (* 3.0 v) 1.0))\n(check-sat)\n"
     assert refsolver.solve_script(script) == ("unknown", None, ["v"])
-    ((midpoint,),) = np.concatenate(tried)
+    ((midpoint,),) = tried
     assert midpoint == pytest.approx(1 / 3)
 
 
@@ -654,9 +677,12 @@ def test_a_session_keeps_prefix_masks_across_resets(monkeypatch, capsys):
 
     monkeypatch.setattr(solver, "_holds", counted)
     want = []
-    for script in scripts:  # each alone, from empty tries
+    for request, script in zip(requests, scripts):  # each alone, from empty tries
+        before = passes[0]
         status, witness, _ = refsolver.solve_script(script)
         want += [status] if witness is None else [status, witness]
+        if len(request.variables) == 1:  # the grid points in the clip, in plain Python
+            assert passes[0] == before
     assert {"sat", "unsat", "unknown"} <= {answer for answer in want if isinstance(answer, str)}
     proc = subprocess.run(REFSOLVER_CMD, input=session, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -665,8 +691,8 @@ def test_a_session_keeps_prefix_masks_across_resets(monkeypatch, capsys):
            {name: parse_model_value(value) for _, name, _, _, value in form}
            for _, forms in _forms(proc.stdout.splitlines(keepends=True)) for form in forms]
     assert got == want
-    # the same session in process: it reads masks that earlier checks stored
-    # and evicts some, and answers as the live one does
+    # the same session in process: its two-variable checks read masks that
+    # earlier checks stored and evict some, and it answers as the live one does
     alone, passes[0] = passes[0], 0
     evict, evicted = solver._PrefixTrie._evict, [0]
 

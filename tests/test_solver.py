@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from attnconcolic import refsolver
+from attnconcolic.smt import _forms, _tokenize
 from attnconcolic.solver import (
     ExternalSolver,
     GridOracle,
@@ -23,8 +24,6 @@ from attnconcolic.solver import (
     emit_smtlib,
     grid_oracle,
     parse_model_value,
-    _forms,
-    _tokenize,
 )
 from attnconcolic.symexpr import Comparison, Rel, add, const, div, mul, var
 
