@@ -1,7 +1,8 @@
 """Critical-decision-path analysis over suites of adversarial inputs.
 
 Relevance is the signed Shapley attribution of each non-output neuron toward
-the class the model actually predicts for an input.  Per layer, the top
+the class the model actually predicts for an input, held as one float64 array
+per depth, shaped like its neuron grid.  Per layer, the top
 alpha-fraction of positively relevant neurons are "critical"; neurons critical
 for more than a beta-fraction of a suite form its abstract critical decision
 path.  A class-pair histogram with Shannon entropy summarizes how the attacks
@@ -35,35 +36,73 @@ __all__ = [
 _CAP_EPS = 1e-9
 
 
-@dataclass
-class RelevanceMatrix:
-    """Signed per-neuron relevance toward the predicted class of one input."""
+def _frozen(values, shape: tuple[int, ...]) -> np.ndarray:
+    """A read-only float64 copy of ``values`` in C order, shaped ``shape``."""
+    grid = np.array(np.reshape(values, shape), dtype=float)
+    grid.flags.writeable = False
+    return grid
 
-    values: dict[NeuronId, float]
-    predicted_class: int
+
+class RelevanceMatrix:
+    """Signed per-neuron relevance toward the predicted class of one input:
+    ``grids[depth]`` is a read-only float64 array shaped like that depth's
+    neuron grid, 8 bytes a neuron.
+
+    ``RelevanceMatrix(values, predicted_class)`` builds it from a dict of
+    :class:`NeuronId` to relevance; each depth's indices must fill a C-order
+    grid of at least one axis, else ValueError naming the depth.
+    """
+
+    __slots__ = ("grids", "predicted_class")
+
+    def __init__(self, values: Mapping[NeuronId, float], predicted_class: int) -> None:
+        by_depth: dict[int, list[tuple[tuple[int, ...], float]]] = {}
+        for nid, val in values.items():
+            by_depth.setdefault(nid.layer, []).append((nid.index, val))
+        grids = {}
+        for depth, entries in sorted(by_depth.items()):
+            indices, vals = zip(*sorted(entries))  # indices are distinct: values never compared
+            shape = tuple(max(axis) + 1 for axis in zip(*indices))
+            if not shape or list(indices) != list(np.ndindex(*shape)):
+                raise ValueError(f"relevance of depth {depth} does not fill a C-order grid")
+            grids[depth] = _frozen(vals, shape)
+        self.grids = grids
+        self.predicted_class = predicted_class
+
+    @property
+    def values(self) -> dict[NeuronId, float]:
+        """Every neuron's relevance, by depth and then index (built on each call)."""
+        return {nid: val for layer in self.grids for nid, val in self.layer_items(layer)}
 
     def __getitem__(self, neuron: NeuronId) -> float:
-        return self.values[neuron]
+        grid = self.grids.get(neuron.layer)
+        if grid is None or len(neuron.index) != grid.ndim or \
+                not all(0 <= i < n for i, n in zip(neuron.index, grid.shape)):
+            raise KeyError(neuron)
+        return float(grid[neuron.index])
 
     def layers(self) -> list[int]:
-        return sorted({nid.layer for nid in self.values})
+        return sorted(self.grids)
 
     def layer_items(self, layer: int) -> list[tuple[NeuronId, float]]:
-        return sorted(((nid, val) for nid, val in self.values.items()
-                       if nid.layer == layer), key=lambda kv: kv[0].index)
+        grid = self.grids.get(layer)
+        if grid is None:
+            return []
+        return [(NeuronId(layer, index), val)
+                for index, val in zip(np.ndindex(*grid.shape), grid.ravel().tolist())]
 
 
 def relevance(model: ModelSpec, background: BackgroundSet, x,
               *, n_permutations: int = 128) -> RelevanceMatrix:
     """Signed Shapley attribution of every non-output neuron toward the class
-    the model predicts at ``x``."""
+    the model predicts at ``x``: per depth, a copy of the predicted-class
+    column of its Shapley matrix, shaped like its neuron grid."""
     logits = concrete_forward(model, np.asarray(x, dtype=float))
-    predicted = int(np.argmax(logits))
-    values: dict[NeuronId, float] = {}
-    for depth, matrix in depth_shap(model, background, x, n_permutations=n_permutations):
+    matrix = RelevanceMatrix({}, int(np.argmax(logits)))
+    for depth, shap in depth_shap(model, background, x, n_permutations=n_permutations):
         if depth < model.output_depth:
-            values.update(zip(model.neuron_ids(depth), matrix[:, predicted].tolist()))
-    return RelevanceMatrix(values, predicted)
+            matrix.grids[depth] = _frozen(shap[:, matrix.predicted_class], model.shapes[depth])
+    return matrix
 
 
 def _layer_cap(alpha: float, layer_size: int) -> int:
@@ -75,10 +114,13 @@ def critical_neurons(matrix: RelevanceMatrix, layer: int, alpha: float) -> set[N
     relevance; ties at the cutoff go to the lower neuron index."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must be in (0, 1]")
-    entries = matrix.layer_items(layer)
-    cap = _layer_cap(alpha, len(entries))
-    ranked = sorted(entries, key=lambda kv: (-kv[1], kv[0].index))
-    return {nid for nid, val in ranked[:cap] if val > 0.0}
+    grid = matrix.grids.get(layer)
+    if grid is None:
+        return set()
+    flat = grid.ravel()
+    ranked = np.argsort(-flat, kind="stable")[:_layer_cap(alpha, flat.size)]
+    chosen = np.unravel_index(ranked[flat[ranked] > 0.0], grid.shape)
+    return {NeuronId(layer, index) for index in zip(*(axis.tolist() for axis in chosen))}
 
 
 def critical_path(matrix: RelevanceMatrix, alpha: float) -> set[NeuronId]:
@@ -143,12 +185,13 @@ def abstract_path(suite: Sequence[tuple[object, RelevanceMatrix]], alpha: float,
     if not 0.0 <= beta < 1.0:
         raise ValueError("beta must be in [0, 1)")
     counts: dict[NeuronId, int] = {}
-    universe: set[NeuronId] = set()
+    shapes: set[tuple[int, tuple[int, ...]]] = set()
     for _, matrix in suite:
-        universe.update(matrix.values.keys())
+        shapes.update((depth, grid.shape) for depth, grid in matrix.grids.items())
         for nid in critical_path(matrix, alpha):
             counts[nid] = counts.get(nid, 0) + 1
     n = len(suite)
+    universe = {NeuronId(depth, index) for depth, shape in shapes for index in np.ndindex(*shape)}
     weights = {nid: counts.get(nid, 0) / n for nid in universe}
     members = {nid for nid, w in weights.items() if w > beta}
     per_layer: dict[int, int] = {}

@@ -3,7 +3,10 @@
 The value function of a coalition is the submodel's logit vector at a blended
 input: coalition members keep the probe input's values, everyone else is set
 to the background-set mean.  Small inputs are scored by exact enumeration over
-all coalitions; larger ones by seeded permutation sampling.
+all coalitions; larger ones by seeded permutation sampling, which adds each
+permutation's gains as its rows come out of the chunk loop, so a sampled depth
+holds one chunk of logits and its features x classes result, never the table
+of every coalition's logits.
 """
 
 from __future__ import annotations
@@ -107,16 +110,14 @@ def _row_bytes(subnet: ModelSpec, start: int = 0) -> int:
 
 
 def _coalition_values(subnet: ModelSpec, x_flat: np.ndarray, baseline_flat: np.ndarray,
-                      total_rows: int, masks_of_rows) -> np.ndarray:
-    """The (rows x classes) logits of coalitions ``0 .. total_rows - 1``, by
-    chunks of rows; ``masks_of_rows(rows)`` gives the masks of row numbers."""
+                      total_rows: int, masks_of_rows):
+    """Yield (first row, rows x classes logits) for coalitions ``0 ..
+    total_rows - 1``, by chunks of rows; ``masks_of_rows(rows)`` gives the
+    masks of row numbers."""
     step = max(1, _CHUNK_BYTES // _row_bytes(subnet))
-    values = np.empty((total_rows, subnet.class_count))
     for start in range(0, total_rows, step):
         rows = np.arange(start, min(start + step, total_rows))
-        values[start:start + step] = _coalition_logits(subnet, x_flat, baseline_flat,
-                                                       masks_of_rows(rows))
-    return values
+        yield start, _coalition_logits(subnet, x_flat, baseline_flat, masks_of_rows(rows))
 
 
 @functools.lru_cache(maxsize=None)
@@ -144,7 +145,10 @@ def _exact_matrix(subnet: ModelSpec, x_flat, baseline_flat) -> np.ndarray:
     d = x_flat.size
     table = _coalition_table if d <= EXACT_FEATURE_LIMIT else _coalition_table.__wrapped__
     masks, without, with_, weights = table(d)
-    values = _coalition_values(subnet, x_flat, baseline_flat, len(masks), masks.__getitem__)
+    values = np.empty((len(masks), subnet.class_count))
+    for start, logits in _coalition_values(subnet, x_flat, baseline_flat, len(masks),
+                                           masks.__getitem__):
+        values[start:start + len(logits)] = logits
     block = max(1, _CHUNK_BYTES // values.nbytes)
     phi = np.empty((d, subnet.class_count))
     for i in range(0, d, block):
@@ -171,9 +175,8 @@ def _dense_logits(subnet: ModelSpec, first: int, pre: np.ndarray) -> np.ndarray:
     return out.reshape(len(out), -1)
 
 
-def _dense_values(subnet: ModelSpec, first: int, x_flat, baseline_flat,
-                  perms: np.ndarray) -> np.ndarray:
-    """The (rows x classes) logits of the permutation rows of a subnet whose
+def _dense_values(subnet: ModelSpec, first: int, x_flat, baseline_flat, perms: np.ndarray):
+    """Yield (first row, rows x classes logits) of the permutation rows of a subnet whose
     first weighted layer, ``subnet.layers[first]``, is Dense (the layers
     before it only reshape the flat input).  Along a permutation each
     coalition adds one feature f, so its pre-activations are the row before
@@ -194,7 +197,6 @@ def _dense_values(subnet: ModelSpec, first: int, x_flat, baseline_flat,
     else:  # blocks of ranks k0 .. k1 - 1 of one permutation
         blocks = ((p, p + 1, k, min(k + step, d + 1))
                   for p in range(n) for k in range(0, d + 1, step))
-    values = np.empty((n * (d + 1), subnet.class_count))
     for p0, p1, k0, k1 in blocks:
         features = added[p0:p1, k0:k1]
         pre = steps[features]
@@ -203,27 +205,42 @@ def _dense_values(subnet: ModelSpec, first: int, x_flat, baseline_flat,
             pre[0, 0] += carry
         np.cumsum(pre, axis=1, out=pre)
         carry = pre[0, -1]
-        start = p0 * (d + 1) + k0
-        values[start:start + features.size] = _dense_logits(subnet, first,
-                                                            pre.reshape(features.size, -1))
-    return values
+        yield p0 * (d + 1) + k0, _dense_logits(subnet, first, pre.reshape(features.size, -1))
 
 
 def _permutation_matrix(subnet: ModelSpec, x_flat, baseline_flat,
                         n_permutations: int, rng: np.random.Generator) -> np.ndarray:
+    """Each permutation's gains ``along[1:] - along[:-1]``, added into phi in
+    permutation order as soon as its d + 1 rows are out of the chunk loop,
+    so no (rows x classes) table is filled; the rows of a permutation that a
+    chunk splits are gathered in one reused (d + 1) x classes buffer."""
     d = x_flat.size
     perms = rng.permuted(np.tile(np.arange(d), (n_permutations, 1)), axis=1)
     first = _first_dense(subnet)
     if first is not None:
-        values = _dense_values(subnet, first, x_flat, baseline_flat, perms)
+        chunks = _dense_values(subnet, first, x_flat, baseline_flat, perms)
     else:
         # row r holds the features ranked below r % (d+1) in permutation r // (d+1)
         ranks = np.argsort(perms, axis=1)
-        values = _coalition_values(subnet, x_flat, baseline_flat, n_permutations * (d + 1),
+        chunks = _coalition_values(subnet, x_flat, baseline_flat, n_permutations * (d + 1),
                                    lambda rows: ranks[rows // (d + 1)] < (rows % (d + 1))[:, None])
     phi = np.zeros((d, subnet.class_count))
-    for perm, along in zip(perms, values.reshape(n_permutations, d + 1, -1)):
-        phi[perm] += along[1:] - along[:-1]
+    split = np.empty((d + 1, subnet.class_count))
+    for start, logits in chunks:
+        p, k = divmod(start, d + 1)
+        if k:  # the rest of permutation p, which the chunk before split
+            n = min(d + 1 - k, len(logits))
+            split[k:k + n] = logits[:n]
+            logits = logits[n:]
+            if k + n == d + 1:
+                phi[perms[p]] += split[1:] - split[:-1]
+                p += 1
+        whole = len(logits) // (d + 1)
+        for perm, along in zip(perms[p:p + whole],
+                               logits[:whole * (d + 1)].reshape(whole, d + 1, phi.shape[1])):
+            phi[perm] += along[1:] - along[:-1]
+        rest = logits[whole * (d + 1):]
+        split[:len(rest)] = rest
     return phi / n_permutations
 
 

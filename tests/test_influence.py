@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from attnconcolic import influence, semantics
+from attnconcolic.acdp import relevance
 from attnconcolic.engine import make_symbolic_input
 from attnconcolic.influence import (
     BackgroundSet,
@@ -228,8 +229,9 @@ def _feature_loop_reference(subnet: ModelSpec, x_flat, baseline_flat) -> np.ndar
     d = x_flat.size
     bits = np.arange(1 << d, dtype=np.int64)
     shifts = np.arange(d)
-    values = influence._coalition_values(subnet, x_flat, baseline_flat, bits.size,
-                                         lambda rows: ((rows[:, None] >> shifts) & 1) == 1)
+    values = np.concatenate([logits for _, logits in influence._coalition_values(
+        subnet, x_flat, baseline_flat, bits.size,
+        lambda rows: ((rows[:, None] >> shifts) & 1) == 1)])
     popcount = np.zeros(bits.size, dtype=np.int64)
     for i in range(d):
         popcount += (bits >> i) & 1
@@ -591,3 +593,87 @@ def test_worked_rowmax_event_influence_is_row_average(golden_model, golden_backg
     row0_event = [e for e in res.events if e.layer_index == 0][0]
     want = imap[NeuronId(1, (0, 0))]  # single-neuron output row 0
     assert branch_influence(row0_event, imap) == pytest.approx(want)
+
+
+@pytest.mark.parametrize("depth", [0, 1])
+def test_a_sampled_depth_peaks_below_its_coalition_table(depth):
+    # 512 permutations of the 8x8 bench layout's 64 features: an
+    # attention-first tail at depth 0 and a flatten -> dense one at depth 1,
+    # whose 512 x 65 rows of 10 logits (2.5 MiB) are never held at once
+    rng = np.random.default_rng(8)
+    model = _attention_model(rng, 8)
+    background = BackgroundSet(rng.uniform(0, 1, (16, 8, 8)))
+    _, x_l, bg_l = list(influence.depth_activations(model, background,
+                                                    rng.uniform(0, 1, (8, 8))))[depth]
+    tail = model.tail(depth)
+    assert (influence._first_dense(tail) is None) == (depth == 0)
+    table = 512 * 65 * tail.class_count * 8
+    assert table > influence._CHUNK_BYTES
+    tracemalloc.start()
+    try:
+        shap_matrix(tail, bg_l, x_l[0], n_permutations=512, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table, f"peak {peak} bytes, table {table}"
+
+
+def _full_table_permutation_matrix(subnet: ModelSpec, x_flat, baseline_flat,
+                                   n_permutations: int, rng) -> np.ndarray:
+    """The permutation estimator that fills the table of every row's logits,
+    then adds each permutation's gains into phi in order."""
+    d = x_flat.size
+    perms = rng.permuted(np.tile(np.arange(d), (n_permutations, 1)), axis=1)
+    first = influence._first_dense(subnet)
+    if first is not None:
+        chunks = influence._dense_values(subnet, first, x_flat, baseline_flat, perms)
+    else:
+        ranks = np.argsort(perms, axis=1)
+        chunks = influence._coalition_values(
+            subnet, x_flat, baseline_flat, n_permutations * (d + 1),
+            lambda rows: ranks[rows // (d + 1)] < (rows % (d + 1))[:, None])
+    values = np.empty((n_permutations * (d + 1), subnet.class_count))
+    for start, logits in chunks:
+        values[start:start + len(logits)] = logits
+    phi = np.zeros((d, subnet.class_count))
+    for perm, along in zip(perms, values.reshape(n_permutations, d + 1, -1)):
+        phi[perm] += along[1:] - along[:-1]
+    return phi / n_permutations
+
+
+def _flat_4x4_case():
+    """The 4x4 flatten -> dense ReLU model of the CLI smoke test (16
+    features, 17 rows per permutation), its background and seed input."""
+    model = ModelSpec((4, 4), (Flatten(), Dense(
+        weights=[[(i % 5 - 2) / 4, (i % 3 - 1) / 2] for i in range(16)],
+        bias=[0.1, -0.1], activation="relu")))
+    background = BackgroundSet(np.array([[[(3 * k + 7 * i + j) % 10 / 10 for j in range(4)]
+                                          for i in range(4)] for k in range(3)]))
+    return model, background, np.arange(1, 17).reshape(4, 4) % 9 / 10
+
+
+@pytest.mark.parametrize("case, rows", [
+    ("8x8", None),          # 128-row chunks split the 65-row permutations
+    ("flat-4x4", None),     # blocks of whole 17-row permutations
+    ("flat-4x4", 5),        # blocks of ranks that split each permutation
+    ("attention-4x4", 7),   # 7-row chunks, not a multiple of 17
+    ("attention-4x4", 1),
+])
+def test_streamed_gains_match_the_full_table_bit_for_bit(case, rows, monkeypatch):
+    rng = np.random.default_rng(12)
+    if case == "flat-4x4":
+        model, background, x = _flat_4x4_case()
+    else:
+        side = 8 if case == "8x8" else 4
+        model = _attention_model(rng, side)
+        background = BackgroundSet(rng.uniform(0, 1, (16, side, side)), seed=3)
+        x = rng.uniform(0, 1, (side, side))
+    if rows is not None:  # rows of the depth-0 tail's widest activation, or logits
+        start = 2 if case == "flat-4x4" else 0
+        monkeypatch.setattr(influence, "_CHUNK_BYTES", rows * influence._row_bytes(model, start))
+    streamed = (build_influence_map(model, background, x), relevance(model, background, x))
+    monkeypatch.setattr(influence, "_permutation_matrix", _full_table_permutation_matrix)
+    table = (build_influence_map(model, background, x), relevance(model, background, x))
+    for got, want in zip(streamed, table):
+        assert [(nid, float(v).hex()) for nid, v in got.values.items()] == \
+            [(nid, float(v).hex()) for nid, v in want.values.items()]
