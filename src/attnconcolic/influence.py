@@ -5,8 +5,9 @@ input: coalition members keep the probe input's values, everyone else is set
 to the background-set mean.  Small inputs are scored by exact enumeration over
 all coalitions; larger ones by seeded permutation sampling, which adds each
 permutation's gains as its rows come out of the chunk loop, so a sampled depth
-holds one chunk of logits and its features x classes result, never the table
-of every coalition's logits.
+holds one chunk of logits, its result and its 16-bit permutations, never the
+table of every coalition's logits.  An :class:`InfluenceMap` is a dict from
+:class:`NeuronId` to influence, which :func:`branch_influence` averages.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import logging
 import math
 import resource
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Union
 
 import numpy as np
@@ -189,7 +190,7 @@ def _dense_values(subnet: ModelSpec, first: int, x_flat, baseline_flat, perms: n
     # every permutation first "adds" row d of steps, baseline @ W + b, times 1
     steps = np.vstack([w, baseline_flat @ w + b])
     scales = np.append(x_flat - baseline_flat, 1.0)
-    added = np.hstack([np.full((n, 1), d), perms])
+    added = np.hstack([np.full((n, 1), d, dtype=perms.dtype), perms])
     step = max(1, _CHUNK_BYTES // _row_bytes(subnet, first + 1))
     if step > d:  # blocks of whole permutations p0 .. p1 - 1
         per = step // (d + 1)
@@ -215,13 +216,14 @@ def _permutation_matrix(subnet: ModelSpec, x_flat, baseline_flat,
     so no (rows x classes) table is filled; the rows of a permutation that a
     chunk splits are gathered in one reused (d + 1) x classes buffer."""
     d = x_flat.size
-    perms = rng.permuted(np.tile(np.arange(d), (n_permutations, 1)), axis=1)
+    index = np.int16 if d < 1 << 15 else np.int32
+    perms = rng.permuted(np.tile(np.arange(d, dtype=index), (n_permutations, 1)), axis=1)
     first = _first_dense(subnet)
     if first is not None:
         chunks = _dense_values(subnet, first, x_flat, baseline_flat, perms)
     else:
         # row r holds the features ranked below r % (d+1) in permutation r // (d+1)
-        ranks = np.argsort(perms, axis=1)
+        ranks = np.argsort(perms, axis=1).astype(index)
         chunks = _coalition_values(subnet, x_flat, baseline_flat, n_permutations * (d + 1),
                                    lambda rows: ranks[rows // (d + 1)] < (rows % (d + 1))[:, None])
     phi = np.zeros((d, subnet.class_count))
@@ -253,7 +255,13 @@ def shap_matrix(subnet: ModelSpec, background_inputs: np.ndarray, x: np.ndarray,
     ``"permutation"``, or ``"auto"`` (exact up to 12 features).  ``seed`` is
     an integer >= 0, or a tuple of them, and ``n_permutations`` (for
     sampling) an integer >= 1; else ConfigurationError.
+
+    Exact enumeration holds about 2^d x (5d + 16 x classes) bytes at d
+    features, doubling with each feature and linear in the classes (about
+    260 MiB at 20 and 10), so past 20 features it is refused up front.
     """
+    if method == "exact" and np.size(x) > 20:
+        raise ConfigurationError("exact enumeration is limited to 20 features")
     for entry in seed if isinstance(seed, tuple) else (seed,):
         _check_seed(entry)
     x_flat = np.asarray(x, dtype=float).reshape(-1)
@@ -267,8 +275,6 @@ def shap_matrix(subnet: ModelSpec, background_inputs: np.ndarray, x: np.ndarray,
     if method == "auto":
         method = "exact" if x_flat.size <= EXACT_FEATURE_LIMIT else "permutation"
     if method == "exact":
-        if x_flat.size > 30:
-            raise ConfigurationError("exact enumeration is limited to 30 features")
         return _exact_matrix(subnet, x_flat, baseline)
     if method == "permutation":
         if not isinstance(n_permutations, (int, np.integer)) or n_permutations < 1:
@@ -284,36 +290,21 @@ def shap_matrix(subnet: ModelSpec, background_inputs: np.ndarray, x: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class InfluenceMap:
-    """Per-neuron influence: the average absolute Shapley value over all
-    output logits, keyed by (depth, multi-index)."""
-
-    values: dict[NeuronId, float] = field(default_factory=dict)
-
-    def __getitem__(self, neuron: NeuronId) -> float:
-        return self.values[neuron]
-
-    def __contains__(self, neuron: NeuronId) -> bool:
-        return neuron in self.values
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def items(self):
-        return self.values.items()
+class InfluenceMap(dict):
+    """A dict from :class:`NeuronId` to the neuron's average absolute Shapley
+    value over all output logits, plus its JSON form (whose values
+    ``from_json`` checks) and a per-depth summary."""
 
     def layer_summary(self) -> dict[int, tuple[int, float, float, float]]:
         """Per-depth (count, min, max, mean) of influence values."""
         by_layer: dict[int, list[float]] = {}
-        for nid, val in self.values.items():
+        for nid, val in self.items():
             by_layer.setdefault(nid.layer, []).append(val)
         return {layer: (len(vals), min(vals), max(vals), sum(vals) / len(vals))
                 for layer, vals in sorted(by_layer.items())}
 
     def to_json(self) -> dict[str, float]:
-        return {nid.key(): val for nid, val in
-                sorted(self.values.items(), key=lambda kv: kv[0])}
+        return {nid.key(): self[nid] for nid in sorted(self)}
 
     @classmethod
     def from_json(cls, doc: Mapping[str, float]) -> "InfluenceMap":
@@ -327,11 +318,6 @@ class InfluenceMap:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_json(), fh, indent=2, sort_keys=True)
             fh.write("\n")
-
-    @classmethod
-    def load(cls, path: str) -> "InfluenceMap":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
 
 
 def depth_activations(model: ModelSpec, background: BackgroundSet,
@@ -376,7 +362,7 @@ def build_influence_map(model: ModelSpec, background: BackgroundSet, seed_input,
     neuron that can appear in a branch event has an influence, the final
     argmax included.  Logs one INFO line per depth scored by sampling or
     enumeration, with the seconds since the depth before."""
-    values: dict[NeuronId, float] = {}
+    imap = InfluenceMap()
     start = time.perf_counter()
     for depth, matrix in depth_shap(model, background, seed_input,
                                     n_permutations=n_permutations):
@@ -388,9 +374,9 @@ def build_influence_map(model: ModelSpec, background: BackgroundSet, seed_input,
             _log.info("influence depth %d: %d features, %d coalition rows, %.3f s, "
                       "peak RSS %.1f MB", depth, features, rows, time.perf_counter() - start,
                       resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
-        values.update(zip(neuron_ids, np.abs(matrix).mean(axis=1).tolist()))
+        imap.update(zip(neuron_ids, np.abs(matrix).mean(axis=1).tolist()))
         start = time.perf_counter()
-    return InfluenceMap(values)
+    return imap
 
 
 def branch_influence(event: BranchEvent, influence_map: InfluenceMap) -> float:

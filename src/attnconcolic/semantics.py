@@ -15,7 +15,6 @@ scalar.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import MISSING, dataclass, field, fields
 from itertools import compress, islice
@@ -44,8 +43,6 @@ __all__ = [
     "dense_forward",
     "dpa",
     "forward",
-    "load_model",
-    "load_seed_input",
     "stable_softmax",
     "tas",
 ]
@@ -274,16 +271,6 @@ class ModelSpec:
         except (AttributeError, TypeError, ValueError) as exc:
             raise ModelConfigError(f"{where}: {exc}") from None
         return cls(input_shape, tuple(layers))
-
-
-def load_model(path: str) -> ModelSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return ModelSpec.from_json(json.load(fh))
-
-
-def load_seed_input(path: str) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        return np.asarray(json.load(fh), dtype=float)
 
 
 # ---------------------------------------------------------------------------

@@ -41,8 +41,8 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .smt import (SAT, SOLVER_ERROR, TIMEOUT, UNKNOWN, UNSAT, SolverError, SolverRequest,
-                  _clip, _forms, _grid_point, _line_search, _render_decimal, _tie_band)
+from .smt import (SAT, SOLVER_ERROR, TIMEOUT, UNKNOWN, UNSAT, SolverError, SolverRequest, _clip,
+                  _first_satisfying, _forms, _grid_point, _line_search, _render_decimal, _tie_band)
 from .symexpr import _REL_APPLY, Comparison, Rel, SymExpr, evaluate
 
 __all__ = [
@@ -560,10 +560,10 @@ def grid_oracle(request: SolverRequest, resolution: int = 1024,
     power columns are cached per ``(lo, hi, resolution)``.  Where the value
     lies within the float error bound of a tie, the conjunct is re-evaluated
     with :func:`~attnconcolic.symexpr.evaluate`, so the satisfying set is
-    exactly evaluate's, and a sat point is checked once more with
-    :meth:`Comparison.holds_at` before it is returned.  The window is scanned
-    in row-major order, the grid's own, so the witness is the whole grid's
-    first.
+    exactly evaluate's.  The points left in the window go, in row-major
+    order, the grid's own, to :func:`~attnconcolic.smt._first_satisfying`,
+    which checks each once more with :meth:`Comparison.holds_at`, so the
+    witness is the whole grid's first.
 
     With ``prefixes`` (a :class:`GridOracle` passes its own), the window and
     mask of the longest prefix of the assertion checked before under the same
@@ -617,13 +617,10 @@ def _scan(request: SolverRequest, resolution: int,
     if window is None:
         return SolverVerdict(UNKNOWN)
     r0, c0, _, width = window
-    for hit in (range(window[2] * width) if ok is None else np.flatnonzero(ok)):
-        row, col = divmod(int(hit), width)
-        assignment = dict(zip(names, (float(axes[0].points[r0 + row]),
-                                      float(axes[1].points[c0 + col]))))
-        if all(cmp.holds_at(assignment) for cmp in request.assertion):
-            return SolverVerdict(SAT, assignment=assignment)
-    return SolverVerdict(UNKNOWN)
+    hits = range(window[2] * width) if ok is None else np.flatnonzero(ok)
+    return SolverVerdict(*_first_satisfying(request, (
+        (float(axes[0].points[r0 + hit // width]), float(axes[1].points[c0 + hit % width]))
+        for hit in map(int, hits))))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from attnconcolic.acdp import critical_path, relevance
 from attnconcolic.cli import main
 from attnconcolic.engine import PathTree, Scheduler, harvest, run_attack
 from attnconcolic.influence import BackgroundSet, build_influence_map
-from attnconcolic.semantics import ModelSpec, concrete_label, load_seed_input
+from attnconcolic.semantics import ModelSpec, concrete_label
 
 from conftest import symbolic_forward
 
@@ -33,6 +33,11 @@ MODEL_DOC = {
 }
 BACKGROUND = [[[0.1], [0.2]], [[0.8], [0.5]], [[0.4], [0.9]]]
 SEEDS = {"seed0": [[0.3], [0.6]], "seed1": [[0.7], [0.1]]}
+
+
+def read_seed(path) -> np.ndarray:
+    """The seed input a report names by its file."""
+    return np.asarray(json.loads(Path(path).read_text()), dtype=float)
 
 
 @pytest.fixture(scope="module")
@@ -210,7 +215,7 @@ def test_attack_successes_are_grid_certified(attack_dir, workspace):
     model = ModelSpec.from_json(MODEL_DOC)
     for report in sorted(attack_dir.glob("attack_*.json")):
         doc = json.loads(report.read_text())
-        seed = load_seed_input(doc["seed"])
+        seed = read_seed(doc["seed"])
         original = concrete_label(model, seed)
         assert original == doc["original_label"]
         if doc["outcome"] == "success":
@@ -496,7 +501,7 @@ def test_acdp_singleton_suite_members_match_library(workspace, attack_dir):
     successes = [d for d in successes if d["outcome"] == "success"]
     assert doc["suite_size"] == len(successes)
     if len(successes) == 1:
-        seed = load_seed_input(successes[0]["seed"])
+        seed = read_seed(successes[0]["seed"])
         flat = seed.reshape(-1).copy()
         for key, value in successes[0]["adversarial_values"].items():
             flat[int(key.lstrip("p"))] = value
@@ -559,7 +564,7 @@ def test_verify_fails_on_tampered_report(workspace, attack_dir, tmp_path):
     for path in attack_dir.glob("attack_*.json"):
         doc = json.loads(path.read_text())
         if doc["outcome"] == "success":
-            seed = load_seed_input(doc["seed"]).reshape(-1)
+            seed = read_seed(doc["seed"]).reshape(-1)
             doc["adversarial_values"] = {
                 key: float(seed[int(key.lstrip("p"))])
                 for key in doc["adversarial_values"]}

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import logging
 import math
 import tracemalloc
@@ -308,6 +309,18 @@ def test_coalition_table_is_small_and_a_warm_call_peaks_below_the_loop():
     assert peaks[1] <= peaks[0], peaks
 
 
+def test_exact_past_20_features_is_refused_before_any_coalition_table(monkeypatch):
+    # a 21-feature table would hold about 2^21 x (5 x 21 + 16 x classes) bytes
+    def no_table(d):
+        raise AssertionError(f"a coalition table of {d} features was built")
+
+    no_table.__wrapped__ = no_table
+    monkeypatch.setattr(influence, "_coalition_table", no_table)
+    model, x, baseline = _exact_case("dense", 21, 10, 41)
+    with pytest.raises(ConfigurationError, match="limited to 20 features"):
+        shap_matrix(model, baseline[None], x, method="exact")
+
+
 def _blended_reference(model: ModelSpec, bg, x, n_permutations: int, seed) -> np.ndarray:
     """The permutation estimate from each permutation's prefix masks, blended
     and run through concrete_forward one permutation at a time."""
@@ -545,8 +558,8 @@ def test_map_json_round_trip(tmp_path, golden_model, golden_background):
     imap = build_influence_map(golden_model, golden_background, GOLDEN_SEED)
     path = tmp_path / "map.json"
     imap.save(str(path))
-    clone = InfluenceMap.load(str(path))
-    assert dict(clone.items()) == dict(imap.items())
+    clone = InfluenceMap.from_json(json.loads(path.read_text()))
+    assert type(clone) is InfluenceMap and clone == imap
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-3])
@@ -671,9 +684,9 @@ def test_streamed_gains_match_the_full_table_bit_for_bit(case, rows, monkeypatch
     if rows is not None:  # rows of the depth-0 tail's widest activation, or logits
         start = 2 if case == "flat-4x4" else 0
         monkeypatch.setattr(influence, "_CHUNK_BYTES", rows * influence._row_bytes(model, start))
-    streamed = (build_influence_map(model, background, x), relevance(model, background, x))
+    streamed = (build_influence_map(model, background, x), relevance(model, background, x).values)
     monkeypatch.setattr(influence, "_permutation_matrix", _full_table_permutation_matrix)
-    table = (build_influence_map(model, background, x), relevance(model, background, x))
+    table = (build_influence_map(model, background, x), relevance(model, background, x).values)
     for got, want in zip(streamed, table):
-        assert [(nid, float(v).hex()) for nid, v in got.values.items()] == \
-            [(nid, float(v).hex()) for nid, v in want.values.items()]
+        assert [(nid, float(v).hex()) for nid, v in got.items()] == \
+            [(nid, float(v).hex()) for nid, v in want.items()]
