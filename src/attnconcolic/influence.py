@@ -230,16 +230,17 @@ def _permutation_matrix(subnet: ModelSpec, x_flat, baseline_flat,
     split = np.empty((d + 1, subnet.class_count))
     for start, logits in chunks:
         p, k = divmod(start, d + 1)
+        # the permutations this chunk completes, as intp once, not per gather and scatter
+        done = perms[p:p + (k + len(logits)) // (d + 1)].astype(np.intp)
         if k:  # the rest of permutation p, which the chunk before split
             n = min(d + 1 - k, len(logits))
             split[k:k + n] = logits[:n]
             logits = logits[n:]
             if k + n == d + 1:
-                phi[perms[p]] += split[1:] - split[:-1]
-                p += 1
-        whole = len(logits) // (d + 1)
-        for perm, along in zip(perms[p:p + whole],
-                               logits[:whole * (d + 1)].reshape(whole, d + 1, phi.shape[1])):
+                phi[done[0]] += split[1:] - split[:-1]
+                done = done[1:]
+        whole = len(done)
+        for perm, along in zip(done, logits[:whole * (d + 1)].reshape(whole, d + 1, phi.shape[1])):
             phi[perm] += along[1:] - along[:-1]
         rest = logits[whole * (d + 1):]
         split[:len(rest)] = rest

@@ -584,41 +584,19 @@ def _merge(a: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(a.shape[:-3] + (a.shape[-2], l))
 
 
-def _column_sums(cols: np.ndarray) -> np.ndarray:
-    """``cols.sum(axis=0)`` with the bits that ``sum(axis=-1)`` gives each
-    column as a contiguous row (of entries other than -0.0): numpy's pairwise
-    order, one add of column vectors per step."""
-    n = len(cols)
-    if n < 8:
-        total = cols[0].copy()
-        for row in cols[1:]:
-            total += row
-        return total
-    if n <= 128:
-        r = cols[:8]
-        for i in range(8, n - n % 8, 8):
-            r = r + cols[i:i + 8]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for row in cols[n - n % 8:]:
-            total += row
-        return total
-    half = n // 2 - n // 2 % 8
-    return _column_sums(cols[:half]) + _column_sums(cols[half:])
-
-
 def _softmax(scores: np.ndarray) -> np.ndarray:
     """Softmax over the last axis of a C-contiguous array, written over it.
     It runs on the transposed rows, so that each row's max and sum are
-    reduces over the leading axis (numpy runs a short last axis row by row);
-    a max is exact and the sum keeps numpy's order: the bits of the per-row
-    form.  Writing over ``scores``, not into a third chunk-sized array, keeps
-    the heap under glibc's trim threshold: a 28x28 map whose chunks crossed
-    it faulted its pages in again on every chunk."""
+    reduces over the leading axis (numpy runs a short last axis row by row):
+    the sum adds each row's entries left to right (a lone row is one run,
+    which numpy sums pairwise).  Writing over ``scores``, not into a third
+    chunk-sized array, keeps the heap under glibc's trim threshold: a 28x28
+    map whose chunks crossed it faulted its pages in again on every chunk."""
     rows = scores.reshape(-1, scores.shape[-1])
     cols = rows.T.copy()
     cols -= cols.max(axis=0)
     np.exp(cols, out=cols)
-    cols /= _column_sums(cols)
+    cols /= cols.sum(axis=0)
     rows[...] = cols.T
     return scores
 

@@ -467,28 +467,26 @@ def _dense(cmp: Comparison, names: Sequence[str], magnitudes: Sequence[float]):
 
 
 class _Axis:
-    """The points of one grid axis, their largest magnitude and their powers,
-    all read-only."""
+    """The points of one grid axis, their largest magnitude and their powers
+    up to degree 2 (what forward builds), fixed when it is made and read-only."""
 
-    __slots__ = ("points", "magnitude", "_powers")
+    __slots__ = ("points", "magnitude", "columns", "rows")
 
     def __init__(self, points: np.ndarray) -> None:
-        points.flags.writeable = False
         self.points = points
         self.magnitude = float(np.abs(points).max())
-        self._powers = (np.empty((points.size, 0)), np.empty((0, points.size)))
+        self.columns = np.vander(points, 3, increasing=True)
+        self.rows = np.ascontiguousarray(self.columns.T)
+        for array in (points, self.columns, self.rows):
+            array.flags.writeable = False
 
     def powers(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         """``(V, W)`` with ``V[:, k] = W[k] = points ** k`` for ``k < count``;
-        ``W`` is C-contiguous.  The columns grow to the highest count asked
-        for, at least 3: degree 2 covers what forward builds."""
-        powers = self._powers
-        if powers[0].shape[1] < count:  # a racing thread may store fewer; each slices its own
-            columns = np.vander(self.points, max(count, 3), increasing=True)
-            powers = self._powers = (columns, np.ascontiguousarray(columns.T))
-            for array in powers:
-                array.flags.writeable = False
-        return powers[0][:, :count], powers[1][:count]
+        ``W`` is C-contiguous.  Past degree 2 they are computed per call."""
+        if count > 3:
+            columns = np.vander(self.points, count, increasing=True)
+            return columns, np.ascontiguousarray(columns.T)
+        return self.columns[:, :count], self.rows[:count]
 
 
 @functools.lru_cache(maxsize=32)

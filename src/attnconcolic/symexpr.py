@@ -7,7 +7,7 @@ input variables.  An expression is immutable and constant-folded at
 construction, and it carries its polynomial: float coefficients per monomial,
 of any degree and over any number of variables.  The polynomial is the
 expression's meaning; equality, hashing and :func:`evaluate` go by it.  A
-node made by the arithmetic builders also keeps its operands, for
+node made by the arithmetic builders also keeps its operator and operands, for
 :func:`to_infix`; a forward's guards are polynomial leaves, each recorded as
 ``p relop 0`` with the output neurons it affects.
 
@@ -79,19 +79,16 @@ class SymExpr:
     ``monomials`` holds the monomials with a non-zero coefficient in sorted
     (canonical) order and ``coeffs`` their coefficients; the zero polynomial
     has none.  ``kind`` is one of ``"const"``, ``"var"``, ``"poly"`` (the
-    leaves) or ``"bin"``, ``"neg"``, and ``op``/``value``/``name``/``args``
-    record how the node was built.  Leaves are made by :func:`const`,
-    :func:`var`, :func:`polynomial` and ``_leaf`` (the forward's guards),
-    inner nodes by the binary builders and :func:`neg`.
+    leaves), ``"neg"`` or an operator of :data:`_OPS`, and ``args`` holds the
+    operands; a constant's value and a variable's name are read off the
+    polynomial.  Leaves are made by :func:`const`, :func:`var`,
+    :func:`polynomial` and ``_leaf`` (the forward's guards), inner nodes by
+    the binary builders and :func:`neg`.
     """
 
-    __slots__ = ("kind", "op", "value", "name", "args", "monomials", "coeffs",
-                 "__weakref__")
+    __slots__ = ("kind", "args", "monomials", "coeffs", "__weakref__")
 
     kind: str
-    op: Optional[str]
-    value: Optional[float]
-    name: Optional[str]
     args: tuple["SymExpr", ...]
     monomials: tuple[Monomial, ...]
     coeffs: tuple[float, ...]
@@ -108,14 +105,10 @@ class SymExpr:
         return hash((self.monomials, self.coeffs))
 
 
-def _make(kind: str, op: Optional[str], value: Optional[float], name: Optional[str],
-          args: tuple[SymExpr, ...], monomials: tuple[Monomial, ...],
+def _make(kind: str, args: tuple[SymExpr, ...], monomials: tuple[Monomial, ...],
           coeffs: tuple[float, ...]) -> SymExpr:
     node = SymExpr.__new__(SymExpr)
     node.kind = kind
-    node.op = op
-    node.value = value
-    node.name = name
     node.args = args
     node.monomials = monomials
     node.coeffs = coeffs
@@ -163,12 +156,12 @@ def _times(a: SymExpr, b: SymExpr):
 def const(value: Number) -> SymExpr:
     v = float(value)
     if v == 0.0:
-        return _make("const", None, 0.0, None, (), (), ())  # -0.0 collapses to 0.0
-    return _make("const", None, v, None, (), _CONSTANT_TERM, (v,))
+        return _make("const", (), (), ())  # -0.0 collapses to 0.0
+    return _make("const", (), _CONSTANT_TERM, (v,))
 
 
 def var(name: str) -> SymExpr:
-    return _make("var", None, None, name, (), ((name,),), (1.0,))
+    return _make("var", (), ((name,),), (1.0,))
 
 
 def polynomial(terms: Iterable[tuple[Monomial, float]]) -> SymExpr:
@@ -184,7 +177,7 @@ def polynomial(terms: Iterable[tuple[Monomial, float]]) -> SymExpr:
 
 def _leaf(monomials: tuple[Monomial, ...], coeffs: tuple[float, ...]) -> SymExpr:
     """The leaf of sorted distinct monomials with non-zero coefficients."""
-    return _make("poly", None, None, None, (), monomials, coeffs)
+    return _make("poly", (), monomials, coeffs)
 
 
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
@@ -193,8 +186,8 @@ _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.t
 def _bin(op: str, a: SymExpr, b: SymExpr) -> SymExpr:
     """The node ``a op b`` for an ``op`` of :data:`_OPS`, folded to a constant
     when both sides are constants."""
-    a_value = a.value if a.kind == "const" else None
-    b_value = b.value if b.kind == "const" else None
+    a_value = (a.coeffs or (0.0,))[0] if a.kind == "const" else None
+    b_value = (b.coeffs or (0.0,))[0] if b.kind == "const" else None
     if a_value is not None and b_value is not None:
         if op == "/" and b_value == 0.0:
             raise ConcolicArithmeticError("division by zero constant", b)
@@ -227,7 +220,7 @@ def _bin(op: str, a: SymExpr, b: SymExpr) -> SymExpr:
         divisor = b.coeffs[0]
         monomials, coeffs = _canonical({m: c / divisor
                                         for m, c in zip(a.monomials, a.coeffs)})
-    return _make("bin", op, None, None, (a, b), monomials, coeffs)
+    return _make(op, (a, b), monomials, coeffs)
 
 
 def add(a: SymExpr, b: SymExpr) -> SymExpr:
@@ -250,8 +243,8 @@ def div(a: SymExpr, b: SymExpr) -> SymExpr:
 
 def neg(a: SymExpr) -> SymExpr:
     if a.kind == "const":
-        return const(-a.value)
-    return _make("neg", None, None, None, (a,), a.monomials, tuple([-c for c in a.coeffs]))
+        return const(-a.coeffs[0]) if a.coeffs else a
+    return _make("neg", (a,), a.monomials, tuple([-c for c in a.coeffs]))
 
 
 def evaluate(expr: SymExpr, assignment: Mapping[str, object]):
@@ -280,9 +273,9 @@ def to_infix(expr: SymExpr) -> str:
         if id(node) in memo:
             continue
         if node.kind == "const":
-            memo[id(node)] = repr(node.value)
+            memo[id(node)] = repr(node.coeffs[0] if node.coeffs else 0.0)
         elif node.kind == "var":
-            memo[id(node)] = node.name
+            memo[id(node)] = node.monomials[0][0]
         elif node.kind == "poly":
             terms = [" * ".join([repr(c), *m]) for m, c in zip(node.monomials, node.coeffs)]
             memo[id(node)] = f"({' + '.join(terms or ['0.0'])})"
@@ -295,7 +288,7 @@ def to_infix(expr: SymExpr) -> str:
         else:
             a = memo[id(node.args[0])]
             b = memo[id(node.args[1])]
-            memo[id(node)] = f"({a} {node.op} {b})"
+            memo[id(node)] = f"({a} {node.kind} {b})"
     return memo[id(expr)]
 
 

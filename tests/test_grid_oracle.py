@@ -254,18 +254,20 @@ def test_matches_reference_oracle(resolution, count, n_vars):
 
 
 def operand_value(expr, env) -> float:
-    """``expr`` evaluated node by node on how it was built."""
+    """``expr`` evaluated node by node on how it was built: a constant's
+    value and a variable's name read off its polynomial, an operator off
+    ``kind``."""
     if expr.kind == "const":
-        return expr.value
+        return expr.coeffs[0] if expr.coeffs else 0.0
     if expr.kind == "var":
-        return env[expr.name]
+        return env[expr.monomials[0][0]]
     values = [operand_value(arg, env) for arg in expr.args]
     if expr.kind == "neg":
         return -values[0]
     a, b = values
-    if expr.op == "/":
+    if expr.kind == "/":
         return a / b
-    return {"+": a + b, "-": a - b, "*": a * b}[expr.op]
+    return {"+": a + b, "-": a - b, "*": a * b}[expr.kind]
 
 
 def test_node_coefficients_and_band():

@@ -25,6 +25,7 @@ from attnconcolic.semantics import (
     attention_scores,
     concat,
     concrete_forward,
+    concrete_label,
     dense_forward,
     dpa,
     forward,
@@ -34,7 +35,7 @@ from attnconcolic.semantics import (
 from attnconcolic.symexpr import (Comparison, ExecutionContext, NeuronId, Rel, add, as_scalar,
                                   const, mul, var)
 
-from conftest import golden_mha, linear_coeffs, quad_coeffs, random_toy_model
+from conftest import golden_mha, linear_coeffs, quad_coeffs, random_toy_model, symbolic_forward
 
 
 def golden_input(ctx: ExecutionContext):
@@ -239,10 +240,14 @@ def test_softmax_rows_are_stochastic():
 
 
 def reference_softmax(scores: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis with the per-row max of ``max(axis=-1)``."""
+    """Softmax over the last axis with the per-row max of ``max(axis=-1)``
+    and each row's entries added left to right."""
     probs = scores - scores.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    total = probs[..., 0].copy()
+    for column in range(1, probs.shape[-1]):
+        total += probs[..., column]
+    probs /= total[..., None]
     return probs
 
 
@@ -262,6 +267,21 @@ def test_softmax_matches_the_per_row_max_bit_for_bit(width, batch):
     got, want = semantics._softmax(scores.copy()), reference_softmax(scores.copy())
     assert np.array_equal(got, want)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("tokens", [8, 9, 16, 28])
+def test_forward_matches_the_reference_past_eight_tokens(tokens):
+    """Rows of 8 or more probabilities, summed by both forwards' softmax."""
+    rng = np.random.default_rng(tokens)
+    for heads, relu in [(1, False), (2, True)]:
+        model = random_toy_model(rng, seq_len=tokens, d_model=2, heads=heads,
+                                 key_dim=2, classes=3, relu=relu)
+        x = rng.uniform(0.0, 1.0, size=(tokens, 2))
+        pixels = rng.choice(2 * tokens, size=2, replace=False).tolist()
+        result, _ = symbolic_forward(model, x, pixels)
+        reference = concrete_forward(model, x)
+        assert [cell.concrete for cell in result.logits] == reference.tolist()
+        assert result.label == concrete_label(model, x)
 
 
 # ---------------------------------------------------------------------------
