@@ -18,8 +18,8 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 # shap_matrix stays a name of this module: bench/tracing.py patches it
-from .influence import BackgroundSet, depth_shap, shap_matrix  # noqa: F401
-from .semantics import ModelSpec, concrete_forward
+from .influence import DEFAULT_PERMUTATIONS, BackgroundSet, depth_shap, shap_matrix  # noqa: F401
+from .semantics import ModelSpec, concrete_label
 from .symexpr import NeuronId
 
 __all__ = [
@@ -93,12 +93,11 @@ class RelevanceMatrix:
 
 
 def relevance(model: ModelSpec, background: BackgroundSet, x,
-              *, n_permutations: int = 128) -> RelevanceMatrix:
+              *, n_permutations: int = DEFAULT_PERMUTATIONS) -> RelevanceMatrix:
     """Signed Shapley attribution of every non-output neuron toward the class
     the model predicts at ``x``: per depth, a copy of the predicted-class
     column of its Shapley matrix, shaped like its neuron grid."""
-    logits = concrete_forward(model, np.asarray(x, dtype=float))
-    matrix = RelevanceMatrix({}, int(np.argmax(logits)))
+    matrix = RelevanceMatrix({}, concrete_label(model, x))
     for depth, shap in depth_shap(model, background, x, n_permutations=n_permutations):
         if depth < model.output_depth:
             matrix.grids[depth] = _frozen(shap[:, matrix.predicted_class], model.shapes[depth])

@@ -26,6 +26,7 @@ import numpy as np
 from .acdp import abstract_path, relevance
 from .engine import Scheduler, attack_result_to_json, check_pixels, normalize_domains, run_attack
 from .influence import (
+    DEFAULT_PERMUTATIONS,
     BackgroundSet,
     ConfigurationError,
     InfluenceMap,
@@ -126,24 +127,30 @@ def _read_adversarial(doc: dict, model: ModelSpec) -> _Adversarial:
     """A success report's seed (a path or a list) with its ``adversarial_values``
     applied, those values by pixel index, its labels and its domain by pixel
     index.  A report lacking the seed, the values or a label, a seed that does
-    not fit the model, a key not ``p<digits>`` within the seed, a value not a
-    number, a label or pixel index not an integer, a domain not one ``[lo,
-    hi]`` pair of numbers per pixel index, or a value for a pixel not in
-    ``pixel_indices`` is an InputError."""
+    not fit the model or holds an entry not a finite number, a key not
+    ``p<digits>`` within the seed, a value not a number, or not finite, a
+    label not an integer in ``0..class_count - 1``, a pixel index not an
+    integer, a domain not one ``[lo, hi]`` pair of finite numbers with ``lo
+    <= hi`` per pixel index, or a value for a pixel not in ``pixel_indices``
+    is an InputError."""
     where = f"report of {doc.get('seed')!r}"
     try:
         seed_ref, values = doc["seed"], doc["adversarial_values"]
         labels = (operator.index(doc["original_label"]), operator.index(doc["flipped_label"]))
         seed = _read_json(seed_ref, f"{where}: seed", _as_array) \
-            if isinstance(seed_ref, str) else seed_ref
-        seed = np.asarray(seed, dtype=float).reshape(model.shapes[0])
+            if isinstance(seed_ref, str) else _as_array(seed_ref)
+        seed = seed.reshape(model.shapes[0])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{where}: {type(exc).__name__}: {exc}") from None
+    if not all(0 <= label < model.class_count for label in labels):
+        raise InputError(f"{where}: labels {labels} are not all in 0..{model.class_count - 1}")
     try:
         pixels = {int(re.fullmatch(r"p([0-9]+)", key)[1]): float(value)
                   for key, value in values.items()}
     except (AttributeError, TypeError, ValueError):
         raise InputError(f"adversarial_values: malformed entries in {values!r}") from None
+    if not all(map(math.isfinite, pixels.values())):
+        raise InputError(f"{where}: adversarial_values {values!r} are not all finite")
     if any(pixel >= seed.size for pixel in pixels):
         raise InputError(f"adversarial_values: {values!r} names a pixel outside the seed")
     indices, domain = doc.get("pixel_indices", []), doc.get("domain", [])
@@ -153,6 +160,9 @@ def _read_adversarial(doc: dict, model: ModelSpec) -> _Adversarial:
     except (TypeError, ValueError):
         raise InputError(f"{where}: pixel_indices {indices!r} and domain {domain!r} are not "
                          "one [lo, hi] pair of numbers per integer index") from None
+    if not all(-math.inf < lo <= hi < math.inf for lo, hi in bounds.values()):
+        raise InputError(f"{where}: domain {domain!r} holds a pair that is not finite "
+                         "or has lo > hi")
     unlisted = sorted(pixels.keys() - bounds.keys())
     if unlisted:
         raise InputError(f"adversarial_values: {values!r} names pixels {unlisted} "
@@ -330,14 +340,19 @@ def cmd_acdp(args: argparse.Namespace) -> int:
         print("no successful attacks in the given reports", file=sys.stderr)
         return EXIT_EMPTY_ANALYSIS
 
-    suite = []
-    label_pairs = []
+    adversarials = []
     for doc in successes:
         adversarial = _read_adversarial(doc, model)
-        matrix = relevance(model, background, adversarial.input,
-                           n_permutations=args.permutations)
-        suite.append((adversarial.input, matrix))
-        label_pairs.append(adversarial.labels)
+        original, flipped = adversarial.labels
+        label = concrete_label(model, adversarial.input)
+        if not label == flipped != original:
+            raise InputError(f"report of {doc.get('seed')!r}: the model labels its adversarial "
+                             f"input {label}, not the flip {original} -> {flipped} it claims")
+        adversarials.append(adversarial)
+    suite = [(adversarial.input, relevance(model, background, adversarial.input,
+                                           n_permutations=args.permutations))
+             for adversarial in adversarials]
+    label_pairs = [adversarial.labels for adversarial in adversarials]
 
     report = abstract_path(suite, args.alpha, args.beta, label_pairs)
     out_dir = Path(args.output_dir)
@@ -375,9 +390,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         bounds = adversarial.bounds
         in_bounds = all(bounds[p][0] <= v <= bounds[p][1]
                         for p, v in adversarial.values.items())
-        original = adversarial.labels[0]
-        verdict = "PASS" if label != original and in_bounds else "FAIL"
+        original, flipped = adversarial.labels
+        verdict = "PASS" if label == flipped != original and in_bounds else "FAIL"
         print(f"{verdict} {name}: label {original} -> {label}"
+              f"{'' if label == flipped else f' (report claims {flipped})'}"
               f"{'' if in_bounds else ' (out of bounds)'}")
         if verdict == "FAIL":
             failures.append(name)
@@ -398,7 +414,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True, help="model JSON file")
     p.add_argument("--output-dir", default="out", help="artifact directory")
     p.add_argument("--random-seed", type=int, default=0)
-    p.add_argument("--permutations", type=int, default=128,
+    p.add_argument("--permutations", type=int, default=DEFAULT_PERMUTATIONS,
                    help="permutation count for the sampling estimator")
 
 

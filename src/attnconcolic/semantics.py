@@ -588,15 +588,17 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     """Softmax over the last axis of a C-contiguous array, written over it.
     It runs on the transposed rows, so that each row's max and sum are
     reduces over the leading axis (numpy runs a short last axis row by row):
-    the sum adds each row's entries left to right (a lone row is one run,
-    which numpy sums pairwise).  Writing over ``scores``, not into a third
-    chunk-sized array, keeps the heap under glibc's trim threshold: a 28x28
-    map whose chunks crossed it faulted its pages in again on every chunk."""
+    the sum adds each row's entries left to right.  A lone row is one
+    contiguous run, which numpy would sum pairwise, so it takes the last of
+    its running sums, which add left to right too.  Writing over ``scores``,
+    not into a third chunk-sized array, keeps the heap under glibc's trim
+    threshold: a 28x28 map whose chunks crossed it faulted its pages in
+    again on every chunk."""
     rows = scores.reshape(-1, scores.shape[-1])
     cols = rows.T.copy()
     cols -= cols.max(axis=0)
     np.exp(cols, out=cols)
-    cols /= cols.sum(axis=0)
+    cols /= cols.sum(axis=0) if cols.shape[1] > 1 else cols.cumsum(axis=0)[-1]
     rows[...] = cols.T
     return scores
 

@@ -297,30 +297,22 @@ def _line_points(lo: float, hi: float, clip: Sequence[tuple[float, float]],
                  resolutions: Iterable[int]) -> Iterator[float]:
     """The points of the grid over ``[lo, hi]`` of each of ``resolutions``
     in turn that lie in the sorted disjoint closed intervals of ``clip``,
-    ascending; each interval's are found by bisection."""
+    ascending; each interval's are found by bisection over the whole grid."""
     for resolution in resolutions:
         grid = range(resolution + 1)
         point = functools.partial(_grid_point, lo, hi, resolution)
-        start = 0
         for a, b in clip:
-            start = bisect_left(grid, a, start, key=point)
-            end = bisect_right(grid, b, start, key=point)
-            yield from map(point, range(start, end))
-            start = end
+            yield from map(point, grid[bisect_left(grid, a, key=point):
+                                       bisect_right(grid, b, key=point)])
 
 
 def _first_satisfying(request: SolverRequest,
                       points: Iterable[tuple[float, ...]]) -> tuple[str, Optional[dict]]:
     """``(status, witness)``: sat at the first of ``points`` (a value per
-    variable, in the request's order) at which every conjunct holds under
-    :meth:`Comparison.holds_at`, unknown if none does.  A point already
-    tried is skipped, as its answer is the same."""
+    variable, in the request's order; a repeat is checked again) at which
+    every conjunct holds under :meth:`Comparison.holds_at`, else unknown."""
     names = [name for name, _, _ in request.variables]
-    tried = set()
     for point in points:
-        if point in tried:
-            continue
-        tried.add(point)
         assignment = dict(zip(names, point))
         if all(cmp.holds_at(assignment) for cmp in request.assertion):
             return SAT, assignment

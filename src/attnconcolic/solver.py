@@ -496,10 +496,9 @@ def _grid_axis(lo: float, hi: float, resolution: int) -> _Axis:
 
 
 def _holds(cmp: Comparison, names: Sequence[str], axes: Sequence[_Axis],
-           window: tuple, ok: Optional[np.ndarray]) -> np.ndarray:
+           window: tuple) -> np.ndarray:
     """Where ``cmp`` holds on the ``window`` ``(row, col, height, width)`` of
-    the grid: one kernel pass, with the points of ``ok`` (None for all of
-    the window) near a tie re-checked by evaluate."""
+    the grid: one kernel pass, its points near a tie re-checked by evaluate."""
     # the magnitudes of the whole axes bound those of any window
     coeffs, bound, terms = _dense(cmp, names, [axis.magnitude for axis in axes])
     rows, cols = coeffs.shape
@@ -511,10 +510,7 @@ def _holds(cmp: Comparison, names: Sequence[str], axes: Sequence[_Axis],
     holds = relation(diff, 0.0)
     np.abs(diff, out=diff)
     if not diff.min() > tol:  # some point is within tol of a tie, or NaN
-        near = ~(diff > tol)
-        if ok is not None:
-            near &= ok
-        near_rows, near_cols = np.nonzero(near)
+        near_rows, near_cols = np.nonzero(~(diff > tol))
         points = dict(zip(names, (axes[0].points[r0 + near_rows],
                                   axes[1].points[c0 + near_cols])))
         holds[near_rows, near_cols] = relation(evaluate(cmp.p, points), 0.0)
@@ -563,13 +559,13 @@ def grid_oracle(request: SolverRequest, resolution: int = 1024,
     which checks each once more with :meth:`Comparison.holds_at`, so the
     witness is the whole grid's first.
 
-    With ``prefixes`` (a :class:`GridOracle` passes its own), the window and
-    mask of the longest prefix of the assertion checked before under the same
-    variables and resolution are read from that trie, only the remaining
-    conjuncts are evaluated, and the window and mask after each of them are
-    stored.  Either way the final mask is the intersection of the conjuncts'
-    satisfying sets, so the verdict and the witness are those of an uncached
-    check.  SolverError unless ``resolution`` is an integer >= 0.
+    The window and mask of the longest prefix of the assertion checked
+    before under the same variables and resolution are read from the trie
+    ``prefixes`` (a :class:`GridOracle`'s own, else a fresh one), only the
+    remaining conjuncts are evaluated, and the window and mask after each
+    are stored.  The final mask is the intersection of the conjuncts'
+    satisfying sets, so the verdict and the witness do not depend on what
+    the trie held.  SolverError unless ``resolution`` is an integer >= 0.
     """
     if not isinstance(resolution, (int, np.integer)) or resolution < 0:
         raise SolverError(f"grid resolution {resolution!r} is not an integer >= 0")
@@ -579,39 +575,35 @@ def grid_oracle(request: SolverRequest, resolution: int = 1024,
         return SolverVerdict(*_line_search(request, (resolution,)))
     if not _clip(request):
         return SolverVerdict(UNSAT)
-    return _scan(request, resolution, prefixes)
+    return _scan(request, resolution, _PrefixTrie() if prefixes is None else prefixes)
 
 
-def _scan(request: SolverRequest, resolution: int,
-          prefixes: Optional[_PrefixTrie] = None) -> SolverVerdict:
+def _scan(request: SolverRequest, resolution: int, prefixes: _PrefixTrie) -> SolverVerdict:
     """The grid part of :func:`grid_oracle`, for a request with two
-    variables and a box that is not empty: sat or unknown."""
+    variables and a box that is not empty: sat or unknown, reading and
+    storing prefix masks in ``prefixes``."""
     names = [name for name, _, _ in request.variables]
     axes = [_grid_axis(lo, hi, resolution) for _, lo, hi in request.variables]
+    path = prefixes.walk((request.variables, resolution),
+                         (cmp.key() for cmp in request.assertion))
+    cached = path[-1]
+    if cached.mask is _EMPTY:
+        return SolverVerdict(UNKNOWN)
     window = (0, 0, axes[0].points.size, axes[1].points.size)
     ok = None  # the points left in the window; None for all of them
-    path, depth = None, 0
-    if prefixes is not None:
-        path = prefixes.walk((request.variables, resolution),
-                             (cmp.key() for cmp in request.assertion))
-        depth, cached = len(path) - 1, path[-1]
-        if cached.mask is _EMPTY:
-            return SolverVerdict(UNKNOWN)
-        if cached.mask is not None:
-            window = cached.window
-            ok = np.unpackbits(cached.mask, count=window[2] * window[3]).view(bool)
-            ok = ok.reshape(window[2:])
+    if cached.mask is not None:
+        window = cached.window
+        ok = np.unpackbits(cached.mask, count=window[2] * window[3]).view(bool)
+        ok = ok.reshape(window[2:])
     with np.errstate(all="ignore"):
-        for cmp in request.assertion[depth:]:
-            holds = _holds(cmp, names, axes, window, ok)
+        for cmp in request.assertion[len(path) - 1:]:
+            holds = _holds(cmp, names, axes, window)
             window, ok = _bounded(window, holds if ok is None else holds & ok)
-            if path is not None:
-                prefixes.extend(path, cmp.key(), window,
-                                _EMPTY if window is None else np.packbits(ok))
+            prefixes.extend(path, cmp.key(), window,
+                            _EMPTY if window is None else np.packbits(ok))
             if window is None:
                 break
-    if path is not None:
-        prefixes.touch(path)
+    prefixes.touch(path)
     if window is None:
         return SolverVerdict(UNKNOWN)
     r0, c0, _, width = window
@@ -629,9 +621,9 @@ class GridOracle:
     prefixes it has checked in a trie whose stored bytes stay under
     ``_PREFIX_BYTES`` (512 kB), so a request that extends a checked prefix
     evaluates only its new conjuncts, each on the window its prefix left;
-    verdicts and witnesses are those of :func:`grid_oracle` without the
-    trie.  A request of one variable stores nothing: it tries the grid
-    points in its clip.  Any number of threads may share one oracle.
+    verdicts and witnesses are those of a check from an empty trie.  A
+    request of one variable stores nothing: it tries the grid points in its
+    clip.  Any number of threads may share one oracle.
     """
 
     resolution: int = 1024

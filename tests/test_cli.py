@@ -591,15 +591,20 @@ def test_verify_malformed_adversarial_values_exit_2(workspace, tmp_path, values,
 
 
 @pytest.mark.parametrize("command", ["verify", "acdp"])
-@pytest.mark.parametrize("defect", ["seed_of_wrong_size", "no_adversarial_values"])
+@pytest.mark.parametrize("defect", ["seed_of_wrong_size", "no_adversarial_values",
+                                    "non_finite_value", "non_finite_inline_seed"])
 def test_malformed_report_exits_2(workspace, tmp_path, command, defect, capsys):
     doc = {"seed": SEEDS["seed0"], "outcome": "success", "original_label": 0,
            "flipped_label": 1, "pixel_indices": [0], "domain": [[0.0, 1.0]],
            "adversarial_values": {"p0": 0.9}}
     if defect == "seed_of_wrong_size":
         doc["seed"] = [0.3, 0.6, 0.9]
-    else:
+    elif defect == "no_adversarial_values":
         del doc["adversarial_values"]
+    elif defect == "non_finite_value":
+        doc["adversarial_values"] = {"p0": float("nan")}
+    else:
+        doc["seed"] = [[float("nan")], [0.6]]
     report = tmp_path / "attack_malformed.json"
     report.write_text(json.dumps(doc))
     extra = ["--background", str(workspace["background"]),
@@ -614,7 +619,8 @@ def test_malformed_report_exits_2(workspace, tmp_path, command, defect, capsys):
     ("original_label", None), ("flipped_label", None), ("original_label", "zero"),
     ("flipped_label", 1.5), ("pixel_indices", ["x"]), ("pixel_indices", [0.5]),
     ("domain", [0.0, 1.0]), ("domain", [[0.0]]), ("domain", [["low", 1.0]]),
-    ("domain", [[0.0, 1.0], [0.0, 1.0]])])
+    ("domain", [[0.0, 1.0], [0.0, 1.0]]), ("flipped_label", 7), ("original_label", -1),
+    ("domain", [[float("nan"), 1.0]]), ("domain", [[1.0, 0.0]])])
 def test_malformed_report_fields_exit_2(workspace, tmp_path, command, field, value, capsys):
     # value None: the field is missing
     doc = {"seed": SEEDS["seed0"], "outcome": "success", "original_label": 0,
@@ -631,6 +637,26 @@ def test_malformed_report_fields_exit_2(workspace, tmp_path, command, field, val
     rc = main([command, "--model", str(workspace["model"]), "--reports", str(report), *extra])
     assert rc == 2
     assert "input error: report of" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("labels,verify_rc,acdp_rc", [
+    ((1, 0), 0, 0), ((0, 0), 1, 2), ((1, 1), 1, 2), ((0, 1), 1, 2)])
+def test_a_claimed_flip_is_the_models_own(workspace, tmp_path, labels, verify_rc, acdp_rc,
+                                          capsys):
+    # the model labels the seed 1 and, with p0 = 0.9, 0: only (1, 0) is a flip
+    doc = {"seed": SEEDS["seed0"], "outcome": "success", "original_label": labels[0],
+           "flipped_label": labels[1], "pixel_indices": [0], "domain": [[0.0, 1.0]],
+           "adversarial_values": {"p0": 0.9}}
+    report = tmp_path / "attack_claim.json"
+    report.write_text(json.dumps(doc))
+    assert main(["verify", "--model", str(workspace["model"]), "--reports", str(report)]) \
+        == verify_rc
+    assert ("PASS" if verify_rc == 0 else "FAIL") in capsys.readouterr().out
+    assert main(["acdp", "--model", str(workspace["model"]), "--reports", str(report),
+                 "--background", str(workspace["background"]),
+                 "--output-dir", str(tmp_path / "o")]) == acdp_rc
+    if acdp_rc:
+        assert "input error: report of" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["verify", "acdp"])

@@ -416,18 +416,21 @@ def test_a_one_variable_unknown_draws_no_samples(monkeypatch):
     assert midpoint == pytest.approx(1 / 3)
 
 
-def test_samples_are_the_bits_of_generator_uniform():
-    # samples are drawn from two variables on
-    rng = np.random.default_rng(7)
-    for n_vars in range(2, 8):
-        magnitudes = 10.0 ** rng.integers(-3, 10, n_vars)
-        lows = rng.uniform(-1.0, 1.0, n_vars) * magnitudes
-        highs = lows + rng.uniform(0.0, 2.0, n_vars) * magnitudes
-        request = SolverRequest(tuple((f"x{k}", float(lo), float(hi))
-                                      for k, (lo, hi) in enumerate(zip(lows, highs))), ())
-        seed = int(rng.integers(2 ** 63))
-        want = np.random.default_rng(seed).uniform(lows, highs, (refsolver.RANDOM_SAMPLES, n_vars))
-        assert refsolver._samples(request, seed).tobytes() == want.tobytes()
+def test_a_band_between_grid_points_is_answered_by_the_samples():
+    # 0.2999 < v - w < 0.3001 holds at no point of the 256- or 1,024-step
+    # grid: the seed read off the script text, the draws, the clip's
+    # bounding box and the first hit fix the model
+    script = ("(declare-const v Real)\n(declare-const w Real)\n(assert (>= v 0.0))\n"
+              "(assert (<= v 1.0))\n(assert (>= w 0.0))\n(assert (<= w 1.0))\n"
+              "(assert (> (- v w) 0.2999))\n(assert (< (- v w) 0.3001))\n(check-sat)\n")
+    v, w = var("v"), var("w")
+    request = SolverRequest((("v", 0.0, 1.0), ("w", 0.0, 1.0)),
+                            (Comparison(Rel.GT, sub(v, w), const(0.2999)),
+                             Comparison(Rel.LT, sub(v, w), const(0.3001))))
+    for resolution in refsolver.GRID_STAGES[2]:
+        assert grid_oracle(request, resolution).status == "unknown"
+    assert refsolver.solve_script(script) == (
+        "sat", {"v": 0.830071497993725, "w": 0.5300187763827784}, ["v", "w"])
 
 
 # ---------------------------------------------------------------------------

@@ -269,6 +269,17 @@ def test_softmax_matches_the_per_row_max_bit_for_bit(width, batch):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+@pytest.mark.parametrize("width", [7, 8, 16, 300])
+def test_softmax_of_one_row_matches_the_row_in_a_matrix_bit_for_bit(width):
+    """A lone row is summed in the order of a row among others."""
+    rng = np.random.default_rng(width)
+    for _ in range(20):
+        row, other = rng.normal(size=(2, width)) * 10.0 ** rng.integers(-2, 3)
+        alone = stable_softmax(row).value
+        within = stable_softmax(np.stack([row, other])).value[0]
+        assert alone.view(np.uint64).tolist() == within.view(np.uint64).tolist()
+
+
 @pytest.mark.parametrize("tokens", [8, 9, 16, 28])
 def test_forward_matches_the_reference_past_eight_tokens(tokens):
     """Rows of 8 or more probabilities, summed by both forwards' softmax."""
