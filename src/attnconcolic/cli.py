@@ -16,7 +16,6 @@ import math
 import operator
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
@@ -123,17 +122,17 @@ class _Adversarial(NamedTuple):
     bounds: dict[int, tuple[float, float]]  # the attack's domain by pixel index
 
 
-def _read_adversarial(doc: dict, model: ModelSpec) -> _Adversarial:
-    """A success report's seed (a path or a list) with its ``adversarial_values``
-    applied, those values by pixel index, its labels and its domain by pixel
-    index.  A report lacking the seed, the values or a label, a seed that does
-    not fit the model or holds an entry not a finite number, a key not
-    ``p<digits>`` within the seed, a value not a number, or not finite, a
-    label not an integer in ``0..class_count - 1``, a pixel index not an
-    integer, a domain not one ``[lo, hi]`` pair of finite numbers with ``lo
-    <= hi`` per pixel index, or a value for a pixel not in ``pixel_indices``
-    is an InputError."""
-    where = f"report of {doc.get('seed')!r}"
+def _read_adversarial(path: Path, doc: dict, model: ModelSpec) -> _Adversarial:
+    """The success report ``doc`` of file ``path``: its seed (a path or a list)
+    with its ``adversarial_values`` applied, those values by pixel index, its
+    labels and its domain by pixel index.  A report lacking the seed, the
+    values or a label, a seed that does not fit the model or holds an entry
+    not a finite number, a key not ``p<digits>`` within the seed, a value not
+    a number, or not finite, a label not an integer in ``0..class_count -
+    1``, a pixel index not an integer, a domain not one ``[lo, hi]`` pair of
+    finite numbers with ``lo <= hi`` per pixel index, or a value for a pixel
+    not in ``pixel_indices`` is an InputError naming ``path``."""
+    where = f"reports: {path}"
     try:
         seed_ref, values = doc["seed"], doc["adversarial_values"]
         labels = (operator.index(doc["original_label"]), operator.index(doc["flipped_label"]))
@@ -287,6 +286,8 @@ def cmd_attack(args: argparse.Namespace) -> int:
         backend=backend, solver_timeout_s=args.solver_timeout_s))
     workers = min(args.workers, len(seed_paths))  # a pool starts all its workers at once
     if workers > 1:  # each task gets copies: the map, and the backend without its session
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(attack, path) for path in seed_paths]
             try:
@@ -320,8 +321,9 @@ def cmd_attack(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_reports(specs: Sequence[str]) -> list[dict]:
-    return [_read_json(path, f"reports: {path}", _as_report)
+def _read_reports(specs: Sequence[str]) -> list[tuple[Path, dict]]:
+    """``(path, report)`` of each report file ``specs`` name."""
+    return [(path, _read_json(path, f"reports: {path}", _as_report))
             for path in _seed_paths(specs)  # same file/dir expansion
             if not (path.name.startswith("manifest") or path.name == "acdp.json")]
 
@@ -335,18 +337,18 @@ def cmd_acdp(args: argparse.Namespace) -> int:
     background = _read_json(args.background, "background",
                             partial(BackgroundSet, seed=args.random_seed))
     reports = _read_reports(args.reports)
-    successes = [doc for doc in reports if doc.get("outcome") == "success"]
+    successes = [(path, doc) for path, doc in reports if doc.get("outcome") == "success"]
     if not successes:
         print("no successful attacks in the given reports", file=sys.stderr)
         return EXIT_EMPTY_ANALYSIS
 
     adversarials = []
-    for doc in successes:
-        adversarial = _read_adversarial(doc, model)
+    for path, doc in successes:
+        adversarial = _read_adversarial(path, doc, model)
         original, flipped = adversarial.labels
         label = concrete_label(model, adversarial.input)
         if not label == flipped != original:
-            raise InputError(f"report of {doc.get('seed')!r}: the model labels its adversarial "
+            raise InputError(f"reports: {path}: the model labels its adversarial "
                              f"input {label}, not the flip {original} -> {flipped} it claims")
         adversarials.append(adversarial)
     suite = [(adversarial.input, relevance(model, background, adversarial.input,
@@ -380,25 +382,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
     reports = _read_reports(args.reports)
     failures = []
     checked = 0
-    for doc in reports:
+    for path, doc in reports:
         if doc.get("outcome") != "success":
             continue
         checked += 1
-        name = doc.get("seed", f"case{checked}")
-        adversarial = _read_adversarial(doc, model)
+        adversarial = _read_adversarial(path, doc, model)
         label = concrete_label(model, adversarial.input)
         bounds = adversarial.bounds
         in_bounds = all(bounds[p][0] <= v <= bounds[p][1]
                         for p, v in adversarial.values.items())
         original, flipped = adversarial.labels
         verdict = "PASS" if label == flipped != original and in_bounds else "FAIL"
-        print(f"{verdict} {name}: label {original} -> {label}"
+        print(f"{verdict} {path}: label {original} -> {label}"
               f"{'' if label == flipped else f' (report claims {flipped})'}"
               f"{'' if in_bounds else ' (out of bounds)'}")
         if verdict == "FAIL":
-            failures.append(name)
+            failures.append(str(path))
     if failures:
-        print(f"{len(failures)} case(s) failed re-execution: {failures}",
+        print(f"{len(failures)} case(s) failed re-execution: {', '.join(failures)}",
               file=sys.stderr)
         return EXIT_VERIFY_FAILED
     print(f"verified {checked} successful case(s)")

@@ -281,7 +281,9 @@ def run_attack(model: ModelSpec, influence_map: InfluenceMap, seed,
     SAT model is adopted as the next input.  The attack stops, in this order
     of checks: ``success`` on a flip that ``concrete_label`` confirms;
     ``timeout`` on a budget spent at the end of an iteration, also right
-    after an adoption; ``exhausted`` on a queue drained without an adoption.
+    after an adoption; on a queue drained without an adoption,
+    ``solver_error`` if any check came back ``solver_error`` (the queue was
+    not searched), else ``exhausted``.
     ``wall_budget_s`` (None for no budget) and ``solver_timeout_s`` are
     seconds above 0, inf allowed; anything else, NaN included, is a ValueError.
     """
@@ -360,7 +362,7 @@ def run_attack(model: ModelSpec, influence_map: InfluenceMap, seed,
             outcome = TIMEOUT
             break
         if candidate is None:
-            outcome = EXHAUSTED
+            outcome = SOLVER_ERROR if stats.solver_error else EXHAUSTED
             break
         x_cur = x_cur.copy()
         x_cur.flat[list(pixels)] = [candidate[name] for name in var_names]

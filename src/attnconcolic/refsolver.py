@@ -11,19 +11,19 @@ was declared and asserted since the last ``(reset)``; where it draws random
 samples (two or more variables), they are seeded from the text since the
 ``(reset)`` line through the ``(check-sat)`` line, stripped of the white
 space around it.  :func:`solve_script` answers a script's last
-``(check-sat)`` the same way, whatever follows.  Scripts must
-stay in the subset it reads, which holds what
-:func:`~attnconcolic.solver.emit_smtlib` writes: declared Real constants, and
-comparisons between two terms over ``+`` and ``*`` (any number of
-arguments), unary and binary ``-``, and ``/`` by a constant, each read as the
-polynomial ``a - b`` against zero.  Every command outside it, wherever it
-stands, ``define-fun``, an excess ``)`` and terms nested too deeply included,
-prints one ``(error ...)`` line on stderr and exits 2.  It shares the grid
-oracle's parser, clip and searches: the box comes from the conjuncts ``±1.0
-* x + c relop 0`` (negative bounds included), and the non-strict ones leave
-the assertion, so an emitted script's bounds are read once; the box is
-clipped by :func:`~attnconcolic.smt._clip` for one or two variables.  The
-clip holds every point that can satisfy the request.
+``(check-sat)`` the same way, whatever follows.  Scripts must stay in
+the SMT-LIB subset that :mod:`~attnconcolic.smt` writes and reads, models
+included: declared Real constants, and comparisons between two terms over
+``+`` and ``*`` (any number of arguments), unary and binary ``-``, and
+``/`` by a constant, each read as the polynomial ``a - b`` against zero.
+Every command outside it, wherever it stands, ``define-fun``, an excess
+``)`` and terms nested too deeply included, prints one ``(error ...)`` line
+on stderr and exits 2.  It shares the grid oracle's clip and searches: the
+box comes from the conjuncts ``±1.0 * x + c relop 0`` (negative bounds
+included), and the non-strict ones leave the assertion, so an emitted
+script's bounds are read once; the box is clipped by
+:func:`~attnconcolic.smt._clip` for one or two variables.  The clip holds
+every point that can satisfy the request.
 
 For one variable, :func:`~attnconcolic.smt._line_search` tries, in plain
 Python, the points of the 256-, 1,024- and 4,096-step grids that lie in the
@@ -61,15 +61,14 @@ a real solver at the engine for completeness.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import replace
 
-from .smt import (SAT, UNKNOWN, UNSAT, SolverError, SolverRequest, _clip, _forms, _line_search,
-                  _render_decimal)
-from .symexpr import (_OPS, _REL_APPLY, Comparison, ConcolicArithmeticError, Rel, _bin,
-                      const, evaluate, neg, var)
+from .smt import (SAT, UNKNOWN, UNSAT, ScriptError, SolverError, SolverRequest, _clip,
+                  _comparison, _forms, _line_search, render_model)
+from .smt import _term  # noqa: F401  (the term reader, importable from here too)
+from .symexpr import _REL_APPLY, Comparison, Rel, evaluate
 
 # numpy and solver load at the first check of two or more variables: the
 # functions of that search import them where they run
@@ -81,46 +80,7 @@ RANDOM_SAMPLES = 65536
 DEFAULT_BOX = (-1e9, 1e9)
 _CHUNK = 2048  # rows per evaluate: fastest of 512 to 65536
 
-_RELATIONS = {rel.value: rel for rel in (Rel.LT, Rel.LE, Rel.GT, Rel.GE, Rel.EQ)}
 _IGNORED = ("set-logic", "get-model")
-
-
-class ScriptError(SolverError):
-    """A script outside the accepted subset."""
-
-
-def _term(form):
-    """The expression of one term; a symbol is a variable (the request checks
-    that it was declared)."""
-    if isinstance(form, str):
-        if not form[0].isdigit():
-            return var(form)
-        try:
-            return const(float(form))
-        except ValueError:
-            raise ScriptError(f"bad numeral {form!r}") from None
-    head, *args = form if form and isinstance(form[0], str) else [None]
-    if head not in _OPS or not (len(args) == 2 or (len(args) == 1 and head == "-")
-                                or (len(args) > 2 and head in ("+", "*"))):
-        raise ScriptError(f"unsupported term {form!r}")
-    terms = [_term(arg) for arg in args]
-    if len(terms) == 1:
-        return neg(terms[0])
-    try:
-        return functools.reduce(functools.partial(_bin, head), terms)
-    except ConcolicArithmeticError as exc:  # a zero or symbolic divisor
-        raise ScriptError(str(exc)) from None
-
-
-def _comparison(form) -> Comparison:
-    if isinstance(form, list) and len(form) == 2 and form[0] == "not":
-        inner = _comparison(form[1])
-        if inner.rel is Rel.EQ:
-            return Comparison(Rel.NE, inner.p)
-    elif isinstance(form, list) and len(form) == 3 and isinstance(form[0], str) \
-            and form[0] in _RELATIONS:
-        return Comparison(_RELATIONS[form[0]], _term(form[1]), _term(form[2]))
-    raise ScriptError(f"unsupported assertion {form!r}")
 
 
 def _narrowed(request: SolverRequest) -> SolverRequest:
@@ -301,13 +261,6 @@ def solve_script(text: str) -> tuple[str, dict[str, float] | None, list[str]]:
     return _solve(*check, {}) if check else (UNKNOWN, None, declared)
 
 
-def _print_model(witness: dict[str, float], declared: list[str]) -> None:
-    print("(")
-    for name in declared:
-        print(f"  (define-fun {name} () Real {_render_decimal(witness[name])})")
-    print(")", flush=True)
-
-
 def main() -> int:
     declared: list[str] = []  # read since the last (reset)
     assertion: list[Comparison] = []
@@ -327,7 +280,7 @@ def main() -> int:
                     answer = _solve(declared, assertion, text, tries)
                     print(answer[0], flush=True)
                 elif form == ["get-model"] and answer and answer[0] == SAT:
-                    _print_model(*answer[1:])
+                    print(render_model(*answer[1:]), end="", flush=True)
     except SolverError as exc:
         print(f"(error \"{exc}\")", file=sys.stderr)
         return 2

@@ -1,6 +1,8 @@
 """What both ends of the solver pipe share, in plain Python: requests and
-their statuses, SMT-LIB framing and numerals, the clip, and the search of a
-request of no or one variable.
+their statuses, the SMT-LIB subset they speak, the clip, and the search of
+a request of no or one variable.  This is the one module that writes the
+subset (:func:`emit_smtlib`, :func:`render_model`) and reads it: one term
+reader, :func:`_term`, reads assertions and model values alike.
 
 :mod:`~attnconcolic.solver` and the :mod:`~attnconcolic.refsolver` child
 both import this module, and it imports neither numpy nor ``solver``, so a
@@ -20,11 +22,14 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from decimal import Decimal
+from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .symexpr import Comparison, Rel
+from .symexpr import (_OPS, Comparison, ConcolicArithmeticError, Rel, SymExpr, _bin, const, neg,
+                      var)
 
-__all__ = ["SolverError", "SolverRequest"]
+__all__ = ["ScriptError", "SolverError", "SolverRequest", "emit_smtlib", "read_model",
+           "render_model"]
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -124,6 +129,127 @@ def _forms(lines: Iterable[str]) -> Iterator[tuple[str, list]]:
             text, forms = [], []
     if stack or carry:
         raise SolverError("unbalanced parentheses")
+
+
+# ---------------------------------------------------------------------------
+# SMT-LIB assertions and models
+# ---------------------------------------------------------------------------
+
+_RELATIONS = {rel.value: rel for rel in (Rel.LT, Rel.LE, Rel.GT, Rel.GE, Rel.EQ)}
+
+
+class ScriptError(SolverError):
+    """A script outside the accepted subset."""
+
+
+def _render_poly(expr: SymExpr) -> str:
+    """The polynomial as a sum of monomials, each written before its
+    coefficient; a coefficient of 1.0 is omitted and a constant is a bare
+    decimal."""
+    terms = []
+    for monomial, coeff in zip(expr.monomials, expr.coeffs):
+        factors = list(monomial)
+        if coeff != 1.0 or not factors:
+            factors.append(_render_decimal(coeff))
+        terms.append(factors[0] if len(factors) == 1 else f"(* {' '.join(factors)})")
+    if not terms:
+        return "0.0"
+    return terms[0] if len(terms) == 1 else f"(+ {' '.join(terms)})"
+
+
+def emit_smtlib(request: SolverRequest) -> str:
+    """Deterministic SMT-LIB2 text over quantifier-free nonlinear reals: the
+    variables with their bounds, then each comparison as its polynomial
+    against ``0.0``, ``(not (= p 0.0))`` for ``!=``, and last ``(check-sat)``."""
+    lines = ["(set-logic QF_NRA)"]
+    for name, lo, hi in request.variables:
+        lines.append(f"(declare-const {name} Real)")
+        lines.append(f"(assert (>= {name} {_render_decimal(lo)}))")
+        lines.append(f"(assert (<= {name} {_render_decimal(hi)}))")
+    for cmp in request.assertion:
+        p = _render_poly(cmp.p)
+        if cmp.rel is Rel.NE:
+            lines.append(f"(assert (not (= {p} 0.0)))")
+        else:
+            lines.append(f"(assert ({cmp.rel.value} {p} 0.0))")
+    lines.append("(check-sat)")
+    return "\n".join(lines) + "\n"
+
+
+def _term(form) -> SymExpr:
+    """The expression of one term; a symbol is a variable (the request checks
+    that it was declared).  ``(/ p q)`` of two numerals is how SMT-LIB writes
+    a rational constant, so it folds to the double nearest ``p / q``."""
+    if isinstance(form, str):
+        if not form[0].isdigit():
+            return var(form)
+        try:
+            return const(float(form))
+        except ValueError:
+            raise ScriptError(f"bad numeral {form!r}") from None
+    head, *args = form if form and isinstance(form[0], str) else [None]
+    if head not in _OPS or not (len(args) == 2 or (len(args) == 1 and head == "-")
+                                or (len(args) > 2 and head in ("+", "*"))):
+        raise ScriptError(f"unsupported term {form!r}")
+    terms = [_term(arg) for arg in args]
+    if len(terms) == 1:
+        return neg(terms[0])
+    if head == "/" and terms[1].coeffs and all(isinstance(arg, str) and arg[0].isdigit()
+                                               for arg in args):
+        try:
+            return const(float(Fraction(args[0]) / Fraction(args[1])))
+        except (ValueError, OverflowError):
+            raise ScriptError(f"unsupported term {form!r}") from None
+    try:
+        return functools.reduce(functools.partial(_bin, head), terms)
+    except ConcolicArithmeticError as exc:  # a zero or symbolic divisor
+        raise ScriptError(str(exc)) from None
+
+
+def _comparison(form) -> Comparison:
+    """``(relop a b)`` as ``a - b relop 0``, or ``(not (= a b))``."""
+    if isinstance(form, list) and len(form) == 2 and form[0] == "not":
+        inner = _comparison(form[1])
+        if inner.rel is Rel.EQ:
+            return Comparison(Rel.NE, inner.p)
+    elif isinstance(form, list) and len(form) == 3 and isinstance(form[0], str) \
+            and form[0] in _RELATIONS:
+        return Comparison(_RELATIONS[form[0]], _term(form[1]), _term(form[2]))
+    raise ScriptError(f"unsupported assertion {form!r}")
+
+
+def render_model(witness: dict[str, float], declared: Sequence[str]) -> str:
+    """The ``(get-model)`` reply: a decimal ``define-fun`` per declared name."""
+    return "".join(["(\n", *(f"  (define-fun {name} () Real {_render_decimal(witness[name])})\n"
+                             for name in declared), ")\n"])
+
+
+def read_model(reply, names: Sequence[str]) -> dict[str, float]:
+    """The value of each of ``names`` in the form ``reply`` to ``(get-model)``:
+    that of its last ``(define-fun name ... value)`` at any depth, read by
+    :func:`_term`.  SolverError for a value that does not fold to a finite
+    constant, and for a name without one."""
+    assignment: dict[str, float] = {}
+    stack = [reply]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, list):
+            continue
+        if node[:1] != ["define-fun"] or len(node) < 3 or node[1] not in names:
+            stack.extend(reversed(node))  # popped in reading order
+            continue
+        try:
+            value = _term(node[-1])
+        except RecursionError:
+            raise SolverError("model value nested too deeply") from None
+        number = value.coeffs[0] if value.coeffs else 0.0
+        if value.kind != "const" or not math.isfinite(number):
+            raise SolverError(f"model value {node[-1]!r} is not a finite constant")
+        assignment[node[1]] = number
+    missing = set(names) - assignment.keys()
+    if missing:
+        raise SolverError(f"model omits variables: {sorted(missing)}")
+    return assignment
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
-"""SMT-LIB2 emission, solver subprocess management, model parsing, and a
-grid oracle over polynomial constraints.
+"""Solver backends: subprocess management for an external SMT-LIB2 solver,
+and a grid oracle over polynomial constraints.
 
 The engine never links a solver library: the external backend keeps one
 live child process per thread running a configurable solver command, writes
 each request that the clip does not decide to it as an SMT-LIB2 script over
-quantifier-free nonlinear reals, and parses sat/unsat/unknown, then after
+quantifier-free nonlinear reals, and reads sat/unsat/unknown, then after
 sat the model it asks for, from its standard output.  Both backends read
 each comparison ``p relop 0`` off its one polynomial.  The grid oracle is an
 in-process fallback used for testing and small-instance verification; its
@@ -16,11 +16,13 @@ cut the line into intervals, and the affine ones for two, which cut a
 polygon.
 
 What the refsolver child shares with it, numpy-free, is in
-:mod:`~attnconcolic.smt`: requests and statuses (re-exported here),
-SMT-LIB framing and numerals, the clip, and the plain-Python search of no
-or one variable.  This module holds what needs numpy, the two-variable
-kernel, its prefix trie and :class:`GridOracle`, so a refsolver loads it
-only at its first check of two or more variables.
+:mod:`~attnconcolic.smt`: requests and statuses (re-exported here), the
+SMT-LIB subset both ends speak (:func:`emit_smtlib` writes the scripts,
+re-exported here, and :func:`~attnconcolic.smt.read_model` reads the
+models), the clip, and the plain-Python search of no or one variable.  This
+module holds the backends and what needs numpy, the two-variable kernel,
+its prefix trie and :class:`GridOracle`, so a refsolver loads it only at
+its first check of two or more variables.
 """
 
 from __future__ import annotations
@@ -36,14 +38,14 @@ import time
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from .smt import (SAT, SOLVER_ERROR, TIMEOUT, UNKNOWN, UNSAT, SolverError, SolverRequest, _clip,
-                  _first_satisfying, _forms, _grid_point, _line_search, _render_decimal, _tie_band)
-from .symexpr import _REL_APPLY, Comparison, Rel, SymExpr, evaluate
+                  _first_satisfying, _forms, _grid_point, _line_search, _tie_band, emit_smtlib,
+                  read_model)
+from .symexpr import _REL_APPLY, Comparison, Rel, evaluate
 
 __all__ = [
     "ExternalSolver",
@@ -54,7 +56,6 @@ __all__ = [
     "assignment_satisfies",
     "emit_smtlib",
     "grid_oracle",
-    "parse_model_value",
 ]
 
 
@@ -63,98 +64,6 @@ class SolverVerdict:
     status: str
     assignment: Optional[dict[str, float]] = None
     transcript: str = ""
-
-
-# ---------------------------------------------------------------------------
-# Emission
-# ---------------------------------------------------------------------------
-
-
-def _render_poly(expr: SymExpr) -> str:
-    """The polynomial as a sum of monomials, each written before its
-    coefficient; a coefficient of 1.0 is omitted and a constant is a bare
-    decimal."""
-    terms = []
-    for monomial, coeff in zip(expr.monomials, expr.coeffs):
-        factors = list(monomial)
-        if coeff != 1.0 or not factors:
-            factors.append(_render_decimal(coeff))
-        terms.append(factors[0] if len(factors) == 1 else f"(* {' '.join(factors)})")
-    if not terms:
-        return "0.0"
-    return terms[0] if len(terms) == 1 else f"(+ {' '.join(terms)})"
-
-
-def emit_smtlib(request: SolverRequest) -> str:
-    """Deterministic SMT-LIB2 text over quantifier-free nonlinear reals: the
-    variables with their bounds, then each comparison as its polynomial
-    against ``0.0``, ``(not (= p 0.0))`` for ``!=``, and last ``(check-sat)``."""
-    lines = ["(set-logic QF_NRA)"]
-    for name, lo, hi in request.variables:
-        lines.append(f"(declare-const {name} Real)")
-        lines.append(f"(assert (>= {name} {_render_decimal(lo)}))")
-        lines.append(f"(assert (<= {name} {_render_decimal(hi)}))")
-    for cmp in request.assertion:
-        p = _render_poly(cmp.p)
-        if cmp.rel is Rel.NE:
-            lines.append(f"(assert (not (= {p} 0.0)))")
-        else:
-            lines.append(f"(assert ({cmp.rel.value} {p} 0.0))")
-    lines.append("(check-sat)")
-    return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Model parsing
-# ---------------------------------------------------------------------------
-
-
-def parse_model_value(form) -> float:
-    """Parse one model value: plain decimals, rationals (/ a b), and negation
-    (- x), nested arbitrarily; rationals are evaluated exactly."""
-
-    def as_fraction(node) -> Fraction:
-        if isinstance(node, str):
-            try:
-                return Fraction(node)
-            except ValueError as exc:
-                raise SolverError(f"unparseable model value {node!r}") from exc
-        if not node:
-            raise SolverError("empty model value")
-        head, *args = node
-        if head == "-" and len(args) == 1:
-            return -as_fraction(args[0])
-        if head == "/" and len(args) == 2:
-            denom = as_fraction(args[1])
-            if denom == 0:
-                raise SolverError("division by zero in model value")
-            return as_fraction(args[0]) / denom
-        raise SolverError(f"unparseable model value {node!r}")
-
-    return float(as_fraction(form))
-
-
-def _extract_assignment(forms, variables: Sequence[str]) -> dict[str, float]:
-    wanted = set(variables)
-    assignment: dict[str, float] = {}
-
-    def walk(node) -> None:
-        if not isinstance(node, list):
-            return
-        if len(node) >= 2 and node[0] == "define-fun" and isinstance(node[1], str):
-            name = node[1]
-            if name in wanted:
-                assignment[name] = parse_model_value(node[-1])
-            return
-        for child in node:
-            walk(child)
-
-    for form in forms:
-        walk(form)
-    missing = wanted - assignment.keys()
-    if missing:
-        raise SolverError(f"model omits variables: {sorted(missing)}")
-    return assignment
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +166,12 @@ class ExternalSolver:
     check is one exchange by the request's deadline: it sends ``(reset)``
     and the script of :func:`emit_smtlib`, which ends with ``(check-sat)``,
     and reads forms framed by :func:`_forms` up to the answer; only after
-    ``sat`` does it send ``(get-model)`` and read the model as the next
-    form.  A timeout kills the child, and so does a ``solver_error`` (end of
-    output before an answer, an ``(error ...)`` reply, a broken pipe, a
-    reply that does not parse, an unusable model); the next check starts a
+    ``sat`` does it send ``(get-model)`` and read the next form as the
+    model, by :func:`~attnconcolic.smt.read_model`.  A timeout kills the
+    child, and so does a ``solver_error`` (end of output before an answer,
+    an ``(error ...)`` reply, a broken pipe, a reply that does not parse, a
+    model that omits a variable or holds a value that does not fold to a
+    finite constant); the next check starts a
     fresh one.  Starting a child closes those of threads that have ended;
     the others end when the backend is garbage-collected or the interpreter
     exits.  A pickled copy starts with no child.
@@ -320,8 +231,7 @@ class ExternalSolver:
             if answer == SAT:
                 session.send("(get-model)\n", deadline)
                 if (model := next(replies, None)) is not None:
-                    names = [name for name, _, _ in request.variables]
-                    assignment = _extract_assignment([model], names)
+                    assignment = read_model(model, [name for name, _, _ in request.variables])
         except TimeoutError:
             self._sessions.pop(key).close()
             return SolverVerdict(TIMEOUT)

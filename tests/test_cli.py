@@ -611,7 +611,7 @@ def test_malformed_report_exits_2(workspace, tmp_path, command, defect, capsys):
              "--output-dir", str(tmp_path / "o")] if command == "acdp" else []
     rc = main([command, "--model", str(workspace["model"]), "--reports", str(report), *extra])
     assert rc == 2
-    assert "input error: report of" in capsys.readouterr().err
+    assert f"input error: reports: {report}: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["verify", "acdp"])
@@ -636,7 +636,7 @@ def test_malformed_report_fields_exit_2(workspace, tmp_path, command, field, val
              "--output-dir", str(tmp_path / "o")] if command == "acdp" else []
     rc = main([command, "--model", str(workspace["model"]), "--reports", str(report), *extra])
     assert rc == 2
-    assert "input error: report of" in capsys.readouterr().err
+    assert f"input error: reports: {report}: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("labels,verify_rc,acdp_rc", [
@@ -656,7 +656,31 @@ def test_a_claimed_flip_is_the_models_own(workspace, tmp_path, labels, verify_rc
                  "--background", str(workspace["background"]),
                  "--output-dir", str(tmp_path / "o")]) == acdp_rc
     if acdp_rc:
-        assert "input error: report of" in capsys.readouterr().err
+        assert f"input error: reports: {report}: " in capsys.readouterr().err
+
+
+def test_a_report_is_named_by_its_file_not_its_inline_seed(workspace, tmp_path, capsys):
+    # the model labels the seed 1 and, with p0 = 0.9, 0: only (1, 0) is a flip
+    reports = tmp_path / "reports"
+    reports.mkdir()
+    paths = {}
+    for name, labels in (("pass", (1, 0)), ("fail", (0, 1))):
+        paths[name] = reports / f"attack_{name}.json"
+        paths[name].write_text(json.dumps(
+            {"seed": SEEDS["seed0"], "outcome": "success", "original_label": labels[0],
+             "flipped_label": labels[1], "pixel_indices": [0], "domain": [[0.0, 1.0]],
+             "adversarial_values": {"p0": 0.9}}))
+    assert main(["verify", "--model", str(workspace["model"]), "--reports", str(reports)]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [f"FAIL {paths['fail']}: label 0 -> 0 (report claims 1)",
+                                f"PASS {paths['pass']}: label 1 -> 0"]
+    assert err == f"1 case(s) failed re-execution: {paths['fail']}\n"
+    assert main(["acdp", "--model", str(workspace["model"]), "--reports", str(paths["fail"]),
+                 "--background", str(workspace["background"]),
+                 "--output-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: reports: {paths['fail']}: the model labels ")
+    assert "0.3" not in err
 
 
 @pytest.mark.parametrize("command", ["verify", "acdp"])
@@ -911,7 +935,8 @@ def test_the_pool_starts_at_most_one_worker_per_seed(workspace, attack_dir, tmp_
         pools.append(max_workers)
         return ProcessPoolExecutor(max_workers=max_workers)
 
-    monkeypatch.setattr("attnconcolic.cli.ProcessPoolExecutor", recorded_pool)
+    # cli imports the pool where it starts one
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", recorded_pool)
     for seeds, want in (([workspace["seed0"], workspace["seed1"]], [2]),
                         ([workspace["seed0"]], [])):  # one seed runs in process
         pools.clear()

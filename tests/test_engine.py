@@ -379,6 +379,17 @@ def test_solver_errors_are_logged_with_a_cut_transcript(caplog):
     assert "transcript" not in attack_result_to_json(result)
 
 
+def test_an_attack_whose_checks_errored_does_not_end_exhausted():
+    # its queue drained, but the solver searched none of it
+    model = no_flip_model()
+    seed = np.array([[0.4], [0.7], [0.1]])
+    result = run_attack(model, toy_map(model, seed), seed, pixels=[0],
+                        scheduler=Scheduler.fifo(), backend=FailingBackend())
+    assert result.stats.solver_error >= 1
+    assert result.stats.outcome == "solver_error"
+    assert attack_result_to_json(result)["outcome"] == "solver_error"
+
+
 def test_attack_wall_budget_is_respected(refsolver_backend):
     model = flip_at_half_model()
     seed = np.array([[0.2]])

@@ -30,9 +30,9 @@ import numpy as np
 import pytest
 
 from attnconcolic import refsolver, smt, solver, symexpr
-from attnconcolic.solver import (ExternalSolver, GridOracle, SolverError, SolverRequest, _forms,
-                                 _render_decimal, assignment_satisfies, emit_smtlib,
-                                 grid_oracle, parse_model_value)
+from attnconcolic.smt import _forms, _render_decimal, read_model
+from attnconcolic.solver import (ExternalSolver, GridOracle, SolverError, SolverRequest,
+                                 assignment_satisfies, emit_smtlib, grid_oracle)
 from attnconcolic.symexpr import (
     _REL_APPLY,
     Comparison,
@@ -589,7 +589,8 @@ def random_finite(rng) -> float:
 @pytest.mark.parametrize("op, name", [("+", "add"), ("-", "sub"), ("*", "mul"), ("/", "div")])
 def test_one_operator_table_computes_folds_and_reads(op, name):
     # symexpr._OPS gives arith's concrete part and the constant fold, and
-    # names the heads the refsolver reads into the builders' polynomials
+    # names the heads the refsolver reads into the builders' polynomials;
+    # a quotient of two numerals, SMT-LIB's rational constant, is read exactly
     rng = np.random.default_rng(ord(op))
     builder = getattr(symexpr, name)
     for _ in range(200):
@@ -604,7 +605,7 @@ def test_one_operator_table_computes_folds_and_reads(op, name):
                            if rng.random() < 0.7) for _ in range(2))
         if op == "/":
             q = const(random_constant(rng) or 0.5)
-        text = f"({op} {solver._render_poly(p)} {solver._render_poly(q)})\n"
+        text = f"({op} {smt._render_poly(p)} {smt._render_poly(q)})\n"
         (form,) = [form for _, forms in _forms([text]) for form in forms]
         assert refsolver._term(form) == builder(p, q)
     if op == "/":
@@ -616,6 +617,9 @@ def test_one_operator_table_computes_folds_and_reads(op, name):
             (form,) = [form for _, forms in _forms([text]) for form in forms]
             with pytest.raises(refsolver.ScriptError, match="zero constant"):
                 refsolver._term(form)
+        # the double nearest 1/3, where the builder divides the doubles of 0.1 and 0.3
+        (form,) = [form for _, forms in _forms(["(/ 0.1 0.3)\n"]) for form in forms]
+        assert refsolver._term(form) == const(1 / 3) != div(const(0.1), const(0.3))
 
 
 def test_comment_lines_are_ignored():
@@ -690,8 +694,7 @@ def test_a_session_keeps_prefix_masks_across_resets(monkeypatch, capsys):
     proc = subprocess.run(REFSOLVER_CMD, input=session, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     # a status, or a model as {name: value}
-    got = [form if isinstance(form, str) else
-           {name: parse_model_value(value) for _, name, _, _, value in form}
+    got = [form if isinstance(form, str) else read_model(form, [name for _, name, *_ in form])
            for _, forms in _forms(proc.stdout.splitlines(keepends=True)) for form in forms]
     assert got == want
     # the same session in process: its two-variable checks read masks that

@@ -8,12 +8,13 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from attnconcolic import refsolver
-from attnconcolic.smt import _forms, _tokenize
+from attnconcolic.smt import _forms, _tokenize, read_model, render_model
 from attnconcolic.solver import (
     ExternalSolver,
     GridOracle,
@@ -23,7 +24,6 @@ from attnconcolic.solver import (
     assignment_satisfies,
     emit_smtlib,
     grid_oracle,
-    parse_model_value,
 )
 from attnconcolic.symexpr import Comparison, Rel, add, const, div, mul, var
 
@@ -109,8 +109,13 @@ def test_request_construction_walks_shared_subterms_once():
 
 
 # ---------------------------------------------------------------------------
-# model value parsing
+# model value parsing: the shared term reader
 # ---------------------------------------------------------------------------
+
+
+def model_value(text: str) -> float:
+    """The value of ``v`` in a one-variable model whose value is ``text``."""
+    return read_model(parsed(f"((define-fun v () Real {text}))")[0], ["v"])["v"]
 
 
 @pytest.mark.parametrize("text,value", [
@@ -123,14 +128,50 @@ def test_request_construction_walks_shared_subterms_once():
     ("(/ 3602879701896397 36028797018963968)", 0.1),
 ])
 def test_parse_model_value_forms(text, value):
-    assert parse_model_value(parsed(text)[0]) == value
+    assert model_value(text) == value
 
 
 def test_parse_model_value_rejects_garbage():
     with pytest.raises(SolverError):
-        parse_model_value("banana")
+        model_value("banana")
     with pytest.raises(SolverError):
-        parse_model_value(["^", "1", "2"])
+        model_value("(^ 1 2)")
+
+
+@pytest.mark.parametrize("p, q", [(2**53 + 1, 3), (2**53 + 1, 7), (123456789012345678901, 10)])
+def test_a_rational_model_value_folds_exactly(p, q):
+    # p is no double: dividing the nearest doubles would round twice
+    want = float(Fraction(p, q))
+    assert float(p) / q != want
+    assert model_value(f"(/ {p} {q})") == want
+    assert model_value(f"(/ {p}.0 {q}.0)") == want  # as z3 writes it
+    assert model_value(f"(- (/ {p} {q}))") == -want  # as z3 and cvc5 write a negative one
+
+
+@pytest.mark.parametrize("text", ["w", "(+ w 1.0)", "(/ 1.0 0.0)", "1e400", "(* 1e300 1e300)",
+                                  pytest.param(f"(/ 1 0.{'0' * 400}1)", id="quotient-past-max")])
+def test_a_model_value_that_is_not_a_finite_constant_is_an_error(text):
+    with pytest.raises(SolverError):
+        model_value(text)
+
+
+def test_a_model_reads_each_wanted_name_at_any_depth():
+    (reply,) = parsed("(model (define-fun u () Real 1.0) (define-fun w () Real q)\n"
+                      "  ((define-fun v () Real (- 2.5)) (define-fun u () Real 3.0)))")
+    # w is not read, and the last value of u is
+    assert read_model(reply, ["u", "v"]) == {"u": 3.0, "v": -2.5}
+    with pytest.raises(SolverError, match="omits"):
+        read_model(reply, ["u", "x"])
+
+
+def test_every_rendered_model_reads_back_bit_identical():
+    rng = np.random.default_rng(37)
+    names = ["a", "b", "c"]
+    for _ in range(2000):
+        witness = {name: float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300, 300))
+                   for name in names}
+        (reply,) = parsed(render_model(witness, names))
+        assert read_model(reply, names) == witness  # no zero: == is bit-identity
 
 
 # ---------------------------------------------------------------------------
