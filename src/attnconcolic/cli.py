@@ -147,11 +147,13 @@ def _read_adversarial(path: Path, doc: dict, model: ModelSpec) -> _Adversarial:
         pixels = {int(re.fullmatch(r"p([0-9]+)", key)[1]): float(value)
                   for key, value in values.items()}
     except (AttributeError, TypeError, ValueError):
-        raise InputError(f"adversarial_values: malformed entries in {values!r}") from None
+        raise InputError(f"{where}: adversarial_values: malformed entries in {values!r}") \
+            from None
     if not all(map(math.isfinite, pixels.values())):
         raise InputError(f"{where}: adversarial_values {values!r} are not all finite")
     if any(pixel >= seed.size for pixel in pixels):
-        raise InputError(f"adversarial_values: {values!r} names a pixel outside the seed")
+        raise InputError(f"{where}: adversarial_values: {values!r} names a pixel outside "
+                         "the seed")
     indices, domain = doc.get("pixel_indices", []), doc.get("domain", [])
     try:
         bounds = dict(zip(map(operator.index, indices),
@@ -164,7 +166,7 @@ def _read_adversarial(path: Path, doc: dict, model: ModelSpec) -> _Adversarial:
                          "or has lo > hi")
     unlisted = sorted(pixels.keys() - bounds.keys())
     if unlisted:
-        raise InputError(f"adversarial_values: {values!r} names pixels {unlisted} "
+        raise InputError(f"{where}: adversarial_values: {values!r} names pixels {unlisted} "
                          f"not in pixel_indices {indices!r}")
     flat = seed.copy().reshape(-1)
     flat[list(pixels)] = list(pixels.values())

@@ -25,11 +25,22 @@ script's bounds are read once; the box is clipped by
 :func:`~attnconcolic.smt._clip` for one or two variables.  The clip holds
 every point that can satisfy the request.
 
+A session frames each line that is one whole command, read when no form or
+literal is left open, once: :func:`~attnconcolic.smt._forms` keeps its
+forms in a memo, and an assertion line's comparison is kept in another, so
+a repeat, after ``(reset)`` too, is neither tokenized nor read again.  Both
+memos live as long as the process, each bounded by
+:func:`~attnconcolic.smt._remember`.  A line inside an open form or after
+an unclosed literal is framed with the text around it, ``(reset)`` is
+obeyed as it arrives, and the text that seeds the samples is the text
+received, so every answer is the one the script gets alone.
+
 For one variable, :func:`~attnconcolic.smt._line_search` tries, in plain
 Python, the points of the 256-, 1,024- and 4,096-step grids that lie in the
-clip's intervals, grid by grid and each in ascending order, then the
-midpoint of each interval, clamped to the box: no kernel, no prefix trie
-and no random draws.  For two variables, the grid oracle's kernel scans the
+clip's intervals, grid by grid and each in ascending order, each interval's
+first and last found by index arithmetic, then the midpoint of each
+interval, clamped to the box: no kernel, no prefix trie and no random
+draws.  For two variables, the grid oracle's kernel scans the
 256- and 1,024-step grids, and past two a mesh of at most 17**5 points,
 streamed in chunks; then come seeded ``Generator.uniform`` samples inside the
 box, and for two only those in the clip polygon's bounding box.  A session
@@ -66,7 +77,7 @@ import sys
 from dataclasses import replace
 
 from .smt import (SAT, UNKNOWN, UNSAT, ScriptError, SolverError, SolverRequest, _clip,
-                  _comparison, _forms, _line_search, render_model)
+                  _comparison, _forms, _line_search, _remember, render_model)
 from .smt import _term  # noqa: F401  (the term reader, importable from here too)
 from .symexpr import _REL_APPLY, Comparison, Rel, evaluate
 
@@ -269,9 +280,17 @@ def main() -> int:
     # a prefix trie per two-variable grid resolution, for the life of the
     # process: (reset) keeps them, as their keys are exact
     tries: dict = {}
+    # for the life of the process too, each bounded by smt._remember: the
+    # forms of each line that is one whole command, and the comparison of
+    # each such line that asserts
+    framed: dict = {}
+    asserted: dict = {}
     try:
-        for lines, forms in _forms(sys.stdin):
+        for lines, forms in _forms(sys.stdin, framed):
             text += lines
+            if lines in asserted:
+                assertion.append(asserted[lines])
+                continue
             for form in forms:
                 if form == ["reset"]:
                     declared, assertion, text, answer = [], [], "", None
@@ -281,6 +300,8 @@ def main() -> int:
                     print(answer[0], flush=True)
                 elif form == ["get-model"] and answer and answer[0] == SAT:
                     print(render_model(*answer[1:]), end="", flush=True)
+            if len(forms) == 1 and forms[0][0] == "assert" and lines in framed:
+                _remember(asserted, lines, assertion[-1])
     except SolverError as exc:
         print(f"(error \"{exc}\")", file=sys.stderr)
         return 2

@@ -19,7 +19,6 @@ import functools
 import itertools
 import math
 import re
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -99,17 +98,41 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
-def _forms(lines: Iterable[str]) -> Iterator[tuple[str, list]]:
+_MEMO_ENTRIES = 1024  # past this many entries a line memo starts over
+
+
+def _remember(memo: dict, key, value):
+    """``value``, stored in ``memo`` under ``key``; a full memo is emptied
+    first, so it holds at most ``_MEMO_ENTRIES``."""
+    if len(memo) >= _MEMO_ENTRIES:
+        memo.clear()
+    memo[key] = value
+    return value
+
+
+def _forms(lines: Iterable[str], memo: Optional[dict] = None) -> Iterator[tuple[str, list]]:
     """Yield ``(text, forms)`` each time the lines read so far close every
     ``(`` outside literals: their text and the forms they complete (none for
     blank and comment lines), reading no line further.  Each line is
     tokenized once, with the literal left open at the end of the one before.
-    SolverError at an excess ``)``, and at the end within a form."""
+    SolverError at an excess ``)``, and at the end within a form.
+
+    With a ``memo`` (a dict the caller keeps across calls), a line read when
+    no form or literal is left open, and that closes every form it opens,
+    is framed once: its forms are stored under its text, bounded by
+    :func:`_remember`, and a repeat of the line yields the stored forms,
+    which the caller must not change.  Lines inside a form or after an
+    unclosed literal are framed as without one."""
     text: list[str] = []
     forms: list = []
     stack: list[list] = []
     carry = ""  # a literal left open
     for line in lines:
+        if memo is not None and not text:  # nothing left open
+            framed = memo.get(line)
+            if framed is not None:
+                yield line, framed
+                continue
         text.append(line)
         tokens = _tokenize(carry + line)
         carry = ""
@@ -125,6 +148,8 @@ def _forms(lines: Iterable[str]) -> Iterator[tuple[str, list]]:
                 token = stack.pop()
             (stack[-1] if stack else forms).append(token)
         if not stack and not carry:
+            if memo is not None and len(text) == 1:
+                _remember(memo, line, forms)
             yield "".join(text), forms
             text, forms = [], []
     if stack or carry:
@@ -419,17 +444,40 @@ def _grid_point(lo: float, hi: float, resolution: int, k: int) -> float:
     return min(lo + (hi - lo) * (k / max(resolution, 1)), hi)
 
 
+def _grid_index(lo: float, hi: float, resolution: int, x: float, strict: bool) -> int:
+    """The first ``k`` of ``0 .. resolution + 1`` whose grid point is past
+    ``x``: at least ``x``, or above it when ``strict``, as ``bisect_left`` and
+    ``bisect_right`` over the grid find it.  ``x``'s place on ``[lo, hi]``
+    scaled by ``resolution`` gives a first guess, and exact
+    :func:`_grid_point` comparisons step it to the answer: a step or two,
+    one per repeat of a point where the box is too narrow for its
+    magnitude to hold distinct ones."""
+    guess = (x - lo) / (hi - lo) * max(resolution, 1) if hi > lo else 0.0
+    k = int(min(max(guess, 0.0), resolution + 1.0)) if guess == guess else 0
+
+    def before(k: int) -> bool:  # whether point k is short of x, as bisect asks
+        point = _grid_point(lo, hi, resolution, k)
+        return not x < point if strict else point < x
+
+    while k > 0 and not before(k - 1):
+        k -= 1
+    while k <= resolution and before(k):
+        k += 1
+    return k
+
+
 def _line_points(lo: float, hi: float, clip: Sequence[tuple[float, float]],
                  resolutions: Iterable[int]) -> Iterator[float]:
     """The points of the grid over ``[lo, hi]`` of each of ``resolutions``
     in turn that lie in the sorted disjoint closed intervals of ``clip``,
-    ascending; each interval's are found by bisection over the whole grid."""
+    ascending; each interval's first and last are found by
+    :func:`_grid_index`, the points that bisection over the whole grid
+    finds."""
     for resolution in resolutions:
-        grid = range(resolution + 1)
-        point = functools.partial(_grid_point, lo, hi, resolution)
         for a, b in clip:
-            yield from map(point, grid[bisect_left(grid, a, key=point):
-                                       bisect_right(grid, b, key=point)])
+            for k in range(_grid_index(lo, hi, resolution, a, False),
+                           _grid_index(lo, hi, resolution, b, True)):
+                yield _grid_point(lo, hi, resolution, k)
 
 
 def _first_satisfying(request: SolverRequest,

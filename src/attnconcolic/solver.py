@@ -71,18 +71,26 @@ class SolverVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _wait(fd: int, event: int, deadline: float) -> None:
-    """Block until ``fd`` is ready for ``event``; TimeoutError at ``deadline``."""
-    poller = select.poll()
-    poller.register(fd, event)
+def _wait(poller, deadline: float) -> None:
+    """Block until the one pipe registered with ``poller`` is ready for the
+    event it was registered for; TimeoutError at ``deadline``."""
     if not poller.poll(max(0.0, deadline - time.monotonic()) * 1e3):
         raise TimeoutError
+
+
+def _poller(fd: int, event: int):
+    """A ``select.poll`` object watching ``fd`` for ``event``."""
+    poller = select.poll()
+    poller.register(fd, event)
+    return poller
 
 
 class _Session:
     """One live solver child.  Commands go to its stdin and their replies
     are read from its stdout by a deadline, each before the next check; its
-    stderr collects in a file for the transcript."""
+    stderr collects in a file for the transcript.  It makes one poller per
+    pipe, kept across checks, each watching for the one event that pipe
+    waits on."""
 
     def __init__(self, argv: list[str]) -> None:
         self.stderr = tempfile.TemporaryFile()
@@ -93,6 +101,8 @@ class _Session:
             self.stderr.close()
             raise
         os.set_blocking(self.proc.stdin.fileno(), False)
+        self.writable = _poller(self.proc.stdin.fileno(), select.POLLOUT)
+        self.readable = _poller(self.proc.stdout.fileno(), select.POLLIN)
         self.buffer = b""
         self.lines: list[str] = []  # stdout lines read for the current request
 
@@ -100,14 +110,14 @@ class _Session:
         data = memoryview(text.encode())
         fd = self.proc.stdin.fileno()
         while data:
-            _wait(fd, select.POLLOUT, deadline)
+            _wait(self.writable, deadline)
             data = data[os.write(fd, data):]
 
     def readline(self, deadline: float) -> Optional[str]:
         """The next stdout line without its newline, or None at end of file."""
         fd = self.proc.stdout.fileno()
         while b"\n" not in self.buffer:
-            _wait(fd, select.POLLIN, deadline)
+            _wait(self.readable, deadline)
             chunk = os.read(fd, 65536)
             if not chunk:  # end of file, perhaps after a line without its newline
                 if not self.buffer:
@@ -171,10 +181,11 @@ class ExternalSolver:
     child, and so does a ``solver_error`` (end of output before an answer,
     an ``(error ...)`` reply, a broken pipe, a reply that does not parse, a
     model that omits a variable or holds a value that does not fold to a
-    finite constant); the next check starts a
-    fresh one.  Starting a child closes those of threads that have ended;
-    the others end when the backend is garbage-collected or the interpreter
-    exits.  A pickled copy starts with no child.
+    finite constant); the next check starts a fresh one, with its own
+    :class:`_Session` and pollers.  Starting a child closes those
+    of threads that have ended; the others end when the backend is
+    garbage-collected or the interpreter exits.  A pickled copy starts with
+    no child.
     """
 
     command: Union[str, Sequence[str]]

@@ -587,7 +587,7 @@ def test_verify_malformed_adversarial_values_exit_2(workspace, tmp_path, values,
     report.write_text(json.dumps(doc))
     rc = main(["verify", "--model", str(workspace["model"]), "--reports", str(report)])
     assert rc == 2
-    assert "input error: adversarial_values" in capsys.readouterr().err
+    assert f"input error: reports: {report}: adversarial_values" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["verify", "acdp"])
@@ -695,7 +695,7 @@ def test_values_for_pixels_not_in_pixel_indices_exit_2(workspace, tmp_path, comm
              "--output-dir", str(tmp_path / "o")] if command == "acdp" else []
     rc = main([command, "--model", str(workspace["model"]), "--reports", str(report), *extra])
     assert rc == 2
-    assert "input error: adversarial_values" in capsys.readouterr().err
+    assert f"input error: reports: {report}: adversarial_values" in capsys.readouterr().err
 
 
 def test_attack_influence_map_must_cover_the_model(workspace, tmp_path, capsys):

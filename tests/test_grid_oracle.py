@@ -15,6 +15,8 @@ whole grid point by point.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import math
 import pickle
@@ -382,6 +384,46 @@ def test_grid_points_have_one_definition(resolution):
             clip = [(lo - 1.0, lo - 0.5), (lo, hi), (hi + 0.5, hi + 1.0)]
         want = [x for x in points.tolist() if any(a <= x <= b for a, b in clip)]
         assert list(smt._line_points(lo, hi, clip, [resolution])) == want
+
+
+def bisected_line_points(lo, hi, clip, resolutions):
+    """The reference of ``smt._line_points``: each interval's grid points
+    found by bisecting the whole grid, with the grid point as the key."""
+    for resolution in resolutions:
+        grid = range(resolution + 1)
+        point = functools.partial(smt._grid_point, lo, hi, resolution)
+        for a, b in clip:
+            yield from map(point, grid[bisect.bisect_left(grid, a, key=point):
+                                       bisect.bisect_right(grid, b, key=point)])
+
+
+def test_line_points_are_those_bisection_finds():
+    # the index guess, stepped by exact comparisons, lands where bisection
+    # does: on random boxes, at resolution 0, on boxes of zero or subnormal
+    # width (or too narrow for their magnitude to hold distinct points), for
+    # intervals past either end of the box, and with ends on grid points
+    rng = np.random.default_rng(38)
+    tiny = 5e-324
+    boxes = [(0.0, 1.0), (-3.0, -0.5), (0.25, 0.25), (-1e9, 1e9), (0.0, tiny),
+             (-2 * tiny, 3 * tiny), (1e9, 1e9 + 1e-6), (0.3, math.nextafter(0.3, 1.0))]
+    boxes += [(lo, lo + abs(random_constant(rng)) * float(rng.choice([1.0, 1e-12])))
+              for lo in (random_constant(rng) for _ in range(40))]
+    for lo, hi in boxes:
+        width = hi - lo
+        for resolution in (0, 1, 3, 256, 1024, 4096):
+            ends = np.sort(np.concatenate([
+                rng.uniform(lo - width - 1e-3, hi + width + 1e-3, 4),
+                [smt._grid_point(lo, hi, resolution, int(k))
+                 for k in rng.integers(resolution + 1, size=2)]]))
+            clip = [(float(a), float(b)) for a, b in zip(ends[::2], ends[1::2])]
+            clip += [(hi + 1.0, hi + 2.0)]  # past the box: no point
+            want = list(bisected_line_points(lo, hi, clip, [resolution]))
+            assert list(smt._line_points(lo, hi, clip, [resolution])) == want
+    # every resolution in turn, as the refsolver's stages ask
+    clip = [(0.1, 0.2), (0.5, 0.5), (0.75, 1.5)]
+    want = list(bisected_line_points(0.0, 1.0, clip, (256, 1024, 4096)))
+    assert list(smt._line_points(0.0, 1.0, clip, (256, 1024, 4096))) == want
+    assert 0.5 in want
 
 
 # ---------------------------------------------------------------------------

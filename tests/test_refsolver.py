@@ -713,6 +713,72 @@ def test_a_session_keeps_prefix_masks_across_resets(monkeypatch, capsys):
     assert evicted[0] > 0 and passes[0] < alone
 
 
+def session_output(session: str, monkeypatch, capsys) -> str:
+    """What ``refsolver.main`` prints for the lines of ``session``, in process."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(session))
+    assert refsolver.main() == 0
+    return capsys.readouterr().out
+
+
+def answered_alone(script: str) -> str:
+    """What a session prints for ``script`` and a ``(get-model)`` after it,
+    from :func:`refsolver.solve_script` of the script alone."""
+    status, witness, declared = refsolver.solve_script(script)
+    return f"{status}\n" + ("" if witness is None else smt.render_model(witness, declared))
+
+
+def test_repeated_assertion_lines_are_answered_as_each_script_alone(monkeypatch, capsys):
+    # one-variable concolic paths, each prefix with its next literal negated,
+    # then the whole path: after each (reset) most assertion lines repeat an
+    # earlier one, and each is read into its comparison once
+    rng = np.random.default_rng(38)
+    requests = []
+    for _ in range(4):
+        variables, point = grid_box(rng, 1)
+        path = concolic_path(rng, point, 8)
+        requests += generational_items(variables, path) + [SolverRequest(variables, path)]
+    scripts = [emit_smtlib(request) for request in requests]
+    asserted = [line for script in scripts for line in script.splitlines()
+                if line.startswith("(assert")]
+    assert len(set(asserted)) < len(asserted) / 2
+    want = "".join(answered_alone(script) for script in scripts)
+    assert {"sat", "unsat", "unknown"} <= set(want.splitlines())
+    reads = Counter()
+    comparison = refsolver._comparison
+
+    def counted(form):
+        reads[repr(form)] += 1
+        return comparison(form)
+
+    monkeypatch.setattr(refsolver, "_comparison", counted)
+    session = "".join(f"(reset)\n{script}(get-model)\n" for script in scripts)
+    assert session_output(session, monkeypatch, capsys) == want
+    assert len(reads) == len(set(asserted)) and set(reads.values()) == {1}
+
+
+@pytest.mark.parametrize("opener, closer", [('(set-logic "\n', '")\n'),
+                                            ("(set-logic |\n", "|)\n"),
+                                            ("(set-logic QF_NRA\n", ")\n")],
+                         ids=["string literal", "quoted symbol", "open form"])
+def test_a_repeated_line_inside_a_literal_or_a_form_is_not_read_alone(opener, closer,
+                                                                      monkeypatch, capsys):
+    # the second script repeats the first one's assertion line inside the
+    # arguments of its (set-logic ...), which the refsolver ignores: read
+    # alone it would assert v > 0.5 against v < 0.25, and leave an excess ")"
+    line = "(assert (> v 0.5))\n"
+    first = DECLARE + line + "(check-sat)\n"
+    second = opener + line + closer + DECLARE + "(assert (< v 0.25))\n(check-sat)\n(get-model)\n"
+    status, witness, _ = refsolver.solve_script(second)
+    assert status == "sat" and witness["v"] < 0.25
+    lines = (first + "(reset)\n" + second).splitlines(keepends=True)
+    memo: dict = {}
+    assert list(_forms(lines, memo)) == list(_forms(lines))
+    assert memo[line] == [["assert", [">", "v", "0.5"]]]
+    assert opener not in memo and closer not in memo
+    want = refsolver.solve_script(first)[0] + "\n" + answered_alone(second)
+    assert session_output("".join(lines), monkeypatch, capsys) == want
+
+
 def test_a_two_variable_check_caches_its_path_at_the_finest_stage(monkeypatch, capsys):
     # a disc too small for any grid point or sample: both stages scan the
     # whole path.  The box's bounds are not in the assertion, so at 1024 the

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from attnconcolic import refsolver
+from attnconcolic import refsolver, smt, solver
 from attnconcolic.smt import _forms, _tokenize, read_model, render_model
 from attnconcolic.solver import (
     ExternalSolver,
@@ -25,7 +25,7 @@ from attnconcolic.solver import (
     emit_smtlib,
     grid_oracle,
 )
-from attnconcolic.symexpr import Comparison, Rel, add, const, div, mul, var
+from attnconcolic.symexpr import Comparison, Rel, add, const, div, mul, polynomial, var
 
 
 def unit_request(*comparisons, timeout=30.0) -> SolverRequest:
@@ -59,6 +59,65 @@ def test_emit_contains_declaration_bounds_and_assertion():
 def test_emit_is_byte_deterministic():
     req = unit_request(V_SQUARED_LT_1, Comparison(Rel.GT, V, const(0.25)))
     assert emit_smtlib(req) == emit_smtlib(req)
+
+
+def test_equal_comparisons_built_apart_render_one_line():
+    # a built expression and a leaf with the same relation and polynomial
+    # render the same script, whatever built them
+    built = Comparison(Rel.GT, add(mul(V, V), mul(const(0.5), V)), const(0.25))
+    leaf = Comparison(Rel.GT, polynomial([((), -0.25), (("v",), 0.5), (("v", "v"), 1.0)]))
+    assert built == leaf and built.p.kind != leaf.p.kind
+    text = emit_smtlib(unit_request(built))
+    assert "(assert (> (+ (- 0.25) (* v 0.5) (* v v)) 0.0))" in text
+    assert emit_smtlib(unit_request(leaf)) == text
+    assert "(assert (not (= (+ (- 0.25) (* v 0.5) (* v v)) 0.0)))" in \
+        emit_smtlib(unit_request(Comparison(Rel.NE, leaf.p)))
+
+
+def test_a_line_memo_stays_bounded():
+    # more distinct whole-command lines than a memo holds, each twice: the
+    # memo starts over when full, and every line frames as without it
+    lines = [f"(assert (> v {k / 8192!r}))\n" for k in range(smt._MEMO_ENTRIES + 10)] * 2
+    memo: dict = {}
+    framed = []
+    for text, forms in _forms(lines, memo):
+        framed.append((text, forms))
+        assert len(memo) <= smt._MEMO_ENTRIES
+    assert framed == list(_forms(lines))
+    assert lines[-1] in memo
+
+
+def test_the_emit_patch_point_sees_every_script(monkeypatch, refsolver_backend):
+    # the bench wraps solver.emit_smtlib: every check sent to the child
+    # calls it through solver's globals
+    seen = []
+
+    def wrapped(request):
+        seen.append(smt.emit_smtlib(request))
+        return seen[-1]
+
+    monkeypatch.setattr(solver, "emit_smtlib", wrapped)
+    half, three_quarters = Comparison(Rel.GT, V, const(0.5)), Comparison(Rel.LT, V, const(0.75))
+    requests = [unit_request(half), unit_request(half), unit_request(half, three_quarters),
+                unit_request(three_quarters, half)]
+    verdicts = [refsolver_backend.check(request) for request in requests]
+    assert [verdict.status for verdict in verdicts] == ["sat"] * 4
+    assert seen == [smt.emit_smtlib(request) for request in requests]
+
+
+def test_a_session_makes_one_poller_per_pipe(monkeypatch, refsolver_backend):
+    made = []
+    poll = solver.select.poll
+
+    def counted():
+        made.append(poll())
+        return made[-1]
+
+    monkeypatch.setattr(solver.select, "poll", counted)
+    for bound in (0.25, 0.5, 0.75):  # a sat, its (get-model), and the next check
+        assert refsolver_backend.check(unit_request(Comparison(Rel.GT, V, const(bound)))).status \
+            == "sat"
+    assert len(made) == 2
 
 
 def test_emit_decimals_round_trip_and_negatives():
