@@ -474,6 +474,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     handlers = {"influence": cmd_influence, "attack": cmd_attack,
                 "acdp": cmd_acdp, "verify": cmd_verify}
     try:
+        if "permutations" in args and args.permutations < 1:  # before any file is read
+            raise InputError(f"n_permutations must be at least 1, got --permutations "
+                             f"{args.permutations}")
         return handlers[args.command](args)
     except (InputError, ModelConfigError, ConfigurationError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

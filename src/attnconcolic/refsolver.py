@@ -7,82 +7,70 @@ ends with the line that closes every ``(``; those in a string literal or a
 ``|quoted symbol|`` do not count).  It answers each ``(check-sat)`` at once,
 prints the model of a ``sat`` answer on ``(get-model)`` (nothing after any
 other answer), and starts a new problem on ``(reset)``.  A check solves what
-was declared and asserted since the last ``(reset)``; where it draws random
-samples (two or more variables), they are seeded from the text since the
-``(reset)`` line through the ``(check-sat)`` line, stripped of the white
-space around it.  :func:`solve_script` answers a script's last
-``(check-sat)`` the same way, whatever follows.  Scripts must stay in
-the SMT-LIB subset that :mod:`~attnconcolic.smt` writes and reads, models
+was declared and asserted since the last ``(reset)``; its random samples
+(two or more variables) are seeded from the text since the ``(reset)`` line
+through the ``(check-sat)`` line, stripped of the white space around it.
+:func:`solve_script` is a fresh session's answer to a script's last
+``(check-sat)``: one loop, :func:`_session`, serves both.  Scripts must stay
+in the SMT-LIB subset that :mod:`~attnconcolic.smt` writes and reads, models
 included: declared Real constants, and comparisons between two terms over
 ``+`` and ``*`` (any number of arguments), unary and binary ``-``, and
 ``/`` by a constant, each read as the polynomial ``a - b`` against zero.
 Every command outside it, wherever it stands, ``define-fun``, an excess
 ``)`` and terms nested too deeply included, prints one ``(error ...)`` line
-on stderr and exits 2.  It shares the grid oracle's clip and searches: the
-box comes from the conjuncts ``±1.0 * x + c relop 0`` (negative bounds
-included), and the non-strict ones leave the assertion, so an emitted
-script's bounds are read once; the box is clipped by
-:func:`~attnconcolic.smt._clip` for one or two variables.  The clip holds
-every point that can satisfy the request.
+on stderr and exits 2.
 
-A session frames each line that is one whole command, read when no form or
-literal is left open, once: :func:`~attnconcolic.smt._forms` keeps its
-forms in a memo, and an assertion line's comparison is kept in another, so
-a repeat, after ``(reset)`` too, is neither tokenized nor read again.  Both
-memos live as long as the process, each bounded by
-:func:`~attnconcolic.smt._remember`.  A line inside an open form or after
-an unclosed literal is framed with the text around it, ``(reset)`` is
-obeyed as it arrives, and the text that seeds the samples is the text
-received, so every answer is the one the script gets alone.
+A session frames each line that is one whole command once, and reads an
+assertion line's comparison once: both are kept in memos bounded by
+:func:`~attnconcolic.smt._remember`, for the life of the session, so a
+repeat, after ``(reset)`` too, is neither tokenized nor read again.  A line
+inside an open form or after an unclosed literal is framed with the text
+around it, so every answer is the one the script gets alone.
 
-For one variable, :func:`~attnconcolic.smt._line_search` tries, in plain
-Python, the points of the 256-, 1,024- and 4,096-step grids that lie in the
-clip's intervals, grid by grid and each in ascending order, each interval's
-first and last found by index arithmetic, then the midpoint of each
-interval, clamped to the box: no kernel, no prefix trie and no random
-draws.  For two variables, the grid oracle's kernel scans the
-256- and 1,024-step grids, and past two a mesh of at most 17**5 points,
-streamed in chunks; then come seeded ``Generator.uniform`` samples inside the
-box, and for two only those in the clip polygon's bounding box.  A session
-keeps one :class:`~attnconcolic.solver._PrefixTrie` per two-variable grid
-resolution, each under the grid oracle's byte cap, for the life of the
-process, across ``(reset)``, as a :class:`~attnconcolic.solver.GridOracle`
-keeps its own: a check that extends a prefix checked before, under the same
-box, evaluates only the conjuncts after it, with the same verdict and
-witness.
+A check narrows the box by the conjuncts ``±1.0 * x + c relop 0``, and the
+non-strict ones leave the assertion, so an emitted script's bounds are read
+once.  Then :func:`~attnconcolic.smt._clip` runs once, and the search goes
+by variable count.  One variable: :func:`~attnconcolic.smt._line_search`
+tries, in plain Python, the points of the 256-, 1,024- and 4,096-step grids
+in the clip's intervals, ascending, then each interval's midpoint: no
+kernel, no trie and no random draws.  Two: the grid oracle's kernel scans
+the 256- and 1,024-step grids, with one
+:class:`~attnconcolic.solver._PrefixTrie` per resolution kept for the
+session, across ``(reset)``, as a :class:`~attnconcolic.solver.GridOracle`
+keeps its own.  Past two: a mesh of at most 17**5 points, in chunks.  From
+two on, seeded ``Generator.uniform`` samples in the clip's bounding box
+follow.  At start the refsolver imports only ``smt`` and ``symexpr``;
+``solver``, numpy and ``hashlib`` load at the first check of two or more
+variables, so the CLI's pre-flight and its default of one pixel never load
+numpy.
 
-The engine's :class:`~attnconcolic.solver.ExternalSolver` answers the
-requests that the clip proves unsat without asking its child, so a session
-sees only those the clip does not decide.  The refsolver keeps its own clip
-for scripts from anywhere else.  At start it imports only ``smt`` and
-``symexpr``, which load neither numpy nor the attack stack; ``solver``,
-numpy and ``hashlib`` (for the sample seed) load at the first check of two
-or more variables.  So a session of checks of no or one variable, such as
-the CLI's pre-flight and its default of one pixel, never loads numpy.
-
-Answers are honest about their strength: ``sat`` comes with a model that is a
-verified witness, printed in decimals.  ``unsat`` is emitted only with a
-proof: the bound assertions make the box empty, or, for one or two
-variables, the clip of the box by the conjuncts it reads (degree at most 2
-for one variable, affine for two) leaves nothing, and then no grid stage,
-midpoint or sample runs.  Everything else is ``unknown``.  This keeps a fully
-working out-of-the-box pipeline on machines without z3/cvc5 installed; point
-a real solver at the engine for completeness.
+Answers are honest about their strength: ``sat`` comes with a verified
+witness, printed in decimals, and ``unsat`` only with the clip's proof (an
+empty box, or, for one or two variables, nothing of it left by the
+conjuncts the clip reads), before any grid stage, midpoint or sample runs.
+Everything else is ``unknown``.  The engine's
+:class:`~attnconcolic.solver.ExternalSolver` runs the same clip before it
+asks, so its child sees only what the clip does not decide; the refsolver
+keeps its own for scripts from elsewhere.  This keeps a working pipeline
+on machines without z3/cvc5; point a real solver at the engine for
+completeness.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import sys
 from dataclasses import replace
+from typing import Iterable
 
-from .smt import (SAT, UNKNOWN, UNSAT, ScriptError, SolverError, SolverRequest, _clip,
-                  _comparison, _forms, _line_search, _remember, render_model)
+from .smt import (SAT, UNKNOWN, UNSAT, ScriptError, SolverError, SolverRequest, SolverVerdict,
+                  _clip, _comparison, _forms, _line_search, _remember, render_model)
 from .smt import _term  # noqa: F401  (the term reader, importable from here too)
 from .symexpr import _REL_APPLY, Comparison, Rel, evaluate
 
-# numpy and solver load at the first check of two or more variables: the
-# functions of that search import them where they run
+# numpy and solver load at the first check of two or more variables, in
+# the functions of that search
 
 GRID_STAGES = {1: (256, 1024, 4096), 2: (256, 1024)}  # by variable count
 MESH_RESOLUTION = 16  # dense meshes blow up past two variables
@@ -161,60 +149,60 @@ def _samples(request: SolverRequest, seed: int):
     return np.random.default_rng(seed).uniform(lows, highs, (RANDOM_SAMPLES, lows.size))
 
 
-def _search(request: SolverRequest, seed, tries: dict):
-    """Staged grid scan, then further candidates: ``(status, witness)``.
+def _search(request: SolverRequest, seed, tries: dict) -> SolverVerdict:
+    """Staged grid scan, then further candidates.
 
-    No or one variable: the grid stages, then the clip's interval midpoints,
-    by :func:`~attnconcolic.smt._line_search`; ``seed`` and ``tries`` go
-    unread.  Two variables: :func:`~attnconcolic.smt._clip` runs first and
-    answers unsat when it leaves no point of the box, and each grid stage
-    reads and stores prefix masks in ``tries[resolution]``, a
-    :class:`~attnconcolic.solver._PrefixTrie` made at its first use.  Past
-    two: a mesh.  From two on, seeded random samples (``seed``, an integer)
-    follow; for two variables only those in the clip polygon's bounding box
-    are evaluated, which changes no verdict or witness.  Samples are kept
-    inside the box by an explicit test, as the box's non-strict bounds are
-    not in the assertion."""
+    :func:`~attnconcolic.smt._clip` runs first and answers unsat when it
+    leaves no point of the box.  No or one variable: the grid stages, then
+    the clip's interval midpoints, by
+    :func:`~attnconcolic.smt._line_search`; ``seed`` and ``tries`` go
+    unread.  Two variables: each grid stage reads and stores prefix masks
+    in ``tries[resolution]``, a :class:`~attnconcolic.solver._PrefixTrie`
+    made at its first use.  Past two: a mesh.  From two on, seeded random
+    samples (``seed``, an integer) follow, and only those in the clip's
+    bounding box are evaluated (the box itself past two variables), which
+    changes no verdict or witness.  Samples are kept inside the box by an
+    explicit test, as the box's non-strict bounds are not in the
+    assertion."""
+    clip = _clip(request)
+    if not clip:
+        return SolverVerdict(UNSAT)
     names = [name for name, _, _ in request.variables]
     if len(names) <= 1:
-        return _line_search(request, GRID_STAGES[1], midpoints=True)
+        return _line_search(request, clip, GRID_STAGES[1], midpoints=True)
     import numpy as np
 
     from .solver import _grid_axis, _PrefixTrie, _scan
 
     if len(names) == 2:
-        clip = _clip(request)
-        if not clip:
-            return UNSAT, None
         for resolution in GRID_STAGES[2]:
             trie = tries.get(resolution)
             if trie is None:
                 trie = tries[resolution] = _PrefixTrie()
             verdict = _scan(request, resolution, trie)
             if verdict.status == SAT:
-                return SAT, verdict.assignment
+                return verdict
     elif (per_axis := _mesh_points_per_axis(len(names))) >= 2:
         axes = [_grid_axis(lo, hi, per_axis - 1).points for _, lo, hi in request.variables]
         witness = _first_hit(request.assertion, names, _mesh_chunks(axes))
         if witness is not None:
-            return SAT, witness
+            return SolverVerdict(SAT, witness)
     # only points of the box, which lo + u * (hi - lo) can round past, and
-    # for two variables of the clip polygon's bounding box
+    # of the clip's bounding box
     lows, highs = np.array([(lo, hi) for _, lo, hi in request.variables]).T
-    if len(names) == 2:
-        lows = np.maximum(lows, np.min(clip, axis=0))
-        highs = np.minimum(highs, np.max(clip, axis=0))
+    lows = np.maximum(lows, np.min(clip, axis=0))
+    highs = np.minimum(highs, np.max(clip, axis=0))
     points = _samples(request, seed)
     points = points[((lows <= points) & (points <= highs)).all(axis=1)]
     chunks = (points[start:start + _CHUNK] for start in range(0, len(points), _CHUNK))
     witness = _first_hit(request.assertion, names, chunks)
-    return (UNKNOWN if witness is None else SAT), witness
+    return SolverVerdict(UNKNOWN if witness is None else SAT, witness)
 
 
 def _read(form, declared: list[str], assertion: list[Comparison]) -> bool:
     """Add one command's declaration or assertion; whether it asks for a
-    check.  ScriptError for a command outside the subset, ``(reset)``
-    included."""
+    check.  ScriptError for a command outside the subset; the session
+    obeys ``(reset)`` before it gets here."""
     try:
         if not isinstance(form, list) or not form:
             raise ScriptError(f"unsupported command {form!r}")
@@ -244,64 +232,61 @@ def _solve(declared: list[str], assertion: list[Comparison], text: str, tries: d
     the prefix masks of ``tries``."""
     request = _narrowed(SolverRequest(tuple((name, *DEFAULT_BOX) for name in declared),
                                       tuple(assertion)))
-    if any(lo > hi for _, lo, hi in request.variables):
-        return (UNSAT, None, list(declared))
     seed = None
     if len(declared) >= 2:  # only such checks draw samples
         import hashlib
 
         seed = int.from_bytes(hashlib.sha256((text.strip() + "\n").encode()).digest()[:8],
                               "big")
-    return (*_search(request, seed, tries), list(declared))
+    verdict = _search(request, seed, tries)
+    return verdict.status, verdict.assignment, list(declared)
+
+
+def _session(stream: Iterable[str], out) -> tuple[str, dict[str, float] | None, list[str]]:
+    """Answer the commands in the lines of ``stream`` on ``out``, each as it
+    arrives; (status, witness, declared variable order) of the last
+    ``(check-sat)``, else unknown.  SolverError on a command it cannot read
+    (ScriptError for a form outside the subset)."""
+    declared: list[str] = []  # read since the last (reset)
+    assertion: list[Comparison] = []
+    text = ""  # the lines received since the (reset) line
+    answer = last = None  # (status, witness, declared) of the last (check-sat)
+    # since the (reset), and in the session.  Kept across (reset): a prefix
+    # trie per two-variable grid resolution, whose keys are exact; the forms
+    # and the comparison of each line that is one whole command, bounded by
+    # smt._remember
+    tries: dict = {}
+    framed: dict = {}
+    asserted: dict = {}
+    for lines, forms in _forms(stream, framed):
+        text += lines
+        if lines in asserted:
+            assertion.append(asserted[lines])
+            continue
+        for form in forms:
+            if form == ["reset"]:
+                declared, assertion, text, answer = [], [], "", None
+            elif _read(form, declared, assertion):
+                # the text up to and including the (check-sat) line
+                answer = last = _solve(declared, assertion, text, tries)
+                print(answer[0], file=out, flush=True)
+            elif form == ["get-model"] and answer and answer[0] == SAT:
+                print(render_model(*answer[1:]), end="", file=out, flush=True)
+        if len(forms) == 1 and forms[0][0] == "assert" and lines in framed:
+            _remember(asserted, lines, assertion[-1])
+    return last or (UNKNOWN, None, declared)
 
 
 def solve_script(text: str) -> tuple[str, dict[str, float] | None, list[str]]:
     """(status, witness, declared variable order) of the script's last
-    ``(check-sat)``, as a session answers it; unknown if it asks for none.
-    Its grid stages start from empty prefix tries.  SolverError on a script
-    it cannot read (ScriptError for a form outside the subset, ``(reset)``
-    included)."""
-    declared: list[str] = []
-    assertion: list[Comparison] = []
-    read, check = "", None  # the text so far; the last check's arguments
-    for lines, forms in _forms(text.splitlines(keepends=True)):
-        read += lines
-        for form in forms:
-            if _read(form, declared, assertion):
-                check = (list(declared), list(assertion), read)
-    return _solve(*check, {}) if check else (UNKNOWN, None, declared)
+    ``(check-sat)``, as a fresh session answers it; unknown if it asks for
+    none.  SolverError on a script it cannot read, as :func:`_session`."""
+    return _session(text.splitlines(keepends=True), io.StringIO())
 
 
 def main() -> int:
-    declared: list[str] = []  # read since the last (reset)
-    assertion: list[Comparison] = []
-    text = ""  # the lines received since the (reset) line
-    answer = None  # (status, witness, declared) of the last (check-sat)
-    # a prefix trie per two-variable grid resolution, for the life of the
-    # process: (reset) keeps them, as their keys are exact
-    tries: dict = {}
-    # for the life of the process too, each bounded by smt._remember: the
-    # forms of each line that is one whole command, and the comparison of
-    # each such line that asserts
-    framed: dict = {}
-    asserted: dict = {}
     try:
-        for lines, forms in _forms(sys.stdin, framed):
-            text += lines
-            if lines in asserted:
-                assertion.append(asserted[lines])
-                continue
-            for form in forms:
-                if form == ["reset"]:
-                    declared, assertion, text, answer = [], [], "", None
-                elif _read(form, declared, assertion):
-                    # the text up to and including the (check-sat) line
-                    answer = _solve(declared, assertion, text, tries)
-                    print(answer[0], flush=True)
-                elif form == ["get-model"] and answer and answer[0] == SAT:
-                    print(render_model(*answer[1:]), end="", flush=True)
-            if len(forms) == 1 and forms[0][0] == "assert" and lines in framed:
-                _remember(asserted, lines, assertion[-1])
+        _session(sys.stdin, sys.stdout)
     except SolverError as exc:
         print(f"(error \"{exc}\")", file=sys.stderr)
         return 2

@@ -1,16 +1,18 @@
-"""What both ends of the solver pipe share, in plain Python: requests and
-their statuses, the SMT-LIB subset they speak, the clip, and the search of
-a request of no or one variable.  This is the one module that writes the
-subset (:func:`emit_smtlib`, :func:`render_model`) and reads it: one term
-reader, :func:`_term`, reads assertions and model values alike.
+"""What both ends of the solver pipe share, in plain Python: requests, their
+statuses and verdicts, the SMT-LIB subset they speak, the clip, and the
+search of a request of no or one variable.  This is the one module that
+writes the subset (:func:`emit_smtlib`, :func:`render_model`) and reads it:
+one term reader, :func:`_term`, reads assertions and model values alike.
 
 :mod:`~attnconcolic.solver` and the :mod:`~attnconcolic.refsolver` child
 both import this module, and it imports neither numpy nor ``solver``, so a
 refsolver that answers only checks of no or one variable (the CLI's
-pre-flight and its default of one pixel) never loads them.  For one
-variable the clip is exact up to a float widening for every conjunct of
-degree at most 2, which covers every guard the forward builds, so
-:func:`_line_search` takes its candidates from the clip alone.
+pre-flight and its default of one pixel) never loads them.  Every backend
+calls :func:`_clip`, the one in-process proof of unsat, once, first, and
+hands it to its search.  For one variable the clip is exact up to a float
+widening for every conjunct of degree at most 2, which covers every guard
+the forward builds, so :func:`_line_search` takes its candidates from the
+clip alone.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .symexpr import (_OPS, Comparison, ConcolicArithmeticError, Rel, SymExpr, _bin, const, neg,
                       var)
 
-__all__ = ["ScriptError", "SolverError", "SolverRequest", "emit_smtlib", "read_model",
-           "render_model"]
+__all__ = ["ScriptError", "SolverError", "SolverRequest", "SolverVerdict", "emit_smtlib",
+           "read_model", "render_model"]
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -39,6 +41,15 @@ SOLVER_ERROR = "solver_error"
 
 class SolverError(RuntimeError):
     """Misconfigured solver command or unusable solver output."""
+
+
+@dataclass(frozen=True)
+class SolverVerdict:
+    """A check's status, the witness of a sat one, a solver's transcript."""
+
+    status: str
+    assignment: Optional[dict[str, float]] = None
+    transcript: str = ""
 
 
 @dataclass(frozen=True)
@@ -369,12 +380,14 @@ def _cut_line(intervals: list, a: float, b: float, c: float, magnitude: float,
 
 
 def _clip(request: SolverRequest) -> list[tuple[float, ...]]:
-    """The box of a 1- or 2-variable request clipped by the conjuncts of its
-    assertion, in one pass: for one variable, the sorted disjoint closed
-    intervals left by the conjuncts of degree at most 2; for two, the
-    vertices ``(x, y)`` of the convex polygon left by the affine ones.  None
-    is left when the box is empty (some ``lo > hi``) or no point of it
-    satisfies them, which proves the request unsat.
+    """The box of a request clipped by the conjuncts of its assertion, in
+    one pass: for one variable, the sorted disjoint closed intervals left by
+    the conjuncts of degree at most 2; for two, the vertices ``(x, y)`` of
+    the convex polygon left by the affine ones; past two, the box's two
+    corners ``(lo, ...)`` and ``(hi, ...)``, the conjuncts unread.  None is
+    left when the box is empty (some ``lo > hi``), or, for one or two
+    variables, no point of it satisfies them, which proves the request
+    unsat.  So a backend calls it on every request.
 
     Each conjunct ``p relop 0`` is read once, as a dict of its monomials
     from which ``p = c + b*x + a*z`` is popped, with ``z = x*x`` for one
@@ -401,6 +414,8 @@ def _clip(request: SolverRequest) -> list[tuple[float, ...]]:
         return [()]
     if any(lo > hi for _, lo, hi in request.variables):
         return []
+    if len(request.variables) > 2:  # the lows and the highs
+        return list(zip(*request.variables))[1:]
     widen = 64 * (len(request.assertion) + 1) * _UNIT_ROUNDOFF
     boxes = [(lo - widen * max(-lo, hi), hi + widen * max(-lo, hi))
              for _, lo, hi in request.variables]
@@ -481,34 +496,31 @@ def _line_points(lo: float, hi: float, clip: Sequence[tuple[float, float]],
 
 
 def _first_satisfying(request: SolverRequest,
-                      points: Iterable[tuple[float, ...]]) -> tuple[str, Optional[dict]]:
-    """``(status, witness)``: sat at the first of ``points`` (a value per
-    variable, in the request's order; a repeat is checked again) at which
-    every conjunct holds under :meth:`Comparison.holds_at`, else unknown."""
+                      points: Iterable[tuple[float, ...]]) -> SolverVerdict:
+    """Sat, with the first of ``points`` (a value per variable, in the
+    request's order; a repeat is checked again) at which every conjunct
+    holds under :meth:`Comparison.holds_at` as the witness; else unknown."""
     names = [name for name, _, _ in request.variables]
     for point in points:
         assignment = dict(zip(names, point))
         if all(cmp.holds_at(assignment) for cmp in request.assertion):
-            return SAT, assignment
-    return UNKNOWN, None
+            return SolverVerdict(SAT, assignment)
+    return SolverVerdict(UNKNOWN)
 
 
-def _line_search(request: SolverRequest, resolutions: Iterable[int],
-                 midpoints: bool = False) -> tuple[str, Optional[dict]]:
-    """``(status, witness)`` of a request of no or one variable.
+def _line_search(request: SolverRequest, clip: Sequence[tuple[float, ...]],
+                 resolutions: Iterable[int], midpoints: bool = False) -> SolverVerdict:
+    """The verdict of a request of no or one variable whose :func:`_clip`,
+    which the caller ran, is ``clip``, not empty.
 
-    With no variables, the one point is the empty assignment.  With one,
-    :func:`_clip` runs first and answers unsat when it leaves no point;
-    then come the points of :func:`_line_points` and, with ``midpoints``,
-    the midpoint of each interval, clamped to the box, and the answer is
-    :func:`_first_satisfying`'s.  The clip keeps every point at which the
-    conjuncts hold, so at each resolution the witness is the first
+    With no variables, the clip's one point is the empty assignment.  With
+    one, the candidates are the points of :func:`_line_points`, then, with
+    ``midpoints``, the midpoint of each interval, clamped to the box; the
+    answer is :func:`_first_satisfying`'s.  The clip keeps every point at
+    which the conjuncts hold, so at each resolution the witness is the first
     satisfying point of the whole grid."""
     if not request.variables:
-        return _first_satisfying(request, [()])
-    clip = _clip(request)
-    if not clip:
-        return UNSAT, None
+        return _first_satisfying(request, clip)
     ((_, lo, hi),) = request.variables
     points = _line_points(lo, hi, clip, resolutions)
     if midpoints:

@@ -9,17 +9,18 @@ sat the model it asks for, from its standard output.  Both backends read
 each comparison ``p relop 0`` off its one polynomial.  The grid oracle is an
 in-process fallback used for testing and small-instance verification; its
 "no point found" answer is reported as unknown, never as a proof of
-unsatisfiability.  Both answer unsat in process only with a proof: an empty
-box, or a box that the conjuncts, each widened by a float error bound, clip
-to nothing: the conjuncts of degree at most 2 for one variable, whose roots
-cut the line into intervals, and the affine ones for two, which cut a
-polygon.
+unsatisfiability.  Both answer unsat in process only with the proof of
+:func:`~attnconcolic.smt._clip`, run once at the top of every check: an
+empty box, or, for one or two variables, a box that the conjuncts, each
+widened by a float error bound, clip to nothing: those of degree at most 2
+for one variable, whose roots cut the line into intervals, and the affine
+ones for two, which cut a polygon.
 
 What the refsolver child shares with it, numpy-free, is in
-:mod:`~attnconcolic.smt`: requests and statuses (re-exported here), the
-SMT-LIB subset both ends speak (:func:`emit_smtlib` writes the scripts,
-re-exported here, and :func:`~attnconcolic.smt.read_model` reads the
-models), the clip, and the plain-Python search of no or one variable.  This
+:mod:`~attnconcolic.smt`: requests, statuses and verdicts (re-exported
+here), the SMT-LIB subset both ends speak (:func:`emit_smtlib` writes the
+scripts, re-exported here, and :func:`~attnconcolic.smt.read_model` reads
+the models), the clip, and the plain-Python search of no or one variable.  This
 module holds the backends and what needs numpy, the two-variable kernel,
 its prefix trie and :class:`GridOracle`, so a refsolver loads it only at
 its first check of two or more variables.
@@ -42,9 +43,9 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .smt import (SAT, SOLVER_ERROR, TIMEOUT, UNKNOWN, UNSAT, SolverError, SolverRequest, _clip,
-                  _first_satisfying, _forms, _grid_point, _line_search, _tie_band, emit_smtlib,
-                  read_model)
+from .smt import (SAT, SOLVER_ERROR, TIMEOUT, UNKNOWN, UNSAT, SolverError, SolverRequest,
+                  SolverVerdict, _clip, _first_satisfying, _forms, _grid_point, _line_search,
+                  _tie_band, emit_smtlib, read_model)
 from .symexpr import _REL_APPLY, Comparison, Rel, evaluate
 
 __all__ = [
@@ -59,13 +60,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SolverVerdict:
-    status: str
-    assignment: Optional[dict[str, float]] = None
-    transcript: str = ""
-
-
 # ---------------------------------------------------------------------------
 # Backends
 # ---------------------------------------------------------------------------
@@ -73,8 +67,11 @@ class SolverVerdict:
 
 def _wait(poller, deadline: float) -> None:
     """Block until the one pipe registered with ``poller`` is ready for the
-    event it was registered for; TimeoutError at ``deadline``."""
-    if not poller.poll(max(0.0, deadline - time.monotonic()) * 1e3):
+    event it was registered for; TimeoutError at ``deadline``.  One further
+    off than poll's longest timeout, 2**31 - 1 ms (about 24.8 days), or
+    ``math.inf``, is waited for without a timeout."""
+    timeout = max(0.0, deadline - time.monotonic()) * 1e3
+    if not poller.poll(timeout if timeout <= 2 ** 31 - 1 else None):
         raise TimeoutError
 
 
@@ -171,8 +168,8 @@ class ExternalSolver:
     solver must speak the SMT-LIB 2.6 interactive protocol on stdin/stdout
     and answer each ``(check-sat)`` as the command arrives, as ``z3 -in``,
     ``cvc5 --incremental`` and the refsolver do; one that reads stdin to EOF
-    before it answers times out.  A request of one or two variables that
-    :func:`_clip` clips to nothing is unsat without a child.  Any other
+    before it answers times out.  A request that :func:`_clip`, run first on
+    every check, clips to nothing is unsat without a child.  Any other
     check is one exchange by the request's deadline: it sends ``(reset)``
     and the script of :func:`emit_smtlib`, which ends with ``(check-sat)``,
     and reads forms framed by :func:`_forms` up to the answer; only after
@@ -213,7 +210,7 @@ class ExternalSolver:
 
     def check(self, request: SolverRequest) -> SolverVerdict:
         # the pre-flight's request, with no variables, clips to one point
-        if len(request.variables) <= 2 and not _clip(request):
+        if not _clip(request):
             return SolverVerdict(UNSAT)
         script = emit_smtlib(request)
         deadline = time.monotonic() + request.timeout_s
@@ -457,11 +454,12 @@ def grid_oracle(request: SolverRequest, resolution: int = 1024,
 
     Returns sat with the first satisfying grid point (lexicographic scan), or
     unknown when no grid point satisfies: absence at a finite resolution is
-    not an unsatisfiability proof.  A request whose box :func:`_clip` clips
-    to nothing (an empty box, or none of it left by the conjuncts of degree
-    at most 2 for one variable, by the affine ones for two) is unsat, before
-    any prefix is looked up or any grid point evaluated.  A request without
-    variables is sat when its ground conjuncts hold and unknown otherwise.
+    not an unsatisfiability proof.  A request that :func:`_clip`, run first,
+    clips to nothing (an empty box, or none of it left by the conjuncts of
+    degree at most 2 for one variable, by the affine ones for two) is unsat,
+    before any prefix is looked up or any grid point evaluated.  A request
+    without variables is sat when its ground conjuncts hold and unknown
+    otherwise.
 
     One variable runs no kernel and reads no trie: the clip's intervals hold
     every point that can satisfy the request, and
@@ -492,10 +490,11 @@ def grid_oracle(request: SolverRequest, resolution: int = 1024,
         raise SolverError(f"grid resolution {resolution!r} is not an integer >= 0")
     if len(request.variables) > 2:
         raise SolverError("grid oracle supports at most 2 variables")
-    if len(request.variables) <= 1:
-        return SolverVerdict(*_line_search(request, (resolution,)))
-    if not _clip(request):
+    clip = _clip(request)
+    if not clip:
         return SolverVerdict(UNSAT)
+    if len(request.variables) <= 1:
+        return _line_search(request, clip, (resolution,))
     return _scan(request, resolution, _PrefixTrie() if prefixes is None else prefixes)
 
 
@@ -529,9 +528,9 @@ def _scan(request: SolverRequest, resolution: int, prefixes: _PrefixTrie) -> Sol
         return SolverVerdict(UNKNOWN)
     r0, c0, _, width = window
     hits = range(window[2] * width) if ok is None else np.flatnonzero(ok)
-    return SolverVerdict(*_first_satisfying(request, (
+    return _first_satisfying(request, (
         (float(axes[0].points[r0 + hit // width]), float(axes[1].points[c0 + hit % width]))
-        for hit in map(int, hits))))
+        for hit in map(int, hits)))
 
 
 @dataclass(frozen=True)

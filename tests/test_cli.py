@@ -128,6 +128,34 @@ def test_influence_no_permutations_exits_2(workspace, permutations, capsys):
     assert "input error: n_permutations must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("shape", [[3, 2], [4, 4]], ids=["3x2", "4x4"])
+@pytest.mark.parametrize("command", ["influence", "attack", "acdp"])
+def test_no_permutations_exit_2_before_any_file_is_read(tmp_path, command, shape, capsys,
+                                                        monkeypatch):
+    # a 3x2 model is scored exactly at every depth, so the map's own check
+    # never ran: influence wrote its map; a 4x4 one failed only inside it
+    for name in ("_read_json", "build_influence_map", "relevance"):
+        monkeypatch.setattr(f"attnconcolic.cli.{name}", lambda *a, **k: pytest.fail("read"))
+    features = shape[0] * shape[1]
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"input_shape": shape, "layers": [{"type": "flatten"}, {
+        "type": "dense", "weights": [[(i % 5 - 2) / 4, (i % 3 - 1) / 2] for i in range(features)],
+        "bias": [0.1, -0.1]}]}))
+    inputs = tmp_path / "seed.json"
+    inputs.write_text(json.dumps(np.full(shape, 0.5).tolist()))
+    background = tmp_path / "bg.json"
+    background.write_text(json.dumps([np.full(shape, 0.25).tolist()] * 2))
+    extra = {"influence": ["--seed-input", str(inputs)],
+             "attack": ["--seeds", str(inputs), "--solver-cmd", "no-such-solver-binary"],
+             "acdp": ["--reports", str(tmp_path)]}[command]
+    out = tmp_path / "out"
+    rc = main([command, "--model", str(model), "--background", str(background),
+               "--permutations", "0", *extra, "--output-dir", str(out)])
+    assert rc == 2
+    assert_one_input_error(capsys, "n_permutations must be at least 1, got --permutations 0")
+    assert not out.exists()
+
+
 def test_malformed_model_exits_2(workspace):
     bad = workspace["root"] / "bad_model.json"
     bad.write_text(json.dumps({"input_shape": [2, 1], "layers": [
@@ -237,6 +265,21 @@ def test_attack_wall_budget_yields_timeout_row(workspace):
     assert rc == 0
     doc = json.loads((out / "attack_seed0.json").read_text())
     assert doc["outcome"] == "timeout"
+
+
+def test_attack_with_a_solver_timeout_past_what_poll_takes_answers_as_without(
+        workspace, attack_dir, tmp_path):
+    # 3,000,000 s is past select.poll's longest timeout (about 24.8 days):
+    # each check is waited for without one
+    out = tmp_path / "long"
+    assert main(["attack", "--model", str(workspace["model"]),
+                 "--seeds", str(workspace["seed0"]),
+                 "--background", str(workspace["background"]),
+                 "--solver-timeout-s", "3000000", "--output-dir", str(out)]) == 0
+    got = json.loads((out / "attack_seed0.json").read_text())
+    want = json.loads((attack_dir / "attack_seed0.json").read_text())
+    assert got["outcome"] == want["outcome"] != "error"
+    assert got.get("adversarial_values") == want.get("adversarial_values")
 
 
 def test_attack_pop_orders_follow_strategy(workspace):

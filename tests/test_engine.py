@@ -41,7 +41,7 @@ from attnconcolic.symexpr import (
     var,
 )
 
-from conftest import GOLDEN_SEED, random_toy_model, symbolic_forward
+from conftest import GOLDEN_SEED, REFSOLVER_CMD, random_toy_model, symbolic_forward
 
 
 def flip_at_half_model() -> ModelSpec:
@@ -432,14 +432,17 @@ def test_a_wall_budget_or_solver_timeout_that_is_not_above_zero_is_rejected(budg
 
 
 def test_an_infinite_wall_budget_and_solver_timeout_run_as_no_budget():
+    # the refsolver's child is waited on without a timeout: select.poll
+    # takes none longer than about 24.8 days
     model = flip_at_half_model()
     seed = np.array([[0.2]])
-    runs = [run_attack(model, toy_map(model, seed), seed, pixels=[0], backend=GridOracle(64),
-                       wall_budget_s=budget, solver_timeout_s=timeout)
-            for budget, timeout in ((None, 60.0), (math.inf, math.inf))]
-    assert [attack_result_to_json(r)["outcome"] for r in runs] == ["success"] * 2
-    assert runs[0].stats.iterations == runs[1].stats.iterations
-    assert runs[0].adversarial.tolist() == runs[1].adversarial.tolist()
+    for backend in (GridOracle(64), ExternalSolver(REFSOLVER_CMD)):
+        runs = [run_attack(model, toy_map(model, seed), seed, pixels=[0], backend=backend,
+                           wall_budget_s=budget, solver_timeout_s=timeout)
+                for budget, timeout in ((None, 60.0), (math.inf, math.inf))]
+        assert [attack_result_to_json(r)["outcome"] for r in runs] == ["success"] * 2
+        assert runs[0].stats.iterations == runs[1].stats.iterations
+        assert runs[0].adversarial.tolist() == runs[1].adversarial.tolist()
 
 
 def test_a_fractional_pixel_index_is_rejected_not_truncated():

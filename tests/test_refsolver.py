@@ -14,6 +14,7 @@ for one variable it tries only the grid points in the clip, in plain Python.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import math
@@ -353,7 +354,7 @@ def test_one_variable_search_skips_only_points_that_cannot_satisfy(monkeypatch):
         request = line_request(rng)
         got = refsolver._search(request, int(rng.integers(2 ** 63)), {})
         verdicts = {resolution: holds_at_scan(request, resolution) for resolution in STAGES[1]}
-        if got[0] == "unsat":  # the clip's proof: no grid stage finds a point either
+        if got.status == "unsat":  # the clip's proof: no grid stage finds a point either
             assert all(verdict.status == "unknown" for verdict in verdicts.values()), request
             found["unsat"] += 1
             continue
@@ -369,7 +370,7 @@ def test_one_variable_search_skips_only_points_that_cannot_satisfy(monkeypatch):
                 if all(cmp.holds_at(point) for cmp in request.assertion):
                     want = ("sat", point)
                     break
-        assert got == want, request
+        assert (got.status, got.assignment) == want, request
         if want[0] == "sat":
             assert assignment_satisfies(request, want[1])
             found[kind] += 1
@@ -754,6 +755,47 @@ def test_repeated_assertion_lines_are_answered_as_each_script_alone(monkeypatch,
     session = "".join(f"(reset)\n{script}(get-model)\n" for script in scripts)
     assert session_output(session, monkeypatch, capsys) == want
     assert len(reads) == len(set(asserted)) and set(reads.values()) == {1}
+
+
+def test_solve_script_obeys_reset_as_a_session_does(monkeypatch, capsys):
+    # v is declared again after (reset), and v > 0.5 no longer holds: the
+    # answer is the last one a session prints, whatever follows it
+    first = DECLARE + "(assert (> v 0.5))\n(check-sat)\n"
+    second = DECLARE + "(assert (< v 0.25))\n(check-sat)\n(get-model)\n"
+    for text in (first + "(reset)\n" + second, first + "(reset)\n" + second + "(reset)\n"):
+        status, witness, declared = refsolver.solve_script(text)
+        assert status == "sat" and witness["v"] < 0.25 and declared == ["v"]
+        assert session_output(text, monkeypatch, capsys) == \
+            "sat\n" + f"{status}\n" + smt.render_model(witness, declared)
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 3])
+def test_each_backend_clips_each_request_once(count, monkeypatch, refsolver_backend):
+    # a request the clip leaves a point of, one whose conjunct it cuts away
+    # (past two variables it reads none), and one whose box is empty
+    clip, calls = smt._clip, []
+
+    def counted(request):
+        calls.append(request)
+        return clip(request)
+
+    for module in (smt, solver, refsolver):
+        monkeypatch.setattr(module, "_clip", counted)
+    names = "abc"[:count]
+    variables = tuple((name, 0.0, 1.0) for name in names)
+    total = functools.reduce(add, map(var, names), const(0.0))
+    requests = [SolverRequest(variables, (Comparison(Rel.GT, total, const(bound)),))
+                for bound in (count / 2 - 0.25, count + 1.0)]
+    if count:
+        requests.append(SolverRequest((("a", 1.0, 0.0),) + variables[1:], ()))
+    backends = [refsolver_backend.check, lambda request: refsolver._search(request, 0, {})]
+    if count <= 2:
+        backends.append(GridOracle(64).check)
+    for request in requests:
+        for check in backends:
+            calls.clear()
+            check(request)
+            assert calls == [request], (request, check)
 
 
 @pytest.mark.parametrize("opener, closer", [('(set-logic "\n', '")\n'),

@@ -362,16 +362,20 @@ SQUARE = (("a", 0.0, 1.0), ("b", 0.0, 1.0))
     SolverRequest((("v", 1.0, 0.0),), ()),
     SolverRequest(SQUARE, (Comparison(Rel.GT, add(var("a"), var("b")), const(2.5)),)),
     SolverRequest((("a", 0.0, 1.0), ("b", 1.0, 0.0)), ()),
-], ids=["affine", "quadratic", "empty box", "two variables", "two variables, empty box"])
+    SolverRequest(SQUARE + (("c", 1.0, 0.0),), ()),
+], ids=["affine", "quadratic", "empty box", "two variables", "two variables, empty box",
+        "three variables, empty box"])
 def test_clip_empty_request_is_unsat_without_the_solver(clipped):
     backend = ExternalSolver(["definitely-not-a-solver-binary"])
     assert backend.check(clipped) == SolverVerdict("unsat")
     assert not backend._sessions  # nothing was started
     # what the clip does not decide still goes to the solver: a request it
     # leaves a point of, one without variables (the CLI's pre-flight), and
-    # one past two variables, which it does not read
+    # one past two variables whose box is not empty, as the clip reads no
+    # conjunct of it
     for request in (unit_request(V_SQUARED_LT_1), SolverRequest((), ()),
-                    SolverRequest(SQUARE + (("c", 1.0, 0.0),), ())):
+                    SolverRequest(SQUARE + (("c", 0.0, 1.0),),
+                                  (Comparison(Rel.GT, var("c"), const(2.0)),))):
         with pytest.raises(SolverError, match="cannot run solver command"):
             backend.check(request)
 
