@@ -14,11 +14,10 @@ import json
 import logging
 import math
 import operator
-import re
 import sys
 from functools import partial
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -67,29 +66,38 @@ def _as_array(doc) -> np.ndarray:
     return array
 
 
-def _read_seed(path) -> np.ndarray:
-    """A seed named by ``--seeds``."""
-    return _read_json(path, f"seeds: {path}", _as_array)
-
-
 def _as_report(doc) -> dict:
     if not isinstance(doc, dict):
         raise TypeError("not a JSON object")
     return doc
 
 
-def _seed_paths(specs: Sequence[str]) -> list[Path]:
+def _distinct(flag: str, paths: Sequence[Path], key: Callable[[Path], object],
+              clash: str) -> None:
+    """InputError naming ``flag`` and both files when two of ``paths`` have
+    one ``key``: they ``clash``."""
+    seen: dict = {}
+    for path in paths:
+        first = seen.setdefault(key(path), path)
+        if first is not path:
+            raise InputError(f"{flag}: {first} and {path} {clash}")
+
+
+def _json_files(flag: str, specs: Sequence[str]) -> list[Path]:
+    """The files that ``specs``, the values of ``--<flag>``, name: a file as
+    given, a directory as its ``*.json`` files in sorted order.  A spec that
+    names nothing, a directory with no JSON file, or a file named twice (by
+    its resolved path) is an InputError naming ``flag``."""
     paths: list[Path] = []
     for spec in specs:
         p = Path(spec)
-        if p.is_dir():
-            paths.extend(sorted(p.glob("*.json")))
-        elif p.exists():
-            paths.append(p)
-        else:
-            raise InputError(f"seeds: no such file or directory: {spec}")
-    if not paths:
-        raise InputError("seeds: nothing to attack")
+        if not p.exists():
+            raise InputError(f"{flag}: no such file or directory: {spec}")
+        found = sorted(p.glob("*.json")) if p.is_dir() else [p]
+        if not found:
+            raise InputError(f"{flag}: no JSON file in {spec}")
+        paths.extend(found)
+    _distinct(flag, paths, Path.resolve, "are one file")
     return paths
 
 
@@ -115,62 +123,73 @@ def _default_pixels(imap: InfluenceMap, model: ModelSpec, count: int) -> list[in
     return [flat for _, flat in ranked[:count]]
 
 
-class _Adversarial(NamedTuple):
+class _Claim(NamedTuple):
+    """A success report's flip, re-executed."""
+
+    path: Path  # the report's file
     input: np.ndarray  # the seed with the adversarial values applied
     values: dict[int, float]  # the adversarial values by pixel index
     labels: tuple[int, int]  # original, flipped
     bounds: dict[int, tuple[float, float]]  # the attack's domain by pixel index
+    label: int  # concrete_label of input
+
+    @property
+    def flips(self) -> bool:
+        """The model labels ``input`` the claimed flipped label, which is not
+        the original one."""
+        original, flipped = self.labels
+        return self.label == flipped != original
 
 
-def _read_adversarial(path: Path, doc: dict, model: ModelSpec) -> _Adversarial:
-    """The success report ``doc`` of file ``path``: its seed (a path or a list)
-    with its ``adversarial_values`` applied, those values by pixel index, its
-    labels and its domain by pixel index.  A report lacking the seed, the
-    values or a label, a seed that does not fit the model or holds an entry
-    not a finite number, a key not ``p<digits>`` within the seed, a value not
-    a number, or not finite, a label not an integer in ``0..class_count -
-    1``, a pixel index not an integer, a domain not one ``[lo, hi]`` pair of
-    finite numbers with ``lo <= hi`` per pixel index, or a value for a pixel
-    not in ``pixel_indices`` is an InputError naming ``path``."""
-    where = f"reports: {path}"
+def _read_claim(path: Path, doc: dict, model: ModelSpec) -> _Claim:
+    """The flip that success report ``doc`` of file ``path`` claims, read by
+    the rules the attack wrote it under: a ``seed`` (a path or a list) of
+    finite numbers that fits the model, labels in ``0..class_count - 1``,
+    ``pixel_indices`` that ``check_pixels`` takes, a ``domain`` of one ``[lo,
+    hi]`` pair per index that ``normalize_domains`` takes, and
+    ``adversarial_values`` keyed ``p<index>`` by listed indices, each a finite
+    number.  Anything else is an InputError naming ``path``."""
+    where, field = f"reports: {path}", "seed"  # the field being read
     try:
-        seed_ref, values = doc["seed"], doc["adversarial_values"]
+        seed_ref = doc["seed"]
+        seed = (_read_json(seed_ref, f"{where}: seed", _as_array) if isinstance(seed_ref, str)
+                else _as_array(seed_ref)).reshape(model.shapes[0])
+        field = "labels"
         labels = (operator.index(doc["original_label"]), operator.index(doc["flipped_label"]))
-        seed = _read_json(seed_ref, f"{where}: seed", _as_array) \
-            if isinstance(seed_ref, str) else _as_array(seed_ref)
-        seed = seed.reshape(model.shapes[0])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{where}: {type(exc).__name__}: {exc}") from None
-    if not all(0 <= label < model.class_count for label in labels):
-        raise InputError(f"{where}: labels {labels} are not all in 0..{model.class_count - 1}")
-    try:
-        pixels = {int(re.fullmatch(r"p([0-9]+)", key)[1]): float(value)
-                  for key, value in values.items()}
-    except (AttributeError, TypeError, ValueError):
-        raise InputError(f"{where}: adversarial_values: malformed entries in {values!r}") \
-            from None
-    if not all(map(math.isfinite, pixels.values())):
-        raise InputError(f"{where}: adversarial_values {values!r} are not all finite")
-    if any(pixel >= seed.size for pixel in pixels):
-        raise InputError(f"{where}: adversarial_values: {values!r} names a pixel outside "
-                         "the seed")
-    indices, domain = doc.get("pixel_indices", []), doc.get("domain", [])
-    try:
-        bounds = dict(zip(map(operator.index, indices),
-                          ((float(lo), float(hi)) for lo, hi in domain), strict=True))
-    except (TypeError, ValueError):
-        raise InputError(f"{where}: pixel_indices {indices!r} and domain {domain!r} are not "
-                         "one [lo, hi] pair of numbers per integer index") from None
-    if not all(-math.inf < lo <= hi < math.inf for lo, hi in bounds.values()):
-        raise InputError(f"{where}: domain {domain!r} holds a pair that is not finite "
-                         "or has lo > hi")
-    unlisted = sorted(pixels.keys() - bounds.keys())
-    if unlisted:
-        raise InputError(f"{where}: adversarial_values: {values!r} names pixels {unlisted} "
-                         f"not in pixel_indices {indices!r}")
-    flat = seed.copy().reshape(-1)
-    flat[list(pixels)] = list(pixels.values())
-    return _Adversarial(flat.reshape(seed.shape), pixels, labels, bounds)
+        if not all(0 <= label < model.class_count for label in labels):
+            raise ValueError(f"{labels} are not all in 0..{model.class_count - 1}")
+        field = "pixel_indices"
+        pixels = check_pixels(doc["pixel_indices"], seed.size)
+        field = "domain"
+        if np.ndim(doc["domain"]) != 2:  # normalize_domains takes one pair for all too
+            raise ValueError(f"{doc['domain']!r} is not one [lo, hi] pair per pixel index")
+        bounds = dict(zip(pixels, normalize_domains(doc["domain"], len(pixels))))
+        field, values = "adversarial_values", doc["adversarial_values"]
+        names = {f"p{pixel}": pixel for pixel in pixels}
+        if not values.keys() <= names.keys():
+            raise ValueError(f"{sorted(values.keys() - names.keys())} are not p<index> of "
+                             f"pixel_indices {list(pixels)}")
+        claimed = dict(zip(map(names.get, values), _as_array(list(values.values())).tolist()))
+    except KeyError as exc:
+        raise InputError(f"{where}: missing field {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise InputError(f"{where}: {field}: {exc}") from None
+    np.put(seed, list(claimed), list(claimed.values()))
+    return _Claim(path, seed, claimed, labels, bounds, concrete_label(model, seed))
+
+
+def _claims(specs: Sequence[str], model: ModelSpec) -> list[_Claim]:
+    """The claim of each success report among the files ``--reports specs``
+    names, re-executed; the manifest, ``acdp.json`` and the reports of other
+    outcomes are skipped."""
+    claims = []
+    for path in _json_files("reports", specs):
+        if path.name.startswith("manifest") or path.name == "acdp.json":
+            continue
+        doc = _read_json(path, f"reports: {path}", _as_report)
+        if doc.get("outcome") == "success":
+            claims.append(_read_claim(path, doc, model))
+    return claims
 
 
 def _build_influence(args: argparse.Namespace, model: ModelSpec, seed: np.ndarray
@@ -188,8 +207,7 @@ def _build_influence(args: argparse.Namespace, model: ModelSpec, seed: np.ndarra
 # ---------------------------------------------------------------------------
 
 
-def cmd_influence(args: argparse.Namespace) -> int:
-    model = _read_json(args.model, "model", ModelSpec.from_json)
+def cmd_influence(args: argparse.Namespace, model: ModelSpec) -> int:
     imap = _build_influence(args, model, _read_json(args.seed_input, "seed-input", _as_array))
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -219,7 +237,7 @@ def _attack_backend(command: str) -> ExternalSolver:
 def _attack_seed(attack, seed_path: Path) -> dict:
     """The report of ``attack(seed)``, ``run_attack`` with all but the seed
     bound, on the seed at ``seed_path``."""
-    result = attack(_read_seed(seed_path))
+    result = attack(_read_json(seed_path, f"seeds: {seed_path}", _as_array))
     return attack_result_to_json(result, seed_ref=str(seed_path))
 
 
@@ -238,7 +256,8 @@ def _load_influence(args: argparse.Namespace, model: ModelSpec) -> InfluenceMap:
     """``--influence-map``, which must cover every neuron of the model, or
     else the map of the first seed built from ``--background``."""
     if not args.influence_map:
-        return _build_influence(args, model, _read_seed(args.seeds[0]))
+        first = args.seeds[0]
+        return _build_influence(args, model, _read_json(first, f"seeds: {first}", _as_array))
     imap = _read_json(args.influence_map, "influence-map", InfluenceMap.from_json)
     missing = [nid for depth in range(model.output_depth + 1)
                for nid in model.neuron_ids(depth) if nid not in imap]
@@ -248,8 +267,7 @@ def _load_influence(args: argparse.Namespace, model: ModelSpec) -> InfluenceMap:
     return imap
 
 
-def cmd_attack(args: argparse.Namespace) -> int:
-    model = _read_json(args.model, "model", ModelSpec.from_json)
+def cmd_attack(args: argparse.Namespace, model: ModelSpec) -> int:
     size = math.prod(model.shapes[0])
     if args.pixel_indices:
         try:
@@ -274,7 +292,8 @@ def cmd_attack(args: argparse.Namespace) -> int:
         raise InputError(f"workers: {args.workers} is not a positive count")
     cap = () if args.build_cap_s is None else (args.build_cap_s,)
     scheduler = getattr(Scheduler, args.strategy.replace("-", "_"))(*cap)
-    seed_paths = _seed_paths(args.seeds)
+    seed_paths = _json_files("seeds", args.seeds)
+    _distinct("seeds", seed_paths, operator.attrgetter("stem"), "would write one report")
     args.seeds = [str(p) for p in seed_paths]
     imap = _load_influence(args, model)
     backend = _attack_backend(args.solver_cmd or f"{sys.executable} -m attnconcolic.refsolver")
@@ -323,42 +342,26 @@ def cmd_attack(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_reports(specs: Sequence[str]) -> list[tuple[Path, dict]]:
-    """``(path, report)`` of each report file ``specs`` name."""
-    return [(path, _read_json(path, f"reports: {path}", _as_report))
-            for path in _seed_paths(specs)  # same file/dir expansion
-            if not (path.name.startswith("manifest") or path.name == "acdp.json")]
-
-
-def cmd_acdp(args: argparse.Namespace) -> int:
+def cmd_acdp(args: argparse.Namespace, model: ModelSpec) -> int:
     if not 0.0 < args.alpha <= 1.0:
         raise InputError(f"alpha: {args.alpha} is not in (0, 1]")
     if not 0.0 <= args.beta < 1.0:
         raise InputError(f"beta: {args.beta} is not in [0, 1)")
-    model = _read_json(args.model, "model", ModelSpec.from_json)
     background = _read_json(args.background, "background",
                             partial(BackgroundSet, seed=args.random_seed))
-    reports = _read_reports(args.reports)
-    successes = [(path, doc) for path, doc in reports if doc.get("outcome") == "success"]
-    if not successes:
+    claims = _claims(args.reports, model)
+    if not claims:
         print("no successful attacks in the given reports", file=sys.stderr)
         return EXIT_EMPTY_ANALYSIS
+    for claim in claims:
+        if not claim.flips:
+            original, flipped = claim.labels
+            raise InputError(f"reports: {claim.path}: the model labels its adversarial input "
+                             f"{claim.label}, not the flip {original} -> {flipped} it claims")
+    suite = [(claim.input, relevance(model, background, claim.input,
+                                     n_permutations=args.permutations)) for claim in claims]
 
-    adversarials = []
-    for path, doc in successes:
-        adversarial = _read_adversarial(path, doc, model)
-        original, flipped = adversarial.labels
-        label = concrete_label(model, adversarial.input)
-        if not label == flipped != original:
-            raise InputError(f"reports: {path}: the model labels its adversarial "
-                             f"input {label}, not the flip {original} -> {flipped} it claims")
-        adversarials.append(adversarial)
-    suite = [(adversarial.input, relevance(model, background, adversarial.input,
-                                           n_permutations=args.permutations))
-             for adversarial in adversarials]
-    label_pairs = [adversarial.labels for adversarial in adversarials]
-
-    report = abstract_path(suite, args.alpha, args.beta, label_pairs)
+    report = abstract_path(suite, args.alpha, args.beta, [claim.labels for claim in claims])
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     weights_path = out_dir / "acdp_weights.csv"
@@ -379,32 +382,24 @@ def cmd_acdp(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    model = _read_json(args.model, "model", ModelSpec.from_json)
-    reports = _read_reports(args.reports)
+def cmd_verify(args: argparse.Namespace, model: ModelSpec) -> int:
+    claims = _claims(args.reports, model)
     failures = []
-    checked = 0
-    for path, doc in reports:
-        if doc.get("outcome") != "success":
-            continue
-        checked += 1
-        adversarial = _read_adversarial(path, doc, model)
-        label = concrete_label(model, adversarial.input)
-        bounds = adversarial.bounds
-        in_bounds = all(bounds[p][0] <= v <= bounds[p][1]
-                        for p, v in adversarial.values.items())
-        original, flipped = adversarial.labels
-        verdict = "PASS" if label == flipped != original and in_bounds else "FAIL"
-        print(f"{verdict} {path}: label {original} -> {label}"
+    for claim in claims:
+        (original, flipped), label = claim.labels, claim.label
+        in_bounds = all(claim.bounds[p][0] <= v <= claim.bounds[p][1]
+                        for p, v in claim.values.items())
+        passed = claim.flips and in_bounds
+        print(f"{'PASS' if passed else 'FAIL'} {claim.path}: label {original} -> {label}"
               f"{'' if label == flipped else f' (report claims {flipped})'}"
               f"{'' if in_bounds else ' (out of bounds)'}")
-        if verdict == "FAIL":
-            failures.append(str(path))
+        if not passed:
+            failures.append(str(claim.path))
     if failures:
         print(f"{len(failures)} case(s) failed re-execution: {', '.join(failures)}",
               file=sys.stderr)
         return EXIT_VERIFY_FAILED
-    print(f"verified {checked} successful case(s)")
+    print(f"verified {len(claims)} successful case(s)")
     return EXIT_OK
 
 
@@ -477,7 +472,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if "permutations" in args and args.permutations < 1:  # before any file is read
             raise InputError(f"n_permutations must be at least 1, got --permutations "
                              f"{args.permutations}")
-        return handlers[args.command](args)
+        return handlers[args.command](args, _read_json(args.model, "model", ModelSpec.from_json))
     except (InputError, ModelConfigError, ConfigurationError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -77,6 +77,13 @@ def _whole(value) -> int:
     return int(value)
 
 
+def _grid(shape: tuple[int, ...], where: str) -> tuple[int, ...]:
+    """``shape``; ModelConfigError naming ``where`` for a dimension below 1."""
+    if min(shape, default=1) < 1:
+        raise ModelConfigError(f"{where} {shape} has a dimension below 1")
+    return shape
+
+
 def _without_arrays(layer) -> dict:
     """A layer's pickled state: its fields, not its cached ``arrays``, which
     the copy converts again, read-only, on first use."""
@@ -205,7 +212,8 @@ class ModelSpec:
 
     ``shapes[d]`` is the neuron grid at depth ``d``: depth 0 is the input,
     depth ``i + 1`` the output of ``layers[i]``.  The final grid holds the
-    logits; ``class_count`` is its flat size.
+    logits; ``class_count`` is its flat size.  Every dimension of every grid
+    is at least 1.
     """
 
     input_shape: tuple[int, ...]
@@ -216,9 +224,9 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if not self.layers:
             raise ModelConfigError("a model needs at least one layer")
-        shapes = [tuple(_whole(d) for d in self.input_shape)]
-        for layer in self.layers:
-            shapes.append(layer.validate(shapes[-1]))
+        shapes = [_grid(tuple(_whole(d) for d in self.input_shape), "input_shape")]
+        for i, layer in enumerate(self.layers):
+            shapes.append(_grid(layer.validate(shapes[-1]), f"layer {i}: output shape"))
         object.__setattr__(self, "shapes", tuple(shapes))
         object.__setattr__(self, "class_count", math.prod(shapes[-1]))
 

@@ -621,7 +621,7 @@ def test_verify_fails_on_tampered_report(workspace, attack_dir, tmp_path):
 
 
 @pytest.mark.parametrize("values", [{"p99": 0.9}, {"q0": 0.9}, {"p-1": 0.9},
-                                    {"p0": "high"}])
+                                    {"p0": "high"}, {"p00": 7.5, "p0": 0.0}])
 def test_verify_malformed_adversarial_values_exit_2(workspace, tmp_path, values, capsys):
     doc = {"seed": SEEDS["seed0"], "outcome": "success", "original_label": 0,
            "flipped_label": 1, "pixel_indices": [0], "domain": [[0.0, 1.0]],
@@ -663,7 +663,8 @@ def test_malformed_report_exits_2(workspace, tmp_path, command, defect, capsys):
     ("flipped_label", 1.5), ("pixel_indices", ["x"]), ("pixel_indices", [0.5]),
     ("domain", [0.0, 1.0]), ("domain", [[0.0]]), ("domain", [["low", 1.0]]),
     ("domain", [[0.0, 1.0], [0.0, 1.0]]), ("flipped_label", 7), ("original_label", -1),
-    ("domain", [[float("nan"), 1.0]]), ("domain", [[1.0, 0.0]])])
+    ("domain", [[float("nan"), 1.0]]), ("domain", [[1.0, 0.0]]),
+    ("adversarial_values", {"p00": 7.5, "p0": 0.0})])
 def test_malformed_report_fields_exit_2(workspace, tmp_path, command, field, value, capsys):
     # value None: the field is missing
     doc = {"seed": SEEDS["seed0"], "outcome": "success", "original_label": 0,
@@ -739,6 +740,103 @@ def test_values_for_pixels_not_in_pixel_indices_exit_2(workspace, tmp_path, comm
     rc = main([command, "--model", str(workspace["model"]), "--reports", str(report), *extra])
     assert rc == 2
     assert f"input error: reports: {report}: adversarial_values" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "acdp"])
+@pytest.mark.parametrize("fields, blamed", [
+    ({"pixel_indices": [0, 0], "domain": [[0.0, 1.0], [0.0, 1.0]]}, "pixel_indices"),
+    ({"pixel_indices": [99], "adversarial_values": {}}, "pixel_indices"),
+    ({"adversarial_values": {"p00": 7.5, "p0": 0.9}}, "adversarial_values"),
+], ids=["repeated-index", "index-past-the-seed", "key-not-as-written"])
+def test_a_report_is_read_by_its_attacks_rules(workspace, tmp_path, command, fields, blamed,
+                                               capsys):
+    # the model labels the seed 1 and, with p0 = 0.9, 0: each report claims
+    # that flip; a repeated index and a "p00" that claims 7.5 for pixel 0 passed
+    doc = {"seed": SEEDS["seed0"], "outcome": "success", "original_label": 1,
+           "flipped_label": 0, "pixel_indices": [0], "domain": [[0.0, 1.0]],
+           "adversarial_values": {"p0": 0.9}, **fields}
+    report = tmp_path / "attack_claim.json"
+    report.write_text(json.dumps(doc))
+    extra = ["--background", str(workspace["background"]),
+             "--output-dir", str(tmp_path / "o")] if command == "acdp" else []
+    rc = main([command, "--model", str(workspace["model"]), "--reports", str(report), *extra])
+    assert rc == 2
+    assert_one_input_error(capsys, f"reports: {report}: {blamed}: ")
+
+
+@pytest.mark.parametrize("command, spec", [
+    ("verify", "missing"), ("verify", "empty"), ("acdp", "missing"), ("acdp", "empty"),
+    ("attack", "empty")])
+def test_a_file_set_error_names_its_flag(workspace, tmp_path, command, spec, capsys):
+    # --reports went through the --seeds reader: "input error: seeds: nothing to attack"
+    target = tmp_path / spec
+    if spec == "empty":
+        target.mkdir()
+    flag = "seeds" if command == "attack" else "reports"
+    extra = [] if command == "verify" else ["--background", str(workspace["background"]),
+                                            "--output-dir", str(tmp_path / "o")]
+    rc = main([command, "--model", str(workspace["model"]), f"--{flag}", str(target), *extra])
+    assert rc == 2
+    assert_one_input_error(capsys, f"{flag}: no such file or directory: {target}"
+                           if spec == "missing" else f"{flag}: no JSON file in {target}")
+
+
+@pytest.mark.parametrize("command", ["verify", "acdp", "attack"])
+def test_a_file_named_twice_exits_2(workspace, attack_dir, tmp_path, command, capsys,
+                                    monkeypatch):
+    # acdp counted the one claim twice (suite_size 2); attack wrote one report
+    monkeypatch.setattr("attnconcolic.cli.build_influence_map",
+                        lambda *a, **k: pytest.fail("influence map built"))
+    flag, files = (("seeds", [str(workspace["seed0"]), str(workspace["seed0"])])
+                   if command == "attack" else
+                   ("reports", [str(attack_dir), str(attack_dir / "attack_seed0.json")]))
+    extra = [] if command == "verify" else ["--background", str(workspace["background"]),
+                                            "--output-dir", str(tmp_path / "o")]
+    rc = main([command, "--model", str(workspace["model"]), f"--{flag}", *files, *extra])
+    assert rc == 2
+    assert_one_input_error(capsys, f"{flag}: {files[1]} and {files[1]} are one file")
+    assert not (tmp_path / "o").exists()
+
+
+def test_seeds_of_one_stem_exit_2_before_the_map_and_the_solver(workspace, tmp_path, capsys,
+                                                                monkeypatch):
+    # both wrote attack_s.json, so the first seed's report was lost
+    monkeypatch.setattr("attnconcolic.cli.build_influence_map",
+                        lambda *a, **k: pytest.fail("influence map built"))
+    seeds = [tmp_path / "a" / "s.json", tmp_path / "b" / "s.json"]
+    for seed, value in zip(seeds, SEEDS.values()):
+        seed.parent.mkdir()
+        seed.write_text(json.dumps(value))
+    out = tmp_path / "out"
+    rc = main(["attack", "--model", str(workspace["model"]), "--seeds", *map(str, seeds),
+               "--background", str(workspace["background"]),
+               "--solver-cmd", "no-such-solver-binary", "--output-dir", str(out)])
+    assert rc == 2
+    assert_one_input_error(capsys, f"seeds: {seeds[0]} and {seeds[1]} would write one report")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["influence", "attack"])
+@pytest.mark.parametrize("doc", [
+    {"input_shape": [4], "layers": [
+        {"type": "reshape", "target_shape": [-2, -2]}, {"type": "flatten"},
+        {"type": "dense", "weights": [[1.0, -1.0]] * 4, "bias": [0.0, 0.1]}]},
+    {"input_shape": [4], "layers": [{"type": "dense", "weights": [[]] * 4, "bias": []}]},
+], ids=["reshape-to-negatives", "dense-of-width-0"])
+def test_a_model_dimension_below_one_exits_2(tmp_path, command, doc, capsys):
+    # each loaded, then died in numpy's reshape or on a division by zero (exit 1)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    inputs = tmp_path / "seed.json"
+    inputs.write_text("[0.1, 0.2, 0.3, 0.4]")
+    background = tmp_path / "bg.json"
+    background.write_text("[[0.5, 0.6, 0.7, 0.8], [0.2, 0.1, 0.4, 0.3]]")
+    extra = {"influence": ["--seed-input", str(inputs)],
+             "attack": ["--seeds", str(inputs), "--solver-cmd", "no-such-solver-binary"]}[command]
+    rc = main([command, "--model", str(model), "--background", str(background), *extra,
+               "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert_one_input_error(capsys, "model: layer 0: output shape ")
 
 
 def test_attack_influence_map_must_cover_the_model(workspace, tmp_path, capsys):

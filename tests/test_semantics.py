@@ -727,6 +727,30 @@ def test_whole_float_shape_entries_load_as_ints():
         ModelSpec((2.5,), (Flatten(),))
 
 
+@pytest.mark.parametrize("doc", [
+    {"input_shape": [4], "layers": [
+        {"type": "reshape", "target_shape": [-2, -2]}, {"type": "flatten"},
+        {"type": "dense", "weights": [[1.0, -1.0]] * 4, "bias": [0.0, 0.1]}]},
+    {"input_shape": [0], "layers": [{"type": "reshape", "target_shape": [0, 4]}]},
+    {"input_shape": [2], "layers": [{"type": "dense", "weights": [[], []], "bias": []}]},
+    {"input_shape": [2, -3], "layers": [{"type": "flatten"}]},
+], ids=["reshape-to-negatives", "empty-input", "dense-of-width-0", "negative-input"])
+def test_a_dimension_below_one_is_a_config_error(doc):
+    # each loaded: a forward died in numpy's reshape or on a division by
+    # zero, and [2, -3] loaded with a class_count of -6
+    with pytest.raises(ModelConfigError, match="has a dimension below 1"):
+        ModelSpec.from_json(doc)
+
+
+def test_a_constructed_model_with_a_dimension_below_one_is_a_config_error():
+    # the two -1s multiply to the input's size, so the reshape loaded
+    with pytest.raises(ModelConfigError, match=r"layer 0: output shape \(-1, -1\) "):
+        ModelSpec((1,), (Reshape((-1, -1)),))
+    with pytest.raises(ModelConfigError, match=r"input_shape \(3, 0\) "):
+        ModelSpec((3, 0), (Flatten(),))
+    assert ModelSpec((1, 1), (Flatten(),)).class_count == 1
+
+
 def reference_attention(layer: MultiHeadAttention, batch: np.ndarray) -> np.ndarray:
     """The attention layer as einsums over the batch, as the kernels' oracle."""
     wq, bq, wk, bk, wv, bv, wo, bo = (np.asarray(w, dtype=float) for w in (
