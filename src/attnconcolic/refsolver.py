@@ -7,18 +7,21 @@ ends with the line that closes every ``(``; those in a string literal or a
 ``|quoted symbol|`` do not count).  It answers each ``(check-sat)`` at once,
 prints the model of a ``sat`` answer on ``(get-model)`` (nothing after any
 other answer), and starts a new problem on ``(reset)``.  A check solves what
-was declared and asserted since the last ``(reset)``; its random samples
-(two or more variables) are seeded from the text since the ``(reset)`` line
-through the ``(check-sat)`` line, stripped of the white space around it.
-:func:`solve_script` is a fresh session's answer to a script's last
-``(check-sat)``: one loop, :func:`_session`, serves both.  Scripts must stay
-in the SMT-LIB subset that :mod:`~attnconcolic.smt` writes and reads, models
-included: declared Real constants, and comparisons between two terms over
-``+`` and ``*`` (any number of arguments), unary and binary ``-``, and
-``/`` by a constant, each read as the polynomial ``a - b`` against zero.
-Every command outside it, wherever it stands, ``define-fun``, an excess
-``)`` and terms nested too deeply included, prints one ``(error ...)`` line
-on stderr and exits 2.
+was declared and asserted since the last ``(reset)``, and its answer
+depends on the request it reads, not on how the script is laid out: its
+random samples (two or more variables) are seeded from the narrowed
+request as :func:`~attnconcolic.smt.emit_smtlib` writes it.
+:func:`solve_script` is a fresh session's
+:class:`~attnconcolic.smt.SolverVerdict` for a script's last
+``(check-sat)``: one loop, :func:`_session`, serves both.  Scripts must
+stay in the SMT-LIB subset that :mod:`~attnconcolic.smt` writes and reads,
+models included: declared Real constants, and comparisons between two
+terms over ``+`` and ``*`` (any number of arguments), unary and binary
+``-``, and ``/`` by a constant, each read as the polynomial ``a - b``
+against zero, whose coefficients are finite doubles.  Every command
+outside it, wherever it stands, ``define-fun``, an excess ``)`` and terms
+nested too deeply included, prints one ``(error ...)`` line on stderr and
+exits 2.
 
 A session frames each line that is one whole command once, and reads an
 assertion line's comparison once: both are kept in memos bounded by
@@ -37,12 +40,14 @@ kernel, no trie and no random draws.  Two: the grid oracle's kernel scans
 the 256- and 1,024-step grids, with one
 :class:`~attnconcolic.solver._PrefixTrie` per resolution kept for the
 session, across ``(reset)``, as a :class:`~attnconcolic.solver.GridOracle`
-keeps its own.  Past two: a mesh of at most 17**5 points, in chunks.  From
-two on, seeded ``Generator.uniform`` samples in the clip's bounding box
-follow.  At start the refsolver imports only ``smt`` and ``symexpr``;
-``solver``, numpy and ``hashlib`` load at the first check of two or more
-variables, so the CLI's pre-flight and its default of one pixel never load
-numpy.
+keeps its own.  Past two: a mesh of at most 17**5 points, in chunks.
+From two on, ``Generator.uniform`` samples in the clip's bounding box
+follow, seeded by the request; the mesh and the samples are one stream of
+chunks, whose witness :func:`~attnconcolic.smt._first_satisfying` picks, as
+it does for every other stage.  At start the refsolver imports only
+``smt`` and ``symexpr``; ``solver`` and numpy load at the first check of
+two or more variables, and ``hashlib`` at the first that draws samples, so
+the CLI's pre-flight and its default of one pixel never load numpy.
 
 Answers are honest about their strength: ``sat`` comes with a verified
 witness, printed in decimals, and ``unsat`` only with the clip's proof (an
@@ -59,14 +64,15 @@ completeness.
 from __future__ import annotations
 
 import io
+import itertools
 import math
 import sys
 from dataclasses import replace
 from typing import Iterable
 
 from .smt import (SAT, UNKNOWN, UNSAT, ScriptError, SolverError, SolverRequest, SolverVerdict,
-                  _clip, _comparison, _forms, _line_search, _remember, render_model)
-from .smt import _term  # noqa: F401  (the term reader, importable from here too)
+                  _clip, _comparison, _first_satisfying, _forms, _line_search, _remember,
+                  emit_smtlib, render_model)
 from .symexpr import _REL_APPLY, Comparison, Rel, evaluate
 
 # numpy and solver load at the first check of two or more variables, in
@@ -106,22 +112,27 @@ def _narrowed(request: SolverRequest) -> SolverRequest:
                    variables=tuple((name, lo, hi) for name, (lo, hi) in boxes.items()))
 
 
-def _first_hit(assertion, names: list[str], chunks):
-    """The first row of the ``chunks`` of points (one column per variable) at
-    which every conjunct holds, as an assignment, or None."""
+def _first_hit(request: SolverRequest, chunks) -> SolverVerdict:
+    """:func:`~attnconcolic.smt._first_satisfying`'s verdict over the rows of
+    the ``chunks`` of points (one column per variable, in the request's
+    order) at which numpy finds every conjunct to hold; a chunk is drawn
+    only once those before it hold no witness."""
     import numpy as np
 
-    for chunk in chunks:
-        env = dict(zip(names, chunk.T))
-        ok = np.ones(len(chunk), dtype=bool)
-        with np.errstate(all="ignore"):
-            for cmp in assertion:
-                ok &= _REL_APPLY[cmp.rel](evaluate(cmp.p, env), 0.0)
-                if not ok.any():
-                    break
-        if ok.any():
-            return dict(zip(names, map(float, chunk[int(np.argmax(ok))])))
-    return None
+    names = [name for name, _, _ in request.variables]
+
+    def rows():
+        for chunk in chunks:
+            env = dict(zip(names, chunk.T))
+            ok = np.ones(len(chunk), dtype=bool)
+            with np.errstate(all="ignore"):
+                for cmp in request.assertion:
+                    ok &= _REL_APPLY[cmp.rel](evaluate(cmp.p, env), 0.0)
+                    if not ok.any():
+                        break
+            yield from chunk[ok].tolist()
+
+    return _first_satisfying(request, rows())
 
 
 def _mesh_chunks(axes):
@@ -140,40 +151,57 @@ def _mesh_points_per_axis(n_vars: int) -> int:
     return max(n for n in range(1, MESH_RESOLUTION + 2) if n ** n_vars <= MESH_POINTS)
 
 
-def _samples(request: SolverRequest, seed: int):
-    """``RANDOM_SAMPLES`` points of the box drawn by numpy's generator seeded
-    with ``seed``, one row each."""
+def _samples(request: SolverRequest):
+    """``RANDOM_SAMPLES`` points of the box, one row each, drawn by numpy's
+    generator seeded from the request's script as
+    :func:`~attnconcolic.smt.emit_smtlib` writes it, one text of the
+    request however the script that posed it was laid out."""
+    import hashlib
+
     import numpy as np
 
+    seed = int.from_bytes(hashlib.sha256(emit_smtlib(request).encode()).digest()[:8], "big")
     lows, highs = np.array([(lo, hi) for _, lo, hi in request.variables]).T
     return np.random.default_rng(seed).uniform(lows, highs, (RANDOM_SAMPLES, lows.size))
 
 
-def _search(request: SolverRequest, seed, tries: dict) -> SolverVerdict:
+def _sample_chunks(request: SolverRequest, clip):
+    """The :func:`_samples` in the bounding box of ``clip``, the box itself
+    past two variables, ``_CHUNK`` rows at a time: no point outside it can
+    satisfy the request, so no verdict or witness changes.  They are kept
+    inside the box by an explicit test, as ``lo + u * (hi - lo)`` can round
+    past it and the box's non-strict bounds are not in the assertion."""
+    import numpy as np
+
+    lows = np.maximum([lo for _, lo, _ in request.variables], np.min(clip, axis=0))
+    highs = np.minimum([hi for _, _, hi in request.variables], np.max(clip, axis=0))
+    points = _samples(request)
+    points = points[((lows <= points) & (points <= highs)).all(axis=1)]
+    for start in range(0, len(points), _CHUNK):
+        yield points[start:start + _CHUNK]
+
+
+def _search(request: SolverRequest, tries: dict) -> SolverVerdict:
     """Staged grid scan, then further candidates.
 
     :func:`~attnconcolic.smt._clip` runs first and answers unsat when it
     leaves no point of the box.  No or one variable: the grid stages, then
     the clip's interval midpoints, by
-    :func:`~attnconcolic.smt._line_search`; ``seed`` and ``tries`` go
-    unread.  Two variables: each grid stage reads and stores prefix masks
-    in ``tries[resolution]``, a :class:`~attnconcolic.solver._PrefixTrie`
-    made at its first use.  Past two: a mesh.  From two on, seeded random
-    samples (``seed``, an integer) follow, and only those in the clip's
-    bounding box are evaluated (the box itself past two variables), which
-    changes no verdict or witness.  Samples are kept inside the box by an
-    explicit test, as the box's non-strict bounds are not in the
-    assertion."""
+    :func:`~attnconcolic.smt._line_search`; ``tries`` goes unread.  Two
+    variables: each grid stage reads and stores prefix masks in
+    ``tries[resolution]``, a :class:`~attnconcolic.solver._PrefixTrie` made
+    at its first use.  Then one stream of chunks goes to :func:`_first_hit`:
+    past two variables a mesh, then, from two on, the samples of
+    :func:`_sample_chunks`, drawn only once the mesh has found nothing."""
     clip = _clip(request)
     if not clip:
         return SolverVerdict(UNSAT)
     names = [name for name, _, _ in request.variables]
     if len(names) <= 1:
         return _line_search(request, clip, GRID_STAGES[1], midpoints=True)
-    import numpy as np
-
     from .solver import _grid_axis, _PrefixTrie, _scan
 
+    chunks = _sample_chunks(request, clip)
     if len(names) == 2:
         for resolution in GRID_STAGES[2]:
             trie = tries.get(resolution)
@@ -184,19 +212,8 @@ def _search(request: SolverRequest, seed, tries: dict) -> SolverVerdict:
                 return verdict
     elif (per_axis := _mesh_points_per_axis(len(names))) >= 2:
         axes = [_grid_axis(lo, hi, per_axis - 1).points for _, lo, hi in request.variables]
-        witness = _first_hit(request.assertion, names, _mesh_chunks(axes))
-        if witness is not None:
-            return SolverVerdict(SAT, witness)
-    # only points of the box, which lo + u * (hi - lo) can round past, and
-    # of the clip's bounding box
-    lows, highs = np.array([(lo, hi) for _, lo, hi in request.variables]).T
-    lows = np.maximum(lows, np.min(clip, axis=0))
-    highs = np.minimum(highs, np.max(clip, axis=0))
-    points = _samples(request, seed)
-    points = points[((lows <= points) & (points <= highs)).all(axis=1)]
-    chunks = (points[start:start + _CHUNK] for start in range(0, len(points), _CHUNK))
-    witness = _first_hit(request.assertion, names, chunks)
-    return SolverVerdict(UNKNOWN if witness is None else SAT, witness)
+        chunks = itertools.chain(_mesh_chunks(axes), chunks)
+    return _first_hit(request, chunks)
 
 
 def _read(form, declared: list[str], assertion: list[Comparison]) -> bool:
@@ -225,62 +242,49 @@ def _read(form, declared: list[str], assertion: list[Comparison]) -> bool:
     return False
 
 
-def _solve(declared: list[str], assertion: list[Comparison], text: str, tries: dict):
-    """(status, witness, declared variable order) of a check, its random
-    samples (two or more variables) seeded from ``text`` stripped of the
-    white space around it, its two-variable grid stages reading and storing
-    the prefix masks of ``tries``."""
-    request = _narrowed(SolverRequest(tuple((name, *DEFAULT_BOX) for name in declared),
-                                      tuple(assertion)))
-    seed = None
-    if len(declared) >= 2:  # only such checks draw samples
-        import hashlib
-
-        seed = int.from_bytes(hashlib.sha256((text.strip() + "\n").encode()).digest()[:8],
-                              "big")
-    verdict = _search(request, seed, tries)
-    return verdict.status, verdict.assignment, list(declared)
+def _solve(declared: list[str], assertion: list[Comparison], tries: dict) -> SolverVerdict:
+    """The verdict of a check of ``assertion`` over the ``declared`` variables,
+    each on ``DEFAULT_BOX``: :func:`_search` of the request narrowed by its
+    order conjuncts, its two-variable grid stages reading and storing the
+    prefix masks of ``tries``."""
+    return _search(_narrowed(SolverRequest(tuple((name, *DEFAULT_BOX) for name in declared),
+                                           tuple(assertion))), tries)
 
 
-def _session(stream: Iterable[str], out) -> tuple[str, dict[str, float] | None, list[str]]:
+def _session(stream: Iterable[str], out) -> SolverVerdict:
     """Answer the commands in the lines of ``stream`` on ``out``, each as it
-    arrives; (status, witness, declared variable order) of the last
-    ``(check-sat)``, else unknown.  SolverError on a command it cannot read
-    (ScriptError for a form outside the subset)."""
+    arrives; the verdict of the last ``(check-sat)``, else unknown.
+    SolverError on a command it cannot read (ScriptError for a form outside
+    the subset)."""
     declared: list[str] = []  # read since the last (reset)
     assertion: list[Comparison] = []
-    text = ""  # the lines received since the (reset) line
-    answer = last = None  # (status, witness, declared) of the last (check-sat)
-    # since the (reset), and in the session.  Kept across (reset): a prefix
-    # trie per two-variable grid resolution, whose keys are exact; the forms
-    # and the comparison of each line that is one whole command, bounded by
+    answer = last = None  # the verdict of the last (check-sat) since the
+    # (reset), and in the session.  Kept across (reset): a prefix trie per
+    # two-variable grid resolution, whose keys are exact; the forms and the
+    # comparison of each line that is one whole command, bounded by
     # smt._remember
-    tries: dict = {}
-    framed: dict = {}
-    asserted: dict = {}
+    tries, framed, asserted = {}, {}, {}
     for lines, forms in _forms(stream, framed):
-        text += lines
         if lines in asserted:
             assertion.append(asserted[lines])
             continue
         for form in forms:
             if form == ["reset"]:
-                declared, assertion, text, answer = [], [], "", None
+                declared, assertion, answer = [], [], None
             elif _read(form, declared, assertion):
-                # the text up to and including the (check-sat) line
-                answer = last = _solve(declared, assertion, text, tries)
-                print(answer[0], file=out, flush=True)
-            elif form == ["get-model"] and answer and answer[0] == SAT:
-                print(render_model(*answer[1:]), end="", file=out, flush=True)
+                answer = last = _solve(declared, assertion, tries)
+                print(answer.status, file=out, flush=True)
+            elif form == ["get-model"] and answer and answer.status == SAT:
+                print(render_model(answer.assignment), end="", file=out, flush=True)
         if len(forms) == 1 and forms[0][0] == "assert" and lines in framed:
             _remember(asserted, lines, assertion[-1])
-    return last or (UNKNOWN, None, declared)
+    return last or SolverVerdict(UNKNOWN)
 
 
-def solve_script(text: str) -> tuple[str, dict[str, float] | None, list[str]]:
-    """(status, witness, declared variable order) of the script's last
-    ``(check-sat)``, as a fresh session answers it; unknown if it asks for
-    none.  SolverError on a script it cannot read, as :func:`_session`."""
+def solve_script(text: str) -> SolverVerdict:
+    """The verdict of the script's last ``(check-sat)``, as a fresh session
+    answers it; unknown if it asks for none.  SolverError on a script it
+    cannot read, as :func:`_session`."""
     return _session(text.splitlines(keepends=True), io.StringIO())
 
 

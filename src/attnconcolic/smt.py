@@ -243,21 +243,26 @@ def _term(form) -> SymExpr:
 
 
 def _comparison(form) -> Comparison:
-    """``(relop a b)`` as ``a - b relop 0``, or ``(not (= a b))``."""
+    """``(relop a b)`` as ``a - b relop 0``, or ``(not (= a b))``; one with a
+    coefficient that is no finite double (a numeral or a fold past the
+    doubles) is outside the subset, as :func:`emit_smtlib` writes none."""
     if isinstance(form, list) and len(form) == 2 and form[0] == "not":
         inner = _comparison(form[1])
         if inner.rel is Rel.EQ:
             return Comparison(Rel.NE, inner.p)
     elif isinstance(form, list) and len(form) == 3 and isinstance(form[0], str) \
             and form[0] in _RELATIONS:
-        return Comparison(_RELATIONS[form[0]], _term(form[1]), _term(form[2]))
+        cmp = Comparison(_RELATIONS[form[0]], _term(form[1]), _term(form[2]))
+        if all(map(math.isfinite, cmp.p.coeffs)):
+            return cmp
     raise ScriptError(f"unsupported assertion {form!r}")
 
 
-def render_model(witness: dict[str, float], declared: Sequence[str]) -> str:
-    """The ``(get-model)`` reply: a decimal ``define-fun`` per declared name."""
-    return "".join(["(\n", *(f"  (define-fun {name} () Real {_render_decimal(witness[name])})\n"
-                             for name in declared), ")\n"])
+def render_model(assignment: dict[str, float]) -> str:
+    """The ``(get-model)`` reply: a decimal ``define-fun`` per name of
+    ``assignment``, in its key order (a witness's is the declared order)."""
+    return "".join(["(\n", *(f"  (define-fun {name} () Real {_render_decimal(value)})\n"
+                             for name, value in assignment.items()), ")\n"])
 
 
 def read_model(reply, names: Sequence[str]) -> dict[str, float]:

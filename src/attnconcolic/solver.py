@@ -448,6 +448,12 @@ def _bounded(window: tuple, ok: np.ndarray):
     return (window[0] + top, window[1] + left, bottom - top, right - left), ok[:, left:right]
 
 
+def _check_resolution(resolution) -> None:
+    """SolverError unless ``resolution`` is an integer >= 0."""
+    if not isinstance(resolution, (int, np.integer)) or resolution < 0:
+        raise SolverError(f"grid resolution {resolution!r} is not an integer >= 0")
+
+
 def grid_oracle(request: SolverRequest, resolution: int = 1024,
                 prefixes: Optional[_PrefixTrie] = None) -> SolverVerdict:
     """Evaluate the assertion on a uniform grid over the variable bounds.
@@ -486,8 +492,7 @@ def grid_oracle(request: SolverRequest, resolution: int = 1024,
     satisfying sets, so the verdict and the witness do not depend on what
     the trie held.  SolverError unless ``resolution`` is an integer >= 0.
     """
-    if not isinstance(resolution, (int, np.integer)) or resolution < 0:
-        raise SolverError(f"grid resolution {resolution!r} is not an integer >= 0")
+    _check_resolution(resolution)
     if len(request.variables) > 2:
         raise SolverError("grid oracle supports at most 2 variables")
     clip = _clip(request)
@@ -543,12 +548,16 @@ class GridOracle:
     evaluates only its new conjuncts, each on the window its prefix left;
     verdicts and witnesses are those of a check from an empty trie.  A
     request of one variable stores nothing: it tries the grid points in its
-    clip.  Any number of threads may share one oracle.
+    clip.  Any number of threads may share one oracle.  SolverError at
+    construction unless ``resolution`` is an integer >= 0.
     """
 
     resolution: int = 1024
     _prefixes: _PrefixTrie = field(default_factory=_PrefixTrie, init=False,
                                    compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        _check_resolution(self.resolution)
 
     def check(self, request: SolverRequest) -> SolverVerdict:
         return grid_oracle(request, self.resolution, self._prefixes)

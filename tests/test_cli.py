@@ -12,11 +12,12 @@ import pytest
 
 from attnconcolic.acdp import critical_path, relevance
 from attnconcolic.cli import main
-from attnconcolic.engine import PathTree, Scheduler, harvest, run_attack
+from attnconcolic.engine import PathTree, Scheduler, attack_result_to_json, harvest, run_attack
 from attnconcolic.influence import BackgroundSet, build_influence_map
 from attnconcolic.semantics import ModelSpec, concrete_label
+from attnconcolic.solver import ExternalSolver
 
-from conftest import symbolic_forward
+from conftest import REFSOLVER_CMD, symbolic_forward
 
 MODEL_DOC = {
     "input_shape": [2, 1],
@@ -308,6 +309,39 @@ def test_attack_pop_orders_follow_strategy(workspace):
     assert traces["fifo"][:k] == expected_fifo
     assert traces["pq"][0] == [expected_pq_head.layer_index,
                                expected_pq_head.influence]
+
+
+def untimed(doc: dict) -> dict:
+    """A report without its timing fields."""
+    return {key: value for key, value in doc.items() if key not in ("wall_s", "cpu_s")}
+
+
+def test_a_two_pixel_attack_through_the_default_solver_is_deterministic(workspace, tmp_path):
+    # two pixels send two-variable checks to the refsolver: its grid stages,
+    # and for an unknown its random samples too
+    runs = []
+    for run in (1, 2):
+        out = tmp_path / f"run{run}"
+        assert main(["attack", "--model", str(workspace["model"]),
+                     "--seeds", str(workspace["seed0"]), str(workspace["seed1"]),
+                     "--background", str(workspace["background"]),
+                     "--pixels", "2", "--output-dir", str(out)]) == 0
+        runs.append({path.name: untimed(json.loads(path.read_text()))
+                     for path in sorted(out.glob("attack_*.json"))})
+    assert runs[0] == runs[1] and len(runs[0]) == 2
+    assert all(doc["pixel_indices"] == [0, 1] for doc in runs[0].values())
+    assert any(doc["unknown"] for doc in runs[0].values())
+    # one child for both runs: the second meets the tries and memos the
+    # first filled, and answers as a fresh child does
+    model = ModelSpec.from_json(MODEL_DOC)
+    background = BackgroundSet(np.asarray(BACKGROUND, dtype=float), seed=0)
+    imap = build_influence_map(model, background, np.asarray(SEEDS["seed0"], dtype=float))
+    backend = ExternalSolver(REFSOLVER_CMD)
+    for seed in SEEDS.values():
+        first, second = (untimed(attack_result_to_json(run_attack(
+            model, imap, np.asarray(seed, dtype=float), [0, 1], backend=backend)))
+            for _ in range(2))
+        assert first == second and first["sol_constraints"]
 
 
 def test_attack_bad_solver_command_exits_3(workspace):

@@ -345,8 +345,8 @@ def test_a_cubic_conjunct_keeps_its_verdict_and_witness():
         want = SolverVerdict("sat", assignment=witness)
         assert grid_oracle(request, resolution) == want
         assert GridOracle(resolution).check(request) == want
-    assert refsolver.solve_script(emit_smtlib(request)) == ("sat", {"x": 0.796875,
-                                                                    "y": 0.98828125}, ["x", "y"])
+    assert refsolver.solve_script(emit_smtlib(request)) == SolverVerdict(
+        "sat", {"x": 0.796875, "y": 0.98828125})
 
 
 def test_grid_points_stay_in_the_box():
@@ -355,7 +355,7 @@ def test_grid_points_stay_in_the_box():
     top = 0.5156901202204123
     assert top > hi and lo + (hi - lo) * 1.0 == top
     request = SolverRequest((("x", lo, hi),), (Comparison(Rel.GE, var("x"), const(top)),))
-    assert refsolver.solve_script(emit_smtlib(request))[0] == "unsat"
+    assert refsolver.solve_script(emit_smtlib(request)).status == "unsat"
     assert grid_oracle(request, 256).status == "unknown"
     boxes = np.sort(np.random.default_rng(0).uniform(-3.0, 3.0, (2000, 2)), axis=1)
     for lo, hi in boxes:
@@ -937,11 +937,11 @@ def test_affine_infeasible_request_is_unsat_before_any_kernel_pass(kernel_passes
     assert kernel_passes[0] == 0 and oracle._prefixes.nbytes == 0
     assert refsolver_backend.check(request).status == "unsat"
     # the backend answers without its child; the child proves it on its own
-    assert refsolver.solve_script(emit_smtlib(request)) == ("unsat", None, ["a"])
+    assert refsolver.solve_script(emit_smtlib(request)) == SolverVerdict("unsat")
     two = SolverRequest(UNIT_SQUARE, (Comparison(Rel.GT, add(A, B), const(2.5)),
                                       Comparison(Rel.GT, mul(A, B), const(0.1))))
     assert grid_oracle(two, 256).status == refsolver_backend.check(two).status == "unsat"
-    assert refsolver.solve_script(emit_smtlib(two)) == ("unsat", None, ["a", "b"])
+    assert refsolver.solve_script(emit_smtlib(two)) == SolverVerdict("unsat")
     assert kernel_passes[0] == 0
 
 
@@ -953,7 +953,7 @@ def test_quadratic_infeasible_request_is_unsat_before_any_kernel_pass(kernel_pas
     assert grid_oracle(request, 1024) == oracle.check(request) == SolverVerdict("unsat")
     assert kernel_passes[0] == 0 and oracle._prefixes.nbytes == 0
     assert refsolver_backend.check(request).status == "unsat"
-    assert refsolver.solve_script(emit_smtlib(request)) == ("unsat", None, ["a"])
+    assert refsolver.solve_script(emit_smtlib(request)) == SolverVerdict("unsat")
     assert kernel_passes[0] == 0
     # (v - 0.5)**2 <= 0 holds at its double root alone
     square = mul(sub(A, const(0.5)), sub(A, const(0.5)))

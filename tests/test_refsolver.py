@@ -33,7 +33,7 @@ import pytest
 from attnconcolic import refsolver, smt, solver, symexpr
 from attnconcolic.smt import _forms, _render_decimal, read_model
 from attnconcolic.solver import (ExternalSolver, GridOracle, SolverError, SolverRequest,
-                                 assignment_satisfies, emit_smtlib, grid_oracle)
+                                 SolverVerdict, assignment_satisfies, emit_smtlib, grid_oracle)
 from attnconcolic.symexpr import (
     _REL_APPLY,
     Comparison,
@@ -76,7 +76,7 @@ def variable_bound(cmp):
     return monomial[0], cmp.rel if s > 0 else FLIPPED[cmp.rel], -c if s > 0 else c
 
 
-def reference_solve(request: SolverRequest, script: str):
+def reference_solve(request: SolverRequest):
     # the script asserts each variable's bounds, and the refsolver checks them
     assertion = tuple(cmp for name, lo, hi in request.variables
                       for cmp in (Comparison(Rel.GE, var(name), const(lo)),
@@ -99,18 +99,20 @@ def reference_solve(request: SolverRequest, script: str):
         verdict = reference_grid_oracle(narrowed, resolution)
         if verdict.status == "sat":
             return ("sat", verdict.assignment)
+    # the request the refsolver searches: the narrowed box, the non-strict
+    # bounds out of the assertion, in the script's order
+    kept = tuple(cmp for cmp in assertion
+                 if (variable_bound(cmp) or (None, None))[1] not in (Rel.LE, Rel.GE))
+    searched = SolverRequest(tuple((name, lo, hi) for name, (lo, hi) in box.items()), kept)
     if len(box) == 1:
-        # the midpoints of the clip the refsolver reads: the narrowed box,
-        # the non-strict bounds out of the assertion, in the script's order
+        # the midpoints of the clip the refsolver reads
         (name, (lo, hi)), = box.items()
-        kept = tuple(cmp for cmp in assertion
-                     if (variable_bound(cmp) or (None, None))[1] not in (Rel.LE, Rel.GE))
-        clip = solver._clip(SolverRequest(((name, lo, hi),), kept))
+        clip = solver._clip(searched)
         points = {name: np.clip([(a + b) / 2 for a, b in clip], lo, hi)}
     else:
-        # the samples are seeded from the text through the (check-sat) line
-        through = script[:script.index("(check-sat)\n")] + "(check-sat)\n"
-        seed = int.from_bytes(hashlib.sha256(through.encode()).digest()[:8], "big")
+        # the samples are seeded from that request as emit_smtlib writes it
+        digest = hashlib.sha256(emit_smtlib(searched).encode()).digest()
+        seed = int.from_bytes(digest[:8], "big")
         lows, highs = np.array(list(box.values())).T
         samples = np.random.default_rng(seed).uniform(lows, highs, size=(65536, len(box)))
         points = {name: samples[:, k] for k, name in enumerate(box)}
@@ -159,11 +161,11 @@ def test_matches_reference(n_vars, count, negative):
         requests.append(SolverRequest((("a", lo, hi),), (Comparison(Rel.LE, window),)))
     statuses = []
     for request in requests:
-        script = emit_smtlib(request)
-        status, witness, declared = refsolver.solve_script(script)
-        assert declared == names
-        assert (status, witness) == reference_solve(request, script)
-        statuses.append(status)
+        verdict = refsolver.solve_script(emit_smtlib(request))
+        if verdict.status == "sat":
+            assert list(verdict.assignment) == names
+        assert (verdict.status, verdict.assignment) == reference_solve(request)
+        statuses.append(verdict.status)
     assert "sat" in statuses[:count]
     if n_vars <= 2:  # a sat slab case takes its witness from the seeded
         # samples, a sat window case from a midpoint
@@ -256,8 +258,8 @@ def test_doubling_chain_is_one_monomial():
     assert "(assert (> (+ (- 1000.0) (* v 65536.0)) 0.0))" in script
     want = grid_oracle(request, 256)
     assert want.status == "sat"
-    status, witness, _ = refsolver.solve_script(script)
-    assert (status, witness) == (want.status, want.assignment)
+    verdict = refsolver.solve_script(script)
+    assert (verdict.status, verdict.assignment) == (want.status, want.assignment)
 
 
 @pytest.mark.parametrize("rel", list(Rel))
@@ -294,7 +296,7 @@ def test_box_is_narrowed_by_unit_variable_conjuncts():
     assert narrowed.assertion == tuple(request.assertion[k] for k in (1, 4, 5))
     # a bound past the declared box, as a script writes it: v - 2.0 >= 0
     beyond = SolverRequest((("v", 0.0, 1.0),), (Comparison(Rel.GE, v, const(2.0)),))
-    assert refsolver.solve_script(emit_smtlib(beyond))[0] == "unsat"
+    assert refsolver.solve_script(emit_smtlib(beyond)).status == "unsat"
 
 
 def test_empty_box_is_unsat_on_both_backends(refsolver_backend):
@@ -303,7 +305,7 @@ def test_empty_box_is_unsat_on_both_backends(refsolver_backend):
     assert GridOracle(256).check(request).status == "unsat"
     assert refsolver_backend.check(request).status == "unsat"
     # the backend answers without its child; the child proves it on its own
-    assert refsolver.solve_script(emit_smtlib(request)) == ("unsat", None, ["v"])
+    assert refsolver.solve_script(emit_smtlib(request)) == SolverVerdict("unsat")
 
 
 def test_affine_unsat_ends_the_search_before_any_grid_stage(monkeypatch):
@@ -311,7 +313,7 @@ def test_affine_unsat_ends_the_search_before_any_grid_stage(monkeypatch):
     monkeypatch.setattr(refsolver, "_first_hit", lambda *args: pytest.fail("samples drawn"))
     # 2v > 3: no point of [0, 1], and no unit coefficient to narrow the box by
     assert refsolver.solve_script(DECLARE + "(assert (> (* 2.0 v) 3.0))\n(check-sat)\n") == \
-        ("unsat", None, ["v"])
+        SolverVerdict("unsat")
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +354,7 @@ def test_one_variable_search_skips_only_points_that_cannot_satisfy(monkeypatch):
     found = Counter()
     for _ in range(240):
         request = line_request(rng)
-        got = refsolver._search(request, int(rng.integers(2 ** 63)), {})
+        got = refsolver._search(request, {})
         verdicts = {resolution: holds_at_scan(request, resolution) for resolution in STAGES[1]}
         if got.status == "unsat":  # the clip's proof: no grid stage finds a point either
             assert all(verdict.status == "unknown" for verdict in verdicts.values()), request
@@ -390,9 +392,10 @@ def test_a_window_between_grid_points_is_found_at_its_midpoint(monkeypatch):
     request = SolverRequest((("v", 0.0, 1.0),),
                             (Comparison(Rel.LE, mul(sub(v, const(c)), sub(v, const(c + 1e-7)))),))
     assert all(grid_oracle(request, resolution).status == "unknown" for resolution in STAGES[1])
-    status, witness, _ = refsolver.solve_script(emit_smtlib(request))
+    verdict = refsolver.solve_script(emit_smtlib(request))
     ((lo, hi),) = solver._clip(request)
-    assert (status, witness) == ("sat", {"v": (lo + hi) / 2})
+    witness = verdict.assignment
+    assert (verdict.status, witness) == ("sat", {"v": (lo + hi) / 2})
     assert c < witness["v"] < c + 1e-7
     assert witness["v"] == pytest.approx(c + 5e-8, abs=1e-15)
     assert assignment_satisfies(request, witness)
@@ -412,15 +415,15 @@ def test_a_one_variable_unknown_draws_no_samples(monkeypatch):
 
     monkeypatch.setattr(smt, "_first_satisfying", recorded)
     script = DECLARE + "(assert (> (* 3.0 v) 1.0))\n(assert (< (* 3.0 v) 1.0))\n(check-sat)\n"
-    assert refsolver.solve_script(script) == ("unknown", None, ["v"])
+    assert refsolver.solve_script(script) == SolverVerdict("unknown")
     ((midpoint,),) = tried
     assert midpoint == pytest.approx(1 / 3)
 
 
 def test_a_band_between_grid_points_is_answered_by_the_samples():
     # 0.2999 < v - w < 0.3001 holds at no point of the 256- or 1,024-step
-    # grid: the seed read off the script text, the draws, the clip's
-    # bounding box and the first hit fix the model
+    # grid: the seed read off the narrowed request's emitted script, the
+    # draws, the clip's bounding box and the first hit fix the model
     script = ("(declare-const v Real)\n(declare-const w Real)\n(assert (>= v 0.0))\n"
               "(assert (<= v 1.0))\n(assert (>= w 0.0))\n(assert (<= w 1.0))\n"
               "(assert (> (- v w) 0.2999))\n(assert (< (- v w) 0.3001))\n(check-sat)\n")
@@ -430,8 +433,35 @@ def test_a_band_between_grid_points_is_answered_by_the_samples():
                              Comparison(Rel.LT, sub(v, w), const(0.3001))))
     for resolution in refsolver.GRID_STAGES[2]:
         assert grid_oracle(request, resolution).status == "unknown"
-    assert refsolver.solve_script(script) == (
-        "sat", {"v": 0.830071497993725, "w": 0.5300187763827784}, ["v", "w"])
+    assert refsolver.solve_script(script) == SolverVerdict(
+        "sat", {"v": 0.3980319519319522, "w": 0.09805119018400676})
+
+
+BAND = ("(declare-const v Real)\n(declare-const w Real)\n(assert (>= v 0.0))\n"
+        "(assert (<= v 1.0))\n(assert (>= w 0.0))\n(assert (<= w 1.0))\n"
+        "(assert (> (- v w) 0.29999))\n(assert (< (- v w) 0.300003))\n(check-sat)\n")
+
+
+def test_a_problem_answers_alike_however_its_script_is_written(monkeypatch, capsys):
+    # a band 1.3e-5 wide holds no grid point: the answer comes from the
+    # samples, whose seed is the problem's, not its script's
+    variants = [BAND, *("; a comment\n" * k + BAND for k in (1, 2, 5, 11)),
+                BAND.replace("\n", "\n\n"), BAND.replace("\n", "  \t\n"),
+                "(set-logic QF_NRA)\n" + BAND,
+                BAND.replace("(>= v 0.0)", "(<= 0.0 v)"),
+                BAND.replace(" 0.0)", " (- 0.0))"),
+                "; a comment\n(set-logic QF_NRA)\n" + BAND.replace("(>= w 0.0)", "(<= 0.0 w)")]
+    v, w = var("v"), var("w")
+    band = SolverRequest((("v", 0.0, 1.0), ("w", 0.0, 1.0)),
+                         (Comparison(Rel.GT, sub(v, w), const(0.29999)),
+                          Comparison(Rel.LT, sub(v, w), const(0.300003))))
+    assert all(grid_oracle(band, resolution).status == "unknown"
+               for resolution in refsolver.GRID_STAGES[2])
+    verdicts = [refsolver.solve_script(script) for script in variants]
+    assert verdicts == verdicts[:1] * len(variants)
+    session = "".join(f"(reset)\n{script}(get-model)\n" for script in variants)
+    assert session_output(session, monkeypatch, capsys) == \
+        answered_alone(BAND + "(get-model)\n") * len(variants)
 
 
 # ---------------------------------------------------------------------------
@@ -459,21 +489,20 @@ def sliver_request(rng: np.random.Generator) -> SolverRequest:
 def test_two_variable_samples_outside_the_clip_cannot_change_the_answer(monkeypatch):
     first_hit, drawn = refsolver._first_hit, []
 
-    def counted(assertion, names, chunks):
+    def counted(request, chunks):
         chunks = list(chunks)
         drawn.append(sum(map(len, chunks)))
-        return first_hit(assertion, names, chunks)
+        return first_hit(request, chunks)
 
     monkeypatch.setattr(refsolver, "_first_hit", counted)
     rng = np.random.default_rng(29)
     statuses = Counter()
     for _ in range(48):
         request = sliver_request(rng)
-        script = emit_smtlib(request)
         drawn.clear()
-        status, witness, _ = refsolver.solve_script(script)
-        assert (status, witness) == reference_solve(request, script), request
-        statuses[status] += 1
+        verdict = refsolver.solve_script(emit_smtlib(request))
+        assert (verdict.status, verdict.assignment) == reference_solve(request), request
+        statuses[verdict.status] += 1
         assert all(n <= refsolver.RANDOM_SAMPLES for n in drawn)
         if drawn and drawn[0] < refsolver.RANDOM_SAMPLES // 2:
             statuses["cut"] += 1
@@ -495,7 +524,8 @@ def box_script(n_vars: int, assertion: str) -> str:
 
 def test_mesh_is_scanned_in_row_major_order():
     script = box_script(3, "(> (+ x0 (* x1 x2)) 1.2)")
-    assert refsolver.solve_script(script)[:2] == ("sat", {"x0": 0.25, "x1": 1.0, "x2": 1.0})
+    assert refsolver.solve_script(script) == SolverVerdict("sat", {"x0": 0.25, "x1": 1.0,
+                                                                  "x2": 1.0})
 
 
 def test_a_sample_rounded_past_the_box_is_no_witness(monkeypatch):
@@ -503,20 +533,20 @@ def test_a_sample_rounded_past_the_box_is_no_witness(monkeypatch):
     # but not the bound x0 <= 1, which the box holds and the assertion no more
     samples = refsolver._samples
 
-    def past(request, seed):
-        points = samples(request, seed)
+    def past(request):
+        points = samples(request)
         points[0] = np.nextafter(1.0, 2.0)
         return points
 
     monkeypatch.setattr(refsolver, "_samples", past)
-    assert refsolver.solve_script(box_script(3, "(> (* 2.0 x0) 2.0)"))[:2] == ("unknown", None)
+    assert refsolver.solve_script(box_script(3, "(> (* 2.0 x0) 2.0)")) == SolverVerdict("unknown")
 
 
 def test_mesh_is_streamed_in_chunks():
     script = box_script(5, "(> (+ x0 x1) 3.0)")  # 17**5 mesh points, none satisfies
     tracemalloc.start()
     try:
-        status = refsolver.solve_script(script)[0]
+        status = refsolver.solve_script(script).status
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -529,7 +559,7 @@ def test_mesh_is_capped_past_five_variables():
         [17, 17, 10, 7, 2, 1]
     script = box_script(7, "(> (+ x0 x1) 3.0)")  # unsat; 17**7 points uncapped
     start = time.monotonic()
-    assert refsolver.solve_script(script)[0] == "unknown"
+    assert refsolver.solve_script(script).status == "unknown"
     assert time.monotonic() - start < 2.0
 
 
@@ -547,6 +577,10 @@ REJECTED = {
     + " 0.5))\n(check-sat)\n",
     "list-headed term": DECLARE + "(assert (> ((+ v 1.0) v) 0.0))\n(check-sat)\n",
     "list-headed assertion": DECLARE + "(assert ((> v 1.0) v 0.0))\n(check-sat)\n",
+    # a numeral, or a fold, past the largest double: no request's script
+    "numeral past the doubles": DECLARE + "(assert (< v 1" + "0" * 400 + ".0))\n(check-sat)\n",
+    "fold past the doubles": DECLARE + "(assert (> (* v 1" + "0" * 200 + ".0 1" + "0" * 200
+    + ".0) 0.5))\n(check-sat)\n",
 }
 
 
@@ -608,7 +642,7 @@ def test_one_operator_table_computes_folds_and_reads(op, name):
             q = const(random_constant(rng) or 0.5)
         text = f"({op} {smt._render_poly(p)} {smt._render_poly(q)})\n"
         (form,) = [form for _, forms in _forms([text]) for form in forms]
-        assert refsolver._term(form) == builder(p, q)
+        assert smt._term(form) == builder(p, q)
     if op == "/":
         with pytest.raises(ConcolicArithmeticError, match="zero constant"):
             builder(var("x"), const(0.0))
@@ -617,10 +651,10 @@ def test_one_operator_table_computes_folds_and_reads(op, name):
         for text in ("(/ x 0.0)\n", "(/ 1.0 0.0)\n"):
             (form,) = [form for _, forms in _forms([text]) for form in forms]
             with pytest.raises(refsolver.ScriptError, match="zero constant"):
-                refsolver._term(form)
+                smt._term(form)
         # the double nearest 1/3, where the builder divides the doubles of 0.1 and 0.3
         (form,) = [form for _, forms in _forms(["(/ 0.1 0.3)\n"]) for form in forms]
-        assert refsolver._term(form) == const(1 / 3) != div(const(0.1), const(0.3))
+        assert smt._term(form) == const(1 / 3) != div(const(0.1), const(0.3))
 
 
 def test_comment_lines_are_ignored():
@@ -629,7 +663,7 @@ def test_comment_lines_are_ignored():
     proc = run_script(script)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "sat"
-    assert refsolver.solve_script(script)[:2] == ("sat", {"v": 257 / 512})
+    assert refsolver.solve_script(script) == SolverVerdict("sat", {"v": 257 / 512})
 
 
 # ---------------------------------------------------------------------------
@@ -653,13 +687,14 @@ def test_session_answers_each_request_as_solve_script_does():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     want = []
-    for script in scripts:
+    for request, script in zip(requests, scripts):
         # a check solves the text since the (reset), up to its (check-sat) line
-        status, witness, declared = refsolver.solve_script(script)
-        want.append(status)
-        if witness is not None:
-            want.append([["define-fun", name, [], "Real", _render_decimal(witness[name])]
-                         for name in declared])
+        verdict = refsolver.solve_script(script)
+        want.append(verdict.status)
+        if verdict.status == "sat":
+            assert list(verdict.assignment) == [name for name, _, _ in request.variables]
+            want.append([["define-fun", name, [], "Real", _render_decimal(value)]
+                         for name, value in verdict.assignment.items()])
     assert want[:1] + want[2:3] == ["sat", "unsat"]
     assert [form for _, forms in _forms(proc.stdout.splitlines(keepends=True))
             for form in forms] == want
@@ -687,8 +722,9 @@ def test_a_session_keeps_prefix_masks_across_resets(monkeypatch, capsys):
     want = []
     for request, script in zip(requests, scripts):  # each alone, from empty tries
         before = passes[0]
-        status, witness, _ = refsolver.solve_script(script)
-        want += [status] if witness is None else [status, witness]
+        verdict = refsolver.solve_script(script)
+        want += [verdict.status] if verdict.assignment is None else [verdict.status,
+                                                                     verdict.assignment]
         if len(request.variables) == 1:  # the grid points in the clip, in plain Python
             assert passes[0] == before
     assert {"sat", "unsat", "unknown"} <= {answer for answer in want if isinstance(answer, str)}
@@ -724,8 +760,9 @@ def session_output(session: str, monkeypatch, capsys) -> str:
 def answered_alone(script: str) -> str:
     """What a session prints for ``script`` and a ``(get-model)`` after it,
     from :func:`refsolver.solve_script` of the script alone."""
-    status, witness, declared = refsolver.solve_script(script)
-    return f"{status}\n" + ("" if witness is None else smt.render_model(witness, declared))
+    verdict = refsolver.solve_script(script)
+    return f"{verdict.status}\n" + ("" if verdict.assignment is None
+                                    else smt.render_model(verdict.assignment))
 
 
 def test_repeated_assertion_lines_are_answered_as_each_script_alone(monkeypatch, capsys):
@@ -763,10 +800,11 @@ def test_solve_script_obeys_reset_as_a_session_does(monkeypatch, capsys):
     first = DECLARE + "(assert (> v 0.5))\n(check-sat)\n"
     second = DECLARE + "(assert (< v 0.25))\n(check-sat)\n(get-model)\n"
     for text in (first + "(reset)\n" + second, first + "(reset)\n" + second + "(reset)\n"):
-        status, witness, declared = refsolver.solve_script(text)
-        assert status == "sat" and witness["v"] < 0.25 and declared == ["v"]
+        verdict = refsolver.solve_script(text)
+        witness = verdict.assignment
+        assert verdict.status == "sat" and witness["v"] < 0.25 and list(witness) == ["v"]
         assert session_output(text, monkeypatch, capsys) == \
-            "sat\n" + f"{status}\n" + smt.render_model(witness, declared)
+            "sat\n" + f"{verdict.status}\n" + smt.render_model(witness)
 
 
 @pytest.mark.parametrize("count", [0, 1, 2, 3])
@@ -788,7 +826,7 @@ def test_each_backend_clips_each_request_once(count, monkeypatch, refsolver_back
                 for bound in (count / 2 - 0.25, count + 1.0)]
     if count:
         requests.append(SolverRequest((("a", 1.0, 0.0),) + variables[1:], ()))
-    backends = [refsolver_backend.check, lambda request: refsolver._search(request, 0, {})]
+    backends = [refsolver_backend.check, lambda request: refsolver._search(request, {})]
     if count <= 2:
         backends.append(GridOracle(64).check)
     for request in requests:
@@ -810,14 +848,14 @@ def test_a_repeated_line_inside_a_literal_or_a_form_is_not_read_alone(opener, cl
     line = "(assert (> v 0.5))\n"
     first = DECLARE + line + "(check-sat)\n"
     second = opener + line + closer + DECLARE + "(assert (< v 0.25))\n(check-sat)\n(get-model)\n"
-    status, witness, _ = refsolver.solve_script(second)
-    assert status == "sat" and witness["v"] < 0.25
+    verdict = refsolver.solve_script(second)
+    assert verdict.status == "sat" and verdict.assignment["v"] < 0.25
     lines = (first + "(reset)\n" + second).splitlines(keepends=True)
     memo: dict = {}
     assert list(_forms(lines, memo)) == list(_forms(lines))
     assert memo[line] == [["assert", [">", "v", "0.5"]]]
     assert opener not in memo and closer not in memo
-    want = refsolver.solve_script(first)[0] + "\n" + answered_alone(second)
+    want = refsolver.solve_script(first).status + "\n" + answered_alone(second)
     assert session_output("".join(lines), monkeypatch, capsys) == want
 
 
@@ -832,9 +870,9 @@ def test_a_two_variable_check_caches_its_path_at_the_finest_stage(monkeypatch, c
     request = SolverRequest((("a", 0.0, 1.0), ("b", 0.0, 1.0)), path)
     search, sessions = refsolver._search, []
 
-    def recorded(request, seed, tries):
+    def recorded(request, tries):
         sessions.append(tries)
-        return search(request, seed, tries)
+        return search(request, tries)
 
     def keys(node):
         for key, child in node.children.items():
@@ -859,7 +897,8 @@ def test_solve_script_of_an_emitted_script_answers_as_a_session_check(refsolver_
                              Comparison(Rel.LT, total, const(1.05))))
     verdict = refsolver_backend.check(request)
     assert verdict.status == "sat"
-    assert refsolver.solve_script(emit_smtlib(request)) == ("sat", verdict.assignment, names)
+    assert refsolver.solve_script(emit_smtlib(request)) == SolverVerdict("sat", verdict.assignment)
+    assert list(verdict.assignment) == names
 
 
 def test_check_sat_is_answered_while_stdin_is_open():

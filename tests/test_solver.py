@@ -229,7 +229,7 @@ def test_every_rendered_model_reads_back_bit_identical():
     for _ in range(2000):
         witness = {name: float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300, 300))
                    for name in names}
-        (reply,) = parsed(render_model(witness, names))
+        (reply,) = parsed(render_model(witness))
         assert read_model(reply, names) == witness  # no zero: == is bit-identity
 
 
@@ -282,6 +282,14 @@ def test_grid_oracle_resolution_not_an_integer_at_least_0_is_an_error(resolution
     assert GridOracle(np.int64(2)).check(request).status == "unknown"
 
 
+@pytest.mark.parametrize("resolution", [2.5, -1, -3, "8", None])
+def test_grid_oracle_resolution_is_checked_when_the_oracle_is_made(resolution):
+    # by grid_oracle's own check, before any influence map or forward runs
+    with pytest.raises(SolverError, match="resolution"):
+        GridOracle(resolution)
+    assert GridOracle(0).resolution == 0 and GridOracle(np.int64(2)).resolution == 2
+
+
 def test_empty_assertion_is_sat_for_both_backends(refsolver_backend):
     req = SolverRequest(variables=(("a", 0.0, 1.0), ("b", 0.0, 1.0)), assertion=())
     assert grid_oracle(req).status == "sat"
@@ -298,7 +306,7 @@ def test_external_unsat_on_conflicting_bounds(refsolver_backend):
     verdict = refsolver_backend.check(request)
     assert verdict.status == "unsat"
     # the backend answers without its child; the child proves it on its own
-    assert refsolver.solve_script(emit_smtlib(request)) == ("unsat", None, ["v"])
+    assert refsolver.solve_script(emit_smtlib(request)) == SolverVerdict("unsat")
 
 
 def test_external_sat_with_substitution_check(refsolver_backend):
